@@ -18,30 +18,21 @@ func stubCPUs(t *testing.T, n int) {
 }
 
 // TestAutoContradictsExplicitKnobs pins the validation rule: Auto means
-// "the planner decides", so combining it with any hand-picked execution
-// knob is a typed OptionsError, not a silent override.
+// "the planner decides", so combining it with a hand-picked worker count
+// is a typed OptionsError, not a silent override.
 func TestAutoContradictsExplicitKnobs(t *testing.T) {
 	u := MustParse("Q(x,y) <- R1(x,z), R2(z,y).")
-	inst := example2SmallInstance()
-	for _, opts := range []*PlanOptions{
-		{Auto: true, Parallel: true},
-		{Auto: true, Shards: 2},
-		{Auto: true, Workers: 4},
-		{Auto: true, ParallelBatch: 8},
-	} {
-		_, err := NewPlan(u, inst, opts)
-		var oe *OptionsError
-		if !errors.As(err, &oe) || oe.Field != "Auto" {
-			t.Errorf("opts %+v: err = %v, want OptionsError on Auto", opts, err)
-		}
+	_, err := NewPlan(u, example2SmallInstance(), &PlanOptions{Auto: true, Workers: 4})
+	var oe *OptionsError
+	if !errors.As(err, &oe) || oe.Field != "Auto" {
+		t.Errorf("err = %v, want OptionsError on Auto", err)
 	}
 }
 
 // TestAutoResolvedOptionsAlwaysValid is the end-to-end property behind the
 // cost model: over random queries, instances and core counts, an Auto bind
-// always succeeds, always records a decision, and the decision's knobs
-// always form a combination that explicit PlanOptions validation would
-// accept (never Shards or Workers without Parallel).
+// always succeeds, always records a decision, and the decision's worker
+// count is one explicit PlanOptions validation would accept.
 func TestAutoResolvedOptionsAlwaysValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
 	for i := 0; i < 120; i++ {
@@ -60,11 +51,8 @@ func TestAutoResolvedOptionsAlwaysValid(t *testing.T) {
 		if d == nil {
 			t.Fatalf("case %d: auto bind recorded no decision", i)
 		}
-		if !d.Parallel && (d.Shards != 0 || d.Workers != 0) {
-			t.Fatalf("case %d: invalid resolved knobs %+v", i, d)
-		}
-		// The resolved knobs round-trip through explicit validation.
-		explicit := PlanOptions{Parallel: d.Parallel, Shards: d.Shards, Workers: d.Workers}
+		// The resolved worker count round-trips through explicit validation.
+		explicit := PlanOptions{Workers: d.Workers}
 		if err := explicit.validate(); err != nil {
 			t.Fatalf("case %d: resolved knobs fail validation: %v (%+v)", i, err, d)
 		}
@@ -85,10 +73,10 @@ func TestAutoSingleCPUSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := p.Decision()
-	if d == nil || d.Kind != "sequential" || d.Parallel || d.Shards != 0 || d.Workers != 0 {
+	if d == nil || d.Kind != "sequential" || d.Workers != 0 {
 		t.Fatalf("decision = %+v, want sequential", d)
 	}
-	if ex := p.Explain(); !strings.Contains(ex, "auto decision: sequential") {
+	if ex := p.Explain(); !strings.Contains(ex, "auto decision: sequential (workers=0)") {
 		t.Errorf("Explain missing decision provenance:\n%s", ex)
 	}
 }
@@ -97,7 +85,7 @@ func TestAutoSingleCPUSequential(t *testing.T) {
 // records no decision and Explain stays decision-free.
 func TestAutoExplicitUnaffected(t *testing.T) {
 	u := MustParse("Q(x,y,w) <- R1(x,z), R2(z,y), R3(y,w).")
-	for _, opts := range []*PlanOptions{nil, {Parallel: true}, {Parallel: true, Shards: 2}} {
+	for _, opts := range []*PlanOptions{nil, {Workers: 2}} {
 		p, err := NewPlan(u, example2SmallInstance(), opts)
 		if err != nil {
 			t.Fatalf("opts %+v: %v", opts, err)
@@ -112,8 +100,9 @@ func TestAutoExplicitUnaffected(t *testing.T) {
 }
 
 // TestAutoBindCacheRoundTrip pins that a cache-served auto bind carries
-// the same decision as the bind that populated the entry — decisions are
-// part of the cached per-instance state, keyed on the core count.
+// the same decision as the bind that populated the entry — the decision is
+// recomputed per bind from the cached counts — and that execution options
+// are not part of the bind-cache key.
 func TestAutoBindCacheRoundTrip(t *testing.T) {
 	stubCPUs(t, 8)
 	u := MustParse("Q(x,y,w) <- R1(x,z), R2(z,y), R3(y,w).")
@@ -143,14 +132,14 @@ func TestAutoBindCacheRoundTrip(t *testing.T) {
 	if d1 == nil || d2 == nil || *d1 != *d2 {
 		t.Fatalf("cached bind decision %+v differs from original %+v", d2, d1)
 	}
-	// An explicit bind against the same dataset does not share the auto
-	// entry — its plan must not inherit the auto decision.
-	explicit, err := pq.BindDatasetExec(ds, &PlanOptions{Parallel: true})
+	// An explicit-Workers bind of the same (dataset version, query) shares
+	// the auto entry, and its plan does not inherit the auto decision.
+	explicit, err := pq.BindDatasetExec(ds, &PlanOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if explicit.BindCacheHit() {
-		t.Error("explicit bind hit the auto cache entry")
+	if !explicit.BindCacheHit() {
+		t.Error("explicit bind missed the entry the auto bind filled")
 	}
 	if explicit.Decision() != nil {
 		t.Errorf("explicit bind carries a decision %+v", explicit.Decision())

@@ -12,6 +12,7 @@ package ucq
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/baseline"
@@ -24,7 +25,6 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/paper"
 	"repro/internal/reduction"
-	"repro/internal/shard"
 	"repro/internal/workload"
 	"repro/internal/yannakakis"
 )
@@ -452,88 +452,10 @@ func BenchmarkE12UnionParallelVsSequential(b *testing.B) {
 	})
 }
 
-// BenchmarkE13NaiveUnionParallel: the naive evaluator's sequential vs
-// parallel member-CQ evaluation on an intractable union.
-func BenchmarkE13NaiveUnionParallel(b *testing.B) {
-	u := MustParse(`
-		Q1(x,y) <- R1(x,z), R2(z,y).
-		Q2(x,y) <- R2(x,z), R1(z,y).
-		Q3(x,y) <- R1(x,z), R1(z,y).
-	`)
-	inst := workload.Chain([]string{"R1", "R2"}, []int{2, 2}, 3000, 3, 9)
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := baseline.EvalUCQ(u, inst); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := baseline.EvalUCQParallel(u, inst); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkE14ShardedSkewedBranch: sharded enumeration of a single skewed
-// heavy CQ branch against the per-branch-only parallel merge. The instance
-// concentrates the output on one join key (the unbalanced regime of
-// Bringmann & Carmeli), so per-branch parallelism has exactly one worker to
-// give the branch. Sharding partitions the branch on a head variable, which
-// (a) fans the work across one CDY plan per shard and (b) proves the shard
-// streams pairwise disjoint, letting the merge skip its per-answer dedup
-// probe and arena copy — the sharded mode wins even on one core, and scales
-// with cores on top. Preparation is excluded: the comparison is pure
-// enumeration throughput over one prepared plan.
-func BenchmarkE14ShardedSkewedBranch(b *testing.B) {
-	u := MustParse("Q(x,y,w) <- R1(x,y), R2(y,w).")
-	// ~1.0M answers: 16000·60 on the heavy key plus 99·160·3 elsewhere.
-	inst := workload.SkewedJoin(16000, 60, 99, 160, 3, 1)
-	cert, ok := core.FindCertificate(u, nil)
-	if !ok {
-		b.Fatal("no certificate")
-	}
-	plan, err := core.NewUnionPlan(u, cert, inst)
-	if err != nil {
-		b.Fatal(err)
-	}
-	want := 16000*60 + 99*160*3
-	b.Run("per-branch-parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if got := drain(b, plan.IteratorParallel(0)); got != want {
-				b.Fatalf("answers = %d, want %d", got, want)
-			}
-		}
-		b.ReportMetric(float64(want), "answers/op")
-	})
-	for _, n := range []int{1, 8} {
-		if err := plan.PrepareShards(n); err != nil {
-			b.Fatal(err)
-		}
-		if !plan.ShardedDisjoint() {
-			b.Fatal("sharding not recognised as disjoint")
-		}
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				it, err := plan.IteratorParallelSharded(0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got := drain(b, it); got != want {
-					b.Fatalf("answers = %d, want %d", got, want)
-				}
-			}
-			b.ReportMetric(float64(want), "answers/op")
-		})
-	}
-}
-
 // headStream adapts a CDY plan iterator to the enumeration interface as
 // one indivisible stream — the benchmark stand-in for the pre-executor
-// per-branch/per-shard worker model, where the unit of parallelism was
-// fixed at plan time.
+// per-branch worker model, where the unit of parallelism was fixed at plan
+// time.
 type headStream struct{ it *yannakakis.Iterator }
 
 func (h *headStream) Next() (Tuple, bool) {
@@ -553,27 +475,21 @@ func (h *headStream) NextBatch(buf []Value, max int) ([]Value, int) {
 }
 
 // BenchmarkE16WorkStealingSkew: the work-stealing executor against the
-// per-branch-worker model on a self-join with ~91% output skew — the
-// regime where sharding is powerless twice over. The query
-// Q(x,y,w) <- R2(x,y), R2(y,w) places every variable at conflicting
-// columns of R2, so the shard planner has no safe partition attribute and
-// the whole branch lands on a single worker no matter how many shards or
-// branch workers are configured; the instance concentrates ~10⁶ of the
-// ~1.1M answers on one join key on top. The executor instead slices the
-// plan's root rows into range tasks, steals and re-splits them, and (the
-// union having one member and no bonus answers) merges disjointly without
-// dedup — so worksteal-8 scales with cores where per-branch-worker-8
-// leaves seven workers idle. On a single-core machine the two are on par;
-// the ≥2x separation shows from ~4 cores up.
+// per-branch-worker model on a self-join with ~91% output skew. The query
+// Q(x,y,w) <- R2(x,y), R2(y,w) is a single branch, so the whole of it lands
+// on one worker no matter how many branch workers are configured; the
+// instance concentrates ~10⁶ of the ~1.1M answers on one join key on top.
+// The executor instead slices the plan's root rows into range tasks, steals
+// and re-splits them, and (the union having one member and no bonus answers)
+// merges disjointly without dedup — so worksteal-8 scales with cores where
+// per-branch-worker-8 leaves seven workers idle. On a single-core machine
+// the two are on par; the ≥2x separation shows from ~4 cores up.
 func BenchmarkE16WorkStealingSkew(b *testing.B) {
 	u := MustParse("Q(x,y,w) <- R2(x,y), R2(y,w).")
 	q := u.CQs[0]
 	// 10⁶ answers on the heavy key + 110·30² light: 91% output skew.
 	inst := workload.SelfJoinSkew(1000, 1000, 110, 30, 1)
 	want := 1000*1000 + 110*30*30
-	if cands := shard.Candidates(q, inst); len(cands) != 0 {
-		b.Fatalf("self-join unexpectedly has %d safe partition attributes; the skew premise is void", len(cands))
-	}
 	cert, ok := core.FindCertificate(u, nil)
 	if !ok {
 		b.Fatal("no certificate")
@@ -595,7 +511,7 @@ func BenchmarkE16WorkStealingSkew(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			it := enumeration.NewParallelUnionOpts(3, enumeration.UnionOptions{
 				Workers:  8,
-				Disjoint: true, // single duplicate-free branch, as the sharded fallback proved
+				Disjoint: true, // a single CDY branch is duplicate-free
 			}, &headStream{it: engine.Iterator()})
 			if got := drain(b, it); got != want {
 				b.Fatalf("answers = %d, want %d", got, want)
@@ -745,12 +661,11 @@ func BenchmarkE17BindDatasetCached(b *testing.B) {
 
 // BenchmarkE18AutoModeSelection: the cost-based Auto planner against
 // hand-picked execution modes across the three instance regimes it
-// navigates — tiny (where any parallelism is overhead), uniform (where
-// disjoint sharding wins on multi-core), and skewed (where work stealing
-// beats sharding). Each arm times bind + drain, so Auto pays for its own
-// decision probe (the counting pass and the output-skew samples) inside
-// the measurement. The claim the gate watches: auto tracks the best
-// hand-picked mode per regime and never the worst.
+// navigates — tiny (where any parallelism is overhead), uniform, and
+// skewed (where work stealing re-splits the heavy key). Each arm times
+// bind + drain, so Auto pays for its own decision probe (the counting
+// pass) inside the measurement. The claim the gate watches: auto tracks
+// the best hand-picked mode per regime and never the worst.
 func BenchmarkE18AutoModeSelection(b *testing.B) {
 	u := MustParse("Q(x,y,w) <- R1(x,y), R2(y,w).")
 	pq, err := Prepare(u, nil)
@@ -763,10 +678,10 @@ func BenchmarkE18AutoModeSelection(b *testing.B) {
 	}{
 		// ~160 answers: below every parallel threshold.
 		{"tiny", workload.SkewedJoin(4, 4, 12, 4, 3, 1)},
-		// 100 balanced keys, 48k answers: the disjoint-sharding regime.
+		// 100 balanced keys, 48k answers.
 		{"uniform", workload.SkewedJoin(160, 3, 99, 160, 3, 1)},
-		// ~1M answers, ~96% on one key: sharding would starve, work
-		// stealing re-splits (the E14/E16 skew regime).
+		// ~1M answers, ~96% on one key: work stealing re-splits (the E16
+		// skew regime).
 		{"skewed", workload.SkewedJoin(16000, 60, 99, 160, 3, 1)},
 	}
 	modes := []struct {
@@ -775,8 +690,7 @@ func BenchmarkE18AutoModeSelection(b *testing.B) {
 	}{
 		{"auto", &PlanOptions{Auto: true}},
 		{"sequential", nil},
-		{"parallel", &PlanOptions{Parallel: true}},
-		{"sharded-8", &PlanOptions{Parallel: true, Shards: 8}},
+		{"parallel", &PlanOptions{Workers: runtime.GOMAXPROCS(0)}},
 	}
 	for _, in := range instances {
 		seq, err := pq.Bind(in.inst)
@@ -832,8 +746,8 @@ func BenchmarkE20SpilledDedup(b *testing.B) {
 		name string
 		opts *PlanOptions
 	}{
-		{"in-memory", &PlanOptions{Parallel: true}},
-		{"spilled", &PlanOptions{Parallel: true, DedupBudget: 512, SpillDir: b.TempDir()}},
+		{"in-memory", &PlanOptions{Workers: runtime.GOMAXPROCS(0)}},
+		{"spilled", &PlanOptions{Workers: runtime.GOMAXPROCS(0), DedupBudget: 512, SpillDir: b.TempDir()}},
 	}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {

@@ -20,7 +20,7 @@ import (
 // of once per request. A Catalog holds named, versioned datasets whose
 // snapshots are immutable — writers install a new snapshot, readers are
 // never blocked — and a bind cache keyed on (prepared-query fingerprint,
-// dataset name, version, shards) that serves the per-instance half of
+// dataset name, version) that serves the per-instance half of
 // planning: the second BindDataset for the same (query, dataset) skips the
 // Theorem 12 pass entirely and goes straight to constant-delay
 // enumeration.
@@ -525,37 +525,22 @@ func (ds *Dataset) DeltasBetween(from, to Version) (fromInst, toInst *Instance, 
 // Drop can purge by prefix; the registration generation keeps a dropped-
 // and-re-registered name (whose versions restart at 1) apart from fills
 // still in flight against the old registration; the version makes entries
-// for superseded snapshots unreachable immediately; the exec component
-// (see execBindKey) captures the part of the bound state the execution
-// options shape.
-func bindKey(name string, gen, version uint64, fingerprint, exec string) string {
-	return fmt.Sprintf("%s\x00%d\x00%d\x00%s\x00%s", name, gen, version, fingerprint, exec)
-}
-
-// execBindKey renders the execution-shaped part of the bound state. For
-// explicit options that is the shard count (PrepareShards bakes shard
-// plans into the union plan). For Auto binds the resolved decision is a
-// pure function of the snapshot (already keyed by name/gen/version), the
-// query fingerprint, the CPU count and the memory budget — so "auto" plus
-// GOMAXPROCS plus the budget keys it exactly: the same dataset version
-// re-bound after a GOMAXPROCS or budget change recomputes the decision
-// instead of serving one sized for a different machine shape.
-func execBindKey(opts PlanOptions) string {
-	if opts.Auto {
-		return fmt.Sprintf("auto/%d/%d", autoCPUs(), opts.DedupBudget)
-	}
-	return fmt.Sprintf("%d", opts.Shards)
+// for superseded snapshots unreachable immediately. Execution options do
+// not shape the bound state, so they are not part of the key: Auto and
+// explicit binds of one (snapshot, query) share an entry.
+func bindKey(name string, gen, version uint64, fingerprint string) string {
+	return fmt.Sprintf("%s\x00%d\x00%d\x00%s", name, gen, version, fingerprint)
 }
 
 // BindDataset attaches the prepared query to the dataset's current
-// snapshot. The per-instance half of planning — Theorem 12 preprocessing,
-// shard preparation, naive schema validation — is served from the
-// catalog's bind cache keyed on (query fingerprint, dataset, version,
-// shards): the first bind computes and caches it, every later bind for the
-// same key reuses it and goes straight to enumeration, and concurrent
-// cold binds coalesce onto one computation. Replace/AppendRows bump the
-// version, so stale binds are never served. The returned plan enumerates
-// the snapshot bound, even if the dataset changes afterwards.
+// snapshot. The per-instance half of planning — Theorem 12 preprocessing
+// or naive schema validation — is served from the catalog's bind cache
+// keyed on (query fingerprint, dataset, version): the first bind computes
+// and caches it, every later bind for the same key reuses it and goes
+// straight to enumeration, and concurrent cold binds coalesce onto one
+// computation. Replace/AppendRows bump the version, so stale binds are
+// never served. The returned plan enumerates the snapshot bound, even if
+// the dataset changes afterwards.
 func (pq *PreparedQuery) BindDataset(ds *Dataset) (*Plan, error) {
 	return pq.BindDatasetExecContext(context.Background(), ds, nil)
 }
@@ -589,11 +574,11 @@ func (pq *PreparedQuery) BindDatasetExecContext(ctx context.Context, ds *Dataset
 	if ds.cat == nil {
 		// Anonymous one-shot dataset: nothing to share, bind directly
 		// (and cancellably) against the pinned snapshot.
-		bq, err = pq.bindInstance(ctx, snap.inst, opts)
+		bq, err = pq.bindInstance(ctx, snap.inst)
 	} else {
-		bq, hit, err = ds.cat.binds.Get(bindKey(snap.name, ds.gen, snap.version, pq.fingerprint, execBindKey(opts)),
+		bq, hit, err = ds.cat.binds.Get(bindKey(snap.name, ds.gen, snap.version, pq.fingerprint),
 			func() (*boundQuery, error) {
-				return pq.bindInstance(context.WithoutCancel(ctx), snap.inst, opts)
+				return pq.bindInstance(context.WithoutCancel(ctx), snap.inst)
 			})
 	}
 	if err != nil {

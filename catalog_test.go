@@ -209,13 +209,12 @@ func TestBindDatasetCacheHitAndInvalidation(t *testing.T) {
 		t.Errorf("stale entries not purged: size = %d, want 1", st.Size)
 	}
 
-	// Different execution options that do not change the bound state share
-	// the entry; a different shard count does not.
-	if p, err := pq.BindDatasetExec(ds, &PlanOptions{Parallel: true}); err != nil || !p.BindCacheHit() {
-		t.Errorf("parallel exec bind should reuse the cached bind (hit=%v err=%v)", p.BindCacheHit(), err)
-	}
-	if p, err := pq.BindDatasetExec(ds, &PlanOptions{Parallel: true, Shards: 2}); err != nil || p.BindCacheHit() {
-		t.Errorf("sharded bind needs its own entry (hit=%v err=%v)", p.BindCacheHit(), err)
+	// Execution options do not shape the bound state: every strategy
+	// shares the entry.
+	for _, opts := range []*PlanOptions{{Workers: 2}, {Auto: true}} {
+		if p, err := pq.BindDatasetExec(ds, opts); err != nil || !p.BindCacheHit() {
+			t.Errorf("exec bind %+v should reuse the cached bind (hit=%v err=%v)", opts, p.BindCacheHit(), err)
+		}
 	}
 }
 
@@ -263,11 +262,11 @@ func TestDropAndReregisterDoesNotReuseOldBinds(t *testing.T) {
 	// Simulate the in-flight-fill window directly: land a stale entry for
 	// the old registration's key after the purge; the new registration's
 	// key must not reach it.
-	stale, err := pq.bindInstance(context.Background(), example2SmallInstance(), PlanOptions{})
+	stale, err := pq.bindInstance(context.Background(), example2SmallInstance())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat.binds.Get(bindKey("d", ds1.gen, 1, pq.Fingerprint(), "0"),
+	cat.binds.Get(bindKey("d", ds1.gen, 1, pq.Fingerprint()),
 		func() (*boundQuery, error) { return stale, nil })
 	if p, err := pq.BindDataset(ds2); err != nil || p.Count() != 8 {
 		t.Errorf("stale old-generation entry leaked into the new registration (count=%d err=%v)", p.Count(), err)

@@ -77,25 +77,33 @@ func TestCLISmoke(t *testing.T) {
 	if !strings.Contains(string(out), "constant-delay evaluation") {
 		t.Errorf("ucq-run did not use the constant-delay engine:\n%s", out)
 	}
+	// No -workers: the cost model decides and reports the worker count.
+	if !strings.Contains(string(out), "auto decision: sequential (workers=0)") {
+		t.Errorf("ucq-run did not report the auto decision:\n%s", out)
+	}
 	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
 	if lines[len(lines)-1] != "6" {
 		t.Errorf("ucq-run count = %q, want 6\n%s", lines[len(lines)-1], out)
 	}
 
-	// -parallel mode counts the same answer set.
+	// -workers alone selects the executor (no decision is made), which
+	// counts the same answer set.
 	out, err = exec.Command("go", "run", "./cmd/ucq-run",
 		"-q", queryPath,
 		"-r", "R1="+filepath.Join(dir, "R1.csv"),
 		"-r", "R2="+filepath.Join(dir, "R2.csv"),
 		"-r", "R3="+filepath.Join(dir, "R3.csv"),
-		"-count", "-parallel", "-batch", "2",
+		"-count", "-workers", "2",
 	).CombinedOutput()
 	if err != nil {
-		t.Fatalf("ucq-run -parallel: %v\n%s", err, out)
+		t.Fatalf("ucq-run -workers: %v\n%s", err, out)
+	}
+	if strings.Contains(string(out), "auto decision") {
+		t.Errorf("ucq-run -workers reported an auto decision:\n%s", out)
 	}
 	lines = strings.Split(strings.TrimSpace(string(out)), "\n")
 	if lines[len(lines)-1] != "6" {
-		t.Errorf("ucq-run -parallel count = %q, want 6\n%s", lines[len(lines)-1], out)
+		t.Errorf("ucq-run -workers count = %q, want 6\n%s", lines[len(lines)-1], out)
 	}
 
 	// -dataset routes the same evaluation through the catalog BindDataset
@@ -120,17 +128,17 @@ func TestCLISmoke(t *testing.T) {
 		t.Errorf("ucq-run -dataset count = %q, want 6\n%s", lines[len(lines)-1], out)
 	}
 
-	// -parallel with -limit abandons the stream mid-way; the process must
+	// -workers with -limit abandons the stream mid-way; the process must
 	// still exit cleanly (workers are released, not leaked).
 	out, err = exec.Command("go", "run", "./cmd/ucq-run",
 		"-q", queryPath,
 		"-r", "R1="+filepath.Join(dir, "R1.csv"),
 		"-r", "R2="+filepath.Join(dir, "R2.csv"),
 		"-r", "R3="+filepath.Join(dir, "R3.csv"),
-		"-parallel", "-limit", "1",
+		"-workers", "2", "-limit", "1",
 	).CombinedOutput()
 	if err != nil {
-		t.Fatalf("ucq-run -parallel -limit: %v\n%s", err, out)
+		t.Fatalf("ucq-run -workers -limit: %v\n%s", err, out)
 	}
 
 	// ucq-experiments -quick renders the full document.
@@ -315,7 +323,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	body, err := json.Marshal(map[string]any{
 		"query":     "Q(x,z,y) <- R(x,z), S(z,y).",
 		"relations": rels,
-		"options":   map[string]any{"parallel": true, "workers": 4, "batch": 16},
+		"options":   map[string]any{"workers": 4},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -161,7 +161,7 @@ type Comparison struct {
 }
 
 // parallelBench matches the benchmarks whose ns/op scales with the core
-// count — the parallel, sharded, work-stealing, auto-mode, distributed
+// count — the parallel, work-stealing, auto-mode, distributed
 // fan-out and concurrent wire-throughput experiments.
 // Comparing their timings across machines with different parallelism
 // measures the hardware, not the code, so the gate skips them (with a

@@ -159,7 +159,7 @@ func TestCompareSkipsParallelOnCoreMismatch(t *testing.T) {
 // set is skipped for core mismatch warns instead of failing.
 func TestCompareAllSkippedIsNotAnError(t *testing.T) {
 	mk := func(procs int) *Snapshot {
-		s := snapOf(map[string]float64{"BenchmarkE15Sharded/x": 100})
+		s := snapOf(map[string]float64{"BenchmarkE16WorkStealing/x": 100})
 		s.GOMAXPROCS = procs
 		return s
 	}

@@ -5,15 +5,15 @@
 //
 // Usage:
 //
-//	ucq-run -q query.ucq -r R1=r1.csv -r R2=r2.csv [-limit N] [-mode auto|naive] [-parallel] [-shards N] [-workers N] [-dataset name[=instance.json]]
+//	ucq-run -q query.ucq -r R1=r1.csv -r R2=r2.csv [-limit N] [-mode auto|naive] [-workers N] [-dataset name[=instance.json]]
 //
 // CSV rows are comma/space/semicolon-separated integers; '#' starts a
 // comment line.
 //
-// When none of -parallel, -batch, -shards, -workers is given, the
-// planner's cost model resolves them per bind from the instance
-// (adaptive execution); the resolved decision is reported on stderr. Any
-// explicit knob pins manual execution. With -count and no -limit,
+// Without -workers the planner's cost model picks between the sequential
+// iterator and the work-stealing executor per bind from the instance
+// (adaptive execution); the resolved decision is reported on stderr.
+// -workers N pins the executor with N workers. With -count and no -limit,
 // certified single-branch plans answer from the Theorem 12 counting pass
 // without enumerating.
 //
@@ -75,10 +75,7 @@ func main() {
 	limit := flag.Int("limit", 0, "stop after N answers (0 = all)")
 	mode := flag.String("mode", "auto", "evaluation mode: auto | naive")
 	countOnly := flag.Bool("count", false, "print only the answer count")
-	parallel := flag.Bool("parallel", false, "drain union branches concurrently (answer order nondeterministic)")
-	batch := flag.Int("batch", 0, "parallel batch size per worker (0 = default)")
-	shards := flag.Int("shards", 0, "hash-partition each branch across N shards (requires -parallel; 0 = off)")
-	workers := flag.Int("workers", 0, "work-stealing executor pool size (requires -parallel; 0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "drain the union on the work-stealing executor with N workers (answer order nondeterministic; 0 = the cost model decides)")
 	dataset := flag.String("dataset", "", "register the instance as a catalog dataset `name[=instance.json]` and bind through it")
 	remote := flag.String("remote", "", "evaluate against a running ucq-serve at this base `URL` instead of locally")
 	wireFlag := flag.String("wire", "binary", "answer-stream encoding to request from -remote: binary | ndjson")
@@ -140,17 +137,10 @@ func main() {
 	}
 
 	opts := &ucq.PlanOptions{
-		ForceNaive:    *mode == "naive",
-		Parallel:      *parallel,
-		ParallelBatch: *batch,
-		Shards:        *shards,
-		Workers:       *workers,
-	}
-	// No explicit execution knob: let the cost model pick mode, shards and
-	// workers per bind. Any hand-picked flag keeps the manual path
-	// byte-identical.
-	if !*parallel && *batch == 0 && *shards == 0 && *workers == 0 {
-		opts.Auto = true
+		ForceNaive: *mode == "naive",
+		Workers:    *workers,
+		// No explicit worker count: the cost model decides per bind.
+		Auto: *workers == 0,
 	}
 	plan, err := newPlan(u, inst, opts, dsName)
 	if err != nil {

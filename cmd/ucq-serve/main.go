@@ -52,11 +52,11 @@
 //	                              subscription counters as JSON
 //	GET    /healthz               liveness probe
 //
-// Execution is adaptive by default: when a request sets none of the
-// parallel/batch/shards/workers options, the planner's cost model picks
-// the strategy per bind from the bound instance; /stats reports the
-// decision mix under decision_modes. Any explicit knob pins manual
-// execution.
+// Execution is adaptive by default: unless a request sets the workers
+// option, the planner's cost model picks between the sequential iterator
+// and the work-stealing executor per bind from the bound instance; /stats
+// reports the decision mix under decision_modes. An explicit workers count
+// pins the executor.
 //
 // Answer streams are NDJSON by default; a request whose Accept header
 // names application/x-ucq-bin with the highest q-value gets the compact

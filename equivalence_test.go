@@ -12,7 +12,9 @@ import (
 )
 
 // canonicalAnswers renders a plan's answer set in a canonical order for
-// set comparison across engines (parallel engines permute answers).
+// set comparison across engines (parallel engines permute answers). It
+// also checks the counting invariant for free: whenever the plan reports
+// an exact count without enumerating, the enumeration must agree.
 func canonicalAnswers(t *testing.T, p *Plan) string {
 	t.Helper()
 	rows := make([]string, 0, 64)
@@ -31,13 +33,16 @@ func canonicalAnswers(t *testing.T, p *Plan) string {
 			t.Fatalf("duplicate answer %s", rows[i])
 		}
 	}
+	if n, ok := p.CountExact(); ok && n != int64(len(rows)) {
+		t.Fatalf("CountExact = %d, enumeration produced %d answers", n, len(rows))
+	}
 	return strings.Join(rows, "\n")
 }
 
 // TestCrossEngineEquivalence is the randomized cross-engine harness: over
-// 220 seeded random UCQs and instances, the naive, CDY (auto), parallel
-// and sharded (shards ∈ {1,2,8}) engines must return identical answer
-// sets. The preparation is shared across execution variants through the
+// 220 seeded random UCQs and instances, the naive, sequential CDY,
+// executor (workers ∈ {1,2,8}), Auto and spilled engines must return
+// identical answer sets. The preparation is shared across execution variants through the
 // Prepare/Bind split — the same reuse path the server's plan cache
 // exercises — and each case additionally routes through a catalog
 // BindDataset twice, checking that a bind-cache-served plan enumerates
@@ -70,23 +75,17 @@ func TestCrossEngineEquivalence(t *testing.T) {
 			opts *PlanOptions
 		}{
 			{"sequential", nil},
-			{"parallel", &PlanOptions{Parallel: true}},
-			{"parallel-batch2", &PlanOptions{Parallel: true, ParallelBatch: 2}},
-			// Multi-worker executors with tiny batches maximise steal and
-			// re-split traffic through the work-stealing pool.
-			{"parallel-workers4", &PlanOptions{Parallel: true, Workers: 4, ParallelBatch: 2}},
-			{"sharded-1", &PlanOptions{Parallel: true, Shards: 1}},
-			{"sharded-2", &PlanOptions{Parallel: true, Shards: 2}},
-			{"sharded-8", &PlanOptions{Parallel: true, Shards: 8}},
-			{"sharded-2-workers4", &PlanOptions{Parallel: true, Shards: 2, Workers: 4, ParallelBatch: 2}},
-			// The cost model resolves its own knobs per bind; whatever it
-			// picks must agree with every hand-picked strategy.
+			{"workers-1", &PlanOptions{Workers: 1}},
+			{"workers-2", &PlanOptions{Workers: 2}},
+			{"workers-8", &PlanOptions{Workers: 8}},
+			// The cost model resolves its own worker count per bind;
+			// whatever it picks must agree with every hand-picked strategy.
 			{"auto", &PlanOptions{Auto: true}},
 			// A tiny dedup budget forces the merge's dedup set onto the
 			// disk-backed spill table for any non-trivial answer set; the
 			// spilled path must return the identical answer set.
-			{"parallel-spill", &PlanOptions{Parallel: true, DedupBudget: 2}},
-			{"parallel-spill-workers4", &PlanOptions{Parallel: true, Workers: 4, ParallelBatch: 2, DedupBudget: 2}},
+			{"workers-1-spill", &PlanOptions{Workers: 1, DedupBudget: 2}},
+			{"workers-4-spill", &PlanOptions{Workers: 4, DedupBudget: 2}},
 			// With Auto the budget also drives the cost decision: an exact
 			// count over budget forces the spillable parallel merge.
 			{"auto-spill", &PlanOptions{Auto: true, DedupBudget: 2}},
@@ -170,8 +169,9 @@ func TestCrossEngineEquivalenceCyclic(t *testing.T) {
 			opts *PlanOptions
 		}{
 			{"sequential", nil},
-			{"parallel", &PlanOptions{Parallel: true}},
-			{"sharded-2", &PlanOptions{Parallel: true, Shards: 2}},
+			{"workers-1", &PlanOptions{Workers: 1}},
+			{"workers-2", &PlanOptions{Workers: 2}},
+			{"workers-8", &PlanOptions{Workers: 8}},
 			{"auto", &PlanOptions{Auto: true}},
 		}
 		for _, e := range execs {
@@ -277,8 +277,8 @@ func TestCrossEngineEquivalenceBooleanAndEmpty(t *testing.T) {
 	for _, opts := range []*PlanOptions{
 		{ForceNaive: true},
 		nil,
-		{Parallel: true},
-		{Parallel: true, Shards: 2},
+		{Workers: 2},
+		{Auto: true},
 	} {
 		p, err := NewPlan(u, inst, opts)
 		if err != nil {
@@ -290,7 +290,7 @@ func TestCrossEngineEquivalenceBooleanAndEmpty(t *testing.T) {
 	}
 	// Non-empty: the boolean union has exactly one (empty-tuple) answer.
 	inst.Relation("S1").AppendInts(1)
-	for _, opts := range []*PlanOptions{{ForceNaive: true}, nil, {Parallel: true}} {
+	for _, opts := range []*PlanOptions{{ForceNaive: true}, nil, {Workers: 2}, {Auto: true}} {
 		p, err := NewPlan(u, inst, opts)
 		if err != nil {
 			t.Fatalf("opts %+v: %v", opts, err)

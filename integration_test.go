@@ -63,8 +63,7 @@ func TestGalleryEndToEndParallel(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewPlan: %v", err)
 			}
-			// A batch of 3 forces mid-batch boundaries on small outputs.
-			par, err := NewPlan(u, inst, &PlanOptions{Parallel: true, ParallelBatch: 3})
+			par, err := NewPlan(u, inst, &PlanOptions{Workers: 3})
 			if err != nil {
 				t.Fatalf("NewPlan(parallel): %v", err)
 			}

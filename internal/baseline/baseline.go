@@ -11,11 +11,9 @@ package baseline
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/cq"
 	"repro/internal/database"
-	"repro/internal/shard"
 )
 
 // EvalCQ computes the answer relation of q over inst (head projections of
@@ -83,107 +81,6 @@ func EvalUCQCtx(ctx context.Context, u *cq.UCQ, inst *database.Instance) (*datab
 			return nil, err
 		}
 		rels[i] = r
-	}
-	return mergeUnion(u, rels), nil
-}
-
-// EvalUCQParallel computes the same relation as EvalUCQ, evaluating every
-// member CQ in its own goroutine over the shared (read-only) instance and
-// merging the member answers through one dedup set. Output order follows
-// CQ order, so the result equals EvalUCQ's row for row.
-func EvalUCQParallel(u *cq.UCQ, inst *database.Instance) (*database.Relation, error) {
-	return EvalUCQParallelCtx(context.Background(), u, inst)
-}
-
-// EvalUCQParallelCtx is EvalUCQParallel with cooperative cancellation: each
-// member goroutine checks ctx before starting its join, and a cancelled
-// context surfaces as ctx's error once the in-flight members finish.
-func EvalUCQParallelCtx(ctx context.Context, u *cq.UCQ, inst *database.Instance) (*database.Relation, error) {
-	if err := u.Validate(); err != nil {
-		return nil, err
-	}
-	rels := make([]*database.Relation, len(u.CQs))
-	errs := make([]error, len(u.CQs))
-	var wg sync.WaitGroup
-	for i, q := range u.CQs {
-		wg.Add(1)
-		go func(i int, q *cq.CQ) {
-			defer wg.Done()
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				return
-			}
-			rels[i], errs[i] = EvalCQ(q, inst)
-		}(i, q)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return mergeUnion(u, rels), nil
-}
-
-// EvalUCQShardedParallel computes the same answer set as EvalUCQ,
-// hash-partitioning each member CQ's input across n shards on a safe
-// join-key attribute chosen from the CQ's join structure and evaluating
-// every (CQ, shard) pair in its own goroutine. CQs with no safe attribute
-// (e.g. self-joins with conflicting columns) fall back to one unsharded
-// evaluation. The merged relation is deduplicated positionally; its row
-// order is deterministic for a given n but differs from EvalUCQ's.
-func EvalUCQShardedParallel(u *cq.UCQ, inst *database.Instance, n int) (*database.Relation, error) {
-	return EvalUCQShardedParallelCtx(context.Background(), u, inst, n)
-}
-
-// EvalUCQShardedParallelCtx is EvalUCQShardedParallel with cooperative
-// cancellation: ctx is checked while partitioning each member CQ and by
-// every (CQ, shard) goroutine before its join starts.
-func EvalUCQShardedParallelCtx(ctx context.Context, u *cq.UCQ, inst *database.Instance, n int) (*database.Relation, error) {
-	if err := u.Validate(); err != nil {
-		return nil, err
-	}
-	if n < 1 {
-		return nil, fmt.Errorf("baseline: shard count %d < 1", n)
-	}
-	// One evaluation unit per (CQ, shard), or per CQ on fallback.
-	type unit struct {
-		q    *cq.CQ
-		inst *database.Instance
-	}
-	var units []unit
-	for _, q := range u.CQs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		sh, _, ok := shard.ChooseAndPartition(q, inst, n)
-		if !ok {
-			units = append(units, unit{q, inst})
-			continue
-		}
-		for _, s := range sh.Shards {
-			units = append(units, unit{q, s.Inst})
-		}
-	}
-	rels := make([]*database.Relation, len(units))
-	errs := make([]error, len(units))
-	var wg sync.WaitGroup
-	for i, un := range units {
-		wg.Add(1)
-		go func(i int, un unit) {
-			defer wg.Done()
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				return
-			}
-			rels[i], errs[i] = EvalCQ(un.q, un.inst)
-		}(i, un)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return mergeUnion(u, rels), nil
 }

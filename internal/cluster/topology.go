@@ -5,8 +5,6 @@ import (
 	"net/url"
 	"sort"
 	"strings"
-
-	"repro/internal/shard"
 )
 
 // Topology: the coordinator runs against a static list of worker base
@@ -76,12 +74,11 @@ func ParseWorkerList(s string) ([]string, error) {
 }
 
 // rendezvousOrder returns the workers sorted by descending rendezvous
-// weight for a key — highest-random-weight hashing over the stable
-// cross-node hash (internal/shard's contract), so every coordinator
-// instance computes the same preference order. The head of the order is
-// the key's "owner": the worker probed first and the fallback target for
-// non-scatterable queries, keeping a warm plan/bind cache for the pair
-// instead of spraying identical work across all nodes.
+// weight for a key — highest-random-weight hashing over StableStringHash,
+// so every coordinator instance computes the same preference order. The
+// head of the order is the key's "owner": the worker probed first and the
+// fallback target for non-scatterable queries, keeping a warm plan/bind
+// cache for the pair instead of spraying identical work across all nodes.
 func rendezvousOrder(workers []string, key string) []string {
 	type weighted struct {
 		w     string
@@ -89,7 +86,7 @@ func rendezvousOrder(workers []string, key string) []string {
 	}
 	ws := make([]weighted, len(workers))
 	for i, w := range workers {
-		ws[i] = weighted{w: w, score: shard.StableStringHash(w + "\x00" + key)}
+		ws[i] = weighted{w: w, score: StableStringHash(w + "\x00" + key)}
 	}
 	sort.Slice(ws, func(i, j int) bool {
 		if ws[i].score != ws[j].score {
@@ -102,4 +99,29 @@ func rendezvousOrder(workers []string, key string) []string {
 		out[i] = x.w
 	}
 	return out
+}
+
+// StableStringHash hashes a string as a pure function of its bytes — no
+// per-process seed, no architecture dependence — so every coordinator
+// instance agrees on rendezvous placement: FNV-1a over the bytes, finished
+// with the avalanche mix the tuple hash uses, so short keys still spread
+// over the full 64-bit range. topology_test.go pins exact output vectors:
+// a change here silently moves every dataset's owner.
+func StableStringHash(s string) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
+	// The same finalizer as database.Tuple.Hash: MurmurHash3's fmix64.
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }

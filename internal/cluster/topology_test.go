@@ -100,6 +100,28 @@ func TestRendezvousOrder(t *testing.T) {
 	}
 }
 
+// TestStableStringHashVectors pins exact StableStringHash outputs: cluster
+// rendezvous placement depends on every coordinator instance agreeing, so
+// a hash change that would be harmless in one process is a placement-
+// breaking change here.
+func TestStableStringHashVectors(t *testing.T) {
+	vectors := []struct {
+		s    string
+		hash uint64
+	}{
+		{"", 0xefd01f60ba992926},
+		{"a", 0x82a2a958a9bece5b},
+		{"orders", 0x32520fbdb4dad5b9},
+		{"http://w1:8454", 0xfb82f0e7e6261ada},
+		{"skewed-join", 0x967754413beacc30},
+	}
+	for _, tc := range vectors {
+		if got := StableStringHash(tc.s); got != tc.hash {
+			t.Errorf("StableStringHash(%q) = %#x, pinned %#x", tc.s, got, tc.hash)
+		}
+	}
+}
+
 func TestWorkerStatusUnwraps(t *testing.T) {
 	err := fmt.Errorf("outer: %w", &workerError{worker: "http://w1:8454", status: 409, msg: "version"})
 	status, ok := WorkerStatus(err)

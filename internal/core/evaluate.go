@@ -53,15 +53,6 @@ type UnionPlan struct {
 	// bonusOnce (cached plans serve concurrent membership probes).
 	bonusOnce sync.Once
 	bonusSet  *database.TupleSet
-
-	// Sharded enumeration state, built by PrepareShards: per extension,
-	// one CDY plan per shard (nil when the extension has no safe partition
-	// attribute and stays unsharded).
-	shardN        int
-	shardPlans    [][]*yannakakis.Plan
-	shardVars     []cq.Variable
-	shardDisjoint bool
-	shardEstimate int64
 }
 
 // UnionStats reports preprocessing counters of a union plan.

@@ -1,13 +1,14 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
 
-	"repro/internal/database"
-
 	"repro/internal/cq"
+	"repro/internal/database"
+	"repro/internal/workload"
 )
 
 // sortedTuples drains an iterator and sorts the answers for set comparison.
@@ -79,5 +80,60 @@ func TestIteratorParallelCloseEarly(t *testing.T) {
 	it.Close()
 	if _, ok := it.Next(); ok {
 		t.Error("answer after Close")
+	}
+}
+
+// TestIteratorParallelDisjointSingleBranch: a single free-connex CQ's
+// root-range tasks partition its answers, so the executor merge runs
+// dedup-free at any pool size and still produces the exact answer set —
+// on an instance whose output concentrates on one join key.
+func TestIteratorParallelDisjointSingleBranch(t *testing.T) {
+	u := cq.MustParse("Q(x,y,w) <- R1(x,y), R2(y,w).")
+	cert, ok := FindCertificate(u, nil)
+	if !ok {
+		t.Fatal("no certificate")
+	}
+	inst := workload.SkewedJoin(800, 12, 23, 30, 4, 7)
+	plan, err := NewUnionPlan(u, cert, inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sortedTuples(plan.Iterator())
+	if len(want) != 800*12+23*30*4 {
+		t.Fatalf("unexpected sequential answer count %d", len(want))
+	}
+	for _, workers := range []int{1, 2, 8} {
+		it := plan.IteratorParallelCtx(context.Background(), ExecOptions{Workers: workers})
+		got := sortedTuples(it)
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d answers, want %d", workers, len(got), len(want))
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("workers=%d: answer %d = %v, want %v", workers, i, got[i], want[i])
+			}
+		}
+		if it.Duplicates() != 0 {
+			t.Fatalf("workers=%d: disjoint merge suppressed %d duplicates", workers, it.Duplicates())
+		}
+	}
+}
+
+// TestSizeHintMatchesCardinality: the lazily cached estimate equals the
+// exact enumerated count for a duplicate-free union.
+func TestSizeHintMatchesCardinality(t *testing.T) {
+	u := cq.MustParse("Q(x,y,w) <- R1(x,y), R2(y,w).")
+	cert, ok := FindCertificate(u, nil)
+	if !ok {
+		t.Fatal("no certificate")
+	}
+	inst := workload.Chain([]string{"R1", "R2"}, []int{2, 2}, 100, 3, 11)
+	plan, err := NewUnionPlan(u, cert, inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(sortedTuples(plan.Iterator()))
+	if got := plan.sizeHint(); got != want {
+		t.Fatalf("sizeHint = %d, enumeration yields %d", got, want)
 	}
 }

@@ -77,35 +77,3 @@ func (p *UnionPlan) execTasks(workers int) ([]exec.Task, bool) {
 	}
 	return tasks, len(p.plans) == 1 && len(p.bonus) == 0
 }
-
-// shardedExecTasks builds the work units of the sharded enumeration: per
-// extension, one root-range task set per shard plan (unsharded fallbacks
-// contribute their unsharded plan's task set), plus the bonus answers.
-func (p *UnionPlan) shardedExecTasks(workers int) []exec.Task {
-	parts := splitFactor * workers
-	if parts < 1 {
-		parts = 1
-	}
-	var tasks []exec.Task
-	if len(p.bonus) > 0 {
-		tasks = append(tasks, enumeration.TaskOf(enumeration.NewSliceIterator(p.bonus)))
-	}
-	for i, pl := range p.plans {
-		sp := p.shardPlans[i]
-		if sp == nil {
-			tasks = append(tasks, planTasks(pl, parts)...)
-			continue
-		}
-		// Shards already partition the branch; a light initial cut per
-		// shard keeps task counts bounded while steal-time splitting
-		// decomposes whichever shard turns out heavy.
-		perShard := parts / len(sp)
-		if perShard < 1 {
-			perShard = 1
-		}
-		for _, s := range sp {
-			tasks = append(tasks, planTasks(s, perShard)...)
-		}
-	}
-	return tasks
-}

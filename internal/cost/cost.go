@@ -1,19 +1,15 @@
 // Package cost is the planner's execution cost model: given what the bind
 // path already knows about one (query, instance) pair — relation
 // cardinalities, exact output counts where the Theorem 12 machinery
-// provides them, the estimated output skew of the best partition
-// attribute, and the machine's parallelism — it picks the execution mode,
-// shard count and worker count that the five hand-selected strategies
-// (sequential, parallel, work-stealing, sharded, naive variants) used to
-// leave to flags.
+// provides them, and the machine's parallelism — it picks between the
+// sequential iterator and the work-stealing executor, and sizes the
+// executor's worker pool.
 //
-// The model follows the fine-grained refinements of the dichotomy: the
-// query's class decides what is *possible* (free-connex ⇒ constant delay),
-// but the instance's shape decides what is *fast* — unbalanced instances
-// reward sharding exactly when the output, not just the input, splits
-// evenly (Bringmann–Carmeli 2022), and tiny instances reward none of it.
-// Decide is a pure function of its Inputs, so a decision is reproducible
-// (and cacheable) for a given instance snapshot and CPU count.
+// The query's class decides what is *possible* (free-connex ⇒ constant
+// delay); the instance's size decides what is *fast*: tiny instances and
+// single-CPU machines reward no parallelism at all. Decide is a pure
+// function of its Inputs, so a decision is reproducible for a given
+// instance snapshot, CPU count and memory budget.
 package cost
 
 import "fmt"
@@ -21,8 +17,7 @@ import "fmt"
 // Inputs is everything Decide looks at. All fields are observable at bind
 // time without enumerating: Rows and Branches from the instance and the
 // prepared query, Answers from the Theorem 12 counting pass (exact per
-// certified branch), the sharding fields from the output-skew probe over
-// the candidate partition attributes, and CPUs from GOMAXPROCS.
+// certified branch), and CPUs from GOMAXPROCS.
 type Inputs struct {
 	// ConstantDelay states whether the prepared query certified
 	// free-connex (the Theorem 12 pipeline) or fell back to the naive
@@ -39,18 +34,6 @@ type Inputs struct {
 	Branches int
 	// CPUs is the parallelism available at decision time (GOMAXPROCS).
 	CPUs int
-	// ShardableDisjoint reports whether sharding the union would keep the
-	// merge dedup-free: every extension has a head-variable partition
-	// attribute and the union is a single branch with no bonus answers.
-	// This is the regime where sharding beats plain work stealing — the
-	// per-answer dedup probe disappears entirely.
-	ShardableDisjoint bool
-	// OutputShare estimates the largest fraction of the *output* a single
-	// shard would receive under the best candidate attribute at CPUs
-	// shards (sampled join-key frequencies; 0 = unknown or empty output).
-	// Input-balanced attributes can still route most of the join fan-out
-	// to one shard; this is the signal that catches it.
-	OutputShare float64
 	// MemBudget is the largest number of distinct answers the merge's
 	// dedup set may hold in memory, or 0 for unbounded. The Theorem 12
 	// counting pass makes Answers exact for certified plans, so an
@@ -60,19 +43,15 @@ type Inputs struct {
 }
 
 // Decision is the resolved execution configuration plus its provenance:
-// the knobs Auto picked, a human-readable reason, and the inputs the
-// choice was made from, surfaced through Plan.Explain and /stats so a
+// the worker count Auto picked, a human-readable reason, and the inputs
+// the choice was made from, surfaced through Plan.Explain and /stats so a
 // regressed decision is observable rather than a silent slowdown.
 type Decision struct {
-	// Parallel, Shards and Workers are the resolved PlanOptions knobs.
-	// They always satisfy PlanOptions validation: Shards and Workers are
-	// zero unless Parallel is set.
-	Parallel bool
-	Shards   int
-	Workers  int
+	// Workers is the resolved PlanOptions.Workers: 0 for the sequential
+	// iterator, n ≥ 1 for the work-stealing executor with n workers.
+	Workers int
 	// Spill directs the merge's dedup set to the disk-backed table once it
-	// outgrows Inputs.MemBudget. Only set when the chosen mode carries a
-	// dedup set: a dedup-free disjoint sharded merge has nothing to spill.
+	// outgrows Inputs.MemBudget.
 	Spill bool
 	// Reason explains the pick in one sentence.
 	Reason string
@@ -80,63 +59,32 @@ type Decision struct {
 	Inputs Inputs
 }
 
-// Kind names the resolved strategy: "sequential", "parallel" or "sharded".
+// Kind names the resolved strategy: "sequential" or "parallel".
 func (d *Decision) Kind() string {
-	switch {
-	case d.Shards > 0:
-		return "sharded"
-	case d.Parallel:
+	if d.Workers > 0 {
 		return "parallel"
-	default:
-		return "sequential"
 	}
+	return "sequential"
 }
 
-// String renders the decision with its reason.
-func (d *Decision) String() string {
-	return fmt.Sprintf("%s (parallel=%v shards=%d workers=%d): %s",
-		d.Kind(), d.Parallel, d.Shards, d.Workers, d.Reason)
-}
+// MinParallelWork is the smallest work — input rows plus output answers,
+// the two linear terms of the Theorem 12 cost model — worth paying the
+// executor's fixed costs for: worker startup, batch channels, the merge.
+// Below it a sequential drain finishes before a pool warms up.
+const MinParallelWork = 1 << 12 // 4096 tuples
 
-// Model thresholds. Work is measured in tuples touched: input rows plus
-// output answers, the two linear terms of the Theorem 12 cost model.
-const (
-	// MinParallelWork is the smallest work (rows + answers) worth paying
-	// the executor's fixed costs for — worker startup, batch channels, the
-	// merge. Below it a sequential drain finishes before a pool warms up.
-	MinParallelWork = 1 << 12 // 4096 tuples
-	// MinShardAnswers is the smallest exact answer count for which
-	// disjoint sharding — which pays one extra hash-partition pass over
-	// the input — beats plain work stealing. The win is proportional to
-	// the answers whose dedup probe it removes.
-	MinShardAnswers = 1 << 14 // 16384 answers
-	// MaxShardOutputShare is the largest estimated per-shard output share
-	// tolerated before sharding is judged to concentrate the fan-out on
-	// one shard and work stealing (which re-splits heavy tasks) is kept
-	// instead. Expressed as a multiple of the perfectly balanced share.
-	MaxShardOutputShare = 3.0
-)
-
-// Decide resolves the execution knobs for one bind. The returned decision
-// always passes PlanOptions validation (Shards/Workers only with
-// Parallel), which the property tests pin.
+// Decide resolves the execution strategy for one bind.
 func Decide(in Inputs) Decision {
 	d := decideMode(in)
 	// Spill is an orthogonal overlay on the mode choice: when the exact
 	// count already proves the answer set exceeds the memory budget, the
-	// dedup set must go to disk — unless the chosen mode is the dedup-free
-	// disjoint sharded merge, which never materialises the answer set. A
-	// sequential pick is upgraded to the parallel merge, the only path that
-	// carries the spillable dedup set; on one CPU it runs with one worker.
-	if in.MemBudget > 0 && in.Answers > in.MemBudget && in.ConstantDelay &&
-		!(d.Shards > 0 && in.ShardableDisjoint) {
+	// dedup set must go to disk. A sequential pick is upgraded to the
+	// parallel merge, the only path that carries the spillable dedup set;
+	// on one CPU it runs with one worker.
+	if in.MemBudget > 0 && in.Answers > in.MemBudget && in.ConstantDelay {
 		d.Spill = true
-		if !d.Parallel {
-			d.Parallel = true
-			d.Workers = in.CPUs
-			if d.Workers < 1 {
-				d.Workers = 1
-			}
+		if d.Workers == 0 {
+			d.Workers = max(in.CPUs, 1)
 			d.Reason = fmt.Sprintf("%d exact answers exceed the %d-answer memory budget: spilled dedup on the parallel merge", in.Answers, in.MemBudget)
 		} else {
 			d.Reason += fmt.Sprintf("; %d answers exceed the %d-answer budget, dedup spills to disk", in.Answers, in.MemBudget)
@@ -152,41 +100,16 @@ func decideMode(in Inputs) Decision {
 	if in.Answers > 0 {
 		work += in.Answers
 	}
-	if in.CPUs <= 1 {
-		d.Reason = "single CPU: parallel modes only add scheduling overhead"
-		return d
-	}
-	if work < MinParallelWork {
-		d.Reason = fmt.Sprintf("tiny instance (%d rows + answers < %d): executor startup would dominate", work, MinParallelWork)
-		return d
-	}
-	d.Parallel = true
-	d.Workers = in.CPUs
-	if !in.ConstantDelay {
-		// Naive mode: no exact counts to judge sharding by. Shard on input
-		// volume alone — the sharded evaluator falls back per member CQ
-		// when no safe attribute exists, so overcommitting is harmless.
-		if in.Rows >= int(MinShardAnswers) {
-			d.Shards = in.CPUs
-			d.Reason = fmt.Sprintf("naive evaluation of %d rows: shard each member %d-way for join-level parallelism", in.Rows, d.Shards)
-			return d
-		}
-		d.Reason = "naive evaluation: parallel member joins, input too small to shard"
-		return d
-	}
-	if in.ShardableDisjoint && in.Answers >= MinShardAnswers &&
-		in.OutputShare > 0 && in.OutputShare <= MaxShardOutputShare/float64(in.CPUs) {
-		d.Shards = in.CPUs
-		d.Reason = fmt.Sprintf("disjoint head-variable sharding with balanced output (max share %.2f): dedup-free merge of %d answers", in.OutputShare, in.Answers)
-		return d
-	}
 	switch {
-	case !in.ShardableDisjoint:
-		d.Reason = "work-stealing parallel: no disjoint partition attribute, sharding would keep dedup on"
-	case in.Answers < MinShardAnswers:
-		d.Reason = fmt.Sprintf("work-stealing parallel: %d answers too few to repay a partition pass", in.Answers)
+	case !in.ConstantDelay:
+		d.Reason = "naive evaluation: one join-and-deduplicate evaluator, no executor to size"
+	case in.CPUs <= 1:
+		d.Reason = "single CPU: the executor only adds scheduling overhead"
+	case work < MinParallelWork:
+		d.Reason = fmt.Sprintf("tiny instance (%d rows + answers < %d): executor startup would dominate", work, MinParallelWork)
 	default:
-		d.Reason = fmt.Sprintf("work-stealing parallel: estimated output share %.2f too skewed to shard, re-splitting handles the heavy keys", in.OutputShare)
+		d.Workers = in.CPUs
+		d.Reason = fmt.Sprintf("work-stealing executor: %d rows + answers across %d root-range workers", work, in.CPUs)
 	}
 	return d
 }

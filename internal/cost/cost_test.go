@@ -6,34 +6,26 @@ import (
 )
 
 // TestDecideAlwaysValid is the property the plan layer relies on: for any
-// inputs — including nonsense ones — the resolved knobs satisfy
-// PlanOptions validation (Shards and Workers are zero unless Parallel is
-// set) and the provenance fields are populated.
+// inputs — including nonsense ones — the resolved worker count satisfies
+// PlanOptions validation (never negative, never a spill without the
+// executor's merge) and the provenance fields are populated.
 func TestDecideAlwaysValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	for i := 0; i < 5000; i++ {
 		in := Inputs{
-			ConstantDelay:     rng.Intn(2) == 0,
-			Rows:              rng.Intn(1 << 20),
-			Answers:           rng.Int63n(1<<21) - 1, // includes -1 (unknown)
-			Branches:          rng.Intn(5),
-			CPUs:              rng.Intn(65) - 1, // includes -1 and 0
-			ShardableDisjoint: rng.Intn(2) == 0,
-			OutputShare:       rng.Float64() * 4,
-			MemBudget:         rng.Int63n(1<<20) - 1, // includes -1 and 0 (unbounded)
+			ConstantDelay: rng.Intn(2) == 0,
+			Rows:          rng.Intn(1 << 20),
+			Answers:       rng.Int63n(1<<21) - 1, // includes -1 (unknown)
+			Branches:      rng.Intn(5),
+			CPUs:          rng.Intn(65) - 1,      // includes -1 and 0
+			MemBudget:     rng.Int63n(1<<20) - 1, // includes -1 and 0 (unbounded)
 		}
 		d := Decide(in)
-		if !d.Parallel && (d.Shards != 0 || d.Workers != 0) {
-			t.Fatalf("case %d: invalid combination %+v from %+v", i, d, in)
-		}
-		if d.Spill && !d.Parallel {
+		if d.Spill && d.Workers == 0 {
 			t.Fatalf("case %d: spill without the parallel merge %+v from %+v", i, d, in)
 		}
-		if d.Spill && d.Shards > 0 && in.ShardableDisjoint {
-			t.Fatalf("case %d: spill on a dedup-free sharded merge %+v from %+v", i, d, in)
-		}
-		if d.Shards < 0 || d.Workers < 0 {
-			t.Fatalf("case %d: negative knob %+v", i, d)
+		if d.Workers < 0 {
+			t.Fatalf("case %d: negative worker count %+v", i, d)
 		}
 		if d.Reason == "" {
 			t.Fatalf("case %d: empty reason for %+v", i, in)
@@ -45,10 +37,11 @@ func TestDecideAlwaysValid(t *testing.T) {
 }
 
 // TestDecideDeterministic pins that Decide is a pure function of its
-// inputs — the property that makes auto decisions cacheable per snapshot.
+// inputs — the property that lets every bind recompute it from the cached
+// counts and still report the same provenance.
 func TestDecideDeterministic(t *testing.T) {
 	in := Inputs{ConstantDelay: true, Rows: 1 << 16, Answers: 1 << 16,
-		Branches: 1, CPUs: 8, ShardableDisjoint: true, OutputShare: 0.13}
+		Branches: 1, CPUs: 8}
 	a, b := Decide(in), Decide(in)
 	if a != b {
 		t.Fatalf("same inputs, different decisions:\n%+v\n%+v", a, b)
@@ -62,14 +55,11 @@ func TestDecideRegimes(t *testing.T) {
 		in   Inputs
 		kind string
 	}{
-		{"single CPU", Inputs{ConstantDelay: true, Rows: 1 << 20, Answers: 1 << 20, CPUs: 1, ShardableDisjoint: true, OutputShare: 0.1}, "sequential"},
+		{"single CPU", Inputs{ConstantDelay: true, Rows: 1 << 20, Answers: 1 << 20, CPUs: 1}, "sequential"},
 		{"tiny instance", Inputs{ConstantDelay: true, Rows: 100, Answers: 50, CPUs: 8}, "sequential"},
-		{"balanced disjoint output", Inputs{ConstantDelay: true, Rows: 1 << 16, Answers: 1 << 16, CPUs: 8, ShardableDisjoint: true, OutputShare: 0.14}, "sharded"},
-		{"skewed output", Inputs{ConstantDelay: true, Rows: 1 << 16, Answers: 1 << 16, CPUs: 8, ShardableDisjoint: true, OutputShare: 0.9}, "parallel"},
-		{"no disjoint attribute", Inputs{ConstantDelay: true, Rows: 1 << 16, Answers: 1 << 16, CPUs: 8}, "parallel"},
-		{"few answers", Inputs{ConstantDelay: true, Rows: 1 << 16, Answers: 100, CPUs: 8, ShardableDisjoint: true, OutputShare: 0.14}, "parallel"},
-		{"naive big input", Inputs{ConstantDelay: false, Rows: 1 << 16, Answers: -1, CPUs: 8}, "sharded"},
-		{"naive small input", Inputs{ConstantDelay: false, Rows: 1 << 13, Answers: -1, CPUs: 8}, "parallel"},
+		{"large output", Inputs{ConstantDelay: true, Rows: 1 << 16, Answers: 1 << 16, CPUs: 8}, "parallel"},
+		{"large input, few answers", Inputs{ConstantDelay: true, Rows: 1 << 16, Answers: 100, CPUs: 8}, "parallel"},
+		{"naive big input", Inputs{ConstantDelay: false, Rows: 1 << 16, Answers: -1, CPUs: 8}, "sequential"},
 		{"naive tiny input", Inputs{ConstantDelay: false, Rows: 100, Answers: -1, CPUs: 8}, "sequential"},
 	}
 	for _, tc := range cases {
@@ -82,28 +72,22 @@ func TestDecideRegimes(t *testing.T) {
 
 // TestDecideSpill pins the budget overlay: an exact count over the budget
 // forces the spilled dedup path (even on one CPU, where the mode would
-// otherwise be sequential), while the dedup-free sharded merge and naive
-// mode (no exact count) are left alone.
+// otherwise be sequential), while naive mode (no exact count) is left
+// alone.
 func TestDecideSpill(t *testing.T) {
 	base := Inputs{ConstantDelay: true, Rows: 1 << 16, Answers: 1 << 16, CPUs: 8, MemBudget: 1 << 10}
-	if d := Decide(base); !d.Spill || !d.Parallel {
+	if d := Decide(base); !d.Spill || d.Workers != 8 {
 		t.Fatalf("over-budget parallel: %+v", d)
 	}
 	one := base
 	one.CPUs = 1
-	if d := Decide(one); !d.Spill || !d.Parallel || d.Workers != 1 {
+	if d := Decide(one); !d.Spill || d.Workers != 1 {
 		t.Fatalf("over-budget on one CPU must still reach the spillable merge: %+v", d)
 	}
 	under := base
 	under.MemBudget = 1 << 20
 	if d := Decide(under); d.Spill {
 		t.Fatalf("under-budget answer set spilled: %+v", d)
-	}
-	sharded := base
-	sharded.ShardableDisjoint = true
-	sharded.OutputShare = 0.14
-	if d := Decide(sharded); d.Kind() != "sharded" || d.Spill {
-		t.Fatalf("dedup-free sharded merge has nothing to spill: %+v", d)
 	}
 	naive := base
 	naive.ConstantDelay = false
@@ -113,19 +97,14 @@ func TestDecideSpill(t *testing.T) {
 	}
 }
 
-// TestDecideScalesWithCPUs pins that the picked shard and worker counts
-// track the machine: on a bigger box the same instance gets more of both.
+// TestDecideScalesWithCPUs pins that the picked worker count tracks the
+// machine: on a bigger box the same instance gets a bigger pool.
 func TestDecideScalesWithCPUs(t *testing.T) {
-	in := Inputs{ConstantDelay: true, Rows: 1 << 18, Answers: 1 << 18,
-		Branches: 1, ShardableDisjoint: true}
+	in := Inputs{ConstantDelay: true, Rows: 1 << 18, Answers: 1 << 18, Branches: 1}
 	for _, cpus := range []int{2, 4, 16} {
 		in.CPUs = cpus
-		// Perfectly balanced output keeps the sharding gate open at any
-		// width: share exactly 1/cpus.
-		in.OutputShare = 1.0 / float64(cpus)
-		d := Decide(in)
-		if d.Shards != cpus || d.Workers != cpus {
-			t.Errorf("cpus=%d: shards=%d workers=%d, want both %d (%s)", cpus, d.Shards, d.Workers, cpus, d.Reason)
+		if d := Decide(in); d.Workers != cpus {
+			t.Errorf("cpus=%d: workers=%d, want %d (%s)", cpus, d.Workers, cpus, d.Reason)
 		}
 	}
 }

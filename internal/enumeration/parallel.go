@@ -32,11 +32,10 @@ type UnionOptions struct {
 	// unknown; hints above MaxSizeHint are clamped.
 	SizeHint int
 	// Disjoint promises that the branches are pairwise disjoint and
-	// individually duplicate-free (e.g. shards of a single CQ partitioned
-	// on a head variable, or root-range splits of one CDY plan). The merge
-	// then skips deduplication entirely: answers pass straight from the
-	// branch batches to the consumer, and returned tuples are stable views
-	// into the batch buffers.
+	// individually duplicate-free (e.g. root-range splits of one CDY plan).
+	// The merge then skips deduplication entirely: answers pass straight
+	// from the branch batches to the consumer, and returned tuples are
+	// stable views into the batch buffers.
 	Disjoint bool
 	// Workers bounds the executor's worker pool; ≤ 0 selects GOMAXPROCS.
 	Workers int

@@ -1,9 +1,8 @@
 // Package exec is the task-based work-stealing executor behind every
-// parallel enumeration in this repository. It replaces the earlier
-// one-goroutine-per-branch / one-goroutine-per-shard model, whose unit of
-// parallelism was fixed at plan time: under output skew — one branch or one
-// shard's keys producing most of the answers — all surplus workers idled
-// while a single goroutine dragged (the unbalanced-instance regime of
+// parallel enumeration in this repository. A one-goroutine-per-branch
+// model fixes the unit of parallelism at plan time: under output skew — one
+// branch's keys producing most of the answers — all surplus workers idle
+// while a single goroutine drags (the unbalanced-instance regime of
 // Bringmann & Carmeli's unbalanced triangle work).
 //
 // Here the unit of parallelism is a Task: a resumable slice of an

@@ -39,7 +39,7 @@ func bigStarRequest(t *testing.T, side int64, opts QueryOptions) []byte {
 func TestClientDisconnectCancelsEnumeration(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	const side = 1200 // 1.44M answers
-	body := bigStarRequest(t, side, QueryOptions{Parallel: true, Workers: 4, Batch: 16})
+	body := bigStarRequest(t, side, QueryOptions{Workers: 4})
 
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -89,7 +89,7 @@ func TestClientDisconnectCancelsEnumeration(t *testing.T) {
 func TestStatsCountsCancelledRequests(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
-	body := bigStarRequest(t, 800, QueryOptions{Parallel: true})
+	body := bigStarRequest(t, 800, QueryOptions{Workers: 2})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/query", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -150,9 +150,9 @@ func (s *Server) handleClusterDatasetQuery(w http.ResponseWriter, r *http.Reques
 			"inline relations are not allowed on dataset queries; PUT /datasets/%s instead", name)
 		return
 	}
-	if req.Options.Parallel || req.Options.Batch != 0 || req.Options.Shards != 0 || req.Options.Workers != 0 {
+	if req.Options.Workers != 0 {
 		s.httpError(w, http.StatusBadRequest,
-			"cluster queries pick execution per worker; explicit parallel/batch/shards/workers are not supported here")
+			"cluster queries pick execution per worker; an explicit workers count is not supported here")
 		return
 	}
 	if req.Options.CountOnly {
@@ -230,9 +230,9 @@ drain:
 	}
 	s.stats.answersStreamed.Add(int64(count))
 	s.stats.RecordTiming(firstAnswer, maxDelay)
-	defer func() { s.stats.recordWire(media, count, enc.bytesOut()) }()
 	if disconnected || r.Context().Err() != nil {
 		s.stats.requestsCancelled.Add(1)
+		s.stats.recordWire(media, count, enc.bytesOut())
 		return
 	}
 	if err := stream.Err(); err != nil && !limited {
@@ -240,9 +240,10 @@ drain:
 		// truncated — but say why with a terminal error record.
 		s.stats.errors.Add(1)
 		_ = enc.streamError(err.Error())
-		_ = enc.flush()
+		s.endStream(enc, media, count)
 		return
 	}
+	s.stats.streamsCompleted.Add(1)
 	_ = enc.trailer(Trailer{
 		Done:           true,
 		Count:          count,
@@ -254,8 +255,7 @@ drain:
 		Scatter:        hdr.Scatter,
 		Workers:        hdr.Workers,
 	})
-	_ = enc.flush()
-	s.stats.streamsCompleted.Add(1)
+	s.endStream(enc, media, count)
 }
 
 // clusterSnapshot builds the /stats cluster section: the coordinator's

@@ -117,19 +117,19 @@ func TestDecisionModeStats(t *testing.T) {
 	putDataset(t, ts.URL, "d", smallRelations())
 
 	st := getStats(t, ts.URL)
-	if n := st.DecisionModes["sequential"] + st.DecisionModes["parallel"] + st.DecisionModes["sharded"]; n != 0 {
+	if n := st.DecisionModes["sequential"] + st.DecisionModes["parallel"]; n != 0 {
 		t.Fatalf("fresh server has %d decisions", n)
 	}
 
 	// Auto (no knobs): counted.
 	queryDataset(t, ts.URL, "d", QueryRequest{Query: example2})
-	// Explicit parallel: not counted.
-	queryDataset(t, ts.URL, "d", QueryRequest{Query: example2, Options: QueryOptions{Parallel: true}})
+	// Explicit workers: not counted.
+	queryDataset(t, ts.URL, "d", QueryRequest{Query: example2, Options: QueryOptions{Workers: 2}})
 	// Count endpoint binds run through the same decision path.
 	postCount(t, ts.URL, "/datasets/d/count", QueryRequest{Query: example2})
 
 	st = getStats(t, ts.URL)
-	total := st.DecisionModes["sequential"] + st.DecisionModes["parallel"] + st.DecisionModes["sharded"]
+	total := st.DecisionModes["sequential"] + st.DecisionModes["parallel"]
 	if total != 2 {
 		t.Errorf("decision_modes total = %d (%+v), want 2 (two auto binds, one explicit)", total, st.DecisionModes)
 	}

@@ -6,7 +6,7 @@ package server
 // /datasets/{name}/query evaluates a UCQ against the dataset's current
 // snapshot, serving the per-instance half of planning — the Theorem 12
 // preprocessing that used to run on every /query — from the catalog's
-// bind cache keyed on (query fingerprint, dataset, version, shards). The
+// bind cache keyed on (query fingerprint, dataset, version). The
 // second identical query skips preprocessing entirely and goes straight
 // to constant-delay enumeration; /stats exposes the hit/miss/eviction
 // counters that prove it.

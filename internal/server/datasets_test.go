@@ -195,23 +195,14 @@ func TestDatasetQueryBindCacheHit(t *testing.T) {
 		t.Errorf("dataset gauges = %+v, want d with 2 queries", st.Datasets)
 	}
 
-	// An explicit execution strategy binds separately from the auto
-	// entries above: auto binds carry a cost decision that must never leak
-	// onto a hand-picked request, so the exec component of the key differs.
-	// A second identical explicit request then hits its own entry.
+	// Execution options do not shape the bound state: an explicit worker
+	// count shares the entry the auto binds above filled.
 	_, tr = queryDataset(t, ts.URL, "d", QueryRequest{
 		Query:   example2,
-		Options: QueryOptions{Parallel: true},
-	})
-	if tr.Bind != "miss" {
-		t.Errorf("parallel query trailer = %+v, want bind=miss (auto and explicit binds do not share entries)", tr)
-	}
-	_, tr = queryDataset(t, ts.URL, "d", QueryRequest{
-		Query:   example2,
-		Options: QueryOptions{Parallel: true},
+		Options: QueryOptions{Workers: 2},
 	})
 	if tr.Bind != "hit" {
-		t.Errorf("repeated parallel query trailer = %+v, want bind=hit", tr)
+		t.Errorf("explicit-workers query trailer = %+v, want bind=hit (auto and explicit binds share entries)", tr)
 	}
 
 	// Replacing the dataset invalidates the bind: fresh preprocessing on
@@ -257,8 +248,8 @@ func TestDatasetQueryErrors(t *testing.T) {
 			DatasetRequest{Relations: map[string][][]int64{"R": {{1}, {2, 3}}}},
 			http.StatusBadRequest, "expected 1"},
 		{"invalid exec options", http.MethodPost, "/datasets/d/query",
-			QueryRequest{Query: example2, Options: QueryOptions{Shards: 2}},
-			http.StatusBadRequest, "Shards"},
+			QueryRequest{Query: example2, Options: QueryOptions{Workers: -1}},
+			http.StatusBadRequest, "Workers"},
 	}
 	for _, tc := range cases {
 		resp := do(t, tc.method, ts.URL+tc.path, tc.body)

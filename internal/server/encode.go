@@ -70,7 +70,7 @@ func negotiateEncoding(accept string) string {
 }
 
 // countingWriter counts the bytes that actually leave for the socket —
-// it sits under the stream buffer, so only flushed bytes count.
+// it sits under the stream buffer, so it sees only flushed bytes.
 type countingWriter struct {
 	w io.Writer
 	n int64
@@ -109,8 +109,9 @@ type answerEncoder interface {
 	// visibly incomplete.
 	streamError(msg string) error
 	flush() error
-	// bytesOut is the bytes written to the socket so far; exact after the
-	// final flush.
+	// bytesOut is the bytes encoded for the socket so far, flushed plus
+	// buffered: once the trailer is encoded it is the exact response size,
+	// which lets a stream count itself in /stats before the final flush.
 	bytesOut() int64
 }
 
@@ -193,7 +194,7 @@ func (e *ndjsonEncoder) flush() error {
 	return nil
 }
 
-func (e *ndjsonEncoder) bytesOut() int64 { return e.cw.n }
+func (e *ndjsonEncoder) bytesOut() int64 { return e.cw.n + int64(e.bw.Buffered()) }
 
 // binaryEncoder wraps the internal/wire columnar frame encoder.
 type binaryEncoder struct {
@@ -281,4 +282,4 @@ func (e *binaryEncoder) flush() error {
 	return nil
 }
 
-func (e *binaryEncoder) bytesOut() int64 { return e.cw.n }
+func (e *binaryEncoder) bytesOut() int64 { return e.cw.n + int64(e.bw.Buffered()) }

@@ -71,8 +71,8 @@ func (s *Server) handleDatasetScatter(w http.ResponseWriter, r *http.Request) {
 	// Scatter binds are explicitly sequential: the executor-level
 	// parallelism lives on the coordinator's fan-out, and one worker serves
 	// one call per connection — local work-stealing underneath would only
-	// fight the range contract. The explicit options share the bind-cache
-	// key with explicit sequential dataset queries.
+	// fight the range contract. The bound state is shared with ordinary
+	// dataset queries through the bind cache.
 	exec := &ucq.PlanOptions{ForceNaive: mode == "naive"}
 	plan, err := pq.BindDatasetExecContext(r.Context(), ds, exec)
 	if err != nil {
@@ -185,12 +185,12 @@ func (s *Server) handleDatasetScatter(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.stats.answersStreamed.Add(int64(count))
-	defer func() { s.stats.recordWire(media, count, enc.bytesOut()) }()
 	if cancelled || r.Context().Err() != nil {
 		s.stats.requestsCancelled.Add(1)
+		s.stats.recordWire(media, count, enc.bytesOut())
 		return
 	}
-	_ = enc.scatterTrailer(cluster.ScatterTrailer{Done: true, Count: count, RootDone: hi})
-	_ = enc.flush()
 	s.stats.streamsCompleted.Add(1)
+	_ = enc.scatterTrailer(cluster.ScatterTrailer{Done: true, Count: count, RootDone: hi})
+	s.endStream(enc, media, count)
 }

@@ -305,7 +305,6 @@ func (s *Server) StatsSnapshotContext(ctx context.Context) Snapshot {
 		DecisionModes: map[string]int64{
 			"sequential": s.stats.decisionSequential.Load(),
 			"parallel":   s.stats.decisionParallel.Load(),
-			"sharded":    s.stats.decisionSharded.Load(),
 		},
 		Datasets:        gauges,
 		Delays:          s.stats.delays(),
@@ -391,9 +390,7 @@ func (s *Server) httpError(w http.ResponseWriter, status int, format string, arg
 // normalized mode and the per-request execution options. On failure it
 // writes the error response and returns ok = false.
 func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (req QueryRequest, u *ucq.UCQ, mode string, exec *ucq.PlanOptions, ok bool) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return req, nil, "", nil, false
 	}
 	u, err := ucq.Parse(req.Query)
@@ -413,29 +410,39 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (req QueryR
 		s.httpError(w, http.StatusBadRequest, "limit must be ≥ 0, got %d", req.Limit)
 		return req, nil, "", nil, false
 	}
-	exec = &ucq.PlanOptions{
-		ForceNaive:    mode == "naive",
-		Parallel:      req.Options.Parallel,
-		ParallelBatch: req.Options.Batch,
-		Shards:        req.Options.Shards,
-		Workers:       req.Options.Workers,
+	return req, u, mode, s.execOptions(mode, req.Options.Workers), true
+}
+
+// decodeBody decodes a JSON request body strictly: an unknown field — a
+// misspelt or removed execution option, say — is a 400 naming it rather
+// than a silently ignored knob. On failure it writes the error
+// response and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		s.httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+		return false
 	}
-	// Cost-based execution is the default: with no explicit knob the
-	// planner picks mode, shards and workers per bind (and /stats counts
-	// the decisions). Any explicit knob pins manual execution — the
-	// hand-picked path stays byte-identical.
-	if !req.Options.Parallel && req.Options.Batch == 0 && req.Options.Shards == 0 && req.Options.Workers == 0 {
-		exec.Auto = true
+	return true
+}
+
+// execOptions builds a request's execution options. Cost-based execution
+// is the default: with no explicit worker count the planner decides per
+// bind (and /stats counts the decisions). The server-wide spill budget
+// rides along on every bind: an explicit worker count runs the executor's
+// merge, and Auto may resolve to it.
+func (s *Server) execOptions(mode string, workers int) *ucq.PlanOptions {
+	exec := &ucq.PlanOptions{
+		ForceNaive: mode == "naive",
+		Workers:    workers,
+		Auto:       workers == 0,
 	}
-	// The server-wide spill budget rides along wherever a dedup set can
-	// exist (the spillable set lives on the parallel merge, so the budget
-	// requires Parallel or Auto — the remaining combinations are invalid
-	// anyway and fail validation on their own).
-	if s.cfg.SpillBudget > 0 && (exec.Parallel || exec.Auto) {
+	if s.cfg.SpillBudget > 0 {
 		exec.DedupBudget = s.cfg.SpillBudget
 		exec.SpillDir = s.cfg.SpillDir
 	}
-	return req, u, mode, exec, true
+	return exec
 }
 
 // recordDecision counts an Auto bind's resolved strategy in /stats.
@@ -444,12 +451,9 @@ func (s *Server) recordDecision(plan *ucq.Plan) {
 	if d == nil {
 		return
 	}
-	switch d.Kind {
-	case "sharded":
-		s.stats.decisionSharded.Add(1)
-	case "parallel":
+	if d.Kind == "parallel" {
 		s.stats.decisionParallel.Add(1)
-	default:
+	} else {
 		s.stats.decisionSequential.Add(1)
 	}
 }
@@ -547,6 +551,7 @@ func (s *Server) respondCount(w http.ResponseWriter, r *http.Request, plan *ucq.
 		w.Header().Set("X-Ucq-Bind", meta.bind)
 		w.Header().Set("X-Ucq-Dataset-Version", fmt.Sprint(meta.dsVersion))
 	}
+	s.stats.streamsCompleted.Add(1)
 	_ = json.NewEncoder(w).Encode(CountResponse{
 		Count:          n,
 		Mode:           plan.Mode.String(),
@@ -556,7 +561,6 @@ func (s *Server) respondCount(w http.ResponseWriter, r *http.Request, plan *ucq.
 		DatasetVersion: meta.dsVersion,
 		Bind:           meta.bind,
 	})
-	s.stats.streamsCompleted.Add(1)
 }
 
 // cacheState renders a hit bool as the wire's "hit"/"miss".
@@ -674,30 +678,12 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, plan *ucq.Plan, 
 
 	s.stats.answersStreamed.Add(int64(count))
 	s.stats.RecordTiming(firstAnswer, maxDelay)
-	defer func() { s.stats.recordWire(media, count, enc.bytesOut()) }()
 	if disconnected || r.Context().Err() != nil {
 		s.stats.requestsCancelled.Add(1)
+		s.stats.recordWire(media, count, enc.bytesOut())
 		return
 	}
-	if err := ucq.AnswersErr(it); err != nil {
-		// The enumeration died mid-stream (spilled dedup hit disk trouble):
-		// the answers already sent are an arbitrary prefix. The status line
-		// is long gone, so honesty lives in the trailer — done stays false
-		// and the error rides along instead.
-		s.stats.errors.Add(1)
-		_ = enc.trailer(Trailer{
-			Count:          count,
-			Mode:           plan.Mode.String(),
-			Cache:          meta.cache,
-			Dataset:        meta.dataset,
-			DatasetVersion: meta.dsVersion,
-			Bind:           meta.bind,
-			Error:          fmt.Sprintf("enumeration failed after %d answers: %v", count, err),
-		})
-		_ = enc.flush()
-		return
-	}
-	_ = enc.trailer(Trailer{
+	tr := Trailer{
 		Done:           true,
 		Count:          count,
 		Mode:           plan.Mode.String(),
@@ -705,7 +691,28 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, plan *ucq.Plan, 
 		Dataset:        meta.dataset,
 		DatasetVersion: meta.dsVersion,
 		Bind:           meta.bind,
-	})
+	}
+	if err := ucq.AnswersErr(it); err != nil {
+		// The enumeration died mid-stream (spilled dedup hit disk trouble):
+		// the answers already sent are an arbitrary prefix. The status line
+		// is long gone, so honesty lives in the trailer — done stays false
+		// and the error rides along instead.
+		s.stats.errors.Add(1)
+		tr.Done = false
+		tr.Error = fmt.Sprintf("enumeration failed after %d answers: %v", count, err)
+	} else {
+		s.stats.streamsCompleted.Add(1)
+	}
+	_ = enc.trailer(tr)
+	s.endStream(enc, media, count)
+}
+
+// endStream flushes a stream's already-encoded terminal record (trailer or
+// error) after counting the response in the wire stats. Callers bump their
+// outcome counter (streamsCompleted, errors) before encoding the record:
+// state first, then the bytes that announce it, so a client that has read
+// done:true never sees /stats that disagree.
+func (s *Server) endStream(enc answerEncoder, media string, rows int) {
+	s.stats.recordWire(media, rows, enc.bytesOut())
 	_ = enc.flush()
-	s.stats.streamsCompleted.Add(1)
 }

@@ -256,10 +256,9 @@ func TestEngineVariantsAgree(t *testing.T) {
 	for i, opts := range []QueryOptions{
 		{},
 		{Mode: "naive"},
-		{Parallel: true},
-		{Parallel: true, Batch: 2},
-		{Parallel: true, Shards: 4},
-		{Mode: "naive", Parallel: true, Shards: 2},
+		{Workers: 1},
+		{Workers: 4},
+		{Mode: "naive", Workers: 2},
 	} {
 		resp := post(t, ts.URL, QueryRequest{Query: example2, Relations: smallRelations(), Options: opts})
 		if resp.StatusCode != http.StatusOK {
@@ -291,7 +290,7 @@ func TestLimitTruncatesStream(t *testing.T) {
 	// with a trailer.
 	resp = post(t, ts.URL, QueryRequest{
 		Query: example2, Relations: smallRelations(), Limit: 1,
-		Options: QueryOptions{Parallel: true},
+		Options: QueryOptions{Workers: 2},
 	})
 	answers, tr = readStream(t, resp)
 	if len(answers) != 1 || tr.Count != 1 {
@@ -309,7 +308,7 @@ func TestBadRequests(t *testing.T) {
 		{"malformed json", `{"query": `, "decoding request"},
 		{"parse error", `{"query": "Q(x <- R(x)", "relations": {"R": [[1]]}}`, "parsing query"},
 		{"bad mode", `{"query": "Q(x) <- R(x).", "relations": {"R": [[1]]}, "options": {"mode": "warp"}}`, "options.mode"},
-		{"shards without parallel", `{"query": "Q(x) <- R(x).", "relations": {"R": [[1]]}, "options": {"shards": 2}}`, "invalid options: Shards"},
+		{"negative workers", `{"query": "Q(x) <- R(x).", "relations": {"R": [[1]]}, "options": {"workers": -2}}`, "invalid options: Workers"},
 		{"negative limit", `{"query": "Q(x) <- R(x).", "relations": {"R": [[1]]}, "limit": -1}`, "limit"},
 		{"ragged rows", `{"query": "Q(x) <- R(x).", "relations": {"R": [[1], [2,3]]}}`, "expected 1"},
 		{"missing relation", `{"query": "Q(x) <- R(x).", "relations": {}}`, "no relation"},
@@ -345,7 +344,7 @@ func TestInvalidExecOptionsDoNotPoisonCache(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	resp := post(t, ts.URL, QueryRequest{
 		Query: example2, Relations: smallRelations(),
-		Options: QueryOptions{Shards: 2}, // invalid: shards without parallel
+		Options: QueryOptions{Workers: -1}, // invalid: negative pool size
 	})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
@@ -362,6 +361,36 @@ func TestInvalidExecOptionsDoNotPoisonCache(t *testing.T) {
 	}
 	if st := s.StatsSnapshot(); st.PlansPrepared != 1 {
 		t.Errorf("plans prepared = %d, want 1", st.PlansPrepared)
+	}
+}
+
+// TestRemovedOptionsRejected: the execution options this server no longer
+// has must fail loudly with a 400 naming the field on every endpoint that
+// takes query options — never be silently ignored in favour of Auto.
+func TestRemovedOptionsRejected(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	putDataset(t, ts.URL, "d", smallRelations())
+	fields := map[string]string{"parallel": "true", "batch": "16", "shards": "4"}
+	paths := []string{"/query", "/datasets/d/query", "/datasets/d/subscribe"}
+	for _, path := range paths {
+		for field, val := range fields {
+			body := fmt.Sprintf(`{"query": %q, "options": {%q: %s}}`, example2, field, val)
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var er ErrorResponse
+			if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+				t.Fatalf("%s %s: decoding error body: %v", path, field, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, `"`+field+`"`) {
+				t.Errorf("%s with %s: status %d, error %q; want 400 naming the field", path, field, resp.StatusCode, er.Error)
+			}
+		}
+	}
+	if st := s.StatsSnapshot(); st.Errors != int64(len(paths)*len(fields)) {
+		t.Errorf("errors counter = %d, want %d", st.Errors, len(paths)*len(fields))
 	}
 }
 

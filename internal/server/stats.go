@@ -60,11 +60,10 @@ type Stats struct {
 	subsResyncs        atomic.Int64
 
 	// Auto-bind decision counters, by resolved strategy. A shifting mix —
-	// e.g. sharded picks collapsing to sequential after a data change — is
+	// e.g. parallel picks collapsing to sequential after a data change — is
 	// the observable trace of a planner regression.
 	decisionSequential atomic.Int64
 	decisionParallel   atomic.Int64
-	decisionSharded    atomic.Int64
 
 	mu   sync.Mutex
 	ring [delayWindow]reqTiming
@@ -127,7 +126,7 @@ type Snapshot struct {
 	// without one.
 	BindCache CacheStats `json:"bind_cache"`
 	// DecisionModes counts cost-based (auto) binds by the strategy the
-	// planner resolved: "sequential", "parallel" or "sharded". Explicit
+	// planner resolved: "sequential" or "parallel". Explicit
 	// execution options are not counted — no decision was made.
 	DecisionModes map[string]int64 `json:"decision_modes"`
 	// Datasets gauges every registered dataset (sorted by name).

@@ -22,7 +22,6 @@ package server
 // followed by the full answer set at the head version.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -60,9 +59,7 @@ func (s *Server) decodeSubscribe(w http.ResponseWriter, r *http.Request) (req Su
 			req.FromVersion = v
 		}
 	} else {
-		body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			s.httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+		if !s.decodeBody(w, r, &req) {
 			return req, false
 		}
 	}
@@ -99,20 +96,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, "options.mode must be \"auto\" or \"naive\", got %q", mode)
 		return
 	}
-	exec := &ucq.PlanOptions{
-		ForceNaive:    mode == "naive",
-		Parallel:      req.Options.Parallel,
-		ParallelBatch: req.Options.Batch,
-		Shards:        req.Options.Shards,
-		Workers:       req.Options.Workers,
-	}
-	if !req.Options.Parallel && req.Options.Batch == 0 && req.Options.Shards == 0 && req.Options.Workers == 0 {
-		exec.Auto = true
-	}
-	if s.cfg.SpillBudget > 0 && (exec.Parallel || exec.Auto) {
-		exec.DedupBudget = s.cfg.SpillBudget
-		exec.SpillDir = s.cfg.SpillDir
-	}
+	exec := s.execOptions(mode, req.Options.Workers)
 
 	pq, hit, err := s.prepared(mode, u)
 	if err != nil {
@@ -164,8 +148,15 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	s.stats.subsStarted.Add(1)
 
-	pushed := 0
-	defer func() { s.stats.recordWire(media, pushed, enc.bytesOut()) }()
+	// A stream that ends with a terminal record counts itself through
+	// endStream before the record is flushed; every other exit — the
+	// subscriber went away — is counted here.
+	pushed, ended := 0, false
+	defer func() {
+		if !ended {
+			s.stats.recordWire(media, pushed, enc.bytesOut())
+		}
+	}()
 
 	// Naive plans have no constant-time old-membership test; the
 	// subscription instead remembers every answer it has made the client
@@ -219,7 +210,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			DatasetVersion: cur,
 			Error:          err.Error(),
 		})
-		_ = enc.flush()
+		ended = true
+		s.endStream(enc, media, pushed)
 	}
 	// streamFull pushes p's complete answer set — the initial batch, and
 	// the body of every resync.
@@ -296,6 +288,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		// re-registered under the same name): the registration this
 		// subscription rode on is gone, so the stream ends honestly.
 		if cat, ok := s.catalog.Dataset(name); !ok || cat != ds {
+			s.stats.streamsCompleted.Add(1)
 			_ = enc.trailer(Trailer{
 				Count:          pushed,
 				Mode:           plan.Mode.String(),
@@ -304,8 +297,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 				DatasetVersion: cur,
 				Error:          fmt.Sprintf("dataset %q was dropped", name),
 			})
-			_ = enc.flush()
-			s.stats.streamsCompleted.Add(1)
+			ended = true
+			s.endStream(enc, media, pushed)
 			return
 		}
 		// Re-bind at the head through the shared bind cache — this is also

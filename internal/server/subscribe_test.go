@@ -193,8 +193,7 @@ func TestSubscribeEquivalenceRandomized(t *testing.T) {
 	}{
 		{"auto", QueryOptions{}},
 		{"naive", QueryOptions{Mode: "naive"}},
-		{"parallel", QueryOptions{Parallel: true}},
-		{"sharded", QueryOptions{Parallel: true, Shards: 4}},
+		{"parallel", QueryOptions{Workers: 2}},
 	}
 	wires := []struct {
 		name   string

@@ -22,18 +22,9 @@ type QueryOptions struct {
 	// Mode is "auto" (certify, fall back to naive; the default) or
 	// "naive" (skip certification).
 	Mode string `json:"mode,omitempty"`
-	// Parallel drains union branches concurrently. When no execution knob
-	// (parallel, batch, shards, workers) is set, the planner's cost model
-	// resolves them per bind instead — auto execution is the default; any
-	// explicit knob pins manual execution.
-	Parallel bool `json:"parallel,omitempty"`
-	// Batch is the parallel batch size per worker (0 = default).
-	Batch int `json:"batch,omitempty"`
-	// Shards hash-partitions each branch across N shards (requires
-	// Parallel; 0 = off).
-	Shards int `json:"shards,omitempty"`
-	// Workers bounds the work-stealing executor pool for this request
-	// (requires Parallel; 0 = GOMAXPROCS).
+	// Workers pins the work-stealing executor with this many workers for
+	// the request. 0 (the default) leaves the choice between the sequential
+	// iterator and the executor to the planner's cost model, per bind.
 	Workers int `json:"workers,omitempty"`
 	// CountOnly answers with a single CountResponse object instead of
 	// streaming: certified single-branch plans count from the Theorem 12

@@ -355,6 +355,13 @@ func TestWireStatsCounters(t *testing.T) {
 	if w.NDJSONBytes <= 0 || w.BinaryBytes <= 0 {
 		t.Errorf("byte counts = %d ndjson / %d binary, want both > 0", w.NDJSONBytes, w.BinaryBytes)
 	}
+	// A stream holds its admission slot until its handler returns, which
+	// can trail the client's read of the trailer: wait for the drain.
+	deadline := time.Now().Add(5 * time.Second)
+	for w.StreamsActive != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		w = s.StatsSnapshot().Wire
+	}
 	if w.StreamsActive != 0 || w.StreamsQueued != 0 {
 		t.Errorf("gauges after idle = active %d queued %d, want 0/0", w.StreamsActive, w.StreamsQueued)
 	}

@@ -35,10 +35,9 @@ func waitGoroutines(t *testing.T, baseline int, what string) {
 
 // TestGoroutineHygieneCancelledEnumerations is the leak-regression test
 // for the executor teardown paths: N abandoned or cancelled enumerations
-// across the parallel, work-stealing and sharded engines must leave the
-// goroutine count where it started — CloseAnswers and context
-// cancellation both release every worker, and no enumeration keeps
-// running past cancellation.
+// across executor pool sizes must leave the goroutine count where it
+// started — CloseAnswers and context cancellation both release every
+// worker, and no enumeration keeps running past cancellation.
 func TestGoroutineHygieneCancelledEnumerations(t *testing.T) {
 	u := MustParse("Q(x,y,w) <- R1(x,y), R2(y,w).")
 	// Enough answers (~114k) that an abandoned stream is genuinely
@@ -53,10 +52,9 @@ func TestGoroutineHygieneCancelledEnumerations(t *testing.T) {
 	}
 
 	execs := []*PlanOptions{
-		{Parallel: true},
-		{Parallel: true, Workers: 4, ParallelBatch: 8},
-		{Parallel: true, Shards: 4},
-		{Parallel: true, Shards: 2, Workers: 4},
+		{Workers: 1},
+		{Workers: 4},
+		{Workers: 8},
 	}
 	baseline := runtime.NumGoroutine()
 
@@ -78,7 +76,7 @@ func TestGoroutineHygieneCancelledEnumerations(t *testing.T) {
 		// Context cancellation without Close: the bind context alone must
 		// release the workers.
 		ctx, cancel := context.WithCancel(context.Background())
-		p, err := pq.BindExecContext(ctx, inst, &PlanOptions{Parallel: true, Workers: 4})
+		p, err := pq.BindExecContext(ctx, inst, &PlanOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +105,7 @@ func TestCancelledStreamStopsEnumerating(t *testing.T) {
 	inst.AddRelation(s)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	p, err := NewPlan(u, inst, &PlanOptions{Parallel: true, Workers: 4, ParallelBatch: 16})
+	p, err := NewPlan(u, inst, &PlanOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

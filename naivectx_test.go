@@ -69,20 +69,6 @@ func TestNaiveAnswersContextHonorsCancellation(t *testing.T) {
 		t.Errorf("pre-cancelled ctx: %d answers, want 0", n)
 	}
 
-	// The parallel and sharded naive evaluators honor cancellation too.
-	for _, opts := range []*PlanOptions{
-		{ForceNaive: true, Parallel: true},
-		{ForceNaive: true, Parallel: true, Shards: 2},
-	} {
-		p, err := NewPlan(u, inst, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := &countingCtx{Context: context.Background(), cancelAt: 2}
-		if n := drainCount(p.AnswersContext(ctx)); n != 0 {
-			t.Errorf("opts %+v: cancelled run produced %d answers, want 0", opts, n)
-		}
-	}
 }
 
 // drainCount exhausts an answer stream and returns its length.

@@ -49,29 +49,16 @@ type PlanOptions struct {
 	// KeepRedundant skips the containment-based reduction (Example 1);
 	// redundant CQs never change the answer set, only the plan.
 	KeepRedundant bool
-	// Parallel drains the union's branches concurrently: in constant-delay
-	// mode each certified CQ runs in its own goroutine feeding a shared
-	// dedup merge, and in naive mode the member CQs are joined in parallel.
-	// The answer set is identical to sequential evaluation; the answer
-	// order is nondeterministic in constant-delay mode. Iterators from a
-	// parallel plan must be drained to exhaustion or Closed (see
-	// CloseAnswers) to release their workers.
-	Parallel bool
-	// ParallelBatch sets how many answers each branch worker hands to the
-	// merge per synchronization; 0 selects a sensible default.
-	ParallelBatch int
-	// Shards fans each union branch out across N hash-partitioned shards
-	// of the instance: the planner picks a safe partition attribute from
-	// every CQ's join structure (preferring head variables, whose shard
-	// streams are disjoint and skip deduplication) and falls back to the
-	// unsharded branch when none exists. Requires Parallel. 0 disables
-	// sharding.
-	Shards int
-	// Workers bounds the work-stealing executor's worker pool for parallel
-	// plans. Enumeration work is decomposed into (plan, row-range) tasks
-	// that workers steal and re-split, so a single heavy branch or shard no
-	// longer serialises on one goroutine. 0 selects GOMAXPROCS. Requires
-	// Parallel.
+	// Workers selects the execution engine of a constant-delay plan. 0 (the
+	// default) is the sequential constant-delay iterator. n ≥ 1 drains the
+	// union on the work-stealing executor with n workers: every certified
+	// branch is decomposed into root-row-range tasks that workers steal and
+	// re-split, feeding a shared dedup merge, so a single heavy branch no
+	// longer serialises on one goroutine. The answer set is identical to
+	// sequential evaluation; the answer order is nondeterministic. Iterators
+	// from a parallel plan must be drained to exhaustion or Closed (see
+	// CloseAnswers) to release their workers. Naive plans have one
+	// evaluator and ignore Workers.
 	Workers int
 	// DedupBudget bounds the number of distinct answers the parallel
 	// merge's dedup set holds in memory. Past it the set migrates to a
@@ -80,20 +67,18 @@ type PlanOptions struct {
 	// of growing without bound. With Auto, the budget also feeds the cost
 	// model: an exact Theorem 12 count above it forces the spillable
 	// parallel merge even where the mode choice would have been sequential.
-	// 0 means unbounded (never spill). Requires Parallel or Auto.
+	// 0 means unbounded (never spill). Requires Workers or Auto.
 	DedupBudget int64
 	// SpillDir hosts spilled dedup tables (a private temp directory is
 	// created per spill); empty selects os.TempDir(). Requires DedupBudget.
 	SpillDir string
-	// Auto lets the planner pick Parallel, Shards and Workers itself at
-	// bind time, from what it already knows about the (query, instance)
-	// pair: relation cardinalities, the exact per-branch answer counts of
-	// the Theorem 12 counting pass, the estimated output skew of the best
-	// partition attribute (sampled join-key frequencies), and GOMAXPROCS.
-	// The resolved knobs and the reason for them are recorded on the plan
-	// (see Plan.Decision) and rendered by Explain. Auto contradicts
-	// explicitly set execution knobs — hand-picked options mean the caller
-	// has decided.
+	// Auto lets the planner pick Workers itself at bind time, from what it
+	// already knows about the (query, instance) pair: relation
+	// cardinalities, the exact per-branch answer counts of the Theorem 12
+	// counting pass, and GOMAXPROCS. The resolved worker count and the
+	// reason for it are recorded on the plan (see Plan.Decision) and
+	// rendered by Explain. Auto contradicts an explicit Workers — a
+	// hand-picked pool means the caller has decided.
 	Auto bool
 }
 
@@ -117,44 +102,17 @@ func (o *PlanOptions) validate() error {
 	if o.ForceNaive && o.RequireConstantDelay {
 		return &OptionsError{Field: "ForceNaive", Reason: "contradicts RequireConstantDelay"}
 	}
-	// Auto contradictions are reported before the pairwise knob rules so
-	// the caller hears about the real conflict — "you asked the planner to
-	// decide and also decided yourself" — not a derived one.
-	if o.Auto {
-		switch {
-		case o.Parallel:
-			return &OptionsError{Field: "Auto", Reason: "contradicts an explicit Parallel"}
-		case o.Shards > 0:
-			return &OptionsError{Field: "Auto", Reason: "contradicts an explicit Shards"}
-		case o.Workers > 0:
-			return &OptionsError{Field: "Auto", Reason: "contradicts an explicit Workers"}
-		case o.ParallelBatch > 0:
-			return &OptionsError{Field: "Auto", Reason: "contradicts an explicit ParallelBatch"}
-		}
-	}
-	if o.ParallelBatch < 0 {
-		return &OptionsError{Field: "ParallelBatch", Reason: fmt.Sprintf("must be ≥ 0, got %d", o.ParallelBatch)}
-	}
-	if o.Shards < 0 {
-		return &OptionsError{Field: "Shards", Reason: fmt.Sprintf("must be ≥ 0, got %d", o.Shards)}
-	}
-	if o.Shards > 0 && !o.Parallel {
-		return &OptionsError{Field: "Shards", Reason: "sharded enumeration requires Parallel"}
-	}
-	if o.ParallelBatch > 0 && !o.Parallel {
-		return &OptionsError{Field: "ParallelBatch", Reason: "batching requires Parallel"}
+	if o.Auto && o.Workers > 0 {
+		return &OptionsError{Field: "Auto", Reason: "contradicts an explicit Workers"}
 	}
 	if o.Workers < 0 {
 		return &OptionsError{Field: "Workers", Reason: fmt.Sprintf("must be ≥ 0, got %d", o.Workers)}
 	}
-	if o.Workers > 0 && !o.Parallel {
-		return &OptionsError{Field: "Workers", Reason: "a worker pool requires Parallel"}
-	}
 	if o.DedupBudget < 0 {
 		return &OptionsError{Field: "DedupBudget", Reason: fmt.Sprintf("must be ≥ 0, got %d", o.DedupBudget)}
 	}
-	if o.DedupBudget > 0 && !o.Parallel && !o.Auto {
-		return &OptionsError{Field: "DedupBudget", Reason: "the spillable dedup set lives on the parallel merge; requires Parallel or Auto"}
+	if o.DedupBudget > 0 && o.Workers == 0 && !o.Auto {
+		return &OptionsError{Field: "DedupBudget", Reason: "the spillable dedup set lives on the parallel merge; requires Workers or Auto"}
 	}
 	if o.SpillDir != "" && o.DedupBudget == 0 {
 		return &OptionsError{Field: "SpillDir", Reason: "meaningless without a DedupBudget"}
@@ -176,9 +134,6 @@ type Plan struct {
 
 	union       *core.UnionPlan
 	inst        *database.Instance
-	parallel    bool
-	batch       int
-	shards      int
 	workers     int
 	spillBudget int64
 	spillDir    string
@@ -214,21 +169,19 @@ func (p *Plan) DatasetVersion() uint64 { return p.dsVersion }
 // only; inline binds never hit the cache).
 func (p *Plan) BindCacheHit() bool { return p.bindHit }
 
-// Decision is the Auto planner's provenance record: the execution knobs it
+// Decision is the Auto planner's provenance record: the worker count it
 // resolved for one bind, why, and the inputs the choice was made from.
 // Surfaced by Plan.Decision, rendered by Explain, and counted per Kind in
 // the server's /stats — a regressed decision should be observable, not a
 // silent slowdown.
 type Decision struct {
-	// Parallel, Shards and Workers are the resolved execution knobs; they
-	// always form a valid PlanOptions combination.
-	Parallel bool
-	Shards   int
-	Workers  int
+	// Workers is the resolved PlanOptions.Workers: 0 for the sequential
+	// iterator, n ≥ 1 for the executor with n workers.
+	Workers int
 	// Spill reports that the exact answer count exceeds the memory budget
 	// and the merge's dedup set will migrate to disk.
 	Spill bool
-	// Kind names the strategy: "sequential", "parallel" or "sharded".
+	// Kind names the strategy: "sequential" or "parallel".
 	Kind string
 	// Reason explains the pick in one sentence.
 	Reason string
@@ -248,8 +201,7 @@ func (d *Decision) String() string {
 	if d.Spill {
 		spill = " spill=true"
 	}
-	return fmt.Sprintf("%s (parallel=%v shards=%d workers=%d%s): %s",
-		d.Kind, d.Parallel, d.Shards, d.Workers, spill, d.Reason)
+	return fmt.Sprintf("%s (workers=%d%s): %s", d.Kind, d.Workers, spill, d.Reason)
 }
 
 // Decision returns the Auto planner's provenance for this bind, or nil
@@ -260,8 +212,6 @@ func (p *Plan) Decision() *Decision {
 	}
 	d := p.decision
 	return &Decision{
-		Parallel: d.Parallel,
-		Shards:   d.Shards,
 		Workers:  d.Workers,
 		Spill:    d.Spill,
 		Kind:     d.Kind(),
@@ -362,10 +312,10 @@ func (pq *PreparedQuery) Bind(inst *Instance) (*Plan, error) {
 	return pq.BindExec(inst, nil)
 }
 
-// BindExec is Bind with per-binding execution options: Parallel,
-// ParallelBatch, Shards and Workers are taken from exec instead of the
-// Prepare-time options, so one cached PreparedQuery can serve requests that
-// differ only in execution strategy. Fields of exec that shape preparation
+// BindExec is Bind with per-binding execution options: Workers, Auto,
+// DedupBudget and SpillDir are taken from exec instead of the Prepare-time
+// options, so one cached PreparedQuery can serve requests that differ only
+// in execution strategy. Fields of exec that shape preparation
 // (ForceNaive, RequireConstantDelay, KeepRedundant, Search) are fixed at
 // Prepare time and ignored here. A nil exec reuses the Prepare-time options
 // unchanged.
@@ -393,9 +343,6 @@ func (pq *PreparedQuery) execOptions(exec *PlanOptions) (PlanOptions, error) {
 		if err := exec.validate(); err != nil {
 			return PlanOptions{}, err
 		}
-		opts.Parallel = exec.Parallel
-		opts.ParallelBatch = exec.ParallelBatch
-		opts.Shards = exec.Shards
 		opts.Workers = exec.Workers
 		opts.Auto = exec.Auto
 		opts.DedupBudget = exec.DedupBudget
@@ -406,53 +353,25 @@ func (pq *PreparedQuery) execOptions(exec *PlanOptions) (PlanOptions, error) {
 
 // boundQuery is the per-instance half of a plan — the outcome of binding a
 // prepared query to one immutable instance. In constant-delay mode it
-// holds the Theorem 12 union pipeline (with shard plans when sharding was
-// requested); in naive mode it only records that the schema validated.
-// For Auto binds it additionally carries the resolved cost decision — the
-// decision is a pure function of (query, snapshot, CPUs), so caching it
-// with the bound state keeps cache-served plans' provenance and knobs
-// identical to freshly computed ones. A boundQuery is read-only after
+// holds the Theorem 12 union pipeline; in naive mode it only records that
+// the schema validated. Execution options never shape it, so one bound
+// query serves every execution strategy. A boundQuery is read-only after
 // bindInstance returns and safe to share across concurrent plans, which is
 // what the catalog's bind cache does.
 type boundQuery struct {
 	union *core.UnionPlan // nil in naive mode
-	// decision is the Auto planner's pick; nil for explicit options.
-	decision *cost.Decision
 }
 
 // bindInstance runs the per-instance half of planning: the Theorem 12
-// preprocessing (plus shard preparation when sharding was requested or
-// Auto resolved to it) in constant-delay mode, or schema validation in
-// naive mode. With opts.Auto set, the cost model resolves the execution
-// knobs here — this is the first point where the instance, the exact
-// branch counts and the output-skew probe are all in hand. ctx aborts a
-// still-running preprocessing between extensions.
-func (pq *PreparedQuery) bindInstance(ctx context.Context, inst *Instance, opts PlanOptions) (*boundQuery, error) {
+// preprocessing in constant-delay mode, or schema validation in naive
+// mode. ctx aborts a still-running preprocessing between extensions.
+func (pq *PreparedQuery) bindInstance(ctx context.Context, inst *Instance) (*boundQuery, error) {
 	if pq.Mode == ConstantDelay {
 		up, err := core.NewUnionPlanCtx(ctx, pq.Evaluated, pq.Cert, inst)
 		if err != nil {
 			return nil, err
 		}
-		shards := opts.Shards
-		var dec *cost.Decision
-		if opts.Auto {
-			cpus := autoCPUs()
-			in := up.CostInputs(cpus)
-			in.CPUs = cpus
-			in.MemBudget = opts.DedupBudget
-			d := cost.Decide(in)
-			dec = &d
-			shards = d.Shards
-		}
-		if shards > 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := up.PrepareShards(shards); err != nil {
-				return nil, err
-			}
-		}
-		return &boundQuery{union: up, decision: dec}, nil
+		return &boundQuery{union: up}, nil
 	}
 	// Validate relations up front so Iterator can't fail later.
 	for _, d := range pq.Query.Schema() {
@@ -464,29 +383,38 @@ func (pq *PreparedQuery) bindInstance(ctx context.Context, inst *Instance, opts 
 			return nil, fmt.Errorf("ucq: relation %q has arity %d, query uses %d", d.Name, r.Arity(), d.Arity)
 		}
 	}
-	var dec *cost.Decision
-	if opts.Auto {
-		cpus := autoCPUs()
-		d := cost.Decide(cost.Inputs{
-			ConstantDelay: false,
-			Rows:          inst.TupleCount(),
-			Answers:       -1,
-			Branches:      len(pq.Evaluated.CQs),
-			CPUs:          cpus,
-		})
-		dec = &d
+	return &boundQuery{}, nil
+}
+
+// decide resolves an Auto bind's worker count with the cost model. Its
+// inputs are O(1) reads of the bound state — the counting pass behind the
+// exact answer count runs once per bound union and is cached with it — so
+// the decision is recomputed per bind rather than stored: a cache-served
+// bind always reflects the current GOMAXPROCS and this bind's budget.
+func (pq *PreparedQuery) decide(inst *Instance, bq *boundQuery, budget int64) *cost.Decision {
+	in := cost.Inputs{
+		ConstantDelay: bq.union != nil,
+		Rows:          inst.TupleCount(),
+		Answers:       -1, // naive mode cannot count without evaluating
+		Branches:      len(pq.Evaluated.CQs),
+		CPUs:          autoCPUs(),
+		MemBudget:     budget,
 	}
-	return &boundQuery{decision: dec}, nil
+	if bq.union != nil {
+		in.Answers = bq.union.AnswerEstimate()
+	}
+	d := cost.Decide(in)
+	return &d
 }
 
 // newBoundPlan wraps a bound query in a fresh Plan carrying this binding's
-// execution options and context. An Auto bind takes its execution knobs
-// from the cost decision resolved (or cache-served) with the bound state.
+// execution options and context. An Auto bind takes its worker count from
+// the cost decision.
 func (pq *PreparedQuery) newBoundPlan(ctx context.Context, inst *Instance, opts PlanOptions, bq *boundQuery) *Plan {
-	if bq.decision != nil {
-		opts.Parallel = bq.decision.Parallel
-		opts.Shards = bq.decision.Shards
-		opts.Workers = bq.decision.Workers
+	var dec *cost.Decision
+	if opts.Auto {
+		dec = pq.decide(inst, bq, opts.DedupBudget)
+		opts.Workers = dec.Workers
 	}
 	return &Plan{
 		Query:       pq.Query,
@@ -495,13 +423,10 @@ func (pq *PreparedQuery) newBoundPlan(ctx context.Context, inst *Instance, opts 
 		Cert:        pq.Cert,
 		union:       bq.union,
 		inst:        inst,
-		parallel:    opts.Parallel,
-		batch:       opts.ParallelBatch,
-		shards:      opts.Shards,
 		workers:     opts.Workers,
 		spillBudget: opts.DedupBudget,
 		spillDir:    opts.SpillDir,
-		decision:    bq.decision,
+		decision:    dec,
 		ctx:         ctx,
 	}
 }
@@ -521,8 +446,9 @@ func NewPlan(u *UCQ, inst *Instance, opts *PlanOptions) (*Plan, error) {
 }
 
 // Iterator returns a fresh duplicate-free stream of the union's answers.
-// With PlanOptions.Parallel set, the stream is backed by the work-stealing
-// executor's worker pool; drain it fully or release it with CloseAnswers.
+// With PlanOptions.Workers set (or resolved by Auto), the stream is backed
+// by the work-stealing executor's worker pool; drain it fully or release it
+// with CloseAnswers.
 // The binding context given to BindExecContext (if any) parents the
 // stream's background work.
 func (p *Plan) Iterator() Answers {
@@ -545,38 +471,18 @@ func (p *Plan) AnswersContext(ctx context.Context) Answers {
 		return enumeration.NewSliceIterator(nil)
 	}
 	if p.Mode == ConstantDelay {
-		eo := core.ExecOptions{
-			BatchSize: p.batch,
-			Workers:   p.workers,
-			// The budget rides along unconditionally: the merge applies it
-			// only where a dedup set exists (non-disjoint), so it enforces
-			// the bound even on binds whose decision predates the overage.
+		if p.workers == 0 {
+			return p.union.Iterator()
+		}
+		return p.union.IteratorParallelCtx(ctx, core.ExecOptions{
+			Workers: p.workers,
+			// The merge applies the budget only where a dedup set exists
+			// (non-disjoint task streams).
 			SpillBudget: int(p.spillBudget),
 			SpillDir:    p.spillDir,
-		}
-		if p.shards > 0 {
-			it, err := p.union.IteratorParallelShardedCtx(ctx, eo)
-			if err != nil {
-				// NewPlan ran PrepareShards; reaching this is a bug.
-				panic(fmt.Sprintf("ucq: sharded iterator failed after preparation: %v", err))
-			}
-			return it
-		}
-		if p.parallel {
-			return p.union.IteratorParallelCtx(ctx, eo)
-		}
-		return p.union.Iterator()
+		})
 	}
-	eval := baseline.EvalUCQCtx
-	switch {
-	case p.shards > 0:
-		eval = func(ctx context.Context, u *UCQ, inst *Instance) (*Relation, error) {
-			return baseline.EvalUCQShardedParallelCtx(ctx, u, inst, p.shards)
-		}
-	case p.parallel:
-		eval = baseline.EvalUCQParallelCtx
-	}
-	rel, err := eval(ctx, p.Evaluated, p.inst)
+	rel, err := baseline.EvalUCQCtx(ctx, p.Evaluated, p.inst)
 	if err != nil {
 		if ctx.Err() != nil {
 			// Cancelled mid-evaluation: like the parallel engines, the
@@ -719,15 +625,12 @@ func (p *Plan) AnswersRootRange(lo, hi int) (*RootAnswers, error) {
 // Explain renders a human-readable description of the plan: in
 // constant-delay mode, the certified extensions, provider runs and per-CQ
 // engine plans; in naive mode, a one-line notice. Auto binds append the
-// cost decision's provenance: the resolved knobs, the reason, and the
-// inputs the choice was made from.
+// cost decision's provenance: the resolved worker count, the reason, and
+// the inputs the choice was made from.
 func (p *Plan) Explain() string {
 	var s string
 	if p.Mode == ConstantDelay {
 		s = p.union.Explain()
-		if p.shards > 0 {
-			s += p.union.ExplainShards()
-		}
 	} else {
 		s = "naive plan: join and deduplicate (no certificate; no delay guarantee)\n"
 	}

@@ -40,7 +40,7 @@ func TestPlanAllRangesAnswers(t *testing.T) {
 
 	// Abandoning a parallel plan's range must release its workers.
 	before := runtime.NumGoroutine()
-	pplan, err := NewPlan(u, inst, &PlanOptions{Parallel: true, Workers: 4})
+	pplan, err := NewPlan(u, inst, &PlanOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func TestPlanParallelMode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPlan: %v", err)
 	}
-	par, err := NewPlan(u, inst, &PlanOptions{Parallel: true})
+	par, err := NewPlan(u, inst, &PlanOptions{Workers: 2})
 	if err != nil {
 		t.Fatalf("NewPlan(parallel): %v", err)
 	}
@@ -96,10 +96,10 @@ func TestPlanParallelMode(t *testing.T) {
 	CloseAnswers(it)
 	CloseAnswers(seq.Iterator())
 
-	// Parallel naive fallback agrees with the sequential evaluator.
+	// The naive fallback has one evaluator and ignores Workers.
 	un := MustParse("Q(x,y) <- R1(x,z), R2(z,y).")
 	instN := workload.RandomForQuery(un, 40, 8, 2)
-	pn, err := NewPlan(un, instN, &PlanOptions{Parallel: true})
+	pn, err := NewPlan(un, instN, &PlanOptions{Workers: 2})
 	if err != nil {
 		t.Fatalf("NewPlan: %v", err)
 	}
@@ -108,7 +108,7 @@ func TestPlanParallelMode(t *testing.T) {
 	}
 	wantN, _ := baseline.EvalUCQ(un, instN)
 	if got := pn.Count(); got != wantN.Len() {
-		t.Errorf("parallel naive answers = %d, want %d", got, wantN.Len())
+		t.Errorf("naive answers under Workers = %d, want %d", got, wantN.Len())
 	}
 }
 
