@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -336,7 +335,8 @@ type QuerySpec struct {
 // root-range partitionable, otherwise the whole query goes to one worker
 // (still dedup-free — it is one stream). Either way every delivered chunk
 // is exact: the marker protocol and per-worker version guards mean a
-// retried or re-split call never duplicates or drops an answer.
+// retried or re-split call never duplicates or drops an answer. Query
+// itself only probes; the stream fans out, under ctx, at its first Next.
 func (c *Coordinator) Query(ctx context.Context, spec QuerySpec) (*Stream, error) {
 	c.mu.Lock()
 	entry, ok := c.datasets[spec.Dataset]
@@ -355,7 +355,6 @@ func (c *Coordinator) Query(ctx context.Context, spec QuerySpec) (*Stream, error
 	order := rendezvousOrder(c.workers, spec.Dataset+"\x00"+spec.Query)
 
 	var hdr *ScatterHeader
-	var probed string
 	var lastErr error
 	for _, w := range order {
 		req := base
@@ -368,13 +367,12 @@ func (c *Coordinator) Query(ctx context.Context, spec QuerySpec) (*Stream, error
 			}
 			continue
 		}
-		hdr, probed = h, w
+		hdr = h
 		break
 	}
 	if hdr == nil {
 		return nil, fmt.Errorf("cluster: no worker answered the probe: %w", lastErr)
 	}
-	_ = probed
 
 	head := Header{
 		Mode:           hdr.Mode,
@@ -389,44 +387,36 @@ func (c *Coordinator) Query(ctx context.Context, spec QuerySpec) (*Stream, error
 		head.Scatter = "root-range"
 		head.Workers = len(c.workers)
 		c.scatterQueries.Add(1)
-		return c.newGatherStream(ctx, head, versions, base, spec.Dataset), nil
+		return &Stream{Header: head, open: func(st *Stream) {
+			c.gatherStream(ctx, st, versions, base, spec.Dataset)
+		}}, nil
 	}
 	head.Scatter = "single-worker"
 	head.Workers = 1
 	c.fallbackQueries.Add(1)
-	return c.fallbackStream(ctx, head, spec, order)
+	body, err := json.Marshal(map[string]any{"query": spec.Query, "options": map[string]string{"mode": spec.Mode}})
+	if err != nil {
+		return nil, err
+	}
+	return &Stream{Header: head, open: func(st *Stream) {
+		c.fallbackStream(ctx, st, spec.Dataset, body, order)
+	}}, nil
 }
 
 // fallbackStream routes the whole query to a single worker (in rendezvous
-// order) and re-frames its NDJSON answer stream as chunks. It retries on
-// the next worker only while nothing has been delivered — without markers
-// a partial stream has no exact resume point, so a mid-stream failure
-// after delivery terminates the stream with an error instead of risking
-// duplicates.
-func (c *Coordinator) fallbackStream(ctx context.Context, hdr Header, spec QuerySpec, order []string) (*Stream, error) {
+// order) and re-frames its answer stream as chunks. It retries on the next
+// worker only while nothing has been delivered — without markers a partial
+// stream has no exact resume point, so a mid-stream failure after delivery
+// terminates the stream with an error instead of risking duplicates.
+func (c *Coordinator) fallbackStream(ctx context.Context, st *Stream, dataset string, body []byte, order []string) {
 	sctx, cancel := context.WithCancel(ctx)
-	out := make(chan Chunk, 4)
-	st := &Stream{Header: hdr, C: out, cancel: cancel}
-	st.setStats(StreamStats{Workers: 1})
-
-	body, err := json.Marshal(struct {
-		Query   string `json:"query"`
-		Options struct {
-			Mode string `json:"mode,omitempty"`
-		} `json:"options"`
-	}{Query: spec.Query, Options: struct {
-		Mode string `json:"mode,omitempty"`
-	}{Mode: spec.Mode}})
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-
+	out := make(chan []database.Tuple, 4)
+	st.c, st.cancel = out, cancel
 	go func() {
 		defer close(out)
 		var lastErr error
 		for _, w := range order {
-			delivered, err := c.fallbackOnce(sctx, w, spec.Dataset, body, out)
+			delivered, err := c.fallbackOnce(sctx, w, dataset, body, out)
 			if err == nil {
 				return
 			}
@@ -434,159 +424,48 @@ func (c *Coordinator) fallbackStream(ctx context.Context, hdr Header, spec Query
 			if delivered || sctx.Err() != nil {
 				// Answers already left for the client: no dedup-safe retry.
 				if sctx.Err() == nil {
-					st.setErr(err)
+					st.err = err
 				}
 				return
 			}
 		}
 		if sctx.Err() == nil {
-			st.setErr(fmt.Errorf("cluster: single-worker fallback failed on every worker: %w", lastErr))
+			st.err = fmt.Errorf("cluster: single-worker fallback failed on every worker: %w", lastErr)
 		}
 	}()
-	return st, nil
 }
 
 // fallbackOnce streams one worker's full answer set into out, re-framed
-// as chunks of at most MarkerEvery tuples. Like scatter calls, it asks
-// for the binary encoding and keys the decode path on the response
-// Content-Type. delivered reports whether any chunk reached the consumer.
-func (c *Coordinator) fallbackOnce(ctx context.Context, worker, dataset string, body []byte, out chan<- Chunk) (delivered bool, err error) {
-	callCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	// Same stall deadline as scatter calls: armed across the POST and every
-	// stream read, disarmed while the consumer applies backpressure, so a
-	// frozen fallback worker fails the call instead of wedging the stream.
-	var stalled atomic.Bool
-	watchdog := time.AfterFunc(c.sc.stall, func() {
-		stalled.Store(true)
-		cancel()
-	})
-	defer watchdog.Stop()
-	resp, err := c.sc.post(callCtx, worker+"/datasets/"+dataset+"/query", body, wire.MediaTypeBinary)
-	if err != nil {
-		if stalled.Load() {
-			return false, fmt.Errorf("cluster: worker %s: stalled (no response for %s)", worker, c.sc.stall)
-		}
-		return false, err
-	}
-	defer resp.Body.Close()
-
+// as chunks of at most MarkerEvery tuples, under the same stall deadline as
+// scatter calls. delivered reports whether any chunk reached the consumer.
+func (c *Coordinator) fallbackOnce(ctx context.Context, worker, dataset string, body []byte, out chan<- []database.Tuple) (delivered bool, err error) {
 	var tuples []database.Tuple
-	flush := func() bool {
+	flush := func() error {
 		if len(tuples) == 0 {
-			return true
+			return nil
 		}
-		watchdog.Stop()
-		defer watchdog.Reset(c.sc.stall)
 		select {
-		case out <- Chunk{Tuples: tuples}:
+		case out <- tuples:
 			delivered = true
 			tuples = nil
-			return true
+			return nil
 		case <-ctx.Done():
-			return false
+			return ctx.Err()
 		}
 	}
-
-	if isBinary(resp) {
-		dec := wire.NewDecoder(bufio.NewReaderSize(resp.Body, 64<<10))
-		for {
-			fr, err := dec.Next()
-			watchdog.Stop()
-			if err == io.EOF {
-				// EOF without a trailer: the worker died or was cancelled
-				// mid-stream.
-				if stalled.Load() {
-					return delivered, fmt.Errorf("cluster: worker %s: stalled (no stream progress for %s)", worker, c.sc.stall)
-				}
-				return delivered, fmt.Errorf("cluster: worker %s: stream ended without a trailer", worker)
+	err = c.sc.stream(ctx, worker, "/datasets/"+dataset+"/query", body, func(fr *wire.Frame) (bool, error) {
+		switch fr.Kind {
+		case wire.KindBlock:
+			tuples = append(tuples, fr.Tuples...)
+			if len(tuples) >= c.cfg.MarkerEvery {
+				return false, flush()
 			}
-			if err != nil {
-				if stalled.Load() {
-					return delivered, fmt.Errorf("cluster: worker %s: stalled (no stream progress for %s)", worker, c.sc.stall)
-				}
-				return delivered, fmt.Errorf("cluster: worker %s: reading stream: %v", worker, err)
-			}
-			switch fr.Kind {
-			case wire.KindBlock:
-				tuples = append(tuples, fr.Tuples...)
-				if len(tuples) >= c.cfg.MarkerEvery {
-					if !flush() {
-						return delivered, ctx.Err()
-					}
-				}
-			case wire.KindTrailer:
-				if fr.Trailer.Error != "" {
-					return delivered, fmt.Errorf("cluster: worker %s: stream error: %s", worker, fr.Trailer.Error)
-				}
-				if !fr.Trailer.Done {
-					return delivered, fmt.Errorf("cluster: worker %s: trailer without done", worker)
-				}
-				if !flush() {
-					return delivered, ctx.Err()
-				}
-				// Drain the framing tail to EOF so the transport keeps the
-				// connection; the watchdog bounds the read.
-				watchdog.Reset(c.sc.stall)
-				_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-				return delivered, nil
-			}
-			watchdog.Reset(c.sc.stall)
+		case wire.KindTrailer:
+			return false, flush()
 		}
-	}
-
-	scanner := bufio.NewScanner(resp.Body)
-	scanner.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	for scanner.Scan() {
-		watchdog.Reset(c.sc.stall)
-		raw := scanner.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		if raw[0] == '{' {
-			var obj struct {
-				Done  bool   `json:"done"`
-				Error string `json:"error"`
-			}
-			if err := json.Unmarshal(raw, &obj); err != nil {
-				return delivered, fmt.Errorf("cluster: worker %s: malformed stream object %q: %v", worker, raw, err)
-			}
-			if obj.Error != "" {
-				// The worker's stream failed mid-enumeration; don't let the
-				// error object masquerade as a completed stream.
-				return delivered, fmt.Errorf("cluster: worker %s: stream error: %s", worker, obj.Error)
-			}
-			if !obj.Done {
-				return delivered, fmt.Errorf("cluster: worker %s: unrecognized stream object %q", worker, raw)
-			}
-			if !flush() {
-				return delivered, ctx.Err()
-			}
-			// Drain the framing tail to EOF so the transport keeps the
-			// connection; the watchdog bounds the read.
-			watchdog.Reset(c.sc.stall)
-			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			return delivered, nil
-		}
-		t, err := wire.ParseTupleNDJSON(raw)
-		if err != nil {
-			return delivered, fmt.Errorf("cluster: worker %s: malformed answer line %q: %v", worker, raw, err)
-		}
-		tuples = append(tuples, t)
-		if len(tuples) >= c.cfg.MarkerEvery {
-			if !flush() {
-				return delivered, ctx.Err()
-			}
-		}
-	}
-	if err := scanner.Err(); err != nil {
-		if stalled.Load() {
-			return delivered, fmt.Errorf("cluster: worker %s: stalled (no stream progress for %s)", worker, c.sc.stall)
-		}
-		return delivered, fmt.Errorf("cluster: worker %s: reading stream: %v", worker, err)
-	}
-	// EOF without a trailer: the worker died or cancelled mid-stream.
-	return delivered, fmt.Errorf("cluster: worker %s: stream ended without a trailer", worker)
+		return false, nil
+	})
+	return delivered, err
 }
 
 // ProxyCount forwards a count request body to one worker (rendezvous

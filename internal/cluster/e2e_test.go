@@ -237,11 +237,14 @@ func TestClusterFallbackEquivalence(t *testing.T) {
 	}
 }
 
-// killAfter aborts a worker's scatter stream once it has written more
-// than limit bytes, and answers 503 to every scatter call after that —
-// a worker killed mid-enumeration that never comes back.
+// killAfter aborts a worker's scatter stream once the worker has written
+// more than limit bytes, and answers 503 to every scatter call after that —
+// a worker killed mid-enumeration that never comes back. The budget is
+// cumulative over the worker's calls: peers that steal most of its range
+// shorten its calls, but cannot keep it from ever reaching the limit.
 func killAfter(limit int) (middleware, *atomic.Bool) {
 	var killed atomic.Bool
+	var written atomic.Int64
 	mw := func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if !strings.HasSuffix(r.URL.Path, "/scatter") {
@@ -254,7 +257,7 @@ func killAfter(limit int) (middleware, *atomic.Bool) {
 				fmt.Fprintln(w, `{"error":"worker down"}`)
 				return
 			}
-			next.ServeHTTP(&abortWriter{ResponseWriter: w, limit: limit, killed: &killed}, r)
+			next.ServeHTTP(&abortWriter{ResponseWriter: w, n: &written, limit: limit, killed: &killed}, r)
 		})
 	}
 	return mw, &killed
@@ -262,14 +265,13 @@ func killAfter(limit int) (middleware, *atomic.Bool) {
 
 type abortWriter struct {
 	http.ResponseWriter
-	n      int
+	n      *atomic.Int64 // bytes written so far, shared by every call it covers
 	limit  int
 	killed *atomic.Bool
 }
 
 func (aw *abortWriter) Write(p []byte) (int, error) {
-	aw.n += len(p)
-	if aw.n > aw.limit {
+	if aw.n.Add(int64(len(p))) > int64(aw.limit) {
 		aw.killed.Store(true)
 		panic(http.ErrAbortHandler)
 	}
@@ -283,13 +285,13 @@ func (aw *abortWriter) Flush() {
 }
 
 // TestClusterWorkerKillMidStream kills one worker mid-enumeration (its
-// stream aborts past 4KB, then the node answers only 503) and checks the
+// stream aborts past 1KB, then the node answers only 503) and checks the
 // merged stream still completes with the exact answer set: the
 // coordinator resumes the dead worker's remaining range from its last
 // marker on the survivors.
 func TestClusterWorkerKillMidStream(t *testing.T) {
 	rels := clusterRelations(600, 20, 5)
-	mw, killed := killAfter(4 << 10)
+	mw, killed := killAfter(1 << 10)
 	tc := bootCluster(t, 3,
 		cluster.Config{MarkerEvery: 8, Backoff: 2 * time.Millisecond, StallTimeout: 5 * time.Second},
 		map[int]middleware{0: mw})
@@ -518,6 +520,37 @@ func TestClusterDatasetLifecycle(t *testing.T) {
 		t.Fatalf("list = %+v", list)
 	}
 
+	// A misspelt append flag is rejected by the coordinator's shape check,
+	// naming the field, before any worker could take it for a replace.
+	bad, _ := json.Marshal(map[string]any{"relations": map[string][][]int64{"R": {{1, 1}}}, "apend": true})
+	req, _ := http.NewRequest(http.MethodPut, tc.coordURL+"/datasets/join", bytes.NewReader(bad))
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rejected struct {
+		Error string `json:"error"`
+	}
+	_ = json.NewDecoder(resp.Body).Decode(&rejected)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(rejected.Error, "apend") {
+		t.Fatalf("misspelt append: status %d, error %q; want 400 naming the field", resp.StatusCode, rejected.Error)
+	}
+	for _, w := range tc.workers {
+		resp, err := http.Get(w + "/datasets/join")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var info cluster.DatasetInfo
+		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if info.Version != 1 || info.Rows != list.Datasets[0].Rows {
+			t.Errorf("worker %s after the rejected PUT: %+v, want v1 with %d rows", w, info, list.Datasets[0].Rows)
+		}
+	}
+
 	// Count proxies to one worker; the replica count is the cluster count.
 	body, _ := json.Marshal(map[string]any{"query": fullJoin})
 	resp, err = http.Post(tc.coordURL+"/datasets/join/count", "application/json", bytes.NewReader(body))
@@ -535,7 +568,7 @@ func TestClusterDatasetLifecycle(t *testing.T) {
 		t.Errorf("count = %d", cr.Count)
 	}
 
-	req, _ := http.NewRequest(http.MethodDelete, tc.coordURL+"/datasets/join", nil)
+	req, _ = http.NewRequest(http.MethodDelete, tc.coordURL+"/datasets/join", nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

@@ -25,29 +25,6 @@ import (
 // bounded retries with backoff — so a worker killed mid-stream costs the
 // query nothing but latency, and never a duplicate or lost answer.
 
-// Chunk is one marker-aligned batch of merged answers, decoded to tuples
-// in worker stream order. Chunks from different workers cover disjoint
-// root ranges, so concatenating them is the whole merge — and because the
-// scatter hop decodes whatever encoding it negotiated with the worker,
-// the coordinator re-frames chunks to the client in *its* negotiated
-// encoding without a text round trip in between.
-type Chunk struct {
-	Tuples []database.Tuple
-}
-
-// StreamStats counts the scatter activity behind one Stream.
-type StreamStats struct {
-	// Workers is the fan-out width the query started with.
-	Workers int `json:"workers"`
-	// Calls counts scatter calls issued (including re-issues).
-	Calls int64 `json:"calls"`
-	// Retries counts segments re-queued after a failed call.
-	Retries int64 `json:"retries"`
-	// Resplits counts straggler re-splits (a slow call's remaining range
-	// handed to an idle peer).
-	Resplits int64 `json:"resplits"`
-}
-
 // Header describes the merged stream: the probed plan provenance plus the
 // scatter decision.
 type Header struct {
@@ -71,47 +48,67 @@ type Header struct {
 	Workers int
 }
 
-// Stream is a merged, dedup-free answer stream from a distributed query.
-// Drain C to exhaustion, then check Err; or Close early to cancel the
-// remaining scatter work (e.g. an answer limit was reached).
+// Stream is a merged, dedup-free answer stream from a distributed query,
+// shaped like every other answer iterator: drain Next to exhaustion, then
+// check Err; or Close early to cancel the remaining scatter work (e.g. an
+// answer limit was reached). The fan-out starts at the first Next, not in
+// Coordinator.Query — a caller can read the Header, pass its own admission
+// control, and only then tie up worker connections. Like all iterators, a
+// Stream is for one goroutine.
 type Stream struct {
 	Header Header
-	C      <-chan Chunk
 
+	// open starts the fan-out, setting c and cancel.
+	open func(*Stream)
+	// c carries marker-aligned batches of answers in worker stream order.
+	// Batches from different workers cover disjoint root ranges, so
+	// concatenating them is the whole merge.
+	c      <-chan []database.Tuple
 	cancel context.CancelFunc
-	mu     sync.Mutex
-	err    error
-	stats  StreamStats
+	cur    []database.Tuple
+	// err is written by the producing side before it closes c and read
+	// only after Next has seen c closed (drained), so it needs no lock.
+	err     error
+	drained bool
+	closed  bool
 }
 
-// Err reports why the stream ended, once C is closed: nil for a complete
-// merge, the terminal failure otherwise. A Close-d stream reports nil.
+// Next returns the next merged answer; false ends the stream.
+func (s *Stream) Next() (database.Tuple, bool) {
+	for len(s.cur) == 0 {
+		if s.drained || s.closed {
+			return nil, false
+		}
+		if s.c == nil {
+			s.open(s)
+		}
+		var ok bool
+		if s.cur, ok = <-s.c; !ok {
+			s.drained = true
+			return nil, false
+		}
+	}
+	t := s.cur[0]
+	s.cur = s.cur[1:]
+	return t, true
+}
+
+// Err reports why the stream ended, once Next has returned false: nil for
+// a complete merge, the terminal failure otherwise. A stream abandoned or
+// Close-d before its end reports nil.
 func (s *Stream) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	if !s.drained {
+		return nil
+	}
 	return s.err
 }
 
-// Stats returns the stream's scatter counters (stable once C is closed).
-func (s *Stream) Stats() StreamStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-// Close cancels the stream's remaining scatter work; C still closes.
-func (s *Stream) Close() { s.cancel() }
-
-func (s *Stream) setErr(err error) {
-	s.mu.Lock()
-	s.err = err
-	s.mu.Unlock()
-}
-
-func (s *Stream) setStats(st StreamStats) {
-	s.mu.Lock()
-	s.stats = st
-	s.mu.Unlock()
+// Close cancels the stream's remaining scatter work.
+func (s *Stream) Close() {
+	s.closed = true
+	if s.cancel != nil {
+		s.cancel()
+	}
 }
 
 // segment is a pending root-row range with its retry budget consumed so
@@ -145,7 +142,7 @@ type gather struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	out    chan Chunk
+	out    chan []database.Tuple
 	wake   chan struct{}
 	done   chan struct{}
 	once   sync.Once
@@ -157,44 +154,42 @@ type gather struct {
 	alive     int
 	failed    error
 	finished  bool
-
-	calls, retries, resplits int64
 }
 
-// newGatherStream fans a scatterable query out across the workers and
-// returns the merged stream.
-func (c *Coordinator) newGatherStream(ctx context.Context, hdr Header, versions map[string]uint64, base ScatterRequest, dataset string) *Stream {
+// gatherStream fans a scatterable query out across the workers, feeding
+// the merged chunks to st.
+func (c *Coordinator) gatherStream(ctx context.Context, st *Stream, versions map[string]uint64, base ScatterRequest, dataset string) {
 	gctx, cancel := context.WithCancel(ctx)
 	workers := c.workers
+	rootLen := st.Header.RootLen
 	g := &gather{
 		c:         c,
 		sc:        c.sc,
 		dataset:   dataset,
 		versions:  versions,
 		base:      base,
-		rootLen:   hdr.RootLen,
+		rootLen:   rootLen,
 		ctx:       gctx,
 		cancel:    cancel,
-		out:       make(chan Chunk, 2*len(workers)),
+		out:       make(chan []database.Tuple, 2*len(workers)),
 		wake:      make(chan struct{}, len(workers)),
 		done:      make(chan struct{}),
 		active:    make([]*call, len(workers)),
-		remaining: hdr.RootLen,
+		remaining: rootLen,
 		alive:     len(workers),
 	}
+	st.c, st.cancel = g.out, cancel
 	// One contiguous segment per worker; empty slices (RootLen < workers)
 	// are skipped.
 	for i := range workers {
-		lo, hi := i*g.rootLen/len(workers), (i+1)*g.rootLen/len(workers)
+		lo, hi := i*rootLen/len(workers), (i+1)*rootLen/len(workers)
 		if lo < hi {
 			g.segs = append(g.segs, segment{lo: lo, hi: hi})
 		}
 	}
-	st := &Stream{Header: hdr, C: g.out, cancel: cancel}
-	if g.rootLen == 0 {
+	if rootLen == 0 {
 		close(g.out)
-		st.setStats(StreamStats{Workers: len(workers)})
-		return st
+		return
 	}
 	var wg sync.WaitGroup
 	for i, w := range workers {
@@ -208,20 +203,15 @@ func (c *Coordinator) newGatherStream(ctx context.Context, hdr Header, versions 
 		wg.Wait()
 		g.mu.Lock()
 		err := g.failed
-		if err == nil && !g.finished {
-			if ctxErr := gctx.Err(); ctxErr != nil {
-				err = nil // Close/cancellation is abandonment, not failure
-			} else {
-				err = fmt.Errorf("cluster: scatter ended with %d root rows undelivered", g.remaining)
-			}
+		if err == nil && !g.finished && gctx.Err() == nil {
+			// Close/cancellation is abandonment, not failure; anything else
+			// that stops short is.
+			err = fmt.Errorf("cluster: scatter ended with %d root rows undelivered", g.remaining)
 		}
-		stats := StreamStats{Workers: len(workers), Calls: g.calls, Retries: g.retries, Resplits: g.resplits}
 		g.mu.Unlock()
-		st.setErr(err)
-		st.setStats(stats)
+		st.err = err
 		close(g.out)
 	}()
-	return st
 }
 
 // wakeAll nudges every parked fetcher (non-blocking, channel is bounded).
@@ -360,15 +350,12 @@ func (g *gather) serve(i int, worker string, seg segment) error {
 		req := g.base
 		req.RootLo, req.RootHi = ca.lo, ca.hi
 		req.Version = g.versions[worker]
-		g.mu.Lock()
-		g.calls++
-		g.mu.Unlock()
 		g.c.scatterCalls.Add(1)
 
 		err := g.sc.run(g.ctx, worker, g.dataset, &req, g.rootLen, func(tuples []database.Tuple, rootDone int) bool {
 			if len(tuples) > 0 {
 				select {
-				case g.out <- Chunk{Tuples: tuples}:
+				case g.out <- tuples:
 				case <-g.ctx.Done():
 					return true
 				}
@@ -388,7 +375,6 @@ func (g *gather) serve(i int, worker string, seg segment) error {
 				g.segs = append(g.segs, segment{lo: mid, hi: ca.hi})
 				ca.hi = mid
 				ca.shed = false
-				g.resplits++
 				g.c.scatterResplits.Add(1)
 			}
 			g.mu.Unlock()
@@ -416,7 +402,6 @@ func (g *gather) serve(i int, worker string, seg segment) error {
 						rem.lo, rem.hi, rem.attempts, err))
 				} else {
 					g.segs = append(g.segs, rem)
-					g.retries++
 					g.c.scatterRetries.Add(1)
 				}
 			}

@@ -33,7 +33,7 @@ func abortEveryOther(limit int) middleware {
 			}
 			if calls.Add(1)%2 == 1 {
 				var killed atomic.Bool
-				next.ServeHTTP(&abortWriter{ResponseWriter: w, limit: limit, killed: &killed}, r)
+				next.ServeHTTP(&abortWriter{ResponseWriter: w, n: new(atomic.Int64), limit: limit, killed: &killed}, r)
 				return
 			}
 			next.ServeHTTP(w, r)

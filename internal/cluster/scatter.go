@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -17,14 +16,13 @@ import (
 	"repro/internal/wire"
 )
 
-// scatterClient issues range-scoped scatter calls against workers and
-// decodes their answer streams into tuples. Scatter calls ask for the
-// binary columnar encoding (the coordinator⇄worker hop is entirely under
-// our control, so there is no reason to pay for text), but the client
-// keys its decode path on the response Content-Type, so a worker that
-// only speaks NDJSON still merges correctly. One call is one HTTP
-// request; the gather layer decides what to do with markers, retries and
-// re-splits.
+// scatterClient issues calls against workers and decodes their answer
+// streams into tuples. The coordinator⇄worker hop is entirely under our
+// control, so it speaks the binary columnar encoding only: a worker that
+// answers in anything else is misconfigured or not a worker, and its call
+// fails loudly (and fails over) rather than being parsed on a guess. One
+// call is one HTTP request; the gather layer decides what to do with
+// markers, retries and re-splits.
 type scatterClient struct {
 	hc *http.Client
 	// stall is the per-worker deadline, expressed as the longest the client
@@ -65,18 +63,16 @@ func WorkerStatus(err error) (int, bool) {
 	return 0, false
 }
 
-// post issues one POST with a JSON body and returns the response; accept,
-// if non-empty, is sent as the Accept header. Non-200 responses are
-// drained, decoded and returned as *workerError.
-func (sc *scatterClient) post(ctx context.Context, url string, body []byte, accept string) (*http.Response, error) {
+// post issues one POST with a JSON body, asking for the binary encoding,
+// and returns the response. Non-200 responses are drained, decoded and
+// returned as *workerError.
+func (sc *scatterClient) post(ctx context.Context, url string, body []byte) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
+	req.Header.Set("Accept", wire.MediaTypeBinary)
 	resp, err := sc.hc.Do(req)
 	if err != nil {
 		return nil, err
@@ -97,103 +93,47 @@ func (sc *scatterClient) post(ctx context.Context, url string, body []byte, acce
 	return resp, nil
 }
 
-// isBinary reports whether a response carries the binary frame encoding.
-func isBinary(resp *http.Response) bool {
-	ct := resp.Header.Get("Content-Type")
-	if i := strings.IndexByte(ct, ';'); i >= 0 {
-		ct = ct[:i]
-	}
-	return strings.TrimSpace(ct) == wire.MediaTypeBinary
-}
-
-// probe asks one worker for a scatter header without enumerating: the
-// coordinator learns RootLen, the answer arity, whether the plan is
-// scatterable, and the plan/bind provenance of the probed worker. Probes
-// stay on NDJSON — one text line is simpler than a frame handshake and
-// costs nothing at this volume.
-func (sc *scatterClient) probe(ctx context.Context, worker, dataset string, req *ScatterRequest) (*ScatterHeader, error) {
-	pr := *req
-	pr.Probe = true
-	// A probe is one header line; the stall deadline bounds the whole call
-	// so a frozen worker cannot wedge query admission.
-	pctx, cancel := context.WithTimeout(ctx, sc.stall)
-	defer cancel()
-	resp, err := sc.post(pctx, worker+"/datasets/"+dataset+"/scatter", pr.Encode(), "")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	line, err := bufio.NewReader(io.LimitReader(resp.Body, 1<<20)).ReadBytes('\n')
-	if err != nil && len(line) == 0 {
-		return nil, fmt.Errorf("cluster: probe of %s: %v", worker, err)
-	}
-	var ctl controlLine
-	if err := json.Unmarshal(line, &ctl); err != nil || !ctl.Header {
-		return nil, fmt.Errorf("cluster: probe of %s: malformed header line %q", worker, bytes.TrimSpace(line))
-	}
-	// A probe response is the header line and nothing else; drain to EOF so
-	// the transport keeps the connection for the scatter calls that follow
-	// (closing a body short of EOF forfeits keep-alive).
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	return ctl.header(), nil
-}
-
-// run issues one scatter call and walks its stream. onChunk is invoked at
-// every progress point — each marker and the trailer — with the answers
-// decoded since the previous one (possibly none) and the root progress;
-// returning stop=true cancels the call mid-stream and run returns
-// errShed. run returns nil only when the trailer was reached, so the
-// caller knows the whole [RootLo, RootHi) range was delivered.
-// expectRootLen guards against inconsistent replicas: a worker whose plan
-// disagrees on the root domain must not contribute answers.
-func (sc *scatterClient) run(ctx context.Context, worker, dataset string, req *ScatterRequest, expectRootLen int, onChunk func(tuples []database.Tuple, rootDone int) (stop bool)) error {
+// stream is the one way the coordinator reads a worker: it POSTs body to
+// worker+path and walks the binary answer stream that comes back, handing
+// every frame to onFrame. The walk ends when onFrame returns stop = true (a
+// probe stops at the header), at the trailer frame — which must be
+// done:true without an error — or with the first error; stream returns nil
+// only in the first two cases, so a caller that saw the trailer knows the
+// worker delivered everything it was asked for.
+//
+// The stall watchdog cancels the call when the worker makes no progress for
+// sc.stall. It is armed before the POST — a worker frozen before it even
+// sends response headers must trip the same deadline — and then only while
+// we wait on the worker: it is stopped around onFrame, so coordinator-side
+// backpressure (a slow consumer blocking chunk delivery) never counts
+// against the worker.
+func (sc *scatterClient) stream(ctx context.Context, worker, path string, body []byte, onFrame func(*wire.Frame) (stop bool, err error)) (err error) {
 	callCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	// The stall watchdog cancels the call when the stream makes no progress
-	// for sc.stall. It is armed before the POST — a worker frozen before it
-	// even sends response headers must trip the same deadline — and then
-	// only while we wait on the worker: it is stopped around onChunk, so
-	// coordinator-side backpressure (a slow consumer blocking chunk
-	// delivery) never counts against the worker.
 	var stalled atomic.Bool
 	watchdog := time.AfterFunc(sc.stall, func() {
 		stalled.Store(true)
 		cancel()
 	})
 	defer watchdog.Stop()
-
-	resp, err := sc.post(callCtx, worker+"/datasets/"+dataset+"/scatter", req.Encode(), wire.MediaTypeBinary)
-	if err != nil {
-		if stalled.Load() {
-			return fmt.Errorf("cluster: worker %s: stalled (no response for %s)", worker, sc.stall)
+	// A watchdog trip surfaces as a failed POST or a read error on the
+	// cancelled body; name the stall instead. Sheds pass through.
+	defer func() {
+		if err != nil && err != errShed && stalled.Load() {
+			err = fmt.Errorf("cluster: worker %s: stalled (no progress for %s)", worker, sc.stall)
 		}
+	}()
+
+	resp, err := sc.post(callCtx, worker+path, body)
+	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-
-	if isBinary(resp) {
-		err = sc.runBinary(resp, worker, req, expectRootLen, watchdog, onChunk)
-	} else {
-		err = sc.runNDJSON(resp, worker, req, expectRootLen, watchdog, onChunk)
+	if ct := resp.Header.Get("Content-Type"); !wire.IsBinary(ct) {
+		return fmt.Errorf("cluster: worker %s: answered Content-Type %q, the scatter hop speaks only %s",
+			worker, ct, wire.MediaTypeBinary)
 	}
-	// A watchdog trip surfaces as a read error on the cancelled body; name
-	// the stall instead. Clean completions and sheds pass through.
-	if err != nil && err != errShed && stalled.Load() {
-		return fmt.Errorf("cluster: worker %s: stalled (no stream progress for %s)", worker, sc.stall)
-	}
-	return err
-}
-
-// runBinary walks a binary frame stream. The wire decoder enforces the
-// frame grammar (header first, checksums, arity agreement); this loop
-// enforces the scatter protocol on top of it.
-func (sc *scatterClient) runBinary(resp *http.Response, worker string, req *ScatterRequest, expectRootLen int, watchdog *time.Timer, onChunk func([]database.Tuple, int) bool) error {
 	dec := wire.NewDecoder(bufio.NewReaderSize(resp.Body, 64<<10))
-	var (
-		tuples   []database.Tuple
-		progress = req.RootLo
-	)
 	for {
 		fr, err := dec.Next()
 		watchdog.Stop()
@@ -203,134 +143,110 @@ func (sc *scatterClient) runBinary(resp *http.Response, worker string, req *Scat
 		if err != nil {
 			return fmt.Errorf("cluster: worker %s: reading stream: %v", worker, err)
 		}
-		switch fr.Kind {
-		case wire.KindHeader:
-			var hdr ScatterHeader
-			if err := json.Unmarshal(fr.Meta, &hdr); err != nil || !hdr.Header {
-				return fmt.Errorf("cluster: worker %s: malformed scatter header meta", worker)
-			}
-			if !hdr.Scatterable {
-				return fmt.Errorf("cluster: worker %s: plan is not scatterable", worker)
-			}
-			if hdr.RootLen != expectRootLen {
-				return fmt.Errorf("cluster: worker %s: root domain %d disagrees with probe %d (inconsistent replica?)",
-					worker, hdr.RootLen, expectRootLen)
-			}
-			if hdr.Arity != fr.Arity {
-				return fmt.Errorf("cluster: worker %s: header arity %d disagrees with frame arity %d",
-					worker, hdr.Arity, fr.Arity)
-			}
-		case wire.KindBlock:
-			tuples = append(tuples, fr.Tuples...)
-		case wire.KindMarker:
-			p := fr.RootDone
-			if p < progress {
-				return fmt.Errorf("cluster: worker %s: marker regresses progress (%d after %d)", worker, p, progress)
-			}
-			progress = p
-			if onChunk(tuples, p) {
-				return errShed
-			}
-			tuples = nil
-		case wire.KindTrailer:
-			tr := fr.Trailer
+		if tr := fr.Trailer; tr != nil {
 			if tr.Error != "" {
 				return fmt.Errorf("cluster: worker %s: stream error: %s", worker, tr.Error)
 			}
 			if !tr.Done {
 				return fmt.Errorf("cluster: worker %s: trailer without done", worker)
 			}
-			if tr.RootDone < progress {
-				return fmt.Errorf("cluster: worker %s: trailer regresses progress", worker)
-			}
-			onChunk(tuples, tr.RootDone)
-			// Drain the framing tail to EOF (watchdog re-armed to bound it)
-			// so the transport can reuse this connection for the worker's
-			// next call instead of dialing fresh every range.
-			watchdog.Reset(sc.stall)
+		}
+		stop, err := onFrame(fr)
+		if err != nil {
+			return err
+		}
+		watchdog.Reset(sc.stall)
+		if stop || fr.Trailer != nil {
+			// Drain the framing tail to EOF (the re-armed watchdog bounds
+			// it) so the transport can reuse this connection for the
+			// worker's next call instead of dialing fresh every time.
 			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 			return nil
 		}
-		watchdog.Reset(sc.stall)
 	}
 }
 
-// runNDJSON walks a text scatter stream, decoding answer lines to tuples.
-func (sc *scatterClient) runNDJSON(resp *http.Response, worker string, req *ScatterRequest, expectRootLen int, watchdog *time.Timer, onChunk func([]database.Tuple, int) bool) error {
-	scanner := bufio.NewScanner(resp.Body)
-	scanner.Buffer(make([]byte, 0, 64<<10), 16<<20)
+// scatterHeader decodes and checks the ScatterHeader a worker's header
+// frame carries.
+func scatterHeader(worker string, fr *wire.Frame) (*ScatterHeader, error) {
+	var hdr ScatterHeader
+	if err := json.Unmarshal(fr.Meta, &hdr); err != nil || !hdr.Header {
+		return nil, fmt.Errorf("cluster: worker %s: malformed scatter header meta %q", worker, fr.Meta)
+	}
+	if hdr.Arity != fr.Arity {
+		return nil, fmt.Errorf("cluster: worker %s: header arity %d disagrees with frame arity %d",
+			worker, hdr.Arity, fr.Arity)
+	}
+	return &hdr, nil
+}
 
-	var (
-		tuples     []database.Tuple
-		progress   = req.RootLo
-		headerSeen bool
-	)
-	for scanner.Scan() {
-		watchdog.Stop()
-		raw := scanner.Bytes()
-		if len(raw) > 0 && raw[0] == '[' {
-			t, err := wire.ParseTupleNDJSON(raw)
+// probe asks one worker for a scatter header without enumerating: the
+// coordinator learns RootLen, the answer arity, whether the plan is
+// scatterable, and the plan/bind provenance of the probed worker. A probe
+// response is the header frame and nothing else; the stall deadline bounds
+// the call, so a frozen worker cannot wedge query admission.
+func (sc *scatterClient) probe(ctx context.Context, worker, dataset string, req *ScatterRequest) (*ScatterHeader, error) {
+	pr := *req
+	pr.Probe = true
+	var hdr *ScatterHeader
+	// The decoder guarantees the first frame is the header.
+	err := sc.stream(ctx, worker, "/datasets/"+dataset+"/scatter", pr.Encode(), func(fr *wire.Frame) (stop bool, err error) {
+		hdr, err = scatterHeader(worker, fr)
+		return true, err
+	})
+	return hdr, err
+}
+
+// run issues one scatter call and walks its stream. onChunk is invoked at
+// every progress point — each marker and the trailer — with the answers
+// decoded since the previous one (possibly none) and the root progress;
+// returning stop=true cancels the call mid-stream and run returns
+// errShed. run returns nil only when the trailer was reached, so the
+// caller knows the whole [RootLo, RootHi) range was delivered.
+// expectRootLen guards against inconsistent replicas: a worker whose plan
+// disagrees on the root domain must not contribute answers. The wire
+// decoder enforces the frame grammar (header first, checksums, arity
+// agreement); this enforces the scatter protocol on top of it.
+func (sc *scatterClient) run(ctx context.Context, worker, dataset string, req *ScatterRequest, expectRootLen int, onChunk func(tuples []database.Tuple, rootDone int) (stop bool)) error {
+	var tuples []database.Tuple
+	progress := req.RootLo
+	// advance validates a root_done checkpoint and hands over the chunk.
+	advance := func(rootDone uint64) (stop bool, err error) {
+		if rootDone > uint64(expectRootLen) || int(rootDone) < progress {
+			return false, fmt.Errorf("cluster: worker %s: root progress %d after %d in a domain of %d",
+				worker, rootDone, progress, expectRootLen)
+		}
+		progress = int(rootDone)
+		stop = onChunk(tuples, progress)
+		tuples = nil
+		return stop, nil
+	}
+	return sc.stream(ctx, worker, "/datasets/"+dataset+"/scatter", req.Encode(), func(fr *wire.Frame) (bool, error) {
+		switch fr.Kind {
+		case wire.KindHeader:
+			hdr, err := scatterHeader(worker, fr)
 			if err != nil {
-				return fmt.Errorf("cluster: worker %s: malformed answer line %q: %v", worker, raw, err)
+				return false, err
 			}
-			tuples = append(tuples, t)
-			watchdog.Reset(sc.stall)
-			continue
+			if !hdr.Scatterable {
+				return false, fmt.Errorf("cluster: worker %s: plan is not scatterable", worker)
+			}
+			if hdr.RootLen != expectRootLen {
+				return false, fmt.Errorf("cluster: worker %s: root domain %d disagrees with probe %d (inconsistent replica?)",
+					worker, hdr.RootLen, expectRootLen)
+			}
+		case wire.KindBlock:
+			tuples = append(tuples, fr.Tuples...)
+		case wire.KindMarker:
+			stop, err := advance(fr.Marker)
+			if stop && err == nil {
+				err = errShed
+			}
+			return false, err
+		case wire.KindTrailer:
+			_, err := advance(uint64(fr.Trailer.RootDone))
+			return false, err
 		}
-		var ctl controlLine
-		if err := json.Unmarshal(raw, &ctl); err != nil {
-			return fmt.Errorf("cluster: worker %s: malformed stream line %q: %v", worker, raw, err)
-		}
-		switch {
-		case ctl.Header:
-			if headerSeen {
-				return fmt.Errorf("cluster: worker %s: duplicate header line", worker)
-			}
-			headerSeen = true
-			if !ctl.Scatterable {
-				return fmt.Errorf("cluster: worker %s: plan is not scatterable", worker)
-			}
-			if ctl.RootLen != expectRootLen {
-				return fmt.Errorf("cluster: worker %s: root domain %d disagrees with probe %d (inconsistent replica?)",
-					worker, ctl.RootLen, expectRootLen)
-			}
-		case ctl.Error != "":
-			return fmt.Errorf("cluster: worker %s: stream error: %s", worker, ctl.Error)
-		case ctl.Done:
-			if !headerSeen {
-				return fmt.Errorf("cluster: worker %s: trailer before header", worker)
-			}
-			if ctl.RootDone == nil || *ctl.RootDone < progress {
-				return fmt.Errorf("cluster: worker %s: trailer regresses progress", worker)
-			}
-			onChunk(tuples, *ctl.RootDone)
-			// The trailer is the stream's last line; drain the framing tail
-			// to EOF (watchdog re-armed to bound it) so the transport can
-			// reuse this connection for the worker's next call instead of
-			// dialing fresh every range.
-			watchdog.Reset(sc.stall)
-			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			return nil
-		case ctl.RootDone != nil:
-			if !headerSeen {
-				return fmt.Errorf("cluster: worker %s: marker before header", worker)
-			}
-			p := *ctl.RootDone
-			if p < progress {
-				return fmt.Errorf("cluster: worker %s: marker regresses progress (%d after %d)", worker, p, progress)
-			}
-			progress = p
-			if onChunk(tuples, p) {
-				return errShed
-			}
-			tuples = nil
-		default:
-			return fmt.Errorf("cluster: worker %s: unrecognized stream line %q", worker, raw)
-		}
-		watchdog.Reset(sc.stall)
-	}
-	if err := scanner.Err(); err != nil {
-		return fmt.Errorf("cluster: worker %s: reading stream: %v", worker, err)
-	}
-	return fmt.Errorf("cluster: worker %s: stream ended without a trailer", worker)
+		return false, nil
+	})
 }

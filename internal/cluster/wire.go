@@ -1,7 +1,10 @@
 // Package cluster implements the distributed scatter-gather layer behind
 // ucq-serve's coordinator mode: a static worker topology, replicated
 // dataset placement through each worker's catalog, and a root-range
-// scatter protocol that merges the workers' NDJSON streams dedup-free.
+// scatter protocol that merges the workers' answer streams dedup-free. The
+// coordinator⇄worker hop speaks only internal/wire's binary frames: the
+// ScatterHeader rides as the header frame's metadata, root progress as
+// marker frames, and the stream ends with the shared wire.Trailer.
 //
 // The scatter unit is a contiguous range of root-row indices (see
 // ucq.Plan.RootLen): when a plan's answer set is root-range partitionable,
@@ -44,7 +47,7 @@ type ScatterRequest struct {
 	// worker answers 409 on mismatch, so a scatter never silently mixes
 	// answers from different snapshots across workers. 0 accepts any.
 	Version uint64 `json:"version,omitempty"`
-	// Probe asks for the header line only: no enumeration, no trailer. The
+	// Probe asks for the header frame only: no enumeration, no trailer. The
 	// coordinator probes once per query to learn RootLen and whether the
 	// plan is scatterable at all.
 	Probe bool `json:"probe,omitempty"`
@@ -96,77 +99,29 @@ func (r *ScatterRequest) Encode() []byte {
 	return out
 }
 
-// ScatterHeader is the first NDJSON line of a scatter response — the only
-// line with "header": true. It reports whether the plan is root-range
+// ScatterHeader is the metadata of a scatter response's header frame — on
+// a probe, the whole response. It reports whether the plan is root-range
 // partitionable and, if so, the root domain size the coordinator fans out
 // over. Workers bound against identical replicas of a dataset agree on
 // RootLen (plan preparation is deterministic); the coordinator checks this
 // on every call and fails the query on divergence rather than merging
 // streams from inconsistent replicas.
+//
+// A scatter stream's marker frames carry root_done: every answer with root
+// row < root_done has been emitted before the marker. Markers only appear
+// at root-row boundaries, which is what makes resuming at [root_done, hi)
+// exact; the trailer's RootDone is the call's effective RootHi, an implicit
+// final marker covering the tail of the range.
 type ScatterHeader struct {
 	Header      bool `json:"header"`
 	Scatterable bool `json:"scatterable"`
 	RootLen     int  `json:"root_len"`
-	// Arity is the answer tuple width; the binary stream encoding needs it
-	// up front (the columnar blocks have no per-row framing), and text
-	// clients can ignore it.
+	// Arity is the answer tuple width, repeated from the frame header so the
+	// two can be cross-checked.
 	Arity          int    `json:"arity"`
 	Mode           string `json:"mode"`
 	Cache          string `json:"cache"`
 	Bind           string `json:"bind"`
 	Dataset        string `json:"dataset"`
 	DatasetVersion uint64 `json:"dataset_version"`
-}
-
-// ScatterMarker is a progress checkpoint within a scatter stream: every
-// answer with root row < RootDone has been emitted before it. Markers only
-// appear at root-row boundaries, which is what makes resuming at
-// [RootDone, hi) exact.
-type ScatterMarker struct {
-	RootDone int `json:"root_done"`
-}
-
-// ScatterTrailer is the final NDJSON line of a completed scatter stream.
-// RootDone equals the request's effective RootHi — an implicit final
-// marker covering the tail of the range.
-type ScatterTrailer struct {
-	Done     bool   `json:"done"`
-	Count    int    `json:"count"`
-	RootDone int    `json:"root_done"`
-	Error    string `json:"error,omitempty"`
-}
-
-// controlLine is the union of the control objects a scatter stream can
-// carry (header, marker, trailer, error); answer lines are JSON arrays and
-// never decode into it. The pointer on RootDone distinguishes a marker
-// from other objects.
-type controlLine struct {
-	Header         bool   `json:"header"`
-	Scatterable    bool   `json:"scatterable"`
-	RootLen        int    `json:"root_len"`
-	Arity          int    `json:"arity"`
-	Mode           string `json:"mode"`
-	Cache          string `json:"cache"`
-	Bind           string `json:"bind"`
-	Dataset        string `json:"dataset"`
-	DatasetVersion uint64 `json:"dataset_version"`
-	Done           bool   `json:"done"`
-	Count          int    `json:"count"`
-	RootDone       *int   `json:"root_done"`
-	Error          string `json:"error"`
-}
-
-// header extracts the header view of a control line.
-func (c *controlLine) header() *ScatterHeader {
-	return &ScatterHeader{
-		Header:         c.Header,
-		Scatterable:    c.Scatterable,
-		RootLen:        c.RootLen,
-		Arity:          c.Arity,
-		Mode:           c.Mode,
-		Cache:          c.Cache,
-		Bind:           c.Bind,
-		Dataset:        c.Dataset,
-		DatasetVersion: c.DatasetVersion,
-	}
 }

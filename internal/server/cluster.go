@@ -5,20 +5,21 @@ package server
 // cluster — PUT replicates the dataset to every worker (through each
 // worker's PR-style catalog and versioned bind cache), and
 // /datasets/{name}/query scatters the query by root-row ranges, merging
-// the worker streams dedup-free (see internal/cluster). The inline
-// /query endpoint keeps evaluating locally: it carries its instance in
-// the request and gains nothing from placement. /stats grows a "cluster"
-// section with scatter counters and namespaced per-worker snapshots.
+// the workers' binary answer streams dedup-free (see internal/cluster).
+// The inline /query endpoint keeps evaluating locally: it carries its
+// instance in the request and gains nothing from placement. /stats grows a
+// "cluster" section with scatter counters and namespaced per-worker
+// snapshots.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"time"
 
+	ucq "repro"
 	"repro/internal/cluster"
 )
 
@@ -46,11 +47,11 @@ func (s *Server) handleClusterDatasetPut(w http.ResponseWriter, r *http.Request)
 		s.httpError(w, http.StatusBadRequest, "reading request: %v", err)
 		return
 	}
-	// Shape-check before fanning out: a malformed body should cost one 400,
-	// not len(workers) rejected replications.
+	// Shape-check before fanning out, as strictly as a worker will: a
+	// malformed body or a misspelt field should cost one 400, not
+	// len(workers) rejected replications.
 	var req DatasetRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		s.httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !s.decodeStrict(w, bytes.NewReader(body), &req) {
 		return
 	}
 	info, err := s.cluster.PutDataset(r.Context(), name, body)
@@ -134,10 +135,10 @@ func (s *Server) proxyCount(w http.ResponseWriter, r *http.Request, name, query,
 }
 
 // handleClusterDatasetQuery scatters a dataset query across the workers
-// and streams the merged answers in the client's negotiated encoding.
-// The scatter hop already decoded worker streams to tuples, so re-framing
-// here is a straight encode — a binary-speaking client never pays for a
-// text round trip through the coordinator.
+// and streams the merged answers like any other answer stream: the merged
+// cluster.Stream is an iterator of tuples, so the client's negotiated
+// encoding, admission, limits and error trailers are the ones stream
+// applies to local plans.
 func (s *Server) handleClusterDatasetQuery(w http.ResponseWriter, r *http.Request) {
 	s.stats.requests.Add(1)
 	name := r.PathValue("name")
@@ -159,14 +160,9 @@ func (s *Server) handleClusterDatasetQuery(w http.ResponseWriter, r *http.Reques
 		s.proxyCount(w, r, name, req.Query, mode)
 		return
 	}
-	// The merged stream holds worker connections and buffers for its whole
-	// life: it is exactly the resource the admission gate meters.
-	if !s.admitStream(w, r) {
-		return
-	}
-	defer s.admission.release()
-
-	stream, err := s.cluster.Query(r.Context(), cluster.QuerySpec{Dataset: name, Query: req.Query, Mode: mode})
+	// Query only probes; the merged stream ties up worker connections from
+	// its first Next, which stream calls once the admission slot is held.
+	merged, err := s.cluster.Query(r.Context(), cluster.QuerySpec{Dataset: name, Query: req.Query, Mode: mode})
 	if err != nil {
 		if r.Context().Err() != nil {
 			s.stats.requestsCancelled.Add(1)
@@ -175,87 +171,17 @@ func (s *Server) handleClusterDatasetQuery(w http.ResponseWriter, r *http.Reques
 		s.clusterError(w, err)
 		return
 	}
-	defer stream.Close()
-
-	hdr := stream.Header
-	media := negotiateEncoding(r.Header.Get("Accept"))
-	enc, err := newAnswerEncoder(w, media, hdr.Arity)
-	if err != nil {
-		s.httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", enc.contentType())
-	w.Header().Set("X-Ucq-Mode", hdr.Mode)
-	w.Header().Set("X-Ucq-Cache", hdr.Cache)
-	w.Header().Set("X-Ucq-Bind", hdr.Bind)
-	w.Header().Set("X-Ucq-Dataset-Version", fmt.Sprint(hdr.DatasetVersion))
-	w.Header().Set("X-Ucq-Scatter", hdr.Scatter)
-	w.Header().Set("X-Ucq-Workers", fmt.Sprint(hdr.Workers))
-	w.WriteHeader(http.StatusOK)
-
-	start := time.Now()
-	prev := start
-	var firstAnswer, maxDelay time.Duration
-	count := 0
-	limited := false
-	disconnected := false
-drain:
-	for chunk := range stream.C {
-		now := time.Now()
-		if count == 0 {
-			firstAnswer = now.Sub(start)
-		} else if d := now.Sub(prev); d > maxDelay {
-			maxDelay = d
-		}
-		prev = now
-		for _, t := range chunk.Tuples {
-			if err := enc.appendTuple(t); err != nil {
-				disconnected = true
-				break drain
-			}
-			count++
-			if req.Limit > 0 && count >= req.Limit {
-				limited = true
-				stream.Close()
-				break drain
-			}
-		}
-		if err := enc.flush(); err != nil {
-			disconnected = true
-			break
-		}
-	}
-	if count == 0 {
-		firstAnswer = time.Since(start)
-	}
-	s.stats.answersStreamed.Add(int64(count))
-	s.stats.RecordTiming(firstAnswer, maxDelay)
-	if disconnected || r.Context().Err() != nil {
-		s.stats.requestsCancelled.Add(1)
-		s.stats.recordWire(media, count, enc.bytesOut())
-		return
-	}
-	if err := stream.Err(); err != nil && !limited {
-		// The merge failed mid-stream: no trailer — the stream is visibly
-		// truncated — but say why with a terminal error record.
-		s.stats.errors.Add(1)
-		_ = enc.streamError(err.Error())
-		s.endStream(enc, media, count)
-		return
-	}
-	s.stats.streamsCompleted.Add(1)
-	_ = enc.trailer(Trailer{
-		Done:           true,
-		Count:          count,
-		Mode:           hdr.Mode,
-		Cache:          hdr.Cache,
-		Dataset:        hdr.Dataset,
-		DatasetVersion: hdr.DatasetVersion,
-		Bind:           hdr.Bind,
-		Scatter:        hdr.Scatter,
-		Workers:        hdr.Workers,
-	})
-	s.endStream(enc, media, count)
+	hdr := merged.Header
+	s.stream(w, r, func(context.Context) ucq.Answers { return merged }, streamMeta{
+		arity:     hdr.Arity,
+		mode:      hdr.Mode,
+		cache:     hdr.Cache,
+		bind:      hdr.Bind,
+		dataset:   hdr.Dataset,
+		dsVersion: hdr.DatasetVersion,
+		scatter:   hdr.Scatter,
+		workers:   hdr.Workers,
+	}, req.Limit)
 }
 
 // clusterSnapshot builds the /stats cluster section: the coordinator's

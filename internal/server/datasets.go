@@ -24,9 +24,7 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 
 	var req DatasetRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 
@@ -144,7 +142,7 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 		s.respondCount(w, r, plan, meta)
 		return
 	}
-	s.stream(w, r, plan, meta, req.Limit)
+	s.stream(w, r, plan.AnswersContext, meta, req.Limit)
 }
 
 // handleDatasetCount is POST /datasets/{name}/count: the same decode and
@@ -209,6 +207,8 @@ func (s *Server) bindDatasetPlan(w http.ResponseWriter, r *http.Request) (QueryR
 	s.dsMu.Unlock()
 
 	return req, plan, streamMeta{
+		arity:     plan.Query.Arity(),
+		mode:      plan.Mode.String(),
 		cache:     cacheState(hit),
 		bind:      cacheState(plan.BindCacheHit()),
 		dataset:   plan.DatasetName(),

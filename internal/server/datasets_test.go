@@ -108,6 +108,28 @@ func TestDatasetLifecycle(t *testing.T) {
 		t.Fatalf("append response = %+v", appended)
 	}
 
+	// A misspelt append flag must not be read as "replace with these rows":
+	// the body is rejected naming the field and the dataset is untouched.
+	resp = do(t, http.MethodPut, ts.URL+"/datasets/events", map[string]any{
+		"relations": map[string][][]int64{"R3": {{3, 7}}},
+		"apend":     true,
+	})
+	var er ErrorResponse
+	_ = json.NewDecoder(resp.Body).Decode(&er)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, "apend") {
+		t.Fatalf("misspelt append: status %d, error %q; want 400 naming the field", resp.StatusCode, er.Error)
+	}
+	resp = do(t, http.MethodGet, ts.URL+"/datasets/events", nil)
+	var after DatasetInfo
+	if err := json.NewDecoder(resp.Body).Decode(&after); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if after != appended {
+		t.Fatalf("dataset after the rejected PUT = %+v, want %+v", after, appended)
+	}
+
 	// Listing.
 	resp, err := http.Get(ts.URL + "/datasets")
 	if err != nil {

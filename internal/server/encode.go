@@ -1,11 +1,11 @@
 package server
 
 // Answer-stream encoding: the pluggable seam between the enumeration loops
-// (stream, the scatter handler, the coordinator's merged stream) and the
-// bytes on the socket. Two encodings exist — NDJSON text and the
-// internal/wire binary columnar frames — negotiated per request via the
-// Accept header, and every stream writes through a sized buffered writer
-// flushed at the FlushEvery cadence instead of one syscall per answer.
+// (stream, subscriptions) and the bytes on the socket. Two client encodings
+// exist — NDJSON text and the internal/wire binary columnar frames —
+// negotiated per request via the Accept header; the scatter hop is binary
+// only. Every stream writes through a sized buffered writer flushed at the
+// FlushEvery cadence instead of one syscall per answer.
 
 import (
 	"bufio"
@@ -15,7 +15,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/cluster"
 	"repro/internal/database"
 	"repro/internal/wire"
 )
@@ -89,12 +88,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // disconnect.
 type answerEncoder interface {
 	contentType() string
-	// scatterHeader opens a scatter stream (worker side): the NDJSON header
-	// line, or the binary header frame with the ScatterHeader as metadata.
-	scatterHeader(h *cluster.ScatterHeader) error
 	appendTuple(t database.Tuple) error
-	// marker emits a scatter progress checkpoint.
-	marker(rootDone int) error
 	// subscriptionMarker emits a /subscribe version checkpoint: "the
 	// answers above make you complete through version". With resync set it
 	// instead announces that the client must discard its state — the full
@@ -102,12 +96,6 @@ type answerEncoder interface {
 	// binary packs version<<1|resync into the marker frame's payload.
 	subscriptionMarker(version uint64, resync bool) error
 	trailer(tr Trailer) error
-	scatterTrailer(tr cluster.ScatterTrailer) error
-	// streamError terminates a stream that failed without a server-side
-	// count to report (the coordinator's merge failure): an error object on
-	// NDJSON, an error trailer frame on binary. Either way the stream is
-	// visibly incomplete.
-	streamError(msg string) error
 	flush() error
 	// bytesOut is the bytes encoded for the socket so far, flushed plus
 	// buffered: once the trailer is encoded it is the exact response size,
@@ -118,17 +106,12 @@ type answerEncoder interface {
 // newAnswerEncoder builds the encoder for one response. arity is the
 // answer tuple width (binary streams declare it in their header frame).
 func newAnswerEncoder(w http.ResponseWriter, media string, arity int) (answerEncoder, error) {
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriterSize(cw, streamBufSize)
-	fl, _ := w.(http.Flusher)
 	if media == wire.MediaTypeBinary {
-		enc, err := wire.NewEncoder(bw, arity)
-		if err != nil {
-			return nil, err
-		}
-		return &binaryEncoder{enc: enc, bw: bw, cw: cw, fl: fl}, nil
+		return newBinaryEncoder(w, arity)
 	}
-	return &ndjsonEncoder{bw: bw, cw: cw, fl: fl, buf: make([]byte, 0, 256)}, nil
+	cw := &countingWriter{w: w}
+	fl, _ := w.(http.Flusher)
+	return &ndjsonEncoder{bw: bufio.NewWriterSize(cw, streamBufSize), cw: cw, fl: fl, buf: make([]byte, 0, 256)}, nil
 }
 
 // ndjsonEncoder is the text protocol: answers as JSON array lines, control
@@ -153,19 +136,11 @@ func (e *ndjsonEncoder) writeJSONLine(v any) error {
 	return e.bw.WriteByte('\n')
 }
 
-func (e *ndjsonEncoder) scatterHeader(h *cluster.ScatterHeader) error {
-	return e.writeJSONLine(h)
-}
-
 func (e *ndjsonEncoder) appendTuple(t database.Tuple) error {
 	e.buf = wire.AppendTupleNDJSON(e.buf[:0], t)
 	e.buf = append(e.buf, '\n')
 	_, err := e.bw.Write(e.buf)
 	return err
-}
-
-func (e *ndjsonEncoder) marker(rootDone int) error {
-	return e.writeJSONLine(cluster.ScatterMarker{RootDone: rootDone})
 }
 
 func (e *ndjsonEncoder) subscriptionMarker(version uint64, resync bool) error {
@@ -174,14 +149,6 @@ func (e *ndjsonEncoder) subscriptionMarker(version uint64, resync bool) error {
 
 func (e *ndjsonEncoder) trailer(tr Trailer) error {
 	return e.writeJSONLine(tr)
-}
-
-func (e *ndjsonEncoder) scatterTrailer(tr cluster.ScatterTrailer) error {
-	return e.writeJSONLine(tr)
-}
-
-func (e *ndjsonEncoder) streamError(msg string) error {
-	return e.writeJSONLine(ErrorResponse{Error: msg})
 }
 
 func (e *ndjsonEncoder) flush() error {
@@ -196,7 +163,9 @@ func (e *ndjsonEncoder) flush() error {
 
 func (e *ndjsonEncoder) bytesOut() int64 { return e.cw.n + int64(e.bw.Buffered()) }
 
-// binaryEncoder wraps the internal/wire columnar frame encoder.
+// binaryEncoder wraps the internal/wire columnar frame encoder. The scatter
+// handler holds it concretely and drives enc for the records only the
+// scatter hop has (header metadata, root markers).
 type binaryEncoder struct {
 	enc *wire.Encoder
 	bw  *bufio.Writer
@@ -204,69 +173,33 @@ type binaryEncoder struct {
 	fl  http.Flusher
 }
 
-func (e *binaryEncoder) contentType() string { return wire.MediaTypeBinary }
-
-func (e *binaryEncoder) scatterHeader(h *cluster.ScatterHeader) error {
-	if err := e.enc.SetMeta(h); err != nil {
-		return err
+func newBinaryEncoder(w http.ResponseWriter, arity int) (*binaryEncoder, error) {
+	cw := &countingWriter{w: w}
+	bw := bufio.NewWriterSize(cw, streamBufSize)
+	enc, err := wire.NewEncoder(bw, arity)
+	if err != nil {
+		return nil, err
 	}
-	// The coordinator reads the handshake (scatterable? which version?)
-	// before any answers exist, so the header frame goes out now, not
-	// lazily at the first block.
-	return e.enc.WriteHeader()
+	fl, _ := w.(http.Flusher)
+	return &binaryEncoder{enc: enc, bw: bw, cw: cw, fl: fl}, nil
 }
+
+func (e *binaryEncoder) contentType() string { return wire.MediaTypeBinary }
 
 func (e *binaryEncoder) appendTuple(t database.Tuple) error {
 	return e.enc.Append(t)
 }
 
-func (e *binaryEncoder) marker(rootDone int) error {
-	return e.enc.Marker(rootDone)
-}
-
 func (e *binaryEncoder) subscriptionMarker(version uint64, resync bool) error {
-	// Subscription streams reuse the marker frame: the uvarint payload is
-	// version<<1 with the resync flag in the low bit. Marker payloads are
-	// scatter checkpoints on scatter streams and version checkpoints here;
-	// the two stream types never mix, so the meanings cannot collide.
 	u := version << 1
 	if resync {
 		u |= 1
 	}
-	return e.enc.Marker(int(u))
-}
-
-// wireTrailer maps the HTTP trailer onto the frame payload shape.
-func wireTrailer(tr Trailer) wire.Trailer {
-	return wire.Trailer{
-		Done:           tr.Done,
-		Count:          tr.Count,
-		Mode:           tr.Mode,
-		Cache:          tr.Cache,
-		Dataset:        tr.Dataset,
-		DatasetVersion: tr.DatasetVersion,
-		Bind:           tr.Bind,
-		Scatter:        tr.Scatter,
-		Workers:        tr.Workers,
-		Error:          tr.Error,
-	}
+	return e.enc.Marker(u)
 }
 
 func (e *binaryEncoder) trailer(tr Trailer) error {
-	return e.enc.Trailer(wireTrailer(tr))
-}
-
-func (e *binaryEncoder) scatterTrailer(tr cluster.ScatterTrailer) error {
-	return e.enc.Trailer(wire.Trailer{
-		Done:     tr.Done,
-		Count:    tr.Count,
-		RootDone: tr.RootDone,
-		Error:    tr.Error,
-	})
-}
-
-func (e *binaryEncoder) streamError(msg string) error {
-	return e.enc.Trailer(wire.Trailer{Error: msg})
+	return e.enc.Trailer(tr)
 }
 
 func (e *binaryEncoder) flush() error {

@@ -10,11 +10,9 @@ package server
 // question without enumerating. The endpoint exists on every server —
 // single-node deployments simply never call it.
 //
-// The stream encoding is negotiated like every other answer stream:
-// coordinators ask for the binary columnar frames (the ScatterHeader rides
-// as the header frame's metadata, markers and the trailer as their own
-// frame kinds), and clients without an Accept preference get the original
-// NDJSON lines.
+// The hop is binary only, whatever the request's Accept says: the
+// ScatterHeader rides as the header frame's metadata (a probe's whole
+// response), root markers and the trailer as their own frame kinds.
 
 import (
 	"io"
@@ -22,6 +20,7 @@ import (
 
 	ucq "repro"
 	"repro/internal/cluster"
+	"repro/internal/wire"
 )
 
 // handleDatasetScatter serves one range-scoped scatter call.
@@ -107,16 +106,20 @@ func (s *Server) handleDatasetScatter(w http.ResponseWriter, r *http.Request) {
 		DatasetVersion: plan.DatasetVersion(),
 	}
 
-	media := negotiateEncoding(r.Header.Get("Accept"))
-	enc, err := newAnswerEncoder(w, media, hdr.Arity)
+	const media = wire.MediaTypeBinary
+	enc, err := newBinaryEncoder(w, hdr.Arity)
 	if err != nil {
 		s.httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", enc.contentType())
+	w.Header().Set("Content-Type", media)
 	w.Header().Set("X-Ucq-Mode", plan.Mode.String())
 	w.WriteHeader(http.StatusOK)
-	_ = enc.scatterHeader(&hdr)
+	// The coordinator reads the handshake (scatterable? which version?)
+	// before any answers exist, so the header frame goes out now, not
+	// lazily at the first block.
+	_ = enc.enc.SetMeta(&hdr)
+	_ = enc.enc.WriteHeader()
 	_ = enc.flush()
 	if req.Probe || !scatterable {
 		// A probe never enumerates; a non-scatterable non-probe ends here
@@ -160,7 +163,7 @@ func (s *Server) handleDatasetScatter(w http.ResponseWriter, r *http.Request) {
 		// ascending root order, is exactly true when this answer is the
 		// first of its root row.
 		if count > 0 && pos > prevPos && sinceMarker >= markerEvery {
-			if err := enc.marker(pos); err != nil {
+			if err := enc.enc.Marker(uint64(pos)); err != nil {
 				cancelled = true
 				break
 			}
@@ -191,6 +194,6 @@ func (s *Server) handleDatasetScatter(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.stats.streamsCompleted.Add(1)
-	_ = enc.scatterTrailer(cluster.ScatterTrailer{Done: true, Count: count, RootDone: hi})
+	_ = enc.trailer(Trailer{Done: true, Count: count, RootDone: hi})
 	s.endStream(enc, media, count)
 }

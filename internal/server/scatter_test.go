@@ -1,15 +1,16 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/wire"
 )
 
 // fullJoin is a certified, root-range-partitionable query: the full
@@ -56,17 +57,18 @@ func putTestDataset(t *testing.T, url, name string, rels map[string][][]int64) D
 type scatterStream struct {
 	status  int
 	header  cluster.ScatterHeader
-	answers []string // raw answer lines, without newline
+	answers []string // answers rendered as NDJSON lines, in stream order
 	// markerAt maps an answer-prefix length to the marker emitted right
 	// after it: markerAt[k] = p means "the first k answers cover all root
 	// rows < p". Order of emission is preserved in markers.
 	markerAt map[int]int
 	markers  []int
-	trailer  *cluster.ScatterTrailer
-	errBody  string
+	trailer  *wire.Trailer
 }
 
-// postScatter issues one scatter call and parses the NDJSON stream.
+// postScatter issues one scatter call — with no Accept header: the hop is
+// binary whatever the caller says — and decodes the frame stream. Non-200
+// responses return with only status set.
 func postScatter(t *testing.T, url, name string, req cluster.ScatterRequest) scatterStream {
 	t.Helper()
 	resp, err := http.Post(url+"/datasets/"+name+"/scatter", "application/json", bytes.NewReader(req.Encode()))
@@ -75,56 +77,37 @@ func postScatter(t *testing.T, url, name string, req cluster.ScatterRequest) sca
 	}
 	defer resp.Body.Close()
 	out := scatterStream{status: resp.StatusCode, markerAt: map[int]int{}}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	headerSeen := false
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+	if resp.StatusCode != http.StatusOK {
+		return out
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != wire.MediaTypeBinary {
+		t.Fatalf("scatter Content-Type = %q, want %q", ct, wire.MediaTypeBinary)
+	}
+	dec := wire.NewDecoder(resp.Body)
+	for {
+		fr, err := dec.Next()
+		if err == io.EOF {
+			return out
 		}
-		if strings.HasPrefix(line, "[") {
-			out.answers = append(out.answers, line)
-			continue
+		if err != nil {
+			t.Fatalf("decoding scatter frame: %v", err)
 		}
-		var ctl struct {
-			Header   bool   `json:"header"`
-			Done     bool   `json:"done"`
-			RootDone *int   `json:"root_done"`
-			Error    string `json:"error"`
-			Count    int    `json:"count"`
-		}
-		if err := json.Unmarshal([]byte(line), &ctl); err != nil {
-			t.Fatalf("control line %q: %v", line, err)
-		}
-		switch {
-		case ctl.Header:
-			if headerSeen {
-				t.Fatalf("duplicate header line")
+		switch fr.Kind {
+		case wire.KindHeader:
+			if err := json.Unmarshal(fr.Meta, &out.header); err != nil || !out.header.Header {
+				t.Fatalf("header meta %q: %v", fr.Meta, err)
 			}
-			headerSeen = true
-			if err := json.Unmarshal([]byte(line), &out.header); err != nil {
-				t.Fatal(err)
+		case wire.KindBlock:
+			for _, tup := range fr.Tuples {
+				out.answers = append(out.answers, string(wire.AppendTupleNDJSON(nil, tup)))
 			}
-		case ctl.Done:
-			var tr cluster.ScatterTrailer
-			if err := json.Unmarshal([]byte(line), &tr); err != nil {
-				t.Fatal(err)
-			}
-			out.trailer = &tr
-		case ctl.Error != "":
-			out.errBody = ctl.Error
-		case ctl.RootDone != nil:
-			out.markerAt[len(out.answers)] = *ctl.RootDone
-			out.markers = append(out.markers, *ctl.RootDone)
-		default:
-			t.Fatalf("unrecognized line %q", line)
+		case wire.KindMarker:
+			out.markerAt[len(out.answers)] = int(fr.Marker)
+			out.markers = append(out.markers, int(fr.Marker))
+		case wire.KindTrailer:
+			out.trailer = fr.Trailer
 		}
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 func TestScatterFullRangeMatchesDatasetQuery(t *testing.T) {

@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -418,7 +419,12 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (req QueryR
 // than a silently ignored knob. On failure it writes the error
 // response and returns false.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	return s.decodeStrict(w, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), v)
+}
+
+// decodeStrict is decodeBody over bytes already read off the request.
+func (s *Server) decodeStrict(w http.ResponseWriter, body io.Reader, v any) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		s.httpError(w, http.StatusBadRequest, "decoding request: %v", err)
@@ -506,12 +512,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.recordDecision(plan)
 
-	meta := streamMeta{cache: cacheState(hit)}
+	meta := streamMeta{arity: plan.Query.Arity(), mode: plan.Mode.String(), cache: cacheState(hit)}
 	if req.Options.CountOnly {
 		s.respondCount(w, r, plan, meta)
 		return
 	}
-	s.stream(w, r, plan, meta, req.Limit)
+	s.stream(w, r, plan.AnswersContext, meta, req.Limit)
 }
 
 // respondCount answers a count-only evaluation: certified single-branch
@@ -583,52 +589,64 @@ func (s *Server) planError(w http.ResponseWriter, err error) {
 	s.httpError(w, http.StatusBadRequest, "planning: %v", err)
 }
 
-// streamMeta carries the cache/dataset provenance a stream reports in its
-// headers and trailer. bind and dataset stay zero on the legacy
-// inline-instance path, keeping its wire format byte-identical.
+// streamMeta describes a stream to its client: the answer shape and engine
+// mode plus the cache/dataset/scatter provenance reported in the headers
+// and the trailer. bind and dataset stay zero on the legacy inline-instance
+// path, and scatter and workers outside coordinator mode, keeping those
+// wire formats byte-identical.
 type streamMeta struct {
+	arity     int    // answer tuple width
+	mode      string // engine mode ("constant-delay" or "naive")
 	cache     string // plan cache: "hit" or "miss"
 	bind      string // bind cache: "hit", "miss", or "" (inline bind)
 	dataset   string
 	dsVersion uint64
+	scatter   string // coordinator merge strategy, or "" (single node)
+	workers   int    // coordinator fan-out width
 }
 
-// stream drains the plan's iterator into the response in the encoding the
+// stream drains an answer iterator into the response in the encoding the
 // request's Accept header negotiated — NDJSON lines or binary columnar
-// frames, one shared loop either way. The first answer is flushed
-// immediately — on certified plans it reaches the client while enumeration
-// of the remaining answers is still running — and later answers are
-// flushed every cfg.FlushEvery answers through the stream's buffered
+// frames, one shared loop either way, whether the answers come from a
+// local plan or a coordinator's merged cluster stream. The first answer is
+// flushed immediately — on certified plans it reaches the client while
+// enumeration of the remaining answers is still running — and later answers
+// are flushed every cfg.FlushEvery answers through the stream's buffered
 // writer. The stream ends with a Trailer (object or frame).
 //
 // The stream holds an admission slot for its whole life; overload sheds
-// here with 429 instead of stacking enumerations. The enumeration runs
+// here with 429 instead of stacking enumerations, and open — which starts
+// the enumeration — runs only once the slot is held. The enumeration runs
 // under the request context: when the client disconnects mid-stream (or
 // the server shuts down), the context cancels the work-stealing executor
 // behind a parallel plan and every worker is released within one batch;
 // the request is then counted as cancelled and no trailer is written.
-func (s *Server) stream(w http.ResponseWriter, r *http.Request, plan *ucq.Plan, meta streamMeta, limit int) {
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, open func(context.Context) ucq.Answers, meta streamMeta, limit int) {
 	if !s.admitStream(w, r) {
 		return
 	}
 	defer s.admission.release()
 
 	media := negotiateEncoding(r.Header.Get("Accept"))
-	enc, err := newAnswerEncoder(w, media, plan.Query.Arity())
+	enc, err := newAnswerEncoder(w, media, meta.arity)
 	if err != nil {
 		s.httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", enc.contentType())
-	w.Header().Set("X-Ucq-Mode", plan.Mode.String())
+	w.Header().Set("X-Ucq-Mode", meta.mode)
 	w.Header().Set("X-Ucq-Cache", meta.cache)
 	if meta.bind != "" {
 		w.Header().Set("X-Ucq-Bind", meta.bind)
 		w.Header().Set("X-Ucq-Dataset-Version", fmt.Sprint(meta.dsVersion))
 	}
+	if meta.scatter != "" {
+		w.Header().Set("X-Ucq-Scatter", meta.scatter)
+		w.Header().Set("X-Ucq-Workers", fmt.Sprint(meta.workers))
+	}
 	w.WriteHeader(http.StatusOK)
 
-	it := plan.AnswersContext(r.Context())
+	it := open(r.Context())
 	defer ucq.CloseAnswers(it)
 
 	start := time.Now()
@@ -686,17 +704,20 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, plan *ucq.Plan, 
 	tr := Trailer{
 		Done:           true,
 		Count:          count,
-		Mode:           plan.Mode.String(),
+		Mode:           meta.mode,
 		Cache:          meta.cache,
 		Dataset:        meta.dataset,
 		DatasetVersion: meta.dsVersion,
 		Bind:           meta.bind,
+		Scatter:        meta.scatter,
+		Workers:        meta.workers,
 	}
 	if err := ucq.AnswersErr(it); err != nil {
-		// The enumeration died mid-stream (spilled dedup hit disk trouble):
-		// the answers already sent are an arbitrary prefix. The status line
-		// is long gone, so honesty lives in the trailer — done stays false
-		// and the error rides along instead.
+		// The enumeration died mid-stream (spilled dedup hit disk trouble, a
+		// cluster merge lost its workers): the answers already sent are an
+		// arbitrary prefix. The status line is long gone, so honesty lives
+		// in the trailer — done stays false and the error rides along
+		// instead.
 		s.stats.errors.Add(1)
 		tr.Done = false
 		tr.Error = fmt.Sprintf("enumeration failed after %d answers: %v", count, err)

@@ -1,5 +1,10 @@
 package server
 
+import (
+	ucq "repro"
+	"repro/internal/wire"
+)
+
 // QueryRequest is the POST /query body: a UCQ in the datalog-style
 // concrete syntax, the instance as relation-name → integer rows, optional
 // engine options and an optional answer limit.
@@ -33,34 +38,10 @@ type QueryOptions struct {
 	CountOnly bool `json:"count_only,omitempty"`
 }
 
-// Trailer is the final NDJSON line of a /query response — the only line
-// that is a JSON object rather than an array, so clients can detect
-// completion and distinguish it from answers. The dataset fields are set
-// only on /datasets/{name}/query responses, keeping the legacy /query
-// trailer byte-identical.
-type Trailer struct {
-	Done  bool   `json:"done"`
-	Count int    `json:"count"`
-	Mode  string `json:"mode"`
-	Cache string `json:"cache"`
-	// Dataset and DatasetVersion identify the snapshot the query ran on.
-	Dataset        string `json:"dataset,omitempty"`
-	DatasetVersion uint64 `json:"dataset_version,omitempty"`
-	// Bind is "hit" when the per-instance preprocessing was served from the
-	// bind cache, "miss" when this request computed (and cached) it.
-	Bind string `json:"bind,omitempty"`
-	// Scatter and Workers describe the cluster fan-out behind a
-	// coordinator's merged stream: "root-range" with the worker count, or
-	// "single-worker" when the plan was not range-partitionable. Both stay
-	// zero on single-node responses, keeping their trailers byte-identical.
-	Scatter string `json:"scatter,omitempty"`
-	Workers int    `json:"workers,omitempty"`
-	// Error is set (with Done false) when the enumeration itself failed
-	// mid-stream after answers already left the socket — today that is disk
-	// trouble on the spilled dedup path. The answers above the trailer are
-	// then an arbitrary prefix, and Count only counts what was sent.
-	Error string `json:"error,omitempty"`
-}
+// Trailer is the terminal record of every answer stream — the last NDJSON
+// line, or the binary trailer frame. One definition serves the server, the
+// client decoders and the scatter hop; see wire.Trailer for the fields.
+type Trailer = wire.Trailer
 
 // CountResponse is the body of a count-only evaluation — the options'
 // count_only flag or POST /datasets/{name}/count. No answers are
@@ -95,16 +76,11 @@ type SubscribeRequest struct {
 	FromVersion uint64 `json:"from_version,omitempty"`
 }
 
-// SubscriptionMarker is the NDJSON control object punctuating a
-// /subscribe stream: every answer batch ends with one, declaring the
-// dataset version the client is now complete through. Resync announces
-// that the server could not maintain the client incrementally (the append
-// log no longer covered its window) — the client must discard its answer
-// set; the full set at Version follows, ended by a plain marker.
-type SubscriptionMarker struct {
-	Version uint64 `json:"version"`
-	Resync  bool   `json:"resync,omitempty"`
-}
+// SubscriptionMarker is the control record punctuating a /subscribe
+// stream — a {"version":…} object on NDJSON, a marker frame on binary:
+// every answer batch ends with one, declaring the dataset version the
+// client is now complete through (see ucq.SubscriptionEvent for resync).
+type SubscriptionMarker = ucq.SubscriptionEvent
 
 // DatasetRequest is the PUT /datasets/{name} body: the relations in the
 // same rows wire format as QueryRequest.Relations.

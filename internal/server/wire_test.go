@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -169,10 +170,10 @@ func TestQueryUnknownAcceptFallsBack(t *testing.T) {
 	}
 }
 
-// TestScatterBinaryEncoding drives the scatter endpoint with a binary
-// Accept and checks the full frame protocol: ScatterHeader as header-frame
-// metadata (arity included), marker frames at root boundaries, and a
-// trailer frame — decoding to the same answers as the text scatter stream.
+// TestScatterBinaryEncoding drives the scatter endpoint the way the
+// coordinator does, with a binary Accept, and checks the full frame
+// protocol: ScatterHeader as header-frame metadata (arity included), marker
+// frames at root boundaries, and a trailer frame around the exact answers.
 func TestScatterBinaryEncoding(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	putTestDataset(t, ts.URL, "join", joinRelations(6, 3, 2))
@@ -307,6 +308,46 @@ func TestAdmissionShed(t *testing.T) {
 	answers, _ := readStream(t, resp2)
 	if len(answers) != 6 {
 		t.Fatalf("answers after release = %d, want 6", len(answers))
+	}
+}
+
+// TestCoordinatorShedsBeforeFanOut: a coordinator's merged stream goes
+// through the same stream loop as a local plan, so it is shed by the same
+// gate — after the probe (which holds nothing) and before a single scatter
+// call ties up a worker — and honours the same answer limit.
+func TestCoordinatorShedsBeforeFanOut(t *testing.T) {
+	worker, ws := newTestServer(t, Config{})
+	coord, err := NewCoordinator(Config{
+		MaxStreams:    1,
+		QueueDeadline: 20 * time.Millisecond,
+		Cluster:       cluster.Config{Workers: []string{ws.URL}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := httptest.NewServer(coord.Handler())
+	t.Cleanup(cs.Close)
+	putTestDataset(t, cs.URL, "join", joinRelations(12, 3, 2))
+
+	if err := coord.admission.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	resp := do(t, http.MethodPost, cs.URL+"/datasets/join/query", QueryRequest{Query: fullJoin})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status = %d, want 429", resp.StatusCode)
+	}
+	if calls := coord.Cluster().Totals().ScatterCalls; calls != 0 {
+		t.Errorf("a shed query issued %d scatter calls", calls)
+	}
+	if probes := worker.StatsSnapshot().ScatterRequests; probes != 1 {
+		t.Errorf("worker served %d scatter requests, want the probe alone", probes)
+	}
+
+	coord.admission.release()
+	answers, tr := queryDataset(t, cs.URL, "join", QueryRequest{Query: fullJoin, Limit: 5})
+	if len(answers) != 5 || !tr.Done || tr.Count != 5 || tr.Scatter != "root-range" || tr.Workers != 1 {
+		t.Fatalf("limited cluster stream: %d answers, trailer %+v", len(answers), tr)
 	}
 }
 

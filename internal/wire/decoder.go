@@ -11,15 +11,18 @@ import (
 
 // Frame is one decoded frame. Kind selects which fields are meaningful:
 // header frames carry Arity and Meta, block frames carry Tuples, marker
-// frames carry RootDone, trailer frames carry Trailer. Tuples and Meta are
+// frames carry Marker, trailer frames carry Trailer. Tuples and Meta are
 // freshly allocated per frame and safe to retain.
 type Frame struct {
-	Kind     Kind
-	Arity    int
-	Meta     json.RawMessage
-	Tuples   []database.Tuple
-	RootDone int
-	Trailer  *Trailer
+	Kind   Kind
+	Arity  int
+	Meta   json.RawMessage
+	Tuples []database.Tuple
+	// Marker is a marker frame's payload, opaque to the codec: scatter
+	// streams read it as root_done, subscription streams as
+	// version<<1|resync. The two stream types never mix.
+	Marker  uint64
+	Trailer *Trailer
 }
 
 // Decoder reads a binary answer stream. Next returns frames in order,
@@ -42,15 +45,6 @@ type Decoder struct {
 // caller if reads are expensive; the decoder issues two reads per frame.
 func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{r: r}
-}
-
-// Arity returns the stream arity, valid once the header frame has been
-// decoded (-1 before).
-func (d *Decoder) Arity() int {
-	if !d.headerSeen {
-		return -1
-	}
-	return d.arity
 }
 
 // Next decodes and returns the next frame. After the trailer frame it
@@ -193,10 +187,7 @@ func (d *Decoder) decodeMarker(p []byte) (*Frame, error) {
 	if n <= 0 || n != len(p) {
 		return nil, d.fail("bad marker payload")
 	}
-	if u > uint64(int(^uint(0)>>1)) {
-		return nil, d.fail("marker root_done %d out of range", u)
-	}
-	return &Frame{Kind: KindMarker, Arity: d.arity, RootDone: int(u)}, nil
+	return &Frame{Kind: KindMarker, Arity: d.arity, Marker: u}, nil
 }
 
 func (d *Decoder) decodeTrailer(p []byte) (*Frame, error) {

@@ -141,19 +141,16 @@ func (e *Encoder) FlushBlock() error {
 	return e.writeFrame(KindBlock, p)
 }
 
-// Marker flushes any buffered block and writes a marker frame carrying the
-// scatter protocol's root_done checkpoint.
-func (e *Encoder) Marker(rootDone int) error {
+// Marker flushes any buffered block and writes a marker frame carrying v
+// (see Frame.Marker).
+func (e *Encoder) Marker(v uint64) error {
 	if err := e.FlushBlock(); err != nil {
 		return err
 	}
 	if err := e.writeHeader(); err != nil {
 		return err
 	}
-	if rootDone < 0 {
-		return fmt.Errorf("wire: negative marker root_done %d", rootDone)
-	}
-	p := binary.AppendUvarint(e.payload[:0], uint64(rootDone))
+	p := binary.AppendUvarint(e.payload[:0], v)
 	e.payload = p
 	return e.writeFrame(KindMarker, p)
 }
@@ -174,6 +171,3 @@ func (e *Encoder) Trailer(tr Trailer) error {
 	}
 	return e.writeFrame(KindTrailer, b)
 }
-
-// Buffered reports how many appended tuples have not yet been framed.
-func (e *Encoder) Buffered() int { return e.rows }

@@ -49,7 +49,7 @@ func FuzzAnswerFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDecoder(bytes.NewReader(data))
 		var tuples []database.Tuple
-		var markers []int
+		var markers []uint64
 		var trailer *Trailer
 		arity := -1
 		clean := false
@@ -76,7 +76,7 @@ func FuzzAnswerFrame(f *testing.F) {
 					}
 				}
 			case KindMarker:
-				markers = append(markers, fr.RootDone)
+				markers = append(markers, fr.Marker)
 			case KindTrailer:
 				trailer = fr.Trailer
 			}

@@ -1,8 +1,9 @@
-// Package wire is the compact binary answer encoding of the streaming
-// server: a columnar frame format negotiated per request via the Accept
-// header, replacing per-row NDJSON text on the paths that move answers in
-// bulk (client streams that ask for it, and the coordinator→worker scatter
-// hop, where it is the default).
+// Package wire owns the answer-stream grammar — header, tuples, markers,
+// trailer — and its compact binary encoding: a columnar frame format that
+// client streams negotiate per request via the Accept header, and the only
+// encoding of the coordinator⇄worker scatter hop. The NDJSON text encoding
+// carries the same records (AppendTupleNDJSON lines, the Trailer as a JSON
+// object).
 //
 // A stream is a sequence of frames, each length-prefixed and checksummed
 // like the storage layer's WAL records:
@@ -19,10 +20,12 @@
 // columns, each column a run of zigzag-varint deltas of the raw 64-bit
 // value words — root-ordered enumeration makes the leading column nearly
 // sorted, so deltas stay in the one-byte varint range. Marker frames carry
-// the scatter protocol's root_done checkpoints, and an explicit trailer
-// frame ends the stream with the same fields the NDJSON trailer object
-// carries. A decoder can therefore distinguish "complete" from "truncated"
-// exactly as on the text protocol: no trailer frame, no complete stream.
+// one uvarint whose meaning belongs to the stream type (a scatter stream's
+// root_done checkpoint, a subscription's version<<1|resync), and an
+// explicit trailer frame ends the stream with the same Trailer the NDJSON
+// protocol sends as its last line. A decoder can therefore distinguish
+// "complete" from "truncated" exactly as on the text protocol: no trailer
+// frame, no complete stream.
 package wire
 
 import (
@@ -30,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strings"
 
 	"repro/internal/database"
 )
@@ -43,6 +47,14 @@ const (
 	// MediaTypeBinary is this package's columnar frame stream.
 	MediaTypeBinary = "application/x-ucq-bin"
 )
+
+// IsBinary reports whether a Content-Type header value (parameters are
+// ignored) names the binary frame encoding; everything else is NDJSON to a
+// client and a protocol error on the scatter hop.
+func IsBinary(contentType string) bool {
+	media, _, _ := strings.Cut(contentType, ";")
+	return strings.TrimSpace(media) == MediaTypeBinary
+}
 
 // Kind is a frame type tag.
 type Kind uint8
@@ -81,24 +93,36 @@ const (
 // recovery inside a corrupt stream.
 var ErrFormat = errors.New("wire: malformed frame")
 
-// Trailer is the payload of a trailer frame: the same completion record
-// the NDJSON protocol sends as its final JSON object line, carried as a
-// CRC-protected JSON payload so the field set can grow without a format
-// bump. Done=false with a non-empty Error marks a stream that failed
-// mid-enumeration; RootDone is used on the scatter hop, where the trailer
-// doubles as the final progress marker.
+// Trailer is the terminal record of every answer stream, whichever
+// encoding carried it: the final JSON object line of an NDJSON stream — the
+// only line that is an object rather than an array — and the CRC-protected
+// JSON payload of a binary trailer frame. A stream that ends without one
+// was truncated.
 type Trailer struct {
-	Done           bool   `json:"done"`
-	Count          int    `json:"count"`
-	Mode           string `json:"mode,omitempty"`
-	Cache          string `json:"cache,omitempty"`
+	Done  bool   `json:"done"`
+	Count int    `json:"count"`
+	Mode  string `json:"mode"`
+	Cache string `json:"cache"`
+	// Dataset and DatasetVersion identify the snapshot a dataset query ran
+	// on, and Bind is "hit" when its per-instance preprocessing came from
+	// the bind cache, "miss" when this request computed it. All three stay
+	// zero on inline /query streams.
 	Dataset        string `json:"dataset,omitempty"`
 	DatasetVersion uint64 `json:"dataset_version,omitempty"`
 	Bind           string `json:"bind,omitempty"`
-	Scatter        string `json:"scatter,omitempty"`
-	Workers        int    `json:"workers,omitempty"`
-	RootDone       int    `json:"root_done,omitempty"`
-	Error          string `json:"error,omitempty"`
+	// Scatter and Workers describe the cluster fan-out behind a
+	// coordinator's merged stream: "root-range" with the worker count, or
+	// "single-worker" when the plan was not range-partitionable. Both stay
+	// zero on single-node streams.
+	Scatter string `json:"scatter,omitempty"`
+	Workers int    `json:"workers,omitempty"`
+	// RootDone is set on scatter-call trailers only: the call's effective
+	// upper root bound, an implicit final marker covering the range's tail.
+	RootDone int `json:"root_done,omitempty"`
+	// Error is set (with Done false) when the stream failed after answers
+	// already left the server: the answers above the trailer are an
+	// arbitrary prefix, and Count only counts what was sent.
+	Error string `json:"error,omitempty"`
 }
 
 // checksum is the frame payload checksum — CRC-32 (IEEE), same as the WAL

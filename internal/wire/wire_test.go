@@ -12,11 +12,11 @@ import (
 )
 
 // collect decodes a whole stream, returning tuples, markers and trailer.
-func collect(t *testing.T, b []byte) ([]database.Tuple, []int, *Trailer, json.RawMessage) {
+func collect(t *testing.T, b []byte) ([]database.Tuple, []uint64, *Trailer, json.RawMessage) {
 	t.Helper()
 	d := NewDecoder(bytes.NewReader(b))
 	var tuples []database.Tuple
-	var markers []int
+	var markers []uint64
 	var tr *Trailer
 	var meta json.RawMessage
 	for {
@@ -33,7 +33,7 @@ func collect(t *testing.T, b []byte) ([]database.Tuple, []int, *Trailer, json.Ra
 		case KindBlock:
 			tuples = append(tuples, f.Tuples...)
 		case KindMarker:
-			markers = append(markers, f.RootDone)
+			markers = append(markers, f.Marker)
 		case KindTrailer:
 			tr = f.Trailer
 		}

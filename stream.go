@@ -1,19 +1,18 @@
 package ucq
 
 // Client-side decoding of the server's answer streams. A streaming
-// response (POST /query, POST /datasets/{name}/query, and the cluster
-// scatter hop) carries answers in one of two encodings, negotiated via
-// the Accept header: NDJSON text lines, or the compact binary columnar
-// frames of internal/wire. DecodeAnswerStream hides the difference — pick
-// the encoding off the response Content-Type and get tuples plus the
-// trailer either way.
+// response (POST /query, POST /datasets/{name}/query, /subscribe) carries
+// answers in one of two encodings, negotiated via the Accept header: NDJSON
+// text lines, or the compact binary columnar frames of internal/wire.
+// DecodeAnswerStream and DecodeSubscriptionStream hide the difference —
+// pick the encoding off the response Content-Type and get tuples, markers
+// and the trailer either way.
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/wire"
 )
@@ -31,24 +30,10 @@ const (
 
 // StreamTrailer is the terminal record of an answer stream, whichever
 // encoding carried it: the NDJSON trailer object, or the binary trailer
-// frame. A stream that ends without one was truncated.
-type StreamTrailer struct {
-	Done           bool   `json:"done"`
-	Count          int    `json:"count"`
-	Mode           string `json:"mode"`
-	Cache          string `json:"cache"`
-	Dataset        string `json:"dataset,omitempty"`
-	DatasetVersion uint64 `json:"dataset_version,omitempty"`
-	Bind           string `json:"bind,omitempty"`
-	Scatter        string `json:"scatter,omitempty"`
-	Workers        int    `json:"workers,omitempty"`
-	// RootDone is set on scatter-call trailers (the implicit final marker).
-	RootDone int `json:"root_done,omitempty"`
-	// Error is the stream's terminal failure: the enumeration died after
-	// answers already left the server. Done is false and the answers seen
-	// are an arbitrary prefix.
-	Error string `json:"error,omitempty"`
-}
+// frame. A stream that ends without one was truncated. Done is false and
+// Error set when the enumeration died after answers already left the
+// server: the answers seen are an arbitrary prefix.
+type StreamTrailer = wire.Trailer
 
 // DecodeAnswerStream reads one streaming query response from r, calling
 // yield for every answer tuple in stream order, and returns the stream's
@@ -59,14 +44,11 @@ type StreamTrailer struct {
 // nothing failed. A stream that ends without a trailer, or whose bytes
 // don't parse, returns an error.
 func DecodeAnswerStream(r io.Reader, contentType string, yield func(Tuple) bool) (*StreamTrailer, error) {
-	media := contentType
-	if i := strings.IndexByte(media, ';'); i >= 0 {
-		media = media[:i]
+	tr, eof, err := decodeStream(r, contentType, yield, nil)
+	if eof {
+		return nil, fmt.Errorf("ucq: answer stream ended without a trailer")
 	}
-	if strings.TrimSpace(media) == MediaTypeBinary {
-		return decodeBinaryStream(r, yield)
-	}
-	return decodeNDJSONStream(r, yield)
+	return tr, err
 }
 
 // SubscriptionEvent is a control record of a /subscribe stream: a version
@@ -88,58 +70,51 @@ type SubscriptionEvent struct {
 // non-nil trailer means the server terminated the subscription and says
 // why (e.g. the dataset was dropped).
 func DecodeSubscriptionStream(r io.Reader, contentType string, yield func(Tuple) bool, event func(SubscriptionEvent) bool) (*StreamTrailer, error) {
-	media := contentType
-	if i := strings.IndexByte(media, ';'); i >= 0 {
-		media = media[:i]
-	}
-	if strings.TrimSpace(media) == MediaTypeBinary {
-		return decodeBinarySubscription(r, yield, event)
-	}
-	return decodeNDJSONSubscription(r, yield, event)
+	tr, _, err := decodeStream(r, contentType, yield, event)
+	return tr, err
 }
 
-func decodeBinarySubscription(r io.Reader, yield func(Tuple) bool, event func(SubscriptionEvent) bool) (*StreamTrailer, error) {
+// decodeStream walks one answer stream in the encoding contentType names:
+// tuples go to yield, markers to event (nil skips them), and the trailer
+// ends the walk. It returns (nil, false, nil) when a callback stopped the
+// walk, and eof = true when the stream ended cleanly before any trailer.
+func decodeStream(r io.Reader, contentType string, yield func(Tuple) bool, event func(SubscriptionEvent) bool) (tr *StreamTrailer, eof bool, err error) {
+	if wire.IsBinary(contentType) {
+		return decodeBinary(r, yield, event)
+	}
+	return decodeNDJSON(r, yield, event)
+}
+
+func decodeBinary(r io.Reader, yield func(Tuple) bool, event func(SubscriptionEvent) bool) (*StreamTrailer, bool, error) {
 	dec := wire.NewDecoder(bufio.NewReaderSize(r, 64<<10))
 	for {
 		fr, err := dec.Next()
 		if err == io.EOF {
-			return nil, nil
+			return nil, true, nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("ucq: reading subscription stream: %v", err)
+			return nil, false, fmt.Errorf("ucq: reading answer stream: %v", err)
 		}
 		switch fr.Kind {
 		case wire.KindBlock:
 			for _, t := range fr.Tuples {
 				if !yield(t) {
-					return nil, nil
+					return nil, false, nil
 				}
 			}
 		case wire.KindMarker:
-			// The marker payload bit-packs the version with the resync flag
-			// in the low bit (the scatter hop uses the same frame kind for
-			// root progress, but scatter and subscription streams never mix).
-			u := uint64(fr.RootDone)
-			if !event(SubscriptionEvent{Version: u >> 1, Resync: u&1 == 1}) {
-				return nil, nil
+			// On a subscription stream the marker payload bit-packs the
+			// version with the resync flag in the low bit.
+			if event != nil && !event(SubscriptionEvent{Version: fr.Marker >> 1, Resync: fr.Marker&1 == 1}) {
+				return nil, false, nil
 			}
 		case wire.KindTrailer:
-			tr := fr.Trailer
-			return &StreamTrailer{
-				Done:           tr.Done,
-				Count:          tr.Count,
-				Mode:           tr.Mode,
-				Cache:          tr.Cache,
-				Dataset:        tr.Dataset,
-				DatasetVersion: tr.DatasetVersion,
-				Bind:           tr.Bind,
-				Error:          tr.Error,
-			}, nil
+			return fr.Trailer, false, nil
 		}
 	}
 }
 
-func decodeNDJSONSubscription(r io.Reader, yield func(Tuple) bool, event func(SubscriptionEvent) bool) (*StreamTrailer, error) {
+func decodeNDJSON(r io.Reader, yield func(Tuple) bool, event func(SubscriptionEvent) bool) (*StreamTrailer, bool, error) {
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 0, 64<<10), 16<<20)
 	for scanner.Scan() {
@@ -150,107 +125,32 @@ func decodeNDJSONSubscription(r io.Reader, yield func(Tuple) bool, event func(Su
 		if raw[0] == '[' {
 			t, err := wire.ParseTupleNDJSON(raw)
 			if err != nil {
-				return nil, fmt.Errorf("ucq: malformed answer line %q: %v", raw, err)
+				return nil, false, fmt.Errorf("ucq: malformed answer line %q: %v", raw, err)
 			}
 			if !yield(t) {
-				return nil, nil
+				return nil, false, nil
 			}
 			continue
 		}
-		// Control objects: version markers carry "version" (and never
-		// "done"/"error"); anything completed or failed is the trailer.
+		// Control objects: anything completed or failed is the trailer;
+		// version markers carry "version" (and never "done"/"error").
 		var rec struct {
 			StreamTrailer
 			Version *uint64 `json:"version"`
 			Resync  bool    `json:"resync"`
 		}
 		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("ucq: malformed stream record %q: %v", raw, err)
+			return nil, false, fmt.Errorf("ucq: malformed stream record %q: %v", raw, err)
 		}
 		if rec.Done || rec.Error != "" {
-			tr := rec.StreamTrailer
-			return &tr, nil
+			return &rec.StreamTrailer, false, nil
 		}
-		if rec.Version != nil {
-			if !event(SubscriptionEvent{Version: *rec.Version, Resync: rec.Resync}) {
-				return nil, nil
-			}
+		if rec.Version != nil && event != nil && !event(SubscriptionEvent{Version: *rec.Version, Resync: rec.Resync}) {
+			return nil, false, nil
 		}
 	}
 	if err := scanner.Err(); err != nil {
-		return nil, fmt.Errorf("ucq: reading subscription stream: %v", err)
+		return nil, false, fmt.Errorf("ucq: reading answer stream: %v", err)
 	}
-	return nil, nil
-}
-
-func decodeBinaryStream(r io.Reader, yield func(Tuple) bool) (*StreamTrailer, error) {
-	dec := wire.NewDecoder(bufio.NewReaderSize(r, 64<<10))
-	for {
-		fr, err := dec.Next()
-		if err == io.EOF {
-			return nil, fmt.Errorf("ucq: answer stream ended without a trailer")
-		}
-		if err != nil {
-			return nil, fmt.Errorf("ucq: reading answer stream: %v", err)
-		}
-		switch fr.Kind {
-		case wire.KindBlock:
-			for _, t := range fr.Tuples {
-				if !yield(t) {
-					return nil, nil
-				}
-			}
-		case wire.KindTrailer:
-			tr := fr.Trailer
-			return &StreamTrailer{
-				Done:           tr.Done,
-				Count:          tr.Count,
-				Mode:           tr.Mode,
-				Cache:          tr.Cache,
-				Dataset:        tr.Dataset,
-				DatasetVersion: tr.DatasetVersion,
-				Bind:           tr.Bind,
-				Scatter:        tr.Scatter,
-				Workers:        tr.Workers,
-				RootDone:       tr.RootDone,
-				Error:          tr.Error,
-			}, nil
-		}
-	}
-}
-
-func decodeNDJSONStream(r io.Reader, yield func(Tuple) bool) (*StreamTrailer, error) {
-	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	for scanner.Scan() {
-		raw := scanner.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		if raw[0] == '[' {
-			t, err := wire.ParseTupleNDJSON(raw)
-			if err != nil {
-				return nil, fmt.Errorf("ucq: malformed answer line %q: %v", raw, err)
-			}
-			if !yield(t) {
-				return nil, nil
-			}
-			continue
-		}
-		var tr StreamTrailer
-		if err := json.Unmarshal(raw, &tr); err != nil {
-			return nil, fmt.Errorf("ucq: malformed stream record %q: %v", raw, err)
-		}
-		if !tr.Done && tr.Error == "" {
-			// A control object that is neither a completed trailer nor an
-			// error — scatter headers and markers land here. Plain /query
-			// streams never carry them; skip so scatter streams decode too.
-			continue
-		}
-		return &tr, nil
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, fmt.Errorf("ucq: reading answer stream: %v", err)
-	}
-	return nil, fmt.Errorf("ucq: answer stream ended without a trailer")
+	return nil, true, nil
 }

@@ -4,18 +4,22 @@ package ucq_test
 // random UCQs and instances, one real HTTP server must stream the
 // identical answer set — trailer included — whether the client negotiated
 // NDJSON or the binary columnar frames, with both sides decoded by the
-// same ucq.DecodeAnswerStream helper clients use. Black-box package: the
-// server imports the root package, so this arm cannot live inside it.
+// same ucq.DecodeAnswerStream helper clients use; a /subscribe arm does the
+// same for ucq.DecodeSubscriptionStream's tuples, markers and error
+// trailer. Black-box package: the server imports the root package, so this
+// arm cannot live inside it.
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	ucq "repro"
 	"repro/internal/server"
@@ -150,4 +154,155 @@ func TestCrossEncodingEquivalence(t *testing.T) {
 	}
 	t.Logf("cross-encoding equivalence: %d random cases; big case %d answers, %d binary vs %d ndjson bytes",
 		cases, len(ndRows), binBytes, ndBytes)
+}
+
+// subscriber is one open /subscribe stream being decoded in the
+// background into a transcript: per batch the sorted answers, then the
+// marker that closed it, and last the trailer.
+type subscriber struct {
+	accept     string
+	marks      chan ucq.SubscriptionEvent
+	done       chan struct{}
+	transcript []string // owned by the decoding goroutine until done closes
+	trailer    *ucq.StreamTrailer
+	err        error
+}
+
+func subscribe(t *testing.T, url, accept, query string) *subscriber {
+	t.Helper()
+	body, _ := json.Marshal(map[string]any{"query": query})
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", accept)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != accept {
+		resp.Body.Close()
+		t.Fatalf("subscribe with Accept %q: status %d, Content-Type %q", accept, resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+	// Every marker is announced on marks; the buffer covers this test's
+	// whole script so the decoder never waits for the test to catch up.
+	sub := &subscriber{accept: accept, marks: make(chan ucq.SubscriptionEvent, 16), done: make(chan struct{})}
+	go func() {
+		defer close(sub.done)
+		defer resp.Body.Close()
+		var batch []string
+		sub.trailer, sub.err = ucq.DecodeSubscriptionStream(resp.Body, accept,
+			func(tup ucq.Tuple) bool {
+				batch = append(batch, string(ucq.AppendTupleJSON(nil, tup)))
+				return true
+			},
+			func(ev ucq.SubscriptionEvent) bool {
+				sort.Strings(batch)
+				sub.transcript = append(sub.transcript, batch...)
+				sub.transcript = append(sub.transcript, fmt.Sprintf("marker %+v", ev))
+				batch = nil
+				sub.marks <- ev
+				return true
+			})
+		sort.Strings(batch)
+		sub.transcript = append(sub.transcript, batch...)
+	}()
+	return sub
+}
+
+// await blocks until the subscriber is complete through version.
+func (s *subscriber) await(t *testing.T, version uint64) {
+	t.Helper()
+	for {
+		select {
+		case ev := <-s.marks:
+			if !ev.Resync && ev.Version >= version {
+				return
+			}
+		case <-s.done:
+			t.Fatalf("%q subscription ended before version %d: trailer %+v, err %v", s.accept, version, s.trailer, s.err)
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%q subscription: no marker for version %d", s.accept, version)
+		}
+	}
+}
+
+// TestCrossEncodingSubscriptionEquivalence walks one subscription per
+// encoding through an initial set, an append, a replace (resync) and a drop
+// (error trailer), in lockstep, and requires the two decoded transcripts —
+// tuples per batch, every marker, the trailer — to be identical.
+func TestCrossEncodingSubscriptionEquivalence(t *testing.T) {
+	ts := httptest.NewServer(server.New(server.Config{}).Handler())
+	defer ts.Close()
+	put := func(body map[string]any) uint64 {
+		t.Helper()
+		raw, _ := json.Marshal(body)
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/datasets/live", bytes.NewReader(raw))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var info struct {
+			Version uint64 `json:"version"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("PUT: status %d, %v", resp.StatusCode, err)
+		}
+		return info.Version
+	}
+
+	version := put(map[string]any{"relations": map[string][][]int64{"R": {{1, 2}, {3, 4}}, "S": {{2, 5}, {4, 6}, {4, 7}}}})
+	subs := []*subscriber{
+		subscribe(t, ts.URL+"/datasets/live/subscribe", ucq.MediaTypeNDJSON, "Q(x,y,z) <- R(x,y), S(y,z)."),
+		subscribe(t, ts.URL+"/datasets/live/subscribe", ucq.MediaTypeBinary, "Q(x,y,z) <- R(x,y), S(y,z)."),
+	}
+	script := []map[string]any{
+		{"append": true, "relations": map[string][][]int64{"R": {{8, 2}}, "S": {{2, 9}}}},
+		{"relations": map[string][][]int64{"R": {{7, 8}, {9, 10}}, "S": {{8, 11}, {10, 12}}}}, // replace: resync
+	}
+	for step := 0; ; step++ {
+		for _, sub := range subs {
+			sub.await(t, version)
+		}
+		if step == len(script) {
+			break
+		}
+		version = put(script[step])
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/datasets/live", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	for _, sub := range subs {
+		select {
+		case <-sub.done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%q subscription outlived its dataset", sub.accept)
+		}
+		if sub.err != nil || sub.trailer == nil {
+			t.Fatalf("%q subscription: trailer %+v, err %v", sub.accept, sub.trailer, sub.err)
+		}
+	}
+	nd, bin := subs[0], subs[1]
+	if got, want := strings.Join(bin.transcript, "\n"), strings.Join(nd.transcript, "\n"); got != want {
+		t.Fatalf("transcripts disagree\nndjson:\n%s\nbinary:\n%s", want, got)
+	}
+	// The second subscriber found the first one's plan in the cache.
+	tr, binTr := *nd.trailer, *bin.trailer
+	tr.Cache, binTr.Cache = "", ""
+	if tr != binTr {
+		t.Fatalf("trailers disagree: ndjson %+v vs binary %+v", nd.trailer, bin.trailer)
+	}
+	// The script itself: 3 answers, +3 from the append, a resync to the 2 of
+	// the replaced dataset, then the drop.
+	if tr.Done || !strings.Contains(tr.Error, "dropped") || tr.Count != 3+3+2 || tr.DatasetVersion != version {
+		t.Errorf("trailer = %+v, want done:false, a dropped-dataset error, count 8 at version %d", tr, version)
+	}
+	if want := fmt.Sprintf("marker %+v", ucq.SubscriptionEvent{Version: version, Resync: true}); !strings.Contains(strings.Join(nd.transcript, "\n"), want) {
+		t.Errorf("transcript has no %q:\n%s", want, strings.Join(nd.transcript, "\n"))
+	}
 }
