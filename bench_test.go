@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/database"
 	"repro/internal/enumeration"
+	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/hypergraph"
@@ -414,10 +415,10 @@ func BenchmarkAblationDedupTupleSetVsStringKey(b *testing.B) {
 	})
 }
 
-// BenchmarkE12UnionParallelVsSequential: the Theorem 12 pipeline's two
-// enumeration modes over one prepared plan — the sequential Cheater-wrapped
-// chain vs the per-branch worker merge. Preparation is excluded: the
-// comparison is pure enumeration throughput.
+// BenchmarkE12UnionParallelVsSequential: the Theorem 12 pipeline's one
+// merge over one prepared plan from its two sources — tasks run inline
+// ("sequential") vs on the executor with GOMAXPROCS workers. Preparation is
+// excluded: the comparison is pure enumeration throughput.
 func BenchmarkE12UnionParallelVsSequential(b *testing.B) {
 	u := MustParse(`
 		Q1(x,y,v,u) <- R1(x,z1), R2(z1,z2), R3(z2,z3), R4(z3,y), R5(y,v,u).
@@ -444,7 +445,8 @@ func BenchmarkE12UnionParallelVsSequential(b *testing.B) {
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if got := drain(b, plan.IteratorParallel(0)); got != want {
+			it := plan.Answers(context.Background(), enumeration.UnionOptions{Workers: runtime.GOMAXPROCS(0)}, nil)
+			if got := drain(b, it); got != want {
 				b.Fatalf("answers = %d, want %d", got, want)
 			}
 		}
@@ -473,6 +475,9 @@ func (h *headStream) NextBatch(buf []Value, max int) ([]Value, int) {
 	}
 	return buf, n
 }
+
+// Split makes headStream an exec.Task that never divides.
+func (h *headStream) Split() exec.Task { return nil }
 
 // BenchmarkE16WorkStealingSkew: the work-stealing executor against the
 // per-branch-worker model on a self-join with ~91% output skew. The query
@@ -509,10 +514,10 @@ func BenchmarkE16WorkStealingSkew(b *testing.B) {
 	// -<digits> as the GOMAXPROCS suffix.)
 	b.Run("per-branch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			it := enumeration.NewParallelUnionOpts(3, enumeration.UnionOptions{
+			it := enumeration.NewUnion(context.Background(), 3, enumeration.UnionOptions{
 				Workers:  8,
 				Disjoint: true, // a single CDY branch is duplicate-free
-			}, &headStream{it: engine.Iterator()})
+			}, []exec.Task{enumeration.TaskOf(&headStream{it: engine.Iterator()})})
 			if got := drain(b, it); got != want {
 				b.Fatalf("answers = %d, want %d", got, want)
 			}
@@ -522,7 +527,7 @@ func BenchmarkE16WorkStealingSkew(b *testing.B) {
 	for _, wk := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("worksteal/workers=%d", wk), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				it := plan.IteratorParallelCtx(context.Background(), core.ExecOptions{Workers: wk})
+				it := plan.Answers(context.Background(), enumeration.UnionOptions{Workers: wk}, nil)
 				if got := drain(b, it); got != want {
 					b.Fatalf("answers = %d, want %d", got, want)
 				}

@@ -10,10 +10,13 @@
 // CSV rows are comma/space/semicolon-separated integers; '#' starts a
 // comment line.
 //
-// Without -workers the planner's cost model picks between the sequential
-// iterator and the work-stealing executor per bind from the instance
-// (adaptive execution); the resolved decision is reported on stderr.
-// -workers N pins the executor with N workers. With -count and no -limit,
+// There is one enumeration path — root-range tasks through one Cheater's
+// Lemma merge — and -workers only picks where the tasks run. Without it the
+// planner's cost model decides per bind from the instance (adaptive
+// execution) between inline on the main goroutine ("sequential",
+// deterministic answer order) and the work-stealing executor ("parallel");
+// the resolved decision is reported on stderr. -workers N pins the
+// executor with N workers. With -count and no -limit,
 // certified single-branch plans answer from the Theorem 12 counting pass
 // without enumerating.
 //

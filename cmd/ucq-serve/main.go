@@ -52,9 +52,11 @@
 //	                              subscription counters as JSON
 //	GET    /healthz               liveness probe
 //
-// Execution is adaptive by default: unless a request sets the workers
-// option, the planner's cost model picks between the sequential iterator
-// and the work-stealing executor per bind from the bound instance; /stats
+// Execution is adaptive by default. Every certified plan is drained as
+// root-range tasks through one Cheater's Lemma merge; unless a request sets
+// the workers option, the planner's cost model picks per bind, from the
+// bound instance, whether those tasks run inline on the request's goroutine
+// ("sequential") or on the work-stealing executor ("parallel"); /stats
 // reports the decision mix under decision_modes. An explicit workers count
 // pins the executor.
 //
@@ -70,10 +72,10 @@
 // dataset write is journaled (snapshot + fsynced WAL) under the directory
 // before the HTTP response acknowledges it, and a restarted server replays
 // the journal, serving every dataset at the exact version its clients last
-// saw. -dedup-budget N caps the in-memory dedup set of parallel and auto
-// execution: a certified plan whose exact answer count exceeds N dedups
-// through a disk-backed spill table (in -spill-dir, default the OS temp
-// directory) instead of holding every distinct answer in memory. Both are
+// saw. -dedup-budget N caps the merge's in-memory dedup set, whichever way
+// a request executes: a certified plan whose distinct answers exceed N
+// dedups through a disk-backed spill table (in -spill-dir, default the OS
+// temp directory) instead of holding every distinct answer in memory. Both are
 // single/worker-role features; a coordinator holds no datasets and refuses
 // -data-dir.
 //
@@ -86,8 +88,8 @@
 // every non-coordinator server). The scatter-* flags tune the fan-out.
 //
 // Cancellation is end to end: a client disconnect mid-stream cancels the
-// request context, which stops the enumeration's work-stealing executor
-// and frees its workers. SIGINT/SIGTERM triggers a graceful shutdown that
+// request context, which stops the enumeration within one batch and frees
+// any executor workers behind it. SIGINT/SIGTERM triggers a graceful shutdown that
 // cancels all in-flight streams the same way before the listener drains.
 //
 // Example:

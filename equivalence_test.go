@@ -26,6 +26,9 @@ func canonicalAnswers(t *testing.T, p *Plan) string {
 		}
 		rows = append(rows, tup.String())
 	}
+	if err := AnswersErr(it); err != nil {
+		t.Fatalf("stream ended with an error: %v", err)
+	}
 	sort.Strings(rows)
 	// Engines must be duplicate-free individually; catch that here too.
 	for i := 1; i < len(rows); i++ {
@@ -40,9 +43,10 @@ func canonicalAnswers(t *testing.T, p *Plan) string {
 }
 
 // TestCrossEngineEquivalence is the randomized cross-engine harness: over
-// 220 seeded random UCQs and instances, the naive, sequential CDY,
-// executor (workers ∈ {1,2,8}), Auto and spilled engines must return
-// identical answer sets. The preparation is shared across execution variants through the
+// 220 seeded random UCQs and instances, the naive evaluator and the
+// certified pipeline at every source of its one merge — inline
+// ("sequential"), executor (workers ∈ {1,2,8}), Auto, each also with a
+// spilled dedup set — must return identical answer sets. The preparation is shared across execution variants through the
 // Prepare/Bind split — the same reuse path the server's plan cache
 // exercises — and each case additionally routes through a catalog
 // BindDataset twice, checking that a bind-cache-served plan enumerates
@@ -84,10 +88,11 @@ func TestCrossEngineEquivalence(t *testing.T) {
 			// A tiny dedup budget forces the merge's dedup set onto the
 			// disk-backed spill table for any non-trivial answer set; the
 			// spilled path must return the identical answer set.
+			{"sequential-spill", &PlanOptions{DedupBudget: 2}},
 			{"workers-1-spill", &PlanOptions{Workers: 1, DedupBudget: 2}},
 			{"workers-4-spill", &PlanOptions{Workers: 4, DedupBudget: 2}},
-			// With Auto the budget also drives the cost decision: an exact
-			// count over budget forces the spillable parallel merge.
+			// With Auto the budget also feeds the cost decision, which
+			// reports an exact count over budget as a spill.
 			{"auto-spill", &PlanOptions{Auto: true, DedupBudget: 2}},
 		}
 		for _, e := range execs {
@@ -297,6 +302,48 @@ func TestCrossEngineEquivalenceBooleanAndEmpty(t *testing.T) {
 		}
 		if n := p.Count(); n != 1 {
 			t.Errorf("opts %+v: boolean union returned %d answers, want 1", opts, n)
+		}
+	}
+}
+
+// TestInlineEnumerationIsDeterministic: with Workers 0 the merge runs its
+// tasks in order on the caller's goroutine — bonus answers, then each
+// member plan, every answer at its first occurrence — so two drains of one
+// Example 2 plan, and a drain of a second bind of the same instance, yield
+// the identical sequence. (Executor-backed streams only promise the set.)
+func TestInlineEnumerationIsDeterministic(t *testing.T) {
+	u := MustParse(`
+		Q1(x,y,w) <- R1(x,z), R2(z,y), R3(y,w).
+		Q2(x,y,w) <- R1(x,y), R2(y,w).
+	`)
+	inst := workload.Example2Instance(100, 3, 7)
+	sequence := func(p *Plan) []string {
+		var rows []string
+		for tup := range p.All(nil) {
+			rows = append(rows, tup.String())
+		}
+		return rows
+	}
+	p, err := NewPlan(u, inst, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := NewPlan(u, inst, &PlanOptions{Workers: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sequence(p)
+	if len(want) < 1000 {
+		t.Fatalf("Example 2 instance yields only %d answers", len(want))
+	}
+	for name, got := range map[string][]string{"second drain": sequence(p), "second bind": sequence(again)} {
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d answers, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: answer %d = %s, want %s", name, i, got[i], want[i])
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/cq"
 	"repro/internal/database"
 	"repro/internal/enumeration"
+	"repro/internal/exec"
 	"repro/internal/yannakakis"
 )
 
@@ -24,8 +24,8 @@ import (
 // full homomorphism, emitted as a bona fide answer of the union (the
 // "answers produced along the way" of the proof), and translated through
 // the body-homomorphism into a row of the virtual relation. The extended
-// CQs are then enumerated by the CDY engine, and the whole stream is
-// wrapped in the Cheater's Lemma combinator (Lemma 5), which absorbs the
+// CQs are then enumerated by the CDY engine, and the whole stream is merged
+// by the Cheater's Lemma (Lemma 5, enumeration.Union), which absorbs the
 // constantly-many linear stalls and the constant duplication factor.
 type UnionPlan struct {
 	U    *cq.UCQ
@@ -35,7 +35,7 @@ type UnionPlan struct {
 	// virtual relations; they are answers of the union.
 	bonus []database.Tuple
 	plans []*yannakakis.Plan
-	// m is the duplication bound handed to the Cheater combinator.
+	// m is the Lemma 5 duplication bound handed to the merge.
 	m int
 	// resolved caches instantiated instances per extension snapshot.
 	resolved map[*ExtendedCQ]*database.Instance
@@ -43,7 +43,7 @@ type UnionPlan struct {
 	stats    UnionStats
 
 	// estimate caches the summed branch cardinality (-1 until computed),
-	// used to pre-size the parallel merge's dedup set. It is the only
+	// used to pre-size the executor-fed merge's dedup set. It is the only
 	// field written after preparation, so it is atomic: a bound plan served
 	// from the catalog's bind cache is iterated by concurrent requests, and
 	// racing computations store the same value.
@@ -220,90 +220,60 @@ func (p *UnionPlan) Explain() string {
 }
 
 // Iterator returns a fresh duplicate-free iterator over the union's
-// answers (head tuples, positional).
-func (p *UnionPlan) Iterator() enumeration.Iterator {
-	return enumeration.NewCheater(enumeration.NewChain(p.branches()...), p.m)
+// answers (head tuples, positional), run inline on the caller's goroutine:
+// shorthand for Answers with the zero options.
+func (p *UnionPlan) Iterator() *enumeration.Union {
+	return p.Answers(context.Background(), enumeration.UnionOptions{}, nil)
 }
 
-// DeltaIterator returns a fresh duplicate-free iterator restricted to the
-// union members a change to the named relations can affect: the bonus
-// answers (provider runs may reference the relations transitively) plus
-// the head streams of extensions whose relation footprint meets names.
-// Untouched branches enumerate the same answers at both ends of an append
-// delta, so semi-naive maintenance skips them. With nil or empty names it
-// degenerates to Iterator.
-func (p *UnionPlan) DeltaIterator(names map[string]struct{}) enumeration.Iterator {
-	if len(names) == 0 {
-		return p.Iterator()
-	}
-	its := make([]enumeration.Iterator, 0, len(p.plans)+1)
-	its = append(its, enumeration.NewSliceIterator(p.bonus))
-	for i, plan := range p.plans {
-		if p.Cert.Extensions[i].TouchesRelations(names) {
-			its = append(its, &headIterator{it: plan.Iterator()})
-		}
-	}
-	return enumeration.NewCheater(enumeration.NewChain(its...), p.m)
-}
-
-// ExecOptions tunes a parallel (executor-backed) enumeration of a union
-// plan.
-type ExecOptions struct {
-	// BatchSize is the per-task batch size; ≤ 0 selects the default.
-	BatchSize int
-	// Workers bounds the work-stealing executor's pool; ≤ 0 selects
-	// GOMAXPROCS.
-	Workers int
-	// SpillBudget, when positive, bounds the merge dedup set's in-memory
-	// entry count; past it dedup migrates to a disk-backed table. See
-	// enumeration.UnionOptions.
-	SpillBudget int
-	// SpillDir hosts spilled dedup tables; empty selects os.TempDir().
-	SpillDir string
-}
-
-// resolveWorkers maps the option onto a concrete pool size.
-func (o ExecOptions) resolveWorkers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// IteratorParallel returns a fresh duplicate-free iterator that drains the
-// union's branches concurrently on the work-stealing executor, merging
-// through a shared dedup set. The answer set is identical to Iterator's;
-// the order is nondeterministic. The constant-delay guarantee is traded for
-// throughput: answers arrive as fast as the slowest lock-free batch merge,
-// not one by one. batchSize ≤ 0 selects enumeration.DefaultBatchSize.
+// Answers is the one stream builder: it cuts the bonus answers recorded
+// during preprocessing and every member plan into tasks and hands them to
+// the Cheater's Lemma merge (enumeration.Union). opts carries the caller's
+// choices — Workers, BatchSize, SpillBudget, SpillDir; Answers sets what
+// follows from the plan:
 //
-// The returned union must be drained to exhaustion or Closed; see
-// enumeration.ParallelUnion.
-func (p *UnionPlan) IteratorParallel(batchSize int) *enumeration.ParallelUnion {
-	return p.IteratorParallelCtx(context.Background(), ExecOptions{BatchSize: batchSize})
-}
-
-// IteratorParallelCtx is the full parallel entry point: every member plan
-// is cut into root-range tasks that the executor steals and re-splits, so
-// a single heavy CQ branch decomposes across opts.Workers workers instead
-// of serialising on one goroutine. Cancelling ctx releases the workers
-// within one batch, whether or not the stream is Closed. When the union
-// has a single member and no bonus answers, the root-range task streams
-// are pairwise disjoint and the merge skips deduplication entirely.
-func (p *UnionPlan) IteratorParallelCtx(ctx context.Context, opts ExecOptions) *enumeration.ParallelUnion {
-	workers := opts.resolveWorkers()
-	tasks, disjoint := p.execTasks(workers)
-	uo := enumeration.UnionOptions{
-		BatchSize:   opts.BatchSize,
-		Workers:     workers,
-		Disjoint:    disjoint,
-		SpillBudget: opts.SpillBudget,
-		SpillDir:    opts.SpillDir,
+//   - The task cut. Inline (Workers 0) each member is one full-range task
+//     and the stream is deterministic: bonus answers, then member 0, member
+//     1, …, each answer at its first occurrence. On the executor each
+//     member is cut into splitFactor × Workers root-range tasks that
+//     workers steal and re-split; the answer set is identical, the order
+//     is not.
+//   - Disjoint, when the stream is one CDY plan with nothing merged in: a
+//     single plan's head stream is duplicate-free and root ranges partition
+//     it (the ExactCount condition), so the merge skips deduplication.
+//   - The Lemma 5 bound p.m inline, where it paces the delay; a SizeHint on
+//     the executor only — an O(answers) table built before the first answer
+//     would break the inline source's first-answer latency.
+//
+// A non-empty names restricts the stream to the members a change to the
+// named relations can affect: the bonus answers (provider runs may
+// reference the relations transitively) plus the extensions whose relation
+// footprint meets names. Untouched members enumerate the same answers at
+// both ends of an append delta, so semi-naive maintenance skips them.
+//
+// Cancelling ctx ends the stream within one batch. A stream on the
+// executor must be drained to exhaustion or Closed; see enumeration.Union.
+func (p *UnionPlan) Answers(ctx context.Context, opts enumeration.UnionOptions, names map[string]struct{}) *enumeration.Union {
+	parts := max(splitFactor*opts.Workers, 1)
+	tasks := make([]exec.Task, 0, 1+parts*len(p.plans))
+	if len(p.bonus) > 0 {
+		tasks = append(tasks, enumeration.NewSliceIterator(p.bonus))
 	}
-	if !disjoint {
-		uo.SizeHint = p.sizeHint()
+	members := 0
+	for i, pl := range p.plans {
+		if len(names) > 0 && !p.Cert.Extensions[i].TouchesRelations(names) {
+			continue
+		}
+		members++
+		tasks = planTasks(tasks, pl, parts)
 	}
-	return enumeration.NewParallelUnionTasks(ctx, p.U.Arity(), uo, tasks)
+	opts.Disjoint = members <= 1 && len(p.bonus) == 0
+	if opts.Workers == 0 {
+		opts.M = p.m
+	} else if !opts.Disjoint {
+		opts.SizeHint = p.sizeHint()
+	}
+	return enumeration.NewUnion(ctx, p.U.Arity(), opts, tasks)
 }
 
 // AnswerEstimate lazily computes and caches the union's summed branch
@@ -311,8 +281,8 @@ func (p *UnionPlan) IteratorParallelCtx(ctx context.Context, opts ExecOptions) *
 // count (one linear counting pass per branch, no enumeration).
 // Cross-branch duplicates make this an upper bound on the distinct answer
 // count; for a single-branch union with no bonus answers it is exact. The
-// parallel merge pre-sizes its dedup set from it, and the cost model reads
-// it as the output-volume input of the mode decision.
+// executor-fed merge pre-sizes its dedup set from it, and the cost model
+// reads it as the output-volume input of the mode decision.
 func (p *UnionPlan) AnswerEstimate() int64 {
 	est := p.estimate.Load()
 	if est < 0 {
@@ -377,17 +347,6 @@ func (p *UnionPlan) sizeHint() int {
 	return int(est)
 }
 
-// branches builds the union's member streams: the bonus answers recorded
-// during preprocessing, then one head stream per extended CQ.
-func (p *UnionPlan) branches() []enumeration.Iterator {
-	its := make([]enumeration.Iterator, 0, len(p.plans)+1)
-	its = append(its, enumeration.NewSliceIterator(p.bonus))
-	for _, plan := range p.plans {
-		its = append(its, &headIterator{it: plan.Iterator()})
-	}
-	return its
-}
-
 // Materialize drains a fresh iterator into a relation.
 func (p *UnionPlan) Materialize() *database.Relation {
 	out := database.NewRelation("union", p.U.Arity())
@@ -401,8 +360,8 @@ func (p *UnionPlan) Materialize() *database.Relation {
 	}
 }
 
-// headIterator adapts a CDY plan iterator to the enumeration.Iterator
-// interface, yielding head tuples.
+// headIterator adapts a CDY plan iterator to the enumeration.Testable
+// interface Algorithm 1 consumes, yielding head tuples.
 type headIterator struct {
 	it *yannakakis.Iterator
 }
@@ -412,18 +371,6 @@ func (h *headIterator) Next() (database.Tuple, bool) {
 		return nil, false
 	}
 	return h.it.HeadTuple(), true
-}
-
-// NextBatch implements enumeration.BatchIterator: head values are appended
-// straight from the engine's assignment registers, with no per-answer tuple
-// allocation.
-func (h *headIterator) NextBatch(buf []database.Value, max int) ([]database.Value, int) {
-	n := 0
-	for n < max && h.it.Next() {
-		buf = h.it.AppendHead(buf)
-		n++
-	}
-	return buf, n
 }
 
 // Contains implements enumeration.Testable via the plan's constant-time

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cq"
 	"repro/internal/database"
+	"repro/internal/enumeration"
 	"repro/internal/workload"
 )
 
@@ -46,7 +47,8 @@ func TestIteratorParallelMatchesSequential(t *testing.T) {
 			}
 			want := sortedTuples(plan.Iterator())
 			for _, batch := range []int{0, 1, 7} {
-				got := sortedTuples(plan.IteratorParallel(batch))
+				got := sortedTuples(plan.Answers(context.Background(),
+					enumeration.UnionOptions{Workers: 2, BatchSize: batch}, nil))
 				if len(got) != len(want) {
 					t.Fatalf("trial %d batch %d: %d answers, want %d", trial, batch, len(got), len(want))
 				}
@@ -73,7 +75,7 @@ func TestIteratorParallelCloseEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := plan.IteratorParallel(4)
+	it := plan.Answers(context.Background(), enumeration.UnionOptions{Workers: 2, BatchSize: 4}, nil)
 	if _, ok := it.Next(); !ok {
 		t.Skip("instance produced no answers")
 	}
@@ -84,9 +86,9 @@ func TestIteratorParallelCloseEarly(t *testing.T) {
 }
 
 // TestIteratorParallelDisjointSingleBranch: a single free-connex CQ's
-// root-range tasks partition its answers, so the executor merge runs
-// dedup-free at any pool size and still produces the exact answer set —
-// on an instance whose output concentrates on one join key.
+// root-range tasks partition its answers, so the merge runs dedup-free at
+// any worker count — inline included — and still produces the exact answer
+// set, on an instance whose output concentrates on one join key.
 func TestIteratorParallelDisjointSingleBranch(t *testing.T) {
 	u := cq.MustParse("Q(x,y,w) <- R1(x,y), R2(y,w).")
 	cert, ok := FindCertificate(u, nil)
@@ -102,8 +104,8 @@ func TestIteratorParallelDisjointSingleBranch(t *testing.T) {
 	if len(want) != 800*12+23*30*4 {
 		t.Fatalf("unexpected sequential answer count %d", len(want))
 	}
-	for _, workers := range []int{1, 2, 8} {
-		it := plan.IteratorParallelCtx(context.Background(), ExecOptions{Workers: workers})
+	for _, workers := range []int{0, 1, 2, 8} {
+		it := plan.Answers(context.Background(), enumeration.UnionOptions{Workers: workers}, nil)
 		got := sortedTuples(it)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d answers, want %d", workers, len(got), len(want))

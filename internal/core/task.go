@@ -1,16 +1,18 @@
 package core
 
-// Task producers for the work-stealing executor: a certified extension's
-// CDY plan is decomposed into root-range tasks (resumable slices of its
-// enumeration), so one heavy CQ branch fans out across workers instead of
-// saturating a single per-branch goroutine. Tasks re-split when stolen and
-// shed half of their remainder to idle workers — the executor drives both
-// through exec.Task.Split, which here delegates to the engine's
-// range-cursor SplitOff.
+// Tasks are the unit every enumeration of a union plan is cut into: a
+// certified extension's CDY plan is decomposed into root-range tasks
+// (resumable slices of its enumeration) that the one merge
+// (enumeration.Union) drains in batches — one full-range task per plan, in
+// order, on the caller's goroutine for the inline source; splitFactor
+// ranges per worker on the work-stealing executor, where one heavy CQ
+// branch fans out across workers instead of saturating a single goroutine.
+// There tasks re-split when stolen and shed half of their remainder to
+// idle workers — the executor drives both through exec.Task.Split, which
+// here delegates to the engine's range-cursor SplitOff.
 
 import (
 	"repro/internal/database"
-	"repro/internal/enumeration"
 	"repro/internal/exec"
 	"repro/internal/yannakakis"
 )
@@ -20,18 +22,30 @@ import (
 // repaired adaptively by steal-time splitting.
 const splitFactor = 2
 
-// planTask is one resumable root-range slice of a CDY plan's enumeration,
-// yielding head tuples.
+// planTask is one resumable root-range slice [lo, hi) of a CDY plan's
+// enumeration, yielding head tuples. Its engine iterator is created on the
+// first batch (or split), so cutting a plan into tasks allocates nothing
+// per range and a task that is never reached costs nothing.
 type planTask struct {
-	it *yannakakis.Iterator
+	plan   *yannakakis.Plan
+	lo, hi int
+	it     *yannakakis.Iterator
+}
+
+func (t *planTask) iter() *yannakakis.Iterator {
+	if t.it == nil {
+		t.it = t.plan.IteratorRange(t.lo, t.hi)
+	}
+	return t.it
 }
 
 // NextBatch implements exec.Task: head values are appended straight from
 // the engine's assignment registers, with no per-answer tuple allocation.
 func (t *planTask) NextBatch(buf []database.Value, max int) ([]database.Value, int) {
+	it := t.iter()
 	n := 0
-	for n < max && t.it.Next() {
-		buf = t.it.AppendHead(buf)
+	for n < max && it.Next() {
+		buf = it.AppendHead(buf)
 		n++
 	}
 	return buf, n
@@ -40,40 +54,23 @@ func (t *planTask) NextBatch(buf []database.Value, max int) ([]database.Value, i
 // Split implements exec.Task by carving off half of the slice's unvisited
 // root rows.
 func (t *planTask) Split() exec.Task {
-	if half := t.it.SplitOff(); half != nil {
+	if half := t.iter().SplitOff(); half != nil {
 		return &planTask{it: half}
 	}
 	return nil
 }
 
-// planTasks cuts a prepared plan into root-range tasks, at most parts.
-func planTasks(pl *yannakakis.Plan, parts int) []exec.Task {
-	its := pl.Split(parts)
-	out := make([]exec.Task, len(its))
-	for i, it := range its {
-		out[i] = &planTask{it: it}
+// planTasks appends the plan's root-range tasks to tasks: at most parts
+// (and at least one) contiguous ranges that partition [0, RootLen), so the
+// task streams are pairwise disjoint and together cover the plan's answer
+// set (see yannakakis.IteratorRange).
+func planTasks(tasks []exec.Task, pl *yannakakis.Plan, parts int) []exec.Task {
+	n := pl.RootLen()
+	parts = max(min(parts, n), 1)
+	ranges := make([]planTask, parts)
+	for i := range ranges {
+		ranges[i] = planTask{plan: pl, lo: i * n / parts, hi: (i + 1) * n / parts}
+		tasks = append(tasks, &ranges[i])
 	}
-	return out
-}
-
-// execTasks builds the union's work units for an executor with the given
-// worker count: the bonus answers recorded during preprocessing plus every
-// member plan cut into root-range tasks. The boolean reports whether the
-// task streams are pairwise disjoint and individually duplicate-free —
-// true exactly when the union has one member and no bonus answers (a
-// single CDY plan's head stream is duplicate-free, and root ranges
-// partition it) — letting the merge skip deduplication.
-func (p *UnionPlan) execTasks(workers int) ([]exec.Task, bool) {
-	parts := splitFactor * workers
-	if parts < 1 {
-		parts = 1
-	}
-	var tasks []exec.Task
-	if len(p.bonus) > 0 {
-		tasks = append(tasks, enumeration.TaskOf(enumeration.NewSliceIterator(p.bonus)))
-	}
-	for _, pl := range p.plans {
-		tasks = append(tasks, planTasks(pl, parts)...)
-	}
-	return tasks, len(p.plans) == 1 && len(p.bonus) == 0
+	return tasks
 }

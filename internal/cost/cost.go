@@ -1,9 +1,10 @@
 // Package cost is the planner's execution cost model: given what the bind
 // path already knows about one (query, instance) pair — relation
 // cardinalities, exact output counts where the Theorem 12 machinery
-// provides them, and the machine's parallelism — it picks between the
-// sequential iterator and the work-stealing executor, and sizes the
-// executor's worker pool.
+// provides them, and the machine's parallelism — it picks the source of the
+// one enumeration path: the tasks run inline on the caller's goroutine
+// ("sequential", Workers 0) or on the work-stealing executor ("parallel"),
+// whose worker pool it sizes.
 //
 // The query's class decides what is *possible* (free-connex ⇒ constant
 // delay); the instance's size decides what is *fast*: tiny instances and
@@ -47,8 +48,8 @@ type Inputs struct {
 // the choice was made from, surfaced through Plan.Explain and /stats so a
 // regressed decision is observable rather than a silent slowdown.
 type Decision struct {
-	// Workers is the resolved PlanOptions.Workers: 0 for the sequential
-	// iterator, n ≥ 1 for the work-stealing executor with n workers.
+	// Workers is the resolved PlanOptions.Workers: 0 for the inline
+	// source, n ≥ 1 for the work-stealing executor with n workers.
 	Workers int
 	// Spill directs the merge's dedup set to the disk-backed table once it
 	// outgrows Inputs.MemBudget.
@@ -69,8 +70,8 @@ func (d *Decision) Kind() string {
 
 // MinParallelWork is the smallest work — input rows plus output answers,
 // the two linear terms of the Theorem 12 cost model — worth paying the
-// executor's fixed costs for: worker startup, batch channels, the merge.
-// Below it a sequential drain finishes before a pool warms up.
+// executor's fixed costs for: worker startup and batch channels. Below it
+// an inline drain finishes before a pool warms up.
 const MinParallelWork = 1 << 12 // 4096 tuples
 
 // Decide resolves the execution strategy for one bind.
@@ -78,17 +79,11 @@ func Decide(in Inputs) Decision {
 	d := decideMode(in)
 	// Spill is an orthogonal overlay on the mode choice: when the exact
 	// count already proves the answer set exceeds the memory budget, the
-	// dedup set must go to disk. A sequential pick is upgraded to the
-	// parallel merge, the only path that carries the spillable dedup set;
-	// on one CPU it runs with one worker.
+	// dedup set will go to disk. The merge honours the budget at every
+	// worker count, so the pick itself stands.
 	if in.MemBudget > 0 && in.Answers > in.MemBudget && in.ConstantDelay {
 		d.Spill = true
-		if d.Workers == 0 {
-			d.Workers = max(in.CPUs, 1)
-			d.Reason = fmt.Sprintf("%d exact answers exceed the %d-answer memory budget: spilled dedup on the parallel merge", in.Answers, in.MemBudget)
-		} else {
-			d.Reason += fmt.Sprintf("; %d answers exceed the %d-answer budget, dedup spills to disk", in.Answers, in.MemBudget)
-		}
+		d.Reason += fmt.Sprintf("; %d answers exceed the %d-answer budget, dedup spills to disk", in.Answers, in.MemBudget)
 	}
 	return d
 }

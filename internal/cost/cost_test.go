@@ -7,8 +7,9 @@ import (
 
 // TestDecideAlwaysValid is the property the plan layer relies on: for any
 // inputs — including nonsense ones — the resolved worker count satisfies
-// PlanOptions validation (never negative, never a spill without the
-// executor's merge) and the provenance fields are populated.
+// PlanOptions validation (never negative), a spill is reported exactly when
+// an exact count exceeds a set budget, and the provenance fields are
+// populated.
 func TestDecideAlwaysValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	for i := 0; i < 5000; i++ {
@@ -21,8 +22,8 @@ func TestDecideAlwaysValid(t *testing.T) {
 			MemBudget:     rng.Int63n(1<<20) - 1, // includes -1 and 0 (unbounded)
 		}
 		d := Decide(in)
-		if d.Spill && d.Workers == 0 {
-			t.Fatalf("case %d: spill without the parallel merge %+v from %+v", i, d, in)
+		if over := in.ConstantDelay && in.MemBudget > 0 && in.Answers > in.MemBudget; d.Spill != over {
+			t.Fatalf("case %d: Spill = %v, want %v (spill ⇔ constant delay ∧ answers over a set budget): %+v", i, d.Spill, over, d)
 		}
 		if d.Workers < 0 {
 			t.Fatalf("case %d: negative worker count %+v", i, d)
@@ -71,9 +72,9 @@ func TestDecideRegimes(t *testing.T) {
 }
 
 // TestDecideSpill pins the budget overlay: an exact count over the budget
-// forces the spilled dedup path (even on one CPU, where the mode would
-// otherwise be sequential), while naive mode (no exact count) is left
-// alone.
+// is reported as a spill without changing the worker pick (the merge
+// honours the budget at every worker count, so one CPU stays inline), while
+// naive mode (no exact count) is left alone.
 func TestDecideSpill(t *testing.T) {
 	base := Inputs{ConstantDelay: true, Rows: 1 << 16, Answers: 1 << 16, CPUs: 8, MemBudget: 1 << 10}
 	if d := Decide(base); !d.Spill || d.Workers != 8 {
@@ -81,8 +82,8 @@ func TestDecideSpill(t *testing.T) {
 	}
 	one := base
 	one.CPUs = 1
-	if d := Decide(one); !d.Spill || d.Workers != 1 {
-		t.Fatalf("over-budget on one CPU must still reach the spillable merge: %+v", d)
+	if d := Decide(one); !d.Spill || d.Workers != 0 {
+		t.Fatalf("over-budget on one CPU must spill inline, not buy an executor: %+v", d)
 	}
 	under := base
 	under.MemBudget = 1 << 20

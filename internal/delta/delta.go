@@ -29,6 +29,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/database"
+	"repro/internal/enumeration"
 	"repro/internal/storage"
 )
 
@@ -125,7 +126,7 @@ func Candidates(ctx context.Context, u *cq.UCQ, cert *core.Certificate, toInst *
 		if err != nil {
 			return true, err
 		}
-		return true, drain(ctx, plan.Iterator(), nil, yield)
+		return true, drain(ctx, plan.Answers(ctx, enumeration.UnionOptions{}, nil), nil, yield)
 	}
 	seen := database.NewTupleSet(0)
 	for _, name := range touched {
@@ -136,7 +137,7 @@ func Candidates(ctx context.Context, u *cq.UCQ, cert *core.Certificate, toInst *
 		if err != nil {
 			return false, err
 		}
-		it := plan.DeltaIterator(map[string]struct{}{name: {}})
+		it := plan.Answers(ctx, enumeration.UnionOptions{}, map[string]struct{}{name: {}})
 		if err := drain(ctx, it, seen, yield); err != nil {
 			return false, err
 		}
@@ -177,27 +178,19 @@ func CandidatesNaive(ctx context.Context, u *cq.UCQ, toInst *database.Instance, 
 }
 
 // drain pushes it's tuples through seen-dedup (nil seen = no dedup) into
-// yield, checking ctx every ctxCheckEvery tuples.
-func drain(ctx context.Context, it interface {
-	Next() (database.Tuple, bool)
-}, seen *database.TupleSet, yield func(database.Tuple) bool) error {
-	n := 0
+// yield. The stream itself stops within one batch of ctx being cancelled,
+// silently — so its end is only a completed drain if ctx is still live.
+func drain(ctx context.Context, it *enumeration.Union, seen *database.TupleSet, yield func(database.Tuple) bool) error {
 	for {
 		t, ok := it.Next()
 		if !ok {
-			return nil
+			return ctx.Err()
 		}
 		if seen != nil && !seen.Insert(t) {
 			continue
 		}
 		if !yield(t) {
 			return nil
-		}
-		n++
-		if n%ctxCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"repro/internal/database"
 )
 
-// slowInfinite yields an endless stream so the wrapped ParallelUnion's
-// workers only exit when released.
+// slowInfinite yields an endless stream so the wrapped executor-backed
+// Union's workers only exit when released.
 type slowInfinite struct{ i int64 }
 
 func (s *slowInfinite) Next() (database.Tuple, bool) {
@@ -18,8 +18,9 @@ func (s *slowInfinite) Next() (database.Tuple, bool) {
 }
 
 // TestCloseForwardsThroughWrappers pins the wrapper contract: closing the
-// outermost iterator of a Chain / Cheater / AlgorithmOne stack releases a
-// parallel union nested anywhere inside it. Before Close forwarding,
+// outermost iterator of a Union / AlgorithmOne stack releases an
+// executor-backed union nested anywhere inside it — a Union forwards Close
+// to its unfinished tasks, at either source. Before Close forwarding,
 // CloseAnswers only saw the outermost Close and the nested workers leaked.
 func TestCloseForwardsThroughWrappers(t *testing.T) {
 	baseline := runtime.NumGoroutine()
@@ -28,21 +29,21 @@ func TestCloseForwardsThroughWrappers(t *testing.T) {
 		name string
 		make func(inner Iterator) Iterator
 	}{
-		{"chain", func(inner Iterator) Iterator {
-			return NewChain(NewSliceIterator(nil), inner)
-		}},
 		{"cheater", func(inner Iterator) Iterator {
-			return NewCheater(inner, 2)
+			return unionOf(1, UnionOptions{M: 2}, inner)
 		}},
-		{"cheater-of-chain", func(inner Iterator) Iterator {
-			return NewCheater(NewChain(inner, NewSliceIterator(nil)), 2)
+		{"cheater-not-yet-reached", func(inner Iterator) Iterator {
+			return unionOf(1, UnionOptions{M: 2}, NewSliceIterator(mkTuples(-5, 5)), inner)
+		}},
+		{"cheater-on-executor", func(inner Iterator) Iterator {
+			return unionOf(1, UnionOptions{Workers: 2, BatchSize: 4}, inner, NewSliceIterator(nil))
 		}},
 		{"algorithm-one", func(inner Iterator) Iterator {
 			return NewAlgorithmOne(inner, nopTestable{})
 		}},
 	}
 	for _, b := range builds {
-		inner := NewParallelUnion(1, 4, &slowInfinite{})
+		inner := unionOf(1, UnionOptions{Workers: 1, BatchSize: 4}, &slowInfinite{})
 		it := b.make(inner)
 		if _, ok := it.Next(); !ok {
 			t.Fatalf("%s: no first answer", b.name)

@@ -20,66 +20,51 @@ func mkTuples(base, n int) []database.Tuple {
 // answer exactly once and that the returned views stay stable after the
 // stream advances past their batch.
 func TestParallelUnionDisjoint(t *testing.T) {
-	its := []Iterator{
-		NewSliceIterator(mkTuples(0, 500)),
-		NewSliceIterator(mkTuples(500, 500)),
-		NewSliceIterator(mkTuples(1000, 500)),
-	}
-	u := NewParallelUnionOpts(1, UnionOptions{BatchSize: 64, Disjoint: true}, its...)
-	var got []database.Tuple
-	for {
-		tup, ok := u.Next()
-		if !ok {
-			break
+	forEachSource(t, func(t *testing.T, workers int) {
+		its := []Iterator{
+			NewSliceIterator(mkTuples(0, 500)),
+			NewSliceIterator(mkTuples(500, 500)),
+			NewSliceIterator(mkTuples(1000, 500)),
 		}
-		got = append(got, tup)
-	}
-	if len(got) != 1500 {
-		t.Fatalf("disjoint union yielded %d answers, want 1500", len(got))
-	}
-	if u.Duplicates() != 0 {
-		t.Fatalf("disjoint union reported %d duplicates", u.Duplicates())
-	}
-	vals := make([]int, len(got))
-	for i, tup := range got {
-		vals[i] = int(tup[0].Payload())
-	}
-	sort.Ints(vals)
-	for i, v := range vals {
-		if v != i {
-			t.Fatalf("answer set corrupted: sorted[%d] = %d (batch buffer was recycled?)", i, v)
+		u := unionOf(1, UnionOptions{Workers: workers, BatchSize: 64, Disjoint: true}, its...)
+		var got []database.Tuple
+		for {
+			tup, ok := u.Next()
+			if !ok {
+				break
+			}
+			got = append(got, tup)
 		}
-	}
+		if len(got) != 1500 {
+			t.Fatalf("disjoint union yielded %d answers, want 1500", len(got))
+		}
+		if u.Duplicates() != 0 {
+			t.Fatalf("disjoint union reported %d duplicates", u.Duplicates())
+		}
+		vals := make([]int, len(got))
+		for i, tup := range got {
+			vals[i] = int(tup[0].Payload())
+		}
+		if workers == 0 && !sort.IntsAreSorted(vals) {
+			t.Fatal("inline source did not run the tasks in order")
+		}
+		sort.Ints(vals)
+		for i, v := range vals {
+			if v != i {
+				t.Fatalf("answer set corrupted: sorted[%d] = %d (batch buffer was reused?)", i, v)
+			}
+		}
+	})
 }
 
 // TestParallelUnionDisjointNullary covers arity-0 answers in disjoint mode.
 func TestParallelUnionDisjointNullary(t *testing.T) {
-	its := []Iterator{
-		NewSliceIterator([]database.Tuple{{}, {}}),
-		NewSliceIterator([]database.Tuple{{}}),
-	}
-	u := NewParallelUnionOpts(0, UnionOptions{Disjoint: true}, its...)
-	n := 0
-	for {
-		if _, ok := u.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 3 {
-		t.Fatalf("nullary disjoint union yielded %d answers, want 3", n)
-	}
-}
-
-// TestParallelUnionSizeHint checks that a pre-sized merge still deduplicates
-// exactly, including hints far above and below the real cardinality.
-func TestParallelUnionSizeHint(t *testing.T) {
-	for _, hint := range []int{-5, 0, 10, 2000, MaxSizeHint + 1} {
+	forEachSource(t, func(t *testing.T, workers int) {
 		its := []Iterator{
-			NewSliceIterator(mkTuples(0, 800)),
-			NewSliceIterator(mkTuples(400, 800)), // overlaps the first branch
+			NewSliceIterator([]database.Tuple{{}, {}}),
+			NewSliceIterator([]database.Tuple{{}}),
 		}
-		u := NewParallelUnionOpts(1, UnionOptions{SizeHint: hint}, its...)
+		u := unionOf(0, UnionOptions{Workers: workers, Disjoint: true}, its...)
 		n := 0
 		for {
 			if _, ok := u.Next(); !ok {
@@ -87,25 +72,51 @@ func TestParallelUnionSizeHint(t *testing.T) {
 			}
 			n++
 		}
-		if n != 1200 {
-			t.Fatalf("hint %d: got %d distinct answers, want 1200", hint, n)
+		if n != 3 {
+			t.Fatalf("nullary disjoint union yielded %d answers, want 3", n)
 		}
-		if u.Duplicates() != 400 {
-			t.Fatalf("hint %d: got %d duplicates, want 400", hint, u.Duplicates())
-		}
-	}
+	})
 }
 
-// TestParallelUnionDisjointClose checks Close releases workers mid-stream in
-// disjoint mode.
+// TestParallelUnionSizeHint checks that a pre-sized merge still deduplicates
+// exactly, including hints far above and below the real cardinality.
+func TestParallelUnionSizeHint(t *testing.T) {
+	forEachSource(t, func(t *testing.T, workers int) {
+		for _, hint := range []int{-5, 0, 10, 2000, MaxSizeHint + 1} {
+			its := []Iterator{
+				NewSliceIterator(mkTuples(0, 800)),
+				NewSliceIterator(mkTuples(400, 800)), // overlaps the first branch
+			}
+			u := unionOf(1, UnionOptions{Workers: workers, SizeHint: hint}, its...)
+			n := 0
+			for {
+				if _, ok := u.Next(); !ok {
+					break
+				}
+				n++
+			}
+			if n != 1200 {
+				t.Fatalf("hint %d: got %d distinct answers, want 1200", hint, n)
+			}
+			if u.Duplicates() != 400 {
+				t.Fatalf("hint %d: got %d duplicates, want 400", hint, u.Duplicates())
+			}
+		}
+	})
+}
+
+// TestParallelUnionDisjointClose checks Close ends the stream (and releases
+// any workers) mid-stream in disjoint mode.
 func TestParallelUnionDisjointClose(t *testing.T) {
-	u := NewParallelUnionOpts(1, UnionOptions{BatchSize: 8, Disjoint: true},
-		NewSliceIterator(mkTuples(0, 10000)))
-	if _, ok := u.Next(); !ok {
-		t.Fatal("expected at least one answer")
-	}
-	u.Close()
-	if _, ok := u.Next(); ok {
-		t.Fatal("Next after Close should report exhaustion")
-	}
+	forEachSource(t, func(t *testing.T, workers int) {
+		u := unionOf(1, UnionOptions{Workers: workers, BatchSize: 8, Disjoint: true},
+			NewSliceIterator(mkTuples(0, 10000)))
+		if _, ok := u.Next(); !ok {
+			t.Fatal("expected at least one answer")
+		}
+		u.Close()
+		if _, ok := u.Next(); ok {
+			t.Fatal("Next after Close should report exhaustion")
+		}
+	})
 }

@@ -1,8 +1,9 @@
 // Package enumeration provides the enumeration-algorithm toolkit of the
-// paper's upper-bound proofs: the answer-stream Iterator abstraction, the
-// Cheater's Lemma combinator (Lemma 5), Algorithm 1 for unions of two
-// tractable CQs (Theorem 4), generic concatenation, and wall-clock delay
-// instrumentation used by the experiment harness.
+// paper's upper-bound proofs: the answer-stream Iterator abstraction; Union,
+// the one merge of the engine — the Cheater's Lemma (Lemma 5) over batched
+// tasks, run inline on the caller's goroutine or on the work-stealing
+// executor; Algorithm 1 for unions of two tractable CQs (Theorem 4); and
+// wall-clock delay instrumentation used by the experiment harness.
 package enumeration
 
 import (
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/database"
+	"repro/internal/exec"
 )
 
 // Iterator is a stream of answer tuples. Next returns the next tuple and
@@ -49,7 +51,8 @@ func (s *SliceIterator) Next() (database.Tuple, bool) {
 	return t, true
 }
 
-// NextBatch implements BatchIterator.
+// NextBatch implements exec.Task: a slice of tuples is its own indivisible
+// task, copied out without a Next call per tuple.
 func (s *SliceIterator) NextBatch(buf []database.Value, max int) ([]database.Value, int) {
 	n := 0
 	for n < max && s.pos < len(s.tuples) {
@@ -60,11 +63,14 @@ func (s *SliceIterator) NextBatch(buf []database.Value, max int) ([]database.Val
 	return buf, n
 }
 
+// Split implements exec.Task; a SliceIterator does not divide.
+func (s *SliceIterator) Split() exec.Task { return nil }
+
 // Closer is an iterator holding releasable resources (worker goroutines,
 // typically). CloseIterator releases any iterator; wrapper iterators
-// (Chain, Cheater, AlgorithmOne) forward Close to their members so a
-// parallel stream nested inside a combinator is still released when the
-// outermost iterator is closed.
+// (Union over its tasks, AlgorithmOne) forward Close to their members so an
+// executor-backed stream nested inside a combinator is still released when
+// the outermost iterator is closed.
 type Closer interface {
 	Close()
 }
@@ -79,7 +85,7 @@ func CloseIterator(it Iterator) {
 }
 
 // IterErr reports the error that terminated an iterator early, if any —
-// today that is disk trouble on ParallelUnion's spilled dedup path. Check
+// today that is disk trouble on Union's spilled dedup path. Check
 // it after Next reports exhaustion: a non-nil error means the stream was
 // truncated, not completed. Iterators without an error channel report nil.
 func IterErr(it Iterator) error {
@@ -94,189 +100,6 @@ type Func func() (database.Tuple, bool)
 
 // Next implements Iterator.
 func (f Func) Next() (database.Tuple, bool) { return f() }
-
-// Chain concatenates iterators.
-type Chain struct {
-	its []Iterator
-	pos int
-}
-
-// NewChain builds the concatenation of the given iterators.
-func NewChain(its ...Iterator) *Chain { return &Chain{its: its} }
-
-// Next implements Iterator.
-func (c *Chain) Next() (database.Tuple, bool) {
-	for c.pos < len(c.its) {
-		if t, ok := c.its[c.pos].Next(); ok {
-			return t, true
-		}
-		c.pos++
-	}
-	return nil, false
-}
-
-// NextBatch implements BatchIterator by delegating to the member iterators'
-// batched fast paths, spilling into the next member as each one drains. A
-// member is only abandoned once it appends zero answers — the contract's
-// exhaustion signal — so members that legally return short batches keep
-// getting polled.
-func (c *Chain) NextBatch(buf []database.Value, max int) ([]database.Value, int) {
-	total := 0
-	for c.pos < len(c.its) && total < max {
-		var n int
-		buf, n = NextBatch(c.its[c.pos], buf, max-total)
-		total += n
-		if n == 0 {
-			c.pos++
-		}
-	}
-	return buf, total
-}
-
-// Close releases every member iterator, including the ones not yet
-// reached: abandoning a chain must not leak the workers of a parallel
-// member scheduled after the abandonment point.
-func (c *Chain) Close() {
-	for _, it := range c.its {
-		CloseIterator(it)
-	}
-}
-
-// BatchIterator is an Iterator with a batched fast path, letting consumers
-// amortize per-answer overhead (virtual dispatch, channel synchronization
-// in the parallel union) over whole batches.
-type BatchIterator interface {
-	Iterator
-
-	// NextBatch appends the values of up to max answers to buf — flat, one
-	// answer's values after another — and returns the extended buffer and
-	// the number of answers appended. Appending zero answers means the
-	// stream is exhausted.
-	NextBatch(buf []database.Value, max int) ([]database.Value, int)
-}
-
-// NextBatch pulls up to max answers from it into buf, using the iterator's
-// batched fast path when it has one and falling back to Next otherwise. The
-// fallback copies tuple values into buf, so the batch owns its data even
-// when the iterator reuses an internal tuple buffer.
-func NextBatch(it Iterator, buf []database.Value, max int) ([]database.Value, int) {
-	if bi, ok := it.(BatchIterator); ok {
-		return bi.NextBatch(buf, max)
-	}
-	n := 0
-	for n < max {
-		t, ok := it.Next()
-		if !ok {
-			break
-		}
-		buf = append(buf, t...)
-		n++
-	}
-	return buf, n
-}
-
-// Cheater is the Cheater's Lemma combinator (Lemma 5). It wraps an inner
-// iterator that may produce every result up to m times and stall (delay
-// linearly) a bounded number of times, and turns it into a duplicate-free
-// stream: a lookup table filters repeats and a FIFO queue buffers fresh
-// results, pulling up to m inner results per emitted answer. With the
-// lemma's preconditions (inner duplication ≤ m, constantly many stalls) the
-// emitted stream has linear preprocessing and constant delay.
-//
-// Deduplication runs over a TupleSet: each inner result costs one hash
-// probe, and fresh results are handed out as stable arena views instead of
-// per-answer clones.
-type Cheater struct {
-	inner Iterator
-	m     int
-	seen  *database.TupleSet
-	queue []database.Tuple
-	head  int
-	// Stats.
-	pulled     int
-	duplicates int
-}
-
-// NewCheater wraps inner with duplication bound m (m ≥ 1). Use the number
-// of CQs plus virtual atoms per CQ for Theorem 12 pipelines.
-func NewCheater(inner Iterator, m int) *Cheater {
-	if m < 1 {
-		m = 1
-	}
-	return &Cheater{inner: inner, m: m, seen: database.NewTupleSet(0)}
-}
-
-// Next implements Iterator: duplicate-free, order of first occurrence.
-func (c *Cheater) Next() (database.Tuple, bool) {
-	// Pull up to m inner results, enqueueing fresh ones.
-	for i := 0; i < c.m; i++ {
-		t, ok := c.inner.Next()
-		if !ok {
-			break
-		}
-		c.pulled++
-		stored, fresh := c.seen.InsertGet(t)
-		if !fresh {
-			c.duplicates++
-			continue
-		}
-		c.queue = append(c.queue, stored)
-	}
-	if c.head < len(c.queue) {
-		t := c.queue[c.head]
-		c.pop()
-		return t, true
-	}
-	// The queue drained faster than the inner stream produced fresh
-	// results; keep pulling until a fresh one arrives or the inner stream
-	// ends. Under the lemma's preconditions this loop runs at most m times.
-	for {
-		t, ok := c.inner.Next()
-		if !ok {
-			return nil, false
-		}
-		c.pulled++
-		stored, fresh := c.seen.InsertGet(t)
-		if !fresh {
-			c.duplicates++
-			continue
-		}
-		return stored, true
-	}
-}
-
-// pop consumes the queue head, releasing the slot so the queue retains
-// O(pending) tuple references rather than every answer ever emitted: the
-// consumed slot is nilled immediately, a fully drained queue resets to
-// length zero, and a mostly-consumed one compacts its tail to the front.
-func (c *Cheater) pop() {
-	c.queue[c.head] = nil
-	c.head++
-	switch {
-	case c.head == len(c.queue):
-		c.queue = c.queue[:0]
-		c.head = 0
-	case c.head >= 64 && c.head*2 >= len(c.queue):
-		n := copy(c.queue, c.queue[c.head:])
-		for i := n; i < len(c.queue); i++ {
-			c.queue[i] = nil
-		}
-		c.queue = c.queue[:n]
-		c.head = 0
-	}
-}
-
-// Close releases the inner iterator's resources.
-func (c *Cheater) Close() { CloseIterator(c.inner) }
-
-// Pending returns the number of buffered fresh results not yet emitted.
-func (c *Cheater) Pending() int { return len(c.queue) - c.head }
-
-// Duplicates returns the number of inner results suppressed so far.
-func (c *Cheater) Duplicates() int { return c.duplicates }
-
-// Pulled returns the number of inner results consumed so far.
-func (c *Cheater) Pulled() int { return c.pulled }
 
 // AlgorithmOne is the paper's Algorithm 1: enumerate Q1 ∪ Q2 for two
 // tractable CQs using only constant working memory. While Q1 produces
@@ -334,21 +157,11 @@ func (a *AlgorithmOne) Close() {
 // mismatched membership test silently dropping answers.
 func (a *AlgorithmOne) Skipped() int { return a.skipped }
 
-// UnionAll enumerates the union of several iterators with global
-// deduplication via the Cheater's Lemma combinator. The duplication bound
-// is the number of branches: each answer appears at most once per branch.
-func UnionAll(its ...Iterator) Iterator {
-	if len(its) == 1 {
-		return NewCheater(its[0], 1)
-	}
-	return NewCheater(NewChain(its...), len(its))
-}
-
 // Seq adapts an iterator to a Go range-over-func sequence, so callers can
 // write `for t := range enumeration.Seq(it)` instead of hand-rolling the
 // Next loop. The iterator is released (CloseIterator) when the sequence
-// ends — by exhaustion or by an early break — so abandoning a parallel
-// stream mid-range does not leak its executor workers. Like the iterator
+// ends — by exhaustion or by an early break — so abandoning an
+// executor-backed stream mid-range does not leak its workers. Like the iterator
 // it wraps, the sequence is single-use.
 func Seq(it Iterator) iter.Seq[database.Tuple] {
 	return func(yield func(database.Tuple) bool) {
@@ -366,9 +179,9 @@ func Seq(it Iterator) iter.Seq[database.Tuple] {
 }
 
 // Collect drains an iterator into a slice. Ownership follows the iterator:
-// Cheater and ParallelUnion return stable arena views owned by their dedup
-// set — valid indefinitely but not to be mutated — and plan adapters
-// produce fresh tuples.
+// Union returns stable views owned by its dedup set or batch buffers —
+// valid indefinitely but not to be mutated — and plan adapters produce
+// fresh tuples.
 func Collect(it Iterator) []database.Tuple {
 	var out []database.Tuple
 	for {

@@ -1,12 +1,32 @@
 package enumeration
 
 import (
+	"context"
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/database"
+	"repro/internal/exec"
 )
+
+// unionOf builds a Union over plain iterators, one indivisible task each.
+func unionOf(arity int, opts UnionOptions, its ...Iterator) *Union {
+	tasks := make([]exec.Task, len(its))
+	for i, it := range its {
+		tasks[i] = TaskOf(it)
+	}
+	return NewUnion(context.Background(), arity, opts, tasks)
+}
+
+// forEachSource runs a merge test against both batch sources: inline
+// (Workers 0) and the executor with one and with several workers.
+func forEachSource(t *testing.T, f func(t *testing.T, workers int)) {
+	for _, workers := range []int{0, 1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { f(t, workers) })
+	}
+}
 
 func tup(vals ...int64) database.Tuple {
 	t := make(database.Tuple, len(vals))
@@ -54,21 +74,12 @@ func TestFuncAdapter(t *testing.T) {
 	}
 }
 
-func TestChain(t *testing.T) {
-	c := NewChain(
-		NewSliceIterator([]database.Tuple{tup(1)}),
-		NewSliceIterator(nil),
-		NewSliceIterator([]database.Tuple{tup(2), tup(3)}),
-	)
-	got := Collect(c)
-	if len(got) != 3 || !got[2].Equal(tup(3)) {
-		t.Errorf("chain = %v", got)
-	}
-}
+// The Lemma 5 tests below run the merge inline (Workers 0), where the task
+// order — and so the order of first occurrence — is deterministic.
 
 func TestCheaterDeduplicates(t *testing.T) {
 	inner := NewSliceIterator([]database.Tuple{tup(1), tup(2), tup(1), tup(3), tup(2), tup(1)})
-	c := NewCheater(inner, 2)
+	c := unionOf(1, UnionOptions{M: 2}, inner)
 	got := Collect(c)
 	if len(got) != 3 {
 		t.Fatalf("deduped = %v", got)
@@ -86,15 +97,20 @@ func TestCheaterDeduplicates(t *testing.T) {
 }
 
 func TestCheaterPreservesFirstOccurrenceOrder(t *testing.T) {
-	inner := NewSliceIterator([]database.Tuple{tup(5), tup(5), tup(4), tup(3)})
-	got := Collect(NewCheater(inner, 1))
-	if !got[0].Equal(tup(5)) || !got[1].Equal(tup(4)) || !got[2].Equal(tup(3)) {
-		t.Errorf("order = %v", got)
+	for _, m := range []int{1, 2, 5} {
+		got := Collect(unionOf(1, UnionOptions{M: m},
+			NewSliceIterator([]database.Tuple{tup(5), tup(5), tup(4)}),
+			NewSliceIterator(nil), // an empty task is skipped, not an end
+			NewSliceIterator([]database.Tuple{tup(4), tup(3), tup(5)})))
+		if len(got) != 3 || !got[0].Equal(tup(5)) || !got[1].Equal(tup(4)) || !got[2].Equal(tup(3)) {
+			t.Errorf("m=%d: order = %v", m, got)
+		}
 	}
 }
 
 func TestCheaterClonesTuples(t *testing.T) {
-	// The inner iterator reuses a buffer; Cheater must clone.
+	// The inner iterator reuses a buffer, and the inline source reuses its
+	// batch buffer; emitted tuples must be copies of both.
 	buf := tup(0)
 	n := int64(0)
 	inner := Func(func() (database.Tuple, bool) {
@@ -105,7 +121,7 @@ func TestCheaterClonesTuples(t *testing.T) {
 		buf[0] = database.V(n)
 		return buf, true
 	})
-	got := Collect(NewCheater(inner, 1))
+	got := Collect(unionOf(1, UnionOptions{}, inner))
 	if got[0][0] != database.V(1) || got[2][0] != database.V(3) {
 		t.Errorf("aliasing bug: %v", got)
 	}
@@ -119,7 +135,7 @@ func TestCheaterQuickNoDupsNoLoss(t *testing.T) {
 			tuples[i] = tup(int64(v % 16))
 			want[tuples[i].Key()] = true
 		}
-		got := Collect(NewCheater(NewSliceIterator(tuples), int(m%5)))
+		got := Collect(unionOf(1, UnionOptions{M: int(m % 5)}, NewSliceIterator(tuples)))
 		if len(got) != len(want) {
 			return false
 		}
@@ -245,18 +261,21 @@ func TestAlgorithmOneQuick(t *testing.T) {
 }
 
 func TestUnionAll(t *testing.T) {
-	got := Collect(UnionAll(
-		NewSliceIterator([]database.Tuple{tup(1), tup(2)}),
-		NewSliceIterator([]database.Tuple{tup(2), tup(3)}),
-		NewSliceIterator([]database.Tuple{tup(3), tup(4)}),
-	))
-	if len(got) != 4 {
-		t.Errorf("union = %v", got)
-	}
-	single := Collect(UnionAll(NewSliceIterator([]database.Tuple{tup(1), tup(1)})))
-	if len(single) != 1 {
-		t.Errorf("single-branch union = %v", single)
-	}
+	forEachSource(t, func(t *testing.T, workers int) {
+		got := Collect(unionOf(1, UnionOptions{Workers: workers, M: 3},
+			NewSliceIterator([]database.Tuple{tup(1), tup(2)}),
+			NewSliceIterator([]database.Tuple{tup(2), tup(3)}),
+			NewSliceIterator([]database.Tuple{tup(3), tup(4)}),
+		))
+		if len(got) != 4 {
+			t.Errorf("union = %v", got)
+		}
+		single := Collect(unionOf(1, UnionOptions{Workers: workers},
+			NewSliceIterator([]database.Tuple{tup(1), tup(1)})))
+		if len(single) != 1 {
+			t.Errorf("single-branch union = %v", single)
+		}
+	})
 }
 
 func TestMeasureDelays(t *testing.T) {

@@ -62,8 +62,8 @@ type Config struct {
 	// journal, recovering every dataset at its acknowledged version. Empty
 	// keeps the catalog in-memory. Ignored by New and NewCoordinator.
 	DataDir string
-	// SpillBudget bounds the in-memory dedup set of parallel and auto
-	// query execution: when a certified plan's exact answer count exceeds
+	// SpillBudget bounds the in-memory dedup set of query execution, at
+	// every worker count: when a certified plan's distinct answers exceed
 	// it, the merge dedups through a disk-backed spill table instead of
 	// growing the in-memory set (0 = never spill).
 	SpillBudget int64
@@ -436,8 +436,7 @@ func (s *Server) decodeStrict(w http.ResponseWriter, body io.Reader, v any) bool
 // execOptions builds a request's execution options. Cost-based execution
 // is the default: with no explicit worker count the planner decides per
 // bind (and /stats counts the decisions). The server-wide spill budget
-// rides along on every bind: an explicit worker count runs the executor's
-// merge, and Auto may resolve to it.
+// rides along on every bind: the merge honours it at every worker count.
 func (s *Server) execOptions(mode string, workers int) *ucq.PlanOptions {
 	exec := &ucq.PlanOptions{
 		ForceNaive: mode == "naive",
@@ -655,10 +654,11 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, open func(contex
 	count := 0
 	disconnected := false
 	for {
-		// Parallel streams end early on their own after cancellation; this
-		// check extends the same per-answer cancellation to sequential
-		// iterators, so a server shutdown stops even a stream whose client
-		// is still happily reading.
+		// Certified streams end on their own within one batch of
+		// cancellation; this per-answer check covers the rest — naive plans
+		// hand out a materialized stream that no longer looks at the
+		// context — so a server shutdown stops even a stream whose client is
+		// still happily reading.
 		if r.Context().Err() != nil {
 			break
 		}

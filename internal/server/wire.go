@@ -28,8 +28,9 @@ type QueryOptions struct {
 	// "naive" (skip certification).
 	Mode string `json:"mode,omitempty"`
 	// Workers pins the work-stealing executor with this many workers for
-	// the request. 0 (the default) leaves the choice between the sequential
-	// iterator and the executor to the planner's cost model, per bind.
+	// the request. 0 (the default) leaves the choice between running the
+	// enumeration inline and on the executor to the planner's cost model,
+	// per bind.
 	Workers int `json:"workers,omitempty"`
 	// CountOnly answers with a single CountResponse object instead of
 	// streaming: certified single-branch plans count from the Theorem 12

@@ -25,8 +25,8 @@ type Iterator struct {
 	extended  bool
 	keyBuf    []database.Value
 	// rootLo and rootHi restrict the root position to the candidate rows
-	// [rootLo, rootHi) — the range-cursor behind Split/SplitOff. A full
-	// iterator spans [0, RootLen).
+	// [rootLo, rootHi) — the range-cursor behind IteratorRange/SplitOff. A
+	// full iterator spans [0, RootLen).
 	rootLo, rootHi int
 	// Backtracks counts DFS positions that produced no candidates; after a
 	// full reduction this stays 0 and tests assert it.
@@ -39,7 +39,7 @@ func (p *Plan) Iterator() *Iterator {
 }
 
 // RootLen returns the number of candidate rows at the plan's root DFS
-// position — the domain Split and IteratorRange partition.
+// position — the domain IteratorRange partitions.
 func (p *Plan) RootLen() int {
 	if len(p.order) == 0 {
 		return 0
@@ -115,13 +115,13 @@ func (it *Iterator) Next() bool {
 }
 
 // fill computes the candidate rows at DFS position k for the current
-// ancestor assignment and resets its cursor.
+// ancestor assignment and resets its cursor. Position 0 is the join tree's
+// single root; every other top carries an index on the columns it shares
+// with its parent (zero columns for a cross product).
 func (it *Iterator) fill(k int) {
 	t := &it.plan.tops[it.plan.order[k]]
 	if k == 0 {
 		it.rows[k] = rangeRows(it.rootLo, it.rootHi)
-	} else if t.index == nil {
-		it.rows[k] = allRows(t.rel)
 	} else {
 		it.keyBuf = it.keyBuf[:0]
 		for _, vid := range t.keyVarIDs {
@@ -151,8 +151,8 @@ func (it *Iterator) bind(k int) {
 func (it *Iterator) Plan() *Plan { return it.plan }
 
 // RootPos returns the root row index of the current answer — the answer's
-// coordinate in the [0, RootLen) domain that Split and IteratorRange
-// partition. It is only meaningful after a Next call that returned true.
+// coordinate in the [0, RootLen) domain that IteratorRange partitions. It
+// is only meaningful after a Next call that returned true.
 // Next visits root rows in ascending order, so once RootPos reports p,
 // every answer with root row < p has already been produced; a range
 // iterator resumed at IteratorRange(p, hi) continues exactly where a
@@ -227,10 +227,6 @@ func (it *Iterator) Extend() {
 		it.assign[it.plan.varID[e.removedVar]] = row[e.removedCol]
 	}
 	it.extended = true
-}
-
-func allRows(r *database.Relation) []int32 {
-	return rangeRows(0, r.Len())
 }
 
 // rangeRows lists the row ids lo..hi-1.

@@ -11,27 +11,6 @@ package yannakakis
 // of its unvisited rows through SplitOff — the primitive the work-stealing
 // executor uses to decompose a heavy range adaptively.
 
-// Split partitions the plan's answers into at most parts pairwise disjoint
-// range iterators that together cover the full answer set. It returns at
-// least one iterator; fewer than parts when the root position has fewer
-// candidate rows than parts.
-func (p *Plan) Split(parts int) []*Iterator {
-	n := p.RootLen()
-	if parts > n {
-		parts = n
-	}
-	if parts <= 1 {
-		return []*Iterator{p.Iterator()}
-	}
-	out := make([]*Iterator, 0, parts)
-	for i := 0; i < parts; i++ {
-		lo := i * n / parts
-		hi := (i + 1) * n / parts
-		out = append(out, p.IteratorRange(lo, hi))
-	}
-	return out
-}
-
 // SplitOff carves off roughly the second half of the iterator's unvisited
 // root rows into a new independent iterator, shrinking the receiver; the
 // two iterators together produce exactly the answers the receiver alone

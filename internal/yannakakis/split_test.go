@@ -57,28 +57,6 @@ func checkPartition(t *testing.T, want []string, parts ...[]string) {
 	}
 }
 
-func TestSplitPartitionsAnswers(t *testing.T) {
-	plan := splitTestPlan(t, 1)
-	want := drainHeads(plan.Iterator())
-	if len(want) == 0 {
-		t.Fatal("test plan has no answers")
-	}
-	for _, parts := range []int{1, 2, 3, 7, 64, plan.RootLen() + 10} {
-		its := plan.Split(parts)
-		if len(its) < 1 {
-			t.Fatalf("Split(%d) returned no iterators", parts)
-		}
-		if max := plan.RootLen(); parts > max && len(its) > max {
-			t.Fatalf("Split(%d) returned %d iterators over %d root rows", parts, len(its), max)
-		}
-		streams := make([][]string, len(its))
-		for i, it := range its {
-			streams[i] = drainHeads(it)
-		}
-		checkPartition(t, want, streams...)
-	}
-}
-
 func TestSplitOffUnstartedAndMidStream(t *testing.T) {
 	plan := splitTestPlan(t, 2)
 	want := drainHeads(plan.Iterator())

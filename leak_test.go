@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/enumeration"
 	"repro/internal/workload"
 )
 
@@ -90,8 +91,11 @@ func TestGoroutineHygieneCancelledEnumerations(t *testing.T) {
 }
 
 // TestCancelledStreamStopsEnumerating pins the second half of the
-// contract: after cancellation the stream ends — it does not keep
-// producing the full answer set out of buffered batches.
+// contract, at every source of the merge: a certified stream checks its
+// context once per batch, so after cancellation it ends within one batch —
+// it does not keep producing the answer set inline, nor out of the
+// executor's buffered batches — without an error and without leaving a
+// goroutine behind.
 func TestCancelledStreamStopsEnumerating(t *testing.T) {
 	u := MustParse("Q(x,z,y) <- R(x,z), S(z,y).")
 	inst := NewInstance()
@@ -104,27 +108,32 @@ func TestCancelledStreamStopsEnumerating(t *testing.T) {
 	inst.AddRelation(r)
 	inst.AddRelation(s)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	p, err := NewPlan(u, inst, &PlanOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	it := p.AnswersContext(ctx)
-	defer CloseAnswers(it)
-	if _, ok := it.Next(); !ok {
-		t.Fatal("no first answer")
-	}
-	cancel()
-	// After cancellation only already-produced batches may surface: far
-	// fewer than the 2.25M total answers.
-	tail := 0
-	for {
-		if _, ok := it.Next(); !ok {
-			break
+	for _, opts := range []*PlanOptions{{Workers: 0}, {Workers: 4}} {
+		baseline := runtime.NumGoroutine()
+		ctx, cancel := context.WithCancel(context.Background())
+		p, err := NewPlan(u, inst, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		tail++
-	}
-	if total := 1500 * 1500; tail >= total/2 {
-		t.Fatalf("stream produced %d answers after cancellation (of %d total)", tail, total)
+		it := p.AnswersContext(ctx)
+		if _, ok := it.Next(); !ok {
+			t.Fatal("no first answer")
+		}
+		cancel()
+		tail := 0
+		for {
+			if _, ok := it.Next(); !ok {
+				break
+			}
+			tail++
+		}
+		if tail > enumeration.DefaultBatchSize {
+			t.Errorf("workers=%d: stream produced %d answers after cancellation (of %d total), want at most one batch of %d",
+				opts.Workers, tail, 1500*1500, enumeration.DefaultBatchSize)
+		}
+		if err := AnswersErr(it); err != nil {
+			t.Errorf("workers=%d: cancellation surfaced as an error: %v", opts.Workers, err)
+		}
+		waitGoroutines(t, baseline, "a cancelled stream")
 	}
 }

@@ -13,19 +13,27 @@ func TestPlanOptionsValidation(t *testing.T) {
 	u := MustParse("Q(x) <- R1(x,y).")
 	inst := workload.RandomForQuery(u, 10, 5, 1)
 	cases := []struct {
-		name string
-		opts *PlanOptions
+		name  string
+		opts  *PlanOptions
+		valid bool
 	}{
-		{"naive-and-constant-delay", &PlanOptions{ForceNaive: true, RequireConstantDelay: true}},
-		{"auto-and-workers", &PlanOptions{Auto: true, Workers: 2}},
-		{"negative-workers", &PlanOptions{Workers: -1}},
-		{"negative-budget", &PlanOptions{Workers: 2, DedupBudget: -1}},
-		{"budget-without-executor", &PlanOptions{DedupBudget: 8}},
-		{"spill-dir-without-budget", &PlanOptions{Workers: 2, SpillDir: t.TempDir()}},
+		{name: "naive-and-constant-delay", opts: &PlanOptions{ForceNaive: true, RequireConstantDelay: true}},
+		{name: "auto-and-workers", opts: &PlanOptions{Auto: true, Workers: 2}},
+		{name: "negative-workers", opts: &PlanOptions{Workers: -1}},
+		{name: "negative-budget", opts: &PlanOptions{Workers: 2, DedupBudget: -1}},
+		{name: "spill-dir-without-budget", opts: &PlanOptions{Workers: 2, SpillDir: t.TempDir()}},
+		// The merge honours the budget at every worker count, inline included.
+		{name: "budget-without-executor", opts: &PlanOptions{DedupBudget: 8, SpillDir: t.TempDir()}, valid: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := NewPlan(u, inst, tc.opts)
+			if tc.valid {
+				if err != nil {
+					t.Fatalf("valid options rejected: %v", err)
+				}
+				return
+			}
 			if err == nil {
 				t.Fatal("invalid options accepted")
 			}

@@ -49,25 +49,29 @@ type PlanOptions struct {
 	// KeepRedundant skips the containment-based reduction (Example 1);
 	// redundant CQs never change the answer set, only the plan.
 	KeepRedundant bool
-	// Workers selects the execution engine of a constant-delay plan. 0 (the
-	// default) is the sequential constant-delay iterator. n ≥ 1 drains the
-	// union on the work-stealing executor with n workers: every certified
-	// branch is decomposed into root-row-range tasks that workers steal and
-	// re-split, feeding a shared dedup merge, so a single heavy branch no
-	// longer serialises on one goroutine. The answer set is identical to
-	// sequential evaluation; the answer order is nondeterministic. Iterators
-	// from a parallel plan must be drained to exhaustion or Closed (see
-	// CloseAnswers) to release their workers. Naive plans have one
-	// evaluator and ignore Workers.
+	// Workers selects where a constant-delay plan's enumeration runs. Every
+	// certified branch is cut into root-row-range tasks feeding one
+	// Cheater's Lemma merge; Workers picks the source of that merge. 0 (the
+	// default) runs the tasks inline, in order, on the goroutine calling
+	// Next: constant delay, a deterministic answer order and no goroutine
+	// to release. n ≥ 1 drains them on the work-stealing executor
+	// with n workers, which steal and re-split tasks so a single heavy
+	// branch no longer serialises on one goroutine: the answer set is
+	// identical, the order is nondeterministic, and the stream must be
+	// drained to exhaustion, Closed (see CloseAnswers) or have its context
+	// cancelled to release the workers. At every setting a cancelled stream
+	// ends within one batch. Naive plans have one evaluator and ignore
+	// Workers.
 	Workers int
-	// DedupBudget bounds the number of distinct answers the parallel
-	// merge's dedup set holds in memory. Past it the set migrates to a
-	// disk-backed table (internal/storage) and enumeration continues with
-	// the identical answer set, trading dedup probes for disk reads instead
-	// of growing without bound. With Auto, the budget also feeds the cost
-	// model: an exact Theorem 12 count above it forces the spillable
-	// parallel merge even where the mode choice would have been sequential.
-	// 0 means unbounded (never spill). Requires Workers or Auto.
+	// DedupBudget bounds the number of distinct answers the merge's dedup
+	// set holds in memory, at every worker count. Past it the set migrates
+	// to a disk-backed table (internal/storage) and enumeration continues
+	// with the identical answer set, trading dedup probes for disk reads
+	// instead of growing without bound. With Auto, the budget also feeds
+	// the cost model, which reports an exact Theorem 12 count above it as a
+	// spill in the decision. A stream that spilled keeps its table until it
+	// is drained or released with CloseAnswers. 0 means unbounded (never
+	// spill).
 	DedupBudget int64
 	// SpillDir hosts spilled dedup tables (a private temp directory is
 	// created per spill); empty selects os.TempDir(). Requires DedupBudget.
@@ -110,9 +114,6 @@ func (o *PlanOptions) validate() error {
 	}
 	if o.DedupBudget < 0 {
 		return &OptionsError{Field: "DedupBudget", Reason: fmt.Sprintf("must be ≥ 0, got %d", o.DedupBudget)}
-	}
-	if o.DedupBudget > 0 && o.Workers == 0 && !o.Auto {
-		return &OptionsError{Field: "DedupBudget", Reason: "the spillable dedup set lives on the parallel merge; requires Workers or Auto"}
 	}
 	if o.SpillDir != "" && o.DedupBudget == 0 {
 		return &OptionsError{Field: "SpillDir", Reason: "meaningless without a DedupBudget"}
@@ -175,8 +176,8 @@ func (p *Plan) BindCacheHit() bool { return p.bindHit }
 // the server's /stats — a regressed decision should be observable, not a
 // silent slowdown.
 type Decision struct {
-	// Workers is the resolved PlanOptions.Workers: 0 for the sequential
-	// iterator, n ≥ 1 for the executor with n workers.
+	// Workers is the resolved PlanOptions.Workers: 0 for the inline
+	// source, n ≥ 1 for the executor with n workers.
 	Workers int
 	// Spill reports that the exact answer count exceeds the memory budget
 	// and the merge's dedup set will migrate to disk.
@@ -449,20 +450,21 @@ func NewPlan(u *UCQ, inst *Instance, opts *PlanOptions) (*Plan, error) {
 // With PlanOptions.Workers set (or resolved by Auto), the stream is backed
 // by the work-stealing executor's worker pool; drain it fully or release it
 // with CloseAnswers.
-// The binding context given to BindExecContext (if any) parents the
-// stream's background work.
+// The binding context given to BindExecContext (if any) is the stream's
+// context; see AnswersContext.
 func (p *Plan) Iterator() Answers {
 	return p.AnswersContext(p.bindCtx())
 }
 
 // AnswersContext returns a fresh duplicate-free stream of the union's
-// answers whose background work is cancelled when ctx is done: for
-// parallel plans, cancellation releases every executor worker within one
-// batch and the stream ends early (no error is surfaced — cancellation is
-// abandonment, and the caller holding ctx knows). Streams without
-// background workers ignore ctx once constructed; a ctx already cancelled
-// at call time yields an empty stream. A nil ctx means the binding context
-// (or Background).
+// answers that stops when ctx is done. A constant-delay stream checks ctx
+// once per batch at every worker count: after cancellation it ends within
+// one batch (at most 256 further answers) and every executor worker behind
+// it is released. No error is surfaced — cancellation is abandonment, and
+// the caller holding ctx knows. A naive plan evaluates under ctx and then
+// hands out a materialized stream that no longer looks at it; a ctx
+// already cancelled at call time yields an empty stream. A nil ctx means
+// the binding context (or Background).
 func (p *Plan) AnswersContext(ctx context.Context) Answers {
 	if ctx == nil {
 		ctx = p.bindCtx()
@@ -471,21 +473,18 @@ func (p *Plan) AnswersContext(ctx context.Context) Answers {
 		return enumeration.NewSliceIterator(nil)
 	}
 	if p.Mode == ConstantDelay {
-		if p.workers == 0 {
-			return p.union.Iterator()
-		}
-		return p.union.IteratorParallelCtx(ctx, core.ExecOptions{
+		return p.union.Answers(ctx, enumeration.UnionOptions{
 			Workers: p.workers,
 			// The merge applies the budget only where a dedup set exists
 			// (non-disjoint task streams).
 			SpillBudget: int(p.spillBudget),
 			SpillDir:    p.spillDir,
-		})
+		}, nil)
 	}
 	rel, err := baseline.EvalUCQCtx(ctx, p.Evaluated, p.inst)
 	if err != nil {
 		if ctx.Err() != nil {
-			// Cancelled mid-evaluation: like the parallel engines, the
+			// Cancelled mid-evaluation: like a constant-delay stream, the
 			// stream just ends early — cancellation is abandonment, and the
 			// caller holding ctx knows.
 			return enumeration.NewSliceIterator(nil)
@@ -504,11 +503,10 @@ func (p *Plan) bindCtx() context.Context {
 	return context.Background()
 }
 
-// CloseAnswers releases the worker goroutines behind a partially drained
-// answer stream from a parallel plan, blocking until they have exited. It
-// is safe to call on any Answers value: streams without background workers
-// are left untouched, and wrapper iterators (chains, combinators) forward
-// the release to every member.
+// CloseAnswers releases what is behind a partially drained answer stream:
+// the worker goroutines of a plan with Workers ≥ 1 (blocking until they
+// have exited) and a spilled dedup table. It is safe to call on any Answers
+// value; streams holding neither have nothing to release.
 func CloseAnswers(it Answers) {
 	enumeration.CloseIterator(it)
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/enumeration"
 	"repro/internal/workload"
 )
 
@@ -40,7 +41,7 @@ func TestWorkStealingSkewSpeedup(t *testing.T) {
 
 	drainN := func(workers int) time.Duration {
 		start := time.Now()
-		it := plan.IteratorParallelCtx(context.Background(), core.ExecOptions{Workers: workers})
+		it := plan.Answers(context.Background(), enumeration.UnionOptions{Workers: workers}, nil)
 		n := 0
 		for {
 			if _, ok := it.Next(); !ok {
@@ -93,7 +94,7 @@ func TestWorkStealingUsesAllWorkersOnSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := plan.IteratorParallelCtx(context.Background(), core.ExecOptions{Workers: 8, BatchSize: 16})
+	it := plan.Answers(context.Background(), enumeration.UnionOptions{Workers: 8, BatchSize: 16}, nil)
 	n := 0
 	for {
 		if _, ok := it.Next(); !ok {
