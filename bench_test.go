@@ -485,8 +485,7 @@ func (h *headStream) Split() exec.Task { return nil }
 // on one worker no matter how many branch workers are configured; the
 // instance concentrates ~10⁶ of the ~1.1M answers on one join key on top.
 // The executor instead slices the plan's root rows into range tasks, steals
-// and re-splits them, and (the union having one member and no bonus answers)
-// merges disjointly without dedup — so worksteal-8 scales with cores where
+// and re-splits them — so worksteal-8 scales with cores where
 // per-branch-worker-8 leaves seven workers idle. On a single-core machine
 // the two are on par; the ≥2x separation shows from ~4 cores up.
 func BenchmarkE16WorkStealingSkew(b *testing.B) {
@@ -514,10 +513,8 @@ func BenchmarkE16WorkStealingSkew(b *testing.B) {
 	// -<digits> as the GOMAXPROCS suffix.)
 	b.Run("per-branch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			it := enumeration.NewUnion(context.Background(), 3, enumeration.UnionOptions{
-				Workers:  8,
-				Disjoint: true, // a single CDY branch is duplicate-free
-			}, []exec.Task{enumeration.TaskOf(&headStream{it: engine.Iterator()})})
+			it := enumeration.NewUnion(context.Background(), 3, enumeration.UnionOptions{Workers: 8},
+				[]exec.Task{enumeration.TaskOf(&headStream{it: engine.Iterator()})})
 			if got := drain(b, it); got != want {
 				b.Fatalf("answers = %d, want %d", got, want)
 			}
@@ -717,55 +714,5 @@ func BenchmarkE18AutoModeSelection(b *testing.B) {
 				b.ReportMetric(float64(want), "answers/op")
 			})
 		}
-	}
-}
-
-// BenchmarkE20SpilledDedup: the parallel merge's dedup set held in memory
-// vs spilled to the disk-backed open-addressed table — the price of
-// bounding resident answer memory on an answer set that exceeds the
-// budget. Both arms drain the same prepared plan; the spilled arm's
-// budget forces the migration almost immediately, so nearly the whole set
-// dedups through disk.
-func BenchmarkE20SpilledDedup(b *testing.B) {
-	u := MustParse(`
-		Q1(x,y) <- R(x,y).
-		Q2(x,y) <- S(x,y).
-	`)
-	// Half-overlapping branches: 12k distinct answers, 4k duplicates the
-	// dedup set must actually catch in either representation.
-	inst := NewInstance()
-	r := NewRelation("R", 2)
-	s := NewRelation("S", 2)
-	for i := int64(0); i < 8000; i++ {
-		r.AppendInts(i, i+1)
-		s.AppendInts(i+4000, i+4001)
-	}
-	inst.AddRelation(r)
-	inst.AddRelation(s)
-	pq, err := Prepare(u, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const want = 12000
-	arms := []struct {
-		name string
-		opts *PlanOptions
-	}{
-		{"in-memory", &PlanOptions{Workers: runtime.GOMAXPROCS(0)}},
-		{"spilled", &PlanOptions{Workers: runtime.GOMAXPROCS(0), DedupBudget: 512, SpillDir: b.TempDir()}},
-	}
-	for _, arm := range arms {
-		b.Run(arm.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p, err := pq.BindExec(inst, arm.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got := drain(b, p.Iterator()); got != want {
-					b.Fatalf("answers = %d, want %d", got, want)
-				}
-			}
-			b.ReportMetric(float64(want), "answers/op")
-		})
 	}
 }

@@ -10,8 +10,9 @@
 // CSV rows are comma/space/semicolon-separated integers; '#' starts a
 // comment line.
 //
-// There is one enumeration path — root-range tasks through one Cheater's
-// Lemma merge — and -workers only picks where the tasks run. Without it the
+// There is one enumeration path — root-range tasks, disjoint because each
+// CQ skips the answers an earlier CQ of the union contains, concatenated by
+// one merge — and -workers only picks where the tasks run. Without it the
 // planner's cost model decides per bind from the instance (adaptive
 // execution) between inline on the main goroutine ("sequential",
 // deterministic answer order) and the work-stealing executor ("parallel");

@@ -8,7 +8,7 @@
 //
 //	ucq-serve [-addr :8454] [-cache 128] [-plan-cache-ttl 0] [-bind-cache 256]
 //	          [-bind-cache-ttl 0] [-flush-every 256] [-max-body 67108864]
-//	          [-data-dir ""] [-dedup-budget 0] [-spill-dir ""]
+//	          [-data-dir ""]
 //	          [-role single|worker|coordinator] [-workers http://w1:8454,...]
 //	          [-scatter-stall 30s] [-scatter-retries 4] [-scatter-backoff 50ms]
 //	          [-scatter-marker 128] [-max-streams 2*GOMAXPROCS]
@@ -53,8 +53,10 @@
 //	GET    /healthz               liveness probe
 //
 // Execution is adaptive by default. Every certified plan is drained as
-// root-range tasks through one Cheater's Lemma merge; unless a request sets
-// the workers option, the planner's cost model picks per bind, from the
+// root-range tasks that are disjoint by construction (a branch skips the
+// answers an earlier branch contains — a constant-time index probe, so no
+// answer set is ever held in memory); unless a request sets the workers
+// option, the planner's cost model picks per bind, from the
 // bound instance, whether those tasks run inline on the request's goroutine
 // ("sequential") or on the work-stealing executor ("parallel"); /stats
 // reports the decision mix under decision_modes. An explicit workers count
@@ -72,12 +74,8 @@
 // dataset write is journaled (snapshot + fsynced WAL) under the directory
 // before the HTTP response acknowledges it, and a restarted server replays
 // the journal, serving every dataset at the exact version its clients last
-// saw. -dedup-budget N caps the merge's in-memory dedup set, whichever way
-// a request executes: a certified plan whose distinct answers exceed N
-// dedups through a disk-backed spill table (in -spill-dir, default the OS
-// temp directory) instead of holding every distinct answer in memory. Both are
-// single/worker-role features; a coordinator holds no datasets and refuses
-// -data-dir.
+// saw. It is a single/worker-role feature; a coordinator holds no datasets
+// and refuses -data-dir.
 //
 // Cluster mode: -role coordinator -workers http://w1:8454,http://w2:8454
 // starts a coordinator that replicates dataset writes to every worker and
@@ -125,8 +123,6 @@ func main() {
 	flushEvery := flag.Int("flush-every", server.DefaultFlushEvery, "flush the response every N answers (first answer always flushes)")
 	maxBody := flag.Int64("max-body", server.DefaultMaxBodyBytes, "maximum request body size in bytes")
 	dataDir := flag.String("data-dir", "", "journal dataset writes under this directory and recover them on restart (empty = in-memory catalog)")
-	dedupBudget := flag.Int64("dedup-budget", 0, "spill query dedup to disk past this many in-memory answers (0 = never spill)")
-	spillDir := flag.String("spill-dir", "", "directory for spilled dedup tables (empty = OS temp dir)")
 	role := flag.String("role", "single", `process role: "single" or "worker" (serve locally, incl. the scatter endpoint) or "coordinator" (fan dataset work out over -workers)`)
 	workers := flag.String("workers", "", "comma-separated worker base URLs (coordinator role only)")
 	scatterStall := flag.Duration("scatter-stall", cluster.DefaultStallTimeout, "per-worker deadline: cancel a scatter call making no stream progress for this long")
@@ -147,8 +143,6 @@ func main() {
 		FlushEvery:       *flushEvery,
 		MaxBodyBytes:     *maxBody,
 		DataDir:          *dataDir,
-		SpillBudget:      *dedupBudget,
-		SpillDir:         *spillDir,
 		MaxStreams:       *maxStreams,
 		QueueDeadline:    *queueDeadline,
 		MaxSubscriptions: *maxSubscriptions,

@@ -108,9 +108,9 @@ func (p *Plan) DeltaAnswersContext(ctx context.Context, from, to Version, yield 
 // window (from, to] — a superset of Q(to) \ Q(from) and a subset of Q(to),
 // each distinct candidate once — without the old-version membership
 // filter. Consumers that already maintain the set of answers they have
-// seen (an AnswerSet fed from the initial enumeration) dedup against it
-// directly, which is how naive-mode subscriptions avoid re-materializing
-// the old answer set per append. Tuple lifetime and early-stop semantics
+// seen (fed from the initial enumeration) dedup against it directly, which
+// is how naive-mode subscriptions avoid re-materializing the old answer
+// set per append. Tuple lifetime and early-stop semantics
 // match DeltaAnswersContext.
 func (p *Plan) DeltaCandidatesContext(ctx context.Context, from, to Version, yield func(Tuple) bool) error {
 	ctx = p.deltaCtx(ctx)
@@ -155,33 +155,3 @@ func (p *Plan) deltaWindow(from, to Version) (fromInst, toInst *Instance, deltas
 	}
 	return fromInst, toInst, deltas, nil
 }
-
-// AnswerSet is a budget-bounded set of emitted answers for consumers that
-// maintain a live answer set without a certified old-membership test
-// (naive-mode subscriptions): it dedups in memory until the budget is
-// reached, then migrates to a disk-backed spill table, so memory stays
-// bounded by the budget rather than the answer count. Not safe for
-// concurrent use.
-type AnswerSet struct{ s *delta.Set }
-
-// NewAnswerSet returns an AnswerSet for answers of the given arity.
-// budget ≤ 0 disables spilling; dir empty spills under os.TempDir().
-func NewAnswerSet(dir string, arity, budget int) *AnswerSet {
-	hint := 0
-	if budget > 0 {
-		hint = budget
-	}
-	return &AnswerSet{s: delta.NewSet(dir, arity, budget, hint)}
-}
-
-// Insert adds t if absent and reports whether it was newly inserted.
-func (a *AnswerSet) Insert(t Tuple) (bool, error) { return a.s.Insert(t) }
-
-// Len returns the number of distinct answers inserted.
-func (a *AnswerSet) Len() int { return a.s.Len() }
-
-// Spilled reports whether the set has migrated to disk.
-func (a *AnswerSet) Spilled() bool { return a.s.Spilled() }
-
-// Close releases the disk table, if any.
-func (a *AnswerSet) Close() error { return a.s.Close() }

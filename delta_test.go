@@ -400,25 +400,3 @@ func TestCatalogSubscribeNotify(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestAnswerSetSpills(t *testing.T) {
-	set := NewAnswerSet(t.TempDir(), 2, 4)
-	defer set.Close()
-	for i := 0; i < 10; i++ {
-		fresh, err := set.Insert(Tuple{V(int64(i)), V(int64(i))})
-		if err != nil || !fresh {
-			t.Fatalf("insert %d: fresh=%v err=%v", i, fresh, err)
-		}
-	}
-	if !set.Spilled() {
-		t.Error("set should have spilled past the budget")
-	}
-	if set.Len() != 10 {
-		t.Errorf("Len = %d, want 10", set.Len())
-	}
-	for i := 0; i < 10; i++ {
-		if fresh, err := set.Insert(Tuple{V(int64(i)), V(int64(i))}); err != nil || fresh {
-			t.Fatalf("re-insert %d: fresh=%v err=%v, want stale", i, fresh, err)
-		}
-	}
-}

@@ -45,9 +45,9 @@ func canonicalAnswers(t *testing.T, p *Plan) string {
 // TestCrossEngineEquivalence is the randomized cross-engine harness: over
 // 220 seeded random UCQs and instances, the naive evaluator and the
 // certified pipeline at every source of its one merge — inline
-// ("sequential"), executor (workers ∈ {1,2,8}), Auto, each also with a
-// spilled dedup set — must return identical answer sets. The preparation is shared across execution variants through the
-// Prepare/Bind split — the same reuse path the server's plan cache
+// ("sequential"), executor (workers ∈ {1,2,8}), Auto — must return
+// identical, duplicate-free answer sets. The preparation is shared across
+// execution variants through the Prepare/Bind split — the same reuse path the server's plan cache
 // exercises — and each case additionally routes through a catalog
 // BindDataset twice, checking that a bind-cache-served plan enumerates
 // the same set as a freshly bound one.
@@ -85,15 +85,6 @@ func TestCrossEngineEquivalence(t *testing.T) {
 			// The cost model resolves its own worker count per bind;
 			// whatever it picks must agree with every hand-picked strategy.
 			{"auto", &PlanOptions{Auto: true}},
-			// A tiny dedup budget forces the merge's dedup set onto the
-			// disk-backed spill table for any non-trivial answer set; the
-			// spilled path must return the identical answer set.
-			{"sequential-spill", &PlanOptions{DedupBudget: 2}},
-			{"workers-1-spill", &PlanOptions{Workers: 1, DedupBudget: 2}},
-			{"workers-4-spill", &PlanOptions{Workers: 4, DedupBudget: 2}},
-			// With Auto the budget also feeds the cost decision, which
-			// reports an exact count over budget as a spill.
-			{"auto-spill", &PlanOptions{Auto: true, DedupBudget: 2}},
 		}
 		for _, e := range execs {
 			p, err := pq.BindExec(inst, e.opts)
@@ -306,9 +297,101 @@ func TestCrossEngineEquivalenceBooleanAndEmpty(t *testing.T) {
 	}
 }
 
+// TestCrossEngineEquivalenceRankRuleEdges adds fixed rows to the
+// cross-engine table for the shapes where deduplicating by membership
+// could go wrong: nullary heads (every answer is the same empty tuple), a
+// repeated head variable, a member overlapping two earlier ones, and a
+// member wholly contained in an earlier one. Every certified stream at
+// Workers 0/1/4/Auto must equal the naive answer set, duplicate-free.
+func TestCrossEngineEquivalenceRankRuleEdges(t *testing.T) {
+	const boolean = `
+		Q1() <- R(x,y), T(y,z).
+		Q2() <- S(x,y).
+	`
+	cases := []struct {
+		name  string
+		query string
+		rels  map[string][][]int64
+		prep  *PlanOptions
+		want  int
+	}{
+		{"boolean-both-empty", boolean, map[string][][]int64{"R": {{1, 2}}, "T": {{3, 4}}}, nil, 0},
+		{"boolean-first-only", boolean, map[string][][]int64{"R": {{1, 2}, {5, 2}}, "T": {{2, 4}, {2, 6}}}, nil, 1},
+		{"boolean-second-only", boolean, map[string][][]int64{"R": {{1, 2}}, "T": {{3, 4}}, "S": {{7, 7}, {8, 8}}}, nil, 1},
+		{"boolean-both", boolean, map[string][][]int64{"R": {{1, 2}}, "T": {{2, 4}}, "S": {{7, 7}, {8, 8}}}, nil, 1},
+		{"repeated-head-variable", `
+			Q1(x,x,y) <- R(x,y).
+			Q2(x,z,y) <- S(x,z), T(z,y).
+		`, map[string][][]int64{
+			"R": {{1, 2}, {2, 2}, {3, 4}},
+			"S": {{1, 1}, {2, 1}, {3, 3}, {5, 5}},
+			"T": {{1, 2}, {3, 4}, {5, 6}},
+		}, nil, 5},
+		{"third-member-overlaps-both", `
+			Q1(x,y) <- R(x,y).
+			Q2(x,y) <- S(x,y).
+			Q3(x,y) <- T(x,y).
+		`, map[string][][]int64{
+			"R": {{1, 1}, {2, 2}, {3, 3}},
+			"S": {{3, 3}, {4, 4}, {5, 5}},
+			"T": {{1, 1}, {3, 3}, {5, 5}, {6, 6}},
+		}, nil, 6},
+		{"contained-member-kept", `
+			Q1(x,y) <- R(x,y).
+			Q2(x,y) <- R(x,y), S(y,z).
+		`, map[string][][]int64{
+			"R": {{1, 2}, {2, 3}, {3, 4}},
+			"S": {{2, 9}, {3, 9}, {3, 8}},
+		}, &PlanOptions{KeepRedundant: true}, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			u := MustParse(tc.query)
+			inst := NewInstance()
+			for _, d := range u.Schema() {
+				r := NewRelation(d.Name, d.Arity)
+				for _, row := range tc.rels[d.Name] {
+					r.AppendInts(row...)
+				}
+				inst.AddRelation(r)
+			}
+			naive, err := NewPlan(u, inst, &PlanOptions{ForceNaive: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := canonicalAnswers(t, naive)
+			if n := naive.Count(); n != tc.want {
+				t.Fatalf("naive oracle has %d answers, row expects %d", n, tc.want)
+			}
+			pq, err := Prepare(u, tc.prep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pq.Mode != ConstantDelay {
+				t.Fatalf("row is not certified; it would not exercise the rank rule")
+			}
+			if len(pq.Evaluated.CQs) != len(u.CQs) {
+				t.Fatalf("planned %d of %d members; the row needs them all", len(pq.Evaluated.CQs), len(u.CQs))
+			}
+			for _, opts := range []*PlanOptions{nil, {Workers: 1}, {Workers: 4}, {Auto: true}} {
+				p, err := pq.BindExec(inst, opts)
+				if err != nil {
+					t.Fatalf("opts %+v: %v", opts, err)
+				}
+				if got := canonicalAnswers(t, p); got != want {
+					t.Fatalf("opts %+v disagrees with naive\nnaive:\n%s\ngot:\n%s", opts, want, got)
+				}
+				if n := p.Count(); n != tc.want {
+					t.Fatalf("opts %+v: %d answers, want %d", opts, n, tc.want)
+				}
+			}
+		})
+	}
+}
+
 // TestInlineEnumerationIsDeterministic: with Workers 0 the merge runs its
-// tasks in order on the caller's goroutine — bonus answers, then each
-// member plan, every answer at its first occurrence — so two drains of one
+// tasks in order on the caller's goroutine — member 0, then each later
+// member minus the earlier ones — so two drains of one
 // Example 2 plan, and a drain of a second bind of the same instance, yield
 // the identical sequence. (Executor-backed streams only promise the set.)
 func TestInlineEnumerationIsDeterministic(t *testing.T) {

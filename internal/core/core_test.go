@@ -55,7 +55,7 @@ func checkUnionAgainstBaseline(t *testing.T, u *cq.UCQ, inst *database.Instance)
 			t.Fatalf("answer %d = %v, want %v", i, got[i], want[i])
 		}
 	}
-	// No duplicates by construction of the Cheater; double-check.
+	// No duplicates by the rank rule; double-check.
 	seen := make(map[string]bool, len(got))
 	for _, g := range got {
 		if seen[g.Key()] {

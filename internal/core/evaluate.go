@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cq"
@@ -20,46 +19,43 @@ import (
 // Preparation follows the proof of Theorem 12. For each CQ (providers
 // before consumers, by the recursive structure of the certificate), every
 // virtual atom's relation is instantiated by running the provider's
-// S-connex enumeration (Lemma 8): each provider S-tuple is extended to a
-// full homomorphism, emitted as a bona fide answer of the union (the
-// "answers produced along the way" of the proof), and translated through
-// the body-homomorphism into a row of the virtual relation. The extended
-// CQs are then enumerated by the CDY engine, and the whole stream is merged
-// by the Cheater's Lemma (Lemma 5, enumeration.Union), which absorbs the
-// constantly-many linear stalls and the constant duplication factor.
+// S-connex enumeration (Lemma 8): each provider S-tuple is translated
+// through the body-homomorphism into a row of the virtual relation. The
+// proof also emits each provider tuple's extension as an answer "produced
+// along the way"; here it is only counted (UnionStats.BonusAnswers),
+// because it is an answer of the provider CQ and that CQ's own member plan
+// (Certificate.Extensions is parallel to U.CQs) enumerates it anyway.
+//
+// The extended CQs are then enumerated by the CDY engine and deduplicated
+// by membership, not by memory — Algorithm 1's idea (Theorem 4) applied as
+// a rank rule: member i's answer is emitted iff no member j < i contains
+// it, a constant-time probe of j's full-key top indexes. Every stream is
+// therefore disjoint by construction and holds no answer set.
 type UnionPlan struct {
 	U    *cq.UCQ
 	Cert *Certificate
 
-	// bonus holds the provider answers produced while instantiating
-	// virtual relations; they are answers of the union.
-	bonus []database.Tuple
 	plans []*yannakakis.Plan
-	// m is the Lemma 5 duplication bound handed to the merge.
-	m int
 	// resolved caches instantiated instances per extension snapshot.
 	resolved map[*ExtendedCQ]*database.Instance
 	inst     *database.Instance
 	stats    UnionStats
 
 	// estimate caches the summed branch cardinality (-1 until computed),
-	// used to pre-size the executor-fed merge's dedup set. It is the only
-	// field written after preparation, so it is atomic: a bound plan served
-	// from the catalog's bind cache is iterated by concurrent requests, and
-	// racing computations store the same value.
+	// the cost model's output-volume input. It is the only field written
+	// after preparation, so it is atomic: a bound plan served from the
+	// catalog's bind cache is read by concurrent requests, and racing
+	// computations store the same value.
 	estimate atomic.Int64
-
-	// bonusSet indexes bonus for ContainsAnswer, built lazily under
-	// bonusOnce (cached plans serve concurrent membership probes).
-	bonusOnce sync.Once
-	bonusSet  *database.TupleSet
 }
 
 // UnionStats reports preprocessing counters of a union plan.
 type UnionStats struct {
 	// ProviderRuns counts Lemma 8 provider enumerations.
 	ProviderRuns int
-	// BonusAnswers counts answers emitted by provider runs.
+	// BonusAnswers counts the provider tuples enumerated by those runs —
+	// the proof's "answers produced along the way", which the providers'
+	// member plans enumerate again.
 	BonusAnswers int
 	// VirtualTuples counts rows across instantiated virtual relations.
 	VirtualTuples int
@@ -74,8 +70,7 @@ func (p *UnionPlan) Stats() UnionStats { return p.stats }
 // The (u, cert) pair is only read: a certificate found once may be shared
 // by concurrent NewUnionPlan calls binding it to different instances (the
 // prepared-plan reuse a long-lived server depends on). All mutable state —
-// virtual relations, bonus answers, per-CQ engine plans — lives in the
-// returned UnionPlan.
+// virtual relations, per-CQ engine plans — lives in the returned UnionPlan.
 func NewUnionPlan(u *cq.UCQ, cert *Certificate, inst *database.Instance) (*UnionPlan, error) {
 	return NewUnionPlanCtx(context.Background(), u, cert, inst)
 }
@@ -107,9 +102,13 @@ func NewUnionPlanCtx(ctx context.Context, u *cq.UCQ, cert *Certificate, inst *da
 		if err != nil {
 			return nil, fmt.Errorf("core: preparing %s: %w", e.Base.Name, err)
 		}
+		if !plan.HeadTestable() {
+			// The rank rule dedups by probing member plans with head tuples;
+			// a plan that cannot answer would let duplicates through.
+			return nil, fmt.Errorf("core: member %s does not enumerate exactly its head variables; membership is undecidable from an answer", e.Base.Name)
+		}
 		p.plans = append(p.plans, plan)
 	}
-	p.m = len(p.plans) + p.stats.ProviderRuns + 1
 	return p, nil
 }
 
@@ -134,8 +133,7 @@ func (p *UnionPlan) resolve(e *ExtendedCQ) (*database.Instance, error) {
 }
 
 // runProvider executes one Lemma 8 provider enumeration: it prepares the
-// provider snapshot with enumeration set S, extends each S-tuple to a full
-// answer (recording it as a bonus answer of the union), and translates it
+// provider snapshot with enumeration set S and translates each S-tuple
 // into the virtual relation through the body-homomorphism.
 func (p *UnionPlan) runProvider(va VirtualAtom) (*database.Relation, error) {
 	prov := va.Prov
@@ -169,13 +167,6 @@ func (p *UnionPlan) runProvider(va VirtualAtom) (*database.Relation, error) {
 	row := make(database.Tuple, len(va.Atom.Vars))
 	it := plan.Iterator()
 	for it.Next() {
-		it.Extend()
-		// The extension is a full answer of the provider CQ: emit it.
-		head := make(database.Tuple, len(pq.Head))
-		for i, v := range pq.Head {
-			head[i] = it.Value(v)
-		}
-		p.bonus = append(p.bonus, head)
 		p.stats.BonusAnswers++
 		// Translate: all preimages of a provided variable must agree.
 		ok := true
@@ -201,7 +192,8 @@ func (p *UnionPlan) runProvider(va VirtualAtom) (*database.Relation, error) {
 
 // Explain renders a human-readable description of the union plan: the
 // certified extensions, the provider runs performed during preprocessing,
-// and each member's engine plan.
+// and per member the earlier members it is deduplicated against, the probe
+// cost of that, and its engine plan.
 func (p *UnionPlan) Explain() string {
 	var b strings.Builder
 	b.WriteString("Theorem 12 union plan\n")
@@ -212,9 +204,16 @@ func (p *UnionPlan) Explain() string {
 	st := p.Stats()
 	fmt.Fprintf(&b, "preprocessing: %d provider runs, %d bonus answers, %d virtual tuples\n",
 		st.ProviderRuns, st.BonusAnswers, st.VirtualTuples)
-	fmt.Fprintf(&b, "duplication bound handed to the Cheater combinator: %d\n", p.m)
+	probes := 0
 	for i, plan := range p.plans {
-		fmt.Fprintf(&b, "-- member %d --\n%s", i, plan.Explain())
+		fmt.Fprintf(&b, "-- member %d --\n", i)
+		if i == 0 {
+			b.WriteString("dedup by membership: first member, emitted unfiltered\n")
+		} else {
+			fmt.Fprintf(&b, "dedup by membership: skips answers contained in members 0..%d (at most %d index probes per answer)\n", i-1, probes)
+		}
+		b.WriteString(plan.Explain())
+		probes += plan.Stats().Tops
 	}
 	return b.String()
 }
@@ -226,67 +225,48 @@ func (p *UnionPlan) Iterator() *enumeration.Union {
 	return p.Answers(context.Background(), enumeration.UnionOptions{}, nil)
 }
 
-// Answers is the one stream builder: it cuts the bonus answers recorded
-// during preprocessing and every member plan into tasks and hands them to
-// the Cheater's Lemma merge (enumeration.Union). opts carries the caller's
-// choices — Workers, BatchSize, SpillBudget, SpillDir; Answers sets what
-// follows from the plan:
+// Answers is the one stream builder: it cuts every member plan into
+// root-range tasks that skip what an earlier member contains (the rank
+// rule, see planTask) and hands them to enumeration.Union, which only
+// concatenates: the tasks are pairwise disjoint by construction. opts
+// carries the caller's choices, Workers and BatchSize.
 //
-//   - The task cut. Inline (Workers 0) each member is one full-range task
-//     and the stream is deterministic: bonus answers, then member 0, member
-//     1, …, each answer at its first occurrence. On the executor each
-//     member is cut into splitFactor × Workers root-range tasks that
-//     workers steal and re-split; the answer set is identical, the order
-//     is not.
-//   - Disjoint, when the stream is one CDY plan with nothing merged in: a
-//     single plan's head stream is duplicate-free and root ranges partition
-//     it (the ExactCount condition), so the merge skips deduplication.
-//   - The Lemma 5 bound p.m inline, where it paces the delay; a SizeHint on
-//     the executor only — an O(answers) table built before the first answer
-//     would break the inline source's first-answer latency.
+// Inline (Workers 0) each member is one full-range task and the stream is
+// deterministic: member 0, then member 1 minus member 0, …. On the executor
+// each member is cut into splitFactor × Workers root-range tasks that
+// workers steal and re-split, and the membership probes run in the
+// workers; the answer set is identical, the order is not.
 //
 // A non-empty names restricts the stream to the members a change to the
-// named relations can affect: the bonus answers (provider runs may
-// reference the relations transitively) plus the extensions whose relation
-// footprint meets names. Untouched members enumerate the same answers at
-// both ends of an append delta, so semi-naive maintenance skips them.
+// named relations can affect: the extensions whose relation footprint
+// meets names. Untouched members enumerate the same answers at both ends
+// of an append delta, so semi-naive maintenance skips them — but they still
+// rank: an answer one of them contains is not new.
 //
 // Cancelling ctx ends the stream within one batch. A stream on the
 // executor must be drained to exhaustion or Closed; see enumeration.Union.
 func (p *UnionPlan) Answers(ctx context.Context, opts enumeration.UnionOptions, names map[string]struct{}) *enumeration.Union {
 	parts := max(splitFactor*opts.Workers, 1)
-	tasks := make([]exec.Task, 0, 1+parts*len(p.plans))
-	if len(p.bonus) > 0 {
-		tasks = append(tasks, enumeration.NewSliceIterator(p.bonus))
-	}
-	members := 0
+	tasks := make([]exec.Task, 0, parts*len(p.plans))
 	for i, pl := range p.plans {
 		if len(names) > 0 && !p.Cert.Extensions[i].TouchesRelations(names) {
 			continue
 		}
-		members++
-		tasks = planTasks(tasks, pl, parts)
-	}
-	opts.Disjoint = members <= 1 && len(p.bonus) == 0
-	if opts.Workers == 0 {
-		opts.M = p.m
-	} else if !opts.Disjoint {
-		opts.SizeHint = p.sizeHint()
+		tasks = planTasks(tasks, pl, p.plans[:i], parts)
 	}
 	return enumeration.NewUnion(ctx, p.U.Arity(), opts, tasks)
 }
 
 // AnswerEstimate lazily computes and caches the union's summed branch
-// cardinality — the bonus answers plus each member plan's exact output
-// count (one linear counting pass per branch, no enumeration).
-// Cross-branch duplicates make this an upper bound on the distinct answer
-// count; for a single-branch union with no bonus answers it is exact. The
-// executor-fed merge pre-sizes its dedup set from it, and the cost model
-// reads it as the output-volume input of the mode decision.
+// cardinality — each member plan's exact output count (one linear counting
+// pass per branch, no enumeration). Cross-branch duplicates make this an
+// upper bound on the distinct answer count; for a single-branch union it
+// is exact. The cost model reads it as the output-volume input of the mode
+// decision.
 func (p *UnionPlan) AnswerEstimate() int64 {
 	est := p.estimate.Load()
 	if est < 0 {
-		est = int64(len(p.bonus))
+		est = 0
 		for _, pl := range p.plans {
 			est += pl.CountAnswers()
 		}
@@ -296,55 +276,35 @@ func (p *UnionPlan) AnswerEstimate() int64 {
 }
 
 // ExactCount returns the union's answer count without enumerating, when
-// the pipeline is duplicate-free by construction: a single certified
-// extension with no bonus answers enumerates each answer exactly once, so
-// its counting pass (yannakakis CountAnswers) is the answer count. ok is
-// false when the union has several branches or provider bonus answers —
-// cross-branch duplicates then make counting require deduplication, i.e.
-// enumeration.
+// it has a single member: one CDY plan enumerates each answer exactly
+// once, so its counting pass (yannakakis CountAnswers) is the answer
+// count. ok is false for several members — counting what the rank rule
+// lets through requires the probes, i.e. enumeration.
 func (p *UnionPlan) ExactCount() (int64, bool) {
-	if len(p.plans) == 1 && len(p.bonus) == 0 {
+	if len(p.plans) == 1 {
 		return p.plans[0].CountAnswers(), true
 	}
 	return 0, false
 }
 
 // ContainsAnswer reports whether t is an answer of the union over the
-// plan's bound instance, in constant time: the bonus answers are probed
-// through a lazily-built TupleSet and each certified branch through its
-// CDY full-tree head index (yannakakis ContainsHead). Delta maintenance
-// uses it as the old-version membership test — a candidate answer found
-// over the appended tuples is new iff the plan bound at the previous
-// version does not contain it.
+// plan's bound instance, in constant time: each certified branch is probed
+// through its CDY full-tree head index (yannakakis ContainsHead). Delta
+// maintenance uses it as the old-version membership test — a candidate
+// answer found over the appended tuples is new iff the plan bound at the
+// previous version does not contain it.
 func (p *UnionPlan) ContainsAnswer(t database.Tuple) bool {
-	if len(t) != p.U.Arity() {
-		return false
-	}
-	p.bonusOnce.Do(func() {
-		s := database.NewTupleSet(len(p.bonus))
-		for _, b := range p.bonus {
-			s.Insert(b)
-		}
-		p.bonusSet = s
-	})
-	if p.bonusSet.Contains(t) {
-		return true
-	}
-	for _, pl := range p.plans {
+	return anyContains(p.plans, t)
+}
+
+// anyContains reports whether some plan contains the head tuple t.
+func anyContains(plans []*yannakakis.Plan, t database.Tuple) bool {
+	for _, pl := range plans {
 		if pl.ContainsHead(t) {
 			return true
 		}
 	}
 	return false
-}
-
-// sizeHint clamps AnswerEstimate onto the merge's pre-sizing range.
-func (p *UnionPlan) sizeHint() int {
-	est := p.AnswerEstimate()
-	if est > enumeration.MaxSizeHint {
-		return enumeration.MaxSizeHint
-	}
-	return int(est)
 }
 
 // Materialize drains a fresh iterator into a relation.
@@ -380,8 +340,10 @@ func (h *headIterator) Contains(t database.Tuple) bool {
 }
 
 // NewAlgorithmOneUnion evaluates a union of two free-connex CQs with the
-// paper's Algorithm 1 (Theorem 4): constant working memory, no Cheater
-// queue. Both CQs must be free-connex as plain CQs.
+// paper's Algorithm 1 (Theorem 4) as written — for each answer of Q1 that
+// Q2 also contains, one answer of Q2 is emitted in its place — kept as the
+// ablation of the engine's rank rule. Both CQs must be free-connex as
+// plain CQs.
 func NewAlgorithmOneUnion(u *cq.UCQ, inst *database.Instance) (enumeration.Iterator, error) {
 	if len(u.CQs) != 2 {
 		return nil, fmt.Errorf("core: Algorithm 1 unions exactly two CQs, got %d", len(u.CQs))
@@ -432,10 +394,5 @@ type unionTestable struct {
 func (u *unionTestable) Next() (database.Tuple, bool) { return u.inner.Next() }
 
 func (u *unionTestable) Contains(t database.Tuple) bool {
-	for _, p := range u.plans {
-		if p.ContainsHead(t) {
-			return true
-		}
-	}
-	return false
+	return anyContains(u.plans, t)
 }

@@ -25,7 +25,7 @@ func TestUnionPlanExplain(t *testing.T) {
 		"Theorem 12 union plan",
 		"certified extensions",
 		"provider runs",
-		"Cheater combinator",
+		"dedup by membership",
 		"elimination log",
 		"top join tree",
 	} {

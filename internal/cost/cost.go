@@ -10,7 +10,7 @@
 // delay); the instance's size decides what is *fast*: tiny instances and
 // single-CPU machines reward no parallelism at all. Decide is a pure
 // function of its Inputs, so a decision is reproducible for a given
-// instance snapshot, CPU count and memory budget.
+// instance snapshot and CPU count.
 package cost
 
 import "fmt"
@@ -35,12 +35,6 @@ type Inputs struct {
 	Branches int
 	// CPUs is the parallelism available at decision time (GOMAXPROCS).
 	CPUs int
-	// MemBudget is the largest number of distinct answers the merge's
-	// dedup set may hold in memory, or 0 for unbounded. The Theorem 12
-	// counting pass makes Answers exact for certified plans, so an
-	// over-budget answer set is known at bind time, before the first
-	// answer is enumerated.
-	MemBudget int64
 }
 
 // Decision is the resolved execution configuration plus its provenance:
@@ -51,9 +45,6 @@ type Decision struct {
 	// Workers is the resolved PlanOptions.Workers: 0 for the inline
 	// source, n ≥ 1 for the work-stealing executor with n workers.
 	Workers int
-	// Spill directs the merge's dedup set to the disk-backed table once it
-	// outgrows Inputs.MemBudget.
-	Spill bool
 	// Reason explains the pick in one sentence.
 	Reason string
 	// Inputs echoes what the decision was made from.
@@ -76,20 +67,6 @@ const MinParallelWork = 1 << 12 // 4096 tuples
 
 // Decide resolves the execution strategy for one bind.
 func Decide(in Inputs) Decision {
-	d := decideMode(in)
-	// Spill is an orthogonal overlay on the mode choice: when the exact
-	// count already proves the answer set exceeds the memory budget, the
-	// dedup set will go to disk. The merge honours the budget at every
-	// worker count, so the pick itself stands.
-	if in.MemBudget > 0 && in.Answers > in.MemBudget && in.ConstantDelay {
-		d.Spill = true
-		d.Reason += fmt.Sprintf("; %d answers exceed the %d-answer budget, dedup spills to disk", in.Answers, in.MemBudget)
-	}
-	return d
-}
-
-// decideMode picks the execution mode without regard to the memory budget.
-func decideMode(in Inputs) Decision {
 	d := Decision{Inputs: in}
 	work := int64(in.Rows)
 	if in.Answers > 0 {

@@ -7,8 +7,7 @@ import (
 
 // TestDecideAlwaysValid is the property the plan layer relies on: for any
 // inputs — including nonsense ones — the resolved worker count satisfies
-// PlanOptions validation (never negative), a spill is reported exactly when
-// an exact count exceeds a set budget, and the provenance fields are
+// PlanOptions validation (never negative) and the provenance fields are
 // populated.
 func TestDecideAlwaysValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
@@ -18,13 +17,9 @@ func TestDecideAlwaysValid(t *testing.T) {
 			Rows:          rng.Intn(1 << 20),
 			Answers:       rng.Int63n(1<<21) - 1, // includes -1 (unknown)
 			Branches:      rng.Intn(5),
-			CPUs:          rng.Intn(65) - 1,      // includes -1 and 0
-			MemBudget:     rng.Int63n(1<<20) - 1, // includes -1 and 0 (unbounded)
+			CPUs:          rng.Intn(65) - 1, // includes -1 and 0
 		}
 		d := Decide(in)
-		if over := in.ConstantDelay && in.MemBudget > 0 && in.Answers > in.MemBudget; d.Spill != over {
-			t.Fatalf("case %d: Spill = %v, want %v (spill ⇔ constant delay ∧ answers over a set budget): %+v", i, d.Spill, over, d)
-		}
 		if d.Workers < 0 {
 			t.Fatalf("case %d: negative worker count %+v", i, d)
 		}
@@ -68,33 +63,6 @@ func TestDecideRegimes(t *testing.T) {
 		if d.Kind() != tc.kind {
 			t.Errorf("%s: kind = %s (%s), want %s", tc.name, d.Kind(), d.Reason, tc.kind)
 		}
-	}
-}
-
-// TestDecideSpill pins the budget overlay: an exact count over the budget
-// is reported as a spill without changing the worker pick (the merge
-// honours the budget at every worker count, so one CPU stays inline), while
-// naive mode (no exact count) is left alone.
-func TestDecideSpill(t *testing.T) {
-	base := Inputs{ConstantDelay: true, Rows: 1 << 16, Answers: 1 << 16, CPUs: 8, MemBudget: 1 << 10}
-	if d := Decide(base); !d.Spill || d.Workers != 8 {
-		t.Fatalf("over-budget parallel: %+v", d)
-	}
-	one := base
-	one.CPUs = 1
-	if d := Decide(one); !d.Spill || d.Workers != 0 {
-		t.Fatalf("over-budget on one CPU must spill inline, not buy an executor: %+v", d)
-	}
-	under := base
-	under.MemBudget = 1 << 20
-	if d := Decide(under); d.Spill {
-		t.Fatalf("under-budget answer set spilled: %+v", d)
-	}
-	naive := base
-	naive.ConstantDelay = false
-	naive.Answers = -1
-	if d := Decide(naive); d.Spill {
-		t.Fatalf("naive mode has no exact count to spill on: %+v", d)
 	}
 }
 

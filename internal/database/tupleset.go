@@ -52,27 +52,14 @@ type TupleSet struct {
 
 // NewTupleSet creates an empty set sized for about sizeHint entries.
 func NewTupleSet(sizeHint int) *TupleSet {
-	return NewTupleSetSized(sizeHint, 0)
-}
-
-// NewTupleSetSized creates an empty set sized for about sizeHint entries
-// holding valueHint values in total (sizeHint × arity for fixed-arity
-// callers). With both hints right, inserting the whole set allocates
-// nothing beyond the initial slices: slot table, hash list and arena are
-// all at final size up front.
-func NewTupleSetSized(sizeHint, valueHint int) *TupleSet {
 	if sizeHint < 0 {
 		sizeHint = 0
-	}
-	if valueHint < 0 {
-		valueHint = 0
 	}
 	n := 8
 	for n*3/4 < sizeHint {
 		n <<= 1
 	}
 	s := &TupleSet{
-		arena:  make([]Value, 0, valueHint),
 		offs:   make([]int32, 1, sizeHint+1),
 		hashes: make([]uint64, 0, sizeHint),
 		slots:  make([]int32, n),
@@ -90,10 +77,6 @@ func (s *TupleSet) Len() int { return len(s.offs) - 1 }
 // At returns entry i as a view into the arena. Views stay valid and
 // immutable for the lifetime of the set; callers must not mutate them.
 func (s *TupleSet) At(i int) Tuple { return Tuple(s.arena[s.offs[i]:s.offs[i+1]]) }
-
-// HashAt returns the stored hash of entry i, letting spill migration move
-// entries into a disk-backed table without rehashing the arena.
-func (s *TupleSet) HashAt(i int) uint64 { return s.hashes[i] }
 
 // findSlot returns the slot holding an entry equal to t, or the first empty
 // slot of its probe sequence.

@@ -30,7 +30,6 @@ import (
 	"repro/internal/cq"
 	"repro/internal/database"
 	"repro/internal/enumeration"
-	"repro/internal/storage"
 )
 
 // ctxCheckEvery bounds how many candidate tuples are yielded between
@@ -210,96 +209,6 @@ func drainRel(ctx context.Context, rel *database.Relation, seen *database.TupleS
 				return err
 			}
 		}
-	}
-	return nil
-}
-
-// maxPreallocValues caps Set's arena pre-allocation (mirrors the
-// enumeration merge's clamp) so a huge budget cannot pre-commit memory.
-const maxPreallocValues = 1 << 20
-
-// Set is a budget-bounded emitted-answer set for subscriptions without a
-// constant-time old-membership test (naive-mode plans): it dedups in
-// memory until it holds budget tuples, then migrates to a disk-backed
-// storage.SpillSet and continues there, so a long-lived subscription's
-// memory stays bounded by the budget rather than the answer count.
-type Set struct {
-	mem     *database.TupleSet
-	disk    *storage.SpillSet
-	dir     string
-	arity   int
-	budget  int
-	spilled bool
-}
-
-// NewSet returns a Set for tuples of the given arity. budget ≤ 0 disables
-// spilling (the set stays in memory); dir empty selects os.TempDir() at
-// spill time (storage.NewSpillSet's default).
-func NewSet(dir string, arity, budget, sizeHint int) *Set {
-	if budget > 0 && sizeHint > budget {
-		sizeHint = budget
-	}
-	valueHint := sizeHint * arity
-	if valueHint > maxPreallocValues {
-		valueHint = maxPreallocValues
-	}
-	return &Set{
-		mem:    database.NewTupleSetSized(sizeHint, valueHint),
-		dir:    dir,
-		arity:  arity,
-		budget: budget,
-	}
-}
-
-// Insert adds t if absent and reports whether it was newly inserted.
-func (s *Set) Insert(t database.Tuple) (bool, error) {
-	if s.disk != nil {
-		_, fresh, err := s.disk.InsertGet(t)
-		return fresh, err
-	}
-	fresh := s.mem.Insert(t)
-	if fresh && s.budget > 0 && s.mem.Len() >= s.budget {
-		if err := s.spill(); err != nil {
-			return false, err
-		}
-	}
-	return fresh, nil
-}
-
-// spill migrates the in-memory entries to disk under their existing
-// hashes, preserving every membership verdict.
-func (s *Set) spill() error {
-	disk, err := storage.NewSpillSet(s.dir, s.arity, 2*s.budget)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < s.mem.Len(); i++ {
-		if _, _, err := disk.InsertGetHash(s.mem.HashAt(i), s.mem.At(i)); err != nil {
-			disk.Close()
-			return err
-		}
-	}
-	s.disk = disk
-	s.spilled = true
-	s.mem = nil
-	return nil
-}
-
-// Len returns the number of distinct tuples inserted.
-func (s *Set) Len() int {
-	if s.disk != nil {
-		return s.disk.Len()
-	}
-	return s.mem.Len()
-}
-
-// Spilled reports whether the set has migrated to disk.
-func (s *Set) Spilled() bool { return s.spilled }
-
-// Close releases the disk table, if any.
-func (s *Set) Close() error {
-	if s.disk != nil {
-		return s.disk.Close()
 	}
 	return nil
 }

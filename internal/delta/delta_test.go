@@ -232,41 +232,3 @@ func TestCandidatesNaiveMatchesCertified(t *testing.T) {
 		}
 	}
 }
-
-// TestSetSpillPreservesMembership: crossing the budget migrates to disk
-// without changing any membership verdict.
-func TestSetSpillPreservesMembership(t *testing.T) {
-	s := NewSet(t.TempDir(), 2, 8, 0)
-	defer s.Close()
-	tup := func(i int) database.Tuple {
-		return database.Tuple{database.V(int64(i)), database.V(int64(i + 1))}
-	}
-	const n = 25
-	for i := 0; i < n; i++ {
-		fresh, err := s.Insert(tup(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !fresh {
-			t.Fatalf("tuple %d: first insert not fresh", i)
-		}
-	}
-	if !s.Spilled() {
-		t.Fatal("set did not spill past its budget")
-	}
-	if s.Len() != n {
-		t.Fatalf("Len = %d, want %d", s.Len(), n)
-	}
-	for i := 0; i < n; i++ {
-		fresh, err := s.Insert(tup(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fresh {
-			t.Fatalf("tuple %d: duplicate insert reported fresh after spill", i)
-		}
-	}
-	if s.Len() != n {
-		t.Fatalf("Len after duplicates = %d, want %d", s.Len(), n)
-	}
-}

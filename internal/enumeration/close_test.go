@@ -30,10 +30,10 @@ func TestCloseForwardsThroughWrappers(t *testing.T) {
 		make func(inner Iterator) Iterator
 	}{
 		{"cheater", func(inner Iterator) Iterator {
-			return unionOf(1, UnionOptions{M: 2}, inner)
+			return unionOf(1, UnionOptions{}, inner)
 		}},
 		{"cheater-not-yet-reached", func(inner Iterator) Iterator {
-			return unionOf(1, UnionOptions{M: 2}, NewSliceIterator(mkTuples(-5, 5)), inner)
+			return unionOf(1, UnionOptions{}, NewSliceIterator(mkTuples(-5, 5)), inner)
 		}},
 		{"cheater-on-executor", func(inner Iterator) Iterator {
 			return unionOf(1, UnionOptions{Workers: 2, BatchSize: 4}, inner, NewSliceIterator(nil))

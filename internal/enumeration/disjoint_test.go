@@ -16,7 +16,7 @@ func mkTuples(base, n int) []database.Tuple {
 	return out
 }
 
-// TestParallelUnionDisjoint checks that disjoint mode emits every branch
+// TestParallelUnionDisjoint checks that the merge emits every branch
 // answer exactly once and that the returned views stay stable after the
 // stream advances past their batch.
 func TestParallelUnionDisjoint(t *testing.T) {
@@ -26,7 +26,7 @@ func TestParallelUnionDisjoint(t *testing.T) {
 			NewSliceIterator(mkTuples(500, 500)),
 			NewSliceIterator(mkTuples(1000, 500)),
 		}
-		u := unionOf(1, UnionOptions{Workers: workers, BatchSize: 64, Disjoint: true}, its...)
+		u := unionOf(1, UnionOptions{Workers: workers, BatchSize: 64}, its...)
 		var got []database.Tuple
 		for {
 			tup, ok := u.Next()
@@ -37,9 +37,6 @@ func TestParallelUnionDisjoint(t *testing.T) {
 		}
 		if len(got) != 1500 {
 			t.Fatalf("disjoint union yielded %d answers, want 1500", len(got))
-		}
-		if u.Duplicates() != 0 {
-			t.Fatalf("disjoint union reported %d duplicates", u.Duplicates())
 		}
 		vals := make([]int, len(got))
 		for i, tup := range got {
@@ -57,14 +54,14 @@ func TestParallelUnionDisjoint(t *testing.T) {
 	})
 }
 
-// TestParallelUnionDisjointNullary covers arity-0 answers in disjoint mode.
+// TestParallelUnionDisjointNullary covers arity-0 answers: counted, not stored.
 func TestParallelUnionDisjointNullary(t *testing.T) {
 	forEachSource(t, func(t *testing.T, workers int) {
 		its := []Iterator{
 			NewSliceIterator([]database.Tuple{{}, {}}),
 			NewSliceIterator([]database.Tuple{{}}),
 		}
-		u := unionOf(0, UnionOptions{Workers: workers, Disjoint: true}, its...)
+		u := unionOf(0, UnionOptions{Workers: workers}, its...)
 		n := 0
 		for {
 			if _, ok := u.Next(); !ok {
@@ -78,38 +75,11 @@ func TestParallelUnionDisjointNullary(t *testing.T) {
 	})
 }
 
-// TestParallelUnionSizeHint checks that a pre-sized merge still deduplicates
-// exactly, including hints far above and below the real cardinality.
-func TestParallelUnionSizeHint(t *testing.T) {
-	forEachSource(t, func(t *testing.T, workers int) {
-		for _, hint := range []int{-5, 0, 10, 2000, MaxSizeHint + 1} {
-			its := []Iterator{
-				NewSliceIterator(mkTuples(0, 800)),
-				NewSliceIterator(mkTuples(400, 800)), // overlaps the first branch
-			}
-			u := unionOf(1, UnionOptions{Workers: workers, SizeHint: hint}, its...)
-			n := 0
-			for {
-				if _, ok := u.Next(); !ok {
-					break
-				}
-				n++
-			}
-			if n != 1200 {
-				t.Fatalf("hint %d: got %d distinct answers, want 1200", hint, n)
-			}
-			if u.Duplicates() != 400 {
-				t.Fatalf("hint %d: got %d duplicates, want 400", hint, u.Duplicates())
-			}
-		}
-	})
-}
-
 // TestParallelUnionDisjointClose checks Close ends the stream (and releases
-// any workers) mid-stream in disjoint mode.
+// any workers) mid-stream.
 func TestParallelUnionDisjointClose(t *testing.T) {
 	forEachSource(t, func(t *testing.T, workers int) {
-		u := unionOf(1, UnionOptions{Workers: workers, BatchSize: 8, Disjoint: true},
+		u := unionOf(1, UnionOptions{Workers: workers, BatchSize: 8},
 			NewSliceIterator(mkTuples(0, 10000)))
 		if _, ok := u.Next(); !ok {
 			t.Fatal("expected at least one answer")

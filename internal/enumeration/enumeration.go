@@ -1,9 +1,10 @@
 // Package enumeration provides the enumeration-algorithm toolkit of the
 // paper's upper-bound proofs: the answer-stream Iterator abstraction; Union,
-// the one merge of the engine — the Cheater's Lemma (Lemma 5) over batched
-// tasks, run inline on the caller's goroutine or on the work-stealing
-// executor; Algorithm 1 for unions of two tractable CQs (Theorem 4); and
-// wall-clock delay instrumentation used by the experiment harness.
+// the one merge of the engine — a concatenation of batched, pairwise
+// disjoint tasks, run inline on the caller's goroutine or on the
+// work-stealing executor; Algorithm 1 for unions of two tractable CQs
+// (Theorem 4); the Cheater's Lemma (Lemma 5) as a step-counted simulation;
+// and wall-clock delay instrumentation used by the experiment harness.
 package enumeration
 
 import (
@@ -85,9 +86,10 @@ func CloseIterator(it Iterator) {
 }
 
 // IterErr reports the error that terminated an iterator early, if any —
-// today that is disk trouble on Union's spilled dedup path. Check
-// it after Next reports exhaustion: a non-nil error means the stream was
-// truncated, not completed. Iterators without an error channel report nil.
+// a distributed stream that lost its workers has one; Union cannot fail.
+// Check it after Next reports exhaustion: a non-nil error means the stream
+// was truncated, not completed. Iterators without an error channel report
+// nil.
 func IterErr(it Iterator) error {
 	if e, ok := it.(interface{ Err() error }); ok {
 		return e.Err()
@@ -179,9 +181,8 @@ func Seq(it Iterator) iter.Seq[database.Tuple] {
 }
 
 // Collect drains an iterator into a slice. Ownership follows the iterator:
-// Union returns stable views owned by its dedup set or batch buffers —
-// valid indefinitely but not to be mutated — and plan adapters produce
-// fresh tuples.
+// Union returns stable views into its batch buffers — valid indefinitely
+// but not to be mutated — and plan adapters produce fresh tuples.
 func Collect(it Iterator) []database.Tuple {
 	var out []database.Tuple
 	for {

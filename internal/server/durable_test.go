@@ -2,10 +2,7 @@ package server
 
 import (
 	"fmt"
-	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -93,124 +90,5 @@ func TestServerRestartRecoversDatasets(t *testing.T) {
 	}
 	if len(st.Datasets) != 2 {
 		t.Errorf("dataset gauges = %+v, want events and other", st.Datasets)
-	}
-}
-
-// TestServerSpillBudget runs a dataset query whose exact answer count
-// exceeds the server-wide dedup budget: it must complete through the
-// disk-backed spill table with exactly the unbudgeted answer set, and the
-// /stats storage section must be present (spill gauges return to zero once
-// the stream's set is closed).
-func TestServerSpillBudget(t *testing.T) {
-	// Two branches with 30 overlapping answers each: well past a budget of
-	// 4, small enough to stay instant.
-	rels := map[string][][]int64{"R": {}, "S": {}}
-	for i := int64(0); i < 30; i++ {
-		rels["R"] = append(rels["R"], []int64{i, i + 1})
-		if i >= 10 {
-			rels["S"] = append(rels["S"], []int64{i, i + 1})
-		}
-	}
-	const query = `
-		Q1(x,y) <- R(x,y).
-		Q2(x,y) <- S(x,y).
-	`
-
-	_, plain := newTestServer(t, Config{})
-	putDataset(t, plain.URL, "d", rels)
-	want, _ := queryDataset(t, plain.URL, "d", QueryRequest{Query: query})
-	sortRows(want)
-	if len(want) != 30 {
-		t.Fatalf("unbudgeted run returned %d answers, want 30", len(want))
-	}
-
-	_, ts := newDurableServer(t, Config{SpillBudget: 4, SpillDir: t.TempDir()})
-	putDataset(t, ts.URL, "d", rels)
-	got, tr := queryDataset(t, ts.URL, "d", QueryRequest{Query: query})
-	sortRows(got)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("spilled answers = %v, want %v", got, want)
-	}
-	if tr.Count != len(want) {
-		t.Errorf("spilled trailer count = %d, want %d", tr.Count, len(want))
-	}
-
-	st := getStats(t, ts.URL)
-	if st.Storage == nil {
-		t.Fatal("/stats has no storage section with a spill budget set")
-	}
-	if st.Storage.SpillSets != 0 {
-		t.Errorf("spill sets still open after the stream completed: %+v", st.Storage)
-	}
-}
-
-// spillRelations builds the two-branch overlapping dataset the spill tests
-// share: 30 distinct answers against a budget of 4.
-func spillRelations() (map[string][][]int64, string) {
-	rels := map[string][][]int64{"R": {}, "S": {}}
-	for i := int64(0); i < 30; i++ {
-		rels["R"] = append(rels["R"], []int64{i, i + 1})
-		if i >= 10 {
-			rels["S"] = append(rels["S"], []int64{i, i + 1})
-		}
-	}
-	return rels, `
-		Q1(x,y) <- R(x,y).
-		Q2(x,y) <- S(x,y).
-	`
-}
-
-// TestServerSpillDirCreated pins the -spill-dir flag against a directory
-// that does not exist yet: the spilled query must still return the complete
-// answer set. The regression: the spill set's MkdirTemp failed on the
-// missing directory and the stream silently truncated to a prefix with a
-// done:true trailer.
-func TestServerSpillDirCreated(t *testing.T) {
-	rels, query := spillRelations()
-	_, ts := newDurableServer(t, Config{
-		SpillBudget: 4,
-		SpillDir:    filepath.Join(t.TempDir(), "not", "yet", "created"),
-	})
-	putDataset(t, ts.URL, "d", rels)
-	got, tr := queryDataset(t, ts.URL, "d", QueryRequest{Query: query})
-	if !tr.Done || tr.Error != "" {
-		t.Fatalf("trailer = %+v, want clean done:true", tr)
-	}
-	if len(got) != 30 {
-		t.Fatalf("spilled query through a fresh dir returned %d answers, want 30", len(got))
-	}
-}
-
-// TestServerSpillError pins the failure surface when the spill migration is
-// impossible (the spill dir's parent is a regular file): the stream must
-// end in an error trailer — done stays false — and the count path must be
-// an HTTP 500, never a truncated count.
-func TestServerSpillError(t *testing.T) {
-	occupied := filepath.Join(t.TempDir(), "occupied")
-	if err := os.WriteFile(occupied, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rels, query := spillRelations()
-	_, ts := newDurableServer(t, Config{
-		SpillBudget: 4,
-		SpillDir:    filepath.Join(occupied, "spill"),
-	})
-	putDataset(t, ts.URL, "d", rels)
-
-	got, tr := queryDataset(t, ts.URL, "d", QueryRequest{Query: query})
-	if tr.Done || tr.Error == "" {
-		t.Fatalf("trailer = %+v, want done:false with an error", tr)
-	}
-	if len(got) >= 30 {
-		t.Fatalf("stream yielded all %d answers despite the failed spill", len(got))
-	}
-	if tr.Count != len(got) {
-		t.Errorf("error trailer count = %d, but %d answers were streamed", tr.Count, len(got))
-	}
-
-	resp := do(t, http.MethodPost, ts.URL+"/datasets/d/count", QueryRequest{Query: query})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("count with a failed spill: status %d, want 500", resp.StatusCode)
 	}
 }

@@ -62,13 +62,6 @@ type Config struct {
 	// journal, recovering every dataset at its acknowledged version. Empty
 	// keeps the catalog in-memory. Ignored by New and NewCoordinator.
 	DataDir string
-	// SpillBudget bounds the in-memory dedup set of query execution, at
-	// every worker count: when a certified plan's distinct answers exceed
-	// it, the merge dedups through a disk-backed spill table instead of
-	// growing the in-memory set (0 = never spill).
-	SpillBudget int64
-	// SpillDir hosts the spill tables ("" = the OS temp directory).
-	SpillDir string
 	// MaxStreams caps the concurrent answer-streaming requests (inline
 	// queries, dataset queries, merged cluster streams and non-probe
 	// scatter calls; count-only requests are not gated). 0 =
@@ -337,23 +330,17 @@ func (s *Server) StatsSnapshotContext(ctx context.Context) Snapshot {
 	if s.cluster != nil {
 		snap.Cluster = s.clusterSnapshot(ctx)
 	}
-	if s.store != nil || s.cfg.SpillBudget > 0 {
-		st := &StorageSnapshot{}
-		if s.store != nil {
-			ss := s.store.Stats()
-			st.DataDir = ss.Dir
-			st.Datasets = ss.Datasets
-			st.Recovered = ss.Recovered
-			st.TornTails = ss.TornTails
-			st.WALRecords = ss.WALRecords
-			st.WALBytes = ss.WALBytes
-			st.SnapshotWrites = ss.SnapshotWrites
+	if s.store != nil {
+		ss := s.store.Stats()
+		snap.Storage = &StorageSnapshot{
+			DataDir:        ss.Dir,
+			Datasets:       ss.Datasets,
+			Recovered:      ss.Recovered,
+			TornTails:      ss.TornTails,
+			WALRecords:     ss.WALRecords,
+			WALBytes:       ss.WALBytes,
+			SnapshotWrites: ss.SnapshotWrites,
 		}
-		sp := storage.SpillCounters()
-		st.SpillSets = sp.Sets
-		st.SpillTuples = sp.Tuples
-		st.SpillBytes = sp.Bytes
-		snap.Storage = st
 	}
 	return snap
 }
@@ -435,19 +422,13 @@ func (s *Server) decodeStrict(w http.ResponseWriter, body io.Reader, v any) bool
 
 // execOptions builds a request's execution options. Cost-based execution
 // is the default: with no explicit worker count the planner decides per
-// bind (and /stats counts the decisions). The server-wide spill budget
-// rides along on every bind: the merge honours it at every worker count.
+// bind (and /stats counts the decisions).
 func (s *Server) execOptions(mode string, workers int) *ucq.PlanOptions {
-	exec := &ucq.PlanOptions{
+	return &ucq.PlanOptions{
 		ForceNaive: mode == "naive",
 		Workers:    workers,
 		Auto:       workers == 0,
 	}
-	if s.cfg.SpillBudget > 0 {
-		exec.DedupBudget = s.cfg.SpillBudget
-		exec.SpillDir = s.cfg.SpillDir
-	}
-	return exec
 }
 
 // recordDecision counts an Auto bind's resolved strategy in /stats.
@@ -540,12 +521,6 @@ func (s *Server) respondCount(w http.ResponseWriter, r *http.Request, plan *ucq.
 		}
 		if r.Context().Err() != nil {
 			s.stats.requestsCancelled.Add(1)
-			return
-		}
-		if err := ucq.AnswersErr(it); err != nil {
-			// Nothing has been written yet, so a failed spilled dedup can
-			// still be an honest 500 here rather than a wrong count.
-			s.httpError(w, http.StatusInternalServerError, "enumeration: %v", err)
 			return
 		}
 	}
@@ -713,11 +688,10 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, open func(contex
 		Workers:        meta.workers,
 	}
 	if err := ucq.AnswersErr(it); err != nil {
-		// The enumeration died mid-stream (spilled dedup hit disk trouble, a
-		// cluster merge lost its workers): the answers already sent are an
-		// arbitrary prefix. The status line is long gone, so honesty lives
-		// in the trailer — done stays false and the error rides along
-		// instead.
+		// The enumeration died mid-stream (a cluster merge lost its
+		// workers): the answers already sent are an arbitrary prefix. The
+		// status line is long gone, so honesty lives in the trailer — done
+		// stays false and the error rides along instead.
 		s.stats.errors.Add(1)
 		tr.Done = false
 		tr.Error = fmt.Sprintf("enumeration failed after %d answers: %v", count, err)

@@ -145,9 +145,9 @@ type Snapshot struct {
 	// Cluster is the coordinator's view of its workers; nil outside
 	// coordinator mode.
 	Cluster *ClusterSnapshot `json:"cluster,omitempty"`
-	// Storage is the durability and spill section; nil unless the server
-	// was opened with a data directory or runs with a spill budget,
-	// keeping the plain in-memory /stats body byte-identical.
+	// Storage is the durability section; nil unless the server was opened
+	// with a data directory, keeping the plain in-memory /stats body
+	// byte-identical.
 	Storage *StorageSnapshot `json:"storage,omitempty"`
 }
 
@@ -201,10 +201,9 @@ type SubscriptionsSnapshot struct {
 }
 
 // StorageSnapshot is the storage section of GET /stats: the durable
-// store's journal gauges plus the process-wide spill-table counters.
+// store's journal gauges.
 type StorageSnapshot struct {
-	// DataDir is the journal directory; empty when the catalog is
-	// in-memory and only the spill gauges below are live.
+	// DataDir is the journal directory.
 	DataDir string `json:"data_dir,omitempty"`
 	// Datasets counts datasets with open durable state.
 	Datasets int `json:"datasets"`
@@ -217,11 +216,6 @@ type StorageSnapshot struct {
 	WALRecords     int64 `json:"wal_records"`
 	WALBytes       int64 `json:"wal_bytes"`
 	SnapshotWrites int64 `json:"snapshot_writes"`
-	// SpillSets/SpillTuples/SpillBytes gauge the disk-backed dedup tables
-	// currently open across all in-flight queries.
-	SpillSets   int64 `json:"spill_sets"`
-	SpillTuples int64 `json:"spill_tuples"`
-	SpillBytes  int64 `json:"spill_bytes"`
 }
 
 // ClusterSnapshot is the coordinator section of GET /stats. The

@@ -28,6 +28,7 @@ import (
 	"strconv"
 
 	ucq "repro"
+	"repro/internal/database"
 )
 
 // errSubscriberGone marks a failed write to the subscription stream: the
@@ -160,26 +161,19 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 
 	// Naive plans have no constant-time old-membership test; the
 	// subscription instead remembers every answer it has made the client
-	// complete through, dedups delta candidates against that set, and
-	// spills it to disk past the budget. Certified plans filter through
-	// the Theorem 12 head indexes of the previous bind and need no set.
-	var emitted *ucq.AnswerSet
+	// complete through and dedups delta candidates against that set (the
+	// naive evaluator materialises the whole answer relation on every wake
+	// anyway). Certified plans filter through the Theorem 12 head indexes
+	// of the previous bind and need no set.
+	var emitted *database.TupleSet
 	if plan.Mode != ucq.ConstantDelay {
-		emitted = ucq.NewAnswerSet(s.cfg.SpillDir, plan.Query.Arity(), int(s.cfg.SpillBudget))
-		defer func() { _ = emitted.Close() }()
+		emitted = database.NewTupleSet(0)
 	}
 
 	var streamErr error
 	push := func(t ucq.Tuple) bool {
-		if emitted != nil {
-			fresh, err := emitted.Insert(t)
-			if err != nil {
-				streamErr = err
-				return false
-			}
-			if !fresh {
-				return true
-			}
+		if emitted != nil && !emitted.Insert(t) {
+			return true
 		}
 		if err := enc.appendTuple(t); err != nil {
 			streamErr = errSubscriberGone
@@ -224,13 +218,12 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			}
 			t, ok := it.Next()
 			if !ok {
-				break
+				return nil
 			}
 			if !push(t) {
 				return streamErr
 			}
 		}
-		return ucq.AnswersErr(it)
 	}
 
 	// Initial batch: a from_version resume sends only the delta since the
@@ -339,8 +332,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			// cleared by a Replace: degrade to a full resync at the head.
 			s.stats.subsResyncs.Add(1)
 			if emitted != nil {
-				_ = emitted.Close()
-				emitted = ucq.NewAnswerSet(s.cfg.SpillDir, plan.Query.Arity(), int(s.cfg.SpillBudget))
+				emitted = database.NewTupleSet(0)
 			}
 			if err := enc.subscriptionMarker(to, true); err != nil {
 				s.stats.requestsCancelled.Add(1)

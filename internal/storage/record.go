@@ -1,6 +1,5 @@
 // Package storage is the durable dataset layer behind ucq-serve's
-// -data-dir mode, plus the disk-backed dedup table the enumeration merge
-// spills to when an answer set exceeds its memory budget.
+// -data-dir mode.
 //
 // Durability follows a classic snapshot + write-ahead-log split: Register
 // and Replace write the full instance as an atomically renamed snapshot

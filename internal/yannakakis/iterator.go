@@ -16,8 +16,12 @@ import (
 // (a hash lookup), and after the full reduction every candidate extends to
 // a complete answer, so no backtracking occurs.
 type Iterator struct {
-	plan      *Plan
-	rows      [][]int32 // candidate row ids per DFS position
+	plan *Plan
+	// rows holds the candidate row ids per DFS position below the root;
+	// the root position's candidates are the integers [rootLo, rootHi) and
+	// cursors[0] is an offset into that range, so a range iterator costs
+	// nothing per root row before its first answer.
+	rows      [][]int32
 	cursors   []int
 	assign    []database.Value
 	started   bool
@@ -96,8 +100,8 @@ func (it *Iterator) Next() bool {
 	// reduction every fill is non-empty, so the walk never backs up except
 	// through genuinely exhausted positions.
 	for {
-		if it.cursors[k] < len(it.rows[k]) {
-			it.bind(k)
+		if it.cursors[k] < it.candidates(k) {
+			it.bind(k, it.row(k))
 			if k == n-1 {
 				return true
 			}
@@ -119,29 +123,44 @@ func (it *Iterator) Next() bool {
 // single root; every other top carries an index on the columns it shares
 // with its parent (zero columns for a cross product).
 func (it *Iterator) fill(k int) {
-	t := &it.plan.tops[it.plan.order[k]]
+	it.cursors[k] = 0
 	if k == 0 {
-		it.rows[k] = rangeRows(it.rootLo, it.rootHi)
-	} else {
-		it.keyBuf = it.keyBuf[:0]
-		for _, vid := range t.keyVarIDs {
-			it.keyBuf = append(it.keyBuf, it.assign[vid])
-		}
-		it.rows[k] = t.index.Lookup(it.keyBuf)
+		return
 	}
-	if len(it.rows[k]) == 0 && k > 0 {
+	t := &it.plan.tops[it.plan.order[k]]
+	it.keyBuf = it.keyBuf[:0]
+	for _, vid := range t.keyVarIDs {
+		it.keyBuf = append(it.keyBuf, it.assign[vid])
+	}
+	it.rows[k] = t.index.Lookup(it.keyBuf)
+	if len(it.rows[k]) == 0 {
 		it.Backtracks++
 	}
-	it.cursors[k] = 0
 }
 
-// bind writes DFS position k's current row into the assignment.
-func (it *Iterator) bind(k int) {
+// candidates is the number of candidate rows at DFS position k.
+func (it *Iterator) candidates(k int) int {
+	if k == 0 {
+		return it.rootHi - it.rootLo
+	}
+	return len(it.rows[k])
+}
+
+// row is the id of DFS position k's current candidate row.
+func (it *Iterator) row(k int) int {
+	if k == 0 {
+		return it.rootLo + it.cursors[0]
+	}
+	return int(it.rows[k][it.cursors[k]])
+}
+
+// bind writes row id of DFS position k's top into the assignment.
+func (it *Iterator) bind(k, id int) {
 	t := &it.plan.tops[it.plan.order[k]]
 	if t.rel.Arity() == 0 {
 		return
 	}
-	row := t.rel.Row(int(it.rows[k][it.cursors[k]]))
+	row := t.rel.Row(id)
 	for c, vid := range t.varIDs {
 		it.assign[vid] = row[c]
 	}
@@ -158,7 +177,7 @@ func (it *Iterator) Plan() *Plan { return it.plan }
 // iterator resumed at IteratorRange(p, hi) continues exactly where a
 // stream cut after root row p-1 left off. This ordering contract is what
 // lets a distributed scatter checkpoint progress at root-row granularity.
-func (it *Iterator) RootPos() int { return it.rootLo + it.cursors[0] }
+func (it *Iterator) RootPos() int { return it.row(0) }
 
 // Value returns the current value of a variable. Before Extend, only
 // variables in S are meaningful.
@@ -227,18 +246,6 @@ func (it *Iterator) Extend() {
 		it.assign[it.plan.varID[e.removedVar]] = row[e.removedCol]
 	}
 	it.extended = true
-}
-
-// rangeRows lists the row ids lo..hi-1.
-func rangeRows(lo, hi int) []int32 {
-	if hi <= lo {
-		return nil
-	}
-	out := make([]int32, hi-lo)
-	for i := range out {
-		out[i] = int32(lo + i)
-	}
-	return out
 }
 
 // Materialize drains a fresh iterator into a relation over Plan.SVars

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
+	"repro/internal/cq"
+	"repro/internal/database"
 	"repro/internal/workload"
 )
 
@@ -136,5 +138,109 @@ func TestRandomQueriesContains(t *testing.T) {
 					trial, probe, plan.Contains(probe), inSet)
 			}
 		}
+	}
+}
+
+// TestContainsHeadAgainstScan checks the compiled head probe on random
+// free-connex queries (S = free(Q)): every answer is a member, a perturbed
+// answer's verdict agrees with a linear scan, and a probe allocates nothing.
+func TestContainsHeadAgainstScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	probed := 0
+	for trial := 0; trial < 60; trial++ {
+		q, _ := workload.RandomAcyclicCQ(rng)
+		inst := workload.RandomInstanceForCQ(q, 20, 4, rng.Int63())
+		plan, err := Prepare(q, inst, nil)
+		if err != nil {
+			continue // not free-connex
+		}
+		if !plan.HeadTestable() {
+			t.Fatalf("trial %d: S = free(Q) plan is not head-testable: %s", trial, q)
+		}
+		answers := plan.MaterializeHead()
+		inSet := make(map[string]bool, answers.Len())
+		for i := 0; i < answers.Len(); i++ {
+			inSet[answers.Row(i).Key()] = true
+			if !plan.ContainsHead(answers.Row(i)) {
+				t.Fatalf("trial %d: ContainsHead rejected answer %v of %s", trial, answers.Row(i), q)
+			}
+		}
+		if answers.Len() == 0 || answers.Arity() == 0 {
+			continue
+		}
+		for c := 0; c < answers.Arity(); c++ {
+			probe := answers.Row(rng.Intn(answers.Len())).Clone()
+			probe[c]++
+			if got := plan.ContainsHead(probe); got != inSet[probe.Key()] {
+				t.Fatalf("trial %d: ContainsHead(%v) = %v, scan says %v for %s", trial, probe, got, !got, q)
+			}
+		}
+		probe := answers.Row(0)
+		if allocs := testing.AllocsPerRun(100, func() { plan.ContainsHead(probe) }); allocs != 0 {
+			t.Fatalf("trial %d: ContainsHead allocates %v objects per probe on %s", trial, allocs, q)
+		}
+		probed++
+	}
+	if probed < 10 {
+		t.Errorf("only %d/60 random queries were free-connex with answers; generator regressed", probed)
+	}
+}
+
+// TestContainsHeadRepeatedHeadVariable: positions repeating a head variable
+// must agree, and do not confuse the column mapping.
+func TestContainsHeadRepeatedHeadVariable(t *testing.T) {
+	q := cq.MustParseCQ("Q(x,x,y) <- R(x,y).")
+	plan, err := Prepare(q, makeInstance(map[string][][]int64{"R": {{1, 2}, {2, 2}}}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		probe []int64
+		want  bool
+	}{
+		{[]int64{1, 1, 2}, true},
+		{[]int64{2, 2, 2}, true},
+		{[]int64{1, 2, 2}, false}, // both R rows exist, but x ≠ x
+		{[]int64{2, 1, 2}, false},
+		{[]int64{1, 1, 1}, false},
+		{[]int64{1, 1}, false},
+	} {
+		probe := make(database.Tuple, len(tc.probe))
+		for i, v := range tc.probe {
+			probe[i] = database.V(v)
+		}
+		if got := plan.ContainsHead(probe); got != tc.want {
+			t.Errorf("ContainsHead(%v) = %v, want %v", probe, got, tc.want)
+		}
+	}
+}
+
+// TestContainsHeadRefusesUndecidablePlans: when S is not the head's
+// variable set a head tuple cannot decide membership; the plan says so up
+// front and a probe is a programming error, never a silent "no".
+func TestContainsHeadRefusesUndecidablePlans(t *testing.T) {
+	inst := makeInstance(map[string][][]int64{"R1": {{1, 7}, {1, 8}}})
+	for _, tc := range []struct {
+		query string
+		s     cq.VarSet
+	}{
+		{"Q(x) <- R1(x,y).", cq.NewVarSet("x", "y")}, // S variable outside the head
+		{"Q(x,y) <- R1(x,y).", cq.NewVarSet("x")},    // head variable outside S
+	} {
+		plan, err := Prepare(cq.MustParseCQ(tc.query), inst, tc.s)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.query, err)
+		}
+		if plan.HeadTestable() {
+			t.Fatalf("%s with S=%v claims to be head-testable", tc.query, tc.s)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with S=%v: ContainsHead answered instead of panicking", tc.query, tc.s)
+				}
+			}()
+			plan.ContainsHead(database.Tuple{database.V(1), database.V(7)}[:len(plan.Q.Head)])
+		}()
 	}
 }

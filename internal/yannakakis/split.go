@@ -32,18 +32,16 @@ func (it *Iterator) SplitOff() *Iterator {
 		it.rootHi = mid
 		return other
 	}
-	// Started: rows[0] holds the root range [rootLo, rootHi) and
-	// cursors[0] points at the row currently being enumerated, which stays
-	// with the receiver. rows[0][i] is row id rootLo+i, so cutting the
-	// slice at index cut hands rows rootLo+cut.. to the new iterator.
-	remaining := len(it.rows[0]) - it.cursors[0] - 1
+	// Started: cursors[0] points (as an offset from rootLo) at the root row
+	// currently being enumerated, which stays with the receiver.
+	cur := it.rootLo + it.cursors[0]
+	remaining := it.rootHi - cur - 1
 	if remaining < 2 {
 		return nil
 	}
-	cut := it.cursors[0] + 1 + remaining/2
-	other := it.plan.IteratorRange(it.rootLo+cut, it.rootHi)
-	it.rows[0] = it.rows[0][:cut]
-	it.rootHi = it.rootLo + cut
+	cut := cur + 1 + remaining/2
+	other := it.plan.IteratorRange(cut, it.rootHi)
+	it.rootHi = cut
 	return other
 }
 

@@ -59,6 +59,8 @@ type Plan struct {
 	// membership test Algorithm 1 relies on ("tested in constant time after
 	// a linear time preprocessing phase").
 	fullIndex []*database.Index
+	// headProbe drives ContainsHead; nil unless S = var(head).
+	headProbe *headProbe
 
 	stats Stats
 }
@@ -439,6 +441,7 @@ func (p *Plan) buildTopTree() error {
 		}
 		p.fullIndex[i] = p.tops[i].rel.BuildIndex(cols)
 	}
+	p.buildHeadProbe()
 	return nil
 }
 
@@ -476,35 +479,80 @@ func colIn(vars []cq.Variable, v cq.Variable) int {
 	return -1
 }
 
+// headProbe is ContainsHead compiled at Prepare time: which head position
+// feeds each column of each top, and which head positions must agree
+// because they repeat a variable.
+type headProbe struct {
+	// cols[i][c] is the head position whose value is column c of top i.
+	cols [][]int
+	// eq lists (later, first) position pairs of repeated head variables.
+	eq [][2]int
+}
+
+// buildHeadProbe compiles the head membership test, or leaves it nil when S
+// is not exactly the head's variable set: with an S variable outside the
+// head a head tuple does not determine the S-assignment, and with a head
+// variable outside S the tops do not constrain it, so membership cannot be
+// decided from the tuple either way.
+func (p *Plan) buildHeadProbe() {
+	first := make(map[cq.Variable]int, len(p.Q.Head))
+	hp := &headProbe{cols: make([][]int, len(p.tops))}
+	for i, v := range p.Q.Head {
+		if f, ok := first[v]; ok {
+			hp.eq = append(hp.eq, [2]int{i, f})
+			continue
+		}
+		first[v] = i
+	}
+	if len(first) != len(p.SVars) {
+		return
+	}
+	for i, t := range p.tops {
+		hp.cols[i] = make([]int, len(t.vars))
+		for c, v := range t.vars {
+			pos, ok := first[v]
+			if !ok {
+				return
+			}
+			hp.cols[i][c] = pos
+		}
+	}
+	p.headProbe = hp
+}
+
+// HeadTestable reports whether ContainsHead can decide membership: S is
+// exactly the set of head variables (always so for S = free(Q)).
+func (p *Plan) HeadTestable() bool { return p.headProbe != nil }
+
 // ContainsHead reports whether the tuple, read positionally against the
-// query head, is an answer. Every head variable must be in S (the usual
-// S = free(Q) case). Tuples assigning different values to repeated head
-// variables are never answers.
+// query head, is an answer: one full-key index probe per top, no
+// allocation. Tuples assigning different values to repeated head variables
+// are never answers. It panics when the plan is not HeadTestable — "cannot
+// tell" must never read as "no" to a caller deduplicating by membership.
 func (p *Plan) ContainsHead(t database.Tuple) bool {
+	hp := p.headProbe
+	if hp == nil {
+		panic(fmt.Sprintf("yannakakis: ContainsHead on %s: S = %v is not the head's variable set", p.Q.Name, p.SVars))
+	}
 	if len(t) != len(p.Q.Head) {
 		return false
 	}
-	s := make(map[cq.Variable]database.Value, len(t))
-	for i, v := range p.Q.Head {
-		if prev, ok := s[v]; ok {
-			if prev != t[i] {
-				return false
-			}
-			continue
-		}
-		s[v] = t[i]
-	}
-	st := make(database.Tuple, len(p.SVars))
-	for i, v := range p.SVars {
-		val, ok := s[v]
-		if !ok {
-			// An S variable outside the head: membership is not decidable
-			// from the head tuple alone; treat as non-member defensively.
+	for _, e := range hp.eq {
+		if t[e[0]] != t[e[1]] {
 			return false
 		}
-		st[i] = val
 	}
-	return p.Contains(st)
+	var buf [8]database.Value
+	for i, cols := range hp.cols {
+		key := buf[:0]
+		for _, pos := range cols {
+			key = append(key, t[pos])
+		}
+		if !p.fullIndex[i].Contains(key) {
+			return false
+		}
+	}
+	return true
 }
 
 // VarID returns the plan-internal id of a variable, or -1.

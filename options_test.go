@@ -13,27 +13,16 @@ func TestPlanOptionsValidation(t *testing.T) {
 	u := MustParse("Q(x) <- R1(x,y).")
 	inst := workload.RandomForQuery(u, 10, 5, 1)
 	cases := []struct {
-		name  string
-		opts  *PlanOptions
-		valid bool
+		name string
+		opts *PlanOptions
 	}{
 		{name: "naive-and-constant-delay", opts: &PlanOptions{ForceNaive: true, RequireConstantDelay: true}},
 		{name: "auto-and-workers", opts: &PlanOptions{Auto: true, Workers: 2}},
 		{name: "negative-workers", opts: &PlanOptions{Workers: -1}},
-		{name: "negative-budget", opts: &PlanOptions{Workers: 2, DedupBudget: -1}},
-		{name: "spill-dir-without-budget", opts: &PlanOptions{Workers: 2, SpillDir: t.TempDir()}},
-		// The merge honours the budget at every worker count, inline included.
-		{name: "budget-without-executor", opts: &PlanOptions{DedupBudget: 8, SpillDir: t.TempDir()}, valid: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := NewPlan(u, inst, tc.opts)
-			if tc.valid {
-				if err != nil {
-					t.Fatalf("valid options rejected: %v", err)
-				}
-				return
-			}
 			if err == nil {
 				t.Fatal("invalid options accepted")
 			}
@@ -50,8 +39,8 @@ func TestPlanOptionsValidation(t *testing.T) {
 	for _, opts := range []*PlanOptions{
 		nil,
 		{Workers: 1},
-		{Auto: true, DedupBudget: 8},
-		{Workers: 8, DedupBudget: 8, SpillDir: t.TempDir()},
+		{Auto: true},
+		{Workers: 8},
 	} {
 		if _, err := NewPlan(u, inst, opts); err != nil {
 			t.Fatalf("valid options %+v rejected: %v", opts, err)

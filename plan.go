@@ -50,9 +50,10 @@ type PlanOptions struct {
 	// redundant CQs never change the answer set, only the plan.
 	KeepRedundant bool
 	// Workers selects where a constant-delay plan's enumeration runs. Every
-	// certified branch is cut into root-row-range tasks feeding one
-	// Cheater's Lemma merge; Workers picks the source of that merge. 0 (the
-	// default) runs the tasks inline, in order, on the goroutine calling
+	// certified branch is cut into root-row-range tasks that skip what an
+	// earlier branch contains, so the tasks are disjoint and one merge just
+	// concatenates them; Workers picks where the tasks run. 0 (the
+	// default) runs them inline, in order, on the goroutine calling
 	// Next: constant delay, a deterministic answer order and no goroutine
 	// to release. n ≥ 1 drains them on the work-stealing executor
 	// with n workers, which steal and re-split tasks so a single heavy
@@ -63,19 +64,6 @@ type PlanOptions struct {
 	// ends within one batch. Naive plans have one evaluator and ignore
 	// Workers.
 	Workers int
-	// DedupBudget bounds the number of distinct answers the merge's dedup
-	// set holds in memory, at every worker count. Past it the set migrates
-	// to a disk-backed table (internal/storage) and enumeration continues
-	// with the identical answer set, trading dedup probes for disk reads
-	// instead of growing without bound. With Auto, the budget also feeds
-	// the cost model, which reports an exact Theorem 12 count above it as a
-	// spill in the decision. A stream that spilled keeps its table until it
-	// is drained or released with CloseAnswers. 0 means unbounded (never
-	// spill).
-	DedupBudget int64
-	// SpillDir hosts spilled dedup tables (a private temp directory is
-	// created per spill); empty selects os.TempDir(). Requires DedupBudget.
-	SpillDir string
 	// Auto lets the planner pick Workers itself at bind time, from what it
 	// already knows about the (query, instance) pair: relation
 	// cardinalities, the exact per-branch answer counts of the Theorem 12
@@ -112,12 +100,6 @@ func (o *PlanOptions) validate() error {
 	if o.Workers < 0 {
 		return &OptionsError{Field: "Workers", Reason: fmt.Sprintf("must be ≥ 0, got %d", o.Workers)}
 	}
-	if o.DedupBudget < 0 {
-		return &OptionsError{Field: "DedupBudget", Reason: fmt.Sprintf("must be ≥ 0, got %d", o.DedupBudget)}
-	}
-	if o.SpillDir != "" && o.DedupBudget == 0 {
-		return &OptionsError{Field: "SpillDir", Reason: "meaningless without a DedupBudget"}
-	}
 	return nil
 }
 
@@ -133,11 +115,9 @@ type Plan struct {
 	// Cert is the free-connexity certificate (ConstantDelay mode only).
 	Cert *Certificate
 
-	union       *core.UnionPlan
-	inst        *database.Instance
-	workers     int
-	spillBudget int64
-	spillDir    string
+	union   *core.UnionPlan
+	inst    *database.Instance
+	workers int
 	// decision is the Auto planner's resolved configuration and
 	// provenance; nil for hand-picked execution options.
 	decision *cost.Decision
@@ -179,9 +159,6 @@ type Decision struct {
 	// Workers is the resolved PlanOptions.Workers: 0 for the inline
 	// source, n ≥ 1 for the executor with n workers.
 	Workers int
-	// Spill reports that the exact answer count exceeds the memory budget
-	// and the merge's dedup set will migrate to disk.
-	Spill bool
 	// Kind names the strategy: "sequential" or "parallel".
 	Kind string
 	// Reason explains the pick in one sentence.
@@ -198,11 +175,7 @@ type Decision struct {
 
 // String renders the decision with its reason.
 func (d *Decision) String() string {
-	spill := ""
-	if d.Spill {
-		spill = " spill=true"
-	}
-	return fmt.Sprintf("%s (workers=%d%s): %s", d.Kind, d.Workers, spill, d.Reason)
+	return fmt.Sprintf("%s (workers=%d): %s", d.Kind, d.Workers, d.Reason)
 }
 
 // Decision returns the Auto planner's provenance for this bind, or nil
@@ -214,7 +187,6 @@ func (p *Plan) Decision() *Decision {
 	d := p.decision
 	return &Decision{
 		Workers:  d.Workers,
-		Spill:    d.Spill,
 		Kind:     d.Kind(),
 		Reason:   d.Reason,
 		Rows:     d.Inputs.Rows,
@@ -313,13 +285,12 @@ func (pq *PreparedQuery) Bind(inst *Instance) (*Plan, error) {
 	return pq.BindExec(inst, nil)
 }
 
-// BindExec is Bind with per-binding execution options: Workers, Auto,
-// DedupBudget and SpillDir are taken from exec instead of the Prepare-time
-// options, so one cached PreparedQuery can serve requests that differ only
-// in execution strategy. Fields of exec that shape preparation
-// (ForceNaive, RequireConstantDelay, KeepRedundant, Search) are fixed at
-// Prepare time and ignored here. A nil exec reuses the Prepare-time options
-// unchanged.
+// BindExec is Bind with per-binding execution options: Workers and Auto
+// are taken from exec instead of the Prepare-time options, so one cached
+// PreparedQuery can serve requests that differ only in execution strategy.
+// Fields of exec that shape preparation (ForceNaive, RequireConstantDelay,
+// KeepRedundant, Search) are fixed at Prepare time and ignored here. A nil
+// exec reuses the Prepare-time options unchanged.
 func (pq *PreparedQuery) BindExec(inst *Instance, exec *PlanOptions) (*Plan, error) {
 	return pq.BindExecContext(context.Background(), inst, exec)
 }
@@ -346,8 +317,6 @@ func (pq *PreparedQuery) execOptions(exec *PlanOptions) (PlanOptions, error) {
 		}
 		opts.Workers = exec.Workers
 		opts.Auto = exec.Auto
-		opts.DedupBudget = exec.DedupBudget
-		opts.SpillDir = exec.SpillDir
 	}
 	return opts, nil
 }
@@ -391,15 +360,14 @@ func (pq *PreparedQuery) bindInstance(ctx context.Context, inst *Instance) (*bou
 // inputs are O(1) reads of the bound state — the counting pass behind the
 // exact answer count runs once per bound union and is cached with it — so
 // the decision is recomputed per bind rather than stored: a cache-served
-// bind always reflects the current GOMAXPROCS and this bind's budget.
-func (pq *PreparedQuery) decide(inst *Instance, bq *boundQuery, budget int64) *cost.Decision {
+// bind always reflects the current GOMAXPROCS.
+func (pq *PreparedQuery) decide(inst *Instance, bq *boundQuery) *cost.Decision {
 	in := cost.Inputs{
 		ConstantDelay: bq.union != nil,
 		Rows:          inst.TupleCount(),
 		Answers:       -1, // naive mode cannot count without evaluating
 		Branches:      len(pq.Evaluated.CQs),
 		CPUs:          autoCPUs(),
-		MemBudget:     budget,
 	}
 	if bq.union != nil {
 		in.Answers = bq.union.AnswerEstimate()
@@ -414,21 +382,19 @@ func (pq *PreparedQuery) decide(inst *Instance, bq *boundQuery, budget int64) *c
 func (pq *PreparedQuery) newBoundPlan(ctx context.Context, inst *Instance, opts PlanOptions, bq *boundQuery) *Plan {
 	var dec *cost.Decision
 	if opts.Auto {
-		dec = pq.decide(inst, bq, opts.DedupBudget)
+		dec = pq.decide(inst, bq)
 		opts.Workers = dec.Workers
 	}
 	return &Plan{
-		Query:       pq.Query,
-		Evaluated:   pq.Evaluated,
-		Mode:        pq.Mode,
-		Cert:        pq.Cert,
-		union:       bq.union,
-		inst:        inst,
-		workers:     opts.Workers,
-		spillBudget: opts.DedupBudget,
-		spillDir:    opts.SpillDir,
-		decision:    dec,
-		ctx:         ctx,
+		Query:     pq.Query,
+		Evaluated: pq.Evaluated,
+		Mode:      pq.Mode,
+		Cert:      pq.Cert,
+		union:     bq.union,
+		inst:      inst,
+		workers:   opts.Workers,
+		decision:  dec,
+		ctx:       ctx,
 	}
 }
 
@@ -473,13 +439,7 @@ func (p *Plan) AnswersContext(ctx context.Context) Answers {
 		return enumeration.NewSliceIterator(nil)
 	}
 	if p.Mode == ConstantDelay {
-		return p.union.Answers(ctx, enumeration.UnionOptions{
-			Workers: p.workers,
-			// The merge applies the budget only where a dedup set exists
-			// (non-disjoint task streams).
-			SpillBudget: int(p.spillBudget),
-			SpillDir:    p.spillDir,
-		}, nil)
+		return p.union.Answers(ctx, enumeration.UnionOptions{Workers: p.workers}, nil)
 	}
 	rel, err := baseline.EvalUCQCtx(ctx, p.Evaluated, p.inst)
 	if err != nil {
@@ -505,18 +465,18 @@ func (p *Plan) bindCtx() context.Context {
 
 // CloseAnswers releases what is behind a partially drained answer stream:
 // the worker goroutines of a plan with Workers ≥ 1 (blocking until they
-// have exited) and a spilled dedup table. It is safe to call on any Answers
-// value; streams holding neither have nothing to release.
+// have exited). It is safe to call on any Answers value; streams without
+// workers have nothing to release.
 func CloseAnswers(it Answers) {
 	enumeration.CloseIterator(it)
 }
 
 // AnswersErr reports the error that ended an answer stream prematurely, if
-// any — today that is disk trouble on the spilled dedup path (a
-// PlanOptions.DedupBudget overflow that could not migrate to SpillDir).
-// Check it after Next reports exhaustion: a non-nil error means the stream
-// was truncated, not completed, and the answers seen so far are an
-// arbitrary prefix. Streams without an error channel report nil.
+// any — a distributed stream whose workers were lost mid-merge has one; a
+// plan's own streams (Iterator, AnswersContext) cannot fail and report
+// nil. Check it after Next reports exhaustion: a non-nil error means the
+// stream was truncated, not completed, and the answers seen so far are an
+// arbitrary prefix.
 func AnswersErr(it Answers) error {
 	return enumeration.IterErr(it)
 }
@@ -552,11 +512,10 @@ func (p *Plan) Count() int {
 
 // CountExact returns the plan's exact answer count without enumerating,
 // when the bound pipeline supports it: a certified plan whose union has a
-// single extension and no provider bonus answers enumerates duplicate-free
-// from one CDY plan, so the Theorem 12 counting pass (one linear pass over
-// the join tree, yannakakis CountAnswers) already is the answer count. ok
-// is false when counting requires cross-branch deduplication, i.e.
-// enumeration — use Count then.
+// single extension enumerates from one CDY plan, so the Theorem 12
+// counting pass (one linear pass over the join tree, yannakakis
+// CountAnswers) already is the answer count. ok is false when counting
+// requires cross-branch deduplication, i.e. enumeration — use Count then.
 func (p *Plan) CountExact() (n int64, ok bool) {
 	if p.Mode != ConstantDelay {
 		return 0, false
@@ -569,11 +528,10 @@ func (p *Plan) CountExact() (n int64, ok bool) {
 // the answers into pairwise disjoint streams whose union is the full
 // answer set (see AnswersRootRange). ok is true iff the plan is in
 // constant-delay mode and the whole stream comes from a single certified
-// extension with no provider bonus answers — the same condition as
-// CountExact. Root-row indices are deterministic for a fixed
-// (query, instance) preparation, so plans bound on different nodes against
-// identical dataset replicas agree on them; this is the provenance a
-// distributed coordinator scatters on.
+// extension — the same condition as CountExact. Root-row indices are
+// deterministic for a fixed (query, instance) preparation, so plans bound
+// on different nodes against identical dataset replicas agree on them; this
+// is the provenance a distributed coordinator scatters on.
 func (p *Plan) RootLen() (int, bool) {
 	if p.Mode != ConstantDelay {
 		return 0, false
@@ -615,7 +573,7 @@ func (p *Plan) AnswersRootRange(lo, hi int) (*RootAnswers, error) {
 	}
 	it, ok := p.union.RootRangeIterator(lo, hi)
 	if !ok {
-		return nil, fmt.Errorf("ucq: answer set is not root-range partitionable (multi-branch union or bonus answers)")
+		return nil, fmt.Errorf("ucq: answer set is not root-range partitionable (multi-branch union)")
 	}
 	return &RootAnswers{it: it}, nil
 }

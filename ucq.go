@@ -12,9 +12,12 @@
 //     paper's conditional lower bounds (Lemmas 14/15, Theorems 17/29/33),
 //     or honestly Unknown where the paper leaves the problem open.
 //   - Evaluate queries: certified free-connex UCQs run with linear
-//     preprocessing and constant delay through union extensions, provider
-//     enumeration (Lemma 8) and the Cheater's Lemma combinator (Lemma 5);
-//     everything else falls back to a naive join with no delay guarantee.
+//     preprocessing and constant delay through union extensions and
+//     provider enumeration (Lemma 8), deduplicated by constant-time
+//     membership tests in the manner of Algorithm 1 (a CQ's answer is
+//     emitted iff no earlier CQ of the union contains it) — no answer set
+//     is held in memory; everything else falls back to a naive join with
+//     no delay guarantee.
 //
 // # Quick start
 //
@@ -27,8 +30,8 @@
 //	it := plan.Iterator()
 //	for t, ok := it.Next(); ok; t, ok = it.Next() { use(t) }
 //
-// See the examples/ directory for complete programs and EXPERIMENTS.md for
-// the reproduction of the paper's results.
+// See the examples/ directory for complete programs and cmd/ucq-experiments
+// for the reproduction of the paper's results.
 package ucq
 
 import (
