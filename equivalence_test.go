@@ -389,6 +389,123 @@ func TestCrossEngineEquivalenceRankRuleEdges(t *testing.T) {
 	}
 }
 
+// TestCrossEngineEquivalenceBagsAndRepeatedVariables adds the rows where
+// binding may not share stored rows as they are: a stored relation holding
+// a row twice, a set that an append turns into a bag, R(x,x) atoms over a
+// set and over a bag, and nullary and empty relations. Every row goes
+// through a dataset, so the bind after AppendRows sees a relation whose
+// duplicate-free fact was reset. Every certified stream at Workers
+// 0/1/4/Auto must equal the naive answer set, duplicate-free.
+func TestCrossEngineEquivalenceBagsAndRepeatedVariables(t *testing.T) {
+	const example2 = `
+		Q1(x,y,w) <- R1(x,z), R2(z,y), R3(y,w).
+		Q2(x,y,w) <- R1(x,y), R2(y,w).
+	`
+	const selfEqual = `
+		Q1(x,y) <- R(x,x), S(x,y).
+		Q2(x,y) <- T(x,y).
+	`
+	// Boolean members project every variable away: their working relations
+	// end up nullary, holding at most the one empty row.
+	const boolean = `
+		Q1() <- R(x,y), T(y,z).
+		Q2() <- S(x,y).
+	`
+	chain := map[string][][]int64{
+		"R1": {{1, 2}, {4, 2}, {2, 3}},
+		"R2": {{2, 3}, {3, 5}},
+		"R3": {{3, 5}, {3, 6}, {5, 7}},
+	}
+	withDuplicates := map[string][][]int64{
+		"R1": {{1, 2}, {4, 2}, {1, 2}, {2, 3}, {1, 2}},
+		"R2": {{2, 3}, {3, 5}, {2, 3}},
+		"R3": {{3, 5}, {3, 6}, {5, 7}},
+	}
+	cases := []struct {
+		name  string
+		query string
+		rels  map[string][][]int64
+		// bag names a relation that must not read as a set when first bound.
+		bag string
+		// appended goes through Dataset.AppendRows after the first round.
+		appended    map[string][][]int64
+		want, want2 int
+	}{
+		{"example2-set", example2, chain, "", nil, 8, 0},
+		{"example2-stored-duplicates", example2, withDuplicates, "R1", nil, 8, 0},
+		{"example2-append-present-row", example2, chain, "", map[string][][]int64{"R2": {{2, 3}}, "R3": {{5, 8}}}, 8, 9},
+		{"self-equal-over-set", selfEqual, map[string][][]int64{
+			"R": {{1, 1}, {1, 2}, {3, 3}, {4, 5}},
+			"S": {{1, 7}, {3, 8}, {4, 9}},
+			"T": {{1, 7}, {6, 6}},
+		}, "", map[string][][]int64{"R": {{4, 4}}}, 3, 4},
+		{"self-equal-over-bag", selfEqual, map[string][][]int64{
+			"R": {{1, 1}, {1, 2}, {1, 1}, {3, 3}, {3, 3}},
+			"S": {{1, 7}, {3, 8}, {3, 8}},
+			"T": {{1, 7}, {6, 6}, {6, 6}},
+		}, "R", nil, 3, 0},
+		{"nullary-over-bag", boolean, map[string][][]int64{"R": {{1, 2}, {1, 2}}, "T": {{2, 4}, {2, 4}, {2, 5}}}, "R", nil, 1, 0},
+		{"empty-relations-then-duplicate-append", boolean, map[string][][]int64{"R": {{1, 2}}},
+			"", map[string][][]int64{"S": {{7, 7}, {7, 7}}}, 0, 1},
+	}
+	execs := []*PlanOptions{nil, {Workers: 1}, {Workers: 4}, {Auto: true}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			u := MustParse(tc.query)
+			inst := NewInstance()
+			for _, d := range u.Schema() {
+				r := NewRelation(d.Name, d.Arity)
+				for _, row := range tc.rels[d.Name] {
+					r.AppendInts(row...)
+				}
+				inst.AddRelation(r)
+			}
+			if tc.bag != "" && inst.Relation(tc.bag).IsSet() {
+				t.Fatalf("%s reads as a set; the row would not exercise the copying path", tc.bag)
+			}
+			pq, err := Prepare(u, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pq.Mode != ConstantDelay {
+				t.Fatalf("row is not certified; it would not exercise the bind")
+			}
+			ds, err := NewCatalog().Register("case", inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(want int) {
+				t.Helper()
+				naive, err := NewPlan(u, ds.Instance(), &PlanOptions{ForceNaive: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				oracle := canonicalAnswers(t, naive)
+				if n := naive.Count(); n != want {
+					t.Fatalf("naive oracle has %d answers, row expects %d", n, want)
+				}
+				for _, opts := range execs {
+					p, err := pq.BindDatasetExec(ds, opts)
+					if err != nil {
+						t.Fatalf("opts %+v: %v", opts, err)
+					}
+					if got := canonicalAnswers(t, p); got != oracle {
+						t.Fatalf("v%d opts %+v disagrees with naive\nnaive:\n%s\ngot:\n%s", ds.Version(), opts, oracle, got)
+					}
+				}
+			}
+			check(tc.want)
+			if tc.appended == nil {
+				return
+			}
+			if _, err := ds.AppendRows(tc.appended); err != nil {
+				t.Fatal(err)
+			}
+			check(tc.want2)
+		})
+	}
+}
+
 // TestInlineEnumerationIsDeterministic: with Workers 0 the merge runs its
 // tasks in order on the caller's goroutine — member 0, then each later
 // member minus the earlier ones — so two drains of one

@@ -124,7 +124,7 @@ func (p *UnionPlan) resolve(e *ExtendedCQ) (*database.Instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		rel.Dedup()
+		rel.Dedup() // free when runProvider marked the rows distinct
 		p.stats.VirtualTuples += rel.Len()
 		inst.AddRelation(rel)
 	}
@@ -152,6 +152,7 @@ func (p *UnionPlan) runProvider(va VirtualAtom) (*database.Relation, error) {
 	// the k-th provided variable; their values must agree for a provider
 	// answer to translate (the µ(h⁻¹(v1)) of Lemma 8).
 	preimages := make([][]cq.Variable, len(va.Atom.Vars))
+	mapped := 0
 	for k, v1 := range va.Atom.Vars {
 		for v2 := range prov.S {
 			if prov.Hom.Apply(v2) == v1 {
@@ -161,6 +162,7 @@ func (p *UnionPlan) runProvider(va VirtualAtom) (*database.Relation, error) {
 		if len(preimages[k]) == 0 {
 			return nil, fmt.Errorf("core: provided variable %s has no preimage in S", v1)
 		}
+		mapped += len(preimages[k])
 	}
 
 	rel := database.NewRelation(va.Atom.Rel, len(va.Atom.Vars))
@@ -186,6 +188,11 @@ func (p *UnionPlan) runProvider(va VirtualAtom) (*database.Relation, error) {
 		if ok {
 			rel.Append(row...)
 		}
+	}
+	if mapped == len(prov.S) {
+		// Every S variable lands in the row, so the translation is injective
+		// and the rows are as duplicate-free as the S-tuples they came from.
+		rel.MarkDistinct()
 	}
 	return rel, nil
 }

@@ -6,6 +6,16 @@
 // values, flat row-major relation storage and hash indexes; all "constant
 // time" register operations become expected-constant-time hash operations.
 //
+// Linear preprocessing is kept linear with a small constant by touching
+// each stored row once and copying it only when something is removed:
+// relations remember whether they are sets (Relation.IsSet) and hand out
+// O(1) views of their rows (Relation.View), safe because stored rows are
+// never rewritten; a semijoin returns its input when nothing dangles and
+// one exactly sized copy otherwise (SemijoinKeys); and key sets, indexes
+// and projections share one layout — a dense fixed-width key table plus,
+// for indexes, CSR offsets into one flat row array (KeySet, Index) — built
+// in counted passes with a fixed number of allocations.
+//
 // Values support an 8-bit tag alongside a 56-bit payload. Tags implement the
 // paper's "concatenate the variable name to the value" trick (proof of
 // Lemma 14 and the encodings in Examples 18, 31 and 39): a constant (c, v)
@@ -16,6 +26,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Value is a database constant: an 8-bit tag and a 56-bit signed payload.
@@ -130,15 +141,36 @@ func encodeKey(vals []Value) string {
 	return string(b)
 }
 
-// Relation is a bag-free (set-semantics is enforced by callers via Dedup or
-// index-guarded inserts) table with flat row-major storage.
+// Relation is a table with flat row-major storage. Stored relations may be
+// bags; whether the rows are pairwise distinct is a fact the relation
+// memoises (IsSet), so that a query plan can share the rows of a set
+// instead of copying them through a hash table to re-prove it.
+//
+// Sharing rests on one rule: a stored row is never rewritten. Append writes
+// past the end (or into a fresh array), Dedup rebuilds into a fresh array,
+// and every other operation returns a new relation. A View taken at bind
+// time — same backing array, length and capacity clipped — therefore stays
+// exactly the rows it was taken over, whatever the owner appends later.
+// As everywhere in this package, appending while another goroutine reads
+// the same Relation value is the caller's race.
 type Relation struct {
 	Name  string
 	arity int
 	data  []Value
 	// nullaryLen counts rows of arity-0 relations, which carry no data.
 	nullaryLen int
+	// distinct memoises whether the rows are pairwise distinct. It is
+	// atomic because concurrent binds of one instance may settle it at the
+	// same time; they store the same answer.
+	distinct atomic.Uint32
 }
+
+// States of Relation.distinct.
+const (
+	distinctUnknown uint32 = iota
+	distinctYes
+	distinctNo
+)
 
 // NewRelation creates an empty relation of the given arity. Arity zero is
 // allowed: a nullary relation holds either zero rows or one empty row.
@@ -161,12 +193,20 @@ func (r *Relation) Len() int {
 	return len(r.data) / r.arity
 }
 
+// appended forgets the duplicate-free fact: a new row may repeat an old one.
+func (r *Relation) appended() {
+	if r.distinct.Load() != distinctUnknown {
+		r.distinct.Store(distinctUnknown)
+	}
+}
+
 // Append adds one row. It panics on arity mismatch: relation loading is
 // programmatic here and an arity error is a bug, not input error.
 func (r *Relation) Append(vals ...Value) {
 	if len(vals) != r.arity {
 		panic(fmt.Sprintf("database: relation %s arity %d, got %d values", r.Name, r.arity, len(vals)))
 	}
+	r.appended()
 	if r.arity == 0 {
 		r.nullaryLen++
 		return
@@ -179,6 +219,7 @@ func (r *Relation) AppendInts(vals ...int64) {
 	if len(vals) != r.arity {
 		panic(fmt.Sprintf("database: relation %s arity %d, got %d values", r.Name, r.arity, len(vals)))
 	}
+	r.appended()
 	for _, v := range vals {
 		r.data = append(r.data, V(v))
 	}
@@ -211,24 +252,58 @@ func (r *Relation) SortedRows() []Tuple {
 	return out
 }
 
-// Dedup removes duplicate rows in place (stable on first occurrence).
-func (r *Relation) Dedup() {
+// IsSet reports whether the rows are pairwise distinct. The first call
+// after construction or an Append hashes every row once (one slot table,
+// no copy); the answer is memoised until the next Append.
+func (r *Relation) IsSet() bool {
+	switch r.distinct.Load() {
+	case distinctYes:
+		return true
+	case distinctNo:
+		return false
+	}
+	var distinct bool
 	if r.arity == 0 {
-		if r.nullaryLen > 1 {
-			r.nullaryLen = 1
-		}
+		distinct = r.nullaryLen <= 1
+	} else {
+		_, _, distinct = r.rowSlots(true)
+	}
+	if distinct {
+		r.distinct.Store(distinctYes)
+	} else {
+		r.distinct.Store(distinctNo)
+	}
+	return distinct
+}
+
+// MarkDistinct records that the rows are pairwise distinct without
+// checking, for a relation filled from a source that cannot repeat a row
+// (a duplicate-free enumeration, say). A wrong mark breaks the engine's
+// no-duplicates guarantee.
+func (r *Relation) MarkDistinct() { r.distinct.Store(distinctYes) }
+
+// View returns a relation over the rows r holds now, sharing their storage:
+// O(1), no copy. Length and capacity are clipped, so rows appended to r
+// later are neither visible through the view nor able to move it.
+func (r *Relation) View() *Relation {
+	v := &Relation{Name: r.Name, arity: r.arity, data: r.data[:len(r.data):len(r.data)], nullaryLen: r.nullaryLen}
+	v.distinct.Store(r.distinct.Load())
+	return v
+}
+
+// Dedup removes duplicate rows (stable on first occurrence). A relation
+// already known to be a set is left untouched; otherwise the survivors go
+// to a fresh array, never over the stored rows.
+func (r *Relation) Dedup() {
+	if r.IsSet() {
 		return
 	}
-	n := r.Len()
-	seen := NewTupleSet(n)
-	out := r.data[:0]
-	for i := 0; i < n; i++ {
-		row := r.Row(i)
-		if seen.Insert(row) {
-			out = append(out, row...)
-		}
+	if r.arity == 0 {
+		r.nullaryLen = 1
+	} else {
+		r.data = r.buildKeys(identityCols(r.arity), nil).keys
 	}
-	r.data = out
+	r.distinct.Store(distinctYes)
 }
 
 // Clone returns a deep copy.
@@ -236,11 +311,14 @@ func (r *Relation) Clone() *Relation {
 	out := NewRelation(r.Name, r.arity)
 	out.data = append([]Value(nil), r.data...)
 	out.nullaryLen = r.nullaryLen
+	out.distinct.Store(r.distinct.Load())
 	return out
 }
 
-// Project returns a new deduplicated relation holding the given columns of
-// every row.
+// Project returns a deduplicated relation holding the given columns of
+// every row, in first-occurrence order: the key table of those columns is
+// the projection. A known set projected onto all its columns in order
+// comes back sharing r's storage, like a View.
 func (r *Relation) Project(name string, cols []int) *Relation {
 	for _, c := range cols {
 		if c < 0 || c >= r.arity {
@@ -248,28 +326,29 @@ func (r *Relation) Project(name string, cols []int) *Relation {
 		}
 	}
 	out := NewRelation(name, len(cols))
-	seen := NewTupleSet(r.Len())
-	row := make(Tuple, len(cols))
-	for i := 0; i < r.Len(); i++ {
-		src := r.Row(i)
-		for j, c := range cols {
-			row[j] = src[c]
-		}
-		if !seen.Insert(row) {
-			continue
-		}
-		if len(cols) == 0 {
-			out.nullaryLen = 1
-			break
-		}
-		out.data = append(out.data, row...)
+	ks := r.buildKeys(cols, nil)
+	if len(cols) == 0 {
+		out.nullaryLen = ks.n
+	} else {
+		out.data = ks.keys
 	}
+	out.distinct.Store(distinctYes)
 	return out
+}
+
+// subsetOf records on r, a relation holding some of src's rows, what that
+// says about duplicates: a subset of a set is a set, a subset of a bag may
+// be either.
+func (r *Relation) subsetOf(src *Relation) {
+	if src.distinct.Load() == distinctYes {
+		r.distinct.Store(distinctYes)
+	}
 }
 
 // Filter returns a new relation with the rows satisfying keep.
 func (r *Relation) Filter(keep func(Tuple) bool) *Relation {
 	out := NewRelation(r.Name, r.arity)
+	out.subsetOf(r)
 	if r.arity == 0 {
 		if r.nullaryLen > 0 && keep(Tuple{}) {
 			out.nullaryLen = r.nullaryLen
@@ -288,102 +367,6 @@ func (r *Relation) Filter(keep func(Tuple) bool) *Relation {
 // String renders the relation name, arity and row count.
 func (r *Relation) String() string {
 	return fmt.Sprintf("%s/%d[%d rows]", r.Name, r.arity, r.Len())
-}
-
-// Index is a hash index on a column subset of a relation. Lookups return
-// row numbers. Keys are interned in a TupleSet, so a lookup hashes the key
-// tuple in place and allocates nothing.
-type Index struct {
-	rel  *Relation
-	cols []int
-	keys *TupleSet
-	// rows[e] lists the rows whose projection is key entry e.
-	rows [][]int32
-}
-
-// BuildIndex indexes the relation on the given columns. The index snapshots
-// row numbers; it must be rebuilt if the relation changes.
-func (r *Relation) BuildIndex(cols []int) *Index {
-	ix := &Index{rel: r, cols: append([]int(nil), cols...), keys: NewTupleSet(r.Len())}
-	key := make(Tuple, len(cols))
-	for i := 0; i < r.Len(); i++ {
-		row := r.Row(i)
-		for j, c := range cols {
-			key[j] = row[c]
-		}
-		e, fresh := ix.keys.Add(key)
-		if fresh {
-			ix.rows = append(ix.rows, nil)
-		}
-		ix.rows[e] = append(ix.rows[e], int32(i))
-	}
-	return ix
-}
-
-// Lookup returns the row numbers whose indexed columns equal key.
-func (ix *Index) Lookup(key []Value) []int32 {
-	e := ix.keys.IndexOf(key)
-	if e < 0 {
-		return nil
-	}
-	return ix.rows[e]
-}
-
-// Contains reports whether any row matches key. Every interned key has at
-// least one row, so membership in the key set suffices.
-func (ix *Index) Contains(key []Value) bool {
-	return ix.keys.Contains(key)
-}
-
-// NumKeys returns the number of distinct keys in the index.
-func (ix *Index) NumKeys() int { return ix.keys.Len() }
-
-// EntryOf returns the dense entry number of key (the e with
-// RowsAt(e) == Lookup(key)), or -1 when no row matches. Entry numbers are
-// stable for the lifetime of the index and span [0, NumKeys()).
-func (ix *Index) EntryOf(key []Value) int {
-	return ix.keys.IndexOf(key)
-}
-
-// RowsAt returns the row numbers of entry e.
-func (ix *Index) RowsAt(e int) []int32 { return ix.rows[e] }
-
-// Cols returns the indexed columns.
-func (ix *Index) Cols() []int { return ix.cols }
-
-// Semijoin keeps the rows of r whose cols-projection matches some row of s
-// on sCols, returning a new relation (r ⋉ s). It builds a hash set over s.
-func Semijoin(r *Relation, rCols []int, s *Relation, sCols []int) *Relation {
-	if len(rCols) != len(sCols) {
-		panic("database: semijoin column count mismatch")
-	}
-	// With no shared columns the key degenerates to the empty tuple and
-	// the semijoin keeps all of r iff s is non-empty, as it should.
-	set := NewTupleSet(s.Len())
-	key := make(Tuple, len(sCols))
-	for i := 0; i < s.Len(); i++ {
-		row := s.Row(i)
-		for j, c := range sCols {
-			key[j] = row[c]
-		}
-		set.Insert(key)
-	}
-	out := NewRelation(r.Name, r.Arity())
-	rkey := make(Tuple, len(rCols))
-	for i := 0; i < r.Len(); i++ {
-		row := r.Row(i)
-		for j, c := range rCols {
-			rkey[j] = row[c]
-		}
-		if set.Contains(rkey) {
-			if r.Arity() == 0 {
-				out.nullaryLen++
-			} else {
-				out.data = append(out.data, row...)
-			}
-		}
-	}
-	return out
 }
 
 // Instance is a database instance: a relation per symbol.

@@ -1,0 +1,335 @@
+package database
+
+// This file holds the one hash layout every bind-time structure shares: a
+// dense key table (KeySet), the CSR index built over it (Index) and the
+// semijoin that probes it. All three are sized once from the relation's row
+// count and filled in counted passes, so a build allocates a fixed number
+// of arrays whatever the number of keys.
+
+// KeySet is the set of distinct projections of a relation's rows onto some
+// columns, each numbered by a dense entry in first-occurrence order. Keys
+// have one fixed width, so entry e's key is keys[e*width:(e+1)*width] — for
+// a single column a bare array of values — with no per-entry offsets or
+// stored hashes: the slot table is sized for the row count up front and
+// never rehashes. A KeySet is immutable once built and safe to share.
+type KeySet struct {
+	width int
+	// n is the number of entries (kept apart from len(keys) for width 0).
+	n    int
+	keys []Value
+	// slots is the open-addressed table: 0 empty, else an entry number + 1.
+	slots []int32
+	mask  uint64
+}
+
+// newSlots returns an empty slot table for up to n entries at a load of at
+// most 3/4.
+func newSlots(n int) ([]int32, uint64) {
+	size := 8
+	for size*3/4 < n {
+		size <<= 1
+	}
+	return make([]int32, size), uint64(size - 1)
+}
+
+// hash1 hashes a single value: one multiply, the high half folded down to
+// where the slot mask reads.
+func hash1(v Value) uint64 {
+	h := uint64(v) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
+}
+
+// hashKey is the hash every KeySet slot table is addressed by.
+func hashKey(key Tuple) uint64 {
+	if len(key) == 1 {
+		return hash1(key[0])
+	}
+	return key.Hash()
+}
+
+func identityCols(arity int) []int {
+	cols := make([]int, arity)
+	for c := range cols {
+		cols[c] = c
+	}
+	return cols
+}
+
+func isIdentity(cols []int, arity int) bool {
+	if len(cols) != arity {
+		return false
+	}
+	for c, col := range cols {
+		if c != col {
+			return false
+		}
+	}
+	return true
+}
+
+// appendCols appends row's values at cols to key.
+func appendCols(key []Value, row Tuple, cols []int) []Value {
+	for _, c := range cols {
+		key = append(key, row[c])
+	}
+	return key
+}
+
+// clipValues returns vals, copied to an exactly sized array when more than
+// half of its capacity is unused.
+func clipValues(vals []Value) []Value {
+	if cap(vals) > 2*len(vals) {
+		return append(make([]Value, 0, len(vals)), vals...)
+	}
+	return vals
+}
+
+// rowSlots fills a slot table over whole rows of r (arity > 0), entry i
+// being row i. With check set it compares rows and stops at the first
+// repeated one, reporting distinct false; without, the caller vouches that
+// the rows are distinct and no row is compared.
+func (r *Relation) rowSlots(check bool) (slots []int32, mask uint64, distinct bool) {
+	n := r.Len()
+	slots, mask = newSlots(n)
+	for i := 0; i < n; i++ {
+		row := r.Row(i)
+		j := hashKey(row) & mask
+		for slots[j] != 0 {
+			if check && r.Row(int(slots[j]-1)).Equal(row) {
+				return nil, 0, false
+			}
+			j = (j + 1) & mask
+		}
+		slots[j] = int32(i + 1)
+	}
+	return slots, mask, true
+}
+
+// BuildKeySet returns the distinct cols-projections of r's rows.
+func (r *Relation) BuildKeySet(cols []int) *KeySet {
+	return r.buildKeys(cols, nil)
+}
+
+// buildKeys builds the key set of r on cols in one pass over the rows. The
+// key array is sized for one key per row and clipped afterwards. A non-nil
+// entries (one element per row) receives each row's entry number.
+// Over all columns of a known set the rows are the keys: the table shares
+// r's storage and only the slots are built.
+func (r *Relation) buildKeys(cols []int, entries []int32) *KeySet {
+	n, a, w := r.Len(), r.arity, len(cols)
+	if a > 0 && r.distinct.Load() == distinctYes && isIdentity(cols, a) {
+		ks := &KeySet{width: w, n: n, keys: r.data[:len(r.data):len(r.data)]}
+		ks.slots, ks.mask, _ = r.rowSlots(false)
+		for i := range entries {
+			entries[i] = int32(i)
+		}
+		return ks
+	}
+	ks := &KeySet{width: w, keys: make([]Value, 0, n*w)}
+	ks.slots, ks.mask = newSlots(n)
+	if w == 1 {
+		c := cols[0]
+		for i := 0; i < n; i++ {
+			v := r.data[i*a+c]
+			j := hash1(v) & ks.mask
+			for ks.slots[j] != 0 && ks.keys[ks.slots[j]-1] != v {
+				j = (j + 1) & ks.mask
+			}
+			if ks.slots[j] == 0 {
+				ks.keys = append(ks.keys, v)
+				ks.slots[j] = int32(len(ks.keys))
+			}
+			if entries != nil {
+				entries[i] = ks.slots[j] - 1
+			}
+		}
+		ks.n = len(ks.keys)
+		ks.keys = clipValues(ks.keys)
+		return ks
+	}
+	key := make(Tuple, 0, w)
+	for i := 0; i < n; i++ {
+		key = appendCols(key[:0], r.Row(i), cols)
+		j := key.Hash() & ks.mask
+		for ks.slots[j] != 0 && !ks.at(int(ks.slots[j]-1)).Equal(key) {
+			j = (j + 1) & ks.mask
+		}
+		if ks.slots[j] == 0 {
+			ks.keys = append(ks.keys, key...)
+			ks.n++
+			ks.slots[j] = int32(ks.n)
+		}
+		if entries != nil {
+			entries[i] = ks.slots[j] - 1
+		}
+	}
+	ks.keys = clipValues(ks.keys)
+	return ks
+}
+
+// at returns entry e's key as a view.
+func (ks *KeySet) at(e int) Tuple { return Tuple(ks.keys[e*ks.width : (e+1)*ks.width]) }
+
+// Len returns the number of distinct keys.
+func (ks *KeySet) Len() int { return ks.n }
+
+// EntryOf returns the entry number of key, or -1 when absent (or of the
+// wrong width). It allocates nothing.
+func (ks *KeySet) EntryOf(key []Value) int {
+	if len(key) != ks.width {
+		return -1
+	}
+	if ks.width == 1 {
+		v := key[0]
+		for j := hash1(v) & ks.mask; ; j = (j + 1) & ks.mask {
+			e := ks.slots[j]
+			if e == 0 || ks.keys[e-1] == v {
+				return int(e) - 1
+			}
+		}
+	}
+	for j := Tuple(key).Hash() & ks.mask; ; j = (j + 1) & ks.mask {
+		e := int(ks.slots[j])
+		if e == 0 || ks.at(e-1).Equal(key) {
+			return e - 1
+		}
+	}
+}
+
+// Contains reports whether key is in the set.
+func (ks *KeySet) Contains(key []Value) bool { return ks.EntryOf(key) >= 0 }
+
+// Index is a hash index on a column subset of a relation in CSR layout: a
+// dense key table, and for entry e the matching row numbers — ascending —
+// at rows[offs[e]:offs[e+1]] of one flat array. Lookups hash the key in
+// place, slice the row array and allocate nothing.
+type Index struct {
+	rel  *Relation
+	cols []int
+	keys *KeySet
+	offs []int32
+	rows []int32
+}
+
+// BuildIndex indexes the relation on the given columns. The index snapshots
+// row numbers; it must be rebuilt if the relation changes.
+func (r *Relation) BuildIndex(cols []int) *Index {
+	return r.BuildIndexOn(cols, nil)
+}
+
+// BuildIndexOn is BuildIndex over a key set already built for (r, cols) —
+// by a semijoin pass, say — which the index then shares instead of
+// building its own. A nil keys builds one. Two counted passes: count the
+// rows per entry, prefix-sum into offs, then drop each row number into
+// its entry's range.
+func (r *Relation) BuildIndexOn(cols []int, keys *KeySet) *Index {
+	n := r.Len()
+	entries := make([]int32, n)
+	if keys == nil {
+		keys = r.buildKeys(cols, entries)
+	} else {
+		var buf [8]Value
+		for i := range entries {
+			entries[i] = int32(keys.EntryOf(appendCols(buf[:0], r.Row(i), cols)))
+		}
+	}
+	ix := &Index{rel: r, cols: append([]int(nil), cols...), keys: keys,
+		offs: make([]int32, keys.n+1), rows: make([]int32, n)}
+	for _, e := range entries {
+		ix.offs[e+1]++
+	}
+	for e := 0; e < keys.n; e++ {
+		ix.offs[e+1] += ix.offs[e]
+	}
+	// offs[e] now starts entry e; filling advances it to the entry's end,
+	// which is the next entry's start, so shifting right restores it.
+	for i, e := range entries {
+		ix.rows[ix.offs[e]] = int32(i)
+		ix.offs[e]++
+	}
+	copy(ix.offs[1:], ix.offs)
+	ix.offs[0] = 0
+	return ix
+}
+
+// span returns the bounds of key's range in ix.rows, or an empty range.
+// It exists so that Lookup stays within the inlining budget.
+func (ix *Index) span(key []Value) (lo, hi int32) {
+	e := ix.keys.EntryOf(key)
+	if e < 0 {
+		return 0, 0
+	}
+	return ix.offs[e], ix.offs[e+1]
+}
+
+// Lookup returns the row numbers whose indexed columns equal key (empty,
+// not nil, when there are none).
+func (ix *Index) Lookup(key []Value) []int32 {
+	lo, hi := ix.span(key)
+	return ix.rows[lo:hi]
+}
+
+// Contains reports whether any row matches key. Every interned key has at
+// least one row, so membership in the key set suffices.
+func (ix *Index) Contains(key []Value) bool { return ix.keys.Contains(key) }
+
+// NumKeys returns the number of distinct keys in the index.
+func (ix *Index) NumKeys() int { return ix.keys.n }
+
+// EntryOf returns the dense entry number of key (the e with
+// RowsAt(e) == Lookup(key)), or -1 when no row matches. Entry numbers are
+// stable for the lifetime of the index and span [0, NumKeys()).
+func (ix *Index) EntryOf(key []Value) int { return ix.keys.EntryOf(key) }
+
+// RowsAt returns the row numbers of entry e.
+func (ix *Index) RowsAt(e int) []int32 { return ix.rows[ix.offs[e]:ix.offs[e+1]] }
+
+// Cols returns the indexed columns.
+func (ix *Index) Cols() []int { return ix.cols }
+
+// Semijoin keeps the rows of r whose rCols-projection matches some row of s
+// on sCols (r ⋉ s). See SemijoinKeys for what it returns.
+func Semijoin(r *Relation, rCols []int, s *Relation, sCols []int) *Relation {
+	if len(rCols) != len(sCols) {
+		panic("database: semijoin column count mismatch")
+	}
+	return SemijoinKeys(r, rCols, s.BuildKeySet(sCols))
+}
+
+// SemijoinKeys keeps the rows of r whose rCols-projection is in keys, the
+// key set of the other side. Survivors are marked in a bitmap first: when
+// nothing dangles the result is r itself — the same pointer, nothing
+// copied — and otherwise the survivors are copied, in order, into one
+// exactly sized array. Since the result may be r, it is as read-only as r
+// is. With no shared columns the key is the empty tuple and r survives
+// whole iff the other side is non-empty.
+func SemijoinKeys(r *Relation, rCols []int, keys *KeySet) *Relation {
+	if len(rCols) != keys.width {
+		panic("database: semijoin column count mismatch")
+	}
+	n, a := r.Len(), r.arity
+	marks := make([]uint64, (n+63)/64)
+	kept := 0
+	var buf [8]Value
+	for i := 0; i < n; i++ {
+		if keys.EntryOf(appendCols(buf[:0], r.Row(i), rCols)) >= 0 {
+			marks[i>>6] |= 1 << (i & 63)
+			kept++
+		}
+	}
+	if kept == n {
+		return r
+	}
+	out := NewRelation(r.Name, a)
+	out.subsetOf(r)
+	if a == 0 {
+		return out // a nullary r survives whole or not at all
+	}
+	out.data = make([]Value, 0, kept*a)
+	for i := 0; i < n; i++ {
+		if marks[i>>6]&(1<<(i&63)) != 0 {
+			out.data = append(out.data, r.data[i*a:(i+1)*a]...)
+		}
+	}
+	return out
+}

@@ -2,13 +2,14 @@ package yannakakis
 
 import "repro/internal/database"
 
-// This file computes exact output cardinalities of prepared plans. The
-// parallel union merge pre-sizes its dedup TupleSet from these counts, so
-// the hot enumeration path never pays a growth rehash.
+// This file computes exact output cardinalities of prepared plans: the
+// answer count a single-member union reports without enumerating
+// (core.UnionPlan.ExactCount) and the output-volume input of the cost
+// model's mode decision (AnswerEstimate).
 
 // countCap bounds the weights carried by the counting recurrence; counts
 // saturate at this value instead of overflowing. It is far beyond any
-// answer set the dedup arena could hold anyway.
+// answer set that could be enumerated anyway.
 const countCap = int64(1) << 50
 
 // satMul multiplies two non-negative counts, saturating at countCap.

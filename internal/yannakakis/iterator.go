@@ -237,7 +237,7 @@ func (it *Iterator) Extend() {
 		for _, vid := range e.keyVarIDs {
 			it.keyBuf = append(it.keyBuf, it.assign[vid])
 		}
-		rows := e.index.Lookup(it.keyBuf)
+		rows := e.extension().Lookup(it.keyBuf)
 		if len(rows) == 0 {
 			panic(fmt.Sprintf("yannakakis: internal error: no extension for %s in %s",
 				e.removedVar, it.plan.Q.Name))

@@ -104,6 +104,32 @@ func TestRandomQueriesExtendIsHomomorphism(t *testing.T) {
 	}
 }
 
+// Contains reports whether the given tuple over Plan.SVars (sorted variable
+// order, as produced by Iterator.STuple) is an answer: the tuple is an
+// answer iff each top node contains its projection, since a full
+// S-assignment determines one row per top. It is the allocating,
+// any-S twin of ContainsHead and has only test callers.
+func (p *Plan) Contains(t database.Tuple) bool {
+	if len(t) != len(p.SVars) {
+		return false
+	}
+	valueOf := make([]database.Value, len(p.varName))
+	for i, v := range p.SVars {
+		valueOf[p.varID[v]] = t[i]
+	}
+	key := make(database.Tuple, 0, 4)
+	for i := range p.tops {
+		key = key[:0]
+		for _, vid := range p.tops[i].varIDs {
+			key = append(key, valueOf[vid])
+		}
+		if !p.fullIndex[i].Contains(key) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestRandomQueriesContains checks the constant-time membership test
 // against the enumerated answer set.
 func TestRandomQueriesContains(t *testing.T) {

@@ -10,8 +10,8 @@
 // S edge frozen, *on the data*:
 //
 //   - a variable outside S occurring in exactly one alive atom is projected
-//     out of that atom's relation (the pre-projection relation and an index
-//     on the remaining columns are logged for replay);
+//     out of that atom's relation (the pre-projection relation is logged
+//     for replay);
 //   - an atom whose variables are contained in another alive atom's
 //     variables is absorbed: the absorber is semijoin-reduced by it;
 //   - an atom whose variables are contained in S becomes a top node.
@@ -24,11 +24,31 @@
 // An enumerated S-tuple extends to a full homomorphism by replaying the
 // elimination log backwards: each logged projection looks up one matching
 // pre-projection row (constant time), exactly the extension step in the
-// proof of Lemma 8.
+// proof of Lemma 8. The index that lookup needs is built on the first
+// Extend, not at Prepare: enumerating head tuples never reads it.
+//
+// # What Prepare copies and what it shares
+//
+// An atom without repeated variables over a relation that is a set (a fact
+// the relation memoises) starts from an O(1) view of the stored rows; a bag
+// or an R(x,x) atom is filtered and deduplicated into a copy. Each semijoin
+// returns its input when nothing dangles and one exactly sized copy
+// otherwise, so a row is copied only by a step that removes something next
+// to it. A projection copies (its key table is the projected relation).
+// Within the full reduction, the key set of a (relation, columns) pair is
+// built once and shared by the bottom-up pass, the top-down pass and the
+// DFS index for as long as that relation comes through unchanged; the
+// membership tables behind ContainsHead hold slots only, over the top
+// relations' own rows. A plan is therefore a snapshot that may share
+// storage with the instance it was prepared over: it relies on stored rows
+// never being rewritten (see database.Relation) and is unaffected by rows
+// appended afterwards.
 package yannakakis
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/cq"
 	"repro/internal/database"
@@ -55,10 +75,10 @@ type Plan struct {
 	tops []topNode
 	// order is the DFS pre-order over tops used by iterators.
 	order []int
-	// fullIndex[i] indexes top i on all columns, enabling the constant-time
-	// membership test Algorithm 1 relies on ("tested in constant time after
-	// a linear time preprocessing phase").
-	fullIndex []*database.Index
+	// fullIndex[i] is the key set of top i on all columns — membership needs
+	// no row lists — enabling the constant-time test Algorithm 1 relies on
+	// ("tested in constant time after a linear time preprocessing phase").
+	fullIndex []*database.KeySet
 	// headProbe drives ContainsHead; nil unless S = var(head).
 	headProbe *headProbe
 
@@ -84,13 +104,27 @@ type logEntry struct {
 	kind byte // 'p' projection, 'a' absorption, 't' top
 	node int
 	// Projection fields: the variable removed, its column in pre, the
-	// pre-projection relation, an index on the remaining columns, and the
-	// variable ids keying that index in column order.
+	// pre-projection relation, the remaining columns, the variable ids they
+	// hold in column order, and the index of pre on them.
 	removedVar cq.Variable
 	removedCol int
 	pre        *database.Relation
-	index      *database.Index
+	keepCols   []int
 	keyVarIDs  []int
+	ext        *extIndex
+}
+
+// extIndex is a projection's extension index, built by the first Extend
+// that replays it; plans are shared across goroutines, hence the Once.
+type extIndex struct {
+	once  sync.Once
+	index *database.Index
+}
+
+// extension returns the index of e.pre on the columns the projection kept.
+func (e *logEntry) extension() *database.Index {
+	e.ext.once.Do(func() { e.ext.index = e.pre.BuildIndex(e.keepCols) })
+	return e.ext.index
 }
 
 type topNode struct {
@@ -179,8 +213,11 @@ func (n *elimNode) varSet() cq.VarSet {
 	return cq.NewVarSet(n.vars...)
 }
 
-// bindAtom attaches the atom to its relation, handling repeated variables
-// (rows must agree on repeated positions) and deduplicating.
+// bindAtom attaches the atom to its relation as a duplicate-free working
+// relation over the atom's distinct variables. Without repeated variables
+// and over a relation that is a set, that is a view of the stored rows;
+// otherwise rows that disagree on repeated positions are filtered out and
+// the rest deduplicated into a copy.
 func bindAtom(a cq.Atom, inst *database.Instance) (*elimNode, error) {
 	rel := inst.Relation(a.Rel)
 	if rel == nil {
@@ -203,6 +240,9 @@ func bindAtom(a cq.Atom, inst *database.Instance) (*elimNode, error) {
 		firstCol[v] = i
 		vars = append(vars, v)
 		cols = append(cols, i)
+	}
+	if !selfEqual && rel.IsSet() {
+		return &elimNode{vars: vars, rel: rel.View(), alive: true}, nil
 	}
 	work := rel
 	if selfEqual {
@@ -324,8 +364,9 @@ func (p *Plan) projectOut(i int, nd *elimNode, v cq.Variable) {
 		removedVar: v,
 		removedCol: col,
 		pre:        pre,
-		index:      pre.BuildIndex(keepCols),
+		keepCols:   keepCols,
 		keyVarIDs:  keyVarIDs,
+		ext:        new(extIndex),
 	}
 	p.log = append(p.log, entry)
 	nd.rel = pre.Project(pre.Name, keepCols)
@@ -383,6 +424,11 @@ func (p *Plan) buildTopTree() error {
 		}
 		return childCols, parentCols
 	}
+	// A semijoin hands back the same relation when nothing dangles, so the
+	// key sets are remembered per (relation, columns): a child that the
+	// top-down pass leaves whole is indexed below on the key set the
+	// bottom-up pass built over it.
+	var keys keySetCache
 	post := jt.PostOrder()
 	for _, i := range post {
 		if p.tops[i].parent < 0 {
@@ -390,7 +436,7 @@ func (p *Plan) buildTopTree() error {
 		}
 		par := p.tops[i].parent
 		cc, pc := sharedCols(i, par)
-		p.tops[par].rel = database.Semijoin(p.tops[par].rel, pc, p.tops[i].rel, cc)
+		p.tops[par].rel = database.SemijoinKeys(p.tops[par].rel, pc, keys.get(p.tops[i].rel, cc))
 	}
 	for k := len(post) - 1; k >= 0; k-- {
 		i := post[k]
@@ -399,7 +445,7 @@ func (p *Plan) buildTopTree() error {
 		}
 		par := p.tops[i].parent
 		cc, pc := sharedCols(i, par)
-		p.tops[i].rel = database.Semijoin(p.tops[i].rel, cc, p.tops[par].rel, pc)
+		p.tops[i].rel = database.SemijoinKeys(p.tops[i].rel, cc, keys.get(p.tops[par].rel, pc))
 	}
 
 	// DFS pre-order: reverse of post-order is a valid pre-order for our
@@ -425,49 +471,56 @@ func (p *Plan) buildTopTree() error {
 			continue
 		}
 		cc, _ := sharedCols(i, t.parent)
-		t.index = t.rel.BuildIndex(cc)
+		t.index = t.rel.BuildIndexOn(cc, keys.find(t.rel, cc))
 		t.keyVarIDs = t.keyVarIDs[:0]
 		for _, c := range cc {
 			t.keyVarIDs = append(t.keyVarIDs, t.varIDs[c])
 		}
 	}
 
-	// Full-key indexes for Contains.
-	p.fullIndex = make([]*database.Index, len(p.tops))
+	// Full-key membership tables for ContainsHead. A top relation is a set,
+	// so its rows are the keys and only the slot table is built.
+	p.fullIndex = make([]*database.KeySet, len(p.tops))
 	for i := range p.tops {
 		cols := make([]int, p.tops[i].rel.Arity())
 		for c := range cols {
 			cols[c] = c
 		}
-		p.fullIndex[i] = p.tops[i].rel.BuildIndex(cols)
+		p.fullIndex[i] = p.tops[i].rel.BuildKeySet(cols)
 	}
 	p.buildHeadProbe()
 	return nil
 }
 
-// Contains reports whether the given tuple over Plan.SVars (sorted variable
-// order, as produced by Iterator.STuple) is an answer. It runs in constant
-// time for a fixed query: the tuple is an answer iff each top node contains
-// its projection, since a full S-assignment determines one row per top.
-func (p *Plan) Contains(t database.Tuple) bool {
-	if len(t) != len(p.SVars) {
-		return false
-	}
-	valueOf := make([]database.Value, len(p.varName))
-	for i, v := range p.SVars {
-		valueOf[p.varID[v]] = t[i]
-	}
-	key := make(database.Tuple, 0, 4)
-	for i := range p.tops {
-		key = key[:0]
-		for _, vid := range p.tops[i].varIDs {
-			key = append(key, valueOf[vid])
-		}
-		if !p.fullIndex[i].Contains(key) {
-			return false
+// keySetCache remembers the key sets one full reduction has built, by
+// relation identity and columns. A plan has a handful of tops, so a linear
+// scan is the lookup.
+type keySetCache []keySetEntry
+
+type keySetEntry struct {
+	rel  *database.Relation
+	cols []int
+	keys *database.KeySet
+}
+
+// find returns the key set built over (rel, cols), or nil.
+func (c keySetCache) find(rel *database.Relation, cols []int) *database.KeySet {
+	for _, e := range c {
+		if e.rel == rel && slices.Equal(e.cols, cols) {
+			return e.keys
 		}
 	}
-	return true
+	return nil
+}
+
+// get returns the key set over (rel, cols), building it on first use.
+func (c *keySetCache) get(rel *database.Relation, cols []int) *database.KeySet {
+	keys := c.find(rel, cols)
+	if keys == nil {
+		keys = rel.BuildKeySet(cols)
+		*c = append(*c, keySetEntry{rel, cols, keys})
+	}
+	return keys
 }
 
 func colIn(vars []cq.Variable, v cq.Variable) int {

@@ -281,6 +281,14 @@ func Prepare(u *UCQ, opts *PlanOptions) (*PreparedQuery, error) {
 // Bind attaches the prepared query to an instance, running the per-instance
 // Theorem 12 preprocessing (constant-delay mode) or validating the schema
 // (naive mode). The execution options given at Prepare time apply.
+//
+// A constant-delay plan is a snapshot of the instance as bound. It may
+// share row storage with inst's relations instead of copying it, which is
+// safe because stored rows are never rewritten: rows appended to a relation
+// after Bind are invisible to the plan — to its answers, its counts and its
+// membership probes — and a later Bind sees them. Appending while a Bind of
+// the same relation is still running is a data race, as it always was. A
+// naive plan reads inst at enumeration time and promises no snapshot.
 func (pq *PreparedQuery) Bind(inst *Instance) (*Plan, error) {
 	return pq.BindExec(inst, nil)
 }
