@@ -370,51 +370,6 @@ func BenchmarkExperimentSuiteQuick(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDedupTupleSetVsStringKey isolates the tuple-key layer:
-// the union dedup that every answer passes through, as a string-keyed map
-// (one key allocation per probe) vs the hashed, arena-backed TupleSet. Run
-// with -benchmem: the TupleSet side should show fewer ns/op and allocs/op.
-func BenchmarkAblationDedupTupleSetVsStringKey(b *testing.B) {
-	const n, arity = 20000, 3
-	tuples := make([]database.Tuple, n)
-	for i := range tuples {
-		// Every other tuple repeats its predecessor: a 50% duplicate rate,
-		// the regime the Cheater's Lemma combinator lives in.
-		j := int64(i - i%2)
-		tuples[i] = database.Tuple{database.V(j), database.V(j * 31), database.V(j % 97)}
-	}
-	b.Run("string-key", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			seen := make(map[string]bool, n)
-			fresh := 0
-			for _, t := range tuples {
-				k := t.Key()
-				if !seen[k] {
-					seen[k] = true
-					fresh++
-				}
-			}
-			if fresh != n/2 {
-				b.Fatal("bad dedup")
-			}
-		}
-	})
-	b.Run("tupleset", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			seen := database.NewTupleSet(n)
-			fresh := 0
-			for _, t := range tuples {
-				if seen.Insert(t) {
-					fresh++
-				}
-			}
-			if fresh != n/2 {
-				b.Fatal("bad dedup")
-			}
-		}
-	})
-}
-
 // BenchmarkE12UnionParallelVsSequential: the Theorem 12 pipeline's one
 // merge over one prepared plan from its two sources — tasks run inline
 // ("sequential") vs on the executor with GOMAXPROCS workers. Preparation is

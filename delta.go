@@ -18,9 +18,11 @@ import (
 // superset of the difference from the appended rows alone, and for
 // certified plans the Theorem 12 structure supplies a constant-time
 // old-version membership test (the CDY head indexes), so the filter costs
-// O(1) per candidate — no re-enumeration of the old answers. The catalog's
-// bounded append log provides the delta windows; when it has been
-// compacted past the requested window the API reports
+// O(1) per candidate — no re-enumeration of the old answers. Naive plans
+// have neither, and take the difference directly: both versions through
+// the naive evaluator, Q(to) filtered through a key set over Q(from). The
+// catalog's bounded append log provides the delta windows; when it has
+// been compacted past the requested window the API reports
 // ErrDeltaUnavailable and the caller resyncs from a full evaluation.
 
 // ErrDeltaUnavailable reports that the dataset's retained append log does
@@ -58,6 +60,10 @@ func (p *Plan) DeltaAnswers(from, to Version) ([]Tuple, error) {
 // retaining one past the callback. A false return from yield stops the
 // enumeration early without error. A nil ctx falls back to the plan's
 // binding context.
+//
+// A certified plan evaluates only what the appends touched. A naive plan
+// costs two naive evaluations, one per version, and holds both answer
+// relations and a key set over the old one until it returns.
 func (p *Plan) DeltaAnswersContext(ctx context.Context, from, to Version, yield func(Tuple) bool) error {
 	ctx = p.deltaCtx(ctx)
 	if from == to {
@@ -85,48 +91,25 @@ func (p *Plan) DeltaAnswersContext(ctx context.Context, from, to Version, yield 
 		})
 		return err
 	}
-	// Naive mode has no constant-time membership test; materialize the old
-	// answer set once and filter through it.
 	oldRel, err := baseline.EvalUCQCtx(ctx, p.Evaluated, fromInst)
 	if err != nil {
 		return err
 	}
-	oldSet := database.NewTupleSet(oldRel.Len())
-	for i, n := 0, oldRel.Len(); i < n; i++ {
-		oldSet.Insert(oldRel.Row(i))
-	}
-	_, err = delta.CandidatesNaive(ctx, p.Evaluated, toInst, deltas, func(t database.Tuple) bool {
-		if oldSet.Contains(t) {
-			return true
-		}
-		return yield(t)
-	})
-	return err
-}
-
-// DeltaCandidatesContext streams the semi-naive candidate answers of the
-// window (from, to] — a superset of Q(to) \ Q(from) and a subset of Q(to),
-// each distinct candidate once — without the old-version membership
-// filter. Consumers that already maintain the set of answers they have
-// seen (fed from the initial enumeration) dedup against it directly, which
-// is how naive-mode subscriptions avoid re-materializing the old answer
-// set per append. Tuple lifetime and early-stop semantics
-// match DeltaAnswersContext.
-func (p *Plan) DeltaCandidatesContext(ctx context.Context, from, to Version, yield func(Tuple) bool) error {
-	ctx = p.deltaCtx(ctx)
-	if from == to {
-		return nil
-	}
-	_, toInst, deltas, err := p.deltaWindow(from, to)
+	newRel, err := baseline.EvalUCQCtx(ctx, p.Evaluated, toInst)
 	if err != nil {
 		return err
 	}
-	if p.Mode == ConstantDelay {
-		_, err = delta.Candidates(ctx, p.Evaluated, p.Cert, toInst, deltas, yield)
-		return err
+	cols := make([]int, newRel.Arity())
+	for c := range cols {
+		cols[c] = c
 	}
-	_, err = delta.CandidatesNaive(ctx, p.Evaluated, toInst, deltas, yield)
-	return err
+	old := oldRel.BuildKeySet(cols)
+	for i, n := 0, newRel.Len(); i < n; i++ {
+		if t := newRel.Row(i); !old.Contains(t) && !yield(t) {
+			return nil
+		}
+	}
+	return nil
 }
 
 // deltaCtx resolves the effective context like AnswersContext does.

@@ -197,6 +197,67 @@ func TestDeltaAnswersSelfJoin(t *testing.T) {
 	}
 }
 
+// TestDeltaAnswersBooleanUnion: under a nullary head every answer is the
+// empty tuple, so a window's delta is that one tuple when the union turns
+// true in it and empty otherwise — even when two appended relations each
+// make a member true, or a later append makes a second member true.
+func TestDeltaAnswersBooleanUnion(t *testing.T) {
+	const query = `
+		Q1() <- R(x,y), S(y,z).
+		Q2() <- T(x,x).
+	`
+	empty := fmt.Sprint(Tuple{})
+	for mode, opts := range deltaModes() {
+		t.Run(mode, func(t *testing.T) {
+			inst := NewInstance()
+			for _, name := range []string{"R", "S", "T"} {
+				inst.AddRelation(NewRelation(name, 2))
+			}
+			inst.Relation("R").AppendInts(1, 2)
+			inst.Relation("T").AppendInts(5, 6)
+			ds, err := NewCatalog().Register("d", inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pq, err := Prepare(MustParse(query), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mode == "certified" && pq.Mode != ConstantDelay {
+				t.Fatal("boolean union should certify constant-delay")
+			}
+			p1, err := pq.BindDataset(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := answerKeys(t, p1); len(got) != 0 {
+				t.Fatalf("union true before any append: %v", got)
+			}
+
+			// Both members turn true in one window, through different
+			// relations.
+			if _, err := ds.AppendRows(map[string][][]int64{"S": {{2, 9}}, "T": {{7, 7}}}); err != nil {
+				t.Fatal(err)
+			}
+			p2, err := pq.BindDataset(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]bool{empty: true}
+			sameSet(t, "delta(1,2)", collectDelta(t, p1, 1, 2), want)
+
+			// Already true: more derivations add no answer.
+			if _, err := ds.AppendRows(map[string][][]int64{"R": {{8, 2}}, "T": {{3, 3}}}); err != nil {
+				t.Fatal(err)
+			}
+			if d := collectDelta(t, p2, 2, 3); len(d) != 0 {
+				t.Errorf("delta(2,3) of a union already true = %v", d)
+			}
+			sameSet(t, "delta(1,3)", collectDelta(t, p1, 1, 3), want)
+		})
+	}
+}
+
 func TestDeltaAnswersRandomized(t *testing.T) {
 	const appends = 8
 	rng := rand.New(rand.NewSource(7))

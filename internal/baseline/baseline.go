@@ -23,23 +23,28 @@ func EvalCQ(q *cq.CQ, inst *database.Instance) (*database.Relation, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	plan, err := newJoinPlan(q, inst)
-	if err != nil {
+	answers := database.NewKeySet(len(q.Head))
+	if err := evalInto(q, inst, answers); err != nil {
 		return nil, err
 	}
-	out := database.NewRelation(q.Name, len(q.Head))
-	seen := database.NewTupleSet(0)
+	return answers.Relation(q.Name), nil
+}
+
+// evalInto adds the head projection of every homomorphism of q to answers.
+func evalInto(q *cq.CQ, inst *database.Instance, answers *database.KeySet) error {
+	plan, err := newJoinPlan(q, inst)
+	if err != nil {
+		return err
+	}
 	head := make(database.Tuple, len(q.Head))
 	plan.run(func(assign map[cq.Variable]database.Value) bool {
 		for i, v := range q.Head {
 			head[i] = assign[v]
 		}
-		if seen.Insert(head) {
-			out.Append(head...)
-		}
+		answers.Add(head)
 		return true
 	})
-	return out, nil
+	return nil
 }
 
 // DecideCQ reports whether q has at least one answer over inst.
@@ -67,37 +72,23 @@ func EvalUCQ(u *cq.UCQ, inst *database.Instance) (*database.Relation, error) {
 // aborts with ctx's error after at most one member's worth of work instead
 // of materializing the whole answer set for nobody. Member evaluation
 // itself is not interrupted (a single CQ's join runs to completion).
+//
+// Every member's heads go into one key set, whose keys are the answer
+// relation: each answer is stored once, in first-occurrence order.
 func EvalUCQCtx(ctx context.Context, u *cq.UCQ, inst *database.Instance) (*database.Relation, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
 	}
-	rels := make([]*database.Relation, len(u.CQs))
-	for i, q := range u.CQs {
+	answers := database.NewKeySet(u.Arity())
+	for _, q := range u.CQs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		r, err := EvalCQ(q, inst)
-		if err != nil {
+		if err := evalInto(q, inst, answers); err != nil {
 			return nil, err
 		}
-		rels[i] = r
 	}
-	return mergeUnion(u, rels), nil
-}
-
-// mergeUnion concatenates per-CQ answer relations under one dedup set.
-func mergeUnion(u *cq.UCQ, rels []*database.Relation) *database.Relation {
-	out := database.NewRelation("union", u.Arity())
-	seen := database.NewTupleSet(0)
-	for _, r := range rels {
-		for i := 0; i < r.Len(); i++ {
-			row := r.Row(i)
-			if seen.Insert(row) {
-				out.Append(row...)
-			}
-		}
-	}
-	return out
+	return answers.Relation("union"), nil
 }
 
 // DecideUCQ reports whether the union has at least one answer.

@@ -100,8 +100,8 @@ func (t Tuple) Equal(u Tuple) bool {
 }
 
 // Key encodes the tuple as a string map key. The engine's own dedup sites
-// use Hash and TupleSet instead; Key remains for tests and external callers
-// that want a map-friendly identity.
+// use a KeySet instead; Key remains for tests and external callers that
+// want a map-friendly identity.
 func (t Tuple) Key() string {
 	return encodeKey(t)
 }
@@ -325,15 +325,7 @@ func (r *Relation) Project(name string, cols []int) *Relation {
 			panic(fmt.Sprintf("database: projection column %d out of range for arity %d", c, r.arity))
 		}
 	}
-	out := NewRelation(name, len(cols))
-	ks := r.buildKeys(cols, nil)
-	if len(cols) == 0 {
-		out.nullaryLen = ks.n
-	} else {
-		out.data = ks.keys
-	}
-	out.distinct.Store(distinctYes)
-	return out
+	return r.buildKeys(cols, nil).Relation(name)
 }
 
 // subsetOf records on r, a relation holding some of src's rows, what that

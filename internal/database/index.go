@@ -1,17 +1,17 @@
 package database
 
-// This file holds the one hash layout every bind-time structure shares: a
-// dense key table (KeySet), the CSR index built over it (Index) and the
-// semijoin that probes it. All three are sized once from the relation's row
-// count and filled in counted passes, so a build allocates a fixed number
-// of arrays whatever the number of keys.
+// This file holds the one hash layout of the engine: a dense key table
+// (KeySet), the CSR index built over it (Index) and the semijoin that
+// probes it. Bind-time tables are sized once from the row count and filled
+// in counted passes, a fixed number of arrays whatever the number of keys;
+// every other dedup site grows a KeySet with Add.
 
-// KeySet is the set of distinct projections of a relation's rows onto some
-// columns, each numbered by a dense entry in first-occurrence order. Keys
-// have one fixed width, so entry e's key is keys[e*width:(e+1)*width] — for
-// a single column a bare array of values — with no per-entry offsets or
-// stored hashes: the slot table is sized for the row count up front and
-// never rehashes. A KeySet is immutable once built and safe to share.
+// KeySet is a set of fixed-width keys, each numbered by a dense entry in
+// first-occurrence order: entry e's key is keys[e*width:(e+1)*width] — for
+// one column a bare array of values — with no offsets or stored hashes. A
+// built set (BuildKeySet) sizes its slots for the row count, never rehashes
+// and is immutable, safe to share. A growable one (NewKeySet, Add) doubles
+// its slots from the keys as it fills and is not safe for concurrent use.
 type KeySet struct {
 	width int
 	// n is the number of entries (kept apart from len(keys) for width 0).
@@ -332,4 +332,101 @@ func SemijoinKeys(r *Relation, rCols []int, keys *KeySet) *Relation {
 		}
 	}
 	return out
+}
+
+// NewKeySet returns an empty growable set of keys of the given width.
+func NewKeySet(width int) *KeySet {
+	ks := &KeySet{width: width}
+	ks.slots, ks.mask = newSlots(0)
+	return ks
+}
+
+// Add inserts key if absent, returning its entry number and whether it was
+// new. The key is copied, so it may be a transient view; a present key
+// costs one probe and no allocation. Add panics on a key of the wrong
+// width.
+func (ks *KeySet) Add(key []Value) (entry int, fresh bool) {
+	if len(key) != ks.width {
+		panic("database: key width mismatch")
+	}
+	j := ks.find(key)
+	if e := ks.slots[j]; e != 0 {
+		return int(e) - 1, false
+	}
+	ks.keys = append(ks.keys, key...)
+	ks.n++
+	ks.slots[j] = int32(ks.n)
+	if uint64(ks.n)*4 > (ks.mask+1)*3 {
+		ks.grow()
+	}
+	return ks.n - 1, true
+}
+
+// find returns the slot holding key, or the empty slot where it would go.
+func (ks *KeySet) find(key []Value) uint64 {
+	if ks.width == 1 {
+		v := key[0]
+		j := hash1(v) & ks.mask
+		for ks.slots[j] != 0 && ks.keys[ks.slots[j]-1] != v {
+			j = (j + 1) & ks.mask
+		}
+		return j
+	}
+	j := Tuple(key).Hash() & ks.mask
+	for ks.slots[j] != 0 && !ks.at(int(ks.slots[j]-1)).Equal(key) {
+		j = (j + 1) & ks.mask
+	}
+	return j
+}
+
+// grow doubles the slot table and re-places every entry by rehashing its
+// key; the key array itself does not move.
+func (ks *KeySet) grow() {
+	size := 2 * (ks.mask + 1)
+	ks.slots, ks.mask = make([]int32, size), size-1
+	for e := 0; e < ks.n; e++ {
+		j := hashKey(ks.at(e)) & ks.mask
+		for ks.slots[j] != 0 {
+			j = (j + 1) & ks.mask
+		}
+		ks.slots[j] = int32(e + 1)
+	}
+}
+
+// Relation returns the keys as a relation of arity width, one row per
+// entry in entry order, known to be a set. It shares the key array — O(1),
+// no copy — with length and capacity clipped, so keys added later are
+// invisible to it and appends to it cannot reach the set.
+func (ks *KeySet) Relation(name string) *Relation {
+	out := NewRelation(name, ks.width)
+	if ks.width == 0 {
+		out.nullaryLen = ks.n
+	} else {
+		out.data = ks.keys[:len(ks.keys):len(ks.keys)]
+	}
+	out.distinct.Store(distinctYes)
+	return out
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// Hash returns a 64-bit hash of the tuple: FNV-1a over the value words,
+// followed by a 64-bit avalanche. The multiply in FNV only propagates
+// entropy toward high bits, while open-addressed tables select slots from
+// the low bits; the final mix spreads the entropy back down.
+func (t Tuple) Hash() uint64 {
+	h := uint64(fnvOffset64)
+	for _, v := range t {
+		h ^= uint64(v)
+		h *= fnvPrime64
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }

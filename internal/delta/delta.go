@@ -9,9 +9,14 @@
 // for each relation R touched by the append, evaluate the query over the
 // new instance with R replaced by just its delta rows (the overlay). The
 // union of the overlay answer sets is a superset of the new answers and a
-// subset of Q(to); filtering it through a membership test against the
-// version-`from` plan (constant-time for certified Theorem 12 plans via
-// the CDY head indexes) yields exactly the difference.
+// subset of Q(to); filtering it through the version-`from` plan's
+// constant-time membership test (the CDY head indexes of a certified
+// Theorem 12 plan) yields exactly the difference.
+//
+// The package serves certified plans only. A naive plan has no certificate
+// to evaluate overlays with and no constant-time membership test; it takes
+// the difference of two naive evaluations instead (Plan.DeltaAnswersContext
+// in the root package).
 //
 // One correctness wrinkle: when a CQ joins a touched relation with itself,
 // the overlay substitutes *every* occurrence, so an answer pairing a new
@@ -25,16 +30,11 @@ import (
 	"context"
 	"sort"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/database"
 	"repro/internal/enumeration"
 )
-
-// ctxCheckEvery bounds how many candidate tuples are yielded between
-// context checks inside the enumeration loops.
-const ctxCheckEvery = 1024
 
 // Touched returns the delta'd relation names the query actually
 // references, sorted. Relations the query never mentions cannot change its
@@ -127,7 +127,7 @@ func Candidates(ctx context.Context, u *cq.UCQ, cert *core.Certificate, toInst *
 		}
 		return true, drain(ctx, plan.Answers(ctx, enumeration.UnionOptions{}, nil), nil, yield)
 	}
-	seen := database.NewTupleSet(0)
+	seen := database.NewKeySet(u.Arity())
 	for _, name := range touched {
 		if err := ctx.Err(); err != nil {
 			return false, err
@@ -144,71 +144,22 @@ func Candidates(ctx context.Context, u *cq.UCQ, cert *core.Certificate, toInst *
 	return false, nil
 }
 
-// CandidatesNaive mirrors Candidates on the baseline (non-certified)
-// engine: overlay evaluations through baseline.EvalUCQCtx, the same
-// self-join fallback. Naive callers have no constant-time old-membership
-// test, so they filter through a materialized answer set instead.
-func CandidatesNaive(ctx context.Context, u *cq.UCQ, toInst *database.Instance, deltas map[string]*database.Relation, yield func(database.Tuple) bool) (full bool, err error) {
-	touched := Touched(u, deltas)
-	if len(touched) == 0 {
-		return false, nil
-	}
-	if HasSelfJoinOn(u, touched) {
-		rel, err := baseline.EvalUCQCtx(ctx, u, toInst)
-		if err != nil {
-			return true, err
-		}
-		return true, drainRel(ctx, rel, nil, yield)
-	}
-	seen := database.NewTupleSet(0)
-	for _, name := range touched {
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		rel, err := baseline.EvalUCQCtx(ctx, u, overlay(toInst, name, deltas[name]))
-		if err != nil {
-			return false, err
-		}
-		if err := drainRel(ctx, rel, seen, yield); err != nil {
-			return false, err
-		}
-	}
-	return false, nil
-}
-
 // drain pushes it's tuples through seen-dedup (nil seen = no dedup) into
 // yield. The stream itself stops within one batch of ctx being cancelled,
 // silently — so its end is only a completed drain if ctx is still live.
-func drain(ctx context.Context, it *enumeration.Union, seen *database.TupleSet, yield func(database.Tuple) bool) error {
+func drain(ctx context.Context, it *enumeration.Union, seen *database.KeySet, yield func(database.Tuple) bool) error {
 	for {
 		t, ok := it.Next()
 		if !ok {
 			return ctx.Err()
 		}
-		if seen != nil && !seen.Insert(t) {
-			continue
-		}
-		if !yield(t) {
-			return nil
-		}
-	}
-}
-
-// drainRel is drain over a materialized relation.
-func drainRel(ctx context.Context, rel *database.Relation, seen *database.TupleSet, yield func(database.Tuple) bool) error {
-	for i, n := 0, rel.Len(); i < n; i++ {
-		t := rel.Row(i)
-		if seen != nil && !seen.Insert(t) {
-			continue
-		}
-		if !yield(t) {
-			return nil
-		}
-		if (i+1)%ctxCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
+		if seen != nil {
+			if _, fresh := seen.Add(t); !fresh {
+				continue
 			}
 		}
+		if !yield(t) {
+			return nil
+		}
 	}
-	return nil
 }

@@ -182,53 +182,3 @@ func TestCandidatesSelfJoinFallsBack(t *testing.T) {
 		t.Errorf("old⋈new answer missing: got %v", got)
 	}
 }
-
-// TestCandidatesNaiveMatchesCertified: both engines' candidate sets filter
-// down to the same difference.
-func TestCandidatesNaiveMatchesCertified(t *testing.T) {
-	u := cq.MustParse(`Q(x,y,z) <- R(x,y), S(y,z).`)
-	cert, ok := core.FindCertificate(u, nil)
-	if !ok {
-		t.Fatal("full-head join must certify")
-	}
-	fromInst := joinInstance(30, 6)
-	toInst := fromInst.ShallowClone()
-	dr := database.NewRelation("R", 2)
-	dr.AppendInts(200, 4)
-	merged := toInst.Relation("R").Clone()
-	merged.AppendInts(200, 4)
-	toInst.AddRelation(merged)
-	deltas := map[string]*database.Relation{"R": dr}
-
-	collect := func(run func(yield func(database.Tuple) bool) error) map[string]bool {
-		out := make(map[string]bool)
-		if err := run(func(tup database.Tuple) bool {
-			out[fmt.Sprint(tup)] = true
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	certified := collect(func(yield func(database.Tuple) bool) error {
-		_, err := Candidates(context.Background(), u, cert, toInst, deltas, yield)
-		return err
-	})
-	naive := collect(func(yield func(database.Tuple) bool) error {
-		_, err := CandidatesNaive(context.Background(), u, toInst, deltas, yield)
-		return err
-	})
-	if len(certified) == 0 {
-		t.Fatal("bad fixture: no candidates")
-	}
-	for k := range certified {
-		if !naive[k] {
-			t.Errorf("naive candidates missing %s", k)
-		}
-	}
-	for k := range naive {
-		if !certified[k] {
-			t.Errorf("certified candidates missing %s", k)
-		}
-	}
-}

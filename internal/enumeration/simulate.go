@@ -54,9 +54,9 @@ func SimulateRaw(events []Event) Schedule {
 // Under the lemma's preconditions — at most n delays exceeding d (each at
 // most p) and every result duplicated at most m times — the queue is never
 // empty when an emission is due, so the output schedule has preprocessing
-// n·p + m·d and maximum delay m·d.
+// n·p + m·d and maximum delay m·d. All results must have one width.
 func SimulateCheater(events []Event, n, p, d, m int) Schedule {
-	seen := database.NewTupleSet(0)
+	var seen *database.KeySet // the lookup table, as wide as the first result
 	pending := 0
 	var out Schedule
 
@@ -86,7 +86,10 @@ func SimulateCheater(events []Event, n, p, d, m int) Schedule {
 			emitDue()
 		}
 		if e.Result != nil {
-			if seen.Insert(e.Result) {
+			if seen == nil {
+				seen = database.NewKeySet(len(e.Result))
+			}
+			if _, fresh := seen.Add(e.Result); fresh {
 				pending++
 			}
 			emitDue()

@@ -82,7 +82,7 @@ func E2UnionTractable(cfg Config) Table {
 	}
 	for _, w := range widths {
 		inst := workload.Chain([]string{"R1", "R2", "R3"}, []int{2, 2, 2}, w, 2, 2)
-		seen := database.NewTupleSet(0)
+		seen := database.NewKeySet(u.Arity())
 		dupFree := true
 		st := enumeration.MeasureDelays(func() enumeration.Iterator {
 			it, err := core.NewAlgorithmOneUnion(u, inst)
@@ -91,8 +91,10 @@ func E2UnionTractable(cfg Config) Table {
 			}
 			return enumeration.Func(func() (database.Tuple, bool) {
 				tup, ok := it.Next()
-				if ok && !seen.Insert(tup) {
-					dupFree = false
+				if ok {
+					if _, fresh := seen.Add(tup); !fresh {
+						dupFree = false
+					}
 				}
 				return tup, ok
 			})

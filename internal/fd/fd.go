@@ -95,6 +95,41 @@ func (s *Set) All() []FD {
 	return out
 }
 
+// checkArity reports an FD whose positions do not fit a relation of arity a.
+func (f FD) checkArity(a int) error {
+	if f.To >= a {
+		return fmt.Errorf("fd: %s targets position %d of arity-%d relation", f, f.To, a)
+	}
+	for _, c := range f.From {
+		if c >= a {
+			return fmt.Errorf("fd: %s reads position %d of arity-%d relation", f, c, a)
+		}
+	}
+	return nil
+}
+
+// eachRow passes r's rows in order to visit, each with the target value of
+// the first row sharing its determinant (its own, for that first row);
+// visit returns false to stop. f must pass checkArity for r.
+func (f FD) eachRow(r *database.Relation, visit func(row database.Tuple, first database.Value) bool) {
+	seen := database.NewKeySet(len(f.From))
+	targets := make([]database.Value, 0, r.Len())
+	key := make(database.Tuple, len(f.From))
+	for i := 0; i < r.Len(); i++ {
+		row := r.Row(i)
+		for j, c := range f.From {
+			key[j] = row[c]
+		}
+		e, fresh := seen.Add(key)
+		if fresh {
+			targets = append(targets, row[f.To])
+		}
+		if !visit(row, targets[e]) {
+			return
+		}
+	}
+}
+
 // Validate checks that every FD's positions fit its relation's arity as
 // used in the query.
 func (s *Set) Validate(u *cq.UCQ) error {
@@ -108,13 +143,8 @@ func (s *Set) Validate(u *cq.UCQ) error {
 			continue // FDs on unused relations are harmless
 		}
 		for _, f := range fds {
-			if f.To >= a {
-				return fmt.Errorf("fd: %s targets position %d of arity-%d relation", f, f.To, a)
-			}
-			for _, c := range f.From {
-				if c >= a {
-					return fmt.Errorf("fd: %s reads position %d of arity-%d relation", f, c, a)
-				}
+			if err := f.checkArity(a); err != nil {
+				return err
 			}
 		}
 	}
@@ -122,7 +152,8 @@ func (s *Set) Validate(u *cq.UCQ) error {
 }
 
 // Holds reports whether the instance satisfies every FD of the set (for
-// relations present in the instance).
+// relations present in the instance). An FD that does not fit its
+// relation's arity is an error, whether or not the relation has rows.
 func (s *Set) Holds(inst *database.Instance) error {
 	for rel, fds := range s.byRel {
 		r := inst.Relation(rel)
@@ -130,29 +161,19 @@ func (s *Set) Holds(inst *database.Instance) error {
 			continue
 		}
 		for _, f := range fds {
-			if f.To >= r.Arity() {
-				return fmt.Errorf("fd: %s targets position %d of arity-%d relation", f, f.To, r.Arity())
+			if err := f.checkArity(r.Arity()); err != nil {
+				return err
 			}
-			// Determinants are interned in a TupleSet; targets[e] records the
-			// target value first seen for determinant entry e.
-			seen := database.NewTupleSet(r.Len())
-			targets := make([]database.Value, 0, r.Len())
-			key := make(database.Tuple, len(f.From))
-			for i := 0; i < r.Len(); i++ {
-				row := r.Row(i)
-				for j, c := range f.From {
-					if c >= r.Arity() {
-						return fmt.Errorf("fd: %s reads position %d of arity-%d relation", f, c, r.Arity())
-					}
-					key[j] = row[c]
+			var err error
+			f.eachRow(r, func(row database.Tuple, first database.Value) bool {
+				if first != row[f.To] {
+					err = fmt.Errorf("fd: %s violated by rows agreeing on the determinant with targets %v and %v",
+						f, first, row[f.To])
 				}
-				e, fresh := seen.Add(key)
-				if fresh {
-					targets = append(targets, row[f.To])
-				} else if targets[e] != row[f.To] {
-					return fmt.Errorf("fd: %s violated by rows agreeing on the determinant with targets %v and %v",
-						f, targets[e], row[f.To])
-				}
+				return err == nil
+			})
+			if err != nil {
+				return err
 			}
 		}
 	}

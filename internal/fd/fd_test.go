@@ -74,6 +74,17 @@ func TestHolds(t *testing.T) {
 	}
 }
 
+// TestHoldsValidatesEmptyRelation: a determinant position past the arity
+// is an error even when the relation has no rows to read it from.
+func TestHoldsValidatesEmptyRelation(t *testing.T) {
+	s := MustSet(FD{Rel: "R", From: []int{5}, To: 1})
+	inst := database.NewInstance()
+	inst.AddRelation(database.NewRelation("R", 2))
+	if err := s.Holds(inst); err == nil {
+		t.Error("out-of-range determinant on an empty relation accepted")
+	}
+}
+
 func TestFreeClosureAndExtend(t *testing.T) {
 	q := cq.MustParseCQ(matMulQuery)
 	// FD R1: x → z puts z into the closure.

@@ -59,35 +59,16 @@ func (s *Set) Enforce(inst *database.Instance) *database.Instance {
 			continue
 		}
 		for _, f := range relFDs {
-			if f.To >= r.Arity() {
-				continue
-			}
-			ok := true
-			for _, c := range f.From {
-				if c >= r.Arity() {
-					ok = false
-				}
-			}
-			if !ok {
+			if f.checkArity(r.Arity()) != nil {
 				continue
 			}
 			kept := database.NewRelation(r.Name, r.Arity())
-			seen := database.NewTupleSet(r.Len())
-			targets := make([]database.Value, 0, r.Len())
-			key := make(database.Tuple, len(f.From))
-			for i := 0; i < r.Len(); i++ {
-				row := r.Row(i)
-				for j, c := range f.From {
-					key[j] = row[c]
+			f.eachRow(r, func(row database.Tuple, first database.Value) bool {
+				if first == row[f.To] {
+					kept.Append(row...)
 				}
-				e, fresh := seen.Add(key)
-				if fresh {
-					targets = append(targets, row[f.To])
-				} else if targets[e] != row[f.To] {
-					continue // violator: drop
-				}
-				kept.Append(row...)
-			}
+				return true
+			})
 			r = kept
 		}
 		out.AddRelation(r)

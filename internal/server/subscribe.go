@@ -5,11 +5,13 @@ package server
 // versions. The stream opens with the full answer set at the bind version
 // (or, with from_version, just the answers added since), then blocks on the
 // dataset's subscription channel; every committed append wakes the loop,
-// which enumerates exactly the answers the append added — semi-naive delta
-// evaluation over the catalog's append log, filtered through the certified
-// plan's constant-time old-version membership test — and pushes them,
-// ending each batch with a version marker. UCQs are monotone, so appends
-// never retract answers and maintenance is pure addition.
+// which pushes exactly the answers the append added
+// (Plan.DeltaAnswersContext: semi-naive delta evaluation filtered through
+// the certified plan's constant-time old-version membership test, or for a
+// naive plan the difference of two naive evaluations), ending each batch
+// with a version marker. UCQs are monotone, so appends never retract
+// answers and maintenance is pure addition. The loop itself holds no
+// answer state.
 //
 // Every wake-up re-binds the plan at the head version through the bind
 // cache, which doubles as a pre-warm: by the time an ordinary query
@@ -28,7 +30,6 @@ import (
 	"strconv"
 
 	ucq "repro"
-	"repro/internal/database"
 )
 
 // errSubscriberGone marks a failed write to the subscription stream: the
@@ -159,22 +160,8 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	// Naive plans have no constant-time old-membership test; the
-	// subscription instead remembers every answer it has made the client
-	// complete through and dedups delta candidates against that set (the
-	// naive evaluator materialises the whole answer relation on every wake
-	// anyway). Certified plans filter through the Theorem 12 head indexes
-	// of the previous bind and need no set.
-	var emitted *database.TupleSet
-	if plan.Mode != ucq.ConstantDelay {
-		emitted = database.NewTupleSet(0)
-	}
-
 	var streamErr error
 	push := func(t ucq.Tuple) bool {
-		if emitted != nil && !emitted.Insert(t) {
-			return true
-		}
 		if err := enc.appendTuple(t); err != nil {
 			streamErr = errSubscriberGone
 			return false
@@ -227,12 +214,12 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Initial batch: a from_version resume sends only the delta since the
-	// client's version when the plan is certified and the log still covers
-	// the window; everything else (fresh subscribes, naive plans, compacted
-	// windows) sends the full set, prefixed by a resync marker when the
-	// client asked to resume — it must discard its stale state first.
+	// client's version when the log still covers the window; everything
+	// else (fresh subscribes, compacted windows, versions from the future)
+	// sends the full set, prefixed by a resync marker when the client asked
+	// to resume — it must discard its stale state first.
 	resync := req.FromVersion != 0 && req.FromVersion != cur
-	if resync && plan.Mode == ucq.ConstantDelay && req.FromVersion < cur {
+	if resync && req.FromVersion < cur {
 		err := plan.DeltaAnswersContext(r.Context(), req.FromVersion, cur, push)
 		if streamErr != nil {
 			fail(streamErr)
@@ -314,15 +301,10 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 
 		s.stats.deltasEvaluated.Add(1)
 		before := pushed
-		if plan.Mode == ucq.ConstantDelay {
-			// The previous plan is bound at cur: its head indexes are the
-			// old-version membership filter, so this enumerates exactly the
-			// answers versions (cur, to] added.
-			err = plan.DeltaAnswersContext(r.Context(), cur, to, push)
-		} else {
-			// Naive: the emitted set inside push dedups the candidates.
-			err = newPlan.DeltaCandidatesContext(r.Context(), cur, to, push)
-		}
+		// The previous plan is bound at cur, so a certified one filters
+		// through its own head indexes: exactly the answers versions
+		// (cur, to] added.
+		err = plan.DeltaAnswersContext(r.Context(), cur, to, push)
 		if streamErr != nil {
 			fail(streamErr)
 			return
@@ -331,9 +313,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			// The log was compacted past our window (slow consumer) or
 			// cleared by a Replace: degrade to a full resync at the head.
 			s.stats.subsResyncs.Add(1)
-			if emitted != nil {
-				emitted = database.NewTupleSet(0)
-			}
 			if err := enc.subscriptionMarker(to, true); err != nil {
 				s.stats.requestsCancelled.Add(1)
 				return

@@ -460,7 +460,16 @@ func (p *Plan) AnswersContext(ctx context.Context) Answers {
 		// NewPlan validated the schema; reaching this is a bug.
 		panic(fmt.Sprintf("ucq: naive evaluation failed after validation: %v", err))
 	}
-	return enumeration.NewSliceIterator(rel.Rows())
+	// Views of the answer relation's rows: stable, since nothing appends to
+	// it.
+	i := 0
+	return enumeration.Func(func() (Tuple, bool) {
+		if i == rel.Len() {
+			return nil, false
+		}
+		i++
+		return rel.Row(i - 1), true
+	})
 }
 
 // bindCtx returns the context recorded at bind time, or Background.
