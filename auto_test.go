@@ -218,3 +218,75 @@ func TestCountExactMatchesEnumerationRandom(t *testing.T) {
 	}
 	t.Logf("exact-count path taken in %d/150 cases", exact)
 }
+
+// TestDecideAlwaysValid is the property the plan layer relies on: for any
+// inputs — including nonsense ones — the resolved worker count satisfies
+// PlanOptions validation (never negative) and the provenance fields are
+// populated.
+func TestDecideAlwaysValid(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260807))
+	for i := 0; i < 5000; i++ {
+		constantDelay := rng.Intn(2) == 0
+		rows := rng.Intn(1 << 20)
+		answers := rng.Int63n(1<<21) - 1 // includes -1 (unknown)
+		branches := rng.Intn(5)
+		cpus := rng.Intn(65) - 1 // includes -1 and 0
+		d := decideWorkers(constantDelay, rows, answers, branches, cpus)
+		if d.Workers < 0 {
+			t.Fatalf("case %d: negative worker count %+v", i, d)
+		}
+		if d.Kind == "" || d.Reason == "" {
+			t.Fatalf("case %d: incomplete provenance %+v", i, d)
+		}
+		if d.Rows != rows || d.Answers != answers || d.Branches != branches || d.CPUs != cpus {
+			t.Fatalf("case %d: provenance %+v does not echo rows=%d answers=%d branches=%d cpus=%d",
+				i, d, rows, answers, branches, cpus)
+		}
+	}
+}
+
+// TestDecideDeterministic pins that the cost model is a pure function of
+// its inputs — the property that lets every bind recompute it from the
+// cached counts and still report the same provenance.
+func TestDecideDeterministic(t *testing.T) {
+	a := decideWorkers(true, 1<<16, 1<<16, 1, 8)
+	b := decideWorkers(true, 1<<16, 1<<16, 1, 8)
+	if *a != *b {
+		t.Fatalf("same inputs, different decisions:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestDecideRegimes pins one decision per regime of the model.
+func TestDecideRegimes(t *testing.T) {
+	cases := []struct {
+		name          string
+		constantDelay bool
+		rows          int
+		answers       int64
+		cpus          int
+		kind          string
+	}{
+		{"single CPU", true, 1 << 20, 1 << 20, 1, "sequential"},
+		{"tiny instance", true, 100, 50, 8, "sequential"},
+		{"large output", true, 1 << 16, 1 << 16, 8, "parallel"},
+		{"large input, few answers", true, 1 << 16, 100, 8, "parallel"},
+		{"naive big input", false, 1 << 16, -1, 8, "sequential"},
+		{"naive tiny input", false, 100, -1, 8, "sequential"},
+	}
+	for _, tc := range cases {
+		d := decideWorkers(tc.constantDelay, tc.rows, tc.answers, 1, tc.cpus)
+		if d.Kind != tc.kind {
+			t.Errorf("%s: kind = %s (%s), want %s", tc.name, d.Kind, d.Reason, tc.kind)
+		}
+	}
+}
+
+// TestDecideScalesWithCPUs pins that the picked worker count tracks the
+// machine: on a bigger box the same instance gets a bigger pool.
+func TestDecideScalesWithCPUs(t *testing.T) {
+	for _, cpus := range []int{2, 4, 16} {
+		if d := decideWorkers(true, 1<<18, 1<<18, 1, cpus); d.Workers != cpus {
+			t.Errorf("cpus=%d: workers=%d, want %d (%s)", cpus, d.Workers, cpus, d.Reason)
+		}
+	}
+}

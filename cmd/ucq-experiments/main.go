@@ -6,6 +6,8 @@
 // Usage:
 //
 //	ucq-experiments [-quick] [-o EXPERIMENTS.md]
+//
+// The committed EXPERIMENTS.md is `ucq-experiments -quick -o EXPERIMENTS.md`.
 package main
 
 import (
@@ -22,20 +24,25 @@ func main() {
 	flag.Parse()
 
 	cfg := experiments.Config{Quick: *quick}
-	tables := experiments.RunAll(cfg)
-
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ucq-experiments:", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := experiments.RenderMarkdown(w, tables, cfg); err != nil {
+	if err := write(*out, experiments.RunAll(cfg), cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "ucq-experiments:", err)
 		os.Exit(2)
 	}
+}
+
+// write renders the document to path, or to stdout when path is empty. A
+// file is only complete once Close succeeds, so its error is reported too.
+func write(path string, tables []experiments.Table, cfg experiments.Config) error {
+	if path == "" {
+		return experiments.RenderMarkdown(os.Stdout, tables, cfg)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := experiments.RenderMarkdown(f, tables, cfg); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

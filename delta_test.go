@@ -461,3 +461,129 @@ func TestCatalogSubscribeNotify(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The maintenance speedup test exercises the incremental-maintenance
+// claim: after a small append, enumerating exactly the new answers via the
+// semi-naive delta path (Plan.DeltaAnswers) must beat re-enumerating the
+// full answer set at the head version by a wide margin. The workload is
+// the full-head join deltaJoinQuery (free-connex, so the delta path runs
+// through the certified constant-time old-membership filter): a large R, a
+// small S, every R row matching exactly one S row, and an append that adds
+// a handful of R rows. The delta arm touches the appended rows plus S; the
+// full arm pays for every answer.
+
+const (
+	maintenanceBaseRows   = 20000 // R rows in the registered dataset
+	maintenanceFanout     = 200   // distinct join keys (= S rows)
+	maintenanceAppendRows = 16    // R rows added by the maintained append
+)
+
+// maintenanceDataset registers the base instance in a fresh catalog, binds
+// the plan at the registration version, appends maintenanceAppendRows
+// rows, and returns the prepared query, the bound plan, the dataset and
+// the append's version window.
+func maintenanceDataset(tb testing.TB) (*PreparedQuery, *Plan, *Dataset, Version, Version) {
+	tb.Helper()
+	inst := NewInstance()
+	r := NewRelation("R", 2)
+	for i := int64(0); i < maintenanceBaseRows; i++ {
+		r.AppendInts(i, i%maintenanceFanout)
+	}
+	s := NewRelation("S", 2)
+	for j := int64(0); j < maintenanceFanout; j++ {
+		s.AppendInts(j, j+1_000_000)
+	}
+	inst.AddRelation(r)
+	inst.AddRelation(s)
+
+	pq, err := Prepare(MustParse(deltaJoinQuery), nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cat := NewCatalog()
+	ds, err := cat.Register("bench", inst)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	plan, err := pq.BindDataset(ds)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if plan.Mode != ConstantDelay {
+		tb.Fatalf("plan mode = %v, want ConstantDelay (full-head join must certify)", plan.Mode)
+	}
+	rows := make([][]int64, maintenanceAppendRows)
+	for k := range rows {
+		rows[k] = []int64{maintenanceBaseRows + int64(k), int64(k) % maintenanceFanout}
+	}
+	to, err := ds.AppendRows(map[string][][]int64{"R": rows})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pq, plan, ds, Version(1), Version(to)
+}
+
+// maintenanceDelta runs one delta maintenance pass, failing unless it
+// yields exactly the appended answers.
+func maintenanceDelta(tb testing.TB, plan *Plan, from, to Version) {
+	n := 0
+	err := plan.DeltaAnswersContext(context.Background(), from, to, func(Tuple) bool {
+		n++
+		return true
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if n != maintenanceAppendRows {
+		tb.Fatalf("delta answers = %d, want %d", n, maintenanceAppendRows)
+	}
+}
+
+// maintenanceFull runs one full re-evaluation at the head version — bind
+// (served from the bind cache after the first call, which is the cheapest
+// honest baseline: a resyncing subscriber pays at least this) plus a drain
+// of the whole answer set.
+func maintenanceFull(tb testing.TB, pq *PreparedQuery, ds *Dataset) {
+	plan, err := pq.BindDataset(ds)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const want = maintenanceBaseRows + maintenanceAppendRows
+	n := 0
+	for range plan.All(context.Background()) {
+		n++
+	}
+	if n != want {
+		tb.Fatalf("full answers = %d, want %d", n, want)
+	}
+}
+
+// TestDeltaMaintenanceSpeedup pins the acceptance floor: the delta
+// maintenance pass must run at least 5× faster than the full
+// re-evaluation it replaces. The real ratio is orders of magnitude (the
+// delta arm's work is proportional to the appended rows plus S, not to
+// the answer set), so 5× leaves generous headroom for noisy CI boxes.
+func TestDeltaMaintenanceSpeedup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing-sensitive; skipped in -short")
+	}
+	pq, plan, ds, from, to := maintenanceDataset(t)
+	maintenanceFull(t, pq, ds) // warm the bind cache
+
+	deltaRes := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			maintenanceDelta(b, plan, from, to)
+		}
+	})
+	fullRes := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			maintenanceFull(b, pq, ds)
+		}
+	})
+	deltaNs := float64(deltaRes.NsPerOp())
+	fullNs := float64(fullRes.NsPerOp())
+	t.Logf("delta: %.0f ns/op, full re-eval: %.0f ns/op (%.1fx)", deltaNs, fullNs, fullNs/deltaNs)
+	if deltaNs*5 > fullNs {
+		t.Errorf("delta maintenance is only %.1fx faster than full re-evaluation, want >= 5x", fullNs/deltaNs)
+	}
+}

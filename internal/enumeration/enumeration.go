@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/database"
-	"repro/internal/exec"
 )
 
 // Iterator is a stream of answer tuples. Next returns the next tuple and
@@ -51,21 +50,6 @@ func (s *SliceIterator) Next() (database.Tuple, bool) {
 	s.pos++
 	return t, true
 }
-
-// NextBatch implements exec.Task: a slice of tuples is its own indivisible
-// task, copied out without a Next call per tuple.
-func (s *SliceIterator) NextBatch(buf []database.Value, max int) ([]database.Value, int) {
-	n := 0
-	for n < max && s.pos < len(s.tuples) {
-		buf = append(buf, s.tuples[s.pos]...)
-		s.pos++
-		n++
-	}
-	return buf, n
-}
-
-// Split implements exec.Task; a SliceIterator does not divide.
-func (s *SliceIterator) Split() exec.Task { return nil }
 
 // Closer is an iterator holding releasable resources (worker goroutines,
 // typically). CloseIterator releases any iterator; wrapper iterators

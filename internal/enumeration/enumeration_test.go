@@ -20,6 +20,56 @@ func unionOf(arity int, opts UnionOptions, its ...Iterator) *Union {
 	return NewUnion(context.Background(), arity, opts, tasks)
 }
 
+// NextBatch implements exec.Task: a slice of tuples is its own indivisible
+// task, copied out without a Next call per tuple.
+func (s *SliceIterator) NextBatch(buf []database.Value, max int) ([]database.Value, int) {
+	n := 0
+	for n < max && s.pos < len(s.tuples) {
+		buf = append(buf, s.tuples[s.pos]...)
+		s.pos++
+		n++
+	}
+	return buf, n
+}
+
+// Split implements exec.Task; a SliceIterator does not divide.
+func (s *SliceIterator) Split() exec.Task { return nil }
+
+// iterTask adapts a plain iterator to the Task interface as one
+// indivisible unit of work. NextBatch copies tuple values into buf, so the
+// batch owns its data even when the iterator reuses an internal buffer.
+type iterTask struct{ it Iterator }
+
+func (t iterTask) NextBatch(buf []database.Value, max int) ([]database.Value, int) {
+	n := 0
+	for n < max {
+		tup, ok := t.it.Next()
+		if !ok {
+			break
+		}
+		buf = append(buf, tup...)
+		n++
+	}
+	return buf, n
+}
+
+func (t iterTask) Split() exec.Task { return nil }
+
+// Close releases the wrapped iterator, so a union nested inside a task is
+// released with the union that runs the task.
+func (t iterTask) Close() { CloseIterator(t.it) }
+
+// TaskOf wraps an iterator as an indivisible task (iterators that already
+// are tasks, like SliceIterator, pass through). Work that can be divided
+// (plan root ranges) should implement exec.Task directly so the executor
+// can steal and re-split it.
+func TaskOf(it Iterator) exec.Task {
+	if t, ok := it.(exec.Task); ok {
+		return t
+	}
+	return iterTask{it: it}
+}
+
 // forEachSource runs a merge test against both batch sources: inline
 // (Workers 0) and the executor with one and with several workers.
 func forEachSource(t *testing.T, f func(t *testing.T, workers int)) {

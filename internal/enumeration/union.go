@@ -157,38 +157,3 @@ func (u *Union) Stats() exec.Stats {
 	}
 	return u.ex.Stats()
 }
-
-// iterTask adapts a plain iterator to the Task interface as one
-// indivisible unit of work. NextBatch copies tuple values into buf, so the
-// batch owns its data even when the iterator reuses an internal buffer.
-type iterTask struct{ it Iterator }
-
-func (t iterTask) NextBatch(buf []database.Value, max int) ([]database.Value, int) {
-	n := 0
-	for n < max {
-		tup, ok := t.it.Next()
-		if !ok {
-			break
-		}
-		buf = append(buf, tup...)
-		n++
-	}
-	return buf, n
-}
-
-func (t iterTask) Split() exec.Task { return nil }
-
-// Close releases the wrapped iterator, so a union nested inside a task is
-// released with the union that runs the task.
-func (t iterTask) Close() { CloseIterator(t.it) }
-
-// TaskOf wraps an iterator as an indivisible task (iterators that already
-// are tasks, like SliceIterator, pass through). Work that can be divided
-// (plan root ranges) should implement exec.Task directly so the executor
-// can steal and re-split it.
-func TaskOf(it Iterator) exec.Task {
-	if t, ok := it.(exec.Task); ok {
-		return t
-	}
-	return iterTask{it: it}
-}

@@ -2,8 +2,9 @@
 // reproduction (EXPERIMENTS.md): constant-delay measurements for the
 // paper's upper bounds, forward runs of the lower-bound reductions, the
 // classification gallery, and the structural figures. cmd/ucq-experiments
-// renders the output; bench_test.go at the repository root exposes each
-// experiment as a Go benchmark.
+// renders the output; the committed EXPERIMENTS.md is its quick-mode run,
+// and TestExperimentsDocCurrent keeps the two in step. This package is the
+// paper's claims only: performance is measured by the bench/ harness.
 package experiments
 
 import (
@@ -66,21 +67,22 @@ func RenderMarkdown(w io.Writer, tables []Table, cfg Config) error {
 	if cfg.Quick {
 		b.WriteString("*(quick mode: reduced workload sizes)*\n\n")
 	}
-	b.WriteString("Regenerate with `go run ./cmd/ucq-experiments` (add `-quick` for a smoke\n")
-	b.WriteString("run); the corresponding benchmarks live in `bench_test.go`.\n\n")
+	b.WriteString("Regenerate with `go run ./cmd/ucq-experiments -quick -o EXPERIMENTS.md`\n")
+	b.WriteString("(drop `-quick` for the full sizes). Performance is measured separately by\n")
+	b.WriteString("the `bench/` harness (see `bench/README.md`).\n\n")
 	for _, t := range tables {
 		b.WriteString(fmt.Sprintf("## %s — %s\n\n", t.ID, t.Title))
 		b.WriteString(fmt.Sprintf("**Paper artifact:** %s\n\n", t.Paper))
 		b.WriteString(fmt.Sprintf("**Claim:** %s\n\n", t.Claim))
 		if len(t.Columns) > 0 {
-			b.WriteString("| " + strings.Join(t.Columns, " | ") + " |\n")
+			b.WriteString(tableRow(t.Columns))
 			sep := make([]string, len(t.Columns))
 			for i := range sep {
 				sep[i] = "---"
 			}
-			b.WriteString("| " + strings.Join(sep, " | ") + " |\n")
+			b.WriteString(tableRow(sep))
 			for _, row := range t.Rows {
-				b.WriteString("| " + strings.Join(row, " | ") + " |\n")
+				b.WriteString(tableRow(row))
 			}
 			b.WriteString("\n")
 		}
@@ -93,6 +95,16 @@ func RenderMarkdown(w io.Writer, tables []Table, cfg Config) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// tableRow renders one markdown table row. A bare "|" inside a cell would
+// end the cell early, so it is escaped.
+func tableRow(cells []string) string {
+	escaped := make([]string, len(cells))
+	for i, c := range cells {
+		escaped[i] = strings.ReplaceAll(c, "|", `\|`)
+	}
+	return "| " + strings.Join(escaped, " | ") + " |\n"
 }
 
 // --- small helpers shared by the experiment files ---

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -33,7 +34,7 @@ func TestRunAllQuick(t *testing.T) {
 			}
 		}
 		for _, n := range tb.Notes {
-			if strings.Contains(n, "FAILED") {
+			if strings.Contains(n, "FAILED") || strings.Contains(n, "MISMATCH") {
 				t.Errorf("%s: %s", tb.ID, n)
 			}
 		}
@@ -78,4 +79,99 @@ func TestHelperFormatting(t *testing.T) {
 	if shorten("abc", 2) == "abc" {
 		t.Errorf("shorten broken")
 	}
+}
+
+// regenerate is the command that rewrites the committed document.
+const regenerate = "go run ./cmd/ucq-experiments -quick -o EXPERIMENTS.md"
+
+// TestExperimentsDocCurrent pins the committed EXPERIMENTS.md to a fresh
+// quick run: every heading, claim, note and non-timing cell must match
+// exactly. Timing cells are machine-specific, so for them the test only
+// checks that a value is present. A column counts as timing when its
+// header names a time unit — "(ms)", "(µs)", "(ns)" or "ns/" — so a new
+// timing column must carry its unit in the header, or this test will
+// demand that its values repeat.
+func TestExperimentsDocCurrent(t *testing.T) {
+	var sb strings.Builder
+	if err := RenderMarkdown(&sb, RunAll(Config{Quick: true}), Config{Quick: true}); err != nil {
+		t.Fatalf("RenderMarkdown: %v", err)
+	}
+	committed, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatalf("%v; regenerate with %s", err, regenerate)
+	}
+	got := strings.Split(sb.String(), "\n")
+	want := strings.Split(string(committed), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("EXPERIMENTS.md has %d lines, a fresh run %d; regenerate with %s", len(want), len(got), regenerate)
+	}
+	var header []string // the current table's column headers
+	row := 0            // line within the current table: header, delimiter, body
+	for i := range got {
+		g, w := got[i], want[i]
+		if !strings.HasPrefix(g, "|") || !strings.HasPrefix(w, "|") {
+			header, row = nil, 0
+			if g != w {
+				t.Errorf("line %d:\n got  %q\n want %q", i+1, g, w)
+			}
+			continue
+		}
+		gc, wc := tableCells(g), tableCells(w)
+		if row == 0 {
+			header = gc
+		}
+		row++
+		// Header, delimiter and body rows must agree on the cell count, or
+		// the table does not render.
+		if len(gc) != len(header) || len(wc) != len(header) {
+			t.Errorf("line %d: %d and %d cells, want %d:\n got  %q\n want %q", i+1, len(gc), len(wc), len(header), g, w)
+			continue
+		}
+		for c := range gc {
+			timing := row > 2 && timingColumn(header[c])
+			switch {
+			case timing && (gc[c] == "" || wc[c] == ""):
+				t.Errorf("line %d: empty timing cell %q", i+1, header[c])
+			case !timing && gc[c] != wc[c]:
+				t.Errorf("line %d, column %q: got %q, want %q", i+1, header[c], gc[c], wc[c])
+			}
+		}
+	}
+	if t.Failed() {
+		t.Logf("EXPERIMENTS.md is stale; regenerate with %s", regenerate)
+	}
+}
+
+// timingColumn reports whether a column header names a time unit.
+func timingColumn(header string) bool {
+	for _, unit := range []string{"(ms)", "(µs)", "(ns)", "ns/"} {
+		if strings.Contains(header, unit) {
+			return true
+		}
+	}
+	return false
+}
+
+// tableCells splits a markdown table row into its trimmed cells. An
+// escaped pipe (\|) belongs to its cell; every other pipe separates.
+func tableCells(row string) []string {
+	var cells []string
+	var cell strings.Builder
+	for i := 0; i < len(row); i++ {
+		switch {
+		case row[i] == '\\' && i+1 < len(row) && row[i+1] == '|':
+			cell.WriteString(`\|`)
+			i++
+		case row[i] == '|':
+			cells = append(cells, strings.TrimSpace(cell.String()))
+			cell.Reset()
+		default:
+			cell.WriteByte(row[i])
+		}
+	}
+	// The leading and trailing pipes delimit nothing.
+	if len(cells) > 0 {
+		cells = cells[1:]
+	}
+	return cells
 }

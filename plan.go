@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/database"
 	"repro/internal/enumeration"
 	"repro/internal/homomorphism"
@@ -120,7 +119,7 @@ type Plan struct {
 	workers int
 	// decision is the Auto planner's resolved configuration and
 	// provenance; nil for hand-picked execution options.
-	decision *cost.Decision
+	decision *Decision
 	// ctx is the binding context from BindExecContext: the default parent
 	// for the background work of every Answers stream this plan produces.
 	ctx context.Context
@@ -180,21 +179,7 @@ func (d *Decision) String() string {
 
 // Decision returns the Auto planner's provenance for this bind, or nil
 // when the execution options were hand-picked (no decision was made).
-func (p *Plan) Decision() *Decision {
-	if p.decision == nil {
-		return nil
-	}
-	d := p.decision
-	return &Decision{
-		Workers:  d.Workers,
-		Kind:     d.Kind(),
-		Reason:   d.Reason,
-		Rows:     d.Inputs.Rows,
-		Answers:  d.Inputs.Answers,
-		Branches: d.Inputs.Branches,
-		CPUs:     d.Inputs.CPUs,
-	}
-}
+func (p *Plan) Decision() *Decision { return p.decision }
 
 // autoCPUs reports the parallelism the Auto planner budgets for; a
 // variable so decision tests can pin a core count.
@@ -364,31 +349,56 @@ func (pq *PreparedQuery) bindInstance(ctx context.Context, inst *Instance) (*bou
 	return &boundQuery{}, nil
 }
 
+// minParallelWork is the smallest work — input rows plus output answers,
+// the two linear terms of the Theorem 12 cost model — worth paying the
+// executor's fixed costs for: worker startup and batch channels. Below it
+// an inline drain finishes before a pool warms up.
+const minParallelWork = 1 << 12 // 4096 tuples
+
 // decide resolves an Auto bind's worker count with the cost model. Its
 // inputs are O(1) reads of the bound state — the counting pass behind the
 // exact answer count runs once per bound union and is cached with it — so
 // the decision is recomputed per bind rather than stored: a cache-served
 // bind always reflects the current GOMAXPROCS.
-func (pq *PreparedQuery) decide(inst *Instance, bq *boundQuery) *cost.Decision {
-	in := cost.Inputs{
-		ConstantDelay: bq.union != nil,
-		Rows:          inst.TupleCount(),
-		Answers:       -1, // naive mode cannot count without evaluating
-		Branches:      len(pq.Evaluated.CQs),
-		CPUs:          autoCPUs(),
-	}
+func (pq *PreparedQuery) decide(inst *Instance, bq *boundQuery) *Decision {
+	answers := int64(-1) // naive mode cannot count without evaluating
 	if bq.union != nil {
-		in.Answers = bq.union.AnswerEstimate()
+		answers = bq.union.AnswerEstimate()
 	}
-	d := cost.Decide(in)
-	return &d
+	return decideWorkers(bq.union != nil, inst.TupleCount(), answers, len(pq.Evaluated.CQs), autoCPUs())
+}
+
+// decideWorkers is the cost model: a pure function of what the bind path
+// knows without enumerating, so a decision is reproducible for a given
+// instance snapshot and CPU count. The query's class decides what is
+// possible (only certified plans have an executor to size); the instance's
+// size decides what is fast: tiny instances and single-CPU machines reward
+// no parallelism at all.
+func decideWorkers(constantDelay bool, rows int, answers int64, branches, cpus int) *Decision {
+	d := &Decision{Kind: "sequential", Rows: rows, Answers: answers, Branches: branches, CPUs: cpus}
+	work := int64(rows)
+	if answers > 0 {
+		work += answers
+	}
+	switch {
+	case !constantDelay:
+		d.Reason = "naive evaluation: one join-and-deduplicate evaluator, no executor to size"
+	case cpus <= 1:
+		d.Reason = "single CPU: the executor only adds scheduling overhead"
+	case work < minParallelWork:
+		d.Reason = fmt.Sprintf("tiny instance (%d rows + answers < %d): executor startup would dominate", work, minParallelWork)
+	default:
+		d.Workers, d.Kind = cpus, "parallel"
+		d.Reason = fmt.Sprintf("work-stealing executor: %d rows + answers across %d root-range workers", work, cpus)
+	}
+	return d
 }
 
 // newBoundPlan wraps a bound query in a fresh Plan carrying this binding's
 // execution options and context. An Auto bind takes its worker count from
 // the cost decision.
 func (pq *PreparedQuery) newBoundPlan(ctx context.Context, inst *Instance, opts PlanOptions, bq *boundQuery) *Plan {
-	var dec *cost.Decision
+	var dec *Decision
 	if opts.Auto {
 		dec = pq.decide(inst, bq)
 		opts.Workers = dec.Workers
