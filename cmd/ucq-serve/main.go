@@ -8,11 +8,8 @@
 //
 //	ucq-serve [-addr :8454] [-cache 128] [-plan-cache-ttl 0] [-bind-cache 256]
 //	          [-bind-cache-ttl 0] [-flush-every 256] [-max-body 67108864]
-//	          [-data-dir ""]
-//	          [-role single|worker|coordinator] [-workers http://w1:8454,...]
-//	          [-scatter-stall 30s] [-scatter-retries 4] [-scatter-backoff 50ms]
-//	          [-scatter-marker 128] [-max-streams 2*GOMAXPROCS]
-//	          [-queue-deadline 1s] [-max-subscriptions 64] [-append-log 32]
+//	          [-data-dir ""] [-max-streams 2*GOMAXPROCS] [-queue-deadline 1s]
+//	          [-max-subscriptions 64] [-append-log 32]
 //
 // Endpoints:
 //
@@ -74,16 +71,7 @@
 // dataset write is journaled (snapshot + fsynced WAL) under the directory
 // before the HTTP response acknowledges it, and a restarted server replays
 // the journal, serving every dataset at the exact version its clients last
-// saw. It is a single/worker-role feature; a coordinator holds no datasets
-// and refuses -data-dir.
-//
-// Cluster mode: -role coordinator -workers http://w1:8454,http://w2:8454
-// starts a coordinator that replicates dataset writes to every worker and
-// scatters dataset queries across them by root-row ranges, merging the
-// worker streams dedup-free with bounded retries and straggler re-splits
-// (see internal/cluster). Workers are plain servers (-role worker is an
-// alias for the default single-node role; the scatter endpoint exists on
-// every non-coordinator server). The scatter-* flags tune the fan-out.
+// saw.
 //
 // Cancellation is end to end: a client disconnect mid-stream cancels the
 // request context, which stops the enumeration within one batch and frees
@@ -110,7 +98,6 @@ import (
 	"time"
 
 	ucq "repro"
-	"repro/internal/cluster"
 	"repro/internal/server"
 )
 
@@ -123,12 +110,6 @@ func main() {
 	flushEvery := flag.Int("flush-every", server.DefaultFlushEvery, "flush the response every N answers (first answer always flushes)")
 	maxBody := flag.Int64("max-body", server.DefaultMaxBodyBytes, "maximum request body size in bytes")
 	dataDir := flag.String("data-dir", "", "journal dataset writes under this directory and recover them on restart (empty = in-memory catalog)")
-	role := flag.String("role", "single", `process role: "single" or "worker" (serve locally, incl. the scatter endpoint) or "coordinator" (fan dataset work out over -workers)`)
-	workers := flag.String("workers", "", "comma-separated worker base URLs (coordinator role only)")
-	scatterStall := flag.Duration("scatter-stall", cluster.DefaultStallTimeout, "per-worker deadline: cancel a scatter call making no stream progress for this long")
-	scatterRetries := flag.Int("scatter-retries", cluster.DefaultMaxAttempts, "attempts per root range before the query fails")
-	scatterBackoff := flag.Duration("scatter-backoff", cluster.DefaultBackoff, "base backoff between a worker's consecutive failures (doubles per failure)")
-	scatterMarker := flag.Int("scatter-marker", cluster.DefaultMarkerEvery, "ask workers for a progress marker about every N answers")
 	maxStreams := flag.Int("max-streams", 0, "concurrent streaming-request cap; excess requests queue then shed with 429 (0 = 2*GOMAXPROCS)")
 	queueDeadline := flag.Duration("queue-deadline", server.DefaultQueueDeadline, "how long a streaming request may queue for a slot before it is shed")
 	maxSubscriptions := flag.Int("max-subscriptions", server.DefaultMaxSubscriptions, "concurrent /subscribe cap (separate gate from -max-streams, distinct 429 reason)")
@@ -148,46 +129,12 @@ func main() {
 		MaxSubscriptions: *maxSubscriptions,
 		AppendLogSize:    *appendLog,
 	}
-	var s *server.Server
-	switch *role {
-	case "single", "worker":
-		if *workers != "" {
-			log.Fatalf("ucq-serve: -workers requires -role coordinator")
-		}
-		var err error
-		s, err = server.Open(cfg)
-		if err != nil {
-			log.Fatalf("ucq-serve: opening data dir: %v", err)
-		}
-		if *dataDir != "" {
-			log.Printf("ucq-serve: durable catalog under %s", *dataDir)
-		}
-	case "coordinator":
-		// A coordinator holds no datasets — its writes replicate to the
-		// workers, whose own -data-dir makes them durable.
-		if *dataDir != "" {
-			log.Fatalf("ucq-serve: -data-dir requires -role single or worker (workers own the datasets; give each worker its own directory)")
-		}
-		list, err := cluster.ParseWorkerList(*workers)
-		if err != nil {
-			log.Fatalf("ucq-serve: -workers: %v", err)
-		}
-		if len(list) == 0 {
-			log.Fatalf("ucq-serve: -role coordinator requires -workers")
-		}
-		cfg.Cluster = cluster.Config{
-			Workers:      list,
-			StallTimeout: *scatterStall,
-			MaxAttempts:  *scatterRetries,
-			Backoff:      *scatterBackoff,
-			MarkerEvery:  *scatterMarker,
-		}
-		s, err = server.NewCoordinator(cfg)
-		if err != nil {
-			log.Fatalf("ucq-serve: %v", err)
-		}
-	default:
-		log.Fatalf("ucq-serve: unknown -role %q (want single, worker or coordinator)", *role)
+	s, err := server.Open(cfg)
+	if err != nil {
+		log.Fatalf("ucq-serve: opening data dir: %v", err)
+	}
+	if *dataDir != "" {
+		log.Printf("ucq-serve: durable catalog under %s", *dataDir)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)

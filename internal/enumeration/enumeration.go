@@ -69,11 +69,10 @@ func CloseIterator(it Iterator) {
 	}
 }
 
-// IterErr reports the error that terminated an iterator early, if any —
-// a distributed stream that lost its workers has one; Union cannot fail.
-// Check it after Next reports exhaustion: a non-nil error means the stream
-// was truncated, not completed. Iterators without an error channel report
-// nil.
+// IterErr reports the error that terminated an iterator early, if any:
+// the iterator's Err method, when it has one. Union cannot fail. Check it
+// after Next reports exhaustion: a non-nil error means the stream was
+// truncated, not completed. Iterators without an Err method report nil.
 func IterErr(it Iterator) error {
 	if e, ok := it.(interface{ Err() error }); ok {
 		return e.Err()

@@ -2,13 +2,12 @@ package server
 
 // Admission control for streaming requests: a bounded semaphore sized by
 // Config.MaxStreams gates every answer-streaming handler (inline /query,
-// dataset queries, the coordinator's merged stream, non-probe scatter
-// calls). A request that cannot get a slot queues for at most
+// dataset queries). A request that cannot get a slot queues for at most
 // Config.QueueDeadline and is then shed with 429 + Retry-After — overload
 // degrades into fast, explicit rejections the client can back off from,
 // instead of every stream slowing down together until the enumeration
-// executor collapses. Count-only requests and probes are not gated: they
-// hold no enumeration resources worth queueing for.
+// executor collapses. Count-only requests are not gated: they hold no
+// enumeration resources worth queueing for.
 
 import (
 	"context"

@@ -3,9 +3,9 @@ package server
 // Answer-stream encoding: the pluggable seam between the enumeration loops
 // (stream, subscriptions) and the bytes on the socket. Two client encodings
 // exist — NDJSON text and the internal/wire binary columnar frames —
-// negotiated per request via the Accept header; the scatter hop is binary
-// only. Every stream writes through a sized buffered writer flushed at the
-// FlushEvery cadence instead of one syscall per answer.
+// negotiated per request via the Accept header. Every stream writes
+// through a sized buffered writer flushed at the FlushEvery cadence
+// instead of one syscall per answer.
 
 import (
 	"bufio"
@@ -106,12 +106,17 @@ type answerEncoder interface {
 // newAnswerEncoder builds the encoder for one response. arity is the
 // answer tuple width (binary streams declare it in their header frame).
 func newAnswerEncoder(w http.ResponseWriter, media string, arity int) (answerEncoder, error) {
-	if media == wire.MediaTypeBinary {
-		return newBinaryEncoder(w, arity)
-	}
 	cw := &countingWriter{w: w}
+	bw := bufio.NewWriterSize(cw, streamBufSize)
 	fl, _ := w.(http.Flusher)
-	return &ndjsonEncoder{bw: bufio.NewWriterSize(cw, streamBufSize), cw: cw, fl: fl, buf: make([]byte, 0, 256)}, nil
+	if media == wire.MediaTypeBinary {
+		enc, err := wire.NewEncoder(bw, arity)
+		if err != nil {
+			return nil, err
+		}
+		return &binaryEncoder{enc: enc, bw: bw, cw: cw, fl: fl}, nil
+	}
+	return &ndjsonEncoder{bw: bw, cw: cw, fl: fl, buf: make([]byte, 0, 256)}, nil
 }
 
 // ndjsonEncoder is the text protocol: answers as JSON array lines, control
@@ -163,25 +168,12 @@ func (e *ndjsonEncoder) flush() error {
 
 func (e *ndjsonEncoder) bytesOut() int64 { return e.cw.n + int64(e.bw.Buffered()) }
 
-// binaryEncoder wraps the internal/wire columnar frame encoder. The scatter
-// handler holds it concretely and drives enc for the records only the
-// scatter hop has (header metadata, root markers).
+// binaryEncoder wraps the internal/wire columnar frame encoder.
 type binaryEncoder struct {
 	enc *wire.Encoder
 	bw  *bufio.Writer
 	cw  *countingWriter
 	fl  http.Flusher
-}
-
-func newBinaryEncoder(w http.ResponseWriter, arity int) (*binaryEncoder, error) {
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriterSize(cw, streamBufSize)
-	enc, err := wire.NewEncoder(bw, arity)
-	if err != nil {
-		return nil, err
-	}
-	fl, _ := w.(http.Flusher)
-	return &binaryEncoder{enc: enc, bw: bw, cw: cw, fl: fl}, nil
 }
 
 func (e *binaryEncoder) contentType() string { return wire.MediaTypeBinary }

@@ -27,14 +27,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"sync"
 	"time"
 
 	ucq "repro"
-	"repro/internal/cluster"
 	"repro/internal/storage"
 )
 
@@ -60,11 +58,10 @@ type Config struct {
 	// mutation is journaled under this directory — snapshot plus fsynced
 	// WAL — before it is acknowledged, and the next Open replays the
 	// journal, recovering every dataset at its acknowledged version. Empty
-	// keeps the catalog in-memory. Ignored by New and NewCoordinator.
+	// keeps the catalog in-memory. Ignored by New.
 	DataDir string
 	// MaxStreams caps the concurrent answer-streaming requests (inline
-	// queries, dataset queries, merged cluster streams and non-probe
-	// scatter calls; count-only requests are not gated). 0 =
+	// queries and dataset queries; count-only requests are not gated). 0 =
 	// 2*GOMAXPROCS — streaming enumeration is CPU-bound, so slots beyond
 	// that only add queueing inside the process.
 	MaxStreams int
@@ -82,9 +79,6 @@ type Config struct {
 	// lagging subscriber can catch up over incrementally before it is
 	// degraded to a resync.
 	AppendLogSize int
-	// Cluster configures coordinator mode (NewCoordinator only): the
-	// static worker list plus scatter tuning. Ignored by New.
-	Cluster cluster.Config
 }
 
 // Defaults for Config zero values.
@@ -109,11 +103,6 @@ type Server struct {
 	catalog *ucq.Catalog
 	stats   Stats
 	cfg     Config
-
-	// cluster is non-nil in coordinator mode (NewCoordinator): the
-	// /datasets endpoints then replicate and scatter over its workers
-	// instead of the local catalog.
-	cluster *cluster.Coordinator
 
 	// store is non-nil when the server was built by Open with a DataDir:
 	// the catalog journals through it and /stats surfaces its gauges.
@@ -197,66 +186,26 @@ func (s *Server) Close() error {
 	return s.store.Close()
 }
 
-// NewCoordinator builds a Server in coordinator mode: the /datasets
-// endpoints replicate writes to cfg.Cluster.Workers and scatter dataset
-// queries across them, merging the range-scoped worker streams
-// dedup-free. The inline /query endpoint still evaluates locally (its
-// instance rides in the request), so a coordinator answers everything a
-// single node does.
-func NewCoordinator(cfg Config) (*Server, error) {
-	s := New(cfg)
-	c, err := cluster.New(cfg.Cluster)
-	if err != nil {
-		return nil, err
-	}
-	s.cluster = c
-	return s, nil
-}
-
 // Catalog returns the server's dataset catalog — the registry behind the
 // /datasets endpoints, exposed for embedding processes that want to
 // register datasets programmatically.
 func (s *Server) Catalog() *ucq.Catalog { return s.catalog }
-
-// Cluster returns the coordinator behind the /datasets endpoints, or nil
-// outside coordinator mode.
-func (s *Server) Cluster() *cluster.Coordinator { return s.cluster }
 
 // Handler returns the HTTP handler serving /query, /datasets, /stats and
 // /healthz.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", s.handleQuery)
-	if s.cluster != nil {
-		// Coordinator mode: dataset writes replicate to every worker and
-		// dataset queries scatter across them. The inline /query above
-		// stays local either way.
-		mux.HandleFunc("PUT /datasets/{name}", s.handleClusterDatasetPut)
-		mux.HandleFunc("GET /datasets", s.handleClusterDatasetList)
-		mux.HandleFunc("GET /datasets/{name}", s.handleClusterDatasetGet)
-		mux.HandleFunc("DELETE /datasets/{name}", s.handleClusterDatasetDelete)
-		mux.HandleFunc("POST /datasets/{name}/query", s.handleClusterDatasetQuery)
-		mux.HandleFunc("POST /datasets/{name}/count", s.handleClusterDatasetCount)
-		// Subscriptions are a single-node feature: the coordinator's
-		// datasets live on its workers, so there is no local append log to
-		// maintain answers from. Subscribe to a worker directly.
-		mux.HandleFunc("GET /datasets/{name}/subscribe", s.handleClusterSubscribe)
-		mux.HandleFunc("POST /datasets/{name}/subscribe", s.handleClusterSubscribe)
-	} else {
-		mux.HandleFunc("PUT /datasets/{name}", s.handleDatasetPut)
-		mux.HandleFunc("GET /datasets", s.handleDatasetList)
-		mux.HandleFunc("GET /datasets/{name}", s.handleDatasetGet)
-		mux.HandleFunc("DELETE /datasets/{name}", s.handleDatasetDelete)
-		mux.HandleFunc("POST /datasets/{name}/query", s.handleDatasetQuery)
-		mux.HandleFunc("POST /datasets/{name}/count", s.handleDatasetCount)
-		// Live subscription: initial answer set, then incremental deltas per
-		// append, maintained from the dataset's append log (subscribe.go).
-		mux.HandleFunc("GET /datasets/{name}/subscribe", s.handleSubscribe)
-		mux.HandleFunc("POST /datasets/{name}/subscribe", s.handleSubscribe)
-		// The worker-side scatter endpoint exists on every non-coordinator
-		// server; single-node deployments simply never call it.
-		mux.HandleFunc("POST /datasets/{name}/scatter", s.handleDatasetScatter)
-	}
+	mux.HandleFunc("PUT /datasets/{name}", s.handleDatasetPut)
+	mux.HandleFunc("GET /datasets", s.handleDatasetList)
+	mux.HandleFunc("GET /datasets/{name}", s.handleDatasetGet)
+	mux.HandleFunc("DELETE /datasets/{name}", s.handleDatasetDelete)
+	mux.HandleFunc("POST /datasets/{name}/query", s.handleDatasetQuery)
+	mux.HandleFunc("POST /datasets/{name}/count", s.handleDatasetCount)
+	// Live subscription: initial answer set, then incremental deltas per
+	// append, maintained from the dataset's append log (subscribe.go).
+	mux.HandleFunc("GET /datasets/{name}/subscribe", s.handleSubscribe)
+	mux.HandleFunc("POST /datasets/{name}/subscribe", s.handleSubscribe)
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -266,15 +215,8 @@ func (s *Server) Handler() http.Handler {
 }
 
 // StatsSnapshot returns the server's current counters — the same data
-// GET /stats serves. In coordinator mode the cluster section's worker
-// fetch uses a background context; use StatsSnapshotContext to bound it.
+// GET /stats serves.
 func (s *Server) StatsSnapshot() Snapshot {
-	return s.StatsSnapshotContext(context.Background())
-}
-
-// StatsSnapshotContext is StatsSnapshot with the context used for the
-// coordinator's per-worker /stats fetches.
-func (s *Server) StatsSnapshotContext(ctx context.Context) Snapshot {
 	var gauges []DatasetGauge
 	s.dsMu.Lock()
 	for _, info := range s.catalog.List() {
@@ -300,9 +242,8 @@ func (s *Server) StatsSnapshotContext(ctx context.Context) Snapshot {
 			"sequential": s.stats.decisionSequential.Load(),
 			"parallel":   s.stats.decisionParallel.Load(),
 		},
-		Datasets:        gauges,
-		Delays:          s.stats.delays(),
-		ScatterRequests: s.stats.scatterRequests.Load(),
+		Datasets: gauges,
+		Delays:   s.stats.delays(),
 		Wire: WireSnapshot{
 			NDJSONRequests:      s.stats.ndjsonRequests.Load(),
 			BinaryRequests:      s.stats.binaryRequests.Load(),
@@ -327,9 +268,6 @@ func (s *Server) StatsSnapshotContext(ctx context.Context) Snapshot {
 			MaxSubscriptions: s.cfg.MaxSubscriptions,
 		},
 	}
-	if s.cluster != nil {
-		snap.Cluster = s.clusterSnapshot(ctx)
-	}
 	if s.store != nil {
 		ss := s.store.Stats()
 		snap.Storage = &StorageSnapshot{
@@ -349,7 +287,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(s.StatsSnapshotContext(r.Context()))
+	_ = enc.Encode(s.StatsSnapshot())
 }
 
 // planKey builds the cache key: preparation mode, the schema the query
@@ -406,12 +344,7 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (req QueryR
 // than a silently ignored knob. On failure it writes the error
 // response and returns false.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	return s.decodeStrict(w, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), v)
-}
-
-// decodeStrict is decodeBody over bytes already read off the request.
-func (s *Server) decodeStrict(w http.ResponseWriter, body io.Reader, v any) bool {
-	dec := json.NewDecoder(body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		s.httpError(w, http.StatusBadRequest, "decoding request: %v", err)
@@ -564,10 +497,9 @@ func (s *Server) planError(w http.ResponseWriter, err error) {
 }
 
 // streamMeta describes a stream to its client: the answer shape and engine
-// mode plus the cache/dataset/scatter provenance reported in the headers
-// and the trailer. bind and dataset stay zero on the legacy inline-instance
-// path, and scatter and workers outside coordinator mode, keeping those
-// wire formats byte-identical.
+// mode plus the cache/dataset provenance reported in the headers and the
+// trailer. bind and dataset stay zero on the legacy inline-instance path,
+// keeping that wire format byte-identical.
 type streamMeta struct {
 	arity     int    // answer tuple width
 	mode      string // engine mode ("constant-delay" or "naive")
@@ -575,18 +507,18 @@ type streamMeta struct {
 	bind      string // bind cache: "hit", "miss", or "" (inline bind)
 	dataset   string
 	dsVersion uint64
-	scatter   string // coordinator merge strategy, or "" (single node)
-	workers   int    // coordinator fan-out width
 }
 
 // stream drains an answer iterator into the response in the encoding the
 // request's Accept header negotiated — NDJSON lines or binary columnar
-// frames, one shared loop either way, whether the answers come from a
-// local plan or a coordinator's merged cluster stream. The first answer is
-// flushed immediately — on certified plans it reaches the client while
-// enumeration of the remaining answers is still running — and later answers
-// are flushed every cfg.FlushEvery answers through the stream's buffered
-// writer. The stream ends with a Trailer (object or frame).
+// frames, one shared loop either way. The first answer is flushed
+// immediately — on certified plans it reaches the client while
+// enumeration of the remaining answers is still running — and later
+// answers are flushed every cfg.FlushEvery answers through the stream's
+// buffered writer. The stream ends with a Trailer (object or frame). A
+// stream whose iterator ends with an error (ucq.AnswersErr) fails loudly:
+// its trailer has done:false and the error, and /stats counts an error
+// instead of a completed stream.
 //
 // The stream holds an admission slot for its whole life; overload sheds
 // here with 429 instead of stacking enumerations, and open — which starts
@@ -613,10 +545,6 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, open func(contex
 	if meta.bind != "" {
 		w.Header().Set("X-Ucq-Bind", meta.bind)
 		w.Header().Set("X-Ucq-Dataset-Version", fmt.Sprint(meta.dsVersion))
-	}
-	if meta.scatter != "" {
-		w.Header().Set("X-Ucq-Scatter", meta.scatter)
-		w.Header().Set("X-Ucq-Workers", fmt.Sprint(meta.workers))
 	}
 	w.WriteHeader(http.StatusOK)
 
@@ -684,14 +612,13 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, open func(contex
 		Dataset:        meta.dataset,
 		DatasetVersion: meta.dsVersion,
 		Bind:           meta.bind,
-		Scatter:        meta.scatter,
-		Workers:        meta.workers,
 	}
 	if err := ucq.AnswersErr(it); err != nil {
-		// The enumeration died mid-stream (a cluster merge lost its
-		// workers): the answers already sent are an arbitrary prefix. The
-		// status line is long gone, so honesty lives in the trailer — done
-		// stays false and the error rides along instead.
+		// The enumeration died mid-stream: no in-tree producer fails this
+		// way today, but any Answers may report an error through Err, and
+		// the answers already sent are then an arbitrary prefix. The status
+		// line is long gone, so honesty lives in the trailer — done stays
+		// false and the error rides along instead.
 		s.stats.errors.Add(1)
 		tr.Done = false
 		tr.Error = fmt.Sprintf("enumeration failed after %d answers: %v", count, err)

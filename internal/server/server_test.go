@@ -3,13 +3,19 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
 	"testing"
+
+	ucq "repro"
+	"repro/internal/database"
+	"repro/internal/wire"
 )
 
 // example2 is the paper's tractable union (Example 2).
@@ -438,5 +444,73 @@ func TestMethodNotAllowed(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /query status = %d, want 405", resp.StatusCode)
+	}
+}
+
+// failingAnswers yields k answers and then ends with an error, the shape of
+// a producer that dies mid-stream.
+type failingAnswers struct {
+	k, n int
+	err  error
+}
+
+func (f *failingAnswers) Next() (ucq.Tuple, bool) {
+	if f.n >= f.k {
+		return nil, false
+	}
+	f.n++
+	return ucq.Tuple{database.V(int64(f.n)), database.V(0)}, true
+}
+
+func (f *failingAnswers) Err() error {
+	if f.n >= f.k {
+		return f.err
+	}
+	return nil
+}
+
+// TestStreamFailsLoudly pins the loud-failure contract in both encodings:
+// a stream whose iterator reports an error after k answers ends with a
+// done:false trailer carrying the count and the error, and /stats counts
+// an error, not a completed stream.
+func TestStreamFailsLoudly(t *testing.T) {
+	const k = 3
+	for _, media := range []string{wire.MediaTypeNDJSON, wire.MediaTypeBinary} {
+		t.Run(media, func(t *testing.T) {
+			s := New(Config{FlushEvery: 2})
+			before := s.StatsSnapshot()
+			r := httptest.NewRequest(http.MethodPost, "/query", nil)
+			r.Header.Set("Accept", media)
+			w := httptest.NewRecorder()
+			open := func(context.Context) ucq.Answers {
+				return &failingAnswers{k: k, err: errors.New("producer lost")}
+			}
+			s.stream(w, r, open, streamMeta{arity: 2, mode: "constant-delay", cache: "miss"}, 0)
+
+			resp := w.Result()
+			if got := resp.Header.Get("Content-Type"); got != media {
+				t.Fatalf("Content-Type = %q, want %q", got, media)
+			}
+			var answers [][]int64
+			var tr Trailer
+			if media == wire.MediaTypeBinary {
+				answers, tr = readBinaryStream(t, resp)
+			} else {
+				answers, tr = readStream(t, resp)
+			}
+			if len(answers) != k {
+				t.Errorf("%d answers before the trailer, want %d", len(answers), k)
+			}
+			if tr.Done || tr.Count != k || !strings.Contains(tr.Error, "producer lost") {
+				t.Errorf("trailer = %+v, want done:false, count %d and the error", tr, k)
+			}
+			after := s.StatsSnapshot()
+			if d := after.Errors - before.Errors; d != 1 {
+				t.Errorf("errors went up by %d, want 1", d)
+			}
+			if after.StreamsCompleted != before.StreamsCompleted {
+				t.Errorf("streams_completed %d -> %d, want unchanged", before.StreamsCompleted, after.StreamsCompleted)
+			}
+		})
 	}
 }

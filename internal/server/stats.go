@@ -1,13 +1,11 @@
 package server
 
 import (
-	"encoding/json"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/wire"
 )
 
@@ -35,11 +33,6 @@ type Stats struct {
 	streamsCompleted  atomic.Int64
 	requestsCancelled atomic.Int64
 	plansPrepared     atomic.Int64
-
-	// scatterRequests counts range-scoped scatter calls served by this
-	// process as a cluster worker (POST /datasets/{name}/scatter past the
-	// version guard). Zero on single-node deployments.
-	scatterRequests atomic.Int64
 
 	// Wire counters, by negotiated answer encoding: completed-or-cancelled
 	// streaming responses, answer rows and socket bytes.
@@ -132,19 +125,12 @@ type Snapshot struct {
 	// Datasets gauges every registered dataset (sorted by name).
 	Datasets []DatasetGauge   `json:"datasets,omitempty"`
 	Delays   DelayPercentiles `json:"delays"`
-	// ScatterRequests counts scatter calls served as a cluster worker;
-	// omitted on single-node deployments, keeping their /stats body
-	// byte-identical.
-	ScatterRequests int64 `json:"scatter_requests,omitempty"`
 	// Wire breaks streaming traffic down by negotiated answer encoding and
 	// surfaces the admission gate's gauges.
 	Wire WireSnapshot `json:"wire"`
 	// Subscriptions is the live-subscription section: the /subscribe gate's
 	// gauges plus the incremental-maintenance counters.
 	Subscriptions SubscriptionsSnapshot `json:"subscriptions"`
-	// Cluster is the coordinator's view of its workers; nil outside
-	// coordinator mode.
-	Cluster *ClusterSnapshot `json:"cluster,omitempty"`
 	// Storage is the durability section; nil unless the server was opened
 	// with a data directory, keeping the plain in-memory /stats body
 	// byte-identical.
@@ -216,33 +202,6 @@ type StorageSnapshot struct {
 	WALRecords     int64 `json:"wal_records"`
 	WALBytes       int64 `json:"wal_bytes"`
 	SnapshotWrites int64 `json:"snapshot_writes"`
-}
-
-// ClusterSnapshot is the coordinator section of GET /stats. The
-// coordinator's own counters above describe merged client-facing streams;
-// worker-process counters (answers_streamed, decision_modes, delay
-// percentiles) are process-local per worker, so they are surfaced
-// namespaced under worker_stats, with explicit cross-worker totals for
-// the two that are otherwise misleading when read off the coordinator.
-type ClusterSnapshot struct {
-	// Workers is the static worker list, normalized.
-	Workers []string `json:"workers"`
-	// Scatter counts the coordinator's fan-out activity: scatter vs
-	// fallback queries, calls issued, retries and straggler re-splits.
-	Scatter cluster.Totals `json:"scatter"`
-	// Datasets lists the cluster-replicated datasets from the
-	// coordinator's registry.
-	Datasets []DatasetInfo `json:"datasets,omitempty"`
-	// WorkerAnswersStreamedTotal sums answers_streamed across workers —
-	// the cluster-wide enumeration volume (retried ranges count twice).
-	WorkerAnswersStreamedTotal int64 `json:"worker_answers_streamed_total"`
-	// WorkerDecisionModesTotal sums decision_modes across workers.
-	WorkerDecisionModesTotal map[string]int64 `json:"worker_decision_modes_total"`
-	// WorkerStats holds each reachable worker's raw /stats body, keyed by
-	// worker base URL.
-	WorkerStats map[string]json.RawMessage `json:"worker_stats"`
-	// WorkerErrors maps unreachable workers to the fetch error.
-	WorkerErrors map[string]string `json:"worker_errors,omitempty"`
 }
 
 // DatasetGauge is one registered dataset's /stats entry.

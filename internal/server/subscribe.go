@@ -36,15 +36,6 @@ import (
 // client disconnected, which ends the subscription without a trailer.
 var errSubscriberGone = errors.New("server: subscriber disconnected")
 
-// handleClusterSubscribe rejects subscriptions in coordinator mode: the
-// coordinator's datasets live on its workers, so it has no local append
-// log to maintain answers from.
-func (s *Server) handleClusterSubscribe(w http.ResponseWriter, r *http.Request) {
-	s.stats.requests.Add(1)
-	s.httpError(w, http.StatusNotImplemented,
-		"subscriptions are not supported in coordinator mode; subscribe to a worker directly")
-}
-
 // decodeSubscribe reads a SubscribeRequest from either wire form: the POST
 // JSON body, or the GET query parameters (query, mode, from_version).
 func (s *Server) decodeSubscribe(w http.ResponseWriter, r *http.Request) (req SubscribeRequest, ok bool) {

@@ -40,8 +40,8 @@ type QueryOptions struct {
 }
 
 // Trailer is the terminal record of every answer stream — the last NDJSON
-// line, or the binary trailer frame. One definition serves the server, the
-// client decoders and the scatter hop; see wire.Trailer for the fields.
+// line, or the binary trailer frame. One definition serves the server and
+// the client decoders; see wire.Trailer for the fields.
 type Trailer = wire.Trailer
 
 // CountResponse is the body of a count-only evaluation — the options'

@@ -7,11 +7,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/wire"
 )
 
@@ -170,94 +168,6 @@ func TestQueryUnknownAcceptFallsBack(t *testing.T) {
 	}
 }
 
-// TestScatterBinaryEncoding drives the scatter endpoint the way the
-// coordinator does, with a binary Accept, and checks the full frame
-// protocol: ScatterHeader as header-frame metadata (arity included), marker
-// frames at root boundaries, and a trailer frame around the exact answers.
-func TestScatterBinaryEncoding(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	putTestDataset(t, ts.URL, "join", joinRelations(6, 3, 2))
-
-	req := cluster.ScatterRequest{Query: fullJoin, RootLo: 0, RootHi: -1, MarkerEvery: 2}
-	hr, err := http.NewRequest(http.MethodPost, ts.URL+"/datasets/join/scatter", bytes.NewReader(req.Encode()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hr.Header.Set("Content-Type", "application/json")
-	hr.Header.Set("Accept", wire.MediaTypeBinary)
-	resp, err := http.DefaultClient.Do(hr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get("Content-Type"); got != wire.MediaTypeBinary {
-		t.Fatalf("Content-Type = %q", got)
-	}
-
-	dec := wire.NewDecoder(resp.Body)
-	var answers [][]int64
-	var hdr cluster.ScatterHeader
-	markers := 0
-	var tr wire.Trailer
-	sawHeader, sawTrailer := false, false
-	for {
-		fr, err := dec.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("decoding frame: %v", err)
-		}
-		switch fr.Kind {
-		case wire.KindHeader:
-			if err := json.Unmarshal(fr.Meta, &hdr); err != nil {
-				t.Fatalf("header meta: %v", err)
-			}
-			sawHeader = true
-		case wire.KindBlock:
-			for _, tup := range fr.Tuples {
-				row := make([]int64, len(tup))
-				for i, v := range tup {
-					row[i] = v.Payload()
-				}
-				answers = append(answers, row)
-			}
-		case wire.KindMarker:
-			markers++
-		case wire.KindTrailer:
-			tr = *fr.Trailer
-			sawTrailer = true
-		}
-	}
-	if !sawHeader || !hdr.Header || !hdr.Scatterable {
-		t.Fatalf("scatter header = %+v", hdr)
-	}
-	if hdr.Arity != 3 {
-		t.Fatalf("header arity = %d, want 3", hdr.Arity)
-	}
-	if !sawTrailer || !tr.Done || tr.Count != 12 || tr.RootDone != hdr.RootLen {
-		t.Fatalf("scatter trailer = %+v (rootLen %d)", tr, hdr.RootLen)
-	}
-	if markers == 0 {
-		t.Fatal("no marker frames despite MarkerEvery=2 over 12 answers")
-	}
-	// R(x, x%3) joined with S(z, z*1000+j): answers (x, x%3, (x%3)*1000+j).
-	var want [][]int64
-	for x := int64(0); x < 6; x++ {
-		for j := int64(0); j < 2; j++ {
-			want = append(want, []int64{x, x % 3, (x%3)*1000 + j})
-		}
-	}
-	sortRows(answers)
-	sortRows(want)
-	if fmt.Sprint(answers) != fmt.Sprint(want) {
-		t.Errorf("scatter answers = %v, want %v", answers, want)
-	}
-}
-
 // TestAdmissionShed checks the gate's HTTP behaviour: with every slot
 // held, a streaming request is shed with 429 + Retry-After within the
 // queue deadline, and served again once a slot frees up.
@@ -308,46 +218,6 @@ func TestAdmissionShed(t *testing.T) {
 	answers, _ := readStream(t, resp2)
 	if len(answers) != 6 {
 		t.Fatalf("answers after release = %d, want 6", len(answers))
-	}
-}
-
-// TestCoordinatorShedsBeforeFanOut: a coordinator's merged stream goes
-// through the same stream loop as a local plan, so it is shed by the same
-// gate — after the probe (which holds nothing) and before a single scatter
-// call ties up a worker — and honours the same answer limit.
-func TestCoordinatorShedsBeforeFanOut(t *testing.T) {
-	worker, ws := newTestServer(t, Config{})
-	coord, err := NewCoordinator(Config{
-		MaxStreams:    1,
-		QueueDeadline: 20 * time.Millisecond,
-		Cluster:       cluster.Config{Workers: []string{ws.URL}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := httptest.NewServer(coord.Handler())
-	t.Cleanup(cs.Close)
-	putTestDataset(t, cs.URL, "join", joinRelations(12, 3, 2))
-
-	if err := coord.admission.acquire(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	resp := do(t, http.MethodPost, cs.URL+"/datasets/join/query", QueryRequest{Query: fullJoin})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429", resp.StatusCode)
-	}
-	if calls := coord.Cluster().Totals().ScatterCalls; calls != 0 {
-		t.Errorf("a shed query issued %d scatter calls", calls)
-	}
-	if probes := worker.StatsSnapshot().ScatterRequests; probes != 1 {
-		t.Errorf("worker served %d scatter requests, want the probe alone", probes)
-	}
-
-	coord.admission.release()
-	answers, tr := queryDataset(t, cs.URL, "join", QueryRequest{Query: fullJoin, Limit: 5})
-	if len(answers) != 5 || !tr.Done || tr.Count != 5 || tr.Scatter != "root-range" || tr.Workers != 1 {
-		t.Fatalf("limited cluster stream: %d answers, trailer %+v", len(answers), tr)
 	}
 }
 

@@ -10,17 +10,15 @@ import (
 )
 
 // Frame is one decoded frame. Kind selects which fields are meaningful:
-// header frames carry Arity and Meta, block frames carry Tuples, marker
-// frames carry Marker, trailer frames carry Trailer. Tuples and Meta are
-// freshly allocated per frame and safe to retain.
+// header frames carry Arity, block frames carry Tuples, marker frames
+// carry Marker, trailer frames carry Trailer. Tuples are freshly allocated
+// per frame and safe to retain.
 type Frame struct {
 	Kind   Kind
 	Arity  int
-	Meta   json.RawMessage
 	Tuples []database.Tuple
-	// Marker is a marker frame's payload, opaque to the codec: scatter
-	// streams read it as root_done, subscription streams as
-	// version<<1|resync. The two stream types never mix.
+	// Marker is a marker frame's payload, opaque to the codec: subscription
+	// streams read it as version<<1|resync.
 	Marker  uint64
 	Trailer *Trailer
 }
@@ -133,18 +131,15 @@ func (d *Decoder) decodeHeader(p []byte) (*Frame, error) {
 		}
 	}
 	p = p[arity:]
-	metaLen := binary.LittleEndian.Uint32(p)
-	p = p[4:]
-	if uint32(len(p)) != metaLen {
-		return nil, d.fail("header meta length %d, have %d bytes", metaLen, len(p))
+	if metaLen := binary.LittleEndian.Uint32(p); metaLen != 0 {
+		return nil, d.fail("header meta length %d, want 0", metaLen)
 	}
-	var meta json.RawMessage
-	if metaLen > 0 {
-		meta = append(json.RawMessage(nil), p...)
+	if len(p) != 4 {
+		return nil, d.fail("%d trailing bytes in header payload", len(p)-4)
 	}
 	d.headerSeen = true
 	d.arity = arity
-	return &Frame{Kind: KindHeader, Arity: arity, Meta: meta}, nil
+	return &Frame{Kind: KindHeader, Arity: arity}, nil
 }
 
 func (d *Decoder) decodeBlock(p []byte) (*Frame, error) {

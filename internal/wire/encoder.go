@@ -10,15 +10,14 @@ import (
 )
 
 // Encoder writes a binary answer stream to w. The header frame is written
-// lazily before the first payload frame, so metadata can be attached after
-// construction; Append buffers tuples column-wise and FlushBlock turns the
+// lazily before the first payload frame; Append buffers tuples column-wise
+// and FlushBlock turns the
 // buffer into one block frame. Callers flush at the same cadence as the
 // NDJSON path (FlushEvery boundaries); the encoder itself only forces a
 // block at MaxBlockRows. Encoders are not safe for concurrent use.
 type Encoder struct {
 	w     io.Writer
 	arity int
-	meta  []byte
 
 	headerDone bool
 	cols       [][]int64
@@ -37,25 +36,8 @@ func NewEncoder(w io.Writer, arity int) (*Encoder, error) {
 	return &Encoder{w: w, arity: arity, cols: cols}, nil
 }
 
-// SetMeta attaches a JSON-marshalled metadata object to the header frame —
-// the scatter hop rides its ScatterHeader here. It must be called before
-// the first Append/Marker/Trailer; afterwards the header is on the wire.
-func (e *Encoder) SetMeta(v any) error {
-	if e.err != nil {
-		return e.err
-	}
-	if e.headerDone {
-		return fmt.Errorf("wire: SetMeta after header already written")
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("wire: marshal header meta: %w", err)
-	}
-	e.meta = b
-	return nil
-}
-
-// writeHeader emits the header frame once.
+// writeHeader emits the header frame once. Its metadata length is always
+// zero; the field stays so the header keeps its byte layout.
 func (e *Encoder) writeHeader() error {
 	if e.headerDone {
 		return nil
@@ -66,8 +48,7 @@ func (e *Encoder) writeHeader() error {
 	for i := 0; i < e.arity; i++ {
 		p = append(p, codecDeltaVarint)
 	}
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(e.meta)))
-	p = append(p, e.meta...)
+	p = binary.LittleEndian.AppendUint32(p, 0)
 	e.payload = p
 	e.headerDone = true
 	return e.writeFrame(KindHeader, p)
@@ -81,17 +62,6 @@ func (e *Encoder) writeFrame(kind Kind, payload []byte) error {
 		return err
 	}
 	return nil
-}
-
-// WriteHeader forces the header frame onto the wire immediately. Useful
-// when the stream's consumer needs the header metadata before the first
-// block — the scatter protocol's probe/scatterable handshake reads it
-// before any answers exist. A no-op once the header is out.
-func (e *Encoder) WriteHeader() error {
-	if e.err != nil {
-		return e.err
-	}
-	return e.writeHeader()
 }
 
 // Append buffers one answer tuple. The tuple must match the encoder's

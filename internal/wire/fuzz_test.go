@@ -34,10 +34,9 @@ func FuzzAnswerFrame(f *testing.F) {
 		e.Append(database.Tuple{database.TaggedValue(3, 9), database.V(database.MaxPayload)})
 		e.Marker(5)
 		e.Append(database.Tuple{database.V(7), database.V(7)})
-		e.Trailer(Trailer{Done: true, Count: 3, Mode: "auto", RootDone: 9})
+		e.Trailer(Trailer{Done: true, Count: 3, Mode: "auto"})
 	}))
 	f.Add(seed(func(e *Encoder) {
-		e.SetMeta(map[string]any{"root_len": 3, "mode": "cdy"})
 		e.Append(database.Tuple{database.V(0), database.V(0)})
 		e.FlushBlock()
 		e.Trailer(Trailer{Done: false, Error: "spill: disk full", Count: 1})

@@ -1,9 +1,8 @@
 // Package wire owns the answer-stream grammar — header, tuples, markers,
 // trailer — and its compact binary encoding: a columnar frame format that
-// client streams negotiate per request via the Accept header, and the only
-// encoding of the coordinator⇄worker scatter hop. The NDJSON text encoding
-// carries the same records (AppendTupleNDJSON lines, the Trailer as a JSON
-// object).
+// client streams negotiate per request via the Accept header. The NDJSON
+// text encoding carries the same records (AppendTupleNDJSON lines, the
+// Trailer as a JSON object).
 //
 // A stream is a sequence of frames, each length-prefixed and checksummed
 // like the storage layer's WAL records:
@@ -15,13 +14,14 @@
 //	payload length bytes
 //
 // All fixed-width integers are little-endian. The first frame is always a
-// header (arity, per-column codec, optional JSON stream metadata); answers
+// header (arity, per-column codec, and a metadata length that is always
+// zero — a decoder rejects any other value); answers
 // travel in block frames holding up to MaxBlockRows tuples transposed into
 // columns, each column a run of zigzag-varint deltas of the raw 64-bit
 // value words — root-ordered enumeration makes the leading column nearly
 // sorted, so deltas stay in the one-byte varint range. Marker frames carry
-// one uvarint whose meaning belongs to the stream type (a scatter stream's
-// root_done checkpoint, a subscription's version<<1|resync), and an
+// one uvarint whose meaning belongs to the stream type (a subscription's
+// version<<1|resync), and an
 // explicit trailer frame ends the stream with the same Trailer the NDJSON
 // protocol sends as its last line. A decoder can therefore distinguish
 // "complete" from "truncated" exactly as on the text protocol: no trailer
@@ -50,7 +50,7 @@ const (
 
 // IsBinary reports whether a Content-Type header value (parameters are
 // ignored) names the binary frame encoding; everything else is NDJSON to a
-// client and a protocol error on the scatter hop.
+// client.
 func IsBinary(contentType string) bool {
 	media, _, _ := strings.Cut(contentType, ";")
 	return strings.TrimSpace(media) == MediaTypeBinary
@@ -110,15 +110,6 @@ type Trailer struct {
 	Dataset        string `json:"dataset,omitempty"`
 	DatasetVersion uint64 `json:"dataset_version,omitempty"`
 	Bind           string `json:"bind,omitempty"`
-	// Scatter and Workers describe the cluster fan-out behind a
-	// coordinator's merged stream: "root-range" with the worker count, or
-	// "single-worker" when the plan was not range-partitionable. Both stay
-	// zero on single-node streams.
-	Scatter string `json:"scatter,omitempty"`
-	Workers int    `json:"workers,omitempty"`
-	// RootDone is set on scatter-call trailers only: the call's effective
-	// upper root bound, an implicit final marker covering the range's tail.
-	RootDone int `json:"root_done,omitempty"`
 	// Error is set (with Done false) when the stream failed after answers
 	// already left the server: the answers above the trailer are an
 	// arbitrary prefix, and Count only counts what was sent.

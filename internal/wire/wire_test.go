@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
 	"math/rand"
@@ -12,13 +11,12 @@ import (
 )
 
 // collect decodes a whole stream, returning tuples, markers and trailer.
-func collect(t *testing.T, b []byte) ([]database.Tuple, []uint64, *Trailer, json.RawMessage) {
+func collect(t *testing.T, b []byte) ([]database.Tuple, []uint64, *Trailer) {
 	t.Helper()
 	d := NewDecoder(bytes.NewReader(b))
 	var tuples []database.Tuple
 	var markers []uint64
 	var tr *Trailer
-	var meta json.RawMessage
 	for {
 		f, err := d.Next()
 		if err == io.EOF {
@@ -28,8 +26,6 @@ func collect(t *testing.T, b []byte) ([]database.Tuple, []uint64, *Trailer, json
 			t.Fatalf("Next: %v", err)
 		}
 		switch f.Kind {
-		case KindHeader:
-			meta = f.Meta
 		case KindBlock:
 			tuples = append(tuples, f.Tuples...)
 		case KindMarker:
@@ -38,16 +34,13 @@ func collect(t *testing.T, b []byte) ([]database.Tuple, []uint64, *Trailer, json
 			tr = f.Trailer
 		}
 	}
-	return tuples, markers, tr, meta
+	return tuples, markers, tr
 }
 
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	e, err := NewEncoder(&buf, 3)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetMeta(map[string]int{"root_len": 7}); err != nil {
 		t.Fatal(err)
 	}
 	want := []database.Tuple{
@@ -69,7 +62,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tuples, markers, tr, meta := collect(t, buf.Bytes())
+	tuples, markers, tr := collect(t, buf.Bytes())
 	if len(tuples) != len(want) {
 		t.Fatalf("decoded %d tuples, want %d", len(tuples), len(want))
 	}
@@ -89,12 +82,6 @@ func TestRoundTrip(t *testing.T) {
 	if tr == nil || !tr.Done || tr.Count != 3 || tr.Mode != "auto" {
 		t.Fatalf("trailer = %+v", tr)
 	}
-	var m struct {
-		RootLen int `json:"root_len"`
-	}
-	if err := json.Unmarshal(meta, &m); err != nil || m.RootLen != 7 {
-		t.Fatalf("meta = %s (err %v)", meta, err)
-	}
 }
 
 func TestRoundTripArityZero(t *testing.T) {
@@ -109,7 +96,7 @@ func TestRoundTripArityZero(t *testing.T) {
 	if err := e.Trailer(Trailer{Done: true, Count: 1}); err != nil {
 		t.Fatal(err)
 	}
-	tuples, _, tr, _ := collect(t, buf.Bytes())
+	tuples, _, tr := collect(t, buf.Bytes())
 	if len(tuples) != 1 || len(tuples[0]) != 0 {
 		t.Fatalf("tuples = %v, want one empty tuple", tuples)
 	}
@@ -127,7 +114,7 @@ func TestEmptyStream(t *testing.T) {
 	if err := e.Trailer(Trailer{Done: true}); err != nil {
 		t.Fatal(err)
 	}
-	tuples, markers, tr, _ := collect(t, buf.Bytes())
+	tuples, markers, tr := collect(t, buf.Bytes())
 	if len(tuples) != 0 || len(markers) != 0 {
 		t.Fatalf("tuples=%v markers=%v, want none", tuples, markers)
 	}
@@ -162,7 +149,7 @@ func TestRoundTripManyBlocks(t *testing.T) {
 	if err := e.Trailer(Trailer{Done: true, Count: len(want)}); err != nil {
 		t.Fatal(err)
 	}
-	tuples, _, tr, _ := collect(t, buf.Bytes())
+	tuples, _, tr := collect(t, buf.Bytes())
 	if len(tuples) != len(want) {
 		t.Fatalf("decoded %d tuples, want %d", len(tuples), len(want))
 	}
@@ -266,6 +253,24 @@ func TestStructuralRules(t *testing.T) {
 	d = NewDecoder(bytes.NewReader(raw))
 	if _, err := d.Next(); !errors.Is(err, ErrFormat) {
 		t.Fatalf("unknown kind: %v, want ErrFormat", err)
+	}
+
+	// Header metadata: the encoder always writes a zero length, and a
+	// header that declares any other length is rejected, payload or not.
+	buf.Reset()
+	e, _ = NewEncoder(&buf, 1)
+	e.Trailer(Trailer{Done: true})
+	if got := buf.Bytes()[frameHeaderLen+4 : frameHeaderLen+8]; !bytes.Equal(got, []byte{0, 0, 0, 0}) {
+		t.Fatalf("encoder meta length bytes = %v, want zero", got)
+	}
+	for _, p := range [][]byte{
+		{headerVersion, 1, 0, codecDeltaVarint, 2, 0, 0, 0, '{', '}'},
+		{headerVersion, 1, 0, codecDeltaVarint, 2, 0, 0, 0},
+	} {
+		d = NewDecoder(bytes.NewReader(appendFrame(nil, KindHeader, p)))
+		if _, err := d.Next(); !errors.Is(err, ErrFormat) {
+			t.Fatalf("header meta length 2 (%d payload bytes): %v, want ErrFormat", len(p), err)
+		}
 	}
 }
 

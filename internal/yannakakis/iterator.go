@@ -169,16 +169,6 @@ func (it *Iterator) bind(k, id int) {
 // Plan returns the plan this iterator enumerates.
 func (it *Iterator) Plan() *Plan { return it.plan }
 
-// RootPos returns the root row index of the current answer — the answer's
-// coordinate in the [0, RootLen) domain that IteratorRange partitions. It
-// is only meaningful after a Next call that returned true.
-// Next visits root rows in ascending order, so once RootPos reports p,
-// every answer with root row < p has already been produced; a range
-// iterator resumed at IteratorRange(p, hi) continues exactly where a
-// stream cut after root row p-1 left off. This ordering contract is what
-// lets a distributed scatter checkpoint progress at root-row granularity.
-func (it *Iterator) RootPos() int { return it.row(0) }
-
 // Value returns the current value of a variable. Before Extend, only
 // variables in S are meaningful.
 func (it *Iterator) Value(v cq.Variable) database.Value {

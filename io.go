@@ -147,8 +147,8 @@ func ReadInstanceJSON(r io.Reader) (*Instance, error) {
 // returns the extended slice — the per-answer NDJSON codec of the
 // streaming server, allocation-free once dst has capacity. Untagged values
 // render as numbers; tagged values as "payload#tag" strings. It delegates
-// to internal/wire so the server, the cluster hop and clients share one
-// codec (wire.ParseTupleNDJSON is its exact inverse).
+// to internal/wire so the server and clients share one codec
+// (wire.ParseTupleNDJSON is its exact inverse).
 func AppendTupleJSON(dst []byte, t Tuple) []byte {
 	return wire.AppendTupleNDJSON(dst, t)
 }

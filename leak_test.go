@@ -10,11 +10,6 @@ import (
 	"repro/internal/workload"
 )
 
-// The coordinator-side half of this hygiene suite — connection/goroutine
-// leaks across retried scatter calls — lives in
-// internal/cluster/leak_test.go: it needs internal/server for real
-// workers, which this package cannot import without a cycle.
-
 // waitGoroutines polls until the process goroutine count settles back to
 // the baseline (small slack for runtime/test helpers), failing after a
 // generous deadline. Polling instead of a fixed sleep keeps the test fast

@@ -499,11 +499,11 @@ func CloseAnswers(it Answers) {
 }
 
 // AnswersErr reports the error that ended an answer stream prematurely, if
-// any — a distributed stream whose workers were lost mid-merge has one; a
-// plan's own streams (Iterator, AnswersContext) cannot fail and report
-// nil. Check it after Next reports exhaustion: a non-nil error means the
-// stream was truncated, not completed, and the answers seen so far are an
-// arbitrary prefix.
+// any: the Answers value's Err method, when it has one. A plan's own
+// streams (Iterator, AnswersContext) cannot fail and report nil; the
+// contract exists for streams that can. Check it after Next reports
+// exhaustion: a non-nil error means the stream was truncated, not
+// completed, and the answers seen so far are an arbitrary prefix.
 func AnswersErr(it Answers) error {
 	return enumeration.IterErr(it)
 }
@@ -548,61 +548,6 @@ func (p *Plan) CountExact() (n int64, ok bool) {
 		return 0, false
 	}
 	return p.union.ExactCount()
-}
-
-// RootLen reports the size of the plan's root-row domain, when the answer
-// set is root-range partitionable: contiguous ranges of [0, RootLen) split
-// the answers into pairwise disjoint streams whose union is the full
-// answer set (see AnswersRootRange). ok is true iff the plan is in
-// constant-delay mode and the whole stream comes from a single certified
-// extension — the same condition as CountExact. Root-row indices are
-// deterministic for a fixed (query, instance) preparation, so plans bound
-// on different nodes against identical dataset replicas agree on them; this
-// is the provenance a distributed coordinator scatters on.
-func (p *Plan) RootLen() (int, bool) {
-	if p.Mode != ConstantDelay {
-		return 0, false
-	}
-	return p.union.RootLen()
-}
-
-// RootAnswers is a sequential answer stream scoped to a root-row range,
-// produced by AnswersRootRange. Next yields answers in ascending root
-// order; RootPos reports the current answer's root row, which, by the
-// ordering contract, also certifies that every answer with a smaller root
-// row has already been yielded — the checkpoint a scatter protocol resumes
-// from after a mid-stream failure.
-type RootAnswers struct {
-	it *yannakakis.Iterator
-}
-
-// Next returns the next answer in the range, or ok=false on exhaustion.
-func (a *RootAnswers) Next() (Tuple, bool) {
-	if !a.it.Next() {
-		return nil, false
-	}
-	return a.it.HeadTuple(), true
-}
-
-// RootPos returns the root row index of the answer most recently returned
-// by Next; it is only meaningful after a Next that returned ok=true.
-func (a *RootAnswers) RootPos() int { return a.it.RootPos() }
-
-// AnswersRootRange returns a sequential stream of exactly the answers
-// whose root row index lies in [lo, hi), in ascending root order (bounds
-// are clamped to [0, RootLen]). It errors when the plan's answer set is
-// not root-range partitionable (see RootLen). The stream is synchronous —
-// no executor workers, nothing to Close — regardless of the plan's
-// execution options.
-func (p *Plan) AnswersRootRange(lo, hi int) (*RootAnswers, error) {
-	if p.Mode != ConstantDelay {
-		return nil, fmt.Errorf("ucq: root-range enumeration requires a constant-delay plan")
-	}
-	it, ok := p.union.RootRangeIterator(lo, hi)
-	if !ok {
-		return nil, fmt.Errorf("ucq: answer set is not root-range partitionable (multi-branch union)")
-	}
-	return &RootAnswers{it: it}, nil
 }
 
 // Explain renders a human-readable description of the plan: in
