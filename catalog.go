@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/database"
 	"repro/internal/vcache"
@@ -46,9 +45,6 @@ type Version = uint64
 type CatalogConfig struct {
 	// BindCacheSize caps the bind cache (entries; 0 = DefaultBindCacheSize).
 	BindCacheSize int
-	// BindCacheTTL expires cached binds this long after they were computed
-	// (0 = never). Expired binds are recomputed on the next BindDataset.
-	BindCacheTTL time.Duration
 	// AppendLogSize caps each dataset's append-delta log (entries; 0 =
 	// DefaultAppendLogSize, negative = retain nothing, forcing every
 	// subscription catch-up to resync). The log is what lets a subscriber
@@ -107,7 +103,7 @@ func NewCatalogConfig(cfg CatalogConfig) *Catalog {
 	}
 	return &Catalog{
 		datasets:  make(map[string]*Dataset),
-		binds:     vcache.New[*boundQuery](cfg.BindCacheSize, cfg.BindCacheTTL),
+		binds:     vcache.New[*boundQuery](cfg.BindCacheSize),
 		appendLog: logCap,
 	}
 }
@@ -226,7 +222,7 @@ func (c *Catalog) List() []DatasetInfo {
 }
 
 // BindCacheStats is a point-in-time snapshot of the catalog's bind-cache
-// counters (Hits, Misses, Evictions, Expirations, Size, Capacity). Misses
+// counters (Hits, Misses, Evictions, Size, Capacity). Misses
 // count Theorem 12 preprocessing runs; hits count binds served without
 // one.
 type BindCacheStats = vcache.Stats
@@ -525,9 +521,8 @@ func (ds *Dataset) DeltasBetween(from, to Version) (fromInst, toInst *Instance, 
 // Drop can purge by prefix; the registration generation keeps a dropped-
 // and-re-registered name (whose versions restart at 1) apart from fills
 // still in flight against the old registration; the version makes entries
-// for superseded snapshots unreachable immediately. Execution options do
-// not shape the bound state, so they are not part of the key: Auto and
-// explicit binds of one (snapshot, query) share an entry.
+// for superseded snapshots unreachable immediately. Every part of the key
+// is content, so an entry never goes stale and needs no expiry.
 func bindKey(name string, gen, version uint64, fingerprint string) string {
 	return fmt.Sprintf("%s\x00%d\x00%d\x00%s", name, gen, version, fingerprint)
 }
@@ -542,34 +537,24 @@ func bindKey(name string, gen, version uint64, fingerprint string) string {
 // never served. The returned plan enumerates the snapshot bound, even if
 // the dataset changes afterwards.
 func (pq *PreparedQuery) BindDataset(ds *Dataset) (*Plan, error) {
-	return pq.BindDatasetExecContext(context.Background(), ds, nil)
+	return pq.BindDatasetContext(context.Background(), ds)
 }
 
-// BindDatasetExec is BindDataset with per-binding execution options,
-// mirroring BindExec.
-func (pq *PreparedQuery) BindDatasetExec(ds *Dataset, exec *PlanOptions) (*Plan, error) {
-	return pq.BindDatasetExecContext(context.Background(), ds, exec)
-}
-
-// BindDatasetExecContext is BindDatasetExec with a context: ctx becomes
-// the default parent of every Answers stream the plan produces (see
-// BindExecContext). Unlike an inline bind, a cache-miss preprocessing run
-// is NOT cancelled when ctx is: the computed bind is shared work — it
-// serves the callers coalesced onto it and every later request — so it
-// runs to completion and is cached even if the instigating caller has
-// gone away.
-func (pq *PreparedQuery) BindDatasetExecContext(ctx context.Context, ds *Dataset, exec *PlanOptions) (*Plan, error) {
+// BindDatasetContext is BindDataset with a context: ctx becomes the
+// default context of every Answers stream the plan produces (see
+// BindContext). Unlike an inline bind, a cache-miss preprocessing run is
+// NOT cancelled when ctx is: the computed bind is shared work — it serves
+// the callers coalesced onto it and every later request — so it runs to
+// completion and is cached even if the instigating caller has gone away.
+func (pq *PreparedQuery) BindDatasetContext(ctx context.Context, ds *Dataset) (*Plan, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	opts, err := pq.execOptions(exec)
-	if err != nil {
-		return nil, err
 	}
 	snap := ds.snap.Load()
 	var (
 		bq  *boundQuery
 		hit bool
+		err error
 	)
 	if ds.cat == nil {
 		// Anonymous one-shot dataset: nothing to share, bind directly
@@ -584,7 +569,7 @@ func (pq *PreparedQuery) BindDatasetExecContext(ctx context.Context, ds *Dataset
 	if err != nil {
 		return nil, err
 	}
-	p := pq.newBoundPlan(ctx, snap.inst, opts, bq)
+	p := pq.newBoundPlan(ctx, snap.inst, bq)
 	p.dsName = snap.name
 	p.dsVersion = snap.version
 	p.bindHit = hit

@@ -169,6 +169,9 @@ func TestBindDatasetCacheHitAndInvalidation(t *testing.T) {
 	if got, want := p2.Count(), p1.Count(); got != want || got != 6 {
 		t.Errorf("cached bind enumerates %d answers, want %d (=6)", got, want)
 	}
+	if p2.Explain() != p1.Explain() {
+		t.Errorf("cached bind explains differently from the bind that filled it:\n%s\nvs\n%s", p2.Explain(), p1.Explain())
+	}
 	st := cat.BindCacheStats()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("bind cache stats = %+v, want 1 hit / 1 miss", st)
@@ -209,12 +212,52 @@ func TestBindDatasetCacheHitAndInvalidation(t *testing.T) {
 		t.Errorf("stale entries not purged: size = %d, want 1", st.Size)
 	}
 
-	// Execution options do not shape the bound state: every strategy
-	// shares the entry.
-	for _, opts := range []*PlanOptions{{Workers: 2}, {Auto: true}} {
-		if p, err := pq.BindDatasetExec(ds, opts); err != nil || !p.BindCacheHit() {
-			t.Errorf("exec bind %+v should reuse the cached bind (hit=%v err=%v)", opts, p.BindCacheHit(), err)
-		}
+	// A bind under a request context shares the entry too: the context
+	// only scopes the plan's streams.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if p, err := pq.BindDatasetContext(ctx, ds); err != nil || !p.BindCacheHit() {
+		t.Errorf("context bind should reuse the cached bind (hit=%v err=%v)", p.BindCacheHit(), err)
+	}
+}
+
+// TestAutoBindCacheRoundTrip pins that a bind-cache entry round-trips:
+// the first bind of a (dataset version, query) misses, a later bind of the
+// same pair — through BindDataset or BindDatasetContext — hits the entry
+// the first filled, and the cached plan answers exactly as the original.
+func TestAutoBindCacheRoundTrip(t *testing.T) {
+	u := MustParse("Q(x,y,w) <- R1(x,z), R2(z,y), R3(y,w).")
+	pq, err := Prepare(u, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := NewCatalog().Register("d", example2SmallInstance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := pq.BindDatasetContext(context.Background(), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.BindCacheHit() {
+		t.Fatal("first bind was a cache hit")
+	}
+	second, err := pq.BindDatasetContext(context.Background(), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !second.BindCacheHit() {
+		t.Fatal("second bind missed the cache")
+	}
+	plain, err := pq.BindDataset(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plain.BindCacheHit() {
+		t.Error("BindDataset missed the entry BindDatasetContext filled")
+	}
+	if a, b := first.Count(), second.Count(); a != b || a == 0 {
+		t.Fatalf("cached plan counts %d answers, original %d", b, a)
 	}
 }
 
@@ -294,29 +337,6 @@ func TestBindDatasetNaiveModeCached(t *testing.T) {
 	}
 	if p1.Count() != 6 || p2.Count() != 6 {
 		t.Errorf("naive dataset binds enumerate %d/%d answers, want 6", p1.Count(), p2.Count())
-	}
-}
-
-func TestCatalogBindCacheTTL(t *testing.T) {
-	cat := NewCatalogConfig(CatalogConfig{BindCacheTTL: time.Nanosecond})
-	ds, _ := cat.Register("d", example2SmallInstance())
-	pq, err := Prepare(MustParse(catalogExample2), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pq.BindDataset(ds); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(time.Millisecond)
-	p, err := pq.BindDataset(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.BindCacheHit() {
-		t.Error("expired bind should be recomputed")
-	}
-	if st := cat.BindCacheStats(); st.Expirations != 1 {
-		t.Errorf("expirations = %d, want 1", st.Expirations)
 	}
 }
 

@@ -3,6 +3,7 @@ package ucq
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -77,33 +78,9 @@ func TestCLISmoke(t *testing.T) {
 	if !strings.Contains(string(out), "constant-delay evaluation") {
 		t.Errorf("ucq-run did not use the constant-delay engine:\n%s", out)
 	}
-	// No -workers: the cost model decides and reports the worker count.
-	if !strings.Contains(string(out), "auto decision: sequential (workers=0)") {
-		t.Errorf("ucq-run did not report the auto decision:\n%s", out)
-	}
 	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
 	if lines[len(lines)-1] != "6" {
 		t.Errorf("ucq-run count = %q, want 6\n%s", lines[len(lines)-1], out)
-	}
-
-	// -workers alone selects the executor (no decision is made), which
-	// counts the same answer set.
-	out, err = exec.Command("go", "run", "./cmd/ucq-run",
-		"-q", queryPath,
-		"-r", "R1="+filepath.Join(dir, "R1.csv"),
-		"-r", "R2="+filepath.Join(dir, "R2.csv"),
-		"-r", "R3="+filepath.Join(dir, "R3.csv"),
-		"-count", "-workers", "2",
-	).CombinedOutput()
-	if err != nil {
-		t.Fatalf("ucq-run -workers: %v\n%s", err, out)
-	}
-	if strings.Contains(string(out), "auto decision") {
-		t.Errorf("ucq-run -workers reported an auto decision:\n%s", out)
-	}
-	lines = strings.Split(strings.TrimSpace(string(out)), "\n")
-	if lines[len(lines)-1] != "6" {
-		t.Errorf("ucq-run -workers count = %q, want 6\n%s", lines[len(lines)-1], out)
 	}
 
 	// -dataset routes the same evaluation through the catalog BindDataset
@@ -128,17 +105,19 @@ func TestCLISmoke(t *testing.T) {
 		t.Errorf("ucq-run -dataset count = %q, want 6\n%s", lines[len(lines)-1], out)
 	}
 
-	// -workers with -limit abandons the stream mid-way; the process must
-	// still exit cleanly (workers are released, not leaked).
+	// -limit abandons the stream mid-way; the process still exits cleanly.
 	out, err = exec.Command("go", "run", "./cmd/ucq-run",
 		"-q", queryPath,
 		"-r", "R1="+filepath.Join(dir, "R1.csv"),
 		"-r", "R2="+filepath.Join(dir, "R2.csv"),
 		"-r", "R3="+filepath.Join(dir, "R3.csv"),
-		"-workers", "2", "-limit", "1",
+		"-limit", "1",
 	).CombinedOutput()
 	if err != nil {
-		t.Fatalf("ucq-run -workers -limit: %v\n%s", err, out)
+		t.Fatalf("ucq-run -limit: %v\n%s", err, out)
+	}
+	if lines := strings.Split(strings.TrimSpace(string(out)), "\n"); len(lines) != 2 {
+		t.Errorf("ucq-run -limit 1 printed %d lines, want the mode line and one answer:\n%s", len(lines), out)
 	}
 
 	// ucq-experiments -quick renders the full document.
@@ -148,6 +127,31 @@ func TestCLISmoke(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "## E9 ") || strings.Contains(string(out), "MISMATCH") {
 		t.Errorf("ucq-experiments output malformed")
+	}
+}
+
+// TestCLIRejectsWorkersFlag: ucq-run has no -workers flag, so the flag
+// parser rejects it with exit status 2 instead of silently ignoring it.
+// Skipped in -short mode (it shells out to the Go toolchain).
+func TestCLIRejectsWorkersFlag(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds ucq-run with the Go toolchain")
+	}
+	bin := filepath.Join(t.TempDir(), "ucq-run")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/ucq-run").CombinedOutput(); err != nil {
+		t.Fatalf("building ucq-run: %v\n%s", err, out)
+	}
+	queryPath := filepath.Join(t.TempDir(), "query.ucq")
+	if err := os.WriteFile(queryPath, []byte("Q(x,y) <- R(x,y)."), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, "-q", queryPath, "-workers", "2").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("ucq-run -workers 2: err = %v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "flag provided but not defined: -workers") {
+		t.Errorf("ucq-run -workers 2 does not name the flag:\n%s", out)
 	}
 }
 
@@ -323,7 +327,6 @@ func TestServeGracefulShutdown(t *testing.T) {
 	body, err := json.Marshal(map[string]any{
 		"query":     "Q(x,z,y) <- R(x,z), S(z,y).",
 		"relations": rels,
-		"options":   map[string]any{"workers": 4},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,19 +5,14 @@
 //
 // Usage:
 //
-//	ucq-run -q query.ucq -r R1=r1.csv -r R2=r2.csv [-limit N] [-mode auto|naive] [-workers N] [-dataset name[=instance.json]]
+//	ucq-run -q query.ucq -r R1=r1.csv -r R2=r2.csv [-limit N] [-mode auto|naive] [-dataset name[=instance.json]]
 //
 // CSV rows are comma/space/semicolon-separated integers; '#' starts a
 // comment line.
 //
-// There is one enumeration path — root-range tasks, disjoint because each
-// CQ skips the answers an earlier CQ of the union contains, concatenated by
-// one merge — and -workers only picks where the tasks run. Without it the
-// planner's cost model decides per bind from the instance (adaptive
-// execution) between inline on the main goroutine ("sequential",
-// deterministic answer order) and the work-stealing executor ("parallel");
-// the resolved decision is reported on stderr. -workers N pins the
-// executor with N workers. With -count and no -limit,
+// There is one enumeration path: each CQ of the union is enumerated in
+// turn, skipping the answers an earlier CQ contains, on the main goroutine
+// and in a deterministic answer order. With -count and no -limit,
 // certified single-branch plans answer from the Theorem 12 counting pass
 // without enumerating.
 //
@@ -79,7 +74,6 @@ func main() {
 	limit := flag.Int("limit", 0, "stop after N answers (0 = all)")
 	mode := flag.String("mode", "auto", "evaluation mode: auto | naive")
 	countOnly := flag.Bool("count", false, "print only the answer count")
-	workers := flag.Int("workers", 0, "drain the union on the work-stealing executor with N workers (answer order nondeterministic; 0 = the cost model decides)")
 	dataset := flag.String("dataset", "", "register the instance as a catalog dataset `name[=instance.json]` and bind through it")
 	remote := flag.String("remote", "", "evaluate against a running ucq-serve at this base `URL` instead of locally")
 	wireFlag := flag.String("wire", "binary", "answer-stream encoding to request from -remote: binary | ndjson")
@@ -140,29 +134,14 @@ func main() {
 		inst.AddRelation(rel)
 	}
 
-	opts := &ucq.PlanOptions{
-		ForceNaive: *mode == "naive",
-		Workers:    *workers,
-		// No explicit worker count: the cost model decides per bind.
-		Auto: *workers == 0,
-	}
-	plan, err := newPlan(u, inst, opts, dsName)
+	plan, err := newPlan(u, inst, &ucq.PlanOptions{ForceNaive: *mode == "naive"}, dsName)
 	if err != nil {
-		var oe *ucq.OptionsError
-		if errors.As(err, &oe) {
-			fmt.Fprintln(os.Stderr, "ucq-run: invalid flag combination:", oe.Reason)
-			flag.Usage()
-			os.Exit(2)
-		}
 		fatal(err)
 	}
 	if dsName != "" {
 		fmt.Fprintf(os.Stderr, "ucq-run: %s evaluation (dataset %s v%d)\n", plan.Mode, plan.DatasetName(), plan.DatasetVersion())
 	} else {
 		fmt.Fprintf(os.Stderr, "ucq-run: %s evaluation\n", plan.Mode)
-	}
-	if d := plan.Decision(); d != nil {
-		fmt.Fprintf(os.Stderr, "ucq-run: auto decision: %s\n", d)
 	}
 
 	// Count-only with no limit: certified single-branch plans know their
@@ -176,7 +155,6 @@ func main() {
 	}
 
 	it := plan.Iterator()
-	defer ucq.CloseAnswers(it) // release workers when -limit cuts a parallel stream short
 	n := 0
 	for {
 		t, ok := it.Next()

@@ -6,10 +6,9 @@
 //
 // Usage:
 //
-//	ucq-serve [-addr :8454] [-cache 128] [-plan-cache-ttl 0] [-bind-cache 256]
-//	          [-bind-cache-ttl 0] [-flush-every 256] [-max-body 67108864]
-//	          [-data-dir ""] [-max-streams 2*GOMAXPROCS] [-queue-deadline 1s]
-//	          [-max-subscriptions 64] [-append-log 32]
+//	ucq-serve [-addr :8454] [-cache 128] [-bind-cache 256] [-flush-every 256]
+//	          [-max-body 67108864] [-data-dir ""] [-max-streams 2*GOMAXPROCS]
+//	          [-queue-deadline 1s] [-max-subscriptions 64] [-append-log 32]
 //
 // Endpoints:
 //
@@ -45,19 +44,17 @@
 //	                              subscribers degrade to a resync marker +
 //	                              full answer set, never unbounded memory
 //	GET    /stats                 cache, bind-cache, dataset, delay,
-//	                              cancellation, auto-decision and
-//	                              subscription counters as JSON
+//	                              cancellation and subscription counters
+//	                              as JSON
 //	GET    /healthz               liveness probe
 //
-// Execution is adaptive by default. Every certified plan is drained as
-// root-range tasks that are disjoint by construction (a branch skips the
-// answers an earlier branch contains — a constant-time index probe, so no
-// answer set is ever held in memory); unless a request sets the workers
-// option, the planner's cost model picks per bind, from the
-// bound instance, whether those tasks run inline on the request's goroutine
-// ("sequential") or on the work-stealing executor ("parallel"); /stats
-// reports the decision mix under decision_modes. An explicit workers count
-// pins the executor.
+// Every certified plan is enumerated on the request's goroutine, one
+// branch after another; a branch skips the answers an earlier branch
+// contains (a constant-time index probe), so no answer set is ever held in
+// memory and one stream uses one CPU at most. Both caches are keyed by
+// content — the plan cache by mode, schema and canonical query, the bind
+// cache by dataset, registration, version and query fingerprint — so
+// their entries never go stale and nothing expires by time.
 //
 // Answer streams are NDJSON by default; a request whose Accept header
 // names application/x-ucq-bin with the highest q-value gets the compact
@@ -74,9 +71,9 @@
 // saw.
 //
 // Cancellation is end to end: a client disconnect mid-stream cancels the
-// request context, which stops the enumeration within one batch and frees
-// any executor workers behind it. SIGINT/SIGTERM triggers a graceful shutdown that
-// cancels all in-flight streams the same way before the listener drains.
+// request context, which stops the enumeration within one batch.
+// SIGINT/SIGTERM triggers a graceful shutdown that cancels all in-flight
+// streams the same way before the listener drains.
 //
 // Example:
 //
@@ -104,9 +101,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8454", "listen address")
 	cache := flag.Int("cache", server.DefaultCacheSize, "prepared-plan cache capacity (entries)")
-	planTTL := flag.Duration("plan-cache-ttl", 0, "prepared-plan cache TTL (0 = never expire)")
 	bindCache := flag.Int("bind-cache", ucq.DefaultBindCacheSize, "dataset bind cache capacity (entries)")
-	bindTTL := flag.Duration("bind-cache-ttl", 0, "dataset bind cache TTL (0 = never expire)")
 	flushEvery := flag.Int("flush-every", server.DefaultFlushEvery, "flush the response every N answers (first answer always flushes)")
 	maxBody := flag.Int64("max-body", server.DefaultMaxBodyBytes, "maximum request body size in bytes")
 	dataDir := flag.String("data-dir", "", "journal dataset writes under this directory and recover them on restart (empty = in-memory catalog)")
@@ -118,9 +113,7 @@ func main() {
 
 	cfg := server.Config{
 		CacheSize:        *cache,
-		CacheTTL:         *planTTL,
 		BindCacheSize:    *bindCache,
-		BindCacheTTL:     *bindTTL,
 		FlushEvery:       *flushEvery,
 		MaxBodyBytes:     *maxBody,
 		DataDir:          *dataDir,
@@ -142,9 +135,9 @@ func main() {
 
 	// Request contexts derive from ctx through BaseContext, so the first
 	// SIGINT/SIGTERM cancels every in-flight stream: the handler's context
-	// plumbing stops the enumeration executors, the streams end without a
-	// trailer, and Shutdown below then completes promptly instead of
-	// waiting out long-running enumerations.
+	// plumbing stops the enumerations, the streams end without a trailer,
+	// and Shutdown below then completes promptly instead of waiting out
+	// long-running enumerations.
 	hs := &http.Server{
 		Addr:              *addr,
 		Handler:           s.Handler(),

@@ -12,8 +12,8 @@ import (
 )
 
 // canonicalAnswers renders a plan's answer set in a canonical order for
-// set comparison across engines (parallel engines permute answers). It
-// also checks the counting invariant for free: whenever the plan reports
+// set comparison across engines (the naive evaluator and the certified
+// pipeline order answers differently). It also checks the counting invariant for free: whenever the plan reports
 // an exact count without enumerating, the enumeration must agree.
 func canonicalAnswers(t *testing.T, p *Plan) string {
 	t.Helper()
@@ -44,13 +44,11 @@ func canonicalAnswers(t *testing.T, p *Plan) string {
 
 // TestCrossEngineEquivalence is the randomized cross-engine harness: over
 // 220 seeded random UCQs and instances, the naive evaluator and the
-// certified pipeline at every source of its one merge — inline
-// ("sequential"), executor (workers ∈ {1,2,8}), Auto — must return
-// identical, duplicate-free answer sets. The preparation is shared across
-// execution variants through the Prepare/Bind split — the same reuse path the server's plan cache
-// exercises — and each case additionally routes through a catalog
-// BindDataset twice, checking that a bind-cache-served plan enumerates
-// the same set as a freshly bound one.
+// certified pipeline must return identical, duplicate-free answer sets.
+// The preparation is shared across binds through the Prepare/Bind split —
+// the same reuse path the server's plan cache exercises — and each case
+// additionally routes through a catalog BindDataset twice, checking that a
+// bind-cache-served plan enumerates the same set as a freshly bound one.
 func TestCrossEngineEquivalence(t *testing.T) {
 	const cases = 220
 	rng := rand.New(rand.NewSource(20260727))
@@ -74,27 +72,13 @@ func TestCrossEngineEquivalence(t *testing.T) {
 		if pq.Mode == ConstantDelay {
 			constantDelay++
 		}
-		execs := []struct {
-			name string
-			opts *PlanOptions
-		}{
-			{"sequential", nil},
-			{"workers-1", &PlanOptions{Workers: 1}},
-			{"workers-2", &PlanOptions{Workers: 2}},
-			{"workers-8", &PlanOptions{Workers: 8}},
-			// The cost model resolves its own worker count per bind;
-			// whatever it picks must agree with every hand-picked strategy.
-			{"auto", &PlanOptions{Auto: true}},
+		p, err := pq.Bind(inst)
+		if err != nil {
+			t.Fatalf("case %d: bind: %v\n%s", i, err, u)
 		}
-		for _, e := range execs {
-			p, err := pq.BindExec(inst, e.opts)
-			if err != nil {
-				t.Fatalf("case %d: bind %s: %v\n%s", i, e.name, err, u)
-			}
-			if got := canonicalAnswers(t, p); got != want {
-				t.Fatalf("case %d: %s (%s mode) disagrees with naive on\n%s\nnaive:\n%s\n%s:\n%s",
-					i, e.name, p.Mode, u, want, e.name, got)
-			}
+		if got := canonicalAnswers(t, p); got != want {
+			t.Fatalf("case %d: %s mode disagrees with naive on\n%s\nnaive:\n%s\ngot:\n%s",
+				i, p.Mode, u, want, got)
 		}
 		// The catalog arm: the same instance registered as a dataset and
 		// bound through BindDataset must agree too — twice, so the second
@@ -160,25 +144,13 @@ func TestCrossEngineEquivalenceCyclic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: prepare: %v\n%s", i, err, u)
 		}
-		execs := []struct {
-			name string
-			opts *PlanOptions
-		}{
-			{"sequential", nil},
-			{"workers-1", &PlanOptions{Workers: 1}},
-			{"workers-2", &PlanOptions{Workers: 2}},
-			{"workers-8", &PlanOptions{Workers: 8}},
-			{"auto", &PlanOptions{Auto: true}},
+		p, err := pq.Bind(inst)
+		if err != nil {
+			t.Fatalf("case %d: bind: %v\n%s", i, err, u)
 		}
-		for _, e := range execs {
-			p, err := pq.BindExec(inst, e.opts)
-			if err != nil {
-				t.Fatalf("case %d: bind %s: %v\n%s", i, e.name, err, u)
-			}
-			if got := canonicalAnswers(t, p); got != want {
-				t.Fatalf("case %d: %s (%s mode) disagrees with naive on\n%s\nnaive:\n%s\n%s:\n%s",
-					i, e.name, p.Mode, u, want, e.name, got)
-			}
+		if got := canonicalAnswers(t, p); got != want {
+			t.Fatalf("case %d: %s mode disagrees with naive on\n%s\nnaive:\n%s\ngot:\n%s",
+				i, p.Mode, u, want, got)
 		}
 	}
 	if cyclicMembers == 0 {
@@ -270,12 +242,7 @@ func TestCrossEngineEquivalenceBooleanAndEmpty(t *testing.T) {
 		inst.AddRelation(NewRelation(d.Name, d.Arity))
 	}
 	// Empty instance: every engine returns the empty set.
-	for _, opts := range []*PlanOptions{
-		{ForceNaive: true},
-		nil,
-		{Workers: 2},
-		{Auto: true},
-	} {
+	for _, opts := range []*PlanOptions{{ForceNaive: true}, nil} {
 		p, err := NewPlan(u, inst, opts)
 		if err != nil {
 			t.Fatalf("opts %+v: %v", opts, err)
@@ -286,7 +253,7 @@ func TestCrossEngineEquivalenceBooleanAndEmpty(t *testing.T) {
 	}
 	// Non-empty: the boolean union has exactly one (empty-tuple) answer.
 	inst.Relation("S1").AppendInts(1)
-	for _, opts := range []*PlanOptions{{ForceNaive: true}, nil, {Workers: 2}, {Auto: true}} {
+	for _, opts := range []*PlanOptions{{ForceNaive: true}, nil} {
 		p, err := NewPlan(u, inst, opts)
 		if err != nil {
 			t.Fatalf("opts %+v: %v", opts, err)
@@ -301,8 +268,8 @@ func TestCrossEngineEquivalenceBooleanAndEmpty(t *testing.T) {
 // cross-engine table for the shapes where deduplicating by membership
 // could go wrong: nullary heads (every answer is the same empty tuple), a
 // repeated head variable, a member overlapping two earlier ones, and a
-// member wholly contained in an earlier one. Every certified stream at
-// Workers 0/1/4/Auto must equal the naive answer set, duplicate-free.
+// member wholly contained in an earlier one. Every certified stream must
+// equal the naive answer set, duplicate-free.
 func TestCrossEngineEquivalenceRankRuleEdges(t *testing.T) {
 	const boolean = `
 		Q1() <- R(x,y), T(y,z).
@@ -373,17 +340,15 @@ func TestCrossEngineEquivalenceRankRuleEdges(t *testing.T) {
 			if len(pq.Evaluated.CQs) != len(u.CQs) {
 				t.Fatalf("planned %d of %d members; the row needs them all", len(pq.Evaluated.CQs), len(u.CQs))
 			}
-			for _, opts := range []*PlanOptions{nil, {Workers: 1}, {Workers: 4}, {Auto: true}} {
-				p, err := pq.BindExec(inst, opts)
-				if err != nil {
-					t.Fatalf("opts %+v: %v", opts, err)
-				}
-				if got := canonicalAnswers(t, p); got != want {
-					t.Fatalf("opts %+v disagrees with naive\nnaive:\n%s\ngot:\n%s", opts, want, got)
-				}
-				if n := p.Count(); n != tc.want {
-					t.Fatalf("opts %+v: %d answers, want %d", opts, n, tc.want)
-				}
+			p, err := pq.Bind(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := canonicalAnswers(t, p); got != want {
+				t.Fatalf("certified stream disagrees with naive\nnaive:\n%s\ngot:\n%s", want, got)
+			}
+			if n := p.Count(); n != tc.want {
+				t.Fatalf("%d answers, want %d", n, tc.want)
 			}
 		})
 	}
@@ -394,8 +359,8 @@ func TestCrossEngineEquivalenceRankRuleEdges(t *testing.T) {
 // a row twice, a set that an append turns into a bag, R(x,x) atoms over a
 // set and over a bag, and nullary and empty relations. Every row goes
 // through a dataset, so the bind after AppendRows sees a relation whose
-// duplicate-free fact was reset. Every certified stream at Workers
-// 0/1/4/Auto must equal the naive answer set, duplicate-free.
+// duplicate-free fact was reset. Every certified stream must equal the
+// naive answer set, duplicate-free.
 func TestCrossEngineEquivalenceBagsAndRepeatedVariables(t *testing.T) {
 	const example2 = `
 		Q1(x,y,w) <- R1(x,z), R2(z,y), R3(y,w).
@@ -448,7 +413,6 @@ func TestCrossEngineEquivalenceBagsAndRepeatedVariables(t *testing.T) {
 		{"empty-relations-then-duplicate-append", boolean, map[string][][]int64{"R": {{1, 2}}},
 			"", map[string][][]int64{"S": {{7, 7}, {7, 7}}}, 0, 1},
 	}
-	execs := []*PlanOptions{nil, {Workers: 1}, {Workers: 4}, {Auto: true}}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			u := MustParse(tc.query)
@@ -484,14 +448,12 @@ func TestCrossEngineEquivalenceBagsAndRepeatedVariables(t *testing.T) {
 				if n := naive.Count(); n != want {
 					t.Fatalf("naive oracle has %d answers, row expects %d", n, want)
 				}
-				for _, opts := range execs {
-					p, err := pq.BindDatasetExec(ds, opts)
-					if err != nil {
-						t.Fatalf("opts %+v: %v", opts, err)
-					}
-					if got := canonicalAnswers(t, p); got != oracle {
-						t.Fatalf("v%d opts %+v disagrees with naive\nnaive:\n%s\ngot:\n%s", ds.Version(), opts, oracle, got)
-					}
+				p, err := pq.BindDataset(ds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := canonicalAnswers(t, p); got != oracle {
+					t.Fatalf("v%d disagrees with naive\nnaive:\n%s\ngot:\n%s", ds.Version(), oracle, got)
 				}
 			}
 			check(tc.want)
@@ -506,11 +468,10 @@ func TestCrossEngineEquivalenceBagsAndRepeatedVariables(t *testing.T) {
 	}
 }
 
-// TestInlineEnumerationIsDeterministic: with Workers 0 the merge runs its
-// tasks in order on the caller's goroutine — member 0, then each later
-// member minus the earlier ones — so two drains of one
-// Example 2 plan, and a drain of a second bind of the same instance, yield
-// the identical sequence. (Executor-backed streams only promise the set.)
+// TestInlineEnumerationIsDeterministic: the merge runs its tasks in order
+// on the caller's goroutine — member 0, then each later member minus the
+// earlier ones — so two drains of one Example 2 plan, and a drain of a
+// second bind of the same instance, yield the identical sequence.
 func TestInlineEnumerationIsDeterministic(t *testing.T) {
 	u := MustParse(`
 		Q1(x,y,w) <- R1(x,z), R2(z,y), R3(y,w).
@@ -528,7 +489,7 @@ func TestInlineEnumerationIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := NewPlan(u, inst, &PlanOptions{Workers: 0})
+	again, err := NewPlan(u, inst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/cq"
 	"repro/internal/database"
 	"repro/internal/enumeration"
-	"repro/internal/exec"
 	"repro/internal/yannakakis"
 )
 
@@ -31,6 +29,9 @@ import (
 // a rank rule: member i's answer is emitted iff no member j < i contains
 // it, a constant-time probe of j's full-key top indexes. Every stream is
 // therefore disjoint by construction and holds no answer set.
+//
+// A UnionPlan is read-only once NewUnionPlan returns, so any number of
+// streams may enumerate one plan concurrently, each on its own goroutine.
 type UnionPlan struct {
 	U    *cq.UCQ
 	Cert *Certificate
@@ -40,13 +41,6 @@ type UnionPlan struct {
 	resolved map[*ExtendedCQ]*database.Instance
 	inst     *database.Instance
 	stats    UnionStats
-
-	// estimate caches the summed branch cardinality (-1 until computed),
-	// the cost model's output-volume input. It is the only field written
-	// after preparation, so it is atomic: a bound plan served from the
-	// catalog's bind cache is read by concurrent requests, and racing
-	// computations store the same value.
-	estimate atomic.Int64
 }
 
 // UnionStats reports preprocessing counters of a union plan.
@@ -89,7 +83,6 @@ func NewUnionPlanCtx(ctx context.Context, u *cq.UCQ, cert *Certificate, inst *da
 		resolved: make(map[*ExtendedCQ]*database.Instance),
 		inst:     inst,
 	}
-	p.estimate.Store(-1)
 	for _, e := range cert.Extensions {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -226,23 +219,18 @@ func (p *UnionPlan) Explain() string {
 }
 
 // Iterator returns a fresh duplicate-free iterator over the union's
-// answers (head tuples, positional), run inline on the caller's goroutine:
-// shorthand for Answers with the zero options.
+// answers (head tuples, positional): shorthand for Answers with a
+// background context and every member.
 func (p *UnionPlan) Iterator() *enumeration.Union {
-	return p.Answers(context.Background(), enumeration.UnionOptions{}, nil)
+	return p.Answers(context.Background(), nil)
 }
 
-// Answers is the one stream builder: it cuts every member plan into
-// root-range tasks that skip what an earlier member contains (the rank
-// rule, see planTask) and hands them to enumeration.Union, which only
-// concatenates: the tasks are pairwise disjoint by construction. opts
-// carries the caller's choices, Workers and BatchSize.
-//
-// Inline (Workers 0) each member is one full-range task and the stream is
-// deterministic: member 0, then member 1 minus member 0, …. On the executor
-// each member is cut into splitFactor × Workers root-range tasks that
-// workers steal and re-split, and the membership probes run in the
-// workers; the answer set is identical, the order is not.
+// Answers is the one stream builder: it feeds one task per member plan, in
+// rank order, to enumeration.Union, which only concatenates — each task
+// skips what an earlier member contains (the rank rule, see planTask), so
+// the tasks are pairwise disjoint by construction. The stream runs on the
+// caller's goroutine and is deterministic: member 0, then member 1 minus
+// member 0, ….
 //
 // A non-empty names restricts the stream to the members a change to the
 // named relations can affect: the extensions whose relation footprint
@@ -250,36 +238,16 @@ func (p *UnionPlan) Iterator() *enumeration.Union {
 // of an append delta, so semi-naive maintenance skips them — but they still
 // rank: an answer one of them contains is not new.
 //
-// Cancelling ctx ends the stream within one batch. A stream on the
-// executor must be drained to exhaustion or Closed; see enumeration.Union.
-func (p *UnionPlan) Answers(ctx context.Context, opts enumeration.UnionOptions, names map[string]struct{}) *enumeration.Union {
-	parts := max(splitFactor*opts.Workers, 1)
-	tasks := make([]exec.Task, 0, parts*len(p.plans))
+// Cancelling ctx ends the stream within one batch.
+func (p *UnionPlan) Answers(ctx context.Context, names map[string]struct{}) *enumeration.Union {
+	tasks := make([]enumeration.Task, 0, len(p.plans))
 	for i, pl := range p.plans {
 		if len(names) > 0 && !p.Cert.Extensions[i].TouchesRelations(names) {
 			continue
 		}
-		tasks = planTasks(tasks, pl, p.plans[:i], parts)
+		tasks = append(tasks, &planTask{plan: pl, earlier: p.plans[:i]})
 	}
-	return enumeration.NewUnion(ctx, p.U.Arity(), opts, tasks)
-}
-
-// AnswerEstimate lazily computes and caches the union's summed branch
-// cardinality — each member plan's exact output count (one linear counting
-// pass per branch, no enumeration). Cross-branch duplicates make this an
-// upper bound on the distinct answer count; for a single-branch union it
-// is exact. The cost model reads it as the output-volume input of the mode
-// decision.
-func (p *UnionPlan) AnswerEstimate() int64 {
-	est := p.estimate.Load()
-	if est < 0 {
-		est = 0
-		for _, pl := range p.plans {
-			est += pl.CountAnswers()
-		}
-		p.estimate.Store(est)
-	}
-	return est
+	return enumeration.NewUnion(ctx, p.U.Arity(), tasks)
 }
 
 // ExactCount returns the union's answer count without enumerating, when

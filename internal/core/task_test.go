@@ -9,13 +9,19 @@ import (
 	"repro/internal/cq"
 	"repro/internal/database"
 	"repro/internal/enumeration"
-	"repro/internal/exec"
 	"repro/internal/workload"
 	"repro/internal/yannakakis"
 )
 
+// sortedTuples drains an iterator and sorts the answers for set comparison.
+func sortedTuples(it enumeration.Iterator) []database.Tuple {
+	out := enumeration.Collect(it)
+	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	return out
+}
+
 // drainTask collects a task's answers of the given arity as strings.
-func drainTask(task exec.Task, arity int) []string {
+func drainTask(task enumeration.Task, arity int) []string {
 	var out []string
 	for {
 		buf, n := task.NextBatch(nil, 16)
@@ -28,12 +34,11 @@ func drainTask(task exec.Task, arity int) []string {
 	}
 }
 
-// TestPlanTasksPartitionAnswers: however many parts a plan is cut into, the
-// root-range tasks yield a duplicate-free partition of the plan's answer
-// set, never more tasks than root rows and never fewer than one, and every
-// task is built without an engine iterator.
+// TestPlanTasksPartitionAnswers: the member tasks of a union partition its
+// answer set — the first member's task yields all of its answers, a later
+// member's task exactly its answers outside the earlier members — and no
+// task builds an engine iterator before its first batch.
 func TestPlanTasksPartitionAnswers(t *testing.T) {
-	q := cq.MustParseCQ("Q(x,y,w) <- R1(x,y), R2(y,w).")
 	rng := rand.New(rand.NewSource(1))
 	inst := database.NewInstance()
 	for _, name := range []string{"R1", "R2"} {
@@ -44,66 +49,57 @@ func TestPlanTasksPartitionAnswers(t *testing.T) {
 		r.Dedup()
 		inst.AddRelation(r)
 	}
-	plan, err := yannakakis.Prepare(q, inst, nil)
-	if err != nil {
-		t.Fatal(err)
+	heads := func(pl *yannakakis.Plan) map[string]bool {
+		out := map[string]bool{}
+		for it := pl.Iterator(); it.Next(); {
+			out[it.HeadTuple().String()] = true
+		}
+		return out
 	}
-	var want []string
-	for it := plan.Iterator(); it.Next(); {
-		want = append(want, it.HeadTuple().String())
+	var plans []*yannakakis.Plan
+	for _, src := range []string{"Q1(x,y) <- R1(x,y).", "Q2(x,y) <- R2(x,y), R1(y,w)."} {
+		pl, err := yannakakis.Prepare(cq.MustParseCQ(src), inst, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, pl)
 	}
-	if len(want) == 0 {
-		t.Fatal("test plan has no answers")
+	first, second := heads(plans[0]), heads(plans[1])
+	overlap := 0
+	for a := range second {
+		if first[a] {
+			overlap++
+		}
 	}
-	sort.Strings(want)
-
-	n := plan.RootLen()
-	for _, parts := range []int{0, 1, 2, 3, 7, 64, n + 10} {
-		tasks := planTasks(nil, plan, nil, parts)
-		if wantTasks := max(min(parts, n), 1); len(tasks) != wantTasks {
-			t.Fatalf("planTasks(%d) over %d root rows returned %d tasks, want %d", parts, n, len(tasks), wantTasks)
-		}
-		var got []string
-		for _, task := range tasks {
-			if task.(*planTask).it != nil {
-				t.Fatalf("planTasks(%d) created an iterator before the first batch", parts)
-			}
-			got = append(got, drainTask(task, 3)...)
-		}
-		sort.Strings(got)
-		if len(got) != len(want) {
-			t.Fatalf("planTasks(%d): %d answers, want %d", parts, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("planTasks(%d): answer %d = %s, want %s (lost or duplicated across ranges)", parts, i, got[i], want[i])
-			}
-		}
+	if overlap == 0 || overlap == len(second) {
+		t.Fatalf("members overlap in %d of %d answers; the test needs a partial overlap", overlap, len(second))
 	}
 
-	// Splitting an unstarted task and a started one keeps the partition.
-	tasks := planTasks(nil, plan, nil, 1)
-	half := tasks[0].Split()
-	if half == nil {
-		t.Fatal("a full-range task did not split")
-	}
-	buf, k := tasks[0].NextBatch(nil, 5)
-	got := drainTask(half, 3)
-	if later := tasks[0].Split(); later != nil {
-		got = append(got, drainTask(later, 3)...)
-	}
-	for i := 0; i < k; i++ {
-		got = append(got, database.Tuple(buf[i*3:(i+1)*3]).String())
-	}
-	got = append(got, drainTask(tasks[0], 3)...)
-	sort.Strings(got)
-	if len(got) != len(want) {
-		t.Fatalf("split tasks: %d answers, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("split tasks: answer %d = %s, want %s", i, got[i], want[i])
+	seen := map[string]bool{}
+	for i, pl := range plans {
+		task := &planTask{plan: pl, earlier: plans[:i]}
+		if task.it != nil {
+			t.Fatal("a task created an iterator before the first batch")
 		}
+		for _, a := range drainTask(task, 2) {
+			if seen[a] {
+				t.Fatalf("member %d: answer %s emitted twice", i, a)
+			}
+			if i > 0 && first[a] {
+				t.Fatalf("member %d: answer %s of an earlier member was not skipped", i, a)
+			}
+			seen[a] = true
+		}
+	}
+	for _, want := range []map[string]bool{first, second} {
+		for a := range want {
+			if !seen[a] {
+				t.Fatalf("answer %s missing from the tasks", a)
+			}
+		}
+	}
+	if len(seen) != len(first)+len(second)-overlap {
+		t.Fatalf("tasks yielded %d answers, want %d", len(seen), len(first)+len(second)-overlap)
 	}
 }
 
@@ -188,17 +184,36 @@ func TestAnswersMemberFilter(t *testing.T) {
 	if all := enumeration.Collect(plan.Iterator()); len(all) != 20 {
 		t.Fatalf("full union has %d answers, want 20", len(all))
 	}
-	for _, workers := range []int{0, 2} {
-		it := plan.Answers(context.Background(), enumeration.UnionOptions{Workers: workers},
-			map[string]struct{}{"R2": {}})
-		got := sortedTuples(it)
-		if len(got) != 10 {
-			t.Fatalf("workers=%d: R2-restricted stream has %d answers, want Q2's 10", workers, len(got))
+	got := sortedTuples(plan.Answers(context.Background(), map[string]struct{}{"R2": {}}))
+	if len(got) != 10 {
+		t.Fatalf("R2-restricted stream has %d answers, want Q2's 10", len(got))
+	}
+	for i, g := range got {
+		if g[1].Payload() != g[0].Payload()+5 {
+			t.Fatalf("answer %d = %v is not a Q2 answer", i, g)
 		}
-		for i, g := range got {
-			if g[1].Payload() != g[0].Payload()+5 {
-				t.Fatalf("workers=%d: answer %d = %v is not a Q2 answer", workers, i, g)
-			}
-		}
+	}
+}
+
+// TestSizeHintMatchesCardinality pins that a single-member plan's counting
+// pass (ExactCount) equals the number of answers its stream enumerates.
+func TestSizeHintMatchesCardinality(t *testing.T) {
+	u := cq.MustParse("Q(x,y,w) <- R1(x,y), R2(y,w).")
+	cert, ok := FindCertificate(u, nil)
+	if !ok {
+		t.Fatal("no certificate")
+	}
+	inst := workload.Chain([]string{"R1", "R2"}, []int{2, 2}, 100, 3, 11)
+	plan, err := NewUnionPlan(u, cert, inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(sortedTuples(plan.Iterator()))
+	got, ok := plan.ExactCount()
+	if !ok {
+		t.Fatal("ExactCount declined a single-member plan")
+	}
+	if got != int64(want) {
+		t.Fatalf("ExactCount = %d, enumeration yields %d", got, want)
 	}
 }

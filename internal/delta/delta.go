@@ -125,7 +125,7 @@ func Candidates(ctx context.Context, u *cq.UCQ, cert *core.Certificate, toInst *
 		if err != nil {
 			return true, err
 		}
-		return true, drain(ctx, plan.Answers(ctx, enumeration.UnionOptions{}, nil), nil, yield)
+		return true, drain(ctx, plan.Answers(ctx, nil), nil, yield)
 	}
 	seen := database.NewKeySet(u.Arity())
 	for _, name := range touched {
@@ -136,7 +136,7 @@ func Candidates(ctx context.Context, u *cq.UCQ, cert *core.Certificate, toInst *
 		if err != nil {
 			return false, err
 		}
-		it := plan.Answers(ctx, enumeration.UnionOptions{}, map[string]struct{}{name: {}})
+		it := plan.Answers(ctx, map[string]struct{}{name: {}})
 		if err := drain(ctx, it, seen, yield); err != nil {
 			return false, err
 		}

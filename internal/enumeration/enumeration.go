@@ -1,10 +1,10 @@
 // Package enumeration provides the enumeration-algorithm toolkit of the
 // paper's upper-bound proofs: the answer-stream Iterator abstraction; Union,
 // the one merge of the engine — a concatenation of batched, pairwise
-// disjoint tasks, run inline on the caller's goroutine or on the
-// work-stealing executor; Algorithm 1 for unions of two tractable CQs
-// (Theorem 4); the Cheater's Lemma (Lemma 5) as a step-counted simulation;
-// and wall-clock delay instrumentation used by the experiment harness.
+// disjoint tasks, run on the caller's goroutine; Algorithm 1 for unions of
+// two tractable CQs (Theorem 4); the Cheater's Lemma (Lemma 5) as a
+// step-counted simulation; and wall-clock delay instrumentation used by
+// the experiment harness.
 package enumeration
 
 import (
@@ -51,18 +51,16 @@ func (s *SliceIterator) Next() (database.Tuple, bool) {
 	return t, true
 }
 
-// Closer is an iterator holding releasable resources (worker goroutines,
-// typically). CloseIterator releases any iterator; wrapper iterators
-// (Union over its tasks, AlgorithmOne) forward Close to their members so an
-// executor-backed stream nested inside a combinator is still released when
-// the outermost iterator is closed.
+// Closer is an iterator that can be ended early, releasing what it holds.
+// CloseIterator closes any iterator; wrapper iterators (Union over its
+// tasks, AlgorithmOne) forward Close to their members so a stream nested
+// inside a combinator is still closed when the outermost iterator is.
 type Closer interface {
 	Close()
 }
 
-// CloseIterator releases the resources behind an iterator, if any: it is
-// safe to call on any iterator, and a no-op on those without background
-// workers.
+// CloseIterator closes an iterator, if it is a Closer: it is safe to call
+// on any iterator, and a no-op on those that are not.
 func CloseIterator(it Iterator) {
 	if c, ok := it.(Closer); ok {
 		c.Close()
@@ -145,9 +143,8 @@ func (a *AlgorithmOne) Skipped() int { return a.skipped }
 // Seq adapts an iterator to a Go range-over-func sequence, so callers can
 // write `for t := range enumeration.Seq(it)` instead of hand-rolling the
 // Next loop. The iterator is released (CloseIterator) when the sequence
-// ends — by exhaustion or by an early break — so abandoning an
-// executor-backed stream mid-range does not leak its workers. Like the iterator
-// it wraps, the sequence is single-use.
+// ends — by exhaustion or by an early break. Like the iterator it wraps,
+// the sequence is single-use.
 func Seq(it Iterator) iter.Seq[database.Tuple] {
 	return func(yield func(database.Tuple) bool) {
 		defer CloseIterator(it)

@@ -2,26 +2,23 @@ package enumeration
 
 import (
 	"context"
-	"fmt"
-	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/database"
-	"repro/internal/exec"
 )
 
-// unionOf builds a Union over plain iterators, one indivisible task each.
-func unionOf(arity int, opts UnionOptions, its ...Iterator) *Union {
-	tasks := make([]exec.Task, len(its))
+// unionOf builds a Union over plain iterators, one task each.
+func unionOf(arity int, its ...Iterator) *Union {
+	tasks := make([]Task, len(its))
 	for i, it := range its {
 		tasks[i] = TaskOf(it)
 	}
-	return NewUnion(context.Background(), arity, opts, tasks)
+	return NewUnion(context.Background(), arity, tasks)
 }
 
-// NextBatch implements exec.Task: a slice of tuples is its own indivisible
-// task, copied out without a Next call per tuple.
+// NextBatch implements Task: a slice of tuples is its own task, copied out
+// without a Next call per tuple.
 func (s *SliceIterator) NextBatch(buf []database.Value, max int) ([]database.Value, int) {
 	n := 0
 	for n < max && s.pos < len(s.tuples) {
@@ -32,12 +29,9 @@ func (s *SliceIterator) NextBatch(buf []database.Value, max int) ([]database.Val
 	return buf, n
 }
 
-// Split implements exec.Task; a SliceIterator does not divide.
-func (s *SliceIterator) Split() exec.Task { return nil }
-
-// iterTask adapts a plain iterator to the Task interface as one
-// indivisible unit of work. NextBatch copies tuple values into buf, so the
-// batch owns its data even when the iterator reuses an internal buffer.
+// iterTask adapts a plain iterator to the Task interface. NextBatch copies
+// tuple values into buf, so the batch owns its data even when the iterator
+// reuses an internal buffer.
 type iterTask struct{ it Iterator }
 
 func (t iterTask) NextBatch(buf []database.Value, max int) ([]database.Value, int) {
@@ -53,29 +47,17 @@ func (t iterTask) NextBatch(buf []database.Value, max int) ([]database.Value, in
 	return buf, n
 }
 
-func (t iterTask) Split() exec.Task { return nil }
-
-// Close releases the wrapped iterator, so a union nested inside a task is
-// released with the union that runs the task.
+// Close closes the wrapped iterator, so a union nested inside a task is
+// closed with the union that runs the task.
 func (t iterTask) Close() { CloseIterator(t.it) }
 
-// TaskOf wraps an iterator as an indivisible task (iterators that already
-// are tasks, like SliceIterator, pass through). Work that can be divided
-// (plan root ranges) should implement exec.Task directly so the executor
-// can steal and re-split it.
-func TaskOf(it Iterator) exec.Task {
-	if t, ok := it.(exec.Task); ok {
+// TaskOf wraps an iterator as a task (iterators that already are tasks,
+// like SliceIterator, pass through).
+func TaskOf(it Iterator) Task {
+	if t, ok := it.(Task); ok {
 		return t
 	}
 	return iterTask{it: it}
-}
-
-// forEachSource runs a merge test against both batch sources: inline
-// (Workers 0) and the executor with one and with several workers.
-func forEachSource(t *testing.T, f func(t *testing.T, workers int)) {
-	for _, workers := range []int{0, 1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { f(t, workers) })
-	}
 }
 
 func tup(vals ...int64) database.Tuple {
@@ -84,15 +66,6 @@ func tup(vals ...int64) database.Tuple {
 		t[i] = database.V(v)
 	}
 	return t
-}
-
-func keys(ts []database.Tuple) []string {
-	out := make([]string, len(ts))
-	for i, t := range ts {
-		out[i] = t.Key()
-	}
-	sort.Strings(out)
-	return out
 }
 
 func TestSliceIterator(t *testing.T) {
@@ -137,7 +110,7 @@ func TestCheaterClonesTuples(t *testing.T) {
 		buf[0] = database.V(n)
 		return buf, true
 	})
-	got := Collect(unionOf(1, UnionOptions{}, inner))
+	got := Collect(unionOf(1, inner))
 	if got[0][0] != database.V(1) || got[2][0] != database.V(3) {
 		t.Errorf("aliasing bug: %v", got)
 	}
@@ -253,21 +226,23 @@ func TestAlgorithmOneQuick(t *testing.T) {
 }
 
 func TestUnionAll(t *testing.T) {
-	forEachSource(t, func(t *testing.T, workers int) {
-		got := Collect(unionOf(1, UnionOptions{Workers: workers},
-			NewSliceIterator([]database.Tuple{tup(1), tup(2)}),
-			NewSliceIterator([]database.Tuple{tup(3)}),
-			NewSliceIterator([]database.Tuple{tup(4), tup(5)}),
-		))
-		if g := keys(got); len(g) != 5 || g[0] != tup(1).Key() || g[4] != tup(5).Key() {
-			t.Errorf("union = %v", got)
+	got := Collect(unionOf(1,
+		NewSliceIterator([]database.Tuple{tup(1), tup(2)}),
+		NewSliceIterator([]database.Tuple{tup(3)}),
+		NewSliceIterator([]database.Tuple{tup(4), tup(5)}),
+	))
+	if len(got) != 5 {
+		t.Fatalf("union = %v", got)
+	}
+	for i, g := range got {
+		if !g.Equal(tup(int64(i + 1))) {
+			t.Errorf("union answer %d = %v, want the tasks in order", i, g)
 		}
-		single := Collect(unionOf(1, UnionOptions{Workers: workers},
-			NewSliceIterator([]database.Tuple{tup(1), tup(2)})))
-		if len(single) != 2 {
-			t.Errorf("single-branch union = %v", single)
-		}
-	})
+	}
+	single := Collect(unionOf(1, NewSliceIterator([]database.Tuple{tup(1), tup(2)})))
+	if len(single) != 2 {
+		t.Errorf("single-branch union = %v", single)
+	}
 }
 
 func TestMeasureDelays(t *testing.T) {

@@ -52,6 +52,6 @@ func TestSeqEarlyBreakCloses(t *testing.T) {
 		t.Errorf("ranged over %d tuples, want 3", got)
 	}
 	if !it.closed {
-		t.Error("early break did not close the iterator — a parallel stream would leak its workers")
+		t.Error("early break did not close the iterator")
 	}
 }

@@ -2,11 +2,9 @@ package enumeration
 
 import (
 	"context"
-	"sort"
 	"testing"
 
 	"repro/internal/database"
-	"repro/internal/exec"
 )
 
 // exhaustibleTestable claims membership of everything but yields nothing —
@@ -68,10 +66,10 @@ func TestMeasureDelaysEdgeCases(t *testing.T) {
 }
 
 func TestUnionAllZeroAndOneBranch(t *testing.T) {
-	if got := Collect(unionOf(1, UnionOptions{})); len(got) != 0 {
+	if got := Collect(unionOf(1)); len(got) != 0 {
 		t.Errorf("zero-branch union = %v", got)
 	}
-	got := Collect(unionOf(1, UnionOptions{}, NewSliceIterator([]database.Tuple{tup(3), tup(1)})))
+	got := Collect(unionOf(1, NewSliceIterator([]database.Tuple{tup(3), tup(1)})))
 	if len(got) != 2 || !got[0].Equal(tup(3)) || !got[1].Equal(tup(1)) {
 		t.Errorf("one-branch union = %v", got)
 	}
@@ -106,7 +104,7 @@ func TestNextBatchFallbackAndFastPaths(t *testing.T) {
 	// A SliceIterator is its own task and batches without the fallback.
 	sl := NewSliceIterator([]database.Tuple{tup(1, 10), tup(2, 20), tup(3, 30)})
 	task = TaskOf(sl)
-	if task != exec.Task(sl) {
+	if task != Task(sl) {
 		t.Fatalf("TaskOf wrapped a SliceIterator: %T", task)
 	}
 	vals, got = task.NextBatch(nil, 2)
@@ -121,135 +119,90 @@ func TestNextBatchFallbackAndFastPaths(t *testing.T) {
 	}
 }
 
-func sortedKeys(ts []database.Tuple) []string {
-	out := make([]string, len(ts))
-	for i, t := range ts {
-		out[i] = t.Key()
-	}
-	sort.Strings(out)
-	return out
-}
-
-func TestParallelUnionMatchesSequential(t *testing.T) {
-	mk := func() []Iterator {
-		return []Iterator{
-			NewSliceIterator([]database.Tuple{tup(1, 1), tup(2, 2)}),
-			NewSliceIterator([]database.Tuple{tup(3, 3)}),
-			NewSliceIterator([]database.Tuple{tup(4, 4), tup(5, 5)}),
-		}
-	}
-	want := sortedKeys(Collect(unionOf(2, UnionOptions{}, mk()...)))
-	if len(want) != 5 {
-		t.Fatalf("inline union has %d answers, want 5", len(want))
-	}
-	for _, workers := range []int{1, 4} {
-		for _, batchSize := range []int{0, 1, 2, 1024} {
-			got := sortedKeys(Collect(unionOf(2, UnionOptions{Workers: workers, BatchSize: batchSize}, mk()...)))
-			if len(got) != len(want) {
-				t.Fatalf("workers=%d batch=%d: %d answers, want %d", workers, batchSize, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("workers=%d batch=%d: answer sets differ at %d", workers, batchSize, i)
-				}
-			}
-		}
-	}
-}
-
 func TestParallelUnionLargeDisjointAndOverlapping(t *testing.T) {
-	forEachSource(t, func(t *testing.T, workers int) {
-		const branches, per = 8, 500
-		var its []Iterator
-		for b := 0; b < branches; b++ {
-			tuples := make([]database.Tuple, per)
-			for i := range tuples {
-				tuples[i] = tup(int64(b*per + i))
-			}
-			its = append(its, NewSliceIterator(tuples))
+	const branches, per = 8, 500
+	var its []Iterator
+	for b := 0; b < branches; b++ {
+		tuples := make([]database.Tuple, per)
+		for i := range tuples {
+			tuples[i] = tup(int64(b*per + i))
 		}
-		u := unionOf(1, UnionOptions{Workers: workers, BatchSize: 64}, its...)
-		got := Collect(u)
-		want := branches * per
-		if len(got) != want {
-			t.Fatalf("answers = %d, want %d", len(got), want)
+		its = append(its, NewSliceIterator(tuples))
+	}
+	u := unionOf(1, its...)
+	got := Collect(u)
+	want := branches * per
+	if len(got) != want {
+		t.Fatalf("answers = %d, want %d", len(got), want)
+	}
+	seen := make(map[string]bool, len(got))
+	for _, g := range got {
+		if seen[g.Key()] {
+			t.Fatalf("duplicate %v", g)
 		}
-		seen := make(map[string]bool, len(got))
-		for _, g := range got {
-			if seen[g.Key()] {
-				t.Fatalf("duplicate %v", g)
-			}
-			seen[g.Key()] = true
-		}
-	})
+		seen[g.Key()] = true
+	}
 }
 
 func TestParallelUnionZeroBranchesAndEmptyBranches(t *testing.T) {
-	forEachSource(t, func(t *testing.T, workers int) {
-		if got := Collect(unionOf(1, UnionOptions{Workers: workers})); len(got) != 0 {
-			t.Errorf("zero-branch union = %v", got)
-		}
-		got := Collect(unionOf(1, UnionOptions{Workers: workers}, NewSliceIterator(nil), NewSliceIterator(nil)))
-		if len(got) != 0 {
-			t.Errorf("empty-branch union = %v", got)
-		}
-	})
+	if got := Collect(unionOf(1)); len(got) != 0 {
+		t.Errorf("zero-branch union = %v", got)
+	}
+	got := Collect(unionOf(1, NewSliceIterator(nil), NewSliceIterator(nil)))
+	if len(got) != 0 {
+		t.Errorf("empty-branch union = %v", got)
+	}
 }
 
 func TestParallelUnionCloseEarly(t *testing.T) {
-	forEachSource(t, func(t *testing.T, workers int) {
-		tuples := make([]database.Tuple, 10000)
-		for i := range tuples {
-			tuples[i] = tup(int64(i))
+	tuples := make([]database.Tuple, 10000)
+	for i := range tuples {
+		tuples[i] = tup(int64(i))
+	}
+	u := unionOf(1, NewSliceIterator(tuples[:5000]),
+		NewSliceIterator(tuples[5000:]),
+	)
+	for i := 0; i < 5; i++ {
+		if _, ok := u.Next(); !ok {
+			t.Fatalf("exhausted after %d answers", i)
 		}
-		u := unionOf(1, UnionOptions{Workers: workers, BatchSize: 16},
-			NewSliceIterator(tuples[:5000]),
-			NewSliceIterator(tuples[5000:]),
-		)
-		for i := 0; i < 5; i++ {
-			if _, ok := u.Next(); !ok {
-				t.Fatalf("exhausted after %d answers", i)
-			}
-		}
-		u.Close()
-		if _, ok := u.Next(); ok {
-			t.Error("Next produced an answer after Close")
-		}
-		u.Close() // idempotent
-	})
+	}
+	u.Close()
+	if _, ok := u.Next(); ok {
+		t.Error("Next produced an answer after Close")
+	}
+	u.Close() // idempotent
 }
 
 func TestParallelUnionTuplesAreStable(t *testing.T) {
 	// Returned tuples are views into batch buffers and must stay valid
 	// after the stream moves on.
-	forEachSource(t, func(t *testing.T, workers int) {
-		tuples := make([]database.Tuple, 2000)
-		for i := range tuples {
-			tuples[i] = tup(int64(i), int64(i*7))
+	tuples := make([]database.Tuple, 2000)
+	for i := range tuples {
+		tuples[i] = tup(int64(i), int64(i*7))
+	}
+	u := unionOf(2, NewSliceIterator(tuples))
+	var got []database.Tuple
+	for {
+		tu, ok := u.Next()
+		if !ok {
+			break
 		}
-		u := unionOf(2, UnionOptions{Workers: workers, BatchSize: 32}, NewSliceIterator(tuples))
-		var got []database.Tuple
-		for {
-			tu, ok := u.Next()
-			if !ok {
-				break
-			}
-			got = append(got, tu)
+		got = append(got, tu)
+	}
+	if len(got) != len(tuples) {
+		t.Fatalf("answers = %d", len(got))
+	}
+	seen := make(map[string]bool, len(got))
+	for _, g := range got {
+		if g[1].Payload() != g[0].Payload()*7 {
+			t.Fatalf("corrupted tuple %v", g)
 		}
-		if len(got) != len(tuples) {
-			t.Fatalf("answers = %d", len(got))
+		if seen[g.Key()] {
+			t.Fatalf("duplicate %v", g)
 		}
-		seen := make(map[string]bool, len(got))
-		for _, g := range got {
-			if g[1].Payload() != g[0].Payload()*7 {
-				t.Fatalf("corrupted tuple %v", g)
-			}
-			if seen[g.Key()] {
-				t.Fatalf("duplicate %v", g)
-			}
-			seen[g.Key()] = true
-		}
-	})
+		seen[g.Key()] = true
+	}
 }
 
 // recordingTask yields the n single-column answers base, base+1, … and
@@ -270,15 +223,13 @@ func (r *recordingTask) NextBatch(buf []database.Value, max int) ([]database.Val
 	return buf, got
 }
 
-func (r *recordingTask) Split() exec.Task { return nil }
-
-// TestInlineBatchSchedule pins the inline source's fixed schedule: the
+// TestInlineBatchSchedule pins the union's fixed schedule: the
 // first batch is a single answer, so the first Next costs one tuple, and
 // batches double up to DefaultBatchSize; the schedule carries over from one
 // task to the next.
 func TestInlineBatchSchedule(t *testing.T) {
 	first, second := &recordingTask{n: 700}, &recordingTask{base: 700, n: 300}
-	u := NewUnion(context.Background(), 1, UnionOptions{}, []exec.Task{first, second})
+	u := NewUnion(context.Background(), 1, []Task{first, second})
 	if _, ok := u.Next(); !ok {
 		t.Fatal("no first answer")
 	}
@@ -302,23 +253,20 @@ func TestInlineBatchSchedule(t *testing.T) {
 	}
 }
 
-// TestUnionCancelEndsWithinOneBatch: both sources check the construction
+// TestUnionCancelEndsWithinOneBatch: the union checks the construction
 // context once per batch, so after cancellation at most the current batch
 // surfaces and the stream just ends.
 func TestUnionCancelEndsWithinOneBatch(t *testing.T) {
-	forEachSource(t, func(t *testing.T, workers int) {
-		ctx, cancel := context.WithCancel(context.Background())
-		u := NewUnion(ctx, 1, UnionOptions{Workers: workers},
-			[]exec.Task{&recordingTask{n: 1 << 20}})
-		for i := 0; i < 1000; i++ {
-			if _, ok := u.Next(); !ok {
-				t.Fatalf("stream ended after %d answers", i)
-			}
+	ctx, cancel := context.WithCancel(context.Background())
+	u := NewUnion(ctx, 1, []Task{&recordingTask{n: 1 << 20}})
+	for i := 0; i < 1000; i++ {
+		if _, ok := u.Next(); !ok {
+			t.Fatalf("stream ended after %d answers", i)
 		}
-		cancel()
-		if tail := len(Collect(u)); tail > DefaultBatchSize {
-			t.Errorf("%d answers after cancellation, want at most one batch (%d)", tail, DefaultBatchSize)
-		}
-		u.Close()
-	})
+	}
+	cancel()
+	if tail := len(Collect(u)); tail > DefaultBatchSize {
+		t.Errorf("%d answers after cancellation, want at most one batch (%d)", tail, DefaultBatchSize)
+	}
+	u.Close()
 }

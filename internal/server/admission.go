@@ -5,9 +5,9 @@ package server
 // dataset queries). A request that cannot get a slot queues for at most
 // Config.QueueDeadline and is then shed with 429 + Retry-After — overload
 // degrades into fast, explicit rejections the client can back off from,
-// instead of every stream slowing down together until the enumeration
-// executor collapses. Count-only requests are not gated: they hold no
-// enumeration resources worth queueing for.
+// instead of every stream slowing down together as they share the CPUs.
+// Count-only requests are not gated: they hold no enumeration resources
+// worth queueing for.
 
 import (
 	"context"

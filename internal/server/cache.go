@@ -1,14 +1,12 @@
 package server
 
 import (
-	"time"
-
 	ucq "repro"
 	"repro/internal/vcache"
 )
 
-// PlanCache is a concurrency-safe LRU+TTL cache of prepared queries keyed
-// on (normalized query, schema, preparation mode). It caches the
+// PlanCache is a concurrency-safe LRU cache of prepared queries keyed on
+// (normalized query, schema, preparation mode). It caches the
 // instance-independent half of planning — redundancy removal and the
 // Theorem 12 certificate search — which is exactly the work that must not
 // be repeated per request; the per-instance preprocessing is served by the
@@ -17,22 +15,16 @@ import (
 //
 // Concurrent misses on the same key are coalesced: one caller runs the
 // preparation while the others wait for its result, so a thundering herd
-// of identical cold requests plans exactly once. With a TTL set, entries
-// expire that long after preparation and are re-prepared on next use.
+// of identical cold requests plans exactly once. The key is content, so an
+// entry never goes stale and nothing expires by time.
 type PlanCache struct {
 	c *vcache.Cache[*ucq.PreparedQuery]
 }
 
 // NewPlanCache builds a cache holding at most capacity prepared queries
-// (minimum 1) with no expiry.
+// (minimum 1).
 func NewPlanCache(capacity int) *PlanCache {
-	return NewPlanCacheTTL(capacity, 0)
-}
-
-// NewPlanCacheTTL is NewPlanCache with a TTL: entries older than ttl are
-// dropped on access and re-prepared (0 disables expiry).
-func NewPlanCacheTTL(capacity int, ttl time.Duration) *PlanCache {
-	return &PlanCache{c: vcache.New[*ucq.PreparedQuery](capacity, ttl)}
+	return &PlanCache{c: vcache.New[*ucq.PreparedQuery](capacity)}
 }
 
 // Get returns the prepared query for key, calling prepare on a miss and
@@ -45,31 +37,7 @@ func (c *PlanCache) Get(key string, prepare func() (*ucq.PreparedQuery, error)) 
 
 // CacheStats is a point-in-time snapshot of cache counters (the wire shape
 // of both the plan cache and the bind cache in /stats).
-type CacheStats struct {
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Evictions int64 `json:"evictions"`
-	// Expirations counts the misses caused by TTL expiry of a previously
-	// cached entry (always ≤ Misses; 0 when no TTL is configured).
-	Expirations int64 `json:"expirations"`
-	Size        int   `json:"size"`
-	Capacity    int   `json:"capacity"`
-}
+type CacheStats = vcache.Stats
 
 // Stats snapshots the counters.
-func (c *PlanCache) Stats() CacheStats {
-	return cacheStatsFrom(c.c.Stats())
-}
-
-// cacheStatsFrom maps the cache counters onto the wire shape — the single
-// conversion site for both the plan cache and the bind cache.
-func cacheStatsFrom(st vcache.Stats) CacheStats {
-	return CacheStats{
-		Hits:        st.Hits,
-		Misses:      st.Misses,
-		Evictions:   st.Evictions,
-		Expirations: st.Expirations,
-		Size:        st.Size,
-		Capacity:    st.Capacity,
-	}
-}
+func (c *PlanCache) Stats() CacheStats { return c.c.Stats() }

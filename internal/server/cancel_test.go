@@ -14,7 +14,7 @@ import (
 // bigStarRequest builds a /query body whose full star join has side²
 // answers — enough that a stream is genuinely mid-enumeration when the
 // client walks away.
-func bigStarRequest(t *testing.T, side int64, opts QueryOptions) []byte {
+func bigStarRequest(t *testing.T, side int64) []byte {
 	t.Helper()
 	rels := map[string][][]int64{"R": {}, "S": {}}
 	for i := int64(0); i < side; i++ {
@@ -24,7 +24,6 @@ func bigStarRequest(t *testing.T, side int64, opts QueryOptions) []byte {
 	body, err := json.Marshal(QueryRequest{
 		Query:     "Q(x,z,y) <- R(x,z), S(z,y).",
 		Relations: rels,
-		Options:   opts,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -35,11 +34,11 @@ func bigStarRequest(t *testing.T, side int64, opts QueryOptions) []byte {
 // TestClientDisconnectCancelsEnumeration cancels a streaming request after
 // the first answer and checks the server releases the enumeration: the
 // request is counted as cancelled, far fewer answers than the total were
-// streamed, and the executor workers are gone.
+// streamed, and the handler's goroutines are gone.
 func TestClientDisconnectCancelsEnumeration(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	const side = 1200 // 1.44M answers
-	body := bigStarRequest(t, side, QueryOptions{Workers: 4})
+	body := bigStarRequest(t, side)
 
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -76,7 +75,7 @@ func TestClientDisconnectCancelsEnumeration(t *testing.T) {
 		t.Errorf("server enumerated %d answers for a dead client (of %d)", snap.AnswersStreamed, side*side)
 	}
 
-	// Executor workers must be released, not parked until process exit.
+	// The handler must return, not stay parked until process exit.
 	for runtime.NumGoroutine() > baseline+5 {
 		if time.Now().After(deadline) {
 			t.Fatalf("goroutines did not settle after disconnect: %d vs %d", runtime.NumGoroutine(), baseline)
@@ -89,7 +88,7 @@ func TestClientDisconnectCancelsEnumeration(t *testing.T) {
 func TestStatsCountsCancelledRequests(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	ctx, cancel := context.WithCancel(context.Background())
-	body := bigStarRequest(t, 800, QueryOptions{Workers: 2})
+	body := bigStarRequest(t, 800)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/query", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

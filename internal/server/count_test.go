@@ -107,30 +107,3 @@ func TestDatasetCountEndpoint(t *testing.T) {
 		t.Errorf("count on unknown dataset: status %d, want 404", resp.StatusCode)
 	}
 }
-
-// TestDecisionModeStats pins the /stats decision counters: requests with
-// no explicit execution knob run through the cost model and land in
-// exactly one decision_modes bucket; explicit requests are not counted.
-func TestDecisionModeStats(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	defer ts.Close()
-	putDataset(t, ts.URL, "d", smallRelations())
-
-	st := getStats(t, ts.URL)
-	if n := st.DecisionModes["sequential"] + st.DecisionModes["parallel"]; n != 0 {
-		t.Fatalf("fresh server has %d decisions", n)
-	}
-
-	// Auto (no knobs): counted.
-	queryDataset(t, ts.URL, "d", QueryRequest{Query: example2})
-	// Explicit workers: not counted.
-	queryDataset(t, ts.URL, "d", QueryRequest{Query: example2, Options: QueryOptions{Workers: 2}})
-	// Count endpoint binds run through the same decision path.
-	postCount(t, ts.URL, "/datasets/d/count", QueryRequest{Query: example2})
-
-	st = getStats(t, ts.URL)
-	total := st.DecisionModes["sequential"] + st.DecisionModes["parallel"]
-	if total != 2 {
-		t.Errorf("decision_modes total = %d (%+v), want 2 (two auto binds, one explicit)", total, st.DecisionModes)
-	}
-}

@@ -166,7 +166,7 @@ func (s *Server) bindDatasetPlan(w http.ResponseWriter, r *http.Request) (QueryR
 	s.stats.requests.Add(1)
 	name := r.PathValue("name")
 
-	req, u, mode, exec, ok := s.decodeQuery(w, r)
+	req, u, mode, ok := s.decodeQuery(w, r)
 	if !ok {
 		return req, nil, streamMeta{}, false
 	}
@@ -191,7 +191,7 @@ func (s *Server) bindDatasetPlan(w http.ResponseWriter, r *http.Request) (QueryR
 	// miss, a pointer copy on a hit. The plan pins the snapshot it was
 	// bound against — a concurrent Replace bumps the version for later
 	// requests but never disturbs this stream.
-	plan, err := pq.BindDatasetExecContext(r.Context(), ds, exec)
+	plan, err := pq.BindDatasetContext(r.Context(), ds)
 	if err != nil {
 		if r.Context().Err() != nil {
 			s.stats.requestsCancelled.Add(1)
@@ -200,7 +200,6 @@ func (s *Server) bindDatasetPlan(w http.ResponseWriter, r *http.Request) (QueryR
 		s.planError(w, err)
 		return req, nil, streamMeta{}, false
 	}
-	s.recordDecision(plan)
 
 	s.dsMu.Lock()
 	s.dsQueries[name]++

@@ -217,16 +217,6 @@ func TestDatasetQueryBindCacheHit(t *testing.T) {
 		t.Errorf("dataset gauges = %+v, want d with 2 queries", st.Datasets)
 	}
 
-	// Execution options do not shape the bound state: an explicit worker
-	// count shares the entry the auto binds above filled.
-	_, tr = queryDataset(t, ts.URL, "d", QueryRequest{
-		Query:   example2,
-		Options: QueryOptions{Workers: 2},
-	})
-	if tr.Bind != "hit" {
-		t.Errorf("explicit-workers query trailer = %+v, want bind=hit (auto and explicit binds share entries)", tr)
-	}
-
 	// Replacing the dataset invalidates the bind: fresh preprocessing on
 	// the new snapshot, answers reflect the new data.
 	putDataset(t, ts.URL, "d", map[string][][]int64{
@@ -269,9 +259,6 @@ func TestDatasetQueryErrors(t *testing.T) {
 		{"ragged rows", http.MethodPut, "/datasets/bad",
 			DatasetRequest{Relations: map[string][][]int64{"R": {{1}, {2, 3}}}},
 			http.StatusBadRequest, "expected 1"},
-		{"invalid exec options", http.MethodPost, "/datasets/d/query",
-			QueryRequest{Query: example2, Options: QueryOptions{Workers: -1}},
-			http.StatusBadRequest, "Workers"},
 	}
 	for _, tc := range cases {
 		resp := do(t, tc.method, ts.URL+tc.path, tc.body)

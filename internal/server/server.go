@@ -17,16 +17,16 @@
 // preprocessing served from the catalog's versioned bind cache — the
 // second identical query goes straight to enumeration.
 //
-// GET /stats exposes plan- and bind-cache hit/miss/eviction/expiration
-// counters, per-dataset gauges, answers streamed, and per-request delay
-// percentiles; GET /healthz is a liveness probe.
+// GET /stats exposes plan- and bind-cache hit/miss/eviction counters,
+// per-dataset gauges, answers streamed, and per-request delay percentiles;
+// GET /healthz is a liveness probe.
 package server
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -40,14 +40,9 @@ import (
 type Config struct {
 	// CacheSize caps the prepared-plan cache (0 = DefaultCacheSize).
 	CacheSize int
-	// CacheTTL expires prepared-plan entries this long after preparation
-	// (0 = never); expired entries are re-prepared on next use.
-	CacheTTL time.Duration
 	// BindCacheSize caps the catalog's bind cache (0 =
 	// ucq.DefaultBindCacheSize).
 	BindCacheSize int
-	// BindCacheTTL expires cached dataset binds (0 = never).
-	BindCacheTTL time.Duration
 	// FlushEvery flushes the response after this many answers beyond the
 	// first (0 = DefaultFlushEvery). The first answer always flushes
 	// immediately.
@@ -62,7 +57,8 @@ type Config struct {
 	DataDir string
 	// MaxStreams caps the concurrent answer-streaming requests (inline
 	// queries and dataset queries; count-only requests are not gated). 0 =
-	// 2*GOMAXPROCS — streaming enumeration is CPU-bound, so slots beyond
+	// 2*GOMAXPROCS. A stream enumerates on its request's goroutine, so it
+	// uses one CPU at most, and enumeration is CPU-bound: slots beyond
 	// that only add queueing inside the process.
 	MaxStreams int
 	// QueueDeadline is how long a streaming request may wait for a slot
@@ -142,10 +138,9 @@ func New(cfg Config) *Server {
 	return &Server{
 		admission:    newAdmission(cfg.MaxStreams, cfg.QueueDeadline),
 		subAdmission: newAdmission(cfg.MaxSubscriptions, cfg.QueueDeadline),
-		cache:        NewPlanCacheTTL(cfg.CacheSize, cfg.CacheTTL),
+		cache:        NewPlanCache(cfg.CacheSize),
 		catalog: ucq.NewCatalogConfig(ucq.CatalogConfig{
 			BindCacheSize: cfg.BindCacheSize,
-			BindCacheTTL:  cfg.BindCacheTTL,
 			AppendLogSize: cfg.AppendLogSize,
 		}),
 		cfg:       cfg,
@@ -166,7 +161,6 @@ func Open(cfg Config) (*Server, error) {
 	}
 	cat, st, err := ucq.OpenCatalog(cfg.DataDir, ucq.CatalogConfig{
 		BindCacheSize: cfg.BindCacheSize,
-		BindCacheTTL:  cfg.BindCacheTTL,
 		AppendLogSize: cfg.AppendLogSize,
 	})
 	if err != nil {
@@ -237,13 +231,9 @@ func (s *Server) StatsSnapshot() Snapshot {
 		RequestsCancelled: s.stats.requestsCancelled.Load(),
 		PlansPrepared:     s.stats.plansPrepared.Load(),
 		Cache:             s.cache.Stats(),
-		BindCache:         cacheStatsFrom(s.catalog.BindCacheStats()),
-		DecisionModes: map[string]int64{
-			"sequential": s.stats.decisionSequential.Load(),
-			"parallel":   s.stats.decisionParallel.Load(),
-		},
-		Datasets: gauges,
-		Delays:   s.stats.delays(),
+		BindCache:         s.catalog.BindCacheStats(),
+		Datasets:          gauges,
+		Delays:            s.stats.delays(),
 		Wire: WireSnapshot{
 			NDJSONRequests:      s.stats.ndjsonRequests.Load(),
 			BinaryRequests:      s.stats.binaryRequests.Load(),
@@ -312,17 +302,17 @@ func (s *Server) httpError(w http.ResponseWriter, status int, format string, arg
 }
 
 // decodeQuery decodes and validates the parts of a query request shared by
-// the inline-instance and dataset endpoints: the parsed union, the
-// normalized mode and the per-request execution options. On failure it
-// writes the error response and returns ok = false.
-func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (req QueryRequest, u *ucq.UCQ, mode string, exec *ucq.PlanOptions, ok bool) {
+// the inline-instance and dataset endpoints: the parsed union and the
+// normalized mode. On failure it writes the error response and returns
+// ok = false.
+func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (req QueryRequest, u *ucq.UCQ, mode string, ok bool) {
 	if !s.decodeBody(w, r, &req) {
-		return req, nil, "", nil, false
+		return req, nil, "", false
 	}
 	u, err := ucq.Parse(req.Query)
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "parsing query: %v", err)
-		return req, nil, "", nil, false
+		return req, nil, "", false
 	}
 	mode = req.Options.Mode
 	if mode == "" {
@@ -330,19 +320,19 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (req QueryR
 	}
 	if mode != "auto" && mode != "naive" {
 		s.httpError(w, http.StatusBadRequest, "options.mode must be \"auto\" or \"naive\", got %q", mode)
-		return req, nil, "", nil, false
+		return req, nil, "", false
 	}
 	if req.Limit < 0 {
 		s.httpError(w, http.StatusBadRequest, "limit must be ≥ 0, got %d", req.Limit)
-		return req, nil, "", nil, false
+		return req, nil, "", false
 	}
-	return req, u, mode, s.execOptions(mode, req.Options.Workers), true
+	return req, u, mode, true
 }
 
 // decodeBody decodes a JSON request body strictly: an unknown field — a
-// misspelt or removed execution option, say — is a 400 naming it rather
-// than a silently ignored knob. On failure it writes the error
-// response and returns false.
+// misspelt or removed option, say — is a 400 naming it rather than a
+// silently ignored knob, and so is anything but whitespace after the one
+// JSON value. On failure it writes the error response and returns false.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
@@ -350,38 +340,15 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 		s.httpError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return false
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		s.httpError(w, http.StatusBadRequest, "decoding request: data after the JSON body")
+		return false
+	}
 	return true
 }
 
-// execOptions builds a request's execution options. Cost-based execution
-// is the default: with no explicit worker count the planner decides per
-// bind (and /stats counts the decisions).
-func (s *Server) execOptions(mode string, workers int) *ucq.PlanOptions {
-	return &ucq.PlanOptions{
-		ForceNaive: mode == "naive",
-		Workers:    workers,
-		Auto:       workers == 0,
-	}
-}
-
-// recordDecision counts an Auto bind's resolved strategy in /stats.
-func (s *Server) recordDecision(plan *ucq.Plan) {
-	d := plan.Decision()
-	if d == nil {
-		return
-	}
-	if d.Kind == "parallel" {
-		s.stats.decisionParallel.Add(1)
-	} else {
-		s.stats.decisionSequential.Add(1)
-	}
-}
-
-// prepared serves the instance-independent preparation from the LRU cache.
-// Prepare sees only the mode-shaping options: execution options are
-// applied (and validated) per request at bind time, so a request with
-// invalid execution options can never poison the shared entry or the
-// callers coalesced onto its in-flight preparation.
+// prepared serves the instance-independent preparation from the LRU cache,
+// keyed by mode, schema and canonical query.
 func (s *Server) prepared(mode string, u *ucq.UCQ) (*ucq.PreparedQuery, bool, error) {
 	return s.cache.Get(planKey(mode, u), func() (*ucq.PreparedQuery, error) {
 		s.stats.plansPrepared.Add(1)
@@ -392,7 +359,7 @@ func (s *Server) prepared(mode string, u *ucq.UCQ) (*ucq.PreparedQuery, bool, er
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.stats.requests.Add(1)
 
-	req, u, mode, exec, ok := s.decodeQuery(w, r)
+	req, u, mode, ok := s.decodeQuery(w, r)
 	if !ok {
 		return
 	}
@@ -408,13 +375,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Per-instance preprocessing; execution options come from this request
-	// even when the preparation was cached by an earlier one. The request
-	// context rides along: a client disconnect aborts a still-running bind
-	// between extensions and, below, cancels the enumeration itself —
-	// executor workers are released instead of enumerating to completion
-	// for nobody.
-	plan, err := pq.BindExecContext(r.Context(), inst, exec)
+	// Per-instance preprocessing. The request context rides along: a
+	// client disconnect aborts a still-running bind between extensions and,
+	// below, ends the enumeration itself within one batch instead of
+	// enumerating to completion for nobody.
+	plan, err := pq.BindContext(r.Context(), inst)
 	if err != nil {
 		if r.Context().Err() != nil {
 			s.stats.requestsCancelled.Add(1)
@@ -423,7 +388,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.planError(w, err)
 		return
 	}
-	s.recordDecision(plan)
 
 	meta := streamMeta{arity: plan.Query.Arity(), mode: plan.Mode.String(), cache: cacheState(hit)}
 	if req.Options.CountOnly {
@@ -484,15 +448,9 @@ func cacheState(hit bool) string {
 	return "miss"
 }
 
-// planError maps planning failures onto HTTP statuses: invalid option
-// combinations (typed OptionsError) and schema mismatches are the
-// client's fault.
+// planError reports a planning failure — a schema mismatch, typically —
+// as the client's fault.
 func (s *Server) planError(w http.ResponseWriter, err error) {
-	var oe *ucq.OptionsError
-	if errors.As(err, &oe) {
-		s.httpError(w, http.StatusBadRequest, "invalid options: %s: %s", oe.Field, oe.Reason)
-		return
-	}
 	s.httpError(w, http.StatusBadRequest, "planning: %v", err)
 }
 
@@ -524,9 +482,9 @@ type streamMeta struct {
 // here with 429 instead of stacking enumerations, and open — which starts
 // the enumeration — runs only once the slot is held. The enumeration runs
 // under the request context: when the client disconnects mid-stream (or
-// the server shuts down), the context cancels the work-stealing executor
-// behind a parallel plan and every worker is released within one batch;
-// the request is then counted as cancelled and no trailer is written.
+// the server shuts down), the context ends a certified enumeration within
+// one batch; the request is then counted as cancelled and no trailer is
+// written.
 func (s *Server) stream(w http.ResponseWriter, r *http.Request, open func(context.Context) ucq.Answers, meta streamMeta, limit int) {
 	if !s.admitStream(w, r) {
 		return

@@ -52,12 +52,6 @@ type Stats struct {
 	deltaAnswersPushed atomic.Int64
 	subsResyncs        atomic.Int64
 
-	// Auto-bind decision counters, by resolved strategy. A shifting mix —
-	// e.g. parallel picks collapsing to sequential after a data change — is
-	// the observable trace of a planner regression.
-	decisionSequential atomic.Int64
-	decisionParallel   atomic.Int64
-
 	mu   sync.Mutex
 	ring [delayWindow]reqTiming
 	next int
@@ -109,8 +103,8 @@ type Snapshot struct {
 	AnswersStreamed  int64 `json:"answers_streamed"`
 	StreamsCompleted int64 `json:"streams_completed"`
 	// RequestsCancelled counts streams cut short by the client going away
-	// (context cancellation or a failed write): the enumeration was
-	// cancelled and its executor workers released without a trailer.
+	// (context cancellation or a failed write): the enumeration ended
+	// without a trailer.
 	RequestsCancelled int64      `json:"requests_cancelled"`
 	PlansPrepared     int64      `json:"plans_prepared"`
 	Cache             CacheStats `json:"cache"`
@@ -118,10 +112,6 @@ type Snapshot struct {
 	// preprocessing runs for dataset queries, hits are dataset binds served
 	// without one.
 	BindCache CacheStats `json:"bind_cache"`
-	// DecisionModes counts cost-based (auto) binds by the strategy the
-	// planner resolved: "sequential" or "parallel". Explicit
-	// execution options are not counted — no decision was made.
-	DecisionModes map[string]int64 `json:"decision_modes"`
 	// Datasets gauges every registered dataset (sorted by name).
 	Datasets []DatasetGauge   `json:"datasets,omitempty"`
 	Delays   DelayPercentiles `json:"delays"`

@@ -89,8 +89,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, "options.mode must be \"auto\" or \"naive\", got %q", mode)
 		return
 	}
-	exec := s.execOptions(mode, req.Options.Workers)
-
 	pq, hit, err := s.prepared(mode, u)
 	if err != nil {
 		s.planError(w, err)
@@ -115,7 +113,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	defer sub.Close()
 	ds := sub.Dataset()
 
-	plan, err := pq.BindDatasetExecContext(r.Context(), ds, exec)
+	plan, err := pq.BindDatasetContext(r.Context(), ds)
 	if err != nil {
 		if r.Context().Err() != nil {
 			s.stats.requestsCancelled.Add(1)
@@ -124,7 +122,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		s.planError(w, err)
 		return
 	}
-	s.recordDecision(plan)
 
 	media := negotiateEncoding(r.Header.Get("Accept"))
 	enc, err := newAnswerEncoder(w, media, plan.Query.Arity())
@@ -274,7 +271,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		}
 		// Re-bind at the head through the shared bind cache — this is also
 		// the pre-warm: the next ordinary query for this version binds hot.
-		newPlan, err := pq.BindDatasetExecContext(r.Context(), ds, exec)
+		newPlan, err := pq.BindDatasetContext(r.Context(), ds)
 		if err != nil {
 			if r.Context().Err() != nil {
 				s.stats.requestsCancelled.Add(1)
@@ -283,7 +280,6 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			fail(err)
 			return
 		}
-		s.recordDecision(newPlan)
 		to := newPlan.DatasetVersion()
 		if to <= cur {
 			// Coalesced or stale wake-up; nothing new to push.

@@ -184,7 +184,7 @@ func randomRows(rng *rand.Rand, n int) map[string][][]int64 {
 // TestSubscribeEquivalenceRandomized is the randomized maintenance
 // equivalence arm: subscribe at v1, apply K random appends, and require
 // that (initial answers ∪ pushed deltas) equals a full evaluation at the
-// head version — across the execution modes and both wire encodings, with
+// head version — in both modes and both wire encodings, with
 // every answer pushed exactly once.
 func TestSubscribeEquivalenceRandomized(t *testing.T) {
 	execs := []struct {
@@ -193,7 +193,6 @@ func TestSubscribeEquivalenceRandomized(t *testing.T) {
 	}{
 		{"auto", QueryOptions{}},
 		{"naive", QueryOptions{Mode: "naive"}},
-		{"parallel", QueryOptions{Workers: 2}},
 	}
 	wires := []struct {
 		name   string

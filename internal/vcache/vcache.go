@@ -1,42 +1,37 @@
-// Package vcache provides the concurrency-safe LRU+TTL cache with
-// in-flight miss coalescing shared by the server's prepared-plan cache and
-// the catalog's bind cache. Both caches hold the expensive half of a
-// planning split — instance-independent preparation in one, per-instance
-// Theorem 12 preprocessing in the other — and both need the same policy:
-// bounded entries with LRU eviction, optional time-based expiry so a
-// long-lived process re-validates stale work, and coalescing so a
-// thundering herd of identical cold requests fills each entry exactly once.
+// Package vcache provides the concurrency-safe LRU cache with in-flight
+// miss coalescing shared by the server's prepared-plan cache and the
+// catalog's bind cache. Both caches hold the expensive half of a planning
+// split — instance-independent preparation in one, per-instance Theorem 12
+// preprocessing in the other — and both need the same policy: bounded
+// entries with LRU eviction, and coalescing so a thundering herd of
+// identical cold requests fills each entry exactly once. Both are keyed by
+// content, so an entry cannot go stale and nothing expires by time.
 package vcache
 
 import (
 	"container/list"
 	"sync"
-	"time"
 )
 
 // Cache is a concurrency-safe string-keyed cache of V values with LRU
-// capacity eviction, optional TTL expiry, and in-flight miss coalescing.
+// capacity eviction and in-flight miss coalescing.
 // The zero value is not usable; create with New.
 type Cache[V any] struct {
 	mu       sync.Mutex
 	capacity int
-	ttl      time.Duration
-	now      func() time.Time
 	entries  map[string]*list.Element
 	order    *list.List // front = most recently used
 	inflight map[string]*flight[V]
 
-	hits        int64
-	misses      int64
-	evictions   int64
-	expirations int64
+	hits      int64
+	misses    int64
+	evictions int64
 }
 
-// entry is one cached value with its insertion time.
+// entry is one cached value.
 type entry[V any] struct {
-	key    string
-	val    V
-	stored time.Time
+	key string
+	val V
 }
 
 // flight is an in-progress fill other callers can wait on.
@@ -52,17 +47,13 @@ type flight[V any] struct {
 	doomed bool
 }
 
-// New builds a cache holding at most capacity values (minimum 1). A ttl of
-// zero disables expiry; otherwise entries older than ttl are dropped on
-// access and re-filled (counted as expirations and misses).
-func New[V any](capacity int, ttl time.Duration) *Cache[V] {
+// New builds a cache holding at most capacity values (minimum 1).
+func New[V any](capacity int) *Cache[V] {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &Cache[V]{
 		capacity: capacity,
-		ttl:      ttl,
-		now:      time.Now,
 		entries:  make(map[string]*list.Element),
 		order:    list.New(),
 		inflight: make(map[string]*flight[V]),
@@ -72,23 +63,15 @@ func New[V any](capacity int, ttl time.Duration) *Cache[V] {
 // Get returns the value for key, calling fill on a miss and caching its
 // result. The returned bool reports whether the call was served without
 // running fill (a hit, including joining another caller's in-flight fill).
-// Failed fills are not cached. Expired entries are removed and re-filled
-// like misses.
+// Failed fills are not cached.
 func (c *Cache[V]) Get(key string, fill func() (V, error)) (V, bool, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*entry[V])
-		if c.ttl <= 0 || c.now().Sub(e.stored) < c.ttl {
-			c.order.MoveToFront(el)
-			c.hits++
-			val := e.val
-			c.mu.Unlock()
-			return val, true, nil
-		}
-		// Stale: drop and fall through to the miss path.
-		c.order.Remove(el)
-		delete(c.entries, key)
-		c.expirations++
+		c.order.MoveToFront(el)
+		c.hits++
+		val := el.Value.(*entry[V]).val
+		c.mu.Unlock()
+		return val, true, nil
 	}
 	if fl, ok := c.inflight[key]; ok {
 		c.hits++
@@ -107,7 +90,7 @@ func (c *Cache[V]) Get(key string, fill func() (V, error)) (V, bool, error) {
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if fl.err == nil && !fl.doomed {
-		c.entries[key] = c.order.PushFront(&entry[V]{key: key, val: fl.val, stored: c.now()})
+		c.entries[key] = c.order.PushFront(&entry[V]{key: key, val: fl.val})
 		for c.order.Len() > c.capacity {
 			last := c.order.Back()
 			c.order.Remove(last)
@@ -149,15 +132,14 @@ func (c *Cache[V]) DeleteFunc(pred func(key string) bool) int {
 }
 
 // Stats is a point-in-time snapshot of the cache counters. Every Get is
-// counted as exactly one hit or miss; expirations additionally count the
-// misses caused by TTL expiry of a previously cached entry.
+// counted as exactly one hit or miss. The JSON names are the wire shape of
+// the server's /stats.
 type Stats struct {
-	Hits        int64
-	Misses      int64
-	Evictions   int64
-	Expirations int64
-	Size        int
-	Capacity    int
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Evictions int64 `json:"evictions"`
+	Size      int   `json:"size"`
+	Capacity  int   `json:"capacity"`
 }
 
 // Stats snapshots the counters.
@@ -165,18 +147,10 @@ func (c *Cache[V]) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Hits:        c.hits,
-		Misses:      c.misses,
-		Evictions:   c.evictions,
-		Expirations: c.expirations,
-		Size:        c.order.Len(),
-		Capacity:    c.capacity,
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Evictions: c.evictions,
+		Size:      c.order.Len(),
+		Capacity:  c.capacity,
 	}
-}
-
-// SetClock replaces the cache's time source (tests only).
-func (c *Cache[V]) SetClock(now func() time.Time) {
-	c.mu.Lock()
-	c.now = now
-	c.mu.Unlock()
 }

@@ -18,7 +18,7 @@ func fillConst(v int, calls *int32) func() (int, error) {
 }
 
 func TestGetHitMissEvict(t *testing.T) {
-	c := New[int](2, 0)
+	c := New[int](2)
 	var calls int32
 	got, hit, err := c.Get("a", fillConst(1, &calls))
 	if err != nil || hit || got != 1 {
@@ -44,7 +44,7 @@ func TestGetHitMissEvict(t *testing.T) {
 }
 
 func TestErrorsNotCached(t *testing.T) {
-	c := New[int](4, 0)
+	c := New[int](4)
 	boom := errors.New("boom")
 	_, hit, err := c.Get("k", func() (int, error) { return 0, boom })
 	if !errors.Is(err, boom) || hit {
@@ -59,37 +59,8 @@ func TestErrorsNotCached(t *testing.T) {
 	}
 }
 
-func TestTTLExpiry(t *testing.T) {
-	c := New[int](4, time.Minute)
-	now := time.Unix(1000, 0)
-	c.SetClock(func() time.Time { return now })
-
-	var calls int32
-	c.Get("k", fillConst(1, &calls))
-	if _, hit, _ := c.Get("k", fillConst(1, &calls)); !hit {
-		t.Fatal("fresh entry should hit")
-	}
-	now = now.Add(59 * time.Second)
-	if _, hit, _ := c.Get("k", fillConst(1, &calls)); !hit {
-		t.Fatal("entry under TTL should hit")
-	}
-	now = now.Add(2 * time.Second) // 61s after insert
-	got, hit, _ := c.Get("k", fillConst(2, &calls))
-	if hit || got != 2 {
-		t.Fatalf("expired entry: %d hit=%v (want refill)", got, hit)
-	}
-	st := c.Stats()
-	if st.Expirations != 1 || st.Misses != 2 || st.Hits != 2 {
-		t.Errorf("stats = %+v", st)
-	}
-	// The refill resets the clock: fresh again.
-	if _, hit, _ := c.Get("k", fillConst(3, &calls)); !hit {
-		t.Error("refilled entry should hit")
-	}
-}
-
 func TestCoalescesConcurrentMisses(t *testing.T) {
-	c := New[int](4, 0)
+	c := New[int](4)
 	var calls int32
 	release := make(chan struct{})
 	const n = 8
@@ -138,7 +109,7 @@ func TestCoalescesConcurrentMisses(t *testing.T) {
 // an entry for the purged key — a dead version no lookup could ever hit
 // again — pinning it in the LRU until capacity eviction.
 func TestDeleteFuncDoomsInflight(t *testing.T) {
-	c := New[int](8, 0)
+	c := New[int](8)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan struct{})
@@ -175,7 +146,7 @@ func TestDeleteFuncDoomsInflight(t *testing.T) {
 // TestDeleteFuncSparesUnmatchedInflight checks dooming is keyed: a purge of
 // one prefix leaves unrelated in-flight fills cacheable.
 func TestDeleteFuncSparesUnmatchedInflight(t *testing.T) {
-	c := New[int](8, 0)
+	c := New[int](8)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan struct{})
@@ -197,7 +168,7 @@ func TestDeleteFuncSparesUnmatchedInflight(t *testing.T) {
 }
 
 func TestDeleteFunc(t *testing.T) {
-	c := New[int](8, 0)
+	c := New[int](8)
 	var calls int32
 	c.Get("ds1|v1|q1", fillConst(1, &calls))
 	c.Get("ds1|v1|q2", fillConst(2, &calls))

@@ -113,48 +113,6 @@ func SkewedJoin(heavyLeft, heavyRight, lightKeys, lightLeft, lightRight int, see
 	return inst
 }
 
-// SelfJoinSkew builds a single-relation instance for the self-join query
-// Q(x,y,w) <- R2(x,y), R2(y,w), the regime where hash sharding is
-// powerless: the self-join places every variable at conflicting columns of
-// R2, so no partition attribute is safe and a sharded planner falls back
-// to one unsharded branch — one worker. The output is skewed on top: join
-// key 0 pairs heavyLeft left-rows (x_i, 0) with heavyRight right-rows
-// (0, w_j), concentrating heavyLeft·heavyRight answers on one key, while
-// keys 1..lightKeys each contribute lightFanout² answers. Value pools are
-// disjoint (left x values, right w values and join keys never collide), so
-// the answer count is exactly heavyLeft·heavyRight + lightKeys·lightFanout².
-// Row insertion order is shuffled from seed.
-func SelfJoinSkew(heavyLeft, heavyRight, lightKeys, lightFanout int, seed int64) *database.Instance {
-	rng := rand.New(rand.NewSource(seed))
-	type pair struct{ a, b int64 }
-	var rows []pair
-	// Join keys occupy 0..lightKeys; x and w pools start far above.
-	x := int64(1 << 30)
-	w := int64(1 << 40)
-	addKey := func(y int64, left, right int) {
-		for i := 0; i < left; i++ {
-			rows = append(rows, pair{x, y})
-			x++
-		}
-		for j := 0; j < right; j++ {
-			rows = append(rows, pair{y, w})
-			w++
-		}
-	}
-	addKey(0, heavyLeft, heavyRight)
-	for k := 1; k <= lightKeys; k++ {
-		addKey(int64(k), lightFanout, lightFanout)
-	}
-	rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
-	inst := database.NewInstance()
-	r2 := database.NewRelation("R2", 2)
-	for _, p := range rows {
-		r2.AppendInts(p.a, p.b)
-	}
-	inst.AddRelation(r2)
-	return inst
-}
-
 // Example2Instance builds data for Example 2's schema (R1, R2, R3 binary)
 // with `width` vertices per layer and `degree` out-edges per vertex.
 // The instance size grows linearly in width·degree.

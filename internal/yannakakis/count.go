@@ -4,8 +4,8 @@ import "repro/internal/database"
 
 // This file computes exact output cardinalities of prepared plans: the
 // answer count a single-member union reports without enumerating
-// (core.UnionPlan.ExactCount) and the output-volume input of the cost
-// model's mode decision (AnswerEstimate).
+// (core.UnionPlan.ExactCount, behind Plan.CountExact and the server's
+// count endpoints).
 
 // countCap bounds the weights carried by the counting recurrence; counts
 // saturate at this value instead of overflowing. It is far beyond any

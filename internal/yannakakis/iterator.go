@@ -18,20 +18,17 @@ import (
 type Iterator struct {
 	plan *Plan
 	// rows holds the candidate row ids per DFS position below the root;
-	// the root position's candidates are the integers [rootLo, rootHi) and
-	// cursors[0] is an offset into that range, so a range iterator costs
-	// nothing per root row before its first answer.
+	// the root position's candidates are the integers [0, roots) and
+	// cursors[0] is the root row id itself, so an iterator costs nothing
+	// per root row before its first answer.
 	rows      [][]int32
+	roots     int
 	cursors   []int
 	assign    []database.Value
 	started   bool
 	exhausted bool
 	extended  bool
 	keyBuf    []database.Value
-	// rootLo and rootHi restrict the root position to the candidate rows
-	// [rootLo, rootHi) — the range-cursor behind IteratorRange/SplitOff. A
-	// full iterator spans [0, RootLen).
-	rootLo, rootHi int
 	// Backtracks counts DFS positions that produced no candidates; after a
 	// full reduction this stays 0 and tests assert it.
 	Backtracks int
@@ -39,42 +36,17 @@ type Iterator struct {
 
 // Iterator returns a fresh iterator over the plan's answers.
 func (p *Plan) Iterator() *Iterator {
-	return p.IteratorRange(0, p.RootLen())
-}
-
-// RootLen returns the number of candidate rows at the plan's root DFS
-// position — the domain IteratorRange partitions.
-func (p *Plan) RootLen() int {
-	if len(p.order) == 0 {
-		return 0
-	}
-	return p.tops[p.order[0]].rel.Len()
-}
-
-// IteratorRange returns an iterator over exactly the answers whose root
-// position binds a candidate row with index in [lo, hi). Because every
-// answer determines one row per top node (top relations are
-// duplicate-free), the ranges of a partition of [0, RootLen) yield
-// pairwise disjoint answer streams whose union is the full answer set.
-// Bounds are clamped to [0, RootLen].
-func (p *Plan) IteratorRange(lo, hi int) *Iterator {
 	n := len(p.order)
-	if lo < 0 {
-		lo = 0
-	}
-	if max := p.RootLen(); hi > max {
-		hi = max
-	}
-	if hi < lo {
-		hi = lo
+	roots := 0
+	if n > 0 {
+		roots = p.tops[p.order[0]].rel.Len()
 	}
 	return &Iterator{
 		plan:    p,
+		roots:   roots,
 		rows:    make([][]int32, n),
 		cursors: make([]int, n),
 		assign:  make([]database.Value, len(p.varName)),
-		rootLo:  lo,
-		rootHi:  hi,
 	}
 }
 
@@ -141,7 +113,7 @@ func (it *Iterator) fill(k int) {
 // candidates is the number of candidate rows at DFS position k.
 func (it *Iterator) candidates(k int) int {
 	if k == 0 {
-		return it.rootHi - it.rootLo
+		return it.roots
 	}
 	return len(it.rows[k])
 }
@@ -149,7 +121,7 @@ func (it *Iterator) candidates(k int) int {
 // row is the id of DFS position k's current candidate row.
 func (it *Iterator) row(k int) int {
 	if k == 0 {
-		return it.rootLo + it.cursors[0]
+		return it.cursors[0]
 	}
 	return int(it.rows[k][it.cursors[k]])
 }

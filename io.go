@@ -134,11 +134,15 @@ func appendValidatedRows(rel *database.Relation, rows [][]int64) {
 
 // ReadInstanceJSON decodes a JSON object mapping relation names to integer
 // rows, e.g. {"R": [[1,2],[3,4]], "S": [[2,5]]}, into an instance.
+// Anything but whitespace after that one object is an error.
 func ReadInstanceJSON(r io.Reader) (*Instance, error) {
 	var rels map[string][][]int64
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&rels); err != nil {
 		return nil, fmt.Errorf("ucq: decoding instance JSON: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("ucq: decoding instance JSON: data after the instance object")
 	}
 	return InstanceFromRows(rels)
 }

@@ -56,6 +56,15 @@ func TestReadInstanceJSON(t *testing.T) {
 	if _, err := ReadInstanceJSON(strings.NewReader(`{"R": "nope"}`)); err == nil {
 		t.Error("non-array rows should error")
 	}
+	if _, err := ReadInstanceJSON(strings.NewReader("{\"R\": [[1,2]]} \n")); err != nil {
+		t.Errorf("trailing whitespace should be accepted: %v", err)
+	}
+	for _, trailing := range []string{`{"S": [[3,4]]}`, `{"S": [[3,4]]`, `x`} {
+		src := `{"R": [[1,2]]}` + trailing
+		if _, err := ReadInstanceJSON(strings.NewReader(src)); err == nil || !strings.Contains(err.Error(), "after the instance") {
+			t.Errorf("%s: err = %v, want trailing data rejected", src, err)
+		}
+	}
 }
 
 func TestAppendTupleJSON(t *testing.T) {

@@ -30,10 +30,9 @@ func waitGoroutines(t *testing.T, baseline int, what string) {
 }
 
 // TestGoroutineHygieneCancelledEnumerations is the leak-regression test
-// for the executor teardown paths: N abandoned or cancelled enumerations
-// across executor pool sizes must leave the goroutine count where it
-// started — CloseAnswers and context cancellation both release every
-// worker, and no enumeration keeps running past cancellation.
+// for abandoned streams: N enumerations abandoned through CloseAnswers or
+// through a cancelled bind context must leave the goroutine count where it
+// started, and no enumeration keeps running past cancellation.
 func TestGoroutineHygieneCancelledEnumerations(t *testing.T) {
 	u := MustParse("Q(x,y,w) <- R1(x,y), R2(y,w).")
 	// Enough answers (~114k) that an abandoned stream is genuinely
@@ -46,37 +45,28 @@ func TestGoroutineHygieneCancelledEnumerations(t *testing.T) {
 	if pq.Mode != ConstantDelay {
 		t.Fatal("leak test query must certify constant-delay")
 	}
-
-	execs := []*PlanOptions{
-		{Workers: 1},
-		{Workers: 4},
-		{Workers: 8},
-	}
 	baseline := runtime.NumGoroutine()
 
 	for round := 0; round < 20; round++ {
 		// Abandon-then-Close: pull a few answers and release explicitly.
-		for _, opts := range execs {
-			p, err := pq.BindExec(inst, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			it := p.Iterator()
-			for j := 0; j < 3; j++ {
-				if _, ok := it.Next(); !ok {
-					t.Fatal("stream ended before the abandonment point")
-				}
-			}
-			CloseAnswers(it)
-		}
-		// Context cancellation without Close: the bind context alone must
-		// release the workers.
-		ctx, cancel := context.WithCancel(context.Background())
-		p, err := pq.BindExecContext(ctx, inst, &PlanOptions{Workers: 4})
+		p, err := pq.Bind(inst)
 		if err != nil {
 			t.Fatal(err)
 		}
 		it := p.Iterator()
+		for j := 0; j < 3; j++ {
+			if _, ok := it.Next(); !ok {
+				t.Fatal("stream ended before the abandonment point")
+			}
+		}
+		CloseAnswers(it)
+		// Context cancellation without Close.
+		ctx, cancel := context.WithCancel(context.Background())
+		p, err = pq.BindContext(ctx, inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		it = p.Iterator()
 		if _, ok := it.Next(); !ok {
 			t.Fatal("no first answer")
 		}
@@ -85,12 +75,47 @@ func TestGoroutineHygieneCancelledEnumerations(t *testing.T) {
 	waitGoroutines(t, baseline, "cancelled enumerations")
 }
 
+// TestAnswersContextStartsNoGoroutine pins that a certified stream runs on
+// the goroutine calling Next: opening AnswersContext streams and draining
+// each halfway, with no CloseAnswers and no cancellation, adds no
+// goroutine. (Goroutines other tests left behind may exit meanwhile, so
+// the count may drop.)
+func TestAnswersContextStartsNoGoroutine(t *testing.T) {
+	u := MustParse(`
+		Q1(x,y,w) <- R1(x,z), R2(z,y), R3(y,w).
+		Q2(x,y,w) <- R1(x,y), R2(y,w).
+	`)
+	p, err := NewPlan(u, workload.Example2Instance(100, 3, 7), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Mode != ConstantDelay {
+		t.Fatal("Example 2 must certify constant-delay")
+	}
+	total := p.Count()
+	if total < 2*enumeration.DefaultBatchSize {
+		t.Fatalf("Example 2 instance yields only %d answers", total)
+	}
+	before := runtime.NumGoroutine()
+	streams := make([]Answers, 8)
+	for i := range streams {
+		streams[i] = p.AnswersContext(context.Background())
+		for j := 0; j < total/2; j++ {
+			if _, ok := streams[i].Next(); !ok {
+				t.Fatalf("stream %d ended after %d of %d answers", i, j, total)
+			}
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d half-drained streams raised the goroutine count from %d to %d", len(streams), before, after)
+	}
+	runtime.KeepAlive(streams)
+}
+
 // TestCancelledStreamStopsEnumerating pins the second half of the
-// contract, at every source of the merge: a certified stream checks its
-// context once per batch, so after cancellation it ends within one batch —
-// it does not keep producing the answer set inline, nor out of the
-// executor's buffered batches — without an error and without leaving a
-// goroutine behind.
+// contract: a certified stream checks its context once per batch, so after
+// cancellation it ends within one batch — it does not keep producing the
+// answer set — without an error and without leaving a goroutine behind.
 func TestCancelledStreamStopsEnumerating(t *testing.T) {
 	u := MustParse("Q(x,z,y) <- R(x,z), S(z,y).")
 	inst := NewInstance()
@@ -103,32 +128,30 @@ func TestCancelledStreamStopsEnumerating(t *testing.T) {
 	inst.AddRelation(r)
 	inst.AddRelation(s)
 
-	for _, opts := range []*PlanOptions{{Workers: 0}, {Workers: 4}} {
-		baseline := runtime.NumGoroutine()
-		ctx, cancel := context.WithCancel(context.Background())
-		p, err := NewPlan(u, inst, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		it := p.AnswersContext(ctx)
-		if _, ok := it.Next(); !ok {
-			t.Fatal("no first answer")
-		}
-		cancel()
-		tail := 0
-		for {
-			if _, ok := it.Next(); !ok {
-				break
-			}
-			tail++
-		}
-		if tail > enumeration.DefaultBatchSize {
-			t.Errorf("workers=%d: stream produced %d answers after cancellation (of %d total), want at most one batch of %d",
-				opts.Workers, tail, 1500*1500, enumeration.DefaultBatchSize)
-		}
-		if err := AnswersErr(it); err != nil {
-			t.Errorf("workers=%d: cancellation surfaced as an error: %v", opts.Workers, err)
-		}
-		waitGoroutines(t, baseline, "a cancelled stream")
+	baseline := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	p, err := NewPlan(u, inst, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	it := p.AnswersContext(ctx)
+	if _, ok := it.Next(); !ok {
+		t.Fatal("no first answer")
+	}
+	cancel()
+	tail := 0
+	for {
+		if _, ok := it.Next(); !ok {
+			break
+		}
+		tail++
+	}
+	if tail > enumeration.DefaultBatchSize {
+		t.Errorf("stream produced %d answers after cancellation (of %d total), want at most one batch of %d",
+			tail, 1500*1500, enumeration.DefaultBatchSize)
+	}
+	if err := AnswersErr(it); err != nil {
+		t.Errorf("cancellation surfaced as an error: %v", err)
+	}
+	waitGoroutines(t, baseline, "a cancelled stream")
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // TestPlanOptionsValidation: invalid combinations are rejected with a typed
-// OptionsError instead of degrading to a silent sequential run.
+// OptionsError instead of one option silently overriding the other.
 func TestPlanOptionsValidation(t *testing.T) {
 	u := MustParse("Q(x) <- R1(x,y).")
 	inst := workload.RandomForQuery(u, 10, 5, 1)
@@ -17,8 +17,6 @@ func TestPlanOptionsValidation(t *testing.T) {
 		opts *PlanOptions
 	}{
 		{name: "naive-and-constant-delay", opts: &PlanOptions{ForceNaive: true, RequireConstantDelay: true}},
-		{name: "auto-and-workers", opts: &PlanOptions{Auto: true, Workers: 2}},
-		{name: "negative-workers", opts: &PlanOptions{Workers: -1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -38,9 +36,9 @@ func TestPlanOptionsValidation(t *testing.T) {
 	// The valid combinations still plan.
 	for _, opts := range []*PlanOptions{
 		nil,
-		{Workers: 1},
-		{Auto: true},
-		{Workers: 8},
+		{ForceNaive: true},
+		{RequireConstantDelay: true},
+		{KeepRedundant: true},
 	} {
 		if _, err := NewPlan(u, inst, opts); err != nil {
 			t.Fatalf("valid options %+v rejected: %v", opts, err)

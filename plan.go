@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"iter"
-	"runtime"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -48,29 +47,6 @@ type PlanOptions struct {
 	// KeepRedundant skips the containment-based reduction (Example 1);
 	// redundant CQs never change the answer set, only the plan.
 	KeepRedundant bool
-	// Workers selects where a constant-delay plan's enumeration runs. Every
-	// certified branch is cut into root-row-range tasks that skip what an
-	// earlier branch contains, so the tasks are disjoint and one merge just
-	// concatenates them; Workers picks where the tasks run. 0 (the
-	// default) runs them inline, in order, on the goroutine calling
-	// Next: constant delay, a deterministic answer order and no goroutine
-	// to release. n ≥ 1 drains them on the work-stealing executor
-	// with n workers, which steal and re-split tasks so a single heavy
-	// branch no longer serialises on one goroutine: the answer set is
-	// identical, the order is nondeterministic, and the stream must be
-	// drained to exhaustion, Closed (see CloseAnswers) or have its context
-	// cancelled to release the workers. At every setting a cancelled stream
-	// ends within one batch. Naive plans have one evaluator and ignore
-	// Workers.
-	Workers int
-	// Auto lets the planner pick Workers itself at bind time, from what it
-	// already knows about the (query, instance) pair: relation
-	// cardinalities, the exact per-branch answer counts of the Theorem 12
-	// counting pass, and GOMAXPROCS. The resolved worker count and the
-	// reason for it are recorded on the plan (see Plan.Decision) and
-	// rendered by Explain. Auto contradicts an explicit Workers — a
-	// hand-picked pool means the caller has decided.
-	Auto bool
 }
 
 // OptionsError reports an invalid PlanOptions combination. NewPlan returns
@@ -93,12 +69,6 @@ func (o *PlanOptions) validate() error {
 	if o.ForceNaive && o.RequireConstantDelay {
 		return &OptionsError{Field: "ForceNaive", Reason: "contradicts RequireConstantDelay"}
 	}
-	if o.Auto && o.Workers > 0 {
-		return &OptionsError{Field: "Auto", Reason: "contradicts an explicit Workers"}
-	}
-	if o.Workers < 0 {
-		return &OptionsError{Field: "Workers", Reason: fmt.Sprintf("must be ≥ 0, got %d", o.Workers)}
-	}
 	return nil
 }
 
@@ -114,14 +84,10 @@ type Plan struct {
 	// Cert is the free-connexity certificate (ConstantDelay mode only).
 	Cert *Certificate
 
-	union   *core.UnionPlan
-	inst    *database.Instance
-	workers int
-	// decision is the Auto planner's resolved configuration and
-	// provenance; nil for hand-picked execution options.
-	decision *Decision
-	// ctx is the binding context from BindExecContext: the default parent
-	// for the background work of every Answers stream this plan produces.
+	union *core.UnionPlan
+	inst  *database.Instance
+	// ctx is the binding context from BindContext: the default context of
+	// every Answers stream this plan produces.
 	ctx context.Context
 	// Dataset provenance (zero-valued for inline-instance binds): the
 	// snapshot the plan was bound against and whether the per-instance
@@ -136,7 +102,7 @@ type Plan struct {
 }
 
 // DatasetName returns the name of the dataset the plan was bound against,
-// or "" for an inline-instance bind (NewPlan, Bind, BindExec).
+// or "" for an inline-instance bind (NewPlan, Bind, BindContext).
 func (p *Plan) DatasetName() string { return p.dsName }
 
 // DatasetVersion returns the version of the dataset snapshot the plan was
@@ -149,42 +115,6 @@ func (p *Plan) DatasetVersion() uint64 { return p.dsVersion }
 // only; inline binds never hit the cache).
 func (p *Plan) BindCacheHit() bool { return p.bindHit }
 
-// Decision is the Auto planner's provenance record: the worker count it
-// resolved for one bind, why, and the inputs the choice was made from.
-// Surfaced by Plan.Decision, rendered by Explain, and counted per Kind in
-// the server's /stats — a regressed decision should be observable, not a
-// silent slowdown.
-type Decision struct {
-	// Workers is the resolved PlanOptions.Workers: 0 for the inline
-	// source, n ≥ 1 for the executor with n workers.
-	Workers int
-	// Kind names the strategy: "sequential" or "parallel".
-	Kind string
-	// Reason explains the pick in one sentence.
-	Reason string
-	// Rows, Answers, Branches and CPUs are the decision inputs: instance
-	// tuples, the exact summed branch cardinality (-1 when unknown — the
-	// naive evaluator cannot count without evaluating), union branches,
-	// and GOMAXPROCS at bind time.
-	Rows     int
-	Answers  int64
-	Branches int
-	CPUs     int
-}
-
-// String renders the decision with its reason.
-func (d *Decision) String() string {
-	return fmt.Sprintf("%s (workers=%d): %s", d.Kind, d.Workers, d.Reason)
-}
-
-// Decision returns the Auto planner's provenance for this bind, or nil
-// when the execution options were hand-picked (no decision was made).
-func (p *Plan) Decision() *Decision { return p.decision }
-
-// autoCPUs reports the parallelism the Auto planner budgets for; a
-// variable so decision tests can pin a core count.
-var autoCPUs = func() int { return runtime.GOMAXPROCS(0) }
-
 // PreparedQuery is the instance-independent half of a plan: the outcome of
 // option validation, containment-based redundancy removal and the
 // free-connexity certificate search. All of it depends only on the query
@@ -195,7 +125,7 @@ var autoCPUs = func() int { return runtime.GOMAXPROCS(0) }
 // Bind.
 //
 // A PreparedQuery is immutable after Prepare returns and is safe for
-// concurrent use: Bind and BindExec may be called from any number of
+// concurrent use: Bind and BindDataset may be called from any number of
 // goroutines simultaneously.
 type PreparedQuery struct {
 	// Query is the union as given to Prepare.
@@ -207,7 +137,6 @@ type PreparedQuery struct {
 	// Cert is the free-connexity certificate (ConstantDelay mode only).
 	Cert *Certificate
 
-	opts PlanOptions
 	// fingerprint identifies the preparation inputs (query text plus the
 	// preparation-shaping options); see Fingerprint.
 	fingerprint string
@@ -218,8 +147,7 @@ type PreparedQuery struct {
 // RequireConstantDelay, KeepRedundant and the search bounds). Two Prepare
 // calls with the same inputs produce the same fingerprint, so bound plans
 // cached under it (the catalog's bind cache) are interchangeable across
-// PreparedQuery values. Execution options are excluded on purpose — they
-// do not affect the per-instance preprocessing the fingerprint keys.
+// PreparedQuery values.
 func (pq *PreparedQuery) Fingerprint() string { return pq.fingerprint }
 
 // fingerprintQuery hashes the preparation inputs.
@@ -248,7 +176,7 @@ func Prepare(u *UCQ, opts *PlanOptions) (*PreparedQuery, error) {
 	if !opts.KeepRedundant {
 		work = homomorphism.RemoveRedundant(u)
 	}
-	pq := &PreparedQuery{Query: u, Evaluated: work, Mode: Naive, opts: *opts,
+	pq := &PreparedQuery{Query: u, Evaluated: work, Mode: Naive,
 		fingerprint: fingerprintQuery(u, opts)}
 	if !opts.ForceNaive {
 		if cert, ok := core.FindCertificate(work, opts.Search); ok {
@@ -265,7 +193,7 @@ func Prepare(u *UCQ, opts *PlanOptions) (*PreparedQuery, error) {
 
 // Bind attaches the prepared query to an instance, running the per-instance
 // Theorem 12 preprocessing (constant-delay mode) or validating the schema
-// (naive mode). The execution options given at Prepare time apply.
+// (naive mode).
 //
 // A constant-delay plan is a snapshot of the instance as bound. It may
 // share row storage with inst's relations instead of copying it, which is
@@ -275,52 +203,26 @@ func Prepare(u *UCQ, opts *PlanOptions) (*PreparedQuery, error) {
 // the same relation is still running is a data race, as it always was. A
 // naive plan reads inst at enumeration time and promises no snapshot.
 func (pq *PreparedQuery) Bind(inst *Instance) (*Plan, error) {
-	return pq.BindExec(inst, nil)
+	return pq.BindContext(context.Background(), inst)
 }
 
-// BindExec is Bind with per-binding execution options: Workers and Auto
-// are taken from exec instead of the Prepare-time options, so one cached
-// PreparedQuery can serve requests that differ only in execution strategy.
-// Fields of exec that shape preparation (ForceNaive, RequireConstantDelay,
-// KeepRedundant, Search) are fixed at Prepare time and ignored here. A nil
-// exec reuses the Prepare-time options unchanged.
-func (pq *PreparedQuery) BindExec(inst *Instance, exec *PlanOptions) (*Plan, error) {
-	return pq.BindExecContext(context.Background(), inst, exec)
-}
-
-// BindExecContext is BindExec with end-to-end cancellation: ctx is checked
-// during the per-instance Theorem 12 preprocessing (a cancelled bind aborts
-// between extensions with ctx's error) and becomes the default parent
-// context of every Answers stream the plan produces — cancelling it
-// releases the executor workers behind Iterator's streams, whether or not
-// CloseAnswers is called. A nil ctx means context.Background().
-func (pq *PreparedQuery) BindExecContext(ctx context.Context, inst *Instance, exec *PlanOptions) (*Plan, error) {
+// BindContext is Bind with end-to-end cancellation: ctx is checked during
+// the per-instance Theorem 12 preprocessing (a cancelled bind aborts
+// between extensions with ctx's error) and becomes the default context of
+// every Answers stream the plan produces. A nil ctx means
+// context.Background().
+func (pq *PreparedQuery) BindContext(ctx context.Context, inst *Instance) (*Plan, error) {
 	// The inline-instance API is a thin wrapper over a one-shot anonymous
 	// dataset: same bind path as BindDataset, no name, no bind cache.
-	return pq.BindDatasetExecContext(ctx, anonymousDataset(inst), exec)
-}
-
-// execOptions merges per-binding execution options over the Prepare-time
-// options, validating them.
-func (pq *PreparedQuery) execOptions(exec *PlanOptions) (PlanOptions, error) {
-	opts := pq.opts
-	if exec != nil {
-		if err := exec.validate(); err != nil {
-			return PlanOptions{}, err
-		}
-		opts.Workers = exec.Workers
-		opts.Auto = exec.Auto
-	}
-	return opts, nil
+	return pq.BindDatasetContext(ctx, anonymousDataset(inst))
 }
 
 // boundQuery is the per-instance half of a plan — the outcome of binding a
 // prepared query to one immutable instance. In constant-delay mode it
 // holds the Theorem 12 union pipeline; in naive mode it only records that
-// the schema validated. Execution options never shape it, so one bound
-// query serves every execution strategy. A boundQuery is read-only after
-// bindInstance returns and safe to share across concurrent plans, which is
-// what the catalog's bind cache does.
+// the schema validated. A boundQuery is read-only after bindInstance
+// returns and safe to share across concurrent plans, which is what the
+// catalog's bind cache does.
 type boundQuery struct {
 	union *core.UnionPlan // nil in naive mode
 }
@@ -349,60 +251,9 @@ func (pq *PreparedQuery) bindInstance(ctx context.Context, inst *Instance) (*bou
 	return &boundQuery{}, nil
 }
 
-// minParallelWork is the smallest work — input rows plus output answers,
-// the two linear terms of the Theorem 12 cost model — worth paying the
-// executor's fixed costs for: worker startup and batch channels. Below it
-// an inline drain finishes before a pool warms up.
-const minParallelWork = 1 << 12 // 4096 tuples
-
-// decide resolves an Auto bind's worker count with the cost model. Its
-// inputs are O(1) reads of the bound state — the counting pass behind the
-// exact answer count runs once per bound union and is cached with it — so
-// the decision is recomputed per bind rather than stored: a cache-served
-// bind always reflects the current GOMAXPROCS.
-func (pq *PreparedQuery) decide(inst *Instance, bq *boundQuery) *Decision {
-	answers := int64(-1) // naive mode cannot count without evaluating
-	if bq.union != nil {
-		answers = bq.union.AnswerEstimate()
-	}
-	return decideWorkers(bq.union != nil, inst.TupleCount(), answers, len(pq.Evaluated.CQs), autoCPUs())
-}
-
-// decideWorkers is the cost model: a pure function of what the bind path
-// knows without enumerating, so a decision is reproducible for a given
-// instance snapshot and CPU count. The query's class decides what is
-// possible (only certified plans have an executor to size); the instance's
-// size decides what is fast: tiny instances and single-CPU machines reward
-// no parallelism at all.
-func decideWorkers(constantDelay bool, rows int, answers int64, branches, cpus int) *Decision {
-	d := &Decision{Kind: "sequential", Rows: rows, Answers: answers, Branches: branches, CPUs: cpus}
-	work := int64(rows)
-	if answers > 0 {
-		work += answers
-	}
-	switch {
-	case !constantDelay:
-		d.Reason = "naive evaluation: one join-and-deduplicate evaluator, no executor to size"
-	case cpus <= 1:
-		d.Reason = "single CPU: the executor only adds scheduling overhead"
-	case work < minParallelWork:
-		d.Reason = fmt.Sprintf("tiny instance (%d rows + answers < %d): executor startup would dominate", work, minParallelWork)
-	default:
-		d.Workers, d.Kind = cpus, "parallel"
-		d.Reason = fmt.Sprintf("work-stealing executor: %d rows + answers across %d root-range workers", work, cpus)
-	}
-	return d
-}
-
 // newBoundPlan wraps a bound query in a fresh Plan carrying this binding's
-// execution options and context. An Auto bind takes its worker count from
-// the cost decision.
-func (pq *PreparedQuery) newBoundPlan(ctx context.Context, inst *Instance, opts PlanOptions, bq *boundQuery) *Plan {
-	var dec *Decision
-	if opts.Auto {
-		dec = pq.decide(inst, bq)
-		opts.Workers = dec.Workers
-	}
+// context.
+func (pq *PreparedQuery) newBoundPlan(ctx context.Context, inst *Instance, bq *boundQuery) *Plan {
 	return &Plan{
 		Query:     pq.Query,
 		Evaluated: pq.Evaluated,
@@ -410,8 +261,6 @@ func (pq *PreparedQuery) newBoundPlan(ctx context.Context, inst *Instance, opts 
 		Cert:      pq.Cert,
 		union:     bq.union,
 		inst:      inst,
-		workers:   opts.Workers,
-		decision:  dec,
 		ctx:       ctx,
 	}
 }
@@ -431,24 +280,21 @@ func NewPlan(u *UCQ, inst *Instance, opts *PlanOptions) (*Plan, error) {
 }
 
 // Iterator returns a fresh duplicate-free stream of the union's answers.
-// With PlanOptions.Workers set (or resolved by Auto), the stream is backed
-// by the work-stealing executor's worker pool; drain it fully or release it
-// with CloseAnswers.
-// The binding context given to BindExecContext (if any) is the stream's
+// The binding context given to BindContext (if any) is the stream's
 // context; see AnswersContext.
 func (p *Plan) Iterator() Answers {
 	return p.AnswersContext(p.bindCtx())
 }
 
 // AnswersContext returns a fresh duplicate-free stream of the union's
-// answers that stops when ctx is done. A constant-delay stream checks ctx
-// once per batch at every worker count: after cancellation it ends within
-// one batch (at most 256 further answers) and every executor worker behind
-// it is released. No error is surfaced — cancellation is abandonment, and
-// the caller holding ctx knows. A naive plan evaluates under ctx and then
-// hands out a materialized stream that no longer looks at it; a ctx
-// already cancelled at call time yields an empty stream. A nil ctx means
-// the binding context (or Background).
+// answers that stops when ctx is done. A constant-delay stream runs on the
+// goroutine calling Next and checks ctx once per batch: after cancellation
+// it ends within one batch (at most 256 further answers). No error is
+// surfaced — cancellation is abandonment, and the caller holding ctx
+// knows. A naive plan evaluates under ctx and then hands out a
+// materialized stream that no longer looks at it; a ctx already cancelled
+// at call time yields an empty stream. A nil ctx means the binding context
+// (or Background).
 func (p *Plan) AnswersContext(ctx context.Context) Answers {
 	if ctx == nil {
 		ctx = p.bindCtx()
@@ -457,7 +303,7 @@ func (p *Plan) AnswersContext(ctx context.Context) Answers {
 		return enumeration.NewSliceIterator(nil)
 	}
 	if p.Mode == ConstantDelay {
-		return p.union.Answers(ctx, enumeration.UnionOptions{Workers: p.workers}, nil)
+		return p.union.Answers(ctx, nil)
 	}
 	rel, err := baseline.EvalUCQCtx(ctx, p.Evaluated, p.inst)
 	if err != nil {
@@ -490,10 +336,10 @@ func (p *Plan) bindCtx() context.Context {
 	return context.Background()
 }
 
-// CloseAnswers releases what is behind a partially drained answer stream:
-// the worker goroutines of a plan with Workers ≥ 1 (blocking until they
-// have exited). It is safe to call on any Answers value; streams without
-// workers have nothing to release.
+// CloseAnswers ends a partially drained answer stream: afterwards Next
+// reports exhaustion and the stream's buffers are released. It is safe to
+// call on any Answers value, and never required — no stream holds a
+// goroutine.
 func CloseAnswers(it Answers) {
 	enumeration.CloseIterator(it)
 }
@@ -510,9 +356,8 @@ func AnswersErr(it Answers) error {
 
 // All returns a fresh duplicate-free answer stream as a Go range-over-func
 // sequence: `for t := range plan.All(ctx) { ... }`. The backing iterator
-// is released when the range ends — by exhaustion or an early break — so
-// parallel plans never leak executor workers through an abandoned range.
-// A nil ctx means the binding context (see AnswersContext for the
+// is closed when the range ends, by exhaustion or an early break. A nil
+// ctx means the binding context (see AnswersContext for the
 // cancellation semantics). The sequence is single-use; call All again for
 // a new enumeration.
 func (p *Plan) All(ctx context.Context) iter.Seq[Tuple] {
@@ -552,21 +397,12 @@ func (p *Plan) CountExact() (n int64, ok bool) {
 
 // Explain renders a human-readable description of the plan: in
 // constant-delay mode, the certified extensions, provider runs and per-CQ
-// engine plans; in naive mode, a one-line notice. Auto binds append the
-// cost decision's provenance: the resolved worker count, the reason, and
-// the inputs the choice was made from.
+// engine plans; in naive mode, a one-line notice.
 func (p *Plan) Explain() string {
-	var s string
 	if p.Mode == ConstantDelay {
-		s = p.union.Explain()
-	} else {
-		s = "naive plan: join and deduplicate (no certificate; no delay guarantee)\n"
+		return p.union.Explain()
 	}
-	if d := p.Decision(); d != nil {
-		s += fmt.Sprintf("auto decision: %s [rows=%d answers=%d branches=%d cpus=%d]\n",
-			d, d.Rows, d.Answers, d.Branches, d.CPUs)
-	}
-	return s
+	return "naive plan: join and deduplicate (no certificate; no delay guarantee)\n"
 }
 
 // Enumerate is the one-call convenience: plan and return the answer stream.

@@ -63,55 +63,6 @@ func TestPlanConstantDelayMode(t *testing.T) {
 	}
 }
 
-func TestPlanParallelMode(t *testing.T) {
-	u := MustParse(example2Src)
-	inst := workload.Example2Instance(50, 3, 1)
-	seq, err := NewPlan(u, inst, nil)
-	if err != nil {
-		t.Fatalf("NewPlan: %v", err)
-	}
-	par, err := NewPlan(u, inst, &PlanOptions{Workers: 2})
-	if err != nil {
-		t.Fatalf("NewPlan(parallel): %v", err)
-	}
-	if par.Mode != ConstantDelay {
-		t.Fatalf("mode = %v", par.Mode)
-	}
-	want := seq.Materialize().SortedRows()
-	got := par.Materialize().SortedRows()
-	if len(got) != len(want) {
-		t.Fatalf("answers = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !got[i].Equal(want[i]) {
-			t.Fatalf("answer %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	// Abandoning a parallel stream early: CloseAnswers releases the
-	// workers, and is a harmless no-op on plain streams.
-	it := par.Iterator()
-	if _, ok := it.Next(); !ok {
-		t.Fatal("no answers")
-	}
-	CloseAnswers(it)
-	CloseAnswers(seq.Iterator())
-
-	// The naive fallback has one evaluator and ignores Workers.
-	un := MustParse("Q(x,y) <- R1(x,z), R2(z,y).")
-	instN := workload.RandomForQuery(un, 40, 8, 2)
-	pn, err := NewPlan(un, instN, &PlanOptions{Workers: 2})
-	if err != nil {
-		t.Fatalf("NewPlan: %v", err)
-	}
-	if pn.Mode != Naive {
-		t.Fatalf("mode = %v", pn.Mode)
-	}
-	wantN, _ := baseline.EvalUCQ(un, instN)
-	if got := pn.Count(); got != wantN.Len() {
-		t.Errorf("naive answers under Workers = %d, want %d", got, wantN.Len())
-	}
-}
-
 func TestPlanNaiveFallback(t *testing.T) {
 	// The matrix-multiplication query is intractable: the plan falls back.
 	u := MustParse("Q(x,y) <- R1(x,z), R2(z,y).")
