@@ -24,34 +24,20 @@ import (
 // Theorem 12 pass entirely and goes straight to constant-delay
 // enumeration.
 
-// DefaultBindCacheSize is the bind-cache capacity used when CatalogConfig
-// leaves it zero.
-const DefaultBindCacheSize = 256
+// bindCacheSize caps a catalog's bind cache (entries).
+const bindCacheSize = 256
 
-// DefaultAppendLogSize is the per-dataset append-log window used when
-// CatalogConfig leaves it zero: how many consecutive append deltas a
-// dataset retains for incremental subscription catch-up before the oldest
-// is compacted away (forcing lagging subscribers to resync from a full
-// evaluation).
-const DefaultAppendLogSize = 32
+// appendLogSize is how many consecutive append deltas a dataset retains
+// for incremental subscription catch-up before the oldest is compacted
+// away, forcing lagging subscribers to resync from a full evaluation. The
+// cap bounds the log's memory; it never loses an answer.
+const appendLogSize = 32
 
 // Version identifies one immutable snapshot of a dataset: 1 after
 // Register, bumped by every Replace or AppendRows. It aliases uint64 so
 // existing callers are unaffected; the delta-maintenance API uses the name
 // to make version arguments self-describing.
 type Version = uint64
-
-// CatalogConfig tunes a Catalog.
-type CatalogConfig struct {
-	// BindCacheSize caps the bind cache (entries; 0 = DefaultBindCacheSize).
-	BindCacheSize int
-	// AppendLogSize caps each dataset's append-delta log (entries; 0 =
-	// DefaultAppendLogSize, negative = retain nothing, forcing every
-	// subscription catch-up to resync). The log is what lets a subscriber
-	// that missed several versions catch up incrementally; compaction past
-	// the cap degrades it to a resync, never to unbounded memory.
-	AppendLogSize int
-}
 
 // Journal receives every catalog mutation before it is installed, for
 // durable storage: a mutation is acknowledged to the caller only after the
@@ -79,32 +65,17 @@ type Catalog struct {
 	// generation in the bind key is what keeps the new dataset's binds
 	// apart from any still-in-flight fills against the old one.
 	gen atomic.Uint64
-	// appendLog is the per-dataset delta-log capacity (resolved from
-	// CatalogConfig.AppendLogSize; < 0 retains nothing).
+	// appendLog is the per-dataset delta-log capacity: appendLogSize,
+	// lowered only by tests that drive compaction.
 	appendLog int
 }
 
-// NewCatalog builds an empty catalog with default configuration.
+// NewCatalog builds an empty catalog.
 func NewCatalog() *Catalog {
-	return NewCatalogConfig(CatalogConfig{})
-}
-
-// NewCatalogConfig builds an empty catalog with the given configuration.
-func NewCatalogConfig(cfg CatalogConfig) *Catalog {
-	if cfg.BindCacheSize <= 0 {
-		cfg.BindCacheSize = DefaultBindCacheSize
-	}
-	logCap := cfg.AppendLogSize
-	switch {
-	case logCap == 0:
-		logCap = DefaultAppendLogSize
-	case logCap < 0:
-		logCap = 0
-	}
 	return &Catalog{
 		datasets:  make(map[string]*Dataset),
-		binds:     vcache.New[*boundQuery](cfg.BindCacheSize),
-		appendLog: logCap,
+		binds:     vcache.New[*boundQuery](bindCacheSize),
+		appendLog: appendLogSize,
 	}
 }
 
@@ -196,16 +167,18 @@ func (c *Catalog) Drop(name string) bool {
 	return ok
 }
 
-// DatasetInfo describes one registered dataset.
+// DatasetInfo describes one registered dataset. The JSON tags are the
+// wire shape of the server's PUT /datasets/{name} response and GET
+// /datasets listing.
 type DatasetInfo struct {
 	// Name is the registration name.
-	Name string
+	Name string `json:"name"`
 	// Version counts snapshot installations (1 after Register).
-	Version uint64
+	Version uint64 `json:"version"`
 	// Rows is the snapshot's total tuple count across relations.
-	Rows int
+	Rows int `json:"rows"`
 	// Relations is the snapshot's relation count.
-	Relations int
+	Relations int `json:"relations"`
 }
 
 // List returns every registered dataset's current version and size, sorted
@@ -440,7 +413,7 @@ func (ds *Dataset) AppendRows(rels map[string][][]int64) (uint64, error) {
 // applied to: it seeds logBase when the log (re)starts, so the covered
 // window always begins at a version whose full instance is retained.
 func (ds *Dataset) recordAppend(prev *snapshot, d appendDelta) {
-	if ds.cat == nil || ds.cat.appendLog <= 0 {
+	if ds.cat == nil {
 		return
 	}
 	ds.logMu.Lock()

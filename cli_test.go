@@ -155,6 +155,32 @@ func TestCLIRejectsWorkersFlag(t *testing.T) {
 	}
 }
 
+// TestCLIRejectsServeTuningFlags: ucq-serve takes only -addr and
+// -data-dir, so each removed tuning flag makes it exit with status 2 and
+// name the flag instead of being silently ignored. Skipped in -short mode
+// (it shells out to the Go toolchain).
+func TestCLIRejectsServeTuningFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds ucq-serve with the Go toolchain")
+	}
+	bin := filepath.Join(t.TempDir(), "ucq-serve")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/ucq-serve").CombinedOutput(); err != nil {
+		t.Fatalf("building ucq-serve: %v\n%s", err, out)
+	}
+	for _, flag := range []string{"-cache", "-bind-cache", "-flush-every", "-max-body",
+		"-max-streams", "-queue-deadline", "-max-subscriptions", "-append-log"} {
+		out, err := exec.Command(bin, "-addr", "127.0.0.1:0", flag, "1").CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("ucq-serve %s 1: err = %v, want exit status 2\n%s", flag, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), "flag provided but not defined: "+flag) {
+			t.Errorf("ucq-serve %s 1 does not name the flag:\n%s", flag, out)
+		}
+	}
+}
+
 // TestServeSmoke builds and runs the ucq-serve binary and exercises the
 // streaming endpoint over a real socket. Skipped in -short mode.
 func TestServeSmoke(t *testing.T) {

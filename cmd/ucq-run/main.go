@@ -234,8 +234,7 @@ func runRemote(base, wireEnc, query string, rels relFlags, dataset string, mode 
 	}
 
 	type queryOptions struct {
-		Mode      string `json:"mode,omitempty"`
-		CountOnly bool   `json:"count_only,omitempty"`
+		Mode string `json:"mode,omitempty"`
 	}
 	body, err := json.Marshal(struct {
 		Query     string               `json:"query"`

@@ -6,9 +6,12 @@
 //
 // Usage:
 //
-//	ucq-serve [-addr :8454] [-cache 128] [-bind-cache 256] [-flush-every 256]
-//	          [-max-body 67108864] [-data-dir ""] [-max-streams 2*GOMAXPROCS]
-//	          [-queue-deadline 1s] [-max-subscriptions 64] [-append-log 32]
+//	ucq-serve [-addr :8454] [-data-dir ""]
+//
+// Everything else is fixed: a 128-entry plan cache, a 256-entry bind
+// cache, a flush every 256 answers, a 64 MiB request body cap,
+// 2×GOMAXPROCS concurrent streams with a 1 s queue deadline, 64
+// concurrent subscriptions and a 32-entry append log per dataset.
 //
 // Endpoints:
 //
@@ -27,12 +30,6 @@
 //	                              is served from the versioned bind cache,
 //	                              so repeated queries skip straight to
 //	                              enumeration
-//	POST   /datasets/{name}/count answer with the exact answer count only:
-//	                              certified single-branch plans count from
-//	                              the Theorem 12 counting pass without
-//	                              enumerating (also available anywhere via
-//	                              options.count_only)
-//	GET    /datasets/{name}/subscribe
 //	POST   /datasets/{name}/subscribe
 //	                              live subscription: stream the dataset's
 //	                              current answer set, then push exactly the
@@ -48,6 +45,11 @@
 //	                              as JSON
 //	GET    /healthz               liveness probe
 //
+// Both query endpoints take options.count_only, which answers with the
+// exact answer count (capped at the request's limit) instead of a stream:
+// certified single-branch plans count from the Theorem 12 counting pass
+// without enumerating.
+//
 // Every certified plan is enumerated on the request's goroutine, one
 // branch after another; a branch skips the answers an earlier branch
 // contains (a constant-time index probe), so no answer set is ever held in
@@ -60,9 +62,9 @@
 // names application/x-ucq-bin with the highest q-value gets the compact
 // binary columnar frame encoding instead (see the README's "Wire
 // protocol" section). Streaming requests are admission-controlled: at
-// most -max-streams run concurrently, excess requests queue for up to
-// -queue-deadline and are then shed with 429 + Retry-After; /stats
-// reports the gate under "wire".
+// most 2×GOMAXPROCS run concurrently, excess requests queue for up to a
+// second and are then shed with 429 + Retry-After; /stats reports the
+// gate under "wire".
 //
 // Durability: -data-dir makes the dataset catalog persistent — every
 // dataset write is journaled (snapshot + fsynced WAL) under the directory
@@ -94,35 +96,15 @@ import (
 	"syscall"
 	"time"
 
-	ucq "repro"
 	"repro/internal/server"
 )
 
 func main() {
 	addr := flag.String("addr", ":8454", "listen address")
-	cache := flag.Int("cache", server.DefaultCacheSize, "prepared-plan cache capacity (entries)")
-	bindCache := flag.Int("bind-cache", ucq.DefaultBindCacheSize, "dataset bind cache capacity (entries)")
-	flushEvery := flag.Int("flush-every", server.DefaultFlushEvery, "flush the response every N answers (first answer always flushes)")
-	maxBody := flag.Int64("max-body", server.DefaultMaxBodyBytes, "maximum request body size in bytes")
 	dataDir := flag.String("data-dir", "", "journal dataset writes under this directory and recover them on restart (empty = in-memory catalog)")
-	maxStreams := flag.Int("max-streams", 0, "concurrent streaming-request cap; excess requests queue then shed with 429 (0 = 2*GOMAXPROCS)")
-	queueDeadline := flag.Duration("queue-deadline", server.DefaultQueueDeadline, "how long a streaming request may queue for a slot before it is shed")
-	maxSubscriptions := flag.Int("max-subscriptions", server.DefaultMaxSubscriptions, "concurrent /subscribe cap (separate gate from -max-streams, distinct 429 reason)")
-	appendLog := flag.Int("append-log", ucq.DefaultAppendLogSize, "retained append-delta entries per dataset — the window subscribers can catch up over incrementally before degrading to a resync")
 	flag.Parse()
 
-	cfg := server.Config{
-		CacheSize:        *cache,
-		BindCacheSize:    *bindCache,
-		FlushEvery:       *flushEvery,
-		MaxBodyBytes:     *maxBody,
-		DataDir:          *dataDir,
-		MaxStreams:       *maxStreams,
-		QueueDeadline:    *queueDeadline,
-		MaxSubscriptions: *maxSubscriptions,
-		AppendLogSize:    *appendLog,
-	}
-	s, err := server.Open(cfg)
+	s, err := server.Open(*dataDir)
 	if err != nil {
 		log.Fatalf("ucq-serve: opening data dir: %v", err)
 	}
@@ -147,7 +129,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("ucq-serve: listening on %s (plan cache: %d entries, bind cache: %d entries)", *addr, *cache, *bindCache)
+		log.Printf("ucq-serve: listening on %s", *addr)
 		errc <- hs.ListenAndServe()
 	}()
 

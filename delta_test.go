@@ -354,7 +354,8 @@ func TestDeltaAnswersResume(t *testing.T) {
 
 func TestDeltaAnswersUnavailable(t *testing.T) {
 	// Compaction past the log cap and Replace both invalidate old windows.
-	cat := NewCatalogConfig(CatalogConfig{AppendLogSize: 2})
+	cat := NewCatalog()
+	cat.appendLog = 2
 	ds, err := cat.Register("d", deltaJoinInstance())
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ import (
 // be closed after the catalog is done with. A dataset whose durable state
 // is unreadable past the last valid record loses only unacknowledged
 // writes; see storage.Store.Recover for the torn-tail semantics.
-func OpenCatalog(dir string, cfg CatalogConfig) (*Catalog, *storage.Store, error) {
+func OpenCatalog(dir string) (*Catalog, *storage.Store, error) {
 	st, err := storage.Open(dir)
 	if err != nil {
 		return nil, nil, err
@@ -28,7 +28,7 @@ func OpenCatalog(dir string, cfg CatalogConfig) (*Catalog, *storage.Store, error
 		st.Close()
 		return nil, nil, err
 	}
-	c := NewCatalogConfig(cfg)
+	c := NewCatalog()
 	c.journal = st
 	for _, r := range recovered {
 		ds := &Dataset{name: r.Name, cat: c, gen: c.gen.Add(1)}

@@ -29,7 +29,7 @@ func TestOpenCatalogRecoversDatasets(t *testing.T) {
 		return out
 	}
 
-	cat, st, err := OpenCatalog(dir, CatalogConfig{})
+	cat, st, err := OpenCatalog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestOpenCatalogRecoversDatasets(t *testing.T) {
 	st.Close()
 
 	// "Restart": a fresh catalog over the same directory.
-	cat2, st2, err := OpenCatalog(dir, CatalogConfig{})
+	cat2, st2, err := OpenCatalog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestOpenCatalogRecoversDatasets(t *testing.T) {
 	}
 	st2.Close()
 
-	cat3, st3, err := OpenCatalog(dir, CatalogConfig{})
+	cat3, st3, err := OpenCatalog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,33 +105,19 @@ type Result struct {
 	Reduced *cq.UCQ
 }
 
-// Options tunes classification.
-type Options struct {
-	// Search bounds the free-connexity certificate search.
-	Search *core.SearchOptions
-	// KeepRedundant skips the containment-based reduction step.
-	KeepRedundant bool
-}
-
 // ClassifyUCQ classifies a union of conjunctive queries.
-func ClassifyUCQ(u *cq.UCQ, opts *Options) (*Result, error) {
+func ClassifyUCQ(u *cq.UCQ) (*Result, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
-	}
-	if opts == nil {
-		opts = &Options{}
 	}
 	res := &Result{}
 
 	// Step 0: reduce to a non-redundant union (Example 1): a CQ contained
 	// in another contributes nothing and can hide tractability.
 	work := u
-	if !opts.KeepRedundant {
-		reduced := homomorphism.RemoveRedundant(u)
-		if len(reduced.CQs) != len(u.CQs) {
-			res.Reduced = reduced
-			work = reduced
-		}
+	if reduced := homomorphism.RemoveRedundant(u); len(reduced.CQs) != len(u.CQs) {
+		res.Reduced = reduced
+		work = reduced
 	}
 
 	// Lower bounds assume self-join-free CQs; the cheap structural
@@ -152,7 +138,7 @@ func ClassifyUCQ(u *cq.UCQ, opts *Options) (*Result, error) {
 	if sjf {
 		// Step 1: body-isomorphic unions — the Theorem 29/33/35 guard
 		// dichotomies decide most of these outright.
-		if r := bodyIsomorphicUnion(work, classes, opts.Search); r != nil {
+		if r := bodyIsomorphicUnion(work, classes); r != nil {
 			return finish(res, r), nil
 		}
 		// Step 2: Lemma 14 / Lemma 15 — an intractable CQ that no other CQ
@@ -173,7 +159,7 @@ func ClassifyUCQ(u *cq.UCQ, opts *Options) (*Result, error) {
 
 	// Step 4: upper bound — free-connex UCQs are in DelayClin (Theorem 12;
 	// Theorem 4 is the all-free-connex special case).
-	if cert, ok := core.FindCertificate(work, opts.Search); ok {
+	if cert, ok := core.FindCertificate(work, nil); ok {
 		res.Verdict = Tractable
 		res.Certificate = cert
 		if cert.TotalVirtualAtoms() == 0 {
@@ -265,7 +251,7 @@ func hasBodyIsomorphicAcyclicPair(u *cq.UCQ, classes []CQClass) bool {
 // (n CQs). Tractable verdicts attach an executable certificate when the
 // bounded search finds one (the theorems guarantee existence; the search
 // bound may still cut it off, which the Reason then notes).
-func bodyIsomorphicUnion(u *cq.UCQ, classes []CQClass, search *core.SearchOptions) *Result {
+func bodyIsomorphicUnion(u *cq.UCQ, classes []CQClass) *Result {
 	rewritten, ok := RewriteBodyIsomorphic(u)
 	if !ok {
 		return nil
@@ -277,7 +263,7 @@ func bodyIsomorphicUnion(u *cq.UCQ, classes []CQClass, search *core.SearchOption
 
 	tractable := func(reason string) *Result {
 		r := &Result{Verdict: Tractable, Reason: reason}
-		if cert, ok := core.FindCertificate(u, search); ok {
+		if cert, ok := core.FindCertificate(u, nil); ok {
 			r.Certificate = cert
 		} else {
 			r.Reason += "; certificate search exceeded its bounds, evaluation falls back to the naive engine"
@@ -343,7 +329,7 @@ func bodyIsomorphicUnion(u *cq.UCQ, classes []CQClass, search *core.SearchOption
 	// Union guarded but not isolated: outside Theorems 33/35; a union
 	// extension may still exist, so consult the certificate search before
 	// giving up (Example 31 remains Unknown, as the paper leaves it).
-	if cert, ok := core.FindCertificate(u, search); ok {
+	if cert, ok := core.FindCertificate(u, nil); ok {
 		return &Result{
 			Verdict:     Tractable,
 			Reason:      "free-connex UCQ via union extensions (Theorem 12)",

@@ -45,7 +45,7 @@ func TestPaperGallery(t *testing.T) {
 	for _, ex := range paper.Gallery() {
 		ex := ex
 		t.Run(ex.Name, func(t *testing.T) {
-			res, err := ClassifyUCQ(ex.Query(), nil)
+			res, err := ClassifyUCQ(ex.Query())
 			if err != nil {
 				t.Fatalf("ClassifyUCQ: %v", err)
 			}
@@ -72,7 +72,7 @@ func TestPaperGallery(t *testing.T) {
 
 func TestExample1RedundancyReduction(t *testing.T) {
 	ex, _ := paper.ByName("example1")
-	res, err := ClassifyUCQ(ex.Query(), nil)
+	res, err := ClassifyUCQ(ex.Query())
 	if err != nil {
 		t.Fatalf("ClassifyUCQ: %v", err)
 	}
@@ -81,15 +81,6 @@ func TestExample1RedundancyReduction(t *testing.T) {
 	}
 	if res.Verdict != Tractable {
 		t.Errorf("verdict = %v", res.Verdict)
-	}
-	// With KeepRedundant the certificate search still succeeds: Q1 has a
-	// free-connex union extension provided by Q2 (which contains it).
-	res2, err := ClassifyUCQ(ex.Query(), &Options{KeepRedundant: true})
-	if err != nil {
-		t.Fatalf("ClassifyUCQ: %v", err)
-	}
-	if res2.Reduced != nil {
-		t.Errorf("KeepRedundant still reduced")
 	}
 }
 
@@ -189,7 +180,7 @@ func TestUnionGuardViolation(t *testing.T) {
 	if !found {
 		t.Errorf("expected (x,z,y) to be unguarded")
 	}
-	res, err := ClassifyUCQ(u, nil)
+	res, err := ClassifyUCQ(u)
 	if err != nil {
 		t.Fatalf("ClassifyUCQ: %v", err)
 	}
@@ -205,7 +196,7 @@ func TestTheorem35TractableUnion(t *testing.T) {
 		Q1(x,y,u) <- R1(x,z), R2(z,y), R3(u).
 		Q2(x,z,y) <- R1(x,z), R2(z,y), R3(u).
 	`)
-	res, err := ClassifyUCQ(u, nil)
+	res, err := ClassifyUCQ(u)
 	if err != nil {
 		t.Fatalf("ClassifyUCQ: %v", err)
 	}
@@ -220,7 +211,7 @@ func TestLemma14DisjointRelations(t *testing.T) {
 		Q1(x,y) <- R1(x,z), R2(z,y).
 		Q2(x,y) <- S1(x,y).
 	`)
-	res, err := ClassifyUCQ(u, nil)
+	res, err := ClassifyUCQ(u)
 	if err != nil {
 		t.Fatalf("ClassifyUCQ: %v", err)
 	}
@@ -237,7 +228,7 @@ func TestLemma15CyclicWithIsomorphicCompanion(t *testing.T) {
 		Q1(x,y) <- R1(x,y), R2(y,z), R3(z,x).
 		Q2(y,z) <- R1(x,y), R2(y,z), R3(z,x).
 	`)
-	res, err := ClassifyUCQ(u, nil)
+	res, err := ClassifyUCQ(u)
 	if err != nil {
 		t.Fatalf("ClassifyUCQ: %v", err)
 	}
@@ -253,7 +244,7 @@ func TestSelfJoinUnionIsUnknown(t *testing.T) {
 	u := cq.MustParse(`
 		Q1(x,y) <- R(x,z), R(z,y).
 	`)
-	res, err := ClassifyUCQ(u, nil)
+	res, err := ClassifyUCQ(u)
 	if err != nil {
 		t.Fatalf("ClassifyUCQ: %v", err)
 	}
@@ -272,7 +263,7 @@ func TestSingleCQDichotomy(t *testing.T) {
 		{"Q(x,y,z) <- R1(x,y), R2(y,z), R3(z,x).", Intractable},
 	}
 	for _, tc := range cases {
-		res, err := ClassifyUCQ(cq.MustParse(tc.src), nil)
+		res, err := ClassifyUCQ(cq.MustParse(tc.src))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.src, err)
 		}
@@ -284,7 +275,7 @@ func TestSingleCQDichotomy(t *testing.T) {
 
 func TestInvalidUnionRejected(t *testing.T) {
 	bad := &cq.UCQ{}
-	if _, err := ClassifyUCQ(bad, nil); err == nil {
+	if _, err := ClassifyUCQ(bad); err == nil {
 		t.Errorf("empty union accepted")
 	}
 }

@@ -76,7 +76,7 @@ func TestClassifierNeverContradictsCertificates(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 80; trial++ {
 		u := randomBodyIsomorphicPair(rng)
-		res, err := classify.ClassifyUCQ(u, nil)
+		res, err := classify.ClassifyUCQ(u)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

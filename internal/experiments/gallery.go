@@ -20,7 +20,7 @@ func E9ClassifyGallery(Config) Table {
 		},
 	}
 	for _, ex := range paper.Gallery() {
-		res, err := classify.ClassifyUCQ(ex.Query(), nil)
+		res, err := classify.ClassifyUCQ(ex.Query())
 		if err != nil {
 			t.Rows = append(t.Rows, []string{ex.Ref, ex.Verdict, ex.Coverage.String(), "ERROR", err.Error(), check(false)})
 			continue

@@ -32,7 +32,7 @@ func TestExample31QueryKMatchesFixed(t *testing.T) {
 func TestExample31FamilyClassification(t *testing.T) {
 	for _, k := range []int{4, 5, 6} {
 		u := Example31QueryK(k)
-		res, err := classify.ClassifyUCQ(u, nil)
+		res, err := classify.ClassifyUCQ(u)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -101,7 +101,7 @@ func TestExample39FamilyStructure(t *testing.T) {
 		if classify.ClassifyCQ(q2) != classify.FreeConnex {
 			t.Errorf("k=%d: Q2 should be free-connex", k)
 		}
-		res, err := classify.ClassifyUCQ(u, nil)
+		res, err := classify.ClassifyUCQ(u)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}

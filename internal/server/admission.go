@@ -1,9 +1,9 @@
 package server
 
-// Admission control for streaming requests: a bounded semaphore sized by
-// Config.MaxStreams gates every answer-streaming handler (inline /query,
+// Admission control for streaming requests: a bounded semaphore of
+// 2×GOMAXPROCS slots gates every answer-streaming handler (inline /query,
 // dataset queries). A request that cannot get a slot queues for at most
-// Config.QueueDeadline and is then shed with 429 + Retry-After — overload
+// queueDeadline and is then shed with 429 + Retry-After — overload
 // degrades into fast, explicit rejections the client can back off from,
 // instead of every stream slowing down together as they share the CPUs.
 // Count-only requests are not gated: they hold no enumeration resources
@@ -77,9 +77,9 @@ func (s *Server) admitStream(w http.ResponseWriter, r *http.Request) bool {
 }
 
 // admitSubscription is admitStream for the separate /subscribe gate: its
-// cap (Config.MaxSubscriptions) and its shed reason are distinct, so a
-// client can tell which limit it hit, and saturated subscriptions never
-// consume a MaxStreams slot (or vice versa).
+// cap (maxSubscriptions) and its shed reason are distinct, so a client can
+// tell which limit it hit, and saturated subscriptions never consume a
+// stream slot (or vice versa).
 func (s *Server) admitSubscription(w http.ResponseWriter, r *http.Request) bool {
 	return s.admit(w, r, s.subAdmission,
 		"server is at its concurrent subscription limit; retry later")

@@ -36,7 +36,7 @@ func bigStarRequest(t *testing.T, side int64) []byte {
 // request is counted as cancelled, far fewer answers than the total were
 // streamed, and the handler's goroutines are gone.
 func TestClientDisconnectCancelsEnumeration(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t)
 	const side = 1200 // 1.44M answers
 	body := bigStarRequest(t, side)
 
@@ -86,7 +86,7 @@ func TestClientDisconnectCancelsEnumeration(t *testing.T) {
 
 // TestStatsCountsCancelledRequests checks the /stats wire field.
 func TestStatsCountsCancelledRequests(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	body := bigStarRequest(t, 800)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/query", bytes.NewReader(body))

@@ -75,26 +75,13 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 // writeDatasetInfo responds with the dataset's current version and size.
 func (s *Server) writeDatasetInfo(w http.ResponseWriter, ds *ucq.Dataset) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(wireDatasetInfo(ds.Info()))
-}
-
-// wireDatasetInfo maps a catalog listing entry onto the wire shape.
-func wireDatasetInfo(info ucq.DatasetInfo) DatasetInfo {
-	return DatasetInfo{
-		Name:      info.Name,
-		Version:   info.Version,
-		Rows:      info.Rows,
-		Relations: info.Relations,
-	}
+	_ = json.NewEncoder(w).Encode(ds.Info())
 }
 
 // handleDatasetList serves the catalog listing.
 func (s *Server) handleDatasetList(w http.ResponseWriter, r *http.Request) {
 	s.stats.requests.Add(1)
-	list := DatasetListResponse{Datasets: []DatasetInfo{}}
-	for _, info := range s.catalog.List() {
-		list.Datasets = append(list.Datasets, wireDatasetInfo(info))
-	}
+	list := DatasetListResponse{Datasets: s.catalog.List()}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -139,29 +126,15 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Options.CountOnly {
-		s.respondCount(w, r, plan, meta)
+		s.respondCount(w, r, plan, meta, req.Limit)
 		return
 	}
 	s.stream(w, r, plan.AnswersContext, meta, req.Limit)
 }
 
-// handleDatasetCount is POST /datasets/{name}/count: the same decode and
-// bind path as a dataset query, but the response is a single
-// CountResponse object — certified single-branch plans answer straight
-// from the Theorem 12 counting pass without enumerating. Equivalent to a
-// dataset query with options.count_only.
-func (s *Server) handleDatasetCount(w http.ResponseWriter, r *http.Request) {
-	_, plan, meta, ok := s.bindDatasetPlan(w, r)
-	if !ok {
-		return
-	}
-	s.respondCount(w, r, plan, meta)
-}
-
 // bindDatasetPlan decodes a dataset request and binds its query against
 // the named dataset's current snapshot, handling errors (ok=false means
-// the response is already written). Shared by the query and count
-// endpoints.
+// the response is already written).
 func (s *Server) bindDatasetPlan(w http.ResponseWriter, r *http.Request) (QueryRequest, *ucq.Plan, streamMeta, bool) {
 	s.stats.requests.Add(1)
 	name := r.PathValue("name")

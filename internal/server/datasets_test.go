@@ -79,7 +79,7 @@ func getStats(t *testing.T, url string) Snapshot {
 }
 
 func TestDatasetLifecycle(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t)
 
 	info := putDataset(t, ts.URL, "events", smallRelations())
 	if info.Name != "events" || info.Version != 1 || info.Rows != 5 || info.Relations != 3 {
@@ -174,7 +174,7 @@ func TestDatasetLifecycle(t *testing.T) {
 // preprocessing — the bind comes from the cache, observed through the
 // trailer and the /stats bind-cache counters.
 func TestDatasetQueryBindCacheHit(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t)
 	putDataset(t, ts.URL, "d", smallRelations())
 
 	answers, tr := queryDataset(t, ts.URL, "d", QueryRequest{Query: example2})
@@ -233,7 +233,7 @@ func TestDatasetQueryBindCacheHit(t *testing.T) {
 }
 
 func TestDatasetQueryErrors(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t)
 	putDataset(t, ts.URL, "d", smallRelations())
 
 	cases := []struct {
@@ -284,7 +284,7 @@ func TestDatasetQueryErrors(t *testing.T) {
 // must finish on v1 — with v1's exact answer count — even when the
 // dataset is replaced mid-stream.
 func TestDatasetReplaceDoesNotDisturbInFlightStream(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t)
 
 	// v1: full star join with 300×300 rows → 90 000 answers, enough to
 	// outlive several replaces.
@@ -362,7 +362,7 @@ func TestDatasetReplaceDoesNotDisturbInFlightStream(t *testing.T) {
 // TestLegacyQueryUnchangedByDatasets pins that the inline-instance /query
 // path neither touches the bind cache nor gains trailer fields.
 func TestLegacyQueryUnchangedByDatasets(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t)
 	putDataset(t, ts.URL, "d", smallRelations())
 
 	resp := post(t, ts.URL, QueryRequest{Query: example2, Relations: smallRelations()})

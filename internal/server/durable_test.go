@@ -6,24 +6,6 @@ import (
 	"testing"
 )
 
-// newDurableServer is newTestServer over Open: the catalog journals under
-// dir and the store is released with the test.
-func newDurableServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
-	t.Helper()
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		if err := s.Close(); err != nil {
-			t.Errorf("closing store: %v", err)
-		}
-	})
-	return s, ts
-}
-
 // TestServerRestartRecoversDatasets is the end-to-end durability proof: a
 // server opened over a data directory, loaded with registered and appended
 // datasets, is shut down and reopened — and the new process serves every
@@ -32,7 +14,7 @@ func newDurableServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 func TestServerRestartRecoversDatasets(t *testing.T) {
 	dir := t.TempDir()
 
-	s1, err := Open(Config{DataDir: dir})
+	s1, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +39,7 @@ func TestServerRestartRecoversDatasets(t *testing.T) {
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(Config{DataDir: dir})
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatalf("reopening data dir: %v", err)
 	}

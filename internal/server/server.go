@@ -34,74 +34,44 @@ import (
 
 	ucq "repro"
 	"repro/internal/storage"
+	"repro/internal/vcache"
 )
 
-// Config tunes a Server.
-type Config struct {
-	// CacheSize caps the prepared-plan cache (0 = DefaultCacheSize).
-	CacheSize int
-	// BindCacheSize caps the catalog's bind cache (0 =
-	// ucq.DefaultBindCacheSize).
-	BindCacheSize int
-	// FlushEvery flushes the response after this many answers beyond the
-	// first (0 = DefaultFlushEvery). The first answer always flushes
-	// immediately.
-	FlushEvery int
-	// MaxBodyBytes caps the request body (0 = DefaultMaxBodyBytes).
-	MaxBodyBytes int64
-	// DataDir makes the dataset catalog durable (Open only): every dataset
-	// mutation is journaled under this directory — snapshot plus fsynced
-	// WAL — before it is acknowledged, and the next Open replays the
-	// journal, recovering every dataset at its acknowledged version. Empty
-	// keeps the catalog in-memory. Ignored by New.
-	DataDir string
-	// MaxStreams caps the concurrent answer-streaming requests (inline
-	// queries and dataset queries; count-only requests are not gated). 0 =
-	// 2*GOMAXPROCS. A stream enumerates on its request's goroutine, so it
-	// uses one CPU at most, and enumeration is CPU-bound: slots beyond
-	// that only add queueing inside the process.
-	MaxStreams int
-	// QueueDeadline is how long a streaming request may wait for a slot
-	// before it is shed with 429 + Retry-After (0 =
-	// DefaultQueueDeadline).
-	QueueDeadline time.Duration
-	// MaxSubscriptions caps concurrent /subscribe streams (0 =
-	// DefaultMaxSubscriptions). Subscriptions are long-lived, so they get
-	// their own admission gate with a distinct 429 reason instead of
-	// pinning MaxStreams slots and starving one-shot queries.
-	MaxSubscriptions int
-	// AppendLogSize caps each dataset's retained append-delta log (0 =
-	// ucq.DefaultAppendLogSize, negative = retain nothing): the window a
-	// lagging subscriber can catch up over incrementally before it is
-	// degraded to a resync.
-	AppendLogSize int
-}
-
-// Defaults for Config zero values.
+// The server's fixed settings.
 const (
-	DefaultCacheSize    = 128
-	DefaultFlushEvery   = 256
-	DefaultMaxBodyBytes = 64 << 20
-	// DefaultQueueDeadline is the longest a streaming request waits for an
-	// admission slot before being shed.
-	DefaultQueueDeadline = time.Second
-	// DefaultMaxSubscriptions caps concurrent /subscribe streams. Distinct
-	// from MaxStreams: a subscription lives until the client hangs up, so
-	// sharing the query gate would let a handful of subscribers starve
-	// every one-shot query.
-	DefaultMaxSubscriptions = 64
+	// planCacheSize caps the prepared-plan cache (entries).
+	planCacheSize = 128
+	// flushEvery flushes a stream after this many answers beyond the
+	// first; the first answer always flushes immediately.
+	flushEvery = 256
+	// maxBodyBytes caps a request body.
+	maxBodyBytes = 64 << 20
+	// queueDeadline is the longest a streaming request or subscription
+	// waits for an admission slot before it is shed with 429.
+	queueDeadline = time.Second
+	// maxSubscriptions caps concurrent /subscribe streams. It is a gate of
+	// its own: a subscription lives until the client hangs up, so sharing
+	// the query gate would let a handful of subscribers starve every
+	// one-shot query.
+	maxSubscriptions = 64
 )
 
-// Server is the streaming UCQ evaluation service. Create with New; the
-// zero value is not usable.
+// Server is the streaming UCQ evaluation service. Create with New or Open;
+// the zero value is not usable.
 type Server struct {
-	cache   *PlanCache
+	// cache holds prepared queries keyed on (preparation mode, schema,
+	// canonical query): the instance-independent half of planning —
+	// redundancy removal and the Theorem 12 certificate search — which
+	// must not be repeated per request. Concurrent misses on one key
+	// coalesce onto one preparation, and the key is content, so nothing
+	// expires by time.
+	cache   *vcache.Cache[*ucq.PreparedQuery]
 	catalog *ucq.Catalog
 	stats   Stats
-	cfg     Config
 
-	// store is non-nil when the server was built by Open with a DataDir:
-	// the catalog journals through it and /stats surfaces its gauges.
+	// store is non-nil when the server was built by Open with a data
+	// directory: the catalog journals through it and /stats surfaces its
+	// gauges.
 	store *storage.Store
 
 	// admission gates concurrent streaming requests (see admission.go);
@@ -115,64 +85,45 @@ type Server struct {
 	dsQueries map[string]int64
 }
 
-// New builds a Server with the given configuration.
-func New(cfg Config) *Server {
-	if cfg.CacheSize <= 0 {
-		cfg.CacheSize = DefaultCacheSize
-	}
-	if cfg.FlushEvery <= 0 {
-		cfg.FlushEvery = DefaultFlushEvery
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = DefaultMaxBodyBytes
-	}
-	if cfg.MaxStreams <= 0 {
-		cfg.MaxStreams = 2 * runtime.GOMAXPROCS(0)
-	}
-	if cfg.QueueDeadline <= 0 {
-		cfg.QueueDeadline = DefaultQueueDeadline
-	}
-	if cfg.MaxSubscriptions <= 0 {
-		cfg.MaxSubscriptions = DefaultMaxSubscriptions
-	}
+// New builds a Server with an in-memory dataset catalog.
+func New() *Server {
+	return newServer(ucq.NewCatalog())
+}
+
+// newServer builds a Server around a catalog. Streams get 2×GOMAXPROCS
+// slots: a stream enumerates on its request's goroutine, so it uses one
+// CPU at most, and enumeration is CPU-bound — more slots would only queue
+// inside the process.
+func newServer(cat *ucq.Catalog) *Server {
 	return &Server{
-		admission:    newAdmission(cfg.MaxStreams, cfg.QueueDeadline),
-		subAdmission: newAdmission(cfg.MaxSubscriptions, cfg.QueueDeadline),
-		cache:        NewPlanCache(cfg.CacheSize),
-		catalog: ucq.NewCatalogConfig(ucq.CatalogConfig{
-			BindCacheSize: cfg.BindCacheSize,
-			AppendLogSize: cfg.AppendLogSize,
-		}),
-		cfg:       cfg,
-		dsQueries: make(map[string]int64),
+		admission:    newAdmission(2*runtime.GOMAXPROCS(0), queueDeadline),
+		subAdmission: newAdmission(maxSubscriptions, queueDeadline),
+		cache:        vcache.New[*ucq.PreparedQuery](planCacheSize),
+		catalog:      cat,
+		dsQueries:    make(map[string]int64),
 	}
 }
 
-// Open builds a Server like New and, when cfg.DataDir is set, swaps in a
-// durable catalog: dataset mutations are journaled under the directory
-// before they are acknowledged, and Open replays the journal so a
-// restarted process serves every dataset at the version its clients last
-// saw. Close the server to release the store. With an empty DataDir, Open
-// is New without the error path.
-func Open(cfg Config) (*Server, error) {
-	s := New(cfg)
-	if cfg.DataDir == "" {
-		return s, nil
+// Open builds a Server whose dataset catalog is durable under dataDir:
+// dataset mutations are journaled there before they are acknowledged, and
+// Open replays the journal so a restarted process serves every dataset at
+// the version its clients last saw. Close the server to release the store.
+// With an empty dataDir, Open is New without the error path.
+func Open(dataDir string) (*Server, error) {
+	if dataDir == "" {
+		return New(), nil
 	}
-	cat, st, err := ucq.OpenCatalog(cfg.DataDir, ucq.CatalogConfig{
-		BindCacheSize: cfg.BindCacheSize,
-		AppendLogSize: cfg.AppendLogSize,
-	})
+	cat, st, err := ucq.OpenCatalog(dataDir)
 	if err != nil {
 		return nil, err
 	}
-	s.catalog = cat
+	s := newServer(cat)
 	s.store = st
 	return s, nil
 }
 
 // Close releases the durable store behind a Server built by Open with a
-// DataDir. A no-op on servers without durable storage.
+// data directory. A no-op on servers without durable storage.
 func (s *Server) Close() error {
 	if s.store == nil {
 		return nil
@@ -195,10 +146,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /datasets/{name}", s.handleDatasetGet)
 	mux.HandleFunc("DELETE /datasets/{name}", s.handleDatasetDelete)
 	mux.HandleFunc("POST /datasets/{name}/query", s.handleDatasetQuery)
-	mux.HandleFunc("POST /datasets/{name}/count", s.handleDatasetCount)
 	// Live subscription: initial answer set, then incremental deltas per
 	// append, maintained from the dataset's append log (subscribe.go).
-	mux.HandleFunc("GET /datasets/{name}/subscribe", s.handleSubscribe)
 	mux.HandleFunc("POST /datasets/{name}/subscribe", s.handleSubscribe)
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -244,10 +193,10 @@ func (s *Server) StatsSnapshot() Snapshot {
 			StreamsActive:       s.admission.active.Load(),
 			StreamsQueued:       s.admission.queued.Load(),
 			StreamsShed:         s.admission.shed.Load(),
-			MaxStreams:          s.cfg.MaxStreams,
+			MaxStreams:          cap(s.admission.sem),
 			SubscriptionsActive: s.subAdmission.active.Load(),
 			SubscriptionsShed:   s.subAdmission.shed.Load(),
-			MaxSubscriptions:    s.cfg.MaxSubscriptions,
+			MaxSubscriptions:    cap(s.subAdmission.sem),
 		},
 		Subscriptions: SubscriptionsSnapshot{
 			Active:           s.subAdmission.active.Load(),
@@ -255,7 +204,7 @@ func (s *Server) StatsSnapshot() Snapshot {
 			DeltasEvaluated:  s.stats.deltasEvaluated.Load(),
 			AnswersPushed:    s.stats.deltaAnswersPushed.Load(),
 			Resyncs:          s.stats.subsResyncs.Load(),
-			MaxSubscriptions: s.cfg.MaxSubscriptions,
+			MaxSubscriptions: cap(s.subAdmission.sem),
 		},
 	}
 	if s.store != nil {
@@ -334,7 +283,7 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (req QueryR
 // silently ignored knob, and so is anything but whitespace after the one
 // JSON value. On failure it writes the error response and returns false.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		s.httpError(w, http.StatusBadRequest, "decoding request: %v", err)
@@ -391,7 +340,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	meta := streamMeta{arity: plan.Query.Arity(), mode: plan.Mode.String(), cache: cacheState(hit)}
 	if req.Options.CountOnly {
-		s.respondCount(w, r, plan, meta)
+		s.respondCount(w, r, plan, meta, req.Limit)
 		return
 	}
 	s.stream(w, r, plan.AnswersContext, meta, req.Limit)
@@ -400,17 +349,23 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // respondCount answers a count-only evaluation: certified single-branch
 // plans count from the Theorem 12 counting pass without enumerating a
 // single answer; everything else (multi-branch unions, naive plans)
-// enumerates under the request context and counts server-side. Either way
-// the client gets one JSON object and no stream.
-func (s *Server) respondCount(w http.ResponseWriter, r *http.Request, plan *ucq.Plan, meta streamMeta) {
+// enumerates under the request context and counts server-side. A limit
+// caps the count as it caps a stream: the counting-pass figure is cut to
+// it, and the enumerating count stops there. Either way the client gets
+// one JSON object and no stream.
+func (s *Server) respondCount(w http.ResponseWriter, r *http.Request, plan *ucq.Plan, meta streamMeta, limit int) {
 	n, exact := plan.CountExact()
 	method := "count-answers"
-	if !exact {
+	if exact {
+		if limit > 0 {
+			n = min(n, int64(limit))
+		}
+	} else {
 		method = "enumerate"
 		n = 0
 		it := plan.AnswersContext(r.Context())
 		defer ucq.CloseAnswers(it)
-		for {
+		for limit == 0 || n < int64(limit) {
 			if _, ok := it.Next(); !ok {
 				break
 			}
@@ -472,7 +427,7 @@ type streamMeta struct {
 // frames, one shared loop either way. The first answer is flushed
 // immediately — on certified plans it reaches the client while
 // enumeration of the remaining answers is still running — and later
-// answers are flushed every cfg.FlushEvery answers through the stream's
+// answers are flushed every flushEvery answers through the stream's
 // buffered writer. The stream ends with a Trailer (object or frame). A
 // stream whose iterator ends with an error (ucq.AnswersErr) fails loudly:
 // its trailer has done:false and the error, and /stats counts an error
@@ -541,7 +496,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, open func(contex
 			break
 		}
 		count++
-		if count == 1 || count%s.cfg.FlushEvery == 0 {
+		if count == 1 || count%flushEvery == 0 {
 			if err := enc.flush(); err != nil {
 				disconnected = true
 				break

@@ -98,16 +98,22 @@ func sortRows(rows [][]int64) {
 	})
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+// newTestServer serves a New server over httptest. tune, if given, runs
+// before the listener starts: it is where a test swaps in tighter
+// admission gates.
+func newTestServer(t *testing.T, tune ...func(*Server)) (*Server, *httptest.Server) {
 	t.Helper()
-	s := New(cfg)
+	s := New()
+	for _, f := range tune {
+		f(s)
+	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
 }
 
 func TestQueryStreamsAnswers(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t)
 	resp := post(t, ts.URL, QueryRequest{Query: example2, Relations: smallRelations()})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
@@ -133,7 +139,7 @@ func TestQueryStreamsAnswers(t *testing.T) {
 // request with the same (query, schema) is served from the plan cache —
 // the hit counter increments and no second preparation runs.
 func TestPlanCacheHitOnSecondRequest(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t)
 
 	resp := post(t, ts.URL, QueryRequest{Query: example2, Relations: smallRelations()})
 	_, tr := readStream(t, resp)
@@ -186,7 +192,7 @@ func TestPlanCacheHitOnSecondRequest(t *testing.T) {
 // The full result (~17 MB) far exceeds any socket buffering, so the
 // handler cannot have finished when the first line arrives.
 func TestStreamingFirstAnswerBeforeCompletion(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t)
 
 	// Full star join: R(x,z) ⋈ S(z,y) with 1000 × 1000 rows sharing one
 	// join value → 10^6 answers. Q is full, hence free-connex: certified
@@ -257,7 +263,7 @@ func TestStreamingFirstAnswerBeforeCompletion(t *testing.T) {
 }
 
 func TestEngineVariantsAgree(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t)
 	var want [][]int64
 	for i, opts := range []QueryOptions{
 		{},
@@ -284,7 +290,7 @@ func TestEngineVariantsAgree(t *testing.T) {
 }
 
 func TestLimitTruncatesStream(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t)
 	resp := post(t, ts.URL, QueryRequest{Query: example2, Relations: smallRelations(), Limit: 2})
 	answers, tr := readStream(t, resp)
 	if len(answers) != 2 || tr.Count != 2 {
@@ -293,7 +299,7 @@ func TestLimitTruncatesStream(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t)
 	cases := []struct {
 		name string
 		body string
@@ -334,7 +340,7 @@ func TestBadRequests(t *testing.T) {
 // has must fail loudly with a 400 naming the field on every endpoint that
 // takes query options — never be silently ignored.
 func TestRemovedOptionsRejected(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t)
 	putDataset(t, ts.URL, "d", smallRelations())
 	fields := map[string]string{"parallel": "true", "batch": "16", "shards": "4", "workers": "2"}
 	paths := []string{"/query", "/datasets/d/query", "/datasets/d/subscribe"}
@@ -361,7 +367,7 @@ func TestRemovedOptionsRejected(t *testing.T) {
 }
 
 func TestStatsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t)
 	for i := 0; i < 3; i++ {
 		resp := post(t, ts.URL, QueryRequest{Query: example2, Relations: smallRelations()})
 		readStream(t, resp)
@@ -396,7 +402,7 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 func TestMethodNotAllowed(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/query")
 	if err != nil {
 		t.Fatal(err)
@@ -437,7 +443,7 @@ func TestStreamFailsLoudly(t *testing.T) {
 	const k = 3
 	for _, media := range []string{wire.MediaTypeNDJSON, wire.MediaTypeBinary} {
 		t.Run(media, func(t *testing.T) {
-			s := New(Config{FlushEvery: 2})
+			s := New()
 			before := s.StatsSnapshot()
 			r := httptest.NewRequest(http.MethodPost, "/query", nil)
 			r.Header.Set("Accept", media)

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/vcache"
 	"repro/internal/wire"
 )
 
@@ -96,6 +97,10 @@ type DelayPercentiles struct {
 	InterAnswerMaxP99 int64 `json:"inter_answer_max_p99_ns"`
 }
 
+// CacheStats is a point-in-time snapshot of cache counters (the wire shape
+// of both the plan cache and the bind cache in /stats).
+type CacheStats = vcache.Stats
+
 // Snapshot is the GET /stats response body.
 type Snapshot struct {
 	Requests         int64 `json:"requests"`
@@ -145,7 +150,7 @@ type WireSnapshot struct {
 	StreamsActive int64 `json:"streams_active"`
 	StreamsQueued int64 `json:"streams_queued"`
 	StreamsShed   int64 `json:"streams_shed"`
-	// MaxStreams is the configured concurrency cap.
+	// MaxStreams is the gate's concurrency cap (2×GOMAXPROCS).
 	MaxStreams int `json:"max_streams"`
 	// SubscriptionsActive/SubscriptionsShed gauge the separate /subscribe
 	// admission gate; MaxSubscriptions is its cap. Subscriptions never
@@ -172,7 +177,7 @@ type SubscriptionsSnapshot struct {
 	// re-enumeration because the dataset's append log no longer covered its
 	// catch-up window (slow consumer, Replace, or log compaction).
 	Resyncs int64 `json:"resyncs"`
-	// MaxSubscriptions is the configured concurrency cap.
+	// MaxSubscriptions is the gate's concurrency cap.
 	MaxSubscriptions int `json:"max_subscriptions"`
 }
 

@@ -1,6 +1,6 @@
 package server
 
-// Live query subscriptions: GET/POST /datasets/{name}/subscribe holds the
+// Live query subscriptions: POST /datasets/{name}/subscribe holds the
 // connection open and keeps the client's answer set current across dataset
 // versions. The stream opens with the full answer set at the bind version
 // (or, with from_version, just the answers added since), then blocks on the
@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 
 	ucq "repro"
 )
@@ -36,25 +35,10 @@ import (
 // client disconnected, which ends the subscription without a trailer.
 var errSubscriberGone = errors.New("server: subscriber disconnected")
 
-// decodeSubscribe reads a SubscribeRequest from either wire form: the POST
-// JSON body, or the GET query parameters (query, mode, from_version).
+// decodeSubscribe reads and validates a SubscribeRequest body.
 func (s *Server) decodeSubscribe(w http.ResponseWriter, r *http.Request) (req SubscribeRequest, ok bool) {
-	if r.Method == http.MethodGet {
-		q := r.URL.Query()
-		req.Query = q.Get("query")
-		req.Options.Mode = q.Get("mode")
-		if fv := q.Get("from_version"); fv != "" {
-			v, err := strconv.ParseUint(fv, 10, 64)
-			if err != nil {
-				s.httpError(w, http.StatusBadRequest, "from_version: %v", err)
-				return req, false
-			}
-			req.FromVersion = v
-		}
-	} else {
-		if !s.decodeBody(w, r, &req) {
-			return req, false
-		}
+	if !s.decodeBody(w, r, &req) {
+		return req, false
 	}
 	if req.Query == "" {
 		s.httpError(w, http.StatusBadRequest, "query is required")
@@ -67,7 +51,7 @@ func (s *Server) decodeSubscribe(w http.ResponseWriter, r *http.Request) (req Su
 	return req, true
 }
 
-// handleSubscribe is GET/POST /datasets/{name}/subscribe.
+// handleSubscribe is POST /datasets/{name}/subscribe.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	s.stats.requests.Add(1)
 	name := r.PathValue("name")
@@ -96,7 +80,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The subscription gate, not the query-stream gate: long-lived
-	// subscribers must never pin MaxStreams slots.
+	// subscribers must never pin stream slots.
 	if !s.admitSubscription(w, r) {
 		return
 	}
@@ -155,7 +139,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			return false
 		}
 		pushed++
-		if pushed == 1 || pushed%s.cfg.FlushEvery == 0 {
+		if pushed == 1 || pushed%flushEvery == 0 {
 			if err := enc.flush(); err != nil {
 				streamErr = errSubscriberGone
 				return false

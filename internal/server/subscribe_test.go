@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"runtime"
@@ -204,7 +203,7 @@ func TestSubscribeEquivalenceRandomized(t *testing.T) {
 	for ei, ex := range execs {
 		for wi, wc := range wires {
 			t.Run(ex.name+"/"+wc.name, func(t *testing.T) {
-				_, ts := newTestServer(t, Config{})
+				_, ts := newTestServer(t)
 				defer ts.Close()
 				rng := rand.New(rand.NewSource(int64(100 + 10*ei + wi)))
 
@@ -237,7 +236,7 @@ func TestSubscribeEquivalenceRandomized(t *testing.T) {
 // maintained incrementally — it must receive a resync marker and then the
 // full answer set at the new version.
 func TestSubscribeResyncOnReplace(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t)
 	defer ts.Close()
 
 	info := putDataset(t, ts.URL, "live", map[string][][]int64{
@@ -264,13 +263,13 @@ func TestSubscribeResyncOnReplace(t *testing.T) {
 	}
 }
 
-// TestSubscribeCompactedLogResyncs drives a subscriber's window past a
-// tiny append log: with AppendLogSize 1, two appends between wake-ups can
-// outrun the retained window. Whatever the timing, the final state must
-// equal the head evaluation — incremental when the log covered it, by
-// resync when it did not.
+// TestSubscribeCompactedLogResyncs drives a subscriber's window past the
+// 32-entry append log: a burst of 40 appends between wake-ups can outrun
+// the retained window. Whatever the timing, the final state must equal
+// the head evaluation — incremental when the log covered it, by resync
+// when it did not.
 func TestSubscribeCompactedLogResyncs(t *testing.T) {
-	_, ts := newTestServer(t, Config{AppendLogSize: 1})
+	_, ts := newTestServer(t)
 	defer ts.Close()
 
 	putDataset(t, ts.URL, "live", map[string][][]int64{
@@ -283,9 +282,9 @@ func TestSubscribeCompactedLogResyncs(t *testing.T) {
 	collectUntil(t, sub, 1, set)
 
 	// Burst appends with no reads in between: wake-ups coalesce, and a
-	// window of more than one append exceeds the retained log.
+	// window of more than 32 appends exceeds the retained log.
 	var info DatasetInfo
-	for i := int64(0); i < 6; i++ {
+	for i := int64(0); i < 40; i++ {
 		info = appendRows(t, ts.URL, "live", map[string][][]int64{
 			"R": {{10 + i, 20 + i}},
 			"S": {{20 + i, 30 + i}},
@@ -301,7 +300,7 @@ func TestSubscribeCompactedLogResyncs(t *testing.T) {
 // exactly the answers added since — no resync, no repeats of what it
 // already has — in auto and in naive mode alike.
 func TestSubscribeFromVersionResume(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t)
 	defer ts.Close()
 
 	putDataset(t, ts.URL, "live", map[string][][]int64{
@@ -352,7 +351,7 @@ func TestSubscribeFromVersionResume(t *testing.T) {
 // subscriptions leave query streaming untouched (and vice versa — the
 // gauges under /stats tell them apart).
 func TestSubscribeAdmissionSeparateFromStreams(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxSubscriptions: 1, QueueDeadline: 50 * time.Millisecond})
+	_, ts := newTestServer(t, func(s *Server) { s.subAdmission = newAdmission(1, 50*time.Millisecond) })
 	defer ts.Close()
 
 	putDataset(t, ts.URL, "live", map[string][][]int64{
@@ -401,7 +400,7 @@ func TestSubscribeAdmissionSeparateFromStreams(t *testing.T) {
 // for the new version is a bind-cache hit and pays no Theorem 12
 // preprocessing.
 func TestSubscribeWarmsBindCache(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t)
 	defer ts.Close()
 
 	putDataset(t, ts.URL, "live", map[string][][]int64{
@@ -432,7 +431,7 @@ func TestSubscribeWarmsBindCache(t *testing.T) {
 // points of their life and requires the handler goroutines (and their
 // decode/enumeration helpers) to unwind to the baseline.
 func TestSubscribeAbandonedNoGoroutineLeak(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t)
 	defer ts.Close()
 	putDataset(t, ts.URL, "live", map[string][][]int64{
 		"R": {{1, 2}, {3, 4}},
@@ -466,47 +465,44 @@ func TestSubscribeAbandonedNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-// TestSubscribeGETAndErrors covers the curl-facing GET form and the
-// request validation.
+// TestSubscribeGETAndErrors covers the request validation: a subscription
+// is a POST with a strictly decoded JSON body, so a GET gets the mux's 405
+// and a bad body or an unknown dataset is rejected before any stream
+// opens.
 func TestSubscribeGETAndErrors(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t)
 	defer ts.Close()
 	putDataset(t, ts.URL, "live", map[string][][]int64{
 		"R": {{1, 2}},
 		"S": {{2, 3}},
 	})
 
-	// GET with query parameters streams like the POST form.
 	resp, err := http.Get(ts.URL + "/datasets/live/subscribe?query=" +
 		"Q(x,y,z)%20%3C-%20R(x,y),%20S(y,z).")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET subscribe: status %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-Ucq-Dataset-Version"); got != "1" {
-		t.Fatalf("X-Ucq-Dataset-Version = %q, want 1", got)
-	}
-	// Read the initial batch then hang up.
-	br := make([]byte, 256)
-	if _, err := resp.Body.Read(br); err != nil && err != io.EOF {
-		t.Fatalf("reading GET stream: %v", err)
-	}
 	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET subscribe: status %d, want 405", resp.StatusCode)
+	}
 
-	for name, status := range map[string]int{
-		"/datasets/live/subscribe?from_version=x&query=Q(x)%20%3C-%20R(x,x).": http.StatusBadRequest,
-		"/datasets/live/subscribe": http.StatusBadRequest, // no query
-		"/datasets/nosuch/subscribe?query=Q(x,y,z)%20%3C-%20R(x,y),%20S(y,z).": http.StatusNotFound,
+	for _, tc := range []struct {
+		name, path string
+		body       any
+		status     int
+	}{
+		{"bad-from-version", "/datasets/live/subscribe",
+			map[string]any{"query": subJoinQuery, "from_version": "x"}, http.StatusBadRequest},
+		{"misspelt-field", "/datasets/live/subscribe",
+			map[string]any{"query": subJoinQuery, "from_verison": 3}, http.StatusBadRequest},
+		{"no-query", "/datasets/live/subscribe", SubscribeRequest{}, http.StatusBadRequest},
+		{"unknown-dataset", "/datasets/nosuch/subscribe", SubscribeRequest{Query: subJoinQuery}, http.StatusNotFound},
 	} {
-		resp, err := http.Get(ts.URL + name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		resp := do(t, http.MethodPost, ts.URL+tc.path, tc.body)
 		resp.Body.Close()
-		if resp.StatusCode != status {
-			t.Errorf("GET %s: status %d, want %d", name, resp.StatusCode, status)
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
 		}
 	}
 
@@ -523,7 +519,7 @@ func TestSubscribeGETAndErrors(t *testing.T) {
 // dataset ends the subscription with an error trailer naming the drop,
 // instead of leaving the client hanging silently.
 func TestSubscribeDropEndsStream(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t)
 	defer ts.Close()
 	putDataset(t, ts.URL, "live", map[string][][]int64{
 		"R": {{1, 2}},

@@ -39,9 +39,9 @@ type QueryOptions struct {
 // the client decoders; see wire.Trailer for the fields.
 type Trailer = wire.Trailer
 
-// CountResponse is the body of a count-only evaluation — the options'
-// count_only flag or POST /datasets/{name}/count. No answers are
-// streamed; the count is exact either way.
+// CountResponse is the body of a count-only evaluation (the options'
+// count_only flag). No answers are streamed; the count is exact, capped at
+// the request's limit when it has one.
 type CountResponse struct {
 	Count int64  `json:"count"`
 	Mode  string `json:"mode"`
@@ -56,9 +56,7 @@ type CountResponse struct {
 	Bind           string `json:"bind,omitempty"`
 }
 
-// SubscribeRequest is the POST /datasets/{name}/subscribe body. The GET
-// form carries the same fields as query parameters (query, mode,
-// from_version) for curl-friendly subscriptions.
+// SubscribeRequest is the POST /datasets/{name}/subscribe body.
 type SubscribeRequest struct {
 	// Query is the UCQ source, as in QueryRequest.
 	Query string `json:"query"`
@@ -91,12 +89,7 @@ type DatasetRequest struct {
 
 // DatasetInfo is one dataset's listing entry: the PUT response body and
 // the elements of GET /datasets.
-type DatasetInfo struct {
-	Name      string `json:"name"`
-	Version   uint64 `json:"version"`
-	Rows      int    `json:"rows"`
-	Relations int    `json:"relations"`
-}
+type DatasetInfo = ucq.DatasetInfo
 
 // DatasetListResponse is the GET /datasets body.
 type DatasetListResponse struct {

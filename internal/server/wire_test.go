@@ -125,7 +125,7 @@ func readBinaryStream(t *testing.T, resp *http.Response) ([][]int64, wire.Traile
 // binary-accepting client gets frames whose decoded answer set and
 // trailer match the NDJSON stream exactly.
 func TestQueryBinaryEncoding(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t)
 	req := QueryRequest{Query: example2, Relations: smallRelations()}
 
 	ndResp := post(t, ts.URL, req)
@@ -153,7 +153,7 @@ func TestQueryBinaryEncoding(t *testing.T) {
 // TestQueryUnknownAcceptFallsBack: a client asking for some other media
 // type still gets the NDJSON stream, not an error.
 func TestQueryUnknownAcceptFallsBack(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	_, ts := newTestServer(t)
 	resp := postAccept(t, ts.URL, "application/protobuf, image/png;q=0.5",
 		QueryRequest{Query: example2, Relations: smallRelations()})
 	if resp.StatusCode != http.StatusOK {
@@ -172,7 +172,7 @@ func TestQueryUnknownAcceptFallsBack(t *testing.T) {
 // held, a streaming request is shed with 429 + Retry-After within the
 // queue deadline, and served again once a slot frees up.
 func TestAdmissionShed(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxStreams: 1, QueueDeadline: 50 * time.Millisecond})
+	s, ts := newTestServer(t, func(s *Server) { s.admission = newAdmission(1, 50*time.Millisecond) })
 
 	// Occupy the only slot directly — deterministic, no reliance on write
 	// backpressure to park a real stream.
@@ -224,7 +224,7 @@ func TestAdmissionShed(t *testing.T) {
 // TestAdmissionQueueThenServe: a request that queues behind a slot
 // released before the deadline is served normally, not shed.
 func TestAdmissionQueueThenServe(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxStreams: 1, QueueDeadline: 2 * time.Second})
+	s, ts := newTestServer(t, func(s *Server) { s.admission = newAdmission(1, 2*time.Second) })
 	if err := s.admission.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestAdmissionQueueThenServe(t *testing.T) {
 // TestWireStatsCounters: /stats breaks streamed traffic down by the
 // encoding that carried it.
 func TestWireStatsCounters(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t)
 	req := QueryRequest{Query: example2, Relations: smallRelations()}
 
 	nd := post(t, ts.URL, req)

@@ -37,39 +37,8 @@ func (m Mode) String() string {
 
 // PlanOptions tunes plan construction.
 type PlanOptions struct {
-	// Search bounds the certificate search.
-	Search *SearchOptions
 	// ForceNaive skips certification and uses the naive evaluator.
 	ForceNaive bool
-	// RequireConstantDelay makes NewPlan fail instead of falling back to
-	// the naive evaluator.
-	RequireConstantDelay bool
-	// KeepRedundant skips the containment-based reduction (Example 1);
-	// redundant CQs never change the answer set, only the plan.
-	KeepRedundant bool
-}
-
-// OptionsError reports an invalid PlanOptions combination. NewPlan returns
-// it (match with errors.As) instead of silently ignoring the conflicting
-// fields.
-type OptionsError struct {
-	// Field names the offending option.
-	Field string
-	// Reason explains the conflict.
-	Reason string
-}
-
-// Error implements error.
-func (e *OptionsError) Error() string {
-	return fmt.Sprintf("ucq: invalid PlanOptions: %s: %s", e.Field, e.Reason)
-}
-
-// validate rejects option combinations that previously degraded silently.
-func (o *PlanOptions) validate() error {
-	if o.ForceNaive && o.RequireConstantDelay {
-		return &OptionsError{Field: "ForceNaive", Reason: "contradicts RequireConstantDelay"}
-	}
-	return nil
 }
 
 // Plan is a prepared evaluation of one UCQ over one instance.
@@ -116,13 +85,12 @@ func (p *Plan) DatasetVersion() uint64 { return p.dsVersion }
 func (p *Plan) BindCacheHit() bool { return p.bindHit }
 
 // PreparedQuery is the instance-independent half of a plan: the outcome of
-// option validation, containment-based redundancy removal and the
-// free-connexity certificate search. All of it depends only on the query
-// (and the preparation options), never on the data, so a PreparedQuery can
-// be built once and bound to many instances — this is what a long-lived
-// server caches per (query, schema) to amortize the Theorem 12 certificate
-// search across requests, while the per-instance preprocessing happens in
-// Bind.
+// containment-based redundancy removal and the free-connexity certificate
+// search. All of it depends only on the query (and ForceNaive), never on
+// the data, so a PreparedQuery can be built once and bound to many
+// instances — this is what a long-lived server caches per (query, schema)
+// to amortize the Theorem 12 certificate search across requests, while the
+// per-instance preprocessing happens in Bind.
 //
 // A PreparedQuery is immutable after Prepare returns and is safe for
 // concurrent use: Bind and BindDataset may be called from any number of
@@ -137,29 +105,27 @@ type PreparedQuery struct {
 	// Cert is the free-connexity certificate (ConstantDelay mode only).
 	Cert *Certificate
 
-	// fingerprint identifies the preparation inputs (query text plus the
-	// preparation-shaping options); see Fingerprint.
+	// fingerprint identifies the preparation inputs (query text plus
+	// ForceNaive); see Fingerprint.
 	fingerprint string
 }
 
 // Fingerprint returns a stable identifier of the preparation inputs: the
-// query as given plus every option that shapes preparation (ForceNaive,
-// RequireConstantDelay, KeepRedundant and the search bounds). Two Prepare
-// calls with the same inputs produce the same fingerprint, so bound plans
-// cached under it (the catalog's bind cache) are interchangeable across
-// PreparedQuery values.
+// query as given plus ForceNaive, the one option that shapes preparation.
+// Two Prepare calls with the same inputs produce the same fingerprint, so
+// bound plans cached under it (the catalog's bind cache) are
+// interchangeable across PreparedQuery values.
 func (pq *PreparedQuery) Fingerprint() string { return pq.fingerprint }
 
 // fingerprintQuery hashes the preparation inputs.
 func fingerprintQuery(u *UCQ, opts *PlanOptions) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "force-naive=%v require-cd=%v keep-redundant=%v search=%+v\n%s",
-		opts.ForceNaive, opts.RequireConstantDelay, opts.KeepRedundant, opts.Search, u.String())
+	fmt.Fprintf(h, "force-naive=%v\n%s", opts.ForceNaive, u.String())
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
 // Prepare runs the instance-independent part of planning: it validates the
-// query and options, removes redundant (contained) CQs, and searches for a
+// query, removes redundant (contained) CQs, and searches for a
 // free-connexity certificate, deciding between constant-delay and naive
 // evaluation. The result is bound to concrete instances with Bind.
 func Prepare(u *UCQ, opts *PlanOptions) (*PreparedQuery, error) {
@@ -169,24 +135,14 @@ func Prepare(u *UCQ, opts *PlanOptions) (*PreparedQuery, error) {
 	if opts == nil {
 		opts = &PlanOptions{}
 	}
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	work := u
-	if !opts.KeepRedundant {
-		work = homomorphism.RemoveRedundant(u)
-	}
+	work := homomorphism.RemoveRedundant(u)
 	pq := &PreparedQuery{Query: u, Evaluated: work, Mode: Naive,
 		fingerprint: fingerprintQuery(u, opts)}
 	if !opts.ForceNaive {
-		if cert, ok := core.FindCertificate(work, opts.Search); ok {
+		if cert, ok := core.FindCertificate(work, nil); ok {
 			pq.Mode = ConstantDelay
 			pq.Cert = cert
-			return pq, nil
 		}
-	}
-	if opts.RequireConstantDelay {
-		return nil, fmt.Errorf("ucq: no free-connexity certificate found and constant delay was required")
 	}
 	return pq, nil
 }
@@ -268,9 +224,9 @@ func (pq *PreparedQuery) newBoundPlan(ctx context.Context, inst *Instance, bq *b
 // NewPlan prepares the evaluation of u over inst: it removes redundant
 // (contained) CQs, searches for a free-connexity certificate and builds
 // the Theorem 12 pipeline, falling back to the naive evaluator when no
-// certificate is found (unless RequireConstantDelay is set). It is
-// Prepare followed by Bind; callers evaluating one query over many
-// instances should call Prepare once and Bind per instance.
+// certificate is found. It is Prepare followed by Bind; callers evaluating
+// one query over many instances should call Prepare once and Bind per
+// instance.
 func NewPlan(u *UCQ, inst *Instance, opts *PlanOptions) (*Plan, error) {
 	pq, err := Prepare(u, opts)
 	if err != nil {

@@ -77,10 +77,6 @@ type (
 	CQClass = classify.CQClass
 	// Certificate is an executable free-connexity witness.
 	Certificate = core.Certificate
-	// SearchOptions bounds the certificate search.
-	SearchOptions = core.SearchOptions
-	// ClassifyOptions tunes classification.
-	ClassifyOptions = classify.Options
 )
 
 // Verdicts.
@@ -132,18 +128,14 @@ func TaggedValue(payload int64, tag uint8) Value { return database.TaggedValue(p
 
 // Classify determines the enumeration complexity of the union with respect
 // to DelayClin, per the paper's upper and lower bounds.
-func Classify(u *UCQ) (*Result, error) { return classify.ClassifyUCQ(u, nil) }
-
-// ClassifyWith is Classify with explicit options.
-func ClassifyWith(u *UCQ, opts *ClassifyOptions) (*Result, error) {
-	return classify.ClassifyUCQ(u, opts)
-}
+func Classify(u *UCQ) (*Result, error) { return classify.ClassifyUCQ(u) }
 
 // ClassifyCQ computes the structural class of a single CQ (Theorem 3).
 func ClassifyCQ(q *CQ) CQClass { return classify.ClassifyCQ(q) }
 
 // FindCertificate searches for a free-connexity certificate (Definition 11)
-// for the union. Pass nil options for the defaults.
-func FindCertificate(u *UCQ, opts *SearchOptions) (*Certificate, bool) {
-	return core.FindCertificate(u, opts)
+// for the union, within the search bounds that are complete for every
+// example in the paper.
+func FindCertificate(u *UCQ) (*Certificate, bool) {
+	return core.FindCertificate(u, nil)
 }

@@ -78,10 +78,6 @@ func TestPlanNaiveFallback(t *testing.T) {
 	if got := p.Count(); got != want.Len() {
 		t.Errorf("answers = %d, want %d", got, want.Len())
 	}
-	// RequireConstantDelay fails instead.
-	if _, err := NewPlan(u, inst, &PlanOptions{RequireConstantDelay: true}); err == nil {
-		t.Errorf("RequireConstantDelay did not fail")
-	}
 	// ForceNaive works on tractable queries too.
 	u2 := MustParse(example2Src)
 	inst2 := workload.Example2Instance(20, 2, 3)

@@ -91,7 +91,7 @@ func streamOnce(t *testing.T, url, accept, query string, rels map[string][][]int
 // identical answer sets and agreeing trailers.
 func TestCrossEncodingEquivalence(t *testing.T) {
 	const cases = 60
-	s := server.New(server.Config{})
+	s := server.New()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -232,7 +232,7 @@ func (s *subscriber) await(t *testing.T, version uint64) {
 // (error trailer), in lockstep, and requires the two decoded transcripts —
 // tuples per batch, every marker, the trailer — to be identical.
 func TestCrossEncodingSubscriptionEquivalence(t *testing.T) {
-	ts := httptest.NewServer(server.New(server.Config{}).Handler())
+	ts := httptest.NewServer(server.New().Handler())
 	defer ts.Close()
 	put := func(body map[string]any) uint64 {
 		t.Helper()
