@@ -236,6 +236,9 @@ func (r *Relation) Row(i int) Tuple {
 	return Tuple(r.data[i*r.arity : (i+1)*r.arity])
 }
 
+// Values returns rows [lo, hi) as one flat view, valid until the next Append.
+func (r *Relation) Values(lo, hi int) []Value { return r.data[lo*r.arity : hi*r.arity] }
+
 // Rows returns owned copies of all rows, for tests and small outputs.
 func (r *Relation) Rows() []Tuple {
 	out := make([]Tuple, r.Len())

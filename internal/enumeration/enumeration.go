@@ -30,27 +30,6 @@ type Testable interface {
 	Contains(database.Tuple) bool
 }
 
-// SliceIterator yields a fixed slice of tuples.
-type SliceIterator struct {
-	tuples []database.Tuple
-	pos    int
-}
-
-// NewSliceIterator builds an iterator over the given tuples (not copied).
-func NewSliceIterator(tuples []database.Tuple) *SliceIterator {
-	return &SliceIterator{tuples: tuples}
-}
-
-// Next implements Iterator.
-func (s *SliceIterator) Next() (database.Tuple, bool) {
-	if s.pos >= len(s.tuples) {
-		return nil, false
-	}
-	t := s.tuples[s.pos]
-	s.pos++
-	return t, true
-}
-
 // Closer is an iterator that can be ended early, releasing what it holds.
 // CloseIterator closes any iterator; wrapper iterators (Union over its
 // tasks, AlgorithmOne) forward Close to their members so a stream nested
@@ -67,11 +46,11 @@ func CloseIterator(it Iterator) {
 	}
 }
 
-// IterErr reports the error that terminated an iterator early, if any:
-// the iterator's Err method, when it has one. Union cannot fail. Check it
-// after Next reports exhaustion: a non-nil error means the stream was
-// truncated, not completed. Iterators without an Err method report nil.
-func IterErr(it Iterator) error {
+// IterErr reports the error that terminated a stream early, if any: the
+// stream's Err method, when it has one. Union cannot fail. Check it after
+// the stream reports exhaustion: a non-nil error means the stream was
+// truncated, not completed. Streams without an Err method report nil.
+func IterErr(it any) error {
 	if e, ok := it.(interface{ Err() error }); ok {
 		return e.Err()
 	}

@@ -17,6 +17,27 @@ func unionOf(arity int, its ...Iterator) *Union {
 	return NewUnion(context.Background(), arity, tasks)
 }
 
+// SliceIterator yields a fixed slice of tuples.
+type SliceIterator struct {
+	tuples []database.Tuple
+	pos    int
+}
+
+// NewSliceIterator builds an iterator over the given tuples (not copied).
+func NewSliceIterator(tuples []database.Tuple) *SliceIterator {
+	return &SliceIterator{tuples: tuples}
+}
+
+// Next implements Iterator.
+func (s *SliceIterator) Next() (database.Tuple, bool) {
+	if s.pos >= len(s.tuples) {
+		return nil, false
+	}
+	t := s.tuples[s.pos]
+	s.pos++
+	return t, true
+}
+
 // NextBatch implements Task: a slice of tuples is its own task, copied out
 // without a Next call per tuple.
 func (s *SliceIterator) NextBatch(buf []database.Value, max int) ([]database.Value, int) {

@@ -16,8 +16,9 @@ const DefaultBatchSize = 256
 type Task interface {
 	// NextBatch appends the values of up to max answers to buf — flat, one
 	// answer's values after another — and returns the extended buffer and
-	// the number of answers appended. Appending zero answers means the task
-	// is exhausted.
+	// the number of answers appended. A task whose answers already sit in
+	// stable flat storage may return a view of that storage instead of buf.
+	// Zero answers means the task is exhausted.
 	NextBatch(buf []database.Value, max int) ([]database.Value, int)
 }
 
@@ -37,7 +38,7 @@ type Task interface {
 // (cancellation is abandonment).
 //
 // Like all iterators in this package, a Union is single-use and its
-// Next/Close methods are not safe for concurrent use.
+// Next/Batch/Close methods are not safe for concurrent use.
 type Union struct {
 	ctx   context.Context
 	arity int
@@ -77,6 +78,22 @@ func (u *Union) Next() (database.Tuple, bool) {
 	}
 	u.pos++
 	return t, true
+}
+
+// Batch hands out the unconsumed rest of the current batch at once,
+// refilling first when it is used up: n answers as flat values, one
+// answer's values after another — the same stable views Next returns one
+// by one. n == 0 means the stream has ended.
+func (u *Union) Batch() ([]database.Value, int) {
+	for u.pos == u.n {
+		if u.closed || !u.refill() {
+			u.Close()
+			return nil, 0
+		}
+	}
+	vals, n := u.cur[u.pos*u.arity:], u.n-u.pos
+	u.pos = u.n
+	return vals, n
 }
 
 // refill replaces the consumed batch with the next one, reporting false

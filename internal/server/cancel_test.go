@@ -13,8 +13,8 @@ import (
 
 // bigStarRequest builds a /query body whose full star join has side²
 // answers — enough that a stream is genuinely mid-enumeration when the
-// client walks away.
-func bigStarRequest(t *testing.T, side int64) []byte {
+// client walks away — evaluated in the given mode.
+func bigStarRequest(t *testing.T, side int64, mode string) []byte {
 	t.Helper()
 	rels := map[string][][]int64{"R": {}, "S": {}}
 	for i := int64(0); i < side; i++ {
@@ -24,6 +24,7 @@ func bigStarRequest(t *testing.T, side int64) []byte {
 	body, err := json.Marshal(QueryRequest{
 		Query:     "Q(x,z,y) <- R(x,z), S(z,y).",
 		Relations: rels,
+		Options:   QueryOptions{Mode: mode},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,11 +35,25 @@ func bigStarRequest(t *testing.T, side int64) []byte {
 // TestClientDisconnectCancelsEnumeration cancels a streaming request after
 // the first answer and checks the server releases the enumeration: the
 // request is counted as cancelled, far fewer answers than the total were
-// streamed, and the handler's goroutines are gone.
+// streamed, and the handler's goroutines are gone. The naive arm streams a
+// materialized answer relation, which must stop just the same.
 func TestClientDisconnectCancelsEnumeration(t *testing.T) {
+	for _, tc := range []struct {
+		mode string
+		side int64
+	}{
+		{"auto", 1200}, // 1.44M answers
+		{"naive", 600}, // 360k answers, materialized before the first
+	} {
+		t.Run(tc.mode, func(t *testing.T) {
+			testClientDisconnect(t, tc.mode, tc.side)
+		})
+	}
+}
+
+func testClientDisconnect(t *testing.T, mode string, side int64) {
 	s, ts := newTestServer(t)
-	const side = 1200 // 1.44M answers
-	body := bigStarRequest(t, side)
+	body := bigStarRequest(t, side, mode)
 
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -88,7 +103,7 @@ func TestClientDisconnectCancelsEnumeration(t *testing.T) {
 func TestStatsCountsCancelledRequests(t *testing.T) {
 	s, ts := newTestServer(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	body := bigStarRequest(t, 800)
+	body := bigStarRequest(t, 800, "auto")
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/query", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ package server
 // counters that prove it.
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 
@@ -129,7 +130,7 @@ func (s *Server) handleDatasetQuery(w http.ResponseWriter, r *http.Request) {
 		s.respondCount(w, r, plan, meta, req.Limit)
 		return
 	}
-	s.stream(w, r, plan.AnswersContext, meta, req.Limit)
+	s.stream(w, r, func(ctx context.Context) answerBatches { return plan.AnswersContext(ctx) }, meta, req.Limit)
 }
 
 // bindDatasetPlan decodes a dataset request and binds its query against

@@ -81,14 +81,14 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// answerEncoder is the one loop both encodings share: the enumeration
-// paths call appendTuple per answer and flush at FlushEvery boundaries,
-// and never branch on the wire format. Methods after the first write
-// return the latched write error, which the loops treat as a client
-// disconnect.
+// answerEncoder is the seam both encodings share: the drain loop hands it
+// whole answer batches and flushes at flushEvery boundaries, and never
+// branches on the wire format. Methods after the first write return the
+// latched write error, which the loops treat as a client disconnect.
 type answerEncoder interface {
 	contentType() string
-	appendTuple(t database.Tuple) error
+	// appendBatch encodes n answers given as flat values, row after row.
+	appendBatch(vals []database.Value, n int) error
 	// subscriptionMarker emits a /subscribe version checkpoint: "the
 	// answers above make you complete through version". With resync set it
 	// instead announces that the client must discard its state — the full
@@ -116,16 +116,17 @@ func newAnswerEncoder(w http.ResponseWriter, media string, arity int) (answerEnc
 		}
 		return &binaryEncoder{enc: enc, bw: bw, cw: cw, fl: fl}, nil
 	}
-	return &ndjsonEncoder{bw: bw, cw: cw, fl: fl, buf: make([]byte, 0, 256)}, nil
+	return &ndjsonEncoder{bw: bw, cw: cw, fl: fl, arity: arity}, nil
 }
 
 // ndjsonEncoder is the text protocol: answers as JSON array lines, control
 // records as JSON object lines.
 type ndjsonEncoder struct {
-	bw  *bufio.Writer
-	cw  *countingWriter
-	fl  http.Flusher
-	buf []byte
+	bw    *bufio.Writer
+	cw    *countingWriter
+	fl    http.Flusher
+	arity int
+	buf   []byte
 }
 
 func (e *ndjsonEncoder) contentType() string { return wire.MediaTypeNDJSON }
@@ -141,9 +142,13 @@ func (e *ndjsonEncoder) writeJSONLine(v any) error {
 	return e.bw.WriteByte('\n')
 }
 
-func (e *ndjsonEncoder) appendTuple(t database.Tuple) error {
-	e.buf = wire.AppendTupleNDJSON(e.buf[:0], t)
-	e.buf = append(e.buf, '\n')
+// appendBatch formats the batch into one line buffer and writes it once.
+func (e *ndjsonEncoder) appendBatch(vals []database.Value, n int) error {
+	e.buf = e.buf[:0]
+	for i := range n {
+		e.buf = wire.AppendTupleNDJSON(e.buf, vals[i*e.arity:(i+1)*e.arity])
+		e.buf = append(e.buf, '\n')
+	}
 	_, err := e.bw.Write(e.buf)
 	return err
 }
@@ -178,8 +183,8 @@ type binaryEncoder struct {
 
 func (e *binaryEncoder) contentType() string { return wire.MediaTypeBinary }
 
-func (e *binaryEncoder) appendTuple(t database.Tuple) error {
-	return e.enc.Append(t)
+func (e *binaryEncoder) appendBatch(vals []database.Value, n int) error {
+	return e.enc.AppendBatch(vals, n)
 }
 
 func (e *binaryEncoder) subscriptionMarker(version uint64, resync bool) error {

@@ -25,6 +25,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -33,6 +34,8 @@ import (
 	"time"
 
 	ucq "repro"
+	"repro/internal/database"
+	"repro/internal/enumeration"
 	"repro/internal/storage"
 	"repro/internal/vcache"
 )
@@ -343,7 +346,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.respondCount(w, r, plan, meta, req.Limit)
 		return
 	}
-	s.stream(w, r, plan.AnswersContext, meta, req.Limit)
+	s.stream(w, r, func(ctx context.Context) answerBatches { return plan.AnswersContext(ctx) }, meta, req.Limit)
 }
 
 // respondCount answers a count-only evaluation: certified single-branch
@@ -356,25 +359,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (s *Server) respondCount(w http.ResponseWriter, r *http.Request, plan *ucq.Plan, meta streamMeta, limit int) {
 	n, exact := plan.CountExact()
 	method := "count-answers"
-	if exact {
-		if limit > 0 {
-			n = min(n, int64(limit))
-		}
-	} else {
+	if !exact {
 		method = "enumerate"
 		n = 0
 		it := plan.AnswersContext(r.Context())
-		defer ucq.CloseAnswers(it)
+		defer it.Close()
 		for limit == 0 || n < int64(limit) {
-			if _, ok := it.Next(); !ok {
+			_, k := it.Batch()
+			if k == 0 {
 				break
 			}
-			n++
+			n += int64(k)
 		}
 		if r.Context().Err() != nil {
 			s.stats.requestsCancelled.Add(1)
 			return
 		}
+	}
+	if limit > 0 {
+		n = min(n, int64(limit))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Ucq-Mode", plan.Mode.String())
@@ -422,25 +425,34 @@ type streamMeta struct {
 	dsVersion uint64
 }
 
-// stream drains an answer iterator into the response in the encoding the
+// answerBatches is the stream the drain loop reads, as every plan stream
+// (*enumeration.Union) is; one that can fail also has an Err method.
+type answerBatches interface {
+	Batch() ([]database.Value, int)
+	Close()
+}
+
+// errClientGone marks a failed write: the client went away, no trailer.
+var errClientGone = errors.New("server: client disconnected")
+
+// stream drains an answer stream into the response in the encoding the
 // request's Accept header negotiated — NDJSON lines or binary columnar
-// frames, one shared loop either way. The first answer is flushed
-// immediately — on certified plans it reaches the client while
-// enumeration of the remaining answers is still running — and later
-// answers are flushed every flushEvery answers through the stream's
-// buffered writer. The stream ends with a Trailer (object or frame). A
-// stream whose iterator ends with an error (ucq.AnswersErr) fails loudly:
-// its trailer has done:false and the error, and /stats counts an error
-// instead of a completed stream.
+// frames, one shared drain loop either way. The first answer is flushed
+// alone — on certified plans it reaches the client while enumeration of
+// the remaining answers is still running — and later answers every
+// flushEvery answers through the stream's buffered writer. The stream
+// ends with a Trailer (object or frame). A stream that ends with an error
+// (enumeration.IterErr) fails loudly: its trailer has done:false and the
+// error, and /stats counts an error instead of a completed stream.
 //
 // The stream holds an admission slot for its whole life; overload sheds
 // here with 429 instead of stacking enumerations, and open — which starts
 // the enumeration — runs only once the slot is held. The enumeration runs
-// under the request context: when the client disconnects mid-stream (or
-// the server shuts down), the context ends a certified enumeration within
-// one batch; the request is then counted as cancelled and no trailer is
-// written.
-func (s *Server) stream(w http.ResponseWriter, r *http.Request, open func(context.Context) ucq.Answers, meta streamMeta, limit int) {
+// under the request context, which the drain loop also checks once per
+// batch: when the client disconnects mid-stream (or the server shuts
+// down), the stream ends within one batch; the request is then counted as
+// cancelled and no trailer is written.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, open func(context.Context) answerBatches, meta streamMeta, limit int) {
 	if !s.admitStream(w, r) {
 		return
 	}
@@ -462,57 +474,15 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, open func(contex
 	w.WriteHeader(http.StatusOK)
 
 	it := open(r.Context())
-	defer ucq.CloseAnswers(it)
-
-	start := time.Now()
-	prev := start
-	var firstAnswer, maxDelay time.Duration
+	defer it.Close()
 	count := 0
-	disconnected := false
-	for {
-		// Certified streams end on their own within one batch of
-		// cancellation; this per-answer check covers the rest — naive plans
-		// hand out a materialized stream that no longer looks at the
-		// context — so a server shutdown stops even a stream whose client is
-		// still happily reading.
-		if r.Context().Err() != nil {
-			break
-		}
-		t, ok := it.Next()
-		if !ok {
-			break
-		}
-		now := time.Now()
-		if count == 0 {
-			firstAnswer = now.Sub(start)
-		} else if d := now.Sub(prev); d > maxDelay {
-			maxDelay = d
-		}
-		prev = now
-		if err := enc.appendTuple(t); err != nil {
-			// Client went away; stop enumerating, but keep the counters
-			// honest about the answers that already left the socket.
-			disconnected = true
-			break
-		}
-		count++
-		if count == 1 || count%flushEvery == 0 {
-			if err := enc.flush(); err != nil {
-				disconnected = true
-				break
-			}
-		}
-		if limit > 0 && count >= limit {
-			break
-		}
-	}
-	if count == 0 {
-		firstAnswer = time.Since(start)
-	}
+	firstAnswer, maxDelay, err := drain(r.Context(), it, enc, &count, limit)
 
 	s.stats.answersStreamed.Add(int64(count))
 	s.stats.RecordTiming(firstAnswer, maxDelay)
-	if disconnected || r.Context().Err() != nil {
+	if err != nil || r.Context().Err() != nil {
+		// Client went away (or the server is shutting down): keep the
+		// counters honest about the answers that already left the socket.
 		s.stats.requestsCancelled.Add(1)
 		s.stats.recordWire(media, count, enc.bytesOut())
 		return
@@ -526,9 +496,9 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, open func(contex
 		DatasetVersion: meta.dsVersion,
 		Bind:           meta.bind,
 	}
-	if err := ucq.AnswersErr(it); err != nil {
+	if err := enumeration.IterErr(it); err != nil {
 		// The enumeration died mid-stream: no in-tree producer fails this
-		// way today, but any Answers may report an error through Err, and
+		// way today, but any stream may report an error through Err, and
 		// the answers already sent are then an arbitrary prefix. The status
 		// line is long gone, so honesty lives in the trailer — done stays
 		// false and the error rides along instead.
@@ -540,6 +510,59 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, open func(contex
 	}
 	_ = enc.trailer(tr)
 	s.endStream(enc, media, count)
+}
+
+// drain is the server's one answer loop, for query streams and a
+// subscription's full sets: it moves it into enc batch by batch, at most
+// limit answers (0: all), advancing the response's running count sent.
+// Per batch it checks ctx once and reads the clock once: first is the time
+// to the first batch (one answer on a plan stream), maxGap the longest gap
+// between batches. It stops early with ctx's error or errClientGone.
+func drain(ctx context.Context, it answerBatches, enc answerEncoder, sent *int, limit int) (first, maxGap time.Duration, err error) {
+	start := time.Now()
+	prev, count := start, 0
+	for limit == 0 || count < limit {
+		if err = ctx.Err(); err != nil {
+			break
+		}
+		vals, n := it.Batch()
+		if n == 0 {
+			break
+		}
+		now := time.Now()
+		if count == 0 {
+			first = now.Sub(start)
+		} else {
+			maxGap = max(maxGap, now.Sub(prev))
+		}
+		prev = now
+		if limit > 0 {
+			n = min(n, limit-count)
+		}
+		if err = send(enc, vals, n, sent); err != nil {
+			break
+		}
+		count += n
+	}
+	if count == 0 {
+		first = time.Since(start)
+	}
+	return first, maxGap, err
+}
+
+// send encodes n answers and flushes when the running count sent passes
+// its first answer or a multiple of flushEvery, however the answers are
+// batched. A failed write returns errClientGone.
+func send(enc answerEncoder, vals []database.Value, n int, sent *int) error {
+	if enc.appendBatch(vals, n) != nil {
+		return errClientGone
+	}
+	before := *sent
+	*sent += n
+	if (before == 0 || before/flushEvery != *sent/flushEvery) && enc.flush() != nil {
+		return errClientGone
+	}
+	return nil
 }
 
 // endStream flushes a stream's already-encoded terminal record (trailer or

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	ucq "repro"
 	"repro/internal/database"
 	"repro/internal/wire"
 )
@@ -420,13 +419,15 @@ type failingAnswers struct {
 	err  error
 }
 
-func (f *failingAnswers) Next() (ucq.Tuple, bool) {
+func (f *failingAnswers) Batch() ([]database.Value, int) {
 	if f.n >= f.k {
-		return nil, false
+		return nil, 0
 	}
 	f.n++
-	return ucq.Tuple{database.V(int64(f.n)), database.V(0)}, true
+	return []database.Value{database.V(int64(f.n)), database.V(0)}, 1
 }
+
+func (f *failingAnswers) Close() {}
 
 func (f *failingAnswers) Err() error {
 	if f.n >= f.k {
@@ -448,7 +449,7 @@ func TestStreamFailsLoudly(t *testing.T) {
 			r := httptest.NewRequest(http.MethodPost, "/query", nil)
 			r.Header.Set("Accept", media)
 			w := httptest.NewRecorder()
-			open := func(context.Context) ucq.Answers {
+			open := func(context.Context) answerBatches {
 				return &failingAnswers{k: k, err: errors.New("producer lost")}
 			}
 			s.stream(w, r, open, streamMeta{arity: 2, mode: "constant-delay", cache: "miss"}, 0)

@@ -86,7 +86,7 @@ func (s *Stats) RecordTiming(firstAnswer, maxDelay time.Duration) {
 
 // DelayPercentiles summarises per-request delays over the stats window, in
 // nanoseconds: FirstAnswer is the time to the first streamed answer,
-// InterAnswerMax the worst inter-answer gap within a request.
+// InterAnswerMax the worst gap between two answer batches (≤ 256 answers).
 type DelayPercentiles struct {
 	Window            int   `json:"window"`
 	FirstAnswerP50    int64 `json:"first_answer_p50_ns"`

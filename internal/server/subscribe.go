@@ -31,10 +31,6 @@ import (
 	ucq "repro"
 )
 
-// errSubscriberGone marks a failed write to the subscription stream: the
-// client disconnected, which ends the subscription without a trailer.
-var errSubscriberGone = errors.New("server: subscriber disconnected")
-
 // decodeSubscribe reads and validates a SubscribeRequest body.
 func (s *Server) decodeSubscribe(w http.ResponseWriter, r *http.Request) (req SubscribeRequest, ok bool) {
 	if !s.decodeBody(w, r, &req) {
@@ -134,23 +130,13 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 
 	var streamErr error
 	push := func(t ucq.Tuple) bool {
-		if err := enc.appendTuple(t); err != nil {
-			streamErr = errSubscriberGone
-			return false
-		}
-		pushed++
-		if pushed == 1 || pushed%flushEvery == 0 {
-			if err := enc.flush(); err != nil {
-				streamErr = errSubscriberGone
-				return false
-			}
-		}
-		return true
+		streamErr = send(enc, t, 1, &pushed)
+		return streamErr == nil
 	}
 	// fail ends the subscription: silently when the subscriber went away,
 	// with an error trailer when the server side broke mid-stream.
 	fail := func(err error) {
-		if errors.Is(err, errSubscriberGone) || r.Context().Err() != nil {
+		if errors.Is(err, errClientGone) || r.Context().Err() != nil {
 			s.stats.requestsCancelled.Add(1)
 			return
 		}
@@ -170,19 +156,9 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	// the body of every resync.
 	streamFull := func(p *ucq.Plan) error {
 		it := p.AnswersContext(r.Context())
-		defer ucq.CloseAnswers(it)
-		for {
-			if err := r.Context().Err(); err != nil {
-				return err
-			}
-			t, ok := it.Next()
-			if !ok {
-				return nil
-			}
-			if !push(t) {
-				return streamErr
-			}
-		}
+		defer it.Close()
+		_, _, err := drain(r.Context(), it, enc, &pushed, 0)
+		return err
 	}
 
 	// Initial batch: a from_version resume sends only the delta since the

@@ -5,14 +5,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/database"
 )
 
 // Frame is one decoded frame. Kind selects which fields are meaningful:
 // header frames carry Arity, block frames carry Tuples, marker frames
-// carry Marker, trailer frames carry Trailer. Tuples are freshly allocated
-// per frame and safe to retain.
+// carry Marker, trailer frames carry Trailer. Tuples are views into
+// buffers the decoder reuses: they are valid until the next Next call, so
+// a caller that keeps one clones it.
 type Frame struct {
 	Kind   Kind
 	Arity  int
@@ -36,6 +38,8 @@ type Decoder struct {
 	trailer    bool
 	hdr        [frameHeaderLen]byte
 	payload    []byte
+	flat       []database.Value // a block's values, reused across frames
+	tuples     []database.Tuple // views into flat, reused across frames
 	err        error
 }
 
@@ -152,9 +156,7 @@ func (d *Decoder) decodeBlock(p []byte) (*Frame, error) {
 		return nil, d.fail("block row count %d out of range", rows64)
 	}
 	rows := int(rows64)
-	// One backing array for the whole block keeps the decode to two
-	// allocations regardless of row count.
-	flat := make([]database.Value, rows*d.arity)
+	flat := slices.Grow(d.flat[:0], rows*d.arity)[:rows*d.arity]
 	for c := 0; c < d.arity; c++ {
 		prev := int64(0)
 		for r := 0; r < rows; r++ {
@@ -170,10 +172,11 @@ func (d *Decoder) decodeBlock(p []byte) (*Frame, error) {
 	if len(p) != 0 {
 		return nil, d.fail("%d trailing bytes in block payload", len(p))
 	}
-	tuples := make([]database.Tuple, rows)
+	tuples := slices.Grow(d.tuples[:0], rows)[:rows]
 	for r := 0; r < rows; r++ {
 		tuples[r] = database.Tuple(flat[r*d.arity : (r+1)*d.arity : (r+1)*d.arity])
 	}
+	d.flat, d.tuples = flat, tuples
 	return &Frame{Kind: KindBlock, Arity: d.arity, Tuples: tuples}, nil
 }
 

@@ -10,11 +10,11 @@ import (
 )
 
 // Encoder writes a binary answer stream to w. The header frame is written
-// lazily before the first payload frame; Append buffers tuples column-wise
-// and FlushBlock turns the
-// buffer into one block frame. Callers flush at the same cadence as the
-// NDJSON path (FlushEvery boundaries); the encoder itself only forces a
-// block at MaxBlockRows. Encoders are not safe for concurrent use.
+// lazily before the first payload frame; AppendBatch transposes a flat
+// batch of answers into the column buffers and FlushBlock turns them into
+// one block frame. Callers flush at the same cadence as the NDJSON path
+// (flushEvery boundaries); the encoder itself only forces a block at
+// MaxBlockRows. Encoders are not safe for concurrent use.
 type Encoder struct {
 	w     io.Writer
 	arity int
@@ -64,21 +64,30 @@ func (e *Encoder) writeFrame(kind Kind, payload []byte) error {
 	return nil
 }
 
-// Append buffers one answer tuple. The tuple must match the encoder's
-// arity; it is copied, so callers may reuse the slice.
-func (e *Encoder) Append(t database.Tuple) error {
+// AppendBatch buffers n answers given as flat values, one answer's arity
+// values after another; vals may run longer than n answers. The values are
+// copied, so callers may reuse the slice.
+func (e *Encoder) AppendBatch(vals []database.Value, n int) error {
 	if e.err != nil {
 		return e.err
 	}
-	if len(t) != e.arity {
-		return fmt.Errorf("wire: tuple arity %d, encoder arity %d", len(t), e.arity)
+	if n < 0 || len(vals) < n*e.arity {
+		return fmt.Errorf("wire: %d values for %d answers of arity %d", len(vals), n, e.arity)
 	}
-	for i, v := range t {
-		e.cols[i] = append(e.cols[i], int64(v))
-	}
-	e.rows++
-	if e.rows >= MaxBlockRows {
-		return e.FlushBlock()
+	for n > 0 {
+		k := min(n, MaxBlockRows-e.rows)
+		for c := range e.cols {
+			for i := c; i < k*e.arity; i += e.arity {
+				e.cols[c] = append(e.cols[c], int64(vals[i]))
+			}
+		}
+		e.rows += k
+		vals, n = vals[k*e.arity:], n-k
+		if e.rows == MaxBlockRows {
+			if err := e.FlushBlock(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

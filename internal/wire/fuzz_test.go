@@ -30,14 +30,13 @@ func FuzzAnswerFrame(f *testing.F) {
 		e.Trailer(Trailer{Done: true})
 	}))
 	f.Add(seed(func(e *Encoder) {
-		e.Append(database.Tuple{database.V(1), database.V(-2)})
-		e.Append(database.Tuple{database.TaggedValue(3, 9), database.V(database.MaxPayload)})
+		e.AppendBatch([]database.Value{database.V(1), database.V(-2), database.TaggedValue(3, 9), database.V(database.MaxPayload)}, 2)
 		e.Marker(5)
-		e.Append(database.Tuple{database.V(7), database.V(7)})
+		e.AppendBatch(database.Tuple{database.V(7), database.V(7)}, 1)
 		e.Trailer(Trailer{Done: true, Count: 3, Mode: "auto"})
 	}))
 	f.Add(seed(func(e *Encoder) {
-		e.Append(database.Tuple{database.V(0), database.V(0)})
+		e.AppendBatch(database.Tuple{database.V(0), database.V(0)}, 1)
 		e.FlushBlock()
 		e.Trailer(Trailer{Done: false, Error: "spill: disk full", Count: 1})
 	}))
@@ -68,11 +67,11 @@ func FuzzAnswerFrame(f *testing.F) {
 			case KindHeader:
 				arity = fr.Arity
 			case KindBlock:
-				tuples = append(tuples, fr.Tuples...)
 				for _, tp := range fr.Tuples {
 					if len(tp) != arity {
 						t.Fatalf("block tuple arity %d, header %d", len(tp), arity)
 					}
+					tuples = append(tuples, tp.Clone())
 				}
 			case KindMarker:
 				markers = append(markers, fr.Marker)
@@ -90,8 +89,8 @@ func FuzzAnswerFrame(f *testing.F) {
 			t.Fatalf("re-encode NewEncoder(%d): %v", arity, err)
 		}
 		for _, tp := range tuples {
-			if err := e.Append(tp); err != nil {
-				t.Fatalf("re-encode Append: %v", err)
+			if err := e.AppendBatch(tp, 1); err != nil {
+				t.Fatalf("re-encode AppendBatch: %v", err)
 			}
 		}
 		for _, m := range markers {
@@ -114,7 +113,9 @@ func FuzzAnswerFrame(f *testing.F) {
 				t.Fatalf("re-decode: %v", err)
 			}
 			if fr.Kind == KindBlock {
-				tuples2 = append(tuples2, fr.Tuples...)
+				for _, tp := range fr.Tuples {
+					tuples2 = append(tuples2, tp.Clone())
+				}
 			}
 			if fr.Kind == KindTrailer {
 				trailer2 = fr.Trailer

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/database"
@@ -27,7 +28,9 @@ func collect(t *testing.T, b []byte) ([]database.Tuple, []uint64, *Trailer) {
 		}
 		switch f.Kind {
 		case KindBlock:
-			tuples = append(tuples, f.Tuples...)
+			for _, tp := range f.Tuples {
+				tuples = append(tuples, tp.Clone())
+			}
 		case KindMarker:
 			markers = append(markers, f.Marker)
 		case KindTrailer:
@@ -49,7 +52,7 @@ func TestRoundTrip(t *testing.T) {
 		{database.TaggedValue(42, 7), database.V(database.MaxPayload), database.V(database.MinPayload)},
 	}
 	for i, tp := range want {
-		if err := e.Append(tp); err != nil {
+		if err := e.AppendBatch(tp, 1); err != nil {
 			t.Fatal(err)
 		}
 		if i == 1 {
@@ -90,7 +93,7 @@ func TestRoundTripArityZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Append(database.Tuple{}); err != nil {
+	if err := e.AppendBatch(database.Tuple{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Trailer(Trailer{Done: true, Count: 1}); err != nil {
@@ -137,7 +140,7 @@ func TestRoundTripManyBlocks(t *testing.T) {
 			database.V(rng.Int63n(1000)),
 		}
 		want = append(want, tp)
-		if err := e.Append(tp); err != nil {
+		if err := e.AppendBatch(tp, 1); err != nil {
 			t.Fatal(err)
 		}
 		if i%257 == 0 {
@@ -169,7 +172,7 @@ func TestTruncatedStream(t *testing.T) {
 	var buf bytes.Buffer
 	e, _ := NewEncoder(&buf, 1)
 	for i := 0; i < 10; i++ {
-		e.Append(database.Tuple{database.V(int64(i))})
+		e.AppendBatch(database.Tuple{database.V(int64(i))}, 1)
 	}
 	e.FlushBlock()
 	e.Trailer(Trailer{Done: true, Count: 10})
@@ -199,7 +202,7 @@ func TestTruncatedStream(t *testing.T) {
 func TestCorruptionDetected(t *testing.T) {
 	var buf bytes.Buffer
 	e, _ := NewEncoder(&buf, 2)
-	e.Append(database.Tuple{database.V(1), database.V(2)})
+	e.AppendBatch(database.Tuple{database.V(1), database.V(2)}, 1)
 	e.Trailer(Trailer{Done: true, Count: 1})
 	full := buf.Bytes()
 
@@ -236,7 +239,7 @@ func TestStructuralRules(t *testing.T) {
 	// header frame.
 	var buf bytes.Buffer
 	e, _ := NewEncoder(&buf, 1)
-	e.Append(database.Tuple{database.V(1)})
+	e.AppendBatch(database.Tuple{database.V(1)}, 1)
 	e.FlushBlock()
 	doubled := append(append([]byte(nil), buf.Bytes()...), buf.Bytes()...)
 	d = NewDecoder(bytes.NewReader(doubled))
@@ -319,7 +322,118 @@ func TestNDJSONTupleRejects(t *testing.T) {
 func TestEncoderArityMismatch(t *testing.T) {
 	var buf bytes.Buffer
 	e, _ := NewEncoder(&buf, 2)
-	if err := e.Append(database.Tuple{database.V(1)}); err == nil {
+	if err := e.AppendBatch(database.Tuple{database.V(1)}, 1); err == nil {
 		t.Fatal("arity mismatch accepted")
+	}
+}
+
+// TestAppendBatchSplitsDecodeAlike is the batching round-trip property: any
+// split of a tuple sequence into AppendBatch calls — one call, one tuple
+// per call, random runs — with a Marker between two batches decodes to the
+// same sequence, the marker at its place. It covers arity 0 and a sequence
+// that crosses MaxBlockRows.
+func TestAppendBatchSplitsDecodeAlike(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for _, tc := range []struct{ arity, n int }{{0, 300}, {2, 1000}, {1, MaxBlockRows + 300}} {
+		flat := make([]database.Value, tc.n*tc.arity)
+		for i := range flat {
+			flat[i] = database.TaggedValue(rng.Int63n(1<<20)-(1<<19), uint8(rng.Intn(3)))
+		}
+		for trial := 0; trial < 4; trial++ {
+			var buf bytes.Buffer
+			e, err := NewEncoder(&buf, tc.arity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			markAt, marked := rng.Intn(tc.n+1), -1
+			for pos := 0; pos < tc.n; {
+				if marked < 0 && pos >= markAt {
+					if err := e.Marker(7); err != nil {
+						t.Fatal(err)
+					}
+					marked = pos
+				}
+				k := tc.n - pos
+				switch trial {
+				case 1:
+					k = 1
+				case 2, 3:
+					k = min(k, 1+rng.Intn(600))
+				}
+				// The values may run past the k answers, as a cut batch does.
+				if err := e.AppendBatch(flat[pos*tc.arity:], k); err != nil {
+					t.Fatal(err)
+				}
+				pos += k
+			}
+			if marked < 0 {
+				if err := e.Marker(7); err != nil {
+					t.Fatal(err)
+				}
+				marked = tc.n
+			}
+			if err := e.Trailer(Trailer{Done: true, Count: tc.n}); err != nil {
+				t.Fatal(err)
+			}
+
+			d := NewDecoder(bytes.NewReader(buf.Bytes()))
+			var got []database.Value
+			rows, markerAt := 0, -1
+			for {
+				f, err := d.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatalf("arity %d trial %d: %v", tc.arity, trial, err)
+				}
+				switch f.Kind {
+				case KindBlock:
+					for _, tp := range f.Tuples {
+						got = append(got, tp...)
+					}
+					rows += len(f.Tuples)
+				case KindMarker:
+					markerAt = rows
+				}
+			}
+			if rows != tc.n || !slices.Equal(got, flat) {
+				t.Fatalf("arity %d trial %d: decoded %d rows, sequence equal %v; want %d rows", tc.arity, trial, rows, slices.Equal(got, flat), tc.n)
+			}
+			if markerAt != marked {
+				t.Fatalf("arity %d trial %d: marker after row %d, want %d", tc.arity, trial, markerAt, marked)
+			}
+		}
+	}
+}
+
+// TestDecoderReusesBlockBuffers pins that a steady binary stream decodes
+// block after block without allocating for the values or the tuple views:
+// one small Frame per block is all.
+func TestDecoderReusesBlockBuffers(t *testing.T) {
+	var buf bytes.Buffer
+	e, _ := NewEncoder(&buf, 3)
+	vals := make([]database.Value, 256*3)
+	for i := range vals {
+		vals[i] = database.V(int64(i))
+	}
+	for i := 0; i < 101; i++ {
+		if err := e.AppendBatch(vals, 256); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.FlushBlock(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := NewDecoder(bytes.NewReader(buf.Bytes()))
+	next := func() {
+		if f, err := d.Next(); err != nil || (f.Kind == KindBlock && len(f.Tuples) != 256) {
+			t.Fatalf("frame %+v, %v", f, err)
+		}
+	}
+	next() // header
+	next() // first block sizes the buffers
+	if n := testing.AllocsPerRun(99, next); n > 1 {
+		t.Errorf("%.1f allocations per 256-row block, want at most 1", n)
 	}
 }

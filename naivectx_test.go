@@ -71,6 +71,39 @@ func TestNaiveAnswersContextHonorsCancellation(t *testing.T) {
 
 }
 
+// TestNaiveStreamStopsWithinOneBatch is the regression test for a naive
+// stream ignoring its context once evaluation is done: the materialized
+// answer relation is served under the same per-batch check as a certified
+// stream, so a cancel after the first answer lets at most one more batch
+// (256 answers) through.
+func TestNaiveStreamStopsWithinOneBatch(t *testing.T) {
+	const n = 5000
+	inst := NewInstance()
+	r := NewRelation("R", 2)
+	for i := int64(0); i < n; i++ {
+		r.AppendInts(i, i%7)
+	}
+	inst.AddRelation(r)
+	plan, err := NewPlan(MustParse(`Q(x,y) <- R(x,y).`), inst, &PlanOptions{ForceNaive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := drainCount(plan.AnswersContext(context.Background())); got != n {
+		t.Fatalf("baseline run: %d answers, want %d", got, n)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	it := plan.AnswersContext(ctx)
+	if _, ok := it.Next(); !ok {
+		t.Fatal("no first answer")
+	}
+	cancel()
+	if rest := drainCount(it); rest > 256 {
+		t.Errorf("%d answers after cancellation, want at most 256", rest)
+	}
+}
+
 // drainCount exhausts an answer stream and returns its length.
 func drainCount(it Answers) int {
 	n := 0

@@ -243,20 +243,21 @@ func (p *Plan) Iterator() Answers {
 }
 
 // AnswersContext returns a fresh duplicate-free stream of the union's
-// answers that stops when ctx is done. A constant-delay stream runs on the
-// goroutine calling Next and checks ctx once per batch: after cancellation
-// it ends within one batch (at most 256 further answers). No error is
-// surfaced — cancellation is abandonment, and the caller holding ctx
-// knows. A naive plan evaluates under ctx and then hands out a
-// materialized stream that no longer looks at it; a ctx already cancelled
-// at call time yields an empty stream. A nil ctx means the binding context
-// (or Background).
-func (p *Plan) AnswersContext(ctx context.Context) Answers {
+// answers that stops when ctx is done. The stream runs on the goroutine
+// calling Next and checks ctx once per batch: after cancellation it ends
+// within one batch (at most 256 further answers). No error is surfaced —
+// cancellation is abandonment, and the caller holding ctx knows. A naive
+// plan evaluates under ctx first (a cancelled evaluation yields an empty
+// stream) and then serves the answer relation under the same per-batch
+// check; a ctx already cancelled at call time yields an empty stream. A
+// nil ctx means the binding context (or Background).
+func (p *Plan) AnswersContext(ctx context.Context) *enumeration.Union {
 	if ctx == nil {
 		ctx = p.bindCtx()
 	}
+	arity := p.Query.Arity()
 	if ctx.Err() != nil {
-		return enumeration.NewSliceIterator(nil)
+		return enumeration.NewUnion(ctx, arity, nil)
 	}
 	if p.Mode == ConstantDelay {
 		return p.union.Answers(ctx, nil)
@@ -264,24 +265,26 @@ func (p *Plan) AnswersContext(ctx context.Context) Answers {
 	rel, err := baseline.EvalUCQCtx(ctx, p.Evaluated, p.inst)
 	if err != nil {
 		if ctx.Err() != nil {
-			// Cancelled mid-evaluation: like a constant-delay stream, the
-			// stream just ends early — cancellation is abandonment, and the
-			// caller holding ctx knows.
-			return enumeration.NewSliceIterator(nil)
+			return enumeration.NewUnion(ctx, arity, nil)
 		}
 		// NewPlan validated the schema; reaching this is a bug.
 		panic(fmt.Sprintf("ucq: naive evaluation failed after validation: %v", err))
 	}
-	// Views of the answer relation's rows: stable, since nothing appends to
-	// it.
-	i := 0
-	return enumeration.Func(func() (Tuple, bool) {
-		if i == rel.Len() {
-			return nil, false
-		}
-		i++
-		return rel.Row(i - 1), true
-	})
+	return enumeration.NewUnion(ctx, arity, []enumeration.Task{&rowsTask{rel: rel}})
+}
+
+// rowsTask serves the naive answer relation as a one-task union: nothing
+// appends to it, so every batch is a view of its rows, not a copy.
+type rowsTask struct {
+	rel *database.Relation
+	pos int
+}
+
+func (t *rowsTask) NextBatch(_ []Value, max int) ([]Value, int) {
+	n := min(max, t.rel.Len()-t.pos)
+	vals := t.rel.Values(t.pos, t.pos+n)
+	t.pos += n
+	return vals, n
 }
 
 // bindCtx returns the context recorded at bind time, or Background.

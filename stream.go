@@ -39,10 +39,12 @@ type StreamTrailer = wire.Trailer
 // yield for every answer tuple in stream order, and returns the stream's
 // trailer. contentType selects the decoder (a full Content-Type header
 // value is fine; parameters are ignored) — anything but MediaTypeBinary
-// decodes as NDJSON. If yield returns false the stream is abandoned
-// mid-read and DecodeAnswerStream returns (nil, nil): the caller stopped,
-// nothing failed. A stream that ends without a trailer, or whose bytes
-// don't parse, returns an error.
+// decodes as NDJSON. The tuple handed to yield is valid only until yield
+// returns — a binary stream decodes every block into one reused buffer —
+// so a caller that keeps it clones it. If yield returns false the stream
+// is abandoned mid-read and DecodeAnswerStream returns (nil, nil): the
+// caller stopped, nothing failed. A stream that ends without a trailer, or
+// whose bytes don't parse, returns an error.
 func DecodeAnswerStream(r io.Reader, contentType string, yield func(Tuple) bool) (*StreamTrailer, error) {
 	tr, eof, err := decodeStream(r, contentType, yield, nil)
 	if eof {
@@ -63,12 +65,13 @@ type SubscriptionEvent struct {
 
 // DecodeSubscriptionStream reads a GET/POST /datasets/{name}/subscribe
 // response from r, calling yield for every answer and event for every
-// version marker, in stream order. contentType dispatches the decoder like
-// DecodeAnswerStream. Subscription streams are normally endless: a nil
-// trailer with a nil error means the stream ended (the connection closed or
-// a callback returned false) without the server reporting a failure; a
-// non-nil trailer means the server terminated the subscription and says
-// why (e.g. the dataset was dropped).
+// version marker, in stream order. contentType dispatches the decoder, and
+// yield's tuple is valid only during the call, as for DecodeAnswerStream.
+// Subscription streams are normally endless: a nil trailer with a nil
+// error means the stream ended (the connection closed or a callback
+// returned false) without the server reporting a failure; a non-nil
+// trailer means the server terminated the subscription and says why (e.g.
+// the dataset was dropped).
 func DecodeSubscriptionStream(r io.Reader, contentType string, yield func(Tuple) bool, event func(SubscriptionEvent) bool) (*StreamTrailer, error) {
 	tr, _, err := decodeStream(r, contentType, yield, event)
 	return tr, err
