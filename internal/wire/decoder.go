@@ -12,9 +12,9 @@ import (
 
 // Frame is one decoded frame. Kind selects which fields are meaningful:
 // header frames carry Arity, block frames carry Tuples, marker frames
-// carry Marker, trailer frames carry Trailer. Tuples are views into
-// buffers the decoder reuses: they are valid until the next Next call, so
-// a caller that keeps one clones it.
+// carry Marker, trailer frames carry Trailer. The decoder reuses the Frame
+// and the buffers its Tuples view: both are valid until the next Next
+// call, so a caller that keeps a tuple clones it.
 type Frame struct {
 	Kind   Kind
 	Arity  int
@@ -40,6 +40,7 @@ type Decoder struct {
 	payload    []byte
 	flat       []database.Value // a block's values, reused across frames
 	tuples     []database.Tuple // views into flat, reused across frames
+	frame      Frame            // what Next returns, reused across frames
 	err        error
 }
 
@@ -78,9 +79,7 @@ func (d *Decoder) Next() (*Frame, error) {
 	if length > MaxFramePayload {
 		return nil, d.fail("frame payload %d exceeds limit", length)
 	}
-	if uint32(cap(d.payload)) < length {
-		d.payload = make([]byte, length)
-	}
+	d.payload = slices.Grow(d.payload[:0], int(length))
 	p := d.payload[:length]
 	if _, err := io.ReadFull(d.r, p); err != nil {
 		d.err = io.ErrUnexpectedEOF
@@ -104,6 +103,12 @@ func (d *Decoder) Next() (*Frame, error) {
 	default:
 		return nil, d.fail("unknown frame kind %d", kind)
 	}
+}
+
+// emit stores f as the decoder's one Frame and returns it.
+func (d *Decoder) emit(f Frame) *Frame {
+	d.frame = f
+	return &d.frame
 }
 
 func (d *Decoder) fail(format string, args ...any) error {
@@ -143,7 +148,7 @@ func (d *Decoder) decodeHeader(p []byte) (*Frame, error) {
 	}
 	d.headerSeen = true
 	d.arity = arity
-	return &Frame{Kind: KindHeader, Arity: arity}, nil
+	return d.emit(Frame{Kind: KindHeader, Arity: arity}), nil
 }
 
 func (d *Decoder) decodeBlock(p []byte) (*Frame, error) {
@@ -177,7 +182,7 @@ func (d *Decoder) decodeBlock(p []byte) (*Frame, error) {
 		tuples[r] = database.Tuple(flat[r*d.arity : (r+1)*d.arity : (r+1)*d.arity])
 	}
 	d.flat, d.tuples = flat, tuples
-	return &Frame{Kind: KindBlock, Arity: d.arity, Tuples: tuples}, nil
+	return d.emit(Frame{Kind: KindBlock, Arity: d.arity, Tuples: tuples}), nil
 }
 
 func (d *Decoder) decodeMarker(p []byte) (*Frame, error) {
@@ -185,7 +190,7 @@ func (d *Decoder) decodeMarker(p []byte) (*Frame, error) {
 	if n <= 0 || n != len(p) {
 		return nil, d.fail("bad marker payload")
 	}
-	return &Frame{Kind: KindMarker, Arity: d.arity, Marker: u}, nil
+	return d.emit(Frame{Kind: KindMarker, Arity: d.arity, Marker: u}), nil
 }
 
 func (d *Decoder) decodeTrailer(p []byte) (*Frame, error) {
@@ -194,7 +199,7 @@ func (d *Decoder) decodeTrailer(p []byte) (*Frame, error) {
 		return nil, d.fail("bad trailer JSON: %v", err)
 	}
 	d.trailer = true
-	return &Frame{Kind: KindTrailer, Arity: d.arity, Trailer: &tr}, nil
+	return d.emit(Frame{Kind: KindTrailer, Arity: d.arity, Trailer: &tr}), nil
 }
 
 // SawTrailer reports whether the stream ended with a trailer frame — the

@@ -136,3 +136,54 @@ func FuzzAnswerFrame(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseTupleNDJSON pins the reuse contract of the NDJSON answer parser:
+// parsing a line into a junk-filled dst gives the same tuple and the same
+// error as parsing it into nil, and writes into dst's array instead of
+// allocating. The input is split into lines that all parse into the same
+// dst, so a shorter line after a longer one sees the longer one's leftovers.
+// Every accepted line also survives AppendTupleNDJSON and a second parse.
+func FuzzParseTupleNDJSON(f *testing.F) {
+	for _, tp := range []database.Tuple{
+		{database.V(1_000_003), database.V(1_021), database.V(2_000_017)},
+		{database.TaggedValue(13, 2), database.TaggedValue(-1, 255)},
+		{database.V(-5), database.V(0), database.V(-1)},
+		{database.V(database.MaxPayload), database.V(database.MinPayload)},
+		{database.TaggedValue(database.MaxPayload, 1), database.TaggedValue(database.MinPayload, 7)},
+	} {
+		f.Add(AppendTupleNDJSON(nil, tp))
+	}
+	f.Add([]byte("[]"))
+	f.Add([]byte("[]\n[]"))
+	f.Add([]byte("[1,2,3,4,5]\n[6]\n[]"))
+	f.Add([]byte(` [ 007 , "3#4" ] `))
+	f.Add([]byte(`[1,"2#0"]`))
+	f.Add([]byte("[72057594037927936]"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		junk := make(database.Tuple, len(data)+1) // longer than any line's answer
+		for i := range junk {
+			junk[i] = database.TaggedValue(int64(-i), 0xAB)
+		}
+		for _, line := range bytes.Split(data, []byte{'\n'}) {
+			want, wantErr := ParseTupleNDJSON(nil, line)
+			got, gotErr := ParseTupleNDJSON(junk, line)
+			if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
+				t.Fatalf("%q: error into nil %v, into junk %v", line, wantErr, gotErr)
+			}
+			if wantErr != nil {
+				continue
+			}
+			if !got.Equal(want) {
+				t.Fatalf("%q: into junk %v, into nil %v", line, got, want)
+			}
+			if len(got) > 0 && &got[0] != &junk[0] {
+				t.Fatalf("%q: parse into a long enough dst allocated", line)
+			}
+			again, err := ParseTupleNDJSON(junk, AppendTupleNDJSON(nil, want))
+			if err != nil || !again.Equal(want) {
+				t.Fatalf("%q: round trip gave %v, %v; want %v", line, again, err, want)
+			}
+		}
+	})
+}

@@ -185,10 +185,13 @@ func appendUint(dst []byte, v uint64) []byte {
 }
 
 // ParseTupleNDJSON parses one NDJSON answer line — a JSON array as emitted
-// by AppendTupleNDJSON, with or without the trailing newline — into a
-// Tuple. It accepts exactly the stream's own output grammar: integers and
-// "payload#tag" strings, no nesting, no floats.
-func ParseTupleNDJSON(line []byte) (database.Tuple, error) {
+// by AppendTupleNDJSON, with or without the trailing newline — into
+// dst[:0] and returns the extended slice, so a caller that passes the
+// previous result back in parses a whole stream without allocating. It
+// accepts a small superset of the stream's own output grammar: integers and
+// "payload#tag" strings, with JSON whitespace around the brackets, commas
+// and values and with leading zeros in integers; no nesting, no floats.
+func ParseTupleNDJSON(dst database.Tuple, line []byte) (database.Tuple, error) {
 	i, n := 0, len(line)
 	skip := func() {
 		for i < n && (line[i] == ' ' || line[i] == '\t' || line[i] == '\r' || line[i] == '\n') {
@@ -200,7 +203,7 @@ func ParseTupleNDJSON(line []byte) (database.Tuple, error) {
 		return nil, fmt.Errorf("wire: answer line is not a JSON array")
 	}
 	i++
-	var t database.Tuple
+	t := dst[:0]
 	skip()
 	if i < n && line[i] == ']' {
 		i++

@@ -40,11 +40,15 @@ type StreamTrailer = wire.Trailer
 // trailer. contentType selects the decoder (a full Content-Type header
 // value is fine; parameters are ignored) — anything but MediaTypeBinary
 // decodes as NDJSON. The tuple handed to yield is valid only until yield
-// returns — a binary stream decodes every block into one reused buffer —
-// so a caller that keeps it clones it. If yield returns false the stream
-// is abandoned mid-read and DecodeAnswerStream returns (nil, nil): the
-// caller stopped, nothing failed. A stream that ends without a trailer, or
-// whose bytes don't parse, returns an error.
+// returns — both decoders reuse their buffers (a binary stream decodes
+// every block into one buffer, an NDJSON stream every line into one
+// tuple) and allocate nothing per answer — so a caller that keeps it
+// clones it. Every answer has the width of the first: the binary header
+// declares it, and an NDJSON answer line of another width is an error. If
+// yield returns false the stream is abandoned mid-read and
+// DecodeAnswerStream returns (nil, nil): the caller stopped, nothing
+// failed. A stream that ends without a trailer, or whose bytes don't
+// parse, returns an error.
 func DecodeAnswerStream(r io.Reader, contentType string, yield func(Tuple) bool) (*StreamTrailer, error) {
 	tr, eof, err := decodeStream(r, contentType, yield, nil)
 	if eof {
@@ -120,15 +124,22 @@ func decodeBinary(r io.Reader, yield func(Tuple) bool, event func(SubscriptionEv
 func decodeNDJSON(r io.Reader, yield func(Tuple) bool, event func(SubscriptionEvent) bool) (*StreamTrailer, bool, error) {
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	var t Tuple // every answer line parses into it
+	width := -1 // fixed by the first answer line
 	for scanner.Scan() {
 		raw := scanner.Bytes()
 		if len(raw) == 0 {
 			continue
 		}
 		if raw[0] == '[' {
-			t, err := wire.ParseTupleNDJSON(raw)
-			if err != nil {
+			var err error
+			if t, err = wire.ParseTupleNDJSON(t, raw); err != nil {
 				return nil, false, fmt.Errorf("ucq: malformed answer line %q: %v", raw, err)
+			}
+			if width < 0 {
+				width = len(t)
+			} else if len(t) != width {
+				return nil, false, fmt.Errorf("ucq: answer line %q has %d values, earlier answers %d", raw, len(t), width)
 			}
 			if !yield(t) {
 				return nil, false, nil
