@@ -45,10 +45,13 @@ type Version = uint64
 // in-memory state unchanged. internal/storage.Store implements it; see
 // OpenCatalog. The version arguments are the versions the mutations
 // install, so replay can reconstruct each dataset at its exact version.
+// LogAppend receives the validated delta of one AppendRows, each touched
+// relation holding just its appended rows, so a snapshot and an append
+// reach the journal as relations alike.
 type Journal interface {
 	LogRegister(name string, version uint64, inst *Instance) error
 	LogReplace(name string, version uint64, inst *Instance) error
-	LogAppend(name string, version uint64, rels map[string][][]int64) error
+	LogAppend(name string, version uint64, rels map[string]*Relation) error
 	LogDrop(name string) error
 }
 
@@ -82,10 +85,15 @@ func NewCatalog() *Catalog {
 // Register adds inst under name at version 1 and returns the dataset. The
 // instance is adopted as an immutable snapshot: the caller must not mutate
 // it (or any of its relations) afterwards. Registering an existing name
-// fails; use Dataset to look it up and Replace to swap its contents.
+// fails; use Dataset to look it up and Replace to swap its contents. A
+// relation wider than wire.MaxArity is rejected, as in every catalog
+// write.
 func (c *Catalog) Register(name string, inst *Instance) (*Dataset, error) {
 	if name == "" {
 		return nil, fmt.Errorf("ucq: dataset name must be non-empty")
+	}
+	if err := checkInstanceArity(inst); err != nil {
+		return nil, err
 	}
 	ds := &Dataset{name: name, cat: c, gen: c.gen.Add(1)}
 	ds.snap.Store(newSnapshot(name, 1, inst))
@@ -113,6 +121,9 @@ func (c *Catalog) Register(name string, inst *Instance) (*Dataset, error) {
 func (c *Catalog) Upsert(name string, inst *Instance) (ds *Dataset, created bool, err error) {
 	if name == "" {
 		return nil, false, fmt.Errorf("ucq: dataset name must be non-empty")
+	}
+	if err := checkInstanceArity(inst); err != nil {
+		return nil, false, err
 	}
 	c.mu.Lock()
 	ds, ok := c.datasets[name]
@@ -300,8 +311,12 @@ func (ds *Dataset) Info() DatasetInfo {
 // afterwards. Cached binds of older versions are purged; in-flight
 // enumerations keep the snapshot they were bound to. With a durable
 // catalog the replacement is journaled (and fsynced) before it is
-// installed; a journal error leaves the dataset unchanged.
+// installed; a journal error, or a relation wider than wire.MaxArity,
+// leaves the dataset unchanged.
 func (ds *Dataset) Replace(inst *Instance) (uint64, error) {
+	if err := checkInstanceArity(inst); err != nil {
+		return 0, err
+	}
 	ds.wmu.Lock()
 	v := ds.snap.Load().version + 1
 	if ds.cat != nil && ds.cat.journal != nil {
@@ -394,7 +409,7 @@ func (ds *Dataset) AppendRows(rels map[string][][]int64) (uint64, error) {
 	}
 	v := cur.version + 1
 	if ds.cat != nil && ds.cat.journal != nil {
-		if err := ds.cat.journal.LogAppend(ds.name, v, rels); err != nil {
+		if err := ds.cat.journal.LogAppend(ds.name, v, deltaRels); err != nil {
 			return 0, err
 		}
 	}

@@ -15,9 +15,11 @@ import (
 // snapshots exactly as it would against freshly registered ones.
 //
 // The returned store exposes durability gauges (see storage.Stats) and must
-// be closed after the catalog is done with. A dataset whose durable state
-// is unreadable past the last valid record loses only unacknowledged
-// writes; see storage.Store.Recover for the torn-tail semantics.
+// be closed after the catalog is done with. A WAL tail torn past the last
+// complete record loses only unacknowledged writes, while a snapshot that
+// does not decode — corruption, or a data directory written before records
+// became internal/wire frames — fails OpenCatalog with an error naming the
+// file and leaves the directory in place; see storage.Store.Recover.
 func OpenCatalog(dir string) (*Catalog, *storage.Store, error) {
 	st, err := storage.Open(dir)
 	if err != nil {

@@ -1,9 +1,14 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // TestServerRestartRecoversDatasets is the end-to-end durability proof: a
@@ -72,5 +77,42 @@ func TestServerRestartRecoversDatasets(t *testing.T) {
 	}
 	if len(st.Datasets) != 2 {
 		t.Errorf("dataset gauges = %+v, want events and other", st.Datasets)
+	}
+}
+
+// TestServerRejectsWideRows checks a row wider than wire.MaxArity is
+// refused with a 400 before anything is journaled: no dataset appears,
+// now or after a restart.
+func TestServerRejectsWideRows(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s1.Handler())
+	wide := map[string][][]int64{"W": {make([]int64, wire.MaxArity+1)}}
+	resp := do(t, http.MethodPut, ts.URL+"/datasets/wide", DatasetRequest{Relations: wide})
+	var er ErrorResponse
+	_ = json.NewDecoder(resp.Body).Decode(&er)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, "arity") {
+		t.Fatalf("PUT of a %d-wide row: status %d, error %q; want 400 naming the arity", wire.MaxArity+1, resp.StatusCode, er.Error)
+	}
+	resp = do(t, http.MethodGet, ts.URL+"/datasets/wide", nil)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET after the rejected PUT: status %d, want 404", resp.StatusCode)
+	}
+	ts.Close()
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if n := len(s2.catalog.List()); n != 0 {
+		t.Fatalf("%d datasets recovered after the rejected PUT, want none", n)
 	}
 }

@@ -3,7 +3,6 @@ package storage
 import (
 	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -99,12 +98,15 @@ func (s *Store) LogReplace(name string, version uint64, inst *database.Instance)
 // installSnapshot writes snap-<version>.dat atomically, truncates the WAL
 // and drops superseded snapshot files. Callers hold s.mu.
 func (s *Store) installSnapshot(name string, version uint64, inst *database.Instance) error {
+	rec, err := appendRecord(nil, version, inst)
+	if err != nil {
+		return err
+	}
 	dir := s.dsDir(name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("storage: %v", err)
 	}
-	if err := writeFileSynced(filepath.Join(dir, fmt.Sprintf("snap-%d.dat", version)),
-		appendRecord(nil, encodeInstance(version, inst))); err != nil {
+	if err := writeFileSynced(filepath.Join(dir, fmt.Sprintf("snap-%d.dat", version)), rec); err != nil {
 		return err
 	}
 	s.snapshotWrites.Add(1)
@@ -134,15 +136,23 @@ func (s *Store) installSnapshot(name string, version uint64, inst *database.Inst
 	return nil
 }
 
-// LogAppend makes one AppendRows delta durable, fsynced before return.
-func (s *Store) LogAppend(name string, version uint64, rels map[string][][]int64) error {
+// LogAppend makes one AppendRows delta — the appended rows of each touched
+// relation — durable, fsynced before return.
+func (s *Store) LogAppend(name string, version uint64, rels map[string]*database.Relation) error {
+	delta := database.NewInstance()
+	for _, rel := range rels {
+		delta.AddRelation(rel)
+	}
+	rec, err := appendRecord(nil, version, delta)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ds, ok := s.datasets[name]
 	if !ok {
 		return fmt.Errorf("storage: append to unknown dataset %q", name)
 	}
-	rec := appendRecord(nil, encodeAppend(version, rels))
 	if _, err := ds.wal.Write(rec); err != nil {
 		return fmt.Errorf("storage: appending WAL record: %v", err)
 	}
@@ -195,13 +205,15 @@ type Dataset struct {
 	Inst    *database.Instance
 }
 
-// Recover loads every durable dataset: the newest valid snapshot plus the
-// WAL's replayable prefix. A torn WAL tail — a crash mid-append — is
-// truncated away and counted; the dataset recovers at the last fsynced
-// version. A dataset directory with no valid snapshot (a crash between
-// directory creation and the snapshot rename) is removed: nothing in it was
-// ever acknowledged. Recover leaves each WAL open for appending, so a
-// recovered store is immediately writable.
+// Recover loads every durable dataset: the newest snapshot plus the WAL's
+// replayable prefix. A torn WAL tail — a crash mid-append — is truncated
+// away and counted; the dataset recovers at the last fsynced version. A
+// dataset directory with no snapshot file (a crash before the first
+// snapshot rename) is removed: nothing in it was ever acknowledged. A
+// snapshot that does not decode is corruption, or a directory written in an
+// older format, and fails Recover with an error naming the file; the
+// directory is left as it is. Recover leaves each WAL open for appending,
+// so a recovered store is immediately writable.
 func (s *Store) Recover() ([]Dataset, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -239,82 +251,57 @@ func (s *Store) recoverDataset(name, dir string) (Dataset, bool, error) {
 	if err != nil {
 		return Dataset{}, false, fmt.Errorf("storage: %v", err)
 	}
-	// Newest valid snapshot wins; older ones only exist when a crash
+	// The newest snapshot wins; older ones only exist when a crash
 	// interrupted the post-replace cleanup.
-	var versions []uint64
+	version, found := uint64(0), false
 	for _, e := range entries {
-		if v, ok := snapVersion(e.Name()); ok {
-			versions = append(versions, v)
+		if v, ok := snapVersion(e.Name()); ok && (!found || v > version) {
+			version, found = v, true
 		}
-	}
-	sort.Slice(versions, func(i, j int) bool { return versions[i] > versions[j] })
-	var (
-		inst    *database.Instance
-		version uint64
-		found   bool
-	)
-	for _, v := range versions {
-		buf, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("snap-%d.dat", v)))
-		if err != nil {
-			continue
-		}
-		payload, _, err := nextRecord(buf)
-		if err != nil {
-			continue
-		}
-		sv, si, err := decodeInstance(payload)
-		if err != nil || sv != v {
-			continue
-		}
-		inst, version, found = si, v, true
-		break
 	}
 	if !found {
 		_ = os.RemoveAll(dir)
 		return Dataset{}, false, nil
 	}
+	snapPath := filepath.Join(dir, fmt.Sprintf("snap-%d.dat", version))
+	buf, err := os.ReadFile(snapPath)
+	if err != nil {
+		return Dataset{}, false, fmt.Errorf("storage: %v", err)
+	}
+	sv, inst, rest, err := readRecord(buf)
+	if err != nil || sv != version || len(rest) != 0 {
+		return Dataset{}, false, fmt.Errorf("storage: snapshot %s does not decode; the dataset directory is left in place", snapPath)
+	}
 
 	// Replay the WAL's valid prefix in version order; truncate the torn
 	// tail so later appends never interleave with garbage.
 	walPath := filepath.Join(dir, "wal.dat")
-	buf, err := os.ReadFile(walPath)
+	buf, err = os.ReadFile(walPath)
 	if err != nil && !os.IsNotExist(err) {
 		return Dataset{}, false, fmt.Errorf("storage: reading WAL: %v", err)
 	}
 	valid := 0
-	rest := buf
-	for {
-		payload, next, err := nextRecord(rest)
-		if err != nil {
-			if err != io.EOF {
-				s.tornTails.Add(1)
+	for len(buf) > valid {
+		v, delta, next, err := readRecord(buf[valid:])
+		switch {
+		case err != nil:
+		case v == version+1:
+			var applied *database.Instance
+			if applied, err = replayAppend(inst, delta); err == nil {
+				inst, version = applied, v
 			}
-			break
-		}
-		v, rels, err := decodeAppend(payload)
-		if err != nil {
-			s.tornTails.Add(1)
-			break
-		}
-		if v <= version {
-			// Stale record from before a snapshot whose WAL reset was
-			// interrupted; the snapshot already folds it in.
-		} else if v == version+1 {
-			applied, err := replayAppend(inst, rels)
-			if err != nil {
-				s.tornTails.Add(1)
-				break
-			}
-			inst = applied
-			version = v
-		} else {
+		case v > version:
 			// A version gap means records were lost; nothing past it is
 			// trustworthy.
+			err = errTorn
+		}
+		// Left over: v <= version, a stale record from before a snapshot
+		// whose WAL reset was interrupted; the snapshot already folds it in.
+		if err != nil {
 			s.tornTails.Add(1)
 			break
 		}
 		valid = len(buf) - len(next)
-		rest = next
 		s.walRecords.Add(1)
 	}
 	if valid < len(buf) {
@@ -330,22 +317,29 @@ func (s *Store) recoverDataset(name, dir string) (Dataset, bool, error) {
 }
 
 // replayAppend applies one WAL delta with Dataset.AppendRows semantics:
-// touched relations are cloned and extended, absent ones created with the
-// arity of their first row. Values were range-checked by decodeAppend.
-func replayAppend(inst *database.Instance, rels map[string][][]int64) (*database.Instance, error) {
+// touched relations are cloned and extended, absent ones created. It
+// rejects a delta AppendRows could not have written: an empty relation, a
+// new nullary one, an arity unlike the existing relation's, or a tagged
+// value.
+func replayAppend(inst, delta *database.Instance) (*database.Instance, error) {
 	out := inst.ShallowClone()
-	for name, rows := range rels {
-		var rel *database.Relation
-		if old := out.Relation(name); old != nil {
-			if old.Arity() != len(rows[0]) {
-				return nil, fmt.Errorf("storage: WAL append arity %d against relation %s/%d", len(rows[0]), name, old.Arity())
-			}
-			rel = old.Clone()
-		} else {
-			rel = database.NewRelation(name, len(rows[0]))
+	for _, name := range delta.Names() {
+		d, old := delta.Relation(name), out.Relation(name)
+		if d.Len() == 0 || (old == nil && d.Arity() == 0) || (old != nil && old.Arity() != d.Arity()) {
+			return nil, errTorn
 		}
-		for _, row := range rows {
-			rel.AppendInts(row...)
+		for _, v := range d.Values(0, d.Len()) {
+			if v.Tag() != 0 {
+				return nil, errTorn
+			}
+		}
+		if old == nil {
+			out.AddRelation(d)
+			continue
+		}
+		rel := old.Clone()
+		for i := range d.Len() {
+			rel.Append(d.Row(i)...)
 		}
 		out.AddRelation(rel)
 	}

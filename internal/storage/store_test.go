@@ -1,12 +1,16 @@
 package storage
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/database"
+	"repro/internal/wire"
 )
 
 func mkInst(rows ...[3]int64) *database.Instance {
@@ -22,29 +26,31 @@ func mkInst(rows ...[3]int64) *database.Instance {
 	return inst
 }
 
-func instRows(t *testing.T, inst *database.Instance, name string) [][]database.Value {
-	t.Helper()
-	rel := inst.Relation(name)
-	if rel == nil {
-		t.Fatalf("relation %s missing", name)
-	}
-	var out [][]database.Value
-	for i := 0; i < rel.Len(); i++ {
-		out = append(out, database.Tuple(rel.Row(i)).Clone())
+// delta builds the AppendRows delta relations for wire rows.
+func delta(rows map[string][][]int64) map[string]*database.Relation {
+	out := make(map[string]*database.Relation, len(rows))
+	for name, rs := range rows {
+		rel := database.NewRelation(name, len(rs[0]))
+		for _, r := range rs {
+			rel.AppendInts(r...)
+		}
+		out[name] = rel
 	}
 	return out
 }
 
-func sameInstance(t *testing.T, got, want *database.Instance) {
+// record is appendRecord for a delta, failing the test on error.
+func record(t testing.TB, version uint64, rels map[string]*database.Relation) []byte {
 	t.Helper()
-	if !reflect.DeepEqual(got.Names(), want.Names()) {
-		t.Fatalf("relation names %v, want %v", got.Names(), want.Names())
+	inst := database.NewInstance()
+	for _, rel := range rels {
+		inst.AddRelation(rel)
 	}
-	for _, name := range want.Names() {
-		if g, w := instRows(t, got, name), instRows(t, want, name); !reflect.DeepEqual(g, w) {
-			t.Fatalf("relation %s rows %v, want %v", name, g, w)
-		}
+	rec, err := appendRecord(nil, version, inst)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return rec
 }
 
 // TestStoreRoundtrip drives the full lifecycle — register, appends, replace,
@@ -58,10 +64,10 @@ func TestStoreRoundtrip(t *testing.T) {
 	if err := st.LogRegister("users", 1, mkInst([3]int64{1, 2, 7})); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.LogAppend("users", 2, map[string][][]int64{"R": {{3, 4}}}); err != nil {
+	if err := st.LogAppend("users", 2, delta(map[string][][]int64{"R": {{3, 4}}})); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.LogAppend("users", 3, map[string][][]int64{"S": {{9}}, "T": {{5, 6, 7}}}); err != nil {
+	if err := st.LogAppend("users", 3, delta(map[string][][]int64{"S": {{9}}, "T": {{5, 6, 7}}})); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.LogRegister("empty", 1, database.NewInstance()); err != nil {
@@ -96,11 +102,11 @@ func TestStoreRoundtrip(t *testing.T) {
 	tr := database.NewRelation("T", 3)
 	tr.AppendInts(5, 6, 7)
 	want.AddRelation(tr)
-	sameInstance(t, u.Inst, want)
+	sameRelations(t, u.Inst, want)
 
 	// The recovered store is immediately writable: the WAL handle is open
 	// and positioned past the replayed records.
-	if err := st2.LogAppend("users", 4, map[string][][]int64{"R": {{8, 8}}}); err != nil {
+	if err := st2.LogAppend("users", 4, delta(map[string][][]int64{"R": {{8, 8}}})); err != nil {
 		t.Fatal(err)
 	}
 	st2.Close()
@@ -129,14 +135,14 @@ func TestStoreReplaceResetsWAL(t *testing.T) {
 	if err := st.LogRegister("d", 1, mkInst([3]int64{1, 1, 1})); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.LogAppend("d", 2, map[string][][]int64{"R": {{2, 2}}}); err != nil {
+	if err := st.LogAppend("d", 2, delta(map[string][][]int64{"R": {{2, 2}}})); err != nil {
 		t.Fatal(err)
 	}
 	repl := mkInst([3]int64{5, 5, 5})
 	if err := st.LogReplace("d", 3, repl); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.LogAppend("d", 4, map[string][][]int64{"R": {{6, 6}}}); err != nil {
+	if err := st.LogAppend("d", 4, delta(map[string][][]int64{"R": {{6, 6}}})); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -155,22 +161,33 @@ func TestStoreReplaceResetsWAL(t *testing.T) {
 	}
 	want := mkInst([3]int64{5, 5, 5})
 	want.Relation("R").AppendInts(6, 6)
-	sameInstance(t, got[0].Inst, want)
+	sameRelations(t, got[0].Inst, want)
 }
 
 // TestStoreTornTail simulates a crash mid-append: garbage after the last
 // fsynced record. Replay must recover the last acknowledged version, with
 // no partial relation, and truncate the tail so the WAL is clean again.
+// A well-framed record AppendRows could not have written counts as torn
+// too.
 func TestStoreTornTail(t *testing.T) {
+	tagged := database.NewRelation("R", 2)
+	tagged.Append(database.TaggedValue(1, 1), database.V(2))
+	nullary := database.NewRelation("M", 0)
+	nullary.Append()
 	for _, tail := range [][]byte{
 		{0xde},                   // lone garbage byte
-		{0x57, 0x51, 0x43, 0x55}, // valid magic, truncated header
-		appendRecord(nil, encodeAppend(9, map[string][][]int64{"R": {{1, 1}}}))[:20], // truncated record
+		{0x46, 0x51, 0x43, 0x55}, // valid magic, truncated header
+		record(t, 9, delta(map[string][][]int64{"R": {{1, 1}}}))[:20], // truncated record
 		func() []byte { // bit-flipped payload
-			rec := appendRecord(nil, encodeAppend(3, map[string][][]int64{"R": {{1, 1}}}))
+			rec := record(t, 3, delta(map[string][][]int64{"R": {{1, 1}}}))
 			rec[len(rec)-1] ^= 0x40
 			return rec
 		}(),
+		record(t, 4, delta(map[string][][]int64{"R": {{1, 1}}})),                       // version gap
+		record(t, 3, delta(map[string][][]int64{"R": {{1, 1, 1}}})),                    // arity mismatch
+		record(t, 3, map[string]*database.Relation{"R": tagged}),                       // tagged value
+		record(t, 3, map[string]*database.Relation{"R": database.NewRelation("R", 2)}), // no rows
+		record(t, 3, map[string]*database.Relation{"M": nullary}),                      // new nullary
 	} {
 		dir := t.TempDir()
 		st, err := Open(dir)
@@ -180,7 +197,7 @@ func TestStoreTornTail(t *testing.T) {
 		if err := st.LogRegister("d", 1, mkInst([3]int64{1, 2, 3})); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.LogAppend("d", 2, map[string][][]int64{"R": {{4, 5}}}); err != nil {
+		if err := st.LogAppend("d", 2, delta(map[string][][]int64{"R": {{4, 5}}})); err != nil {
 			t.Fatal(err)
 		}
 		st.Close()
@@ -207,7 +224,7 @@ func TestStoreTornTail(t *testing.T) {
 		}
 		want := mkInst([3]int64{1, 2, 3})
 		want.Relation("R").AppendInts(4, 5)
-		sameInstance(t, got[0].Inst, want)
+		sameRelations(t, got[0].Inst, want)
 		if n := st2.Stats().TornTails; n != 1 {
 			t.Fatalf("tail %x: TornTails = %d, want 1", tail, n)
 		}
@@ -247,15 +264,16 @@ func TestStoreDrop(t *testing.T) {
 	}
 }
 
-// TestStoreSkipsUnacknowledgedDir checks a dataset directory with no valid
-// snapshot (crash before the snapshot rename) is cleaned up, not surfaced.
+// TestStoreSkipsUnacknowledgedDir checks a dataset directory with no
+// snapshot (crash before the snapshot rename, which leaves only the temp
+// file) is cleaned up, not surfaced.
 func TestStoreSkipsUnacknowledgedDir(t *testing.T) {
 	dir := t.TempDir()
 	junk := filepath.Join(dir, "ds-6a756e6b")
 	if err := os.MkdirAll(junk, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(junk, "snap-1.dat"), []byte("torn"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(junk, ".tmp-snap-123"), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Open(dir)
@@ -273,4 +291,290 @@ func TestStoreSkipsUnacknowledgedDir(t *testing.T) {
 	if _, err := os.Stat(junk); !os.IsNotExist(err) {
 		t.Fatalf("junk dataset dir survived recovery: %v", err)
 	}
+}
+
+// TestStoreCorruptSnapshotFailsLoudly checks that a snapshot file which
+// does not decode — corruption, or a directory in the pre-frame UCQW
+// format — fails recovery with an error naming the file, and that the
+// dataset directory stays on disk for an operator to inspect.
+func TestStoreCorruptSnapshotFailsLoudly(t *testing.T) {
+	valid := record(t, 1, nil)
+	for _, snap := range [][]byte{[]byte("torn"), oldFormatRecord(), valid[:len(valid)-1], append(valid, 0)} {
+		dir := t.TempDir()
+		ds := filepath.Join(dir, "ds-6a756e6b")
+		if err := os.MkdirAll(ds, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(ds, "snap-1.dat"), snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := st.Recover()
+		st.Close()
+		if err == nil || !strings.Contains(err.Error(), filepath.Join(ds, "snap-1.dat")) {
+			t.Fatalf("snapshot %q: Recover = %+v, %v; want an error naming the file", snap, got, err)
+		}
+		if _, err := os.Stat(filepath.Join(ds, "snap-1.dat")); err != nil {
+			t.Fatalf("snapshot %q: the dataset directory did not survive: %v", snap, err)
+		}
+	}
+}
+
+// oldFormatRecord is an empty version-1 instance in the pre-frame record
+// format: "UCQW" magic, length, CRC-32, then version u64 and relation
+// count u32.
+func oldFormatRecord() []byte {
+	payload := binary.LittleEndian.AppendUint64(nil, 1)
+	payload = binary.LittleEndian.AppendUint32(payload, 0)
+	rec := binary.LittleEndian.AppendUint32(nil, 0x55435157)
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
+	return append(rec, payload...)
+}
+
+// wideInstance is a relation of arity wire.MaxArity spanning three block
+// frames, with tagged values and both payload extremes, beside a nullary
+// relation.
+func wideInstance() *database.Instance {
+	inst := database.NewInstance()
+	w := database.NewRelation("W", wire.MaxArity)
+	row := make([]database.Value, wire.MaxArity)
+	for r := 0; r < 2*wire.BlockRows(wire.MaxArity)+1; r++ {
+		for c := range row {
+			switch (r + c) % 4 {
+			case 0:
+				row[c] = database.V(database.MaxPayload)
+			case 1:
+				row[c] = database.V(database.MinPayload)
+			case 2:
+				row[c] = database.TaggedValue(int64(r-c), uint8(c%255+1))
+			default:
+				row[c] = database.Value(-1) // tag 255, payload -1
+			}
+		}
+		w.Append(row...)
+	}
+	inst.AddRelation(w)
+	n := database.NewRelation("N", 0)
+	n.Append()
+	inst.AddRelation(n)
+	return inst
+}
+
+// blockFrames counts the block frames in a run of frames.
+func blockFrames(t *testing.T, buf []byte) int {
+	t.Helper()
+	n := 0
+	for len(buf) > 0 {
+		kind, _, rest, err := wire.SplitFrame(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind == wire.KindBlock {
+			n++
+		}
+		buf = rest
+	}
+	return n
+}
+
+// sameRelations compares two instances value for value, arity included.
+func sameRelations(t *testing.T, got, want *database.Instance) {
+	t.Helper()
+	if !slices.Equal(got.Names(), want.Names()) {
+		t.Fatalf("relation names %v, want %v", got.Names(), want.Names())
+	}
+	for _, name := range want.Names() {
+		g, w := got.Relation(name), want.Relation(name)
+		if g.Arity() != w.Arity() || g.Len() != w.Len() || !slices.Equal(g.Values(0, g.Len()), w.Values(0, w.Len())) {
+			t.Fatalf("relation %s: %d rows of arity %d, want %d rows of arity %d, or values differ", name, g.Len(), g.Arity(), w.Len(), w.Arity())
+		}
+	}
+}
+
+// TestStoreWideSnapshot checks a snapshot whose relation spans three block
+// frames recovers value for value.
+func TestStoreWideSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := wideInstance()
+	if err := st.LogRegister("w", 1, want); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	snap, err := os.ReadFile(filepath.Join(dir, "ds-77", "snap-1.dat"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := blockFrames(t, snap); n != 4 { // three for W, one for N
+		t.Fatalf("snapshot holds %d block frames, want 4", n)
+	}
+	st, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	got, err := st.Recover()
+	if err != nil || len(got) != 1 {
+		t.Fatalf("Recover = %+v, %v", got, err)
+	}
+	sameRelations(t, got[0].Inst, want)
+}
+
+// TestStoreRejectsUnreadable checks the writer refuses what no reader
+// accepts — a relation wider than wire.MaxArity — before touching disk.
+func TestStoreRejectsUnreadable(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	inst := database.NewInstance()
+	inst.AddRelation(database.NewRelation("R", wire.MaxArity+1))
+	if err := st.LogRegister("d", 1, inst); err == nil {
+		t.Fatal("LogRegister accepted a relation wider than MaxArity")
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("a rejected registration left %d entries on disk", len(entries))
+	}
+}
+
+// checkCuts truncates the WAL of dataset "d" under dir at every offset in
+// cuts and reopens the store. Each reopen must recover exactly the last
+// record whose commit frame is intact: bounds[i] is the WAL offset where
+// version i+1 ends (bounds[0] = 0 for the snapshot alone) and wants[i] its
+// instance. TornTails is 1 unless the cut falls on a record boundary, and
+// the WAL is left truncated to that boundary.
+func checkCuts(t *testing.T, dir string, wal []byte, bounds []int, wants []*database.Instance, cuts []int) {
+	t.Helper()
+	walPath := filepath.Join(dir, "ds-64", "wal.dat")
+	for _, cut := range cuts {
+		if err := os.WriteFile(walPath, wal[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := st.Recover()
+		torn := st.Stats().TornTails
+		st.Close()
+		if err != nil || len(got) != 1 {
+			t.Fatalf("cut %d: Recover = %+v, %v", cut, got, err)
+		}
+		i := 0
+		for i+1 < len(bounds) && bounds[i+1] <= cut {
+			i++
+		}
+		if got[0].Version != uint64(i+1) {
+			t.Fatalf("cut %d: recovered v%d, want v%d", cut, got[0].Version, i+1)
+		}
+		sameRelations(t, got[0].Inst, wants[i])
+		if wantTorn := int64(min(1, cut-bounds[i])); torn != wantTorn {
+			t.Fatalf("cut %d: TornTails = %d, want %d", cut, torn, wantTorn)
+		}
+		if left, err := os.ReadFile(walPath); err != nil || len(left) != bounds[i] {
+			t.Fatalf("cut %d: WAL left at %d bytes (%v), want %d", cut, len(left), err, bounds[i])
+		}
+	}
+}
+
+// logAll registers base as dataset "d" at v1 and logs each delta at the
+// next version. It returns the WAL bytes, the record boundaries and the
+// instance at every version.
+func logAll(t *testing.T, dir string, base *database.Instance, deltas ...map[string]*database.Relation) ([]byte, []int, []*database.Instance) {
+	t.Helper()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.LogRegister("d", 1, base); err != nil {
+		t.Fatal(err)
+	}
+	bounds, wants := []int{0}, []*database.Instance{base}
+	for i, d := range deltas {
+		if err := st.LogAppend("d", uint64(i+2), d); err != nil {
+			t.Fatal(err)
+		}
+		next, err := replayAppend(wants[i], func() *database.Instance {
+			inst := database.NewInstance()
+			for _, rel := range d {
+				inst.AddRelation(rel.Clone())
+			}
+			return inst
+		}())
+		if err != nil {
+			t.Fatal(err)
+		}
+		bounds, wants = append(bounds, int(st.Stats().WALBytes)), append(wants, next)
+	}
+	st.Close()
+	wal, err := os.ReadFile(filepath.Join(dir, "ds-64", "wal.dat"))
+	if err != nil || len(wal) != bounds[len(bounds)-1] {
+		t.Fatalf("WAL %d bytes (%v), want %d", len(wal), err, bounds[len(bounds)-1])
+	}
+	return wal, bounds, wants
+}
+
+// TestStoreCrashAtEveryOffset cuts the WAL at every byte offset: a crash
+// mid-append leaves exactly such a prefix, and recovery must come back at
+// the last acknowledged append. The three appends touch two relations at
+// once, a nullary relation, and a relation whose base rows are tagged.
+func TestStoreCrashAtEveryOffset(t *testing.T) {
+	dir := t.TempDir()
+	base := database.NewInstance()
+	r := database.NewRelation("R", 2)
+	r.Append(database.TaggedValue(5, 3), database.V(database.MinPayload))
+	base.AddRelation(r)
+	base.AddRelation(database.NewRelation("N", 0))
+	nullary := database.NewRelation("N", 0)
+	nullary.Append()
+	wal, bounds, wants := logAll(t, dir, base,
+		delta(map[string][][]int64{"R": {{1, 2}}, "S": {{3}, {4}}}),
+		map[string]*database.Relation{"N": nullary},
+		delta(map[string][][]int64{"R": {{database.MaxPayload, -1}}}),
+	)
+	cuts := make([]int, len(wal)+1)
+	for i := range cuts {
+		cuts[i] = i
+	}
+	checkCuts(t, dir, wal, bounds, wants, cuts)
+}
+
+// TestStoreCrashInsideWideAppend cuts an append spanning three block
+// frames at every frame boundary and one byte either side of it.
+func TestStoreCrashInsideWideAppend(t *testing.T) {
+	dir := t.TempDir()
+	rows := make([][]int64, 2*wire.BlockRows(1024)+1)
+	for i := range rows {
+		rows[i] = make([]int64, 1024)
+		for c := range rows[i] {
+			rows[i][c] = int64(i*c) - 1<<40
+		}
+	}
+	wal, bounds, wants := logAll(t, dir, database.NewInstance(), delta(map[string][][]int64{"W": rows}))
+	if n := blockFrames(t, wal); n != 3 {
+		t.Fatalf("append spans %d block frames, want 3", n)
+	}
+	var cuts []int
+	for rest := wal; ; {
+		at := len(wal) - len(rest)
+		cuts = append(cuts, max(at-1, 0), at, min(at+1, len(wal)))
+		if len(rest) == 0 {
+			break
+		}
+		_, _, next, err := wire.SplitFrame(rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rest = next
+	}
+	checkCuts(t, dir, wal, bounds, wants, cuts)
 }

@@ -1,61 +1,76 @@
 package storage
 
 import (
-	"io"
 	"testing"
 
 	"repro/internal/database"
+	"repro/internal/wire"
 )
 
-// FuzzWALRecord throws arbitrary bytes at the record framing and both
-// payload decoders. The invariants: no panic, errors are clean, and any
-// buffer the framing accepts must decode deterministically — a valid
-// record round-trips through decode→encode unchanged semantics.
+// FuzzWALRecord throws arbitrary bytes at the record reader, reading one
+// record after another as WAL replay does. The invariants: no panic,
+// errors are clean, and whatever the reader accepts re-encodes and
+// re-reads to the same relations and version.
 func FuzzWALRecord(f *testing.F) {
+	rec := func(version uint64, rels ...*database.Relation) []byte {
+		inst := database.NewInstance()
+		for _, rel := range rels {
+			inst.AddRelation(rel)
+		}
+		b, err := appendRecord(nil, version, inst)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	rel := func(name string, arity int, vals ...database.Value) *database.Relation {
+		r := database.NewRelation(name, arity)
+		for len(vals) > 0 {
+			r.Append(vals[:arity]...)
+			vals = vals[arity:]
+		}
+		return r
+	}
+	v := database.V
 	f.Add([]byte{})
-	f.Add(appendRecord(nil, encodeAppend(1, map[string][][]int64{"R": {{1, 2}}})))
-	f.Add(appendRecord(nil, encodeAppend(7, map[string][][]int64{"S": {{-3}}, "T": {{4, 5, 6}}})))
-	f.Add(appendRecord(nil, encodeInstance(2, database.NewInstance())))
-	inst := database.NewInstance()
-	rel := database.NewRelation("edge", 2)
-	rel.AppendInts(10, 20)
-	rel.AppendInts(30, 40)
-	inst.AddRelation(rel)
-	f.Add(appendRecord(nil, encodeInstance(3, inst)))
-	f.Add(appendRecord(nil, []byte("not a relation table")))
+	f.Add(rec(1, rel("R", 2, v(1), v(2))))
+	f.Add(rec(7, rel("S", 1, v(-3)), rel("T", 3, v(4), v(5), v(6))))
+	f.Add(rec(2))
+	f.Add(rec(3, rel("edge", 2, v(10), v(20), v(30), v(40))))
+	f.Add(wire.AppendFrame(nil, kindRelation, []byte("not a relation table")))
 	f.Add([]byte{0x57, 0x51, 0x43, 0x55, 0xff, 0xff, 0xff, 0x7f})
+	// A relation spanning two block frames — nullary, so the seed stays
+	// small — then a second relation.
+	many := rel("M", 0)
+	for range wire.BlockRows(0) + 1 {
+		many.Append()
+	}
+	f.Add(rec(4, many, rel("R", 1, v(9))))
+	nullary := rel("N", 0)
+	nullary.Append()
+	f.Add(rec(5, nullary))
+	f.Add(rec(6, rel("R", 2, database.TaggedValue(-5, 3), v(database.MinPayload))))
+	full := rec(8, rel("R", 2, v(1), v(2)), rel("S", 1, v(3)))
+	commit := wire.AppendFrame(nil, kindCommit, []byte{8, 2}) // version 8, two relations
+	f.Add(full[:len(full)-len(commit)])
+	f.Add(oldFormatRecord())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rest := data
-		for depth := 0; depth < 64; depth++ {
-			payload, next, err := nextRecord(rest)
-			if err == io.EOF {
-				if len(rest) != 0 {
-					t.Fatalf("io.EOF with %d bytes left", len(rest))
-				}
-				return
-			}
+		for len(data) > 0 {
+			version, inst, rest, err := readRecord(data)
 			if err != nil {
-				return // torn tail: replay stops here, nothing to check
+				return // torn tail: replay stops here
 			}
-			if v, rels, err := decodeAppend(payload); err == nil {
-				// Whatever decodes must survive the writer's own encoding.
-				if v2, _, err2 := decodeAppend(encodeAppend(v, rels)); err2 != nil || v2 != v {
-					t.Fatalf("append roundtrip broke: v=%d v2=%d err=%v", v, v2, err2)
-				}
+			again, err := appendRecord(nil, version, inst)
+			if err != nil {
+				t.Fatalf("accepted record does not re-encode: %v", err)
 			}
-			if v, inst, err := decodeInstance(payload); err == nil {
-				if v2, inst2, err2 := decodeInstance(appendRecordPayload(v, inst)); err2 != nil || v2 != v || inst2.TupleCount() != inst.TupleCount() {
-					t.Fatalf("instance roundtrip broke: err=%v", err2)
-				}
+			v2, inst2, tail, err := readRecord(again)
+			if err != nil || v2 != version || len(tail) != 0 {
+				t.Fatalf("re-read: v%d, %d trailing bytes, %v; want v%d", v2, len(tail), err, version)
 			}
-			rest = next
+			sameRelations(t, inst2, inst)
+			data = rest
 		}
 	})
-}
-
-// appendRecordPayload re-encodes a decoded instance, exercising the writer
-// on fuzz-shaped (but valid) instances.
-func appendRecordPayload(v uint64, inst *database.Instance) []byte {
-	return encodeInstance(v, inst)
 }

@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"io"
 	"slices"
 
@@ -59,34 +58,25 @@ func (d *Decoder) Next() (*Frame, error) {
 		return nil, d.err
 	}
 	if d.trailer {
-		d.err = io.EOF
-		return nil, d.err
+		return nil, d.latch(io.EOF)
 	}
 	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
-		if err == io.EOF {
-			d.err = io.EOF
-		} else {
-			d.err = io.ErrUnexpectedEOF
+		if err != io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
-		return nil, d.err
+		return nil, d.latch(err)
 	}
-	if got := binary.LittleEndian.Uint32(d.hdr[0:]); got != frameMagic {
-		return nil, d.fail("bad magic 0x%08x", got)
+	kind, length, err := frameHeader(d.hdr[:])
+	if err != nil {
+		return nil, d.latch(err)
 	}
-	kind := Kind(d.hdr[4])
-	length := binary.LittleEndian.Uint32(d.hdr[5:])
-	wantCRC := binary.LittleEndian.Uint32(d.hdr[9:])
-	if length > MaxFramePayload {
-		return nil, d.fail("frame payload %d exceeds limit", length)
-	}
-	d.payload = slices.Grow(d.payload[:0], int(length))
+	d.payload = slices.Grow(d.payload[:0], length)
 	p := d.payload[:length]
 	if _, err := io.ReadFull(d.r, p); err != nil {
-		d.err = io.ErrUnexpectedEOF
-		return nil, d.err
+		return nil, d.latch(io.ErrUnexpectedEOF)
 	}
-	if got := checksum(p); got != wantCRC {
-		return nil, d.fail("payload checksum 0x%08x, want 0x%08x", got, wantCRC)
+	if err := checkPayload(d.hdr[:], p); err != nil {
+		return nil, d.latch(err)
 	}
 	if kind != KindHeader && !d.headerSeen {
 		return nil, d.fail("frame kind %d before header", kind)
@@ -111,9 +101,14 @@ func (d *Decoder) emit(f Frame) *Frame {
 	return &d.frame
 }
 
+// latch records err as the decoder's terminal state and returns it.
+func (d *Decoder) latch(err error) error {
+	d.err = err
+	return err
+}
+
 func (d *Decoder) fail(format string, args ...any) error {
-	d.err = fmt.Errorf("%w: %s", ErrFormat, fmt.Sprintf(format, args...))
-	return d.err
+	return d.latch(formatError(format, args...))
 }
 
 func (d *Decoder) decodeHeader(p []byte) (*Frame, error) {
@@ -152,36 +147,16 @@ func (d *Decoder) decodeHeader(p []byte) (*Frame, error) {
 }
 
 func (d *Decoder) decodeBlock(p []byte) (*Frame, error) {
-	rows64, n := binary.Uvarint(p)
-	if n <= 0 {
-		return nil, d.fail("bad block row count")
-	}
-	p = p[n:]
-	if rows64 == 0 || rows64 > MaxBlockRows {
-		return nil, d.fail("block row count %d out of range", rows64)
-	}
-	rows := int(rows64)
-	flat := slices.Grow(d.flat[:0], rows*d.arity)[:rows*d.arity]
-	for c := 0; c < d.arity; c++ {
-		prev := int64(0)
-		for r := 0; r < rows; r++ {
-			u, n := binary.Uvarint(p)
-			if n <= 0 {
-				return nil, d.fail("truncated column %d at row %d", c, r)
-			}
-			p = p[n:]
-			prev += unzigzag(u)
-			flat[r*d.arity+c] = database.Value(prev)
-		}
-	}
-	if len(p) != 0 {
-		return nil, d.fail("%d trailing bytes in block payload", len(p))
+	flat, rows, err := DecodeBlock(d.flat, p, d.arity)
+	d.flat = flat
+	if err != nil {
+		return nil, d.latch(err)
 	}
 	tuples := slices.Grow(d.tuples[:0], rows)[:rows]
-	for r := 0; r < rows; r++ {
+	for r := range tuples {
 		tuples[r] = database.Tuple(flat[r*d.arity : (r+1)*d.arity : (r+1)*d.arity])
 	}
-	d.flat, d.tuples = flat, tuples
+	d.tuples = tuples
 	return d.emit(Frame{Kind: KindBlock, Arity: d.arity, Tuples: tuples}), nil
 }
 

@@ -10,17 +10,17 @@ import (
 )
 
 // Encoder writes a binary answer stream to w. The header frame is written
-// lazily before the first payload frame; AppendBatch transposes a flat
-// batch of answers into the column buffers and FlushBlock turns them into
-// one block frame. Callers flush at the same cadence as the NDJSON path
-// (flushEvery boundaries); the encoder itself only forces a block at
-// MaxBlockRows. Encoders are not safe for concurrent use.
+// lazily before the first payload frame; AppendBatch buffers a flat batch
+// of answers and FlushBlock turns the buffer into one block frame. Callers
+// flush at the same cadence as the NDJSON path (flushEvery boundaries); the
+// encoder itself only forces a block at BlockRows(arity). Encoders are not
+// safe for concurrent use.
 type Encoder struct {
 	w     io.Writer
 	arity int
 
 	headerDone bool
-	cols       [][]int64
+	vals       []database.Value // buffered answers, row-major
 	rows       int
 	frame      []byte
 	payload    []byte
@@ -32,8 +32,7 @@ func NewEncoder(w io.Writer, arity int) (*Encoder, error) {
 	if arity < 0 || arity > MaxArity {
 		return nil, fmt.Errorf("wire: arity %d out of range", arity)
 	}
-	cols := make([][]int64, arity)
-	return &Encoder{w: w, arity: arity, cols: cols}, nil
+	return &Encoder{w: w, arity: arity}, nil
 }
 
 // writeHeader emits the header frame once. Its metadata length is always
@@ -56,7 +55,7 @@ func (e *Encoder) writeHeader() error {
 
 // writeFrame frames and writes one payload, latching the first error.
 func (e *Encoder) writeFrame(kind Kind, payload []byte) error {
-	e.frame = appendFrame(e.frame[:0], kind, payload)
+	e.frame = AppendFrame(e.frame[:0], kind, payload)
 	if _, err := e.w.Write(e.frame); err != nil {
 		e.err = err
 		return err
@@ -74,16 +73,12 @@ func (e *Encoder) AppendBatch(vals []database.Value, n int) error {
 	if n < 0 || len(vals) < n*e.arity {
 		return fmt.Errorf("wire: %d values for %d answers of arity %d", len(vals), n, e.arity)
 	}
-	for n > 0 {
-		k := min(n, MaxBlockRows-e.rows)
-		for c := range e.cols {
-			for i := c; i < k*e.arity; i += e.arity {
-				e.cols[c] = append(e.cols[c], int64(vals[i]))
-			}
-		}
+	for limit := BlockRows(e.arity); n > 0; {
+		k := min(n, limit-e.rows)
+		e.vals = append(e.vals, vals[:k*e.arity]...)
 		e.rows += k
 		vals, n = vals[k*e.arity:], n-k
-		if e.rows == MaxBlockRows {
+		if e.rows == limit {
 			if err := e.FlushBlock(); err != nil {
 				return err
 			}
@@ -93,8 +88,7 @@ func (e *Encoder) AppendBatch(vals []database.Value, n int) error {
 }
 
 // FlushBlock writes the buffered tuples as one block frame; it is a no-op
-// with nothing buffered. Deltas reset at block boundaries, so any block is
-// decodable without its predecessors.
+// with nothing buffered.
 func (e *Encoder) FlushBlock() error {
 	if e.err != nil {
 		return e.err
@@ -105,19 +99,9 @@ func (e *Encoder) FlushBlock() error {
 	if err := e.writeHeader(); err != nil {
 		return err
 	}
-	p := e.payload[:0]
-	p = binary.AppendUvarint(p, uint64(e.rows))
-	for c := 0; c < e.arity; c++ {
-		prev := int64(0)
-		for _, v := range e.cols[c] {
-			p = binary.AppendUvarint(p, zigzag(v-prev))
-			prev = v
-		}
-		e.cols[c] = e.cols[c][:0]
-	}
-	e.payload = p
-	e.rows = 0
-	return e.writeFrame(KindBlock, p)
+	e.payload = AppendBlock(e.payload[:0], e.vals, e.arity, e.rows)
+	e.vals, e.rows = e.vals[:0], 0
+	return e.writeFrame(KindBlock, e.payload)
 }
 
 // Marker flushes any buffered block and writes a marker frame carrying v

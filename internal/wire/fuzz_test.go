@@ -40,8 +40,8 @@ func FuzzAnswerFrame(f *testing.F) {
 		e.FlushBlock()
 		e.Trailer(Trailer{Done: false, Error: "spill: disk full", Count: 1})
 	}))
-	f.Add(appendFrame(nil, KindHeader, []byte{headerVersion, 0, 0, 0, 0, 0, 0}))
-	f.Add(appendFrame(nil, KindBlock, []byte{1, 2, 3}))
+	f.Add(AppendFrame(nil, KindHeader, []byte{headerVersion, 0, 0, 0, 0, 0, 0}))
+	f.Add(AppendFrame(nil, KindBlock, []byte{1, 2, 3}))
 	f.Add([]byte{0x46, 0x51, 0x43, 0x55, 0x02, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

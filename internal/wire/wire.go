@@ -4,8 +4,7 @@
 // text encoding carries the same records (AppendTupleNDJSON lines, the
 // Trailer as a JSON object).
 //
-// A stream is a sequence of frames, each length-prefixed and checksummed
-// like the storage layer's WAL records:
+// A stream is a sequence of frames, each length-prefixed and checksummed:
 //
 //	magic   u32  frameMagic ("UCQF")
 //	kind    u8   header | block | marker | trailer
@@ -16,8 +15,8 @@
 // All fixed-width integers are little-endian. The first frame is always a
 // header (arity, per-column codec, and a metadata length that is always
 // zero — a decoder rejects any other value); answers
-// travel in block frames holding up to MaxBlockRows tuples transposed into
-// columns, each column a run of zigzag-varint deltas of the raw 64-bit
+// travel in block frames holding up to BlockRows(arity) tuples transposed
+// into columns, each column a run of zigzag-varint deltas of the raw 64-bit
 // value words — root-ordered enumeration makes the leading column nearly
 // sorted, so deltas stay in the one-byte varint range. Marker frames carry
 // one uvarint whose meaning belongs to the stream type (a subscription's
@@ -26,6 +25,10 @@
 // protocol sends as its last line. A decoder can therefore distinguish
 // "complete" from "truncated" exactly as on the text protocol: no trailer
 // frame, no complete stream.
+//
+// The frame (AppendFrame, SplitFrame) and the block payload (AppendBlock,
+// DecodeBlock) are also the storage layer's durable record format, so
+// both enforce one set of limits.
 package wire
 
 import (
@@ -33,6 +36,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/database"
@@ -73,11 +78,14 @@ const (
 	// MaxFramePayload bounds one frame's payload; a larger length field is
 	// corruption, not a request for a 4 GiB allocation.
 	MaxFramePayload = 1 << 26
-	// MaxBlockRows caps the tuples per block frame. Encoders flush earlier
-	// at the server's FlushEvery boundaries; this is the backstop that
-	// keeps decoder allocations bounded.
-	MaxBlockRows = 1 << 16
-	// MaxArity bounds the header's declared tuple width.
+	// MaxBlockRows caps the tuples per block frame and maxBlockValues its
+	// values (tuples × arity); BlockRows combines the two. Encoders flush
+	// earlier at the server's flush boundaries; this is the backstop that
+	// keeps every block payload under about 10 B × maxBlockValues.
+	MaxBlockRows   = 1 << 16
+	maxBlockValues = 1 << 16
+	// MaxArity bounds a tuple's width: a header's declared arity, a
+	// journaled relation's, and so every relation a catalog accepts.
 	MaxArity = 1 << 12
 	// codecDeltaVarint is the only column codec today: zigzag varints of
 	// per-column deltas of the raw value words. The header carries one
@@ -116,12 +124,18 @@ type Trailer struct {
 	Error string `json:"error,omitempty"`
 }
 
-// checksum is the frame payload checksum — CRC-32 (IEEE), same as the WAL
-// records.
+// checksum is the frame payload checksum, CRC-32 (IEEE).
 func checksum(payload []byte) uint32 { return crc32.ChecksumIEEE(payload) }
 
-// appendFrame appends one framed payload to dst.
-func appendFrame(dst []byte, kind Kind, payload []byte) []byte {
+// formatError wraps a structural complaint in ErrFormat.
+func formatError(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrFormat, fmt.Sprintf(format, args...))
+}
+
+// AppendFrame appends payload, framed as kind, to dst. Callers keep the
+// payload within MaxFramePayload; SplitFrame and Decoder reject longer
+// frames.
+func AppendFrame(dst []byte, kind Kind, payload []byte) []byte {
 	var hdr [frameHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
 	hdr[4] = byte(kind)
@@ -129,6 +143,107 @@ func appendFrame(dst []byte, kind Kind, payload []byte) []byte {
 	binary.LittleEndian.PutUint32(hdr[9:], checksum(payload))
 	dst = append(dst, hdr[:]...)
 	return append(dst, payload...)
+}
+
+// SplitFrame slices the first frame off buf and returns its kind, its
+// payload and the bytes after it. It returns io.EOF on an empty buf,
+// io.ErrUnexpectedEOF when buf ends inside the frame, and an
+// ErrFormat-wrapped error for a bad magic, length or checksum.
+func SplitFrame(buf []byte) (kind Kind, payload, rest []byte, err error) {
+	if len(buf) == 0 {
+		return 0, nil, nil, io.EOF
+	}
+	if len(buf) < frameHeaderLen {
+		return 0, nil, nil, io.ErrUnexpectedEOF
+	}
+	kind, n, err := frameHeader(buf)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	if n > len(buf)-frameHeaderLen {
+		return 0, nil, nil, io.ErrUnexpectedEOF
+	}
+	payload = buf[frameHeaderLen : frameHeaderLen+n]
+	if err := checkPayload(buf, payload); err != nil {
+		return 0, nil, nil, err
+	}
+	return kind, payload, buf[frameHeaderLen+n:], nil
+}
+
+// frameHeader validates a frame header's magic and length and returns the
+// frame's kind and payload length.
+func frameHeader(hdr []byte) (Kind, int, error) {
+	if got := binary.LittleEndian.Uint32(hdr[0:]); got != frameMagic {
+		return 0, 0, formatError("bad magic 0x%08x", got)
+	}
+	n := binary.LittleEndian.Uint32(hdr[5:])
+	if n > MaxFramePayload {
+		return 0, 0, formatError("frame payload %d exceeds limit", n)
+	}
+	return Kind(hdr[4]), int(n), nil
+}
+
+// checkPayload checks payload against the checksum in its frame header.
+func checkPayload(hdr, payload []byte) error {
+	if got, want := checksum(payload), binary.LittleEndian.Uint32(hdr[9:]); got != want {
+		return formatError("payload checksum 0x%08x, want 0x%08x", got, want)
+	}
+	return nil
+}
+
+// BlockRows is the most tuples one block frame of the given arity holds.
+func BlockRows(arity int) int {
+	return min(MaxBlockRows, maxBlockValues/max(arity, 1))
+}
+
+// AppendBlock appends the block payload for the first n tuples of vals —
+// row-major, arity values each — to dst: the tuple count, then each column
+// as zigzag-varint deltas of the raw value words, read with stride arity.
+// Deltas start from zero in every block, so any block decodes without its
+// predecessors. n must lie in [1, BlockRows(arity)].
+func AppendBlock(dst []byte, vals []database.Value, arity, n int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(n))
+	for c := 0; c < arity; c++ {
+		prev := int64(0)
+		for i := c; i < n*arity; i += arity {
+			v := int64(vals[i])
+			dst = binary.AppendUvarint(dst, zigzag(v-prev))
+			prev = v
+		}
+	}
+	return dst
+}
+
+// DecodeBlock decodes a block payload of the given arity into dst[:0],
+// row-major, and returns the values and the tuple count. It rejects a
+// count outside [1, BlockRows(arity)], a short column and trailing bytes.
+func DecodeBlock(dst []database.Value, p []byte, arity int) ([]database.Value, int, error) {
+	rows64, n := binary.Uvarint(p)
+	if n <= 0 {
+		return dst, 0, formatError("bad block row count")
+	}
+	p = p[n:]
+	if rows64 == 0 || rows64 > uint64(BlockRows(arity)) {
+		return dst, 0, formatError("block row count %d out of range", rows64)
+	}
+	rows := int(rows64)
+	flat := slices.Grow(dst[:0], rows*arity)[:rows*arity]
+	for c := 0; c < arity; c++ {
+		prev := int64(0)
+		for i := c; i < len(flat); i += arity {
+			u, n := binary.Uvarint(p)
+			if n <= 0 {
+				return flat, 0, formatError("truncated column %d at row %d", c, i/arity)
+			}
+			p = p[n:]
+			prev += unzigzag(u)
+			flat[i] = database.Value(prev)
+		}
+	}
+	if len(p) != 0 {
+		return flat, 0, formatError("%d trailing bytes in block payload", len(p))
+	}
+	return flat, rows, nil
 }
 
 // zigzag maps a signed delta onto the unsigned varint space.

@@ -229,7 +229,7 @@ func TestCorruptionDetected(t *testing.T) {
 
 func TestStructuralRules(t *testing.T) {
 	// Block before header.
-	raw := appendFrame(nil, KindBlock, []byte{1, 2})
+	raw := AppendFrame(nil, KindBlock, []byte{1, 2})
 	d := NewDecoder(bytes.NewReader(raw))
 	if _, err := d.Next(); !errors.Is(err, ErrFormat) {
 		t.Fatalf("block before header: %v, want ErrFormat", err)
@@ -252,7 +252,7 @@ func TestStructuralRules(t *testing.T) {
 	}
 
 	// Unknown kind.
-	raw = appendFrame(nil, Kind(9), nil)
+	raw = AppendFrame(nil, Kind(9), nil)
 	d = NewDecoder(bytes.NewReader(raw))
 	if _, err := d.Next(); !errors.Is(err, ErrFormat) {
 		t.Fatalf("unknown kind: %v, want ErrFormat", err)
@@ -270,7 +270,7 @@ func TestStructuralRules(t *testing.T) {
 		{headerVersion, 1, 0, codecDeltaVarint, 2, 0, 0, 0, '{', '}'},
 		{headerVersion, 1, 0, codecDeltaVarint, 2, 0, 0, 0},
 	} {
-		d = NewDecoder(bytes.NewReader(appendFrame(nil, KindHeader, p)))
+		d = NewDecoder(bytes.NewReader(AppendFrame(nil, KindHeader, p)))
 		if _, err := d.Next(); !errors.Is(err, ErrFormat) {
 			t.Fatalf("header meta length 2 (%d payload bytes): %v, want ErrFormat", len(p), err)
 		}
@@ -435,5 +435,84 @@ func TestDecoderReusesBlockBuffers(t *testing.T) {
 	next() // first block sizes the buffers
 	if n := testing.AllocsPerRun(99, next); n > 0 {
 		t.Errorf("%.1f allocations per 256-row block, want 0", n)
+	}
+}
+
+// TestWideUnflushedRoundTrip appends 2000 rows of arity MaxArity without
+// flushing, each column alternating between the raw words 1<<62 and 0, so
+// every delta takes nine or ten varint bytes. Cut at MaxBlockRows alone,
+// that is one 77 824 002-byte block the decoder refuses; cut at the value
+// budget it is 125 blocks that decode.
+func TestWideUnflushedRoundTrip(t *testing.T) {
+	const rows = 2000
+	pr, pw := io.Pipe()
+	go func() {
+		e, err := NewEncoder(pw, MaxArity)
+		if err != nil {
+			pw.CloseWithError(err)
+			return
+		}
+		row := make([]database.Value, MaxArity)
+		for r := 0; r < rows && err == nil; r++ {
+			for c := range row {
+				row[c] = database.Value(int64(1-r%2) << 62)
+			}
+			err = e.AppendBatch(row, 1)
+		}
+		if err == nil {
+			err = e.Trailer(Trailer{Done: true, Count: rows})
+		}
+		pw.CloseWithError(err)
+	}()
+	d := NewDecoder(pr)
+	got := 0
+	for {
+		f, err := d.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("after %d rows: %v", got, err)
+		}
+		if f.Kind != KindBlock {
+			continue
+		}
+		if len(f.Tuples) > BlockRows(MaxArity) {
+			t.Fatalf("block of %d rows, budget %d", len(f.Tuples), BlockRows(MaxArity))
+		}
+		for _, tp := range f.Tuples {
+			want := database.Value(int64(1-got%2) << 62)
+			for c, v := range tp {
+				if v != want {
+					t.Fatalf("row %d col %d = %#x, want %#x", got, c, int64(v), int64(want))
+				}
+			}
+			got++
+		}
+	}
+	if got != rows || !d.SawTrailer() {
+		t.Fatalf("decoded %d rows (trailer %v), want %d", got, d.SawTrailer(), rows)
+	}
+}
+
+// TestDecoderRejectsOverBudgetBlock checks the decoder refuses a block
+// holding more tuples than BlockRows allows for its arity.
+func TestDecoderRejectsOverBudgetBlock(t *testing.T) {
+	const arity = 64
+	vals := make([]database.Value, (BlockRows(arity)+1)*arity)
+	for _, n := range []int{BlockRows(arity), BlockRows(arity) + 1} {
+		// Version, arity, one delta-varint codec byte per column, and a
+		// zero metadata length.
+		hdr := append([]byte{headerVersion, arity, 0}, make([]byte, arity+4)...)
+		stream := AppendFrame(nil, KindHeader, hdr)
+		stream = AppendFrame(stream, KindBlock, AppendBlock(nil, vals, arity, n))
+		d := NewDecoder(bytes.NewReader(stream))
+		if _, err := d.Next(); err != nil {
+			t.Fatal(err)
+		}
+		_, err := d.Next()
+		if ok := n <= BlockRows(arity); ok != (err == nil) || (!ok && !errors.Is(err, ErrFormat)) {
+			t.Fatalf("block of %d rows at arity %d: %v", n, arity, err)
+		}
 	}
 }

@@ -112,6 +112,9 @@ func appendWireRows(rel *database.Relation, name string, rows [][]int64) error {
 // payload range without touching a relation, so writers can reject a bad
 // payload before taking any lock.
 func validateWireRows(name string, arity int, rows [][]int64) error {
+	if err := checkArity(name, arity); err != nil {
+		return err
+	}
 	for i, row := range rows {
 		if len(row) != arity {
 			return fmt.Errorf("ucq: %s row %d: %d values, expected %d", name, i, len(row), arity)
@@ -120,6 +123,25 @@ func validateWireRows(name string, arity int, rows [][]int64) error {
 			if v > database.MaxPayload || v < database.MinPayload {
 				return fmt.Errorf("ucq: %s row %d: value %d outside the %d-bit payload range", name, i, v, 56)
 			}
+		}
+	}
+	return nil
+}
+
+// checkArity rejects a relation wider than wire.MaxArity, the widest tuple
+// an answer stream or a journal record carries.
+func checkArity(name string, arity int) error {
+	if arity > wire.MaxArity {
+		return fmt.Errorf("ucq: relation %s has arity %d, above the limit of %d", name, arity, wire.MaxArity)
+	}
+	return nil
+}
+
+// checkInstanceArity applies checkArity to every relation of inst.
+func checkInstanceArity(inst *Instance) error {
+	for _, name := range inst.Names() {
+		if err := checkArity(name, inst.Relation(name).Arity()); err != nil {
+			return err
 		}
 	}
 	return nil
