@@ -2,6 +2,7 @@ package ucq
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -27,7 +28,7 @@ import (
 // bindCacheSize caps a catalog's bind cache (entries).
 const bindCacheSize = 256
 
-// appendLogSize is how many consecutive append deltas a dataset retains
+// appendLogSize is how many consecutive appends a dataset's log retains
 // for incremental subscription catch-up before the oldest is compacted
 // away, forcing lagging subscribers to resync from a full evaluation. The
 // cap bounds the log's memory; it never loses an answer.
@@ -39,24 +40,32 @@ const appendLogSize = 32
 // to make version arguments self-describing.
 type Version = uint64
 
+// ErrDatasetDropped reports a write through a Dataset whose registration
+// has been dropped. The write changed nothing and was never journaled;
+// a registration under the same name is a different Dataset, reached
+// through Catalog.Dataset.
+var ErrDatasetDropped = errors.New("ucq: dataset was dropped")
+
 // Journal receives every catalog mutation before it is installed, for
 // durable storage: a mutation is acknowledged to the caller only after the
 // journal accepted it, and a journal error fails the mutation with the
 // in-memory state unchanged. internal/storage.Store implements it; see
 // OpenCatalog. The version arguments are the versions the mutations
 // install, so replay can reconstruct each dataset at its exact version.
-// LogAppend receives the validated delta of one AppendRows, each touched
-// relation holding just its appended rows, so a snapshot and an append
-// reach the journal as relations alike.
+// LogSnapshot receives a registration or a Replace: the whole instance,
+// superseding everything journaled for the name before. LogAppend receives
+// one AppendRows as, per relation it grew, the view of the rows it added,
+// so a snapshot and an append reach the journal as relations alike.
 type Journal interface {
-	LogRegister(name string, version uint64, inst *Instance) error
-	LogReplace(name string, version uint64, inst *Instance) error
+	LogSnapshot(name string, version uint64, inst *Instance) error
 	LogAppend(name string, version uint64, rels map[string]*Relation) error
 	LogDrop(name string) error
 }
 
 // Catalog is a registry of named, versioned datasets sharing one bind
-// cache. All methods are safe for concurrent use.
+// cache. Every write is journaled (see Journal) before it is installed,
+// and a write through a dropped registration fails with ErrDatasetDropped.
+// All methods are safe for concurrent use.
 type Catalog struct {
 	mu       sync.RWMutex
 	datasets map[string]*Dataset
@@ -68,17 +77,13 @@ type Catalog struct {
 	// generation in the bind key is what keeps the new dataset's binds
 	// apart from any still-in-flight fills against the old one.
 	gen atomic.Uint64
-	// appendLog is the per-dataset delta-log capacity: appendLogSize,
-	// lowered only by tests that drive compaction.
-	appendLog int
 }
 
 // NewCatalog builds an empty catalog.
 func NewCatalog() *Catalog {
 	return &Catalog{
-		datasets:  make(map[string]*Dataset),
-		binds:     vcache.New[*boundQuery](bindCacheSize),
-		appendLog: appendLogSize,
+		datasets: make(map[string]*Dataset),
+		binds:    vcache.New[*boundQuery](bindCacheSize),
 	}
 }
 
@@ -89,26 +94,12 @@ func NewCatalog() *Catalog {
 // relation wider than wire.MaxArity is rejected, as in every catalog
 // write.
 func (c *Catalog) Register(name string, inst *Instance) (*Dataset, error) {
-	if name == "" {
-		return nil, fmt.Errorf("ucq: dataset name must be non-empty")
-	}
-	if err := checkInstanceArity(inst); err != nil {
-		return nil, err
-	}
-	ds := &Dataset{name: name, cat: c, gen: c.gen.Add(1)}
-	ds.snap.Store(newSnapshot(name, 1, inst))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.datasets[name]; ok {
 		return nil, fmt.Errorf("ucq: dataset %q already registered", name)
 	}
-	if c.journal != nil {
-		if err := c.journal.LogRegister(name, 1, inst); err != nil {
-			return nil, err
-		}
-	}
-	c.datasets[name] = ds
-	return ds, nil
+	return c.create(name, inst)
 }
 
 // Upsert registers name (at version 1) or replaces the existing
@@ -117,34 +108,40 @@ func (c *Catalog) Register(name string, inst *Instance) (*Dataset, error) {
 // catalog lock — two concurrent Upserts of a new name never register
 // twice, and the created flag is exact — while the replace write itself
 // runs outside it, so a slow snapshot swap never stalls unrelated catalog
-// lookups.
+// lookups. A replace that loses a race with Drop fails with
+// ErrDatasetDropped.
 func (c *Catalog) Upsert(name string, inst *Instance) (ds *Dataset, created bool, err error) {
-	if name == "" {
-		return nil, false, fmt.Errorf("ucq: dataset name must be non-empty")
-	}
-	if err := checkInstanceArity(inst); err != nil {
-		return nil, false, err
-	}
 	c.mu.Lock()
 	ds, ok := c.datasets[name]
 	if !ok {
-		if c.journal != nil {
-			if err := c.journal.LogRegister(name, 1, inst); err != nil {
-				c.mu.Unlock()
-				return nil, false, err
-			}
-		}
-		ds = &Dataset{name: name, cat: c, gen: c.gen.Add(1)}
-		ds.snap.Store(newSnapshot(name, 1, inst))
-		c.datasets[name] = ds
+		ds, err = c.create(name, inst)
 		c.mu.Unlock()
-		return ds, true, nil
+		return ds, err == nil, err
 	}
 	c.mu.Unlock()
 	if _, err := ds.Replace(inst); err != nil {
 		return nil, false, err
 	}
 	return ds, false, nil
+}
+
+// create validates, journals and installs a new registration of name at
+// version 1. Callers hold c.mu and have checked that name is free.
+func (c *Catalog) create(name string, inst *Instance) (*Dataset, error) {
+	if name == "" {
+		return nil, fmt.Errorf("ucq: dataset name must be non-empty")
+	}
+	if err := checkInstanceArity(inst); err != nil {
+		return nil, err
+	}
+	if c.journal != nil {
+		if err := c.journal.LogSnapshot(name, 1, inst); err != nil {
+			return nil, err
+		}
+	}
+	ds := newDataset(c, name, 1, inst)
+	c.datasets[name] = ds
+	return ds, nil
 }
 
 // Dataset looks up a registered dataset by name.
@@ -156,24 +153,30 @@ func (c *Catalog) Dataset(name string) (*Dataset, bool) {
 }
 
 // Drop removes the dataset and purges its cached binds, reporting whether
-// it existed. Plans already bound to one of its snapshots keep working —
-// snapshots are immutable and outlive the registration. Dropping durable
-// state is best-effort: the in-memory registration goes away regardless,
-// and a drop the journal missed resurfaces the dataset on the next
-// recovery rather than losing anything.
+// it existed. The registration is marked dropped under its writer lock,
+// taken inside the catalog lock, so every later write through it fails
+// with ErrDatasetDropped and none reaches the journal after the drop.
+// Plans already bound to one of its snapshots keep working — snapshots
+// are immutable and outlive the registration. Dropping durable state is
+// best-effort: the in-memory registration goes away regardless, and a drop
+// the journal missed resurfaces the dataset on the next recovery rather
+// than losing anything.
 func (c *Catalog) Drop(name string) bool {
 	c.mu.Lock()
 	ds, ok := c.datasets[name]
-	delete(c.datasets, name)
-	if ok && c.journal != nil {
-		_ = c.journal.LogDrop(name)
+	if ok {
+		delete(c.datasets, name)
+		ds.wmu.Lock()
+		ds.dropped = true
+		if c.journal != nil {
+			_ = c.journal.LogDrop(name)
+		}
+		ds.wmu.Unlock()
 	}
 	c.mu.Unlock()
 	if ok {
 		c.purgeBinds(name)
-		if ds != nil {
-			ds.notify(ds.Version())
-		}
+		ds.notify(ds.Version())
 	}
 	return ok
 }
@@ -234,19 +237,12 @@ type Dataset struct {
 	cat *Catalog
 	// gen is the catalog-unique registration id (see Catalog.gen).
 	gen uint64
-	// wmu serializes writers (Replace, AppendRows).
-	wmu  sync.Mutex
-	snap atomic.Pointer[snapshot]
-
-	// Append-delta log for incremental subscription catch-up. logBase is
-	// the snapshot just before the oldest retained entry; together they
-	// cover every version in [logBase.version, head] as long as the log is
-	// contiguous. Compaction (cap overflow) advances logBase; Replace
-	// clears the log entirely (a replace is not a delta). Guarded by logMu,
-	// nested inside wmu on the write path.
-	logMu   sync.Mutex
-	log     []appendDelta
-	logBase *snapshot
+	// wmu serializes writers (Replace, AppendRows) and Drop's mark.
+	wmu sync.Mutex
+	// dropped is set by Catalog.Drop; a write that sees it fails with
+	// ErrDatasetDropped. Guarded by wmu.
+	dropped bool
+	snap    atomic.Pointer[snapshot]
 
 	// subs holds the live subscriptions to notify after every snapshot
 	// installation (append, replace) and on drop. Guarded by subMu.
@@ -254,34 +250,39 @@ type Dataset struct {
 	subs  map[*Subscription]struct{}
 }
 
-// appendDelta is one retained AppendRows outcome: the relations' appended
-// rows (possibly empty — recorded anyway so the log stays contiguous) and
-// the snapshot the append installed.
-type appendDelta struct {
-	version uint64
-	rels    map[string]*database.Relation
-	snap    *snapshot
-}
-
-// snapshot is one immutable (version, instance) pair.
+// snapshot is one immutable installed state of a dataset.
 type snapshot struct {
-	name    string
 	version uint64
 	inst    *Instance
+	// log is the append log: the instances at versions
+	// version-len(log)+1 … version, oldest first and ending with inst,
+	// each after the first made from its predecessor by one AppendRows.
+	// A registration or a Replace starts it afresh, and it keeps at most
+	// appendLogSize appends.
+	log []*Instance
 }
 
-// newSnapshot builds a snapshot.
-func newSnapshot(name string, version uint64, inst *Instance) *snapshot {
-	return &snapshot{name: name, version: version, inst: inst}
+// next makes the snapshot one version past s holding inst: an append
+// extends s's log, a replacement starts a new one.
+func (s *snapshot) next(inst *Instance, appended bool) *snapshot {
+	log := []*Instance{inst}
+	if appended {
+		keep := s.log[max(0, len(s.log)-appendLogSize):]
+		log = append(append(make([]*Instance, 0, len(keep)+1), keep...), inst)
+	}
+	return &snapshot{version: s.version + 1, inst: inst, log: log}
 }
 
-// anonymousDataset wraps an inline instance as a one-shot dataset with no
-// catalog (and therefore no bind cache) — the shape the legacy NewPlan /
-// Bind / POST /query path reduces to. Version 0 marks the bind as
-// dataset-less in the plan's provenance.
-func anonymousDataset(inst *Instance) *Dataset {
-	ds := &Dataset{}
-	ds.snap.Store(newSnapshot("", 0, inst))
+// newDataset builds every Dataset: a registration of cat holding inst at
+// version, or, with cat nil, an anonymous one-shot dataset — the shape the
+// legacy NewPlan / Bind / POST /query path reduces to, at version 0, which
+// marks the bind as dataset-less in the plan's provenance.
+func newDataset(cat *Catalog, name string, version uint64, inst *Instance) *Dataset {
+	ds := &Dataset{name: name, cat: cat}
+	if cat != nil {
+		ds.gen = cat.gen.Add(1)
+	}
+	ds.snap.Store(&snapshot{version: version, inst: inst, log: []*Instance{inst}})
 	return ds
 }
 
@@ -311,28 +312,13 @@ func (ds *Dataset) Info() DatasetInfo {
 // afterwards. Cached binds of older versions are purged; in-flight
 // enumerations keep the snapshot they were bound to. With a durable
 // catalog the replacement is journaled (and fsynced) before it is
-// installed; a journal error, or a relation wider than wire.MaxArity,
-// leaves the dataset unchanged.
+// installed; a journal error, a relation wider than wire.MaxArity, or a
+// dropped registration (ErrDatasetDropped) leaves the dataset unchanged.
 func (ds *Dataset) Replace(inst *Instance) (uint64, error) {
 	if err := checkInstanceArity(inst); err != nil {
 		return 0, err
 	}
-	ds.wmu.Lock()
-	v := ds.snap.Load().version + 1
-	if ds.cat != nil && ds.cat.journal != nil {
-		if err := ds.cat.journal.LogReplace(ds.name, v, inst); err != nil {
-			ds.wmu.Unlock()
-			return 0, err
-		}
-	}
-	ds.snap.Store(newSnapshot(ds.name, v, inst))
-	ds.clearLog()
-	ds.wmu.Unlock()
-	if ds.cat != nil {
-		ds.cat.purgeBinds(ds.name)
-	}
-	ds.notify(v)
-	return v, nil
+	return ds.write(func(cur *snapshot) (*snapshot, error) { return cur.next(inst, false), nil })
 }
 
 // AppendRows copy-on-write-appends rows to the named relations and
@@ -340,15 +326,18 @@ func (ds *Dataset) Replace(inst *Instance) (uint64, error) {
 // the touched relations are copied; untouched ones are shared with the
 // previous snapshot. Relations not present yet are created with the arity
 // of their first row. Rows are validated like the wire codec's
-// (InstanceFromRows): consistent arity, payload-range-checked values. On
-// error the dataset is unchanged.
+// (InstanceFromRows): consistent arity, payload-range-checked values. Each
+// appended row is copied once, into the new snapshot; the journal and
+// DeltasBetween read it there. On error — ErrDatasetDropped included — the
+// dataset is unchanged.
 //
 // Validation runs before the writer lock is taken, against the then-current
 // snapshot, so a large bad payload is rejected without ever serializing
 // concurrent Replace/AppendRows behind it; only the cheap arity expectation
 // is re-checked under the lock (a concurrent writer may have changed a
 // relation's shape between validation and acquisition). With a durable
-// catalog the delta is journaled (and fsynced) before it is installed.
+// catalog the appended rows are journaled (and fsynced) before the
+// snapshot is installed.
 func (ds *Dataset) AppendRows(rels map[string][][]int64) (uint64, error) {
 	names := make([]string, 0, len(rels))
 	for name := range rels {
@@ -378,131 +367,100 @@ func (ds *Dataset) AppendRows(rels map[string][][]int64) (uint64, error) {
 		arities[name] = arity
 	}
 
-	ds.wmu.Lock()
-	defer ds.wmu.Unlock()
-	cur := ds.snap.Load()
-	inst := cur.inst.ShallowClone()
-	deltaRels := make(map[string]*database.Relation, len(names))
-	for _, name := range names {
-		rows := rels[name]
-		if len(rows) == 0 {
-			continue
-		}
-		var rel *database.Relation
-		if old := inst.Relation(name); old != nil {
-			if old.Arity() != arities[name] {
-				// A Replace slipped in between validation and the lock and
-				// changed the relation's shape; re-validate against it.
-				if err := validateWireRows(name, old.Arity(), rows); err != nil {
-					return 0, err
-				}
+	return ds.write(func(cur *snapshot) (*snapshot, error) {
+		inst := cur.inst.ShallowClone()
+		for _, name := range names {
+			rows := rels[name]
+			if len(rows) == 0 {
+				continue
 			}
-			rel = old.Clone()
+			var rel *database.Relation
+			if old := inst.Relation(name); old != nil {
+				if old.Arity() != arities[name] {
+					// A Replace slipped in between validation and the lock
+					// and changed the relation's shape; re-validate.
+					if err := validateWireRows(name, old.Arity(), rows); err != nil {
+						return nil, err
+					}
+				}
+				rel = old.Clone()
+			} else {
+				rel = database.NewRelation(name, len(rows[0]))
+			}
+			appendValidatedRows(rel, rows)
+			inst.AddRelation(rel)
+		}
+		return cur.next(inst, true), nil
+	})
+}
+
+// write is the one write path of a dataset. Under the writer lock it fails
+// with ErrDatasetDropped once Drop has marked the registration, lets build
+// make the next snapshot from the current one, journals it — an append as
+// the rows it added, anything else as a full snapshot — and installs it;
+// then it purges the superseded binds and wakes the subscribers. On error
+// the dataset is unchanged.
+func (ds *Dataset) write(build func(cur *snapshot) (*snapshot, error)) (uint64, error) {
+	ds.wmu.Lock()
+	if ds.dropped {
+		ds.wmu.Unlock()
+		return 0, ErrDatasetDropped
+	}
+	cur := ds.snap.Load()
+	next, err := build(cur)
+	if err == nil && ds.cat != nil && ds.cat.journal != nil {
+		if len(next.log) > 1 {
+			err = ds.cat.journal.LogAppend(ds.name, next.version, appendedRows(cur.inst, next.inst))
 		} else {
-			rel = database.NewRelation(name, len(rows[0]))
-		}
-		appendValidatedRows(rel, rows)
-		inst.AddRelation(rel)
-		drel := database.NewRelation(name, rel.Arity())
-		appendValidatedRows(drel, rows)
-		deltaRels[name] = drel
-	}
-	v := cur.version + 1
-	if ds.cat != nil && ds.cat.journal != nil {
-		if err := ds.cat.journal.LogAppend(ds.name, v, deltaRels); err != nil {
-			return 0, err
+			err = ds.cat.journal.LogSnapshot(ds.name, next.version, next.inst)
 		}
 	}
-	snap := newSnapshot(ds.name, v, inst)
-	ds.snap.Store(snap)
-	ds.recordAppend(cur, appendDelta{version: v, rels: deltaRels, snap: snap})
+	if err != nil {
+		ds.wmu.Unlock()
+		return 0, err
+	}
+	ds.snap.Store(next)
+	ds.wmu.Unlock()
 	if ds.cat != nil {
 		ds.cat.purgeBinds(ds.name)
 	}
-	ds.notify(v)
-	return v, nil
+	ds.notify(next.version)
+	return next.version, nil
 }
 
-// recordAppend logs one append delta for subscription catch-up, compacting
-// the oldest entry past the catalog's cap. prev is the snapshot the delta
-// applied to: it seeds logBase when the log (re)starts, so the covered
-// window always begins at a version whose full instance is retained.
-func (ds *Dataset) recordAppend(prev *snapshot, d appendDelta) {
-	if ds.cat == nil {
-		return
+// appendedRows returns, per relation of to longer than in from, the
+// zero-copy suffix view of its rows past from's length. When appends alone
+// lead from from to to, these are exactly the rows they added, in append
+// order: an append only ever adds rows past a relation's end.
+func appendedRows(from, to *Instance) map[string]*database.Relation {
+	out := make(map[string]*database.Relation)
+	for _, name := range to.Names() {
+		rel, n := to.Relation(name), 0
+		if old := from.Relation(name); old != nil {
+			n = old.Len()
+		}
+		if rel.Len() > n {
+			out[name] = rel.Suffix(n)
+		}
 	}
-	ds.logMu.Lock()
-	defer ds.logMu.Unlock()
-	if ds.logBase == nil || (len(ds.log) == 0 && ds.logBase.version != prev.version) ||
-		(len(ds.log) > 0 && ds.log[len(ds.log)-1].version != prev.version) {
-		// (Re)start the window at prev: the log was empty, cleared by a
-		// Replace, or somehow non-contiguous.
-		ds.log = ds.log[:0]
-		ds.logBase = prev
-	}
-	ds.log = append(ds.log, d)
-	for len(ds.log) > ds.cat.appendLog {
-		ds.logBase = ds.log[0].snap
-		copy(ds.log, ds.log[1:])
-		ds.log = ds.log[:len(ds.log)-1]
-	}
+	return out
 }
 
-// clearLog drops the retained deltas (Replace installs a non-delta
-// snapshot, making incremental catch-up across it impossible).
-func (ds *Dataset) clearLog() {
-	ds.logMu.Lock()
-	ds.log = nil
-	ds.logBase = nil
-	ds.logMu.Unlock()
-}
-
-// DeltasBetween returns the dataset's merged append delta over the version
-// window (from, to]: the instance at from, the instance at to, and per
-// relation the rows appended anywhere in the window. ok is false when the
-// retained log does not cover the whole window — the subscriber missed a
-// compaction or a Replace and must resync from a full evaluation.
+// DeltasBetween returns the dataset's append delta over the version window
+// (from, to]: the instance at from, the instance at to, and per relation
+// the rows appended anywhere in the window. Because appends only add rows
+// past a relation's end, a relation's delta is its rows at to past its
+// length at from — a zero-copy suffix view, in append order. ok is false
+// when the retained log does not cover the whole window — the subscriber
+// missed a compaction or a Replace and must resync from a full evaluation.
 func (ds *Dataset) DeltasBetween(from, to Version) (fromInst, toInst *Instance, deltas map[string]*database.Relation, ok bool) {
-	if from > to {
+	s := ds.snap.Load()
+	base := s.version + 1 - uint64(len(s.log))
+	if from > to || from < base || to > s.version {
 		return nil, nil, nil, false
 	}
-	ds.logMu.Lock()
-	defer ds.logMu.Unlock()
-	if ds.logBase == nil || ds.logBase.version > from {
-		return nil, nil, nil, false
-	}
-	if len(ds.log) == 0 || ds.log[len(ds.log)-1].version < to {
-		return nil, nil, nil, false
-	}
-	fromInst = ds.logBase.inst
-	toInst = ds.logBase.inst
-	deltas = make(map[string]*database.Relation)
-	for _, d := range ds.log {
-		if d.version > to {
-			break
-		}
-		if d.version <= from {
-			if d.version == from {
-				fromInst = d.snap.inst
-			}
-			if d.version <= to {
-				toInst = d.snap.inst
-			}
-			continue
-		}
-		toInst = d.snap.inst
-		for name, rel := range d.rels {
-			m := deltas[name]
-			if m == nil {
-				m = database.NewRelation(name, rel.Arity())
-				deltas[name] = m
-			}
-			for i, n := 0, rel.Len(); i < n; i++ {
-				m.Append(rel.Row(i)...)
-			}
-		}
-	}
-	return fromInst, toInst, deltas, true
+	fromInst, toInst = s.log[from-base], s.log[to-base]
+	return fromInst, toInst, appendedRows(fromInst, toInst), true
 }
 
 // bindKey builds the bind-cache key. The dataset name leads so Replace and
@@ -549,7 +507,7 @@ func (pq *PreparedQuery) BindDatasetContext(ctx context.Context, ds *Dataset) (*
 		// (and cancellably) against the pinned snapshot.
 		bq, err = pq.bindInstance(ctx, snap.inst)
 	} else {
-		bq, hit, err = ds.cat.binds.Get(bindKey(snap.name, ds.gen, snap.version, pq.fingerprint),
+		bq, hit, err = ds.cat.binds.Get(bindKey(ds.name, ds.gen, snap.version, pq.fingerprint),
 			func() (*boundQuery, error) {
 				return pq.bindInstance(context.WithoutCancel(ctx), snap.inst)
 			})
@@ -558,7 +516,7 @@ func (pq *PreparedQuery) BindDatasetContext(ctx context.Context, ds *Dataset) (*
 		return nil, err
 	}
 	p := pq.newBoundPlan(ctx, snap.inst, bq)
-	p.dsName = snap.name
+	p.dsName = ds.name
 	p.dsVersion = snap.version
 	p.bindHit = hit
 	p.ds = ds

@@ -355,7 +355,6 @@ func TestDeltaAnswersResume(t *testing.T) {
 func TestDeltaAnswersUnavailable(t *testing.T) {
 	// Compaction past the log cap and Replace both invalidate old windows.
 	cat := NewCatalog()
-	cat.appendLog = 2
 	ds, err := cat.Register("d", deltaJoinInstance())
 	if err != nil {
 		t.Fatal(err)
@@ -376,23 +375,25 @@ func TestDeltaAnswersUnavailable(t *testing.T) {
 		t.Fatal(err)
 	}
 	v2Answers := answerKeys(t, p2)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < appendLogSize; i++ {
 		if _, err := ds.AppendRows(map[string][][]int64{"R": {{int64(60 + i), 20}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Log cap 2 retains windows starting at v2; (1, 4] is compacted away.
-	if err := p1.DeltaAnswersContext(context.Background(), 1, 4, func(Tuple) bool { return true }); !errors.Is(err, ErrDeltaUnavailable) {
+	head := ds.Version()
+	// The log retains appendLogSize appends: windows from v2 on; (1, head]
+	// is compacted away.
+	if err := p1.DeltaAnswersContext(context.Background(), 1, head, func(Tuple) bool { return true }); !errors.Is(err, ErrDeltaUnavailable) {
 		t.Fatalf("compacted window: err = %v, want ErrDeltaUnavailable", err)
 	}
 	// The retained window still works, even from the stale v1 plan.
-	p4, err := pq.BindDataset(ds)
+	pHead, err := pq.BindDataset(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameSet(t, "retained window (2,4]",
-		collectDelta(t, p1, 2, 4),
-		setDiff(v2Answers, answerKeys(t, p4)))
+	sameSet(t, "retained window (2,head]",
+		collectDelta(t, p1, 2, head),
+		setDiff(v2Answers, answerKeys(t, pHead)))
 
 	if _, err := ds.Replace(deltaJoinInstance()); err != nil {
 		t.Fatal(err)
@@ -400,7 +401,7 @@ func TestDeltaAnswersUnavailable(t *testing.T) {
 	if _, err := ds.AppendRows(map[string][][]int64{"R": {{6, 20}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p4.DeltaAnswersContext(context.Background(), 4, 6, func(Tuple) bool { return true }); !errors.Is(err, ErrDeltaUnavailable) {
+	if err := pHead.DeltaAnswersContext(context.Background(), head, head+2, func(Tuple) bool { return true }); !errors.Is(err, ErrDeltaUnavailable) {
 		t.Fatalf("window across a Replace: err = %v, want ErrDeltaUnavailable", err)
 	}
 

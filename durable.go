@@ -10,9 +10,13 @@ import (
 // Register, Replace, AppendRows and Drop is journaled (snapshot + WAL,
 // fsynced) before it is acknowledged, and OpenCatalog itself replays the
 // journal so a restarted process recovers every dataset at the exact
-// version it was last acknowledged at. Recovered registrations get fresh
+// version it was last acknowledged at. A write through a dropped
+// registration fails with ErrDatasetDropped before it reaches the journal,
+// so no write to an old registration can land in a new one's files.
+// Recovered registrations are built like fresh ones, with fresh
 // generations, so the versioned bind cache warms against the recovered
-// snapshots exactly as it would against freshly registered ones.
+// snapshots exactly as it would against freshly registered ones; their
+// append logs start at the recovered version.
 //
 // The returned store exposes durability gauges (see storage.Stats) and must
 // be closed after the catalog is done with. A WAL tail torn past the last
@@ -33,9 +37,7 @@ func OpenCatalog(dir string) (*Catalog, *storage.Store, error) {
 	c := NewCatalog()
 	c.journal = st
 	for _, r := range recovered {
-		ds := &Dataset{name: r.Name, cat: c, gen: c.gen.Add(1)}
-		ds.snap.Store(newSnapshot(r.Name, r.Version, r.Inst))
-		c.datasets[r.Name] = ds
+		c.datasets[r.Name] = newDataset(c, r.Name, r.Version, r.Inst)
 	}
 	if len(c.datasets) != len(recovered) {
 		st.Close()

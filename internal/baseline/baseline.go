@@ -47,20 +47,6 @@ func evalInto(q *cq.CQ, inst *database.Instance, answers *database.KeySet) error
 	return nil
 }
 
-// DecideCQ reports whether q has at least one answer over inst.
-func DecideCQ(q *cq.CQ, inst *database.Instance) (bool, error) {
-	plan, err := newJoinPlan(q, inst)
-	if err != nil {
-		return false, err
-	}
-	found := false
-	plan.run(func(map[cq.Variable]database.Value) bool {
-		found = true
-		return false
-	})
-	return found, nil
-}
-
 // EvalUCQ computes the union of the member CQs' answers, deduplicated
 // positionally.
 func EvalUCQ(u *cq.UCQ, inst *database.Instance) (*database.Relation, error) {
@@ -89,20 +75,6 @@ func EvalUCQCtx(ctx context.Context, u *cq.UCQ, inst *database.Instance) (*datab
 		}
 	}
 	return answers.Relation("union"), nil
-}
-
-// DecideUCQ reports whether the union has at least one answer.
-func DecideUCQ(u *cq.UCQ, inst *database.Instance) (bool, error) {
-	for _, q := range u.CQs {
-		ok, err := DecideCQ(q, inst)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return true, nil
-		}
-	}
-	return false, nil
 }
 
 // joinPlan is a static-order nested index join: atom i is indexed on the

@@ -117,8 +117,9 @@ func TestDecideCQ(t *testing.T) {
 		"R": {1, [][]int64{{1}, {2}}},
 		"S": {1, [][]int64{{2}}},
 	})
-	if ok, _ := DecideCQ(q, yes); !ok {
-		t.Errorf("Decide = false, want true")
+	// A Boolean CQ's answer relation is nullary: one empty row or none.
+	if out, err := EvalCQ(q, yes); err != nil || out.Len() != 1 {
+		t.Errorf("EvalCQ(yes) = %v, %v; want one empty answer", out, err)
 	}
 	no := inst(map[string]struct {
 		arity int
@@ -127,8 +128,8 @@ func TestDecideCQ(t *testing.T) {
 		"R": {1, [][]int64{{1}}},
 		"S": {1, [][]int64{{2}}},
 	})
-	if ok, _ := DecideCQ(q, no); ok {
-		t.Errorf("Decide = true, want false")
+	if out, err := EvalCQ(q, no); err != nil || out.Len() != 0 {
+		t.Errorf("EvalCQ(no) = %v, %v; want no answer", out, err)
 	}
 }
 
@@ -151,10 +152,6 @@ func TestEvalUCQUnionAndDedup(t *testing.T) {
 	if out.Len() != 3 { // {1,2,3}; 2 appears in both CQs but is deduped
 		t.Errorf("union = %v", out.SortedRows())
 	}
-	ok, err := DecideUCQ(u, in)
-	if err != nil || !ok {
-		t.Errorf("DecideUCQ = %v, %v", ok, err)
-	}
 }
 
 func TestErrors(t *testing.T) {
@@ -162,9 +159,6 @@ func TestErrors(t *testing.T) {
 	empty := database.NewInstance()
 	if _, err := EvalCQ(q, empty); err == nil {
 		t.Errorf("missing relation accepted")
-	}
-	if _, err := DecideCQ(q, empty); err == nil {
-		t.Errorf("missing relation accepted by Decide")
 	}
 	bad := database.NewInstance()
 	bad.AddRelation(database.NewRelation("R", 3))
@@ -174,8 +168,5 @@ func TestErrors(t *testing.T) {
 	u := cq.MustUCQ(q)
 	if _, err := EvalUCQ(u, empty); err == nil {
 		t.Errorf("EvalUCQ accepted missing relation")
-	}
-	if _, err := DecideUCQ(u, empty); err == nil {
-		t.Errorf("DecideUCQ accepted missing relation")
 	}
 }

@@ -294,6 +294,18 @@ func (r *Relation) View() *Relation {
 	return v
 }
 
+// Suffix returns a view of rows [lo, Len()) — the rows appended since r
+// held lo rows — sharing their storage like View: O(1), no copy, and
+// unaffected by later appends. Nullary relations count their rows.
+func (r *Relation) Suffix(lo int) *Relation {
+	v := &Relation{Name: r.Name, arity: r.arity, data: r.data[lo*r.arity : len(r.data) : len(r.data)]}
+	if r.arity == 0 {
+		v.nullaryLen = r.nullaryLen - lo
+	}
+	v.subsetOf(r)
+	return v
+}
+
 // Dedup removes duplicate rows (stable on first occurrence). A relation
 // already known to be a set is left untouched; otherwise the survivors go
 // to a fresh array, never over the stored rows.

@@ -271,3 +271,39 @@ func TestViewIsUnaffectedByAppend(t *testing.T) {
 		}
 	}
 }
+
+// TestSuffixIsTheAppendedRows: a suffix view holds exactly the rows past
+// the given length, shares their storage, keeps a set's memo and ignores
+// later appends; nullary relations count rows.
+func TestSuffixIsTheAppendedRows(t *testing.T) {
+	r := NewRelation("R", 2)
+	for i := int64(0); i < 5; i++ {
+		r.AppendInts(i, -i)
+	}
+	r.IsSet()
+	s := r.Suffix(3)
+	if s.Len() != 2 || s.Arity() != 2 || s.Name != "R" || s.distinct.Load() != distinctYes {
+		t.Fatalf("suffix %v, want R/2 with 2 rows, a set", s)
+	}
+	if &s.data[0] != &r.data[6] {
+		t.Error("suffix copied the rows")
+	}
+	r.AppendInts(9, 9)
+	if s.Len() != 2 || s.Row(0)[0] != V(3) || s.Row(1)[0] != V(4) {
+		t.Errorf("suffix after a later append: %v", s.Rows())
+	}
+	if e := r.Suffix(r.Len()); e.Len() != 0 {
+		t.Errorf("suffix at the end holds %d rows", e.Len())
+	}
+	n := NewRelation("N", 0)
+	if e := n.Suffix(0); e.Len() != 0 {
+		t.Errorf("suffix of an empty nullary relation holds %d rows", e.Len())
+	}
+	n.Append()
+	if s := n.Suffix(0); s.Len() != 1 || s.Arity() != 0 {
+		t.Errorf("nullary suffix %v, want one empty row", s)
+	}
+	if s := n.Suffix(1); s.Len() != 0 {
+		t.Errorf("nullary suffix past its row holds %d rows", s.Len())
+	}
+}

@@ -14,6 +14,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 
 	ucq "repro"
@@ -29,35 +30,31 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	var (
+		ds      *ucq.Dataset
+		created bool
+		err     error
+	)
 	if req.Append {
-		ds, ok := s.catalog.Dataset(name)
-		if !ok {
+		var ok bool
+		if ds, ok = s.catalog.Dataset(name); !ok {
 			s.httpError(w, http.StatusNotFound, "no dataset %q to append to", name)
 			return
 		}
-		if _, err := ds.AppendRows(req.Relations); err != nil {
-			s.httpError(w, http.StatusBadRequest, "%v", err)
-			return
+		_, err = ds.AppendRows(req.Relations)
+	} else {
+		var inst *ucq.Instance
+		if inst, err = ucq.InstanceFromRows(req.Relations); err == nil {
+			ds, created, err = s.catalog.Upsert(name, inst)
 		}
-		// Only acknowledge an append the catalog can still see: if a
-		// concurrent DELETE (or DELETE + re-PUT) displaced this dataset
-		// while the rows were being written, the append landed on an
-		// orphaned snapshot and reporting 200 would silently lose it.
-		if cur, ok := s.catalog.Dataset(name); !ok || cur != ds {
-			s.httpError(w, http.StatusConflict, "dataset %q was dropped concurrently", name)
-			return
-		}
-		s.writeDatasetInfo(w, ds)
-		return
 	}
-
-	inst, err := ucq.InstanceFromRows(req.Relations)
-	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
+	switch {
+	case errors.Is(err, ucq.ErrDatasetDropped):
+		// A concurrent DELETE displaced the registration this write went
+		// to; nothing was written or journaled.
+		s.httpError(w, http.StatusConflict, "dataset %q was dropped concurrently", name)
 		return
-	}
-	ds, created, err := s.catalog.Upsert(name, inst)
-	if err != nil {
+	case err != nil:
 		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}

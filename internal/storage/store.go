@@ -22,7 +22,7 @@ import (
 //
 // Snapshot files are written to a temp name, fsynced and atomically
 // renamed; WAL appends are fsynced before the mutation is acknowledged.
-// Replace resets the WAL (its deltas are folded into the new snapshot), so
+// A registration or a Replace (LogSnapshot) resets the WAL, so
 // a dataset's durable state is always one snapshot plus a suffix of
 // appends. All methods are safe for concurrent use.
 type Store struct {
@@ -79,29 +79,17 @@ func (s *Store) dsDir(name string) string {
 	return filepath.Join(s.dir, "ds-"+hex.EncodeToString([]byte(name)))
 }
 
-// LogRegister makes a new dataset durable: its snapshot at version and an
-// empty WAL. The write is fsynced before LogRegister returns.
-func (s *Store) LogRegister(name string, version uint64, inst *database.Instance) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.installSnapshot(name, version, inst)
-}
-
-// LogReplace makes a replacement snapshot durable and resets the WAL: the
-// appends it held are folded into the snapshot.
-func (s *Store) LogReplace(name string, version uint64, inst *database.Instance) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.installSnapshot(name, version, inst)
-}
-
-// installSnapshot writes snap-<version>.dat atomically, truncates the WAL
-// and drops superseded snapshot files. Callers hold s.mu.
-func (s *Store) installSnapshot(name string, version uint64, inst *database.Instance) error {
+// LogSnapshot makes a registration or a replacement durable: its snapshot
+// at version, written atomically, and an empty WAL, since the snapshot
+// supersedes every append before it. The write is fsynced before
+// LogSnapshot returns; superseded snapshot files are removed after.
+func (s *Store) LogSnapshot(name string, version uint64, inst *database.Instance) error {
 	rec, err := appendRecord(nil, version, inst)
 	if err != nil {
 		return err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	dir := s.dsDir(name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("storage: %v", err)
@@ -137,7 +125,8 @@ func (s *Store) installSnapshot(name string, version uint64, inst *database.Inst
 }
 
 // LogAppend makes one AppendRows delta — the appended rows of each touched
-// relation — durable, fsynced before return.
+// relation — durable, fsynced before return. The relations may be views
+// into the caller's snapshot; LogAppend only reads them.
 func (s *Store) LogAppend(name string, version uint64, rels map[string]*database.Relation) error {
 	delta := database.NewInstance()
 	for _, rel := range rels {

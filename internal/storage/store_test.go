@@ -61,7 +61,7 @@ func TestStoreRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.LogRegister("users", 1, mkInst([3]int64{1, 2, 7})); err != nil {
+	if err := st.LogSnapshot("users", 1, mkInst([3]int64{1, 2, 7})); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.LogAppend("users", 2, delta(map[string][][]int64{"R": {{3, 4}}})); err != nil {
@@ -70,7 +70,7 @@ func TestStoreRoundtrip(t *testing.T) {
 	if err := st.LogAppend("users", 3, delta(map[string][][]int64{"S": {{9}}, "T": {{5, 6, 7}}})); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.LogRegister("empty", 1, database.NewInstance()); err != nil {
+	if err := st.LogSnapshot("empty", 1, database.NewInstance()); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -132,14 +132,14 @@ func TestStoreReplaceResetsWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.LogRegister("d", 1, mkInst([3]int64{1, 1, 1})); err != nil {
+	if err := st.LogSnapshot("d", 1, mkInst([3]int64{1, 1, 1})); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.LogAppend("d", 2, delta(map[string][][]int64{"R": {{2, 2}}})); err != nil {
 		t.Fatal(err)
 	}
 	repl := mkInst([3]int64{5, 5, 5})
-	if err := st.LogReplace("d", 3, repl); err != nil {
+	if err := st.LogSnapshot("d", 3, repl); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.LogAppend("d", 4, delta(map[string][][]int64{"R": {{6, 6}}})); err != nil {
@@ -194,7 +194,7 @@ func TestStoreTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.LogRegister("d", 1, mkInst([3]int64{1, 2, 3})); err != nil {
+		if err := st.LogSnapshot("d", 1, mkInst([3]int64{1, 2, 3})); err != nil {
 			t.Fatal(err)
 		}
 		if err := st.LogAppend("d", 2, delta(map[string][][]int64{"R": {{4, 5}}})); err != nil {
@@ -249,7 +249,7 @@ func TestStoreDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if err := st.LogRegister("d", 1, mkInst([3]int64{1, 2, 3})); err != nil {
+	if err := st.LogSnapshot("d", 1, mkInst([3]int64{1, 2, 3})); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.LogDrop("d"); err != nil {
@@ -404,7 +404,7 @@ func TestStoreWideSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := wideInstance()
-	if err := st.LogRegister("w", 1, want); err != nil {
+	if err := st.LogSnapshot("w", 1, want); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -438,8 +438,8 @@ func TestStoreRejectsUnreadable(t *testing.T) {
 	defer st.Close()
 	inst := database.NewInstance()
 	inst.AddRelation(database.NewRelation("R", wire.MaxArity+1))
-	if err := st.LogRegister("d", 1, inst); err == nil {
-		t.Fatal("LogRegister accepted a relation wider than MaxArity")
+	if err := st.LogSnapshot("d", 1, inst); err == nil {
+		t.Fatal("LogSnapshot accepted a relation wider than MaxArity")
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 		t.Fatalf("a rejected registration left %d entries on disk", len(entries))
@@ -495,7 +495,7 @@ func logAll(t *testing.T, dir string, base *database.Instance, deltas ...map[str
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.LogRegister("d", 1, base); err != nil {
+	if err := st.LogSnapshot("d", 1, base); err != nil {
 		t.Fatal(err)
 	}
 	bounds, wants := []int{0}, []*database.Instance{base}

@@ -247,15 +247,3 @@ func (p *Plan) MaterializeHead() *database.Relation {
 	}
 	return out
 }
-
-// Decide reports whether Q(I) is non-empty, in linear time for an acyclic
-// query (Theorem 3's Decide⟨Q⟩ for the tractable side).
-func Decide(q *cq.CQ, inst *database.Instance) (bool, error) {
-	// Deciding non-emptiness never needs the head: use S = ∅, which is
-	// connex for every acyclic query.
-	plan, err := Prepare(q, inst, cq.NewVarSet())
-	if err != nil {
-		return false, err
-	}
-	return plan.Iterator().Next(), nil
-}

@@ -129,11 +129,21 @@ func TestBooleanDecide(t *testing.T) {
 	q := cq.MustParseCQ("Q() <- R1(x,y), R2(y,z).")
 	yes := makeInstance(map[string][][]int64{"R1": {{1, 2}}, "R2": {{2, 3}}})
 	no := makeInstance(map[string][][]int64{"R1": {{1, 2}}, "R2": {{9, 3}}})
-	if ok, err := Decide(q, yes); err != nil || !ok {
-		t.Errorf("Decide(yes) = %v, %v", ok, err)
+	// A Boolean CQ enumerates one empty answer or none: the first Next
+	// decides it.
+	decide := func(inst *database.Instance) bool {
+		t.Helper()
+		plan, err := Prepare(q, inst, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan.Iterator().Next()
 	}
-	if ok, err := Decide(q, no); err != nil || ok {
-		t.Errorf("Decide(no) = %v, %v", ok, err)
+	if !decide(yes) {
+		t.Error("no answer on the joining instance")
+	}
+	if decide(no) {
+		t.Error("an answer on the disjoint instance")
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"repro/internal/database"
 	"repro/internal/enumeration"
 	"repro/internal/homomorphism"
-	"repro/internal/yannakakis"
 )
 
 // Mode states which evaluation strategy a plan uses.
@@ -170,7 +169,7 @@ func (pq *PreparedQuery) Bind(inst *Instance) (*Plan, error) {
 func (pq *PreparedQuery) BindContext(ctx context.Context, inst *Instance) (*Plan, error) {
 	// The inline-instance API is a thin wrapper over a one-shot anonymous
 	// dataset: same bind path as BindDataset, no name, no bind cache.
-	return pq.BindDatasetContext(ctx, anonymousDataset(inst))
+	return pq.BindDatasetContext(ctx, newDataset(nil, "", 0, inst))
 }
 
 // boundQuery is the per-instance half of a plan — the outcome of binding a
@@ -362,56 +361,4 @@ func (p *Plan) Explain() string {
 		return p.union.Explain()
 	}
 	return "naive plan: join and deduplicate (no certificate; no delay guarantee)\n"
-}
-
-// Enumerate is the one-call convenience: plan and return the answer stream.
-func Enumerate(u *UCQ, inst *Instance) (Answers, error) {
-	p, err := NewPlan(u, inst, nil)
-	if err != nil {
-		return nil, err
-	}
-	return p.Iterator(), nil
-}
-
-// EnumerateCQ enumerates a single free-connex CQ with the CDY engine
-// directly (Theorem 3(1)); it errors when the CQ is not free-connex.
-func EnumerateCQ(q *CQ, inst *Instance) (Answers, error) {
-	plan, err := yannakakis.Prepare(q, inst, nil)
-	if err != nil {
-		return nil, err
-	}
-	it := plan.Iterator()
-	return enumeration.Func(func() (Tuple, bool) {
-		if !it.Next() {
-			return nil, false
-		}
-		return it.HeadTuple(), true
-	}), nil
-}
-
-// DecideCQ reports whether an acyclic CQ has at least one answer, in
-// linear time (Theorem 3's tractable Decide).
-func DecideCQ(q *CQ, inst *Instance) (bool, error) {
-	return yannakakis.Decide(q, inst)
-}
-
-// Decide reports whether the union has at least one answer. Acyclic CQs are
-// decided in linear time; cyclic ones fall back to the naive evaluator.
-func Decide(u *UCQ, inst *Instance) (bool, error) {
-	for _, q := range u.CQs {
-		var ok bool
-		var err error
-		if ClassifyCQ(q) == Cyclic {
-			ok, err = baseline.DecideCQ(q, inst)
-		} else {
-			ok, err = yannakakis.Decide(q, inst)
-		}
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return true, nil
-		}
-	}
-	return false, nil
 }
