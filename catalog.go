@@ -88,11 +88,11 @@ func NewCatalog() *Catalog {
 }
 
 // Register adds inst under name at version 1 and returns the dataset. The
-// instance is adopted as an immutable snapshot: the caller must not mutate
-// it (or any of its relations) afterwards. Registering an existing name
-// fails; use Dataset to look it up and Replace to swap its contents. A
-// relation wider than wire.MaxArity is rejected, as in every catalog
-// write.
+// instance is adopted as an immutable snapshot of Views of its relations,
+// as in Replace: the caller must not mutate its rows afterwards.
+// Registering an existing name fails; use Dataset to look it up and
+// Replace to swap its contents. A relation wider than wire.MaxArity is
+// rejected, as in every catalog write.
 func (c *Catalog) Register(name string, inst *Instance) (*Dataset, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -139,7 +139,7 @@ func (c *Catalog) create(name string, inst *Instance) (*Dataset, error) {
 			return nil, err
 		}
 	}
-	ds := newDataset(c, name, 1, inst)
+	ds := newDataset(c, name, 1, []*Instance{inst.View()})
 	c.datasets[name] = ds
 	return ds, nil
 }
@@ -273,16 +273,17 @@ func (s *snapshot) next(inst *Instance, appended bool) *snapshot {
 	return &snapshot{version: s.version + 1, inst: inst, log: log}
 }
 
-// newDataset builds every Dataset: a registration of cat holding inst at
-// version, or, with cat nil, an anonymous one-shot dataset — the shape the
-// legacy NewPlan / Bind / POST /query path reduces to, at version 0, which
-// marks the bind as dataset-less in the plan's provenance.
-func newDataset(cat *Catalog, name string, version uint64, inst *Instance) *Dataset {
+// newDataset builds every Dataset: a registration of cat whose append log
+// is log, at version, the version of log's last instance; or, with cat
+// nil, an anonymous one-shot dataset — the shape the legacy NewPlan / Bind
+// / POST /query path reduces to, at version 0, which marks the bind as
+// dataset-less in the plan's provenance.
+func newDataset(cat *Catalog, name string, version uint64, log []*Instance) *Dataset {
 	ds := &Dataset{name: name, cat: cat}
 	if cat != nil {
 		ds.gen = cat.gen.Add(1)
 	}
-	ds.snap.Store(&snapshot{version: version, inst: inst, log: []*Instance{inst}})
+	ds.snap.Store(&snapshot{version: version, inst: log[len(log)-1], log: log})
 	return ds
 }
 
@@ -308,36 +309,35 @@ func (ds *Dataset) Info() DatasetInfo {
 }
 
 // Replace installs inst as the dataset's new snapshot and returns the new
-// version. The instance is adopted: the caller must not mutate it
-// afterwards. Cached binds of older versions are purged; in-flight
-// enumerations keep the snapshot they were bound to. With a durable
-// catalog the replacement is journaled (and fsynced) before it is
-// installed; a journal error, a relation wider than wire.MaxArity, or a
-// dropped registration (ErrDatasetDropped) leaves the dataset unchanged.
+// version. The instance is adopted as Views of its relations, so later
+// appends to the dataset copy a relation once before growing it and never
+// write into an array the caller or another dataset may grow; the caller
+// must not mutate its rows afterwards. Cached binds of older versions are
+// purged; in-flight enumerations keep the snapshot they were bound to.
+// With a durable catalog the replacement is journaled (and fsynced) before
+// it is installed; a journal error, a relation wider than wire.MaxArity,
+// or a dropped registration (ErrDatasetDropped) leaves the dataset
+// unchanged.
 func (ds *Dataset) Replace(inst *Instance) (uint64, error) {
 	if err := checkInstanceArity(inst); err != nil {
 		return 0, err
 	}
-	return ds.write(func(cur *snapshot) (*snapshot, error) { return cur.next(inst, false), nil })
+	return ds.write(func(cur *snapshot) (*snapshot, error) { return cur.next(inst.View(), false), nil })
 }
 
-// AppendRows copy-on-write-appends rows to the named relations and
-// installs the result as a new snapshot, returning the new version. Only
-// the touched relations are copied; untouched ones are shared with the
-// previous snapshot. Relations not present yet are created with the arity
-// of their first row. Rows are validated like the wire codec's
-// (InstanceFromRows): consistent arity, payload-range-checked values. Each
-// appended row is copied once, into the new snapshot; the journal and
-// DeltasBetween read it there. On error — ErrDatasetDropped included — the
-// dataset is unchanged.
-//
-// Validation runs before the writer lock is taken, against the then-current
-// snapshot, so a large bad payload is rejected without ever serializing
-// concurrent Replace/AppendRows behind it; only the cheap arity expectation
-// is re-checked under the lock (a concurrent writer may have changed a
-// relation's shape between validation and acquisition). With a durable
-// catalog the appended rows are journaled (and fsynced) before the
-// snapshot is installed.
+// AppendRows appends rows to the named relations and installs the result
+// as a new snapshot, returning the new version. Relations not present yet
+// are created with the arity of their first row; a relation without rows
+// is skipped. Rows are validated like the wire codec's (InstanceFromRows):
+// consistent arity, payload-range-checked values, before the writer lock
+// is taken. Under it, Instance.Extend applies them — the same code that
+// replays the journal — checking each arity against the current snapshot
+// and growing the touched relations in place, so an append costs the rows
+// it adds: the new snapshot shares every relation's array with the
+// previous one, whose readers keep exactly their rows. Untouched relations
+// are shared outright. With a durable catalog the appended rows are
+// journaled (and fsynced) before the snapshot is installed. On error —
+// ErrDatasetDropped included — the dataset is unchanged.
 func (ds *Dataset) AppendRows(rels map[string][][]int64) (uint64, error) {
 	names := make([]string, 0, len(rels))
 	for name := range rels {
@@ -345,8 +345,9 @@ func (ds *Dataset) AppendRows(rels map[string][][]int64) (uint64, error) {
 	}
 	sort.Strings(names)
 
-	pre := ds.snap.Load().inst
-	arities := make(map[string]int, len(names))
+	// An append's rows may start with an empty row: the relation they
+	// extend fixes the arity, and Extend checks the rows against it.
+	delta := database.NewInstance()
 	for _, name := range names {
 		rows := rels[name]
 		if name == "" {
@@ -355,40 +356,16 @@ func (ds *Dataset) AppendRows(rels map[string][][]int64) (uint64, error) {
 		if len(rows) == 0 {
 			continue
 		}
-		arity := len(rows[0])
-		if old := pre.Relation(name); old != nil {
-			arity = old.Arity()
-		} else if arity == 0 {
-			return 0, fmt.Errorf("ucq: relation %s has an empty first row; arity unknown", name)
-		}
-		if err := validateWireRows(name, arity, rows); err != nil {
+		rel := database.NewRelation(name, len(rows[0]))
+		if err := appendWireRows(rel, rows); err != nil {
 			return 0, err
 		}
-		arities[name] = arity
+		delta.AddRelation(rel)
 	}
-
 	return ds.write(func(cur *snapshot) (*snapshot, error) {
-		inst := cur.inst.ShallowClone()
-		for _, name := range names {
-			rows := rels[name]
-			if len(rows) == 0 {
-				continue
-			}
-			var rel *database.Relation
-			if old := inst.Relation(name); old != nil {
-				if old.Arity() != arities[name] {
-					// A Replace slipped in between validation and the lock
-					// and changed the relation's shape; re-validate.
-					if err := validateWireRows(name, old.Arity(), rows); err != nil {
-						return nil, err
-					}
-				}
-				rel = old.Clone()
-			} else {
-				rel = database.NewRelation(name, len(rows[0]))
-			}
-			appendValidatedRows(rel, rows)
-			inst.AddRelation(rel)
+		inst, err := cur.inst.Extend(delta)
+		if err != nil {
+			return nil, err
 		}
 		return cur.next(inst, true), nil
 	})

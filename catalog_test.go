@@ -95,7 +95,7 @@ func TestDatasetReplaceAndAppendVersions(t *testing.T) {
 		t.Errorf("Replace: version %d err %v, want 2", v, err)
 	}
 	v, err := ds.AppendRows(map[string][][]int64{
-		"R3":        {{3, 7}},   // copy-on-write append to an existing relation
+		"R3":        {{3, 7}},   // append to an existing relation
 		"Extra":     {{1}, {2}}, // fresh relation, arity from the first row
 		"Untouched": nil,        // no rows: ignored
 	})

@@ -15,8 +15,12 @@ import (
 // so no write to an old registration can land in a new one's files.
 // Recovered registrations are built like fresh ones, with fresh
 // generations, so the versioned bind cache warms against the recovered
-// snapshots exactly as it would against freshly registered ones; their
-// append logs start at the recovered version.
+// snapshots exactly as it would against freshly registered ones. Replay
+// applies each WAL append with Instance.Extend, the code AppendRows runs,
+// so recovery is linear in the WAL, and each dataset's append log is
+// seeded with the instances of its last appendLogSize replayed appends:
+// DeltasBetween, and a subscription resuming from_version, cover the same
+// windows after a restart as before it.
 //
 // The returned store exposes durability gauges (see storage.Stats) and must
 // be closed after the catalog is done with. A WAL tail torn past the last
@@ -29,7 +33,7 @@ func OpenCatalog(dir string) (*Catalog, *storage.Store, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	recovered, err := st.Recover()
+	recovered, err := st.Recover(appendLogSize)
 	if err != nil {
 		st.Close()
 		return nil, nil, err
@@ -37,7 +41,7 @@ func OpenCatalog(dir string) (*Catalog, *storage.Store, error) {
 	c := NewCatalog()
 	c.journal = st
 	for _, r := range recovered {
-		c.datasets[r.Name] = newDataset(c, r.Name, r.Version, r.Inst)
+		c.datasets[r.Name] = newDataset(c, r.Name, r.Version, r.Log)
 	}
 	if len(c.datasets) != len(recovered) {
 		st.Close()

@@ -153,6 +153,15 @@ func encodeKey(vals []Value) string {
 // exactly the rows it was taken over, whatever the owner appends later.
 // As everywhere in this package, appending while another goroutine reads
 // the same Relation value is the caller's race.
+//
+// Growth follows from the rule. Instance.Extend grows a relation into a new
+// relation that shares its array and writes the new rows past its end, so
+// the old relation keeps exactly its rows while its spare capacity now
+// holds its successor's. An array therefore has one writer, the newest
+// relation grown in it: appending to or extending an older one would
+// overwrite rows its successor reads. A relation that others may also
+// grow is adopted as a View, whose first growth copies into an array of
+// its own.
 type Relation struct {
 	Name  string
 	arity int
@@ -454,6 +463,55 @@ func (in *Instance) ShallowClone() *Instance {
 		out.AddRelation(r)
 	}
 	return out
+}
+
+// View returns an instance of Views of in's relations: O(relations), no
+// copy. Rows appended to in's relations later do not show through it, and
+// extending it copies each relation it grows before writing, never into
+// in's arrays.
+func (in *Instance) View() *Instance {
+	out := NewInstance()
+	for _, r := range in.rels {
+		out.AddRelation(r.View())
+	}
+	return out
+}
+
+// Extend returns the instance appending delta's rows to in makes — the one
+// meaning of an append, for live writes and log replay alike. A relation
+// delta does not name is shared with in, one in lacks is delta's own, and
+// one both hold grows in place: the result's relation shares in's array
+// and writes delta's rows past its end, or into a larger array once it is
+// full, so an append costs the rows it adds, not the relation. in itself
+// is unchanged. Only the newest instance of a chain may be extended (see
+// Relation). Extend fails, with nothing grown, on an append no writer
+// makes: an empty delta relation, a new nullary relation, an arity unlike
+// the existing relation's, or a tagged value.
+func (in *Instance) Extend(delta *Instance) (*Instance, error) {
+	for _, name := range delta.Names() {
+		d, old := delta.rels[name], in.rels[name]
+		switch {
+		case d.Len() == 0:
+			return nil, fmt.Errorf("database: append to %s has no rows", name)
+		case old == nil && d.arity == 0:
+			return nil, fmt.Errorf("database: an append cannot create nullary relation %s", name)
+		case old != nil && old.arity != d.arity:
+			return nil, fmt.Errorf("database: append to %s has arity %d; the relation has %d", name, d.arity, old.arity)
+		}
+		for _, v := range d.data {
+			if v.Tag() != 0 {
+				return nil, fmt.Errorf("database: append to %s holds tagged value %v", name, v)
+			}
+		}
+	}
+	out := in.ShallowClone()
+	for name, d := range delta.rels {
+		if old := in.rels[name]; old != nil {
+			d = &Relation{Name: name, arity: old.arity, data: append(old.data, d.data...), nullaryLen: old.nullaryLen + d.nullaryLen}
+		}
+		out.AddRelation(d)
+	}
+	return out, nil
 }
 
 // String summarises the instance.

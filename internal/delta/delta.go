@@ -92,15 +92,10 @@ func HasSelfJoinOn(u *cq.UCQ, touched []string) bool {
 	return false
 }
 
-// overlay returns toInst with the named relation replaced by its delta
-// rows. The instances share every other relation (copy-on-write snapshots
-// make this safe); only the relation header is fresh.
-func overlay(toInst *database.Instance, name string, drel *database.Relation) *database.Instance {
+// overlay returns toInst with drel, a relation's delta rows, in place of
+// the relation of its name. The instances share every other relation.
+func overlay(toInst *database.Instance, drel *database.Relation) *database.Instance {
 	inst := toInst.ShallowClone()
-	if drel.Name != name {
-		drel = drel.Clone()
-		drel.Name = name
-	}
 	inst.AddRelation(drel)
 	return inst
 }
@@ -109,6 +104,8 @@ func overlay(toInst *database.Instance, name string, drel *database.Relation) *d
 // distinct candidate answer once. The yielded set is a superset of
 // Q(to)\Q(from) and a subset of Q(to): the caller filters candidates by
 // membership in the version-`from` plan (core.UnionPlan.ContainsAnswer).
+// deltas maps a relation's name to its delta rows, a relation of that
+// name, as Dataset.DeltasBetween's suffix views are.
 // Yielded tuples may be transient views — copy before retaining. A false
 // return from yield stops the enumeration early without error.
 //
@@ -132,7 +129,7 @@ func Candidates(ctx context.Context, u *cq.UCQ, cert *core.Certificate, toInst *
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		plan, err := core.NewUnionPlanCtx(ctx, u, cert, overlay(toInst, name, deltas[name]))
+		plan, err := core.NewUnionPlanCtx(ctx, u, cert, overlay(toInst, deltas[name]))
 		if err != nil {
 			return false, err
 		}

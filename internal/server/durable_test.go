@@ -80,6 +80,68 @@ func TestServerRestartRecoversDatasets(t *testing.T) {
 	}
 }
 
+// TestSubscribeResumeAcrossRestart checks a from_version resume survives a
+// restart: the reopened server's append log still covers the windows it
+// covered before, so each resume opens with exactly the answers the missed
+// appends added and a plain marker, with no resync. The window from v3
+// starts at the recovered version; the one from v2 reaches behind it.
+func TestSubscribeResumeAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s1.Handler())
+	putDataset(t, ts.URL, "live", map[string][][]int64{"R": {{1, 2}}, "S": {{2, 3}}})
+	sub := openSub(t, ts.URL, "live", SubscribeRequest{Query: subJoinQuery}, "")
+	seen := map[string]bool{}
+	collectUntil(t, sub, 1, seen)
+	appendRows(t, ts.URL, "live", map[string][][]int64{"R": {{4, 2}}})
+	if info := appendRows(t, ts.URL, "live", map[string][][]int64{"S": {{2, 5}}}); info.Version != 3 {
+		t.Fatalf("second append installed v%d, want v3", info.Version)
+	}
+	collectUntil(t, sub, 3, seen)
+	sub.close()
+	ts.Close()
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	appendRows(t, ts2.URL, "live", map[string][][]int64{"R": {{7, 2}}})
+
+	for _, c := range []struct {
+		from uint64
+		want map[string]bool
+	}{
+		{3, map[string]bool{"[7 2 3]": true, "[7 2 5]": true}},
+		{2, map[string]bool{"[1 2 5]": true, "[4 2 5]": true, "[7 2 3]": true, "[7 2 5]": true}},
+	} {
+		sub := openSub(t, ts2.URL, "live", SubscribeRequest{Query: subJoinQuery, FromVersion: c.from}, "")
+		got, first := map[string]bool{}, subItem{}
+		for first = range sub.items {
+			if first.tuple == nil {
+				break
+			}
+			got[fmt.Sprint(first.tuple)] = true
+		}
+		sub.close()
+		if first.ev == nil || first.ev.Resync || first.ev.Version != 4 {
+			t.Fatalf("resume from v%d: first record after the answers %+v, want a plain v4 marker", c.from, first.ev)
+		}
+		sameAnswerSet(t, got, c.want, fmt.Sprintf("resume from v%d across restart", c.from))
+	}
+	if n := getStats(t, ts2.URL).Subscriptions.Resyncs; n != 0 {
+		t.Fatalf("stats report %d resyncs, want 0", n)
+	}
+}
+
 // TestServerRejectsWideRows checks a row wider than wire.MaxArity is
 // refused with a 400 before anything is journaled: no dataset appears,
 // now or after a restart.

@@ -82,7 +82,7 @@ type DatasetRequest struct {
 	// Relations maps relation names to rows of integers; the arity of a
 	// relation is fixed by its first row.
 	Relations map[string][][]int64 `json:"relations"`
-	// Append adds the rows to the existing dataset (copy-on-write, version
+	// Append adds the rows to the existing dataset (a new snapshot, version
 	// bump) instead of replacing its contents. The target must exist.
 	Append bool `json:"append,omitempty"`
 }

@@ -187,23 +187,30 @@ func (s *Store) openWAL(name, dir string) (*dsFiles, error) {
 }
 
 // Dataset is one recovered dataset: its name, the exact version it was last
-// acknowledged at, and the replayed instance.
+// acknowledged at, and its replayed instances.
 type Dataset struct {
 	Name    string
 	Version uint64
-	Inst    *database.Instance
+	// Log holds the instances at the last versions replayed, oldest first
+	// and ending with the one at Version: the snapshot's, then one per
+	// append, at most logSize appends (see Recover). Consecutive instances
+	// share a relation's array until an append outgrows it.
+	Log []*database.Instance
 }
 
 // Recover loads every durable dataset: the newest snapshot plus the WAL's
-// replayable prefix. A torn WAL tail — a crash mid-append — is truncated
-// away and counted; the dataset recovers at the last fsynced version. A
-// dataset directory with no snapshot file (a crash before the first
-// snapshot rename) is removed: nothing in it was ever acknowledged. A
-// snapshot that does not decode is corruption, or a directory written in an
-// older format, and fails Recover with an error naming the file; the
-// directory is left as it is. Recover leaves each WAL open for appending,
-// so a recovered store is immediately writable.
-func (s *Store) Recover() ([]Dataset, error) {
+// replayable prefix, each append applied with database.Instance.Extend —
+// the code a live append runs — so recovery is linear in the WAL. Each
+// dataset keeps the instances of its last logSize appends (see Dataset).
+// A torn WAL tail — a crash mid-append — is truncated away and counted;
+// the dataset recovers at the last fsynced version. A dataset directory
+// with no snapshot file (a crash before the first snapshot rename) is
+// removed: nothing in it was ever acknowledged. A snapshot that does not
+// decode is corruption, or a directory written in an older format, and
+// fails Recover with an error naming the file; the directory is left as it
+// is. Recover leaves each WAL open for appending, so a recovered store is
+// immediately writable.
+func (s *Store) Recover(logSize int) ([]Dataset, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	entries, err := os.ReadDir(s.dir)
@@ -220,7 +227,7 @@ func (s *Store) Recover() ([]Dataset, error) {
 			continue
 		}
 		name := string(raw)
-		ds, ok, err := s.recoverDataset(name, filepath.Join(s.dir, e.Name()))
+		ds, ok, err := s.recoverDataset(name, filepath.Join(s.dir, e.Name()), logSize)
 		if err != nil {
 			return nil, err
 		}
@@ -235,7 +242,7 @@ func (s *Store) Recover() ([]Dataset, error) {
 
 // recoverDataset restores one dataset directory. ok is false when the
 // directory holds no acknowledged state and was cleaned up.
-func (s *Store) recoverDataset(name, dir string) (Dataset, bool, error) {
+func (s *Store) recoverDataset(name, dir string, logSize int) (Dataset, bool, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return Dataset{}, false, fmt.Errorf("storage: %v", err)
@@ -269,15 +276,16 @@ func (s *Store) recoverDataset(name, dir string) (Dataset, bool, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return Dataset{}, false, fmt.Errorf("storage: reading WAL: %v", err)
 	}
+	log := []*database.Instance{inst}
 	valid := 0
 	for len(buf) > valid {
 		v, delta, next, err := readRecord(buf[valid:])
 		switch {
 		case err != nil:
 		case v == version+1:
-			var applied *database.Instance
-			if applied, err = replayAppend(inst, delta); err == nil {
-				inst, version = applied, v
+			var grown *database.Instance
+			if grown, err = log[len(log)-1].Extend(delta); err == nil {
+				version, log = v, append(log[max(0, len(log)-logSize):], grown)
 			}
 		case v > version:
 			// A version gap means records were lost; nothing past it is
@@ -302,37 +310,7 @@ func (s *Store) recoverDataset(name, dir string) (Dataset, bool, error) {
 	if _, err := s.openWAL(name, dir); err != nil {
 		return Dataset{}, false, err
 	}
-	return Dataset{Name: name, Version: version, Inst: inst}, true, nil
-}
-
-// replayAppend applies one WAL delta with Dataset.AppendRows semantics:
-// touched relations are cloned and extended, absent ones created. It
-// rejects a delta AppendRows could not have written: an empty relation, a
-// new nullary one, an arity unlike the existing relation's, or a tagged
-// value.
-func replayAppend(inst, delta *database.Instance) (*database.Instance, error) {
-	out := inst.ShallowClone()
-	for _, name := range delta.Names() {
-		d, old := delta.Relation(name), out.Relation(name)
-		if d.Len() == 0 || (old == nil && d.Arity() == 0) || (old != nil && old.Arity() != d.Arity()) {
-			return nil, errTorn
-		}
-		for _, v := range d.Values(0, d.Len()) {
-			if v.Tag() != 0 {
-				return nil, errTorn
-			}
-		}
-		if old == nil {
-			out.AddRelation(d)
-			continue
-		}
-		rel := old.Clone()
-		for i := range d.Len() {
-			rel.Append(d.Row(i)...)
-		}
-		out.AddRelation(rel)
-	}
-	return out, nil
+	return Dataset{Name: name, Version: version, Log: log}, true, nil
 }
 
 // snapVersion parses a snapshot file name.

@@ -82,14 +82,14 @@ func TestStoreRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	got, err := st2.Recover()
+	got, err := st2.Recover(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 {
 		t.Fatalf("recovered %d datasets, want 2", len(got))
 	}
-	if got[0].Name != "empty" || got[0].Version != 1 || got[0].Inst.TupleCount() != 0 {
+	if got[0].Name != "empty" || got[0].Version != 1 || got[0].Log[0].TupleCount() != 0 {
 		t.Fatalf("empty dataset recovered wrong: %+v", got[0])
 	}
 	u := got[1]
@@ -102,7 +102,12 @@ func TestStoreRoundtrip(t *testing.T) {
 	tr := database.NewRelation("T", 3)
 	tr.AppendInts(5, 6, 7)
 	want.AddRelation(tr)
-	sameRelations(t, u.Inst, want)
+	// Recover(1) keeps the instances at v2 and v3; v2's R already holds
+	// its appended row, and v2 has no T yet.
+	if len(u.Log) != 2 || u.Log[0].Relation("R").Len() != 2 || u.Log[0].Relation("T") != nil {
+		t.Fatalf("users log = %v, want the instances at v2 and v3", u.Log)
+	}
+	sameRelations(t, u.Log[1], want)
 
 	// The recovered store is immediately writable: the WAL handle is open
 	// and positioned past the replayed records.
@@ -115,7 +120,7 @@ func TestStoreRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st3.Close()
-	got3, err := st3.Recover()
+	got3, err := st3.Recover(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +157,7 @@ func TestStoreReplaceResetsWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	got, err := st2.Recover()
+	got, err := st2.Recover(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +166,7 @@ func TestStoreReplaceResetsWAL(t *testing.T) {
 	}
 	want := mkInst([3]int64{5, 5, 5})
 	want.Relation("R").AppendInts(6, 6)
-	sameRelations(t, got[0].Inst, want)
+	sameRelations(t, got[0].Log[0], want)
 }
 
 // TestStoreTornTail simulates a crash mid-append: garbage after the last
@@ -215,7 +220,7 @@ func TestStoreTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := st2.Recover()
+		got, err := st2.Recover(0)
 		if err != nil {
 			t.Fatalf("tail %x: %v", tail, err)
 		}
@@ -224,7 +229,7 @@ func TestStoreTornTail(t *testing.T) {
 		}
 		want := mkInst([3]int64{1, 2, 3})
 		want.Relation("R").AppendInts(4, 5)
-		sameRelations(t, got[0].Inst, want)
+		sameRelations(t, got[0].Log[0], want)
 		if n := st2.Stats().TornTails; n != 1 {
 			t.Fatalf("tail %x: TornTails = %d, want 1", tail, n)
 		}
@@ -255,7 +260,7 @@ func TestStoreDrop(t *testing.T) {
 	if err := st.LogDrop("d"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := st.Recover()
+	got, err := st.Recover(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +286,7 @@ func TestStoreSkipsUnacknowledgedDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	got, err := st.Recover()
+	got, err := st.Recover(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +317,7 @@ func TestStoreCorruptSnapshotFailsLoudly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := st.Recover()
+		got, err := st.Recover(0)
 		st.Close()
 		if err == nil || !strings.Contains(err.Error(), filepath.Join(ds, "snap-1.dat")) {
 			t.Fatalf("snapshot %q: Recover = %+v, %v; want an error naming the file", snap, got, err)
@@ -420,11 +425,11 @@ func TestStoreWideSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	got, err := st.Recover()
+	got, err := st.Recover(0)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("Recover = %+v, %v", got, err)
 	}
-	sameRelations(t, got[0].Inst, want)
+	sameRelations(t, got[0].Log[0], want)
 }
 
 // TestStoreRejectsUnreadable checks the writer refuses what no reader
@@ -463,7 +468,7 @@ func checkCuts(t *testing.T, dir string, wal []byte, bounds []int, wants []*data
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := st.Recover()
+		got, err := st.Recover(0)
 		torn := st.Stats().TornTails
 		st.Close()
 		if err != nil || len(got) != 1 {
@@ -476,7 +481,7 @@ func checkCuts(t *testing.T, dir string, wal []byte, bounds []int, wants []*data
 		if got[0].Version != uint64(i+1) {
 			t.Fatalf("cut %d: recovered v%d, want v%d", cut, got[0].Version, i+1)
 		}
-		sameRelations(t, got[0].Inst, wants[i])
+		sameRelations(t, got[0].Log[0], wants[i])
 		if wantTorn := int64(min(1, cut-bounds[i])); torn != wantTorn {
 			t.Fatalf("cut %d: TornTails = %d, want %d", cut, torn, wantTorn)
 		}
@@ -503,7 +508,7 @@ func logAll(t *testing.T, dir string, base *database.Instance, deltas ...map[str
 		if err := st.LogAppend("d", uint64(i+2), d); err != nil {
 			t.Fatal(err)
 		}
-		next, err := replayAppend(wants[i], func() *database.Instance {
+		next, err := wants[i].Extend(func() *database.Instance {
 			inst := database.NewInstance()
 			for _, rel := range d {
 				inst.AddRelation(rel.Clone())

@@ -89,7 +89,7 @@ func InstanceFromRows(rels map[string][][]int64) (*Instance, error) {
 			return nil, fmt.Errorf("ucq: relation %s has an empty first row; arity unknown", name)
 		}
 		rel := database.NewRelation(name, len(rows[0]))
-		if err := appendWireRows(rel, name, rows); err != nil {
+		if err := appendWireRows(rel, rows); err != nil {
 			return nil, err
 		}
 		inst.AddRelation(rel)
@@ -100,30 +100,20 @@ func InstanceFromRows(rels map[string][][]int64) (*Instance, error) {
 // appendWireRows validates rows against rel's arity and the value payload
 // range and appends them — the one validation path for relation rows
 // arriving over the wire (InstanceFromRows and Dataset.AppendRows).
-func appendWireRows(rel *database.Relation, name string, rows [][]int64) error {
-	if err := validateWireRows(name, rel.Arity(), rows); err != nil {
-		return err
-	}
-	appendValidatedRows(rel, rows)
-	return nil
-}
-
-// validateWireRows checks rows against an expected arity and the value
-// payload range without touching a relation, so writers can reject a bad
-// payload before taking any lock.
-func validateWireRows(name string, arity int, rows [][]int64) error {
-	if err := checkArity(name, arity); err != nil {
+func appendWireRows(rel *database.Relation, rows [][]int64) error {
+	if err := checkArity(rel.Name, rel.Arity()); err != nil {
 		return err
 	}
 	for i, row := range rows {
-		if len(row) != arity {
-			return fmt.Errorf("ucq: %s row %d: %d values, expected %d", name, i, len(row), arity)
+		if len(row) != rel.Arity() {
+			return fmt.Errorf("ucq: %s row %d: %d values, expected %d", rel.Name, i, len(row), rel.Arity())
 		}
 		for _, v := range row {
 			if v > database.MaxPayload || v < database.MinPayload {
-				return fmt.Errorf("ucq: %s row %d: value %d outside the %d-bit payload range", name, i, v, 56)
+				return fmt.Errorf("ucq: %s row %d: value %d outside the %d-bit payload range", rel.Name, i, v, 56)
 			}
 		}
+		rel.AppendInts(row...)
 	}
 	return nil
 }
@@ -145,13 +135,6 @@ func checkInstanceArity(inst *Instance) error {
 		}
 	}
 	return nil
-}
-
-// appendValidatedRows appends rows already vetted by validateWireRows.
-func appendValidatedRows(rel *database.Relation, rows [][]int64) {
-	for _, row := range rows {
-		rel.AppendInts(row...)
-	}
 }
 
 // ReadInstanceJSON decodes a JSON object mapping relation names to integer

@@ -169,7 +169,7 @@ func (pq *PreparedQuery) Bind(inst *Instance) (*Plan, error) {
 func (pq *PreparedQuery) BindContext(ctx context.Context, inst *Instance) (*Plan, error) {
 	// The inline-instance API is a thin wrapper over a one-shot anonymous
 	// dataset: same bind path as BindDataset, no name, no bind cache.
-	return pq.BindDatasetContext(ctx, newDataset(nil, "", 0, inst))
+	return pq.BindDatasetContext(ctx, newDataset(nil, "", 0, []*Instance{inst}))
 }
 
 // boundQuery is the per-instance half of a plan — the outcome of binding a
