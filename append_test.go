@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // firstValue is the address of a relation's first stored value: two
@@ -358,5 +360,42 @@ func TestAppendConcurrentReaders(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestDatasetAppend checks Append takes a caller's instance of new rows
+// without sharing its growth: the rows it appends to an existing relation
+// and a relation it adds read back exactly, the caller may go on growing
+// its own relation without the dataset seeing it, and a relation wider
+// than wire.MaxArity is refused with nothing changed.
+func TestDatasetAppend(t *testing.T) {
+	ds, err := NewCatalog().Register("d", appendBase(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, u := NewRelation("R", 2), NewRelation("U", 1)
+	r.AppendInts(500, 10)
+	u.AppendInts(7)
+	delta := NewInstance()
+	delta.AddRelation(r)
+	delta.AddRelation(u)
+	version, err := ds.Append(delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u.AppendInts(8) // the caller's relation grows; the dataset's must not
+	inst := ds.Instance()
+	if version != 2 || inst.Relation("R").Len() != 101 || !inst.Relation("R").Row(100).Equal(Tuple{V(500), V(10)}) {
+		t.Fatalf("after Append: version %d, R = %v", version, inst.Relation("R"))
+	}
+	if got := inst.Relation("U"); got.Len() != 1 || !got.Row(0).Equal(Tuple{V(7)}) {
+		t.Fatalf("U = %v, want exactly the appended row (7)", got.Rows())
+	}
+
+	wide := NewInstance()
+	wide.AddRelation(NewRelation("W", wire.MaxArity+1))
+	wide.Relation("W").Append(make([]Value, wire.MaxArity+1)...)
+	if _, err := ds.Append(wide); err == nil || ds.Version() != 2 || ds.Instance().Relation("W") != nil {
+		t.Fatalf("Append of a %d-wide relation: err %v, version %d", wire.MaxArity+1, err, ds.Version())
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/database"
 	"repro/internal/vcache"
+	"repro/internal/wire"
 )
 
 // This file is the dataset catalog layer: the paper splits enumeration
@@ -328,40 +329,35 @@ func (ds *Dataset) Replace(inst *Instance) (uint64, error) {
 // AppendRows appends rows to the named relations and installs the result
 // as a new snapshot, returning the new version. Relations not present yet
 // are created with the arity of their first row; a relation without rows
-// is skipped. Rows are validated like the wire codec's (InstanceFromRows):
-// consistent arity, payload-range-checked values, before the writer lock
-// is taken. Under it, Instance.Extend applies them — the same code that
-// replays the journal — checking each arity against the current snapshot
-// and growing the touched relations in place, so an append costs the rows
-// it adds: the new snapshot shares every relation's array with the
-// previous one, whose readers keep exactly their rows. Untouched relations
-// are shared outright. With a durable catalog the appended rows are
+// is skipped. Before the writer lock is taken, the rows go through the
+// checks request bodies are decoded with (wire.Relations): consistent
+// arity and payload-range-checked values, as in InstanceFromRows, except
+// that the first row may be empty, since the relation it extends fixes
+// the arity. Then Append applies them.
+func (ds *Dataset) AppendRows(rels map[string][][]int64) (uint64, error) {
+	delta, err := wire.RelationsOf(rels).Delta()
+	if err != nil {
+		return 0, err
+	}
+	return ds.Append(delta)
+}
+
+// Append appends delta's rows to the dataset and installs the result as a
+// new snapshot, returning the new version. Under the writer lock,
+// Instance.Extend applies them — the same code that replays the journal —
+// checking each arity against the current snapshot and growing the
+// touched relations in place, so an append costs the rows it adds: the new
+// snapshot shares every relation's array with the previous one, whose
+// readers keep exactly their rows. Untouched relations are shared
+// outright, and a relation delta adds is adopted as a view, so the caller
+// may go on growing its own. With a durable catalog the appended rows are
 // journaled (and fsynced) before the snapshot is installed. On error —
 // ErrDatasetDropped included — the dataset is unchanged.
-func (ds *Dataset) AppendRows(rels map[string][][]int64) (uint64, error) {
-	names := make([]string, 0, len(rels))
-	for name := range rels {
-		names = append(names, name)
+func (ds *Dataset) Append(delta *Instance) (uint64, error) {
+	if err := checkInstanceArity(delta); err != nil {
+		return 0, err
 	}
-	sort.Strings(names)
-
-	// An append's rows may start with an empty row: the relation they
-	// extend fixes the arity, and Extend checks the rows against it.
-	delta := database.NewInstance()
-	for _, name := range names {
-		rows := rels[name]
-		if name == "" {
-			return 0, fmt.Errorf("ucq: relation with empty name")
-		}
-		if len(rows) == 0 {
-			continue
-		}
-		rel := database.NewRelation(name, len(rows[0]))
-		if err := appendWireRows(rel, rows); err != nil {
-			return 0, err
-		}
-		delta.AddRelation(rel)
-	}
+	delta = delta.View()
 	return ds.write(func(cur *snapshot) (*snapshot, error) {
 		inst, err := cur.inst.Extend(delta)
 		if err != nil {

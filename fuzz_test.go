@@ -3,9 +3,16 @@ package ucq
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/database"
+	"repro/internal/wire"
 )
 
 // FuzzParse fuzzes the query parser: it must never panic, and any query it
@@ -96,10 +103,11 @@ func FuzzReadRelationCSV(f *testing.F) {
 }
 
 // FuzzReadInstanceJSON fuzzes the JSON instance reader behind ucq-run
-// -dataset name=instance.json: no panics, and any instance it accepts must
-// survive a round trip through its own row map — rendered back to rows,
-// re-encoded and reread via InstanceFromRows — with every relation, arity
-// and row unchanged.
+// -dataset name=instance.json differentially: it must accept exactly the
+// inputs encoding/json decodes into a map[string][][]int64 followed by
+// only whitespace and referenceInstanceFromRows accepts, build the same
+// instance, and fail on the same row check with the same message. The map
+// path, InstanceFromRows, must agree with the reference as well.
 func FuzzReadInstanceJSON(f *testing.F) {
 	seeds := []string{
 		`{"R": [[1,2],[3,4]], "S": [[2,5]]}`,
@@ -117,46 +125,123 @@ func FuzzReadInstanceJSON(f *testing.F) {
 		`[[1,2]]`,
 		`{}`,
 		``,
+		// encoding/json's quirks: null leaves a zero, a repeated name keeps
+		// its last rows, numbers are integers in int64 range only, invalid
+		// UTF-8 in a name becomes U+FFFD.
+		`null`,
+		`{"R": null}`,
+		`{"R": [[1, null], null]}`,
+		`{"R": [[1]], "R": [[2, 3]]}`,
+		`{"R": [[1], [2, 3]], "R": [[4]]}`,
+		`{"R": [[1e2]]}`,
+		`{"R": [[-0, 01]]}`,
+		`{"R": [[9223372036854775808]]}`,
+		`{"R": [[-9223372036854775808]]}`,
+		"{\"R\xff\": [[1]]}",
+		`{"\u0052": [[1]], "R": [[2]]}`,
+		`{"R": [[1]], "S": [[1], [2, 3]], "T": [[36028797018963968]]}`,
+		`{"R": [[1]]`,
+		`{"R": [[1]],}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		inst, err := ReadInstanceJSON(bytes.NewReader(data))
-		if err != nil {
+		got, err := ReadInstanceJSON(bytes.NewReader(data))
+
+		var rows map[string][][]int64
+		dec := json.NewDecoder(bytes.NewReader(data))
+		refErr := dec.Decode(&rows)
+		if refErr == nil {
+			if _, tokErr := dec.Token(); tokErr != io.EOF {
+				refErr = errors.New("data after the instance object")
+			}
+		}
+		if refErr != nil {
+			if err == nil {
+				t.Fatalf("accepted what encoding/json rejects (%v):\n%q", refErr, data)
+			}
 			return
 		}
-		rows := instanceRows(t, inst)
-		enc, err := json.Marshal(rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		re, err := ReadInstanceJSON(bytes.NewReader(enc))
-		if err != nil {
-			t.Fatalf("re-encoded instance does not reread: %v\n%s", err, enc)
-		}
-		if got := instanceRows(t, re); !reflect.DeepEqual(got, rows) {
-			t.Fatalf("round trip changed the instance:\n%v\n->\n%v", rows, got)
-		}
+		want, wantErr := referenceInstanceFromRows(rows)
+		checkSameBuild(t, "ReadInstanceJSON", data, got, err, want, wantErr)
+		fromMap, mapErr := InstanceFromRows(rows)
+		checkSameBuild(t, "InstanceFromRows", data, fromMap, mapErr, want, wantErr)
 	})
 }
 
-// instanceRows renders an accepted instance back to the row map
-// InstanceFromRows reads, checking that every relation has a known arity.
-func instanceRows(t *testing.T, inst *Instance) map[string][][]int64 {
-	rows := map[string][][]int64{}
-	for _, name := range inst.Names() {
-		rel := inst.Relation(name)
-		if rel.Len() == 0 || rel.Arity() == 0 {
-			t.Fatalf("accepted relation %s with %d rows, arity %d", name, rel.Len(), rel.Arity())
+// checkSameBuild fails unless an instance build agrees with the
+// reference's: both fail with one message, or both succeed with equal
+// instances.
+func checkSameBuild(t *testing.T, what string, data []byte, got *Instance, err error, want *Instance, wantErr error) {
+	t.Helper()
+	switch {
+	case (err == nil) != (wantErr == nil):
+		t.Fatalf("%s: error %v, reference error %v:\n%q", what, err, wantErr, data)
+	case err != nil && err.Error() != wantErr.Error():
+		t.Fatalf("%s: error %q, reference error %q:\n%q", what, err, wantErr, data)
+	case err == nil && !sameInstance(got, want):
+		t.Fatalf("%s built %v, reference %v:\n%q", what, got, want, data)
+	}
+}
+
+// sameInstance reports whether two instances hold the same relations with
+// the same arities and the same rows in the same order.
+func sameInstance(a, b *Instance) bool {
+	if !reflect.DeepEqual(a.Names(), b.Names()) {
+		return false
+	}
+	for _, name := range a.Names() {
+		ra, rb := a.Relation(name), b.Relation(name)
+		if ra.Arity() != rb.Arity() || ra.Len() != rb.Len() {
+			return false
 		}
-		for _, tup := range rel.Rows() {
-			row := make([]int64, len(tup))
-			for i, v := range tup {
-				row[i] = v.Payload()
+		for i := 0; i < ra.Len(); i++ {
+			if !ra.Row(i).Equal(rb.Row(i)) {
+				return false
 			}
-			rows[name] = append(rows[name], row)
 		}
 	}
-	return rows
+	return true
+}
+
+// referenceInstanceFromRows is InstanceFromRows as it was before request
+// bodies were decoded into value columns: the row-map reader the strict
+// decoder must agree with, message for message.
+func referenceInstanceFromRows(rels map[string][][]int64) (*Instance, error) {
+	inst := database.NewInstance()
+	names := make([]string, 0, len(rels))
+	for name := range rels {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		rows := rels[name]
+		if name == "" {
+			return nil, fmt.Errorf("ucq: relation with empty name")
+		}
+		if len(rows) == 0 {
+			return nil, fmt.Errorf("ucq: relation %s has no rows; arity unknown", name)
+		}
+		if len(rows[0]) == 0 {
+			return nil, fmt.Errorf("ucq: relation %s has an empty first row; arity unknown", name)
+		}
+		rel := database.NewRelation(name, len(rows[0]))
+		if rel.Arity() > wire.MaxArity {
+			return nil, fmt.Errorf("ucq: relation %s has arity %d, above the limit of %d", name, rel.Arity(), wire.MaxArity)
+		}
+		for i, row := range rows {
+			if len(row) != rel.Arity() {
+				return nil, fmt.Errorf("ucq: %s row %d: %d values, expected %d", name, i, len(row), rel.Arity())
+			}
+			for _, v := range row {
+				if v > database.MaxPayload || v < database.MinPayload {
+					return nil, fmt.Errorf("ucq: %s row %d: value %d outside the %d-bit payload range", name, i, v, 56)
+				}
+			}
+			rel.AppendInts(row...)
+		}
+		inst.AddRelation(rel)
+	}
+	return inst, nil
 }

@@ -190,6 +190,20 @@ func NewRelation(name string, arity int) *Relation {
 	return &Relation{Name: name, arity: arity}
 }
 
+// RelationOf returns a relation of n rows of the given arity whose values
+// are data, row-major; it takes data, which must hold n·arity values. A
+// nullary relation carries its row count alone.
+func RelationOf(name string, arity, n int, data []Value) *Relation {
+	if arity < 0 || len(data) != n*arity {
+		panic(fmt.Sprintf("database: %d values for %d rows of arity %d", len(data), n, arity))
+	}
+	r := &Relation{Name: name, arity: arity, data: data}
+	if arity == 0 {
+		r.nullaryLen = n
+	}
+	return r
+}
+
 // Arity returns the number of columns.
 func (r *Relation) Arity() int { return r.arity }
 

@@ -18,6 +18,7 @@ import (
 	"net/http"
 
 	ucq "repro"
+	"repro/internal/wire"
 )
 
 // handleDatasetPut creates, replaces or appends to a named dataset.
@@ -25,8 +26,11 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 	s.stats.requests.Add(1)
 	name := r.PathValue("name")
 
-	var req DatasetRequest
-	if !s.decodeBody(w, r, &req) {
+	var (
+		req  DatasetRequest
+		rels wire.Relations
+	)
+	if !s.decodeBody(w, r, func(d *wire.Body) { decodeDatasetRequest(d, &req, &rels) }) {
 		return
 	}
 
@@ -41,10 +45,13 @@ func (s *Server) handleDatasetPut(w http.ResponseWriter, r *http.Request) {
 			s.httpError(w, http.StatusNotFound, "no dataset %q to append to", name)
 			return
 		}
-		_, err = ds.AppendRows(req.Relations)
+		var delta *ucq.Instance
+		if delta, err = rels.Delta(); err == nil {
+			_, err = ds.Append(delta)
+		}
 	} else {
 		var inst *ucq.Instance
-		if inst, err = ucq.InstanceFromRows(req.Relations); err == nil {
+		if inst, err = rels.Instance(); err == nil {
 			ds, created, err = s.catalog.Upsert(name, inst)
 		}
 	}
@@ -137,11 +144,12 @@ func (s *Server) bindDatasetPlan(w http.ResponseWriter, r *http.Request) (QueryR
 	s.stats.requests.Add(1)
 	name := r.PathValue("name")
 
-	req, u, mode, ok := s.decodeQuery(w, r)
+	var rels wire.Relations
+	req, u, mode, ok := s.decodeQuery(w, r, &rels)
 	if !ok {
 		return req, nil, streamMeta{}, false
 	}
-	if len(req.Relations) > 0 {
+	if rels.Len() > 0 {
 		s.httpError(w, http.StatusBadRequest,
 			"inline relations are not allowed on dataset queries; PUT /datasets/%s instead", name)
 		return req, nil, streamMeta{}, false

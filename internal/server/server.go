@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -38,6 +37,7 @@ import (
 	"repro/internal/enumeration"
 	"repro/internal/storage"
 	"repro/internal/vcache"
+	"repro/internal/wire"
 )
 
 // The server's fixed settings.
@@ -255,10 +255,11 @@ func (s *Server) httpError(w http.ResponseWriter, status int, format string, arg
 
 // decodeQuery decodes and validates the parts of a query request shared by
 // the inline-instance and dataset endpoints: the parsed union and the
-// normalized mode. On failure it writes the error response and returns
+// normalized mode; the inline relations come back in rels, checked but not
+// yet an instance. On failure it writes the error response and returns
 // ok = false.
-func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (req QueryRequest, u *ucq.UCQ, mode string, ok bool) {
-	if !s.decodeBody(w, r, &req) {
+func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request, rels *wire.Relations) (req QueryRequest, u *ucq.UCQ, mode string, ok bool) {
+	if !s.decodeBody(w, r, func(d *wire.Body) { decodeQueryRequest(d, &req, rels) }) {
 		return req, nil, "", false
 	}
 	u, err := ucq.Parse(req.Query)
@@ -281,24 +282,6 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (req QueryR
 	return req, u, mode, true
 }
 
-// decodeBody decodes a JSON request body strictly: an unknown field — a
-// misspelt or removed option, say — is a 400 naming it rather than a
-// silently ignored knob, and so is anything but whitespace after the one
-// JSON value. On failure it writes the error response and returns false.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		s.httpError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return false
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		s.httpError(w, http.StatusBadRequest, "decoding request: data after the JSON body")
-		return false
-	}
-	return true
-}
-
 // prepared serves the instance-independent preparation from the LRU cache,
 // keyed by mode, schema and canonical query.
 func (s *Server) prepared(mode string, u *ucq.UCQ) (*ucq.PreparedQuery, bool, error) {
@@ -311,7 +294,8 @@ func (s *Server) prepared(mode string, u *ucq.UCQ) (*ucq.PreparedQuery, bool, er
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.stats.requests.Add(1)
 
-	req, u, mode, ok := s.decodeQuery(w, r)
+	var rels wire.Relations
+	req, u, mode, ok := s.decodeQuery(w, r, &rels)
 	if !ok {
 		return
 	}
@@ -321,7 +305,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	inst, err := ucq.InstanceFromRows(req.Relations)
+	inst, err := rels.Instance()
 	if err != nil {
 		s.httpError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -3,10 +3,12 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -297,41 +299,81 @@ func TestLimitTruncatesStream(t *testing.T) {
 	}
 }
 
+// badRequests are request bodies the server must answer with an error
+// status and message (status 0 is 400), or, for a body that only looks
+// bad, with the status it takes; the request is a POST to /query unless
+// put is set, then a PUT to /datasets/d, where d holds R = {(1)}.
+var badRequests = []struct {
+	name   string
+	body   string
+	want   string
+	status int
+	put    bool
+}{
+	{name: "malformed json", body: `{"query": `, want: "decoding request"},
+	{name: "parse error", body: `{"query": "Q(x <- R(x)", "relations": {"R": [[1]]}}`, want: "parsing query"},
+	{name: "bad mode", body: `{"query": "Q(x) <- R(x).", "relations": {"R": [[1]]}, "options": {"mode": "warp"}}`, want: "options.mode"},
+	{name: "trailing data", body: `{"query": "Q(x) <- R(x).", "relations": {"R": [[1]]}} {"query": "garbage"`, want: "data after the JSON body"},
+	{name: "negative limit", body: `{"query": "Q(x) <- R(x).", "relations": {"R": [[1]]}, "limit": -1}`, want: "limit"},
+	{name: "ragged rows", body: `{"query": "Q(x) <- R(x).", "relations": {"R": [[1], [2,3]]}}`, want: "expected 1"},
+	{name: "missing relation", body: `{"query": "Q(x) <- R(x).", "relations": {}}`, want: "no relation"},
+	{name: "arity mismatch", body: `{"query": "Q(x) <- R(x).", "relations": {"R": [[1,2]]}}`, want: "arity"},
+	{name: "payload range", body: `{"query": "Q(x) <- R(x).", "relations": {"R": [[36028797018963968]]}}`,
+		want: "ucq: R row 0: value 36028797018963968 outside the 56-bit payload range"},
+	{name: "exponent", body: `{"query": "Q(x) <- R(x).", "relations": {"R": [[1e2]]}}`,
+		want: "decoding request: json: cannot unmarshal number 1e2 into Go"},
+	{name: "null relations", body: `{"query": "Q(x) <- R(x).", "relations": null}`,
+		want: `planning: core: preparing Q: yannakakis: no relation "R" in the instance`},
+	{name: "empty first row", body: `{"query": "Q(x) <- R(x).", "relations": {"R": [[]]}}`,
+		want: "ucq: relation R has an empty first row; arity unknown"},
+	{name: "empty row appended", body: `{"relations": {"R": [[]]}, "append": true}`, put: true,
+		want: "database: append to R has arity 0; the relation has 1"},
+	{name: "options on a dataset", body: `{"relations": {"R": [[1]]}, "options": {"mode": "naive"}}`, put: true,
+		want: `decoding request: json: unknown field "options"`},
+	{name: "repeated relation", body: `{"query": "Q(x) <- R(x).", "relations": {"R": [[1], [2, 3]], "R": [[4]]}}`,
+		status: http.StatusOK, want: "[4]"},
+}
+
 func TestBadRequests(t *testing.T) {
 	s, ts := newTestServer(t)
-	cases := []struct {
-		name string
-		body string
-		want string
-	}{
-		{"malformed json", `{"query": `, "decoding request"},
-		{"parse error", `{"query": "Q(x <- R(x)", "relations": {"R": [[1]]}}`, "parsing query"},
-		{"bad mode", `{"query": "Q(x) <- R(x).", "relations": {"R": [[1]]}, "options": {"mode": "warp"}}`, "options.mode"},
-		{"trailing data", `{"query": "Q(x) <- R(x).", "relations": {"R": [[1]]}} {"query": "garbage"`, "data after the JSON body"},
-		{"negative limit", `{"query": "Q(x) <- R(x).", "relations": {"R": [[1]]}, "limit": -1}`, "limit"},
-		{"ragged rows", `{"query": "Q(x) <- R(x).", "relations": {"R": [[1], [2,3]]}}`, "expected 1"},
-		{"missing relation", `{"query": "Q(x) <- R(x).", "relations": {}}`, "no relation"},
-		{"arity mismatch", `{"query": "Q(x) <- R(x).", "relations": {"R": [[1,2]]}}`, "arity"},
-	}
-	for _, tc := range cases {
-		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(tc.body))
+	putDataset(t, ts.URL, "d", map[string][][]int64{"R": {{1}}})
+	failures := 0
+	for _, tc := range badRequests {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/query", strings.NewReader(tc.body))
+		if tc.put {
+			req, err = http.NewRequest(http.MethodPut, ts.URL+"/datasets/d", strings.NewReader(tc.body))
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		var er ErrorResponse
-		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
-			t.Fatalf("%s: decoding error body: %v", tc.name, err)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
 		}
+		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !strings.Contains(er.Error, tc.want) {
-			t.Errorf("%s: error %q, want containing %q", tc.name, er.Error, tc.want)
+		status := cmp.Or(tc.status, http.StatusBadRequest)
+		if resp.StatusCode != status {
+			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, status)
+		}
+		got := string(body)
+		if status != http.StatusOK {
+			failures++
+			var er ErrorResponse
+			if err := json.Unmarshal(body, &er); err != nil {
+				t.Fatalf("%s: decoding error body: %v", tc.name, err)
+			}
+			got = er.Error
+		}
+		if !strings.Contains(got, tc.want) {
+			t.Errorf("%s: response %q, want containing %q", tc.name, got, tc.want)
 		}
 	}
-	if st := s.StatsSnapshot(); st.Errors != int64(len(cases)) {
-		t.Errorf("errors counter = %d, want %d", st.Errors, len(cases))
+	if st := s.StatsSnapshot(); st.Errors != int64(failures) {
+		t.Errorf("errors counter = %d, want %d", st.Errors, failures)
 	}
 }
 

@@ -29,11 +29,12 @@ import (
 	"net/http"
 
 	ucq "repro"
+	"repro/internal/wire"
 )
 
 // decodeSubscribe reads and validates a SubscribeRequest body.
 func (s *Server) decodeSubscribe(w http.ResponseWriter, r *http.Request) (req SubscribeRequest, ok bool) {
-	if !s.decodeBody(w, r, &req) {
+	if !s.decodeBody(w, r, func(d *wire.Body) { decodeSubscribeRequest(d, &req) }) {
 		return req, false
 	}
 	if req.Query == "" {

@@ -7,7 +7,11 @@ import (
 
 // QueryRequest is the POST /query body: a UCQ in the datalog-style
 // concrete syntax, the instance as relation-name → integer rows, optional
-// engine options and an optional answer limit.
+// engine options and an optional answer limit. Its JSON tags are the wire
+// format for clients that encode it; the server decodes request bodies
+// with its strict decoder (decode.go), which reads exactly what
+// encoding/json would read into these types and packs Relations' rows
+// straight into value columns instead.
 type QueryRequest struct {
 	// Query is the UCQ source, e.g.
 	// "Q1(x,y) <- R(x,z), S(z,y).\nQ2(x,y) <- R(x,y), S(y,y)."

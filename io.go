@@ -2,10 +2,9 @@ package ucq
 
 import (
 	"bufio"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -66,71 +65,23 @@ func ReadRelationCSV(r io.Reader, name string) (*Relation, error) {
 }
 
 // InstanceFromRows builds an instance from a map of relation name to
-// integer rows — the request wire format of the streaming server. Every
-// relation must have at least one row (the arity is fixed by the first)
-// and all rows of a relation must share that arity.
+// integer rows — the relations object of the streaming server's request
+// bodies. Every relation must have at least one row (the arity is fixed by
+// the first, which must not be empty), all rows of a relation must share
+// that arity, and every value must lie in the 56-bit payload range. The
+// rows go through the checks request bodies are decoded with
+// (wire.Relations), so both report a fault alike; with several faults the
+// relation first in name order is reported, at its first faulty row.
 func InstanceFromRows(rels map[string][][]int64) (*Instance, error) {
-	inst := database.NewInstance()
-	// Deterministic order so error messages are stable.
-	names := make([]string, 0, len(rels))
-	for name := range rels {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		rows := rels[name]
-		if name == "" {
-			return nil, fmt.Errorf("ucq: relation with empty name")
-		}
-		if len(rows) == 0 {
-			return nil, fmt.Errorf("ucq: relation %s has no rows; arity unknown", name)
-		}
-		if len(rows[0]) == 0 {
-			return nil, fmt.Errorf("ucq: relation %s has an empty first row; arity unknown", name)
-		}
-		rel := database.NewRelation(name, len(rows[0]))
-		if err := appendWireRows(rel, rows); err != nil {
-			return nil, err
-		}
-		inst.AddRelation(rel)
-	}
-	return inst, nil
+	return wire.RelationsOf(rels).Instance()
 }
 
-// appendWireRows validates rows against rel's arity and the value payload
-// range and appends them — the one validation path for relation rows
-// arriving over the wire (InstanceFromRows and Dataset.AppendRows).
-func appendWireRows(rel *database.Relation, rows [][]int64) error {
-	if err := checkArity(rel.Name, rel.Arity()); err != nil {
-		return err
-	}
-	for i, row := range rows {
-		if len(row) != rel.Arity() {
-			return fmt.Errorf("ucq: %s row %d: %d values, expected %d", rel.Name, i, len(row), rel.Arity())
-		}
-		for _, v := range row {
-			if v > database.MaxPayload || v < database.MinPayload {
-				return fmt.Errorf("ucq: %s row %d: value %d outside the %d-bit payload range", rel.Name, i, v, 56)
-			}
-		}
-		rel.AppendInts(row...)
-	}
-	return nil
-}
-
-// checkArity rejects a relation wider than wire.MaxArity, the widest tuple
-// an answer stream or a journal record carries.
-func checkArity(name string, arity int) error {
-	if arity > wire.MaxArity {
-		return fmt.Errorf("ucq: relation %s has arity %d, above the limit of %d", name, arity, wire.MaxArity)
-	}
-	return nil
-}
-
-// checkInstanceArity applies checkArity to every relation of inst.
+// checkInstanceArity rejects an instance with a relation wider than
+// wire.MaxArity, the widest tuple an answer stream or a journal record
+// carries.
 func checkInstanceArity(inst *Instance) error {
 	for _, name := range inst.Names() {
-		if err := checkArity(name, inst.Relation(name).Arity()); err != nil {
+		if err := wire.CheckArity(name, inst.Relation(name).Arity()); err != nil {
 			return err
 		}
 	}
@@ -138,18 +89,27 @@ func checkInstanceArity(inst *Instance) error {
 }
 
 // ReadInstanceJSON decodes a JSON object mapping relation names to integer
-// rows, e.g. {"R": [[1,2],[3,4]], "S": [[2,5]]}, into an instance.
-// Anything but whitespace after that one object is an error.
+// rows, e.g. {"R": [[1,2],[3,4]], "S": [[2,5]]}, into an instance, with
+// InstanceFromRows's rules. It reads the object with the strict decoder of
+// the server's request bodies (wire.Body), which accepts exactly what
+// encoding/json accepts for a map[string][][]int64 and packs each
+// relation's rows straight into its value column; anything but whitespace
+// after that one object is an error.
 func ReadInstanceJSON(r io.Reader) (*Instance, error) {
-	var rels map[string][][]int64
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&rels); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("ucq: decoding instance JSON: %v", err)
 	}
-	if _, err := dec.Token(); err != io.EOF {
+	var rels wire.Relations
+	d := wire.NewBody(data)
+	d.Relations(&rels)
+	switch err := d.End(); {
+	case errors.Is(err, wire.ErrTrailing):
 		return nil, fmt.Errorf("ucq: decoding instance JSON: data after the instance object")
+	case err != nil:
+		return nil, fmt.Errorf("ucq: decoding instance JSON: %v", err)
 	}
-	return InstanceFromRows(rels)
+	return rels.Instance()
 }
 
 // AppendTupleJSON appends the tuple rendered as a JSON array to dst and
