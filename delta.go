@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"repro/internal/baseline"
-	"repro/internal/core"
 	"repro/internal/database"
 	"repro/internal/delta"
 )
@@ -78,12 +77,12 @@ func (p *Plan) DeltaAnswersContext(ctx context.Context, from, to Version, yield 
 		if from != p.dsVersion || old == nil {
 			// Resuming against a window start the plan was not bound at:
 			// rebuild the old-version bound state from the logged snapshot.
-			old, err = core.NewUnionPlanCtx(ctx, p.Evaluated, p.Cert, fromInst)
+			old, err = p.compiled.Bind(ctx, fromInst)
 			if err != nil {
 				return err
 			}
 		}
-		_, err = delta.Candidates(ctx, p.Evaluated, p.Cert, toInst, deltas, func(t database.Tuple) bool {
+		_, err = delta.Candidates(ctx, p.compiled, toInst, deltas, func(t database.Tuple) bool {
 			if old.ContainsAnswer(t) {
 				return true
 			}

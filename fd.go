@@ -1,9 +1,6 @@
 package ucq
 
-import (
-	"repro/internal/fd"
-	"repro/internal/hypergraph"
-)
+import "repro/internal/fd"
 
 // FD is a functional dependency R: From → To over 0-based positions of
 // relation R (Remark 2 of the paper; Carmeli & Kröll ICDT'18).
@@ -23,8 +20,7 @@ func MustFDSet(fds ...FD) *FDSet { return fd.MustSet(fds...) }
 // intractable in general may become constant-delay enumerable on schemas
 // whose FDs determine its existential join variables.
 func ClassifyCQWithFDs(q *CQ, fds *FDSet) (extended *CQ, fdFreeConnex bool) {
-	ext := fds.ExtendCQ(q)
-	return ext, hypergraph.FromCQ(ext).IsSConnex(ext.Free())
+	return fds.ExtendCQ(q), fds.IsFDFreeConnex(q)
 }
 
 // EnumerateCQWithFDs enumerates q over an FD-satisfying instance through

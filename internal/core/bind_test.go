@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -9,39 +10,62 @@ import (
 	"repro/internal/workload"
 )
 
-// example2Bind returns what a bind of Example 2 needs: the union, its
-// certificate and a chain instance with `width` vertices per layer.
-func example2Bind(tb testing.TB, width int) (*cq.UCQ, *Certificate, *database.Instance) {
+// bindUnion compiles the certified union and binds it to inst.
+func bindUnion(u *cq.UCQ, cert *Certificate, inst *database.Instance) (*UnionPlan, error) {
+	c, err := Compile(u, cert)
+	if err != nil {
+		return nil, err
+	}
+	return c.Bind(context.Background(), inst)
+}
+
+// example2Bind returns what a bind of Example 2 needs: the compiled union
+// and a chain instance with `width` vertices per layer and the given
+// degree.
+func example2Bind(tb testing.TB, width, degree int, seed int64) (*CompiledUnion, *database.Instance) {
 	tb.Helper()
 	u := cq.MustParse(example2)
 	cert, ok := FindCertificate(u, nil)
 	if !ok {
 		tb.Fatal("Example 2 not certified free-connex")
 	}
-	return u, cert, workload.Example2Instance(width, 3, 7)
+	c, err := Compile(u, cert)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c, workload.Example2Instance(width, degree, seed)
 }
 
 // TestBindAllocationsDoNotScaleWithKeys is the bind layer's gate in units
 // the host cannot move. Theorem 12 preprocessing allocates per relation and
 // per index — a count fixed by the query — never per key or per row, and
-// the bytes it allocates per input tuple stay under a constant.
+// the bytes it allocates per input tuple stay under a constant. On a
+// 3-row instance the fixed part is all there is: a bind runs relation
+// passes only, so its allocations are those of the relations and indexes
+// it builds, not of re-planning the query.
 func TestBindAllocationsDoNotScaleWithKeys(t *testing.T) {
-	const n = 1000
-	allocs := func(width int) float64 {
-		u, cert, inst := example2Bind(t, width)
+	ctx := context.Background()
+	bindAllocs := func(c *CompiledUnion, inst *database.Instance) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if _, err := NewUnionPlan(u, cert, inst); err != nil {
+			if _, err := c.Bind(ctx, inst); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	small, large := allocs(n), allocs(4*n)
+	const n = 1000
+	small, large := bindAllocs(example2Bind(t, n, 3, 7)), bindAllocs(example2Bind(t, 4*n, 3, 7))
 	if large >= 2*small {
 		t.Errorf("allocations per bind grew from %.0f at width %d to %.0f at width %d; want less than 2x", small, n, large, 4*n)
 	}
+	// Measured 705 when every bind re-verified the certificate and re-ran
+	// the structural elimination; the bound is a quarter of that.
+	tiny := bindAllocs(example2Bind(t, 1, 3, 1))
+	if tiny > 176 {
+		t.Errorf("binding Example 2 to a 3-row instance allocates %.0f times; want at most 176", tiny)
+	}
 
-	u, cert, inst := example2Bind(t, 4*n)
-	plan, err := NewUnionPlan(u, cert, inst) // also settles the per-relation duplicate-free facts
+	c, inst := example2Bind(t, 4*n, 3, 7)
+	plan, err := c.Bind(ctx, inst) // also settles the per-relation duplicate-free facts
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +73,13 @@ func TestBindAllocationsDoNotScaleWithKeys(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < binds; i++ {
-		if _, err := NewUnionPlan(u, cert, inst); err != nil {
+		if _, err := c.Bind(ctx, inst); err != nil {
 			t.Fatal(err)
 		}
 	}
 	runtime.ReadMemStats(&after)
 	perTuple := float64(after.TotalAlloc-before.TotalAlloc) / binds / float64(inst.TupleCount())
-	t.Logf("%.0f and %.0f allocations per bind at widths %d and %d; %.0f B per input tuple", small, large, n, 4*n, perTuple)
+	t.Logf("%.0f, %.0f and %.0f allocations per bind at widths %d, %d and 1; %.0f B per input tuple", small, large, tiny, n, 4*n, perTuple)
 	// Measured 234 B per input tuple (2509 B before binds shared stored
 	// rows); the bound leaves 1.5x.
 	if perTuple > 350 {
@@ -68,21 +92,35 @@ func TestBindAllocationsDoNotScaleWithKeys(t *testing.T) {
 	}
 }
 
-// BenchmarkBindExample2 times one Theorem 12 preprocessing of Example 2, so
-// the bind layer can be profiled without the benchmark harness:
-//
-//	go test -run '^$' -bench BindExample2 -cpuprofile cpu.out ./internal/core
-func BenchmarkBindExample2(b *testing.B) {
-	u, cert, inst := example2Bind(b, 20000)
-	if _, err := NewUnionPlan(u, cert, inst); err != nil {
+// benchmarkBind times Theorem 12 preprocessing of a compiled union over
+// one instance.
+func benchmarkBind(b *testing.B, c *CompiledUnion, inst *database.Instance) {
+	ctx := context.Background()
+	if _, err := c.Bind(ctx, inst); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewUnionPlan(u, cert, inst); err != nil {
+		if _, err := c.Bind(ctx, inst); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(inst.TupleCount()), "ns/tuple")
+}
+
+// BenchmarkBindExample2 times one Theorem 12 preprocessing of Example 2, so
+// the bind layer can be profiled without the benchmark harness:
+//
+//	go test -run '^$' -bench BindExample2 -cpuprofile cpu.out ./internal/core
+func BenchmarkBindExample2(b *testing.B) {
+	c, inst := example2Bind(b, 20000, 3, 7)
+	benchmarkBind(b, c, inst)
+}
+
+// BenchmarkBindExample2Tiny times the fixed cost of a bind: Example 2 over
+// a 3-row instance, where there is almost no data to pass over.
+func BenchmarkBindExample2Tiny(b *testing.B) {
+	c, inst := example2Bind(b, 1, 3, 1)
+	benchmarkBind(b, c, inst)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -9,12 +10,12 @@ import (
 	"repro/internal/workload"
 )
 
-// TestNewUnionPlanConcurrentReuse binds one shared (query, certificate)
-// pair to many distinct instances from concurrent goroutines and checks
-// every binding enumerates the same answers as a sequential plan over the
-// same instance. Run under -race, this pins down the contract that a
-// certificate is read-only after FindCertificate — the invariant the
-// server's prepared-plan cache relies on.
+// TestNewUnionPlanConcurrentReuse binds one compiled union to many
+// distinct instances from concurrent goroutines and checks every binding
+// enumerates the same answers as a sequential plan over the same instance.
+// Run under -race, this pins down the contract that a compiled union — its
+// certificate and every member's and provider's shape — is read-only after
+// Compile: the invariant the server's prepared-plan cache relies on.
 func TestNewUnionPlanConcurrentReuse(t *testing.T) {
 	u := cq.MustParse(`
 		Q1(x,y,w) <- R1(x,z), R2(z,y), R3(y,w).
@@ -24,6 +25,11 @@ func TestNewUnionPlanConcurrentReuse(t *testing.T) {
 	if !ok {
 		t.Fatal("expected a certificate for Example 2")
 	}
+	c, err := Compile(u, cert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
 
 	const workers = 8
 	const rounds = 4
@@ -31,7 +37,7 @@ func TestNewUnionPlanConcurrentReuse(t *testing.T) {
 	want := make([]int, workers)
 	for i := range insts {
 		insts[i] = workload.Example2Instance(20+4*i, 2, int64(100+i))
-		p, err := NewUnionPlan(u, cert, insts[i])
+		p, err := c.Bind(ctx, insts[i])
 		if err != nil {
 			t.Fatalf("sequential plan %d: %v", i, err)
 		}
@@ -45,7 +51,7 @@ func TestNewUnionPlanConcurrentReuse(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				p, err := NewUnionPlan(u, cert, insts[i])
+				p, err := c.Bind(ctx, insts[i])
 				if err != nil {
 					errs <- err
 					return
@@ -60,6 +66,6 @@ func TestNewUnionPlanConcurrentReuse(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		t.Errorf("concurrent NewUnionPlan: %v", err)
+		t.Errorf("concurrent Bind: %v", err)
 	}
 }

@@ -37,9 +37,9 @@ func checkUnionAgainstBaseline(t *testing.T, u *cq.UCQ, inst *database.Instance)
 	if !ok {
 		t.Fatalf("no certificate found for\n%s", u)
 	}
-	plan, err := NewUnionPlan(u, cert, inst)
+	plan, err := bindUnion(u, cert, inst)
 	if err != nil {
-		t.Fatalf("NewUnionPlan: %v", err)
+		t.Fatalf("bindUnion: %v", err)
 	}
 	got := plan.Materialize().SortedRows()
 	wantRel, err := baseline.EvalUCQ(u, inst)
@@ -264,6 +264,10 @@ func TestCertificateVerifyRejectsTampering(t *testing.T) {
 	if err := bad3.Verify(u); err == nil {
 		t.Errorf("tampered certificate (wrong provided set) verified")
 	}
+	// Compile verifies: a tampered certificate never reaches Bind.
+	if _, err := Compile(u, bad3); err == nil {
+		t.Errorf("tampered certificate (wrong provided set) compiled")
+	}
 }
 
 func TestAlgorithmOneUnion(t *testing.T) {
@@ -336,9 +340,9 @@ func TestUnionPlanStats(t *testing.T) {
 	u := cq.MustParse(example2)
 	cert, _ := FindCertificate(u, nil)
 	inst := randomInstance(u, rand.New(rand.NewSource(7)), 30, 5)
-	plan, err := NewUnionPlan(u, cert, inst)
+	plan, err := bindUnion(u, cert, inst)
 	if err != nil {
-		t.Fatalf("NewUnionPlan: %v", err)
+		t.Fatalf("bindUnion: %v", err)
 	}
 	st := plan.Stats()
 	if st.ProviderRuns == 0 {
@@ -353,9 +357,9 @@ func TestUnionPlanIteratorReusable(t *testing.T) {
 	u := cq.MustParse(example2)
 	cert, _ := FindCertificate(u, nil)
 	inst := randomInstance(u, rand.New(rand.NewSource(8)), 20, 4)
-	plan, err := NewUnionPlan(u, cert, inst)
+	plan, err := bindUnion(u, cert, inst)
 	if err != nil {
-		t.Fatalf("NewUnionPlan: %v", err)
+		t.Fatalf("bindUnion: %v", err)
 	}
 	a := len(enumeration.Collect(plan.Iterator()))
 	b := len(enumeration.Collect(plan.Iterator()))

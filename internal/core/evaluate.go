@@ -11,8 +11,9 @@ import (
 	"repro/internal/yannakakis"
 )
 
-// UnionPlan is a prepared Theorem 12 evaluation of a certified free-connex
-// UCQ: linear preprocessing, constant delay, no duplicate answers.
+// UnionPlan is a compiled union bound to one instance: a Theorem 12
+// evaluation of a certified free-connex UCQ with linear preprocessing,
+// constant delay and no duplicate answers.
 //
 // Preparation follows the proof of Theorem 12. For each CQ (providers
 // before consumers, by the recursive structure of the certificate), every
@@ -30,17 +31,14 @@ import (
 // it, a constant-time probe of j's full-key top indexes. Every stream is
 // therefore disjoint by construction and holds no answer set.
 //
-// A UnionPlan is read-only once NewUnionPlan returns, so any number of
-// streams may enumerate one plan concurrently, each on its own goroutine.
+// A UnionPlan is read-only once Bind returns, so any number of streams may
+// enumerate one plan concurrently, each on its own goroutine.
 type UnionPlan struct {
 	U    *cq.UCQ
 	Cert *Certificate
 
 	plans []*yannakakis.Plan
-	// resolved caches instantiated instances per extension snapshot.
-	resolved map[*ExtendedCQ]*database.Instance
-	inst     *database.Instance
-	stats    UnionStats
+	stats UnionStats
 }
 
 // UnionStats reports preprocessing counters of a union plan.
@@ -58,117 +56,91 @@ type UnionStats struct {
 // Stats returns the plan's preprocessing counters.
 func (p *UnionPlan) Stats() UnionStats { return p.stats }
 
-// NewUnionPlan verifies the certificate and performs the full Theorem 12
-// preprocessing over the instance.
-//
-// The (u, cert) pair is only read: a certificate found once may be shared
-// by concurrent NewUnionPlan calls binding it to different instances (the
-// prepared-plan reuse a long-lived server depends on). All mutable state —
-// virtual relations, per-CQ engine plans — lives in the returned UnionPlan.
-func NewUnionPlan(u *cq.UCQ, cert *Certificate, inst *database.Instance) (*UnionPlan, error) {
-	return NewUnionPlanCtx(context.Background(), u, cert, inst)
-}
-
-// NewUnionPlanCtx is NewUnionPlan with cancellation: the per-extension
-// preprocessing (provider runs, virtual-relation instantiation, CDY
-// preparation) checks ctx between extensions and aborts with ctx's error
-// when the caller — typically a disconnected client — has gone away.
-func NewUnionPlanCtx(ctx context.Context, u *cq.UCQ, cert *Certificate, inst *database.Instance) (*UnionPlan, error) {
-	if err := cert.Verify(u); err != nil {
-		return nil, err
-	}
-	p := &UnionPlan{
-		U:        u,
-		Cert:     cert,
-		resolved: make(map[*ExtendedCQ]*database.Instance),
-		inst:     inst,
-	}
-	for _, e := range cert.Extensions {
+// Bind performs the Theorem 12 preprocessing over the instance: it runs
+// the compiled shapes' relation passes — provider runs, virtual-relation
+// instantiation, CDY binding — and nothing that depends on the query
+// alone. ctx is checked between member extensions; a cancelled bind aborts
+// with ctx's error when the caller, typically a disconnected client, has
+// gone away. All mutable state lives in the returned UnionPlan.
+func (c *CompiledUnion) Bind(ctx context.Context, inst *database.Instance) (*UnionPlan, error) {
+	p := &UnionPlan{U: c.U, Cert: c.Cert, plans: make([]*yannakakis.Plan, 0, len(c.members))}
+	b := binder{c: c, p: p, base: inst, insts: make([]*database.Instance, len(c.virtuals))}
+	for i, sh := range c.members {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		extInst, err := p.resolve(e)
+		extInst, err := b.resolve(i)
 		if err != nil {
 			return nil, err
 		}
-		plan, err := yannakakis.Prepare(e.Query(), extInst, nil)
+		plan, err := sh.Bind(extInst)
 		if err != nil {
-			return nil, fmt.Errorf("core: preparing %s: %w", e.Base.Name, err)
-		}
-		if !plan.HeadTestable() {
-			// The rank rule dedups by probing member plans with head tuples;
-			// a plan that cannot answer would let duplicates through.
-			return nil, fmt.Errorf("core: member %s does not enumerate exactly its head variables; membership is undecidable from an answer", e.Base.Name)
+			return nil, fmt.Errorf("core: preparing %s: %w", c.Cert.Extensions[i].Base.Name, err)
 		}
 		p.plans = append(p.plans, plan)
 	}
 	return p, nil
 }
 
-// resolve instantiates the virtual relations of e (recursively resolving
-// provider snapshots) and returns an instance overlaying them on the base.
-func (p *UnionPlan) resolve(e *ExtendedCQ) (*database.Instance, error) {
-	if inst, ok := p.resolved[e]; ok {
+// binder is the state of one Bind: the instance each extension resolved
+// to, by position in CompiledUnion.virtuals.
+type binder struct {
+	c     *CompiledUnion
+	p     *UnionPlan
+	base  *database.Instance
+	insts []*database.Instance
+}
+
+// resolve instantiates the virtual relations of extension k (recursively
+// resolving provider snapshots) and returns an instance overlaying them on
+// the base.
+func (b *binder) resolve(k int) (*database.Instance, error) {
+	if inst := b.insts[k]; inst != nil {
 		return inst, nil
 	}
-	inst := p.inst.ShallowClone()
-	for _, va := range e.Virtuals {
-		rel, err := p.runProvider(va)
-		if err != nil {
-			return nil, err
+	virtuals := b.c.virtuals[k]
+	inst := b.base
+	if len(virtuals) > 0 {
+		inst = b.base.ShallowClone()
+		for i := range virtuals {
+			rel, err := b.runProvider(&virtuals[i])
+			if err != nil {
+				return nil, err
+			}
+			rel.Dedup() // free when runProvider marked the rows distinct
+			b.p.stats.VirtualTuples += rel.Len()
+			inst.AddRelation(rel)
 		}
-		rel.Dedup() // free when runProvider marked the rows distinct
-		p.stats.VirtualTuples += rel.Len()
-		inst.AddRelation(rel)
 	}
-	p.resolved[e] = inst
+	b.insts[k] = inst
 	return inst, nil
 }
 
-// runProvider executes one Lemma 8 provider enumeration: it prepares the
-// provider snapshot with enumeration set S and translates each S-tuple
+// runProvider executes one Lemma 8 provider enumeration: it binds the
+// provider's shape with enumeration set S and translates each S-tuple
 // into the virtual relation through the body-homomorphism.
-func (p *UnionPlan) runProvider(va VirtualAtom) (*database.Relation, error) {
-	prov := va.Prov
-	provInst, err := p.resolve(prov.Provider)
+func (b *binder) runProvider(v *virtualShape) (*database.Relation, error) {
+	provInst, err := b.resolve(v.prov)
 	if err != nil {
 		return nil, err
 	}
-	pq := prov.Provider.Query()
-	plan, err := yannakakis.Prepare(pq, provInst, prov.S)
+	plan, err := v.shape.Bind(provInst)
 	if err != nil {
-		return nil, fmt.Errorf("core: preparing provider %s: %w", pq.Name, err)
+		return nil, fmt.Errorf("core: preparing provider %s: %w", v.shape.Q.Name, err)
 	}
-	p.stats.ProviderRuns++
+	b.p.stats.ProviderRuns++
 
-	// preimages[k] lists the provider variables v2 ∈ S with h(v2) equal to
-	// the k-th provided variable; their values must agree for a provider
-	// answer to translate (the µ(h⁻¹(v1)) of Lemma 8).
-	preimages := make([][]cq.Variable, len(va.Atom.Vars))
-	mapped := 0
-	for k, v1 := range va.Atom.Vars {
-		for v2 := range prov.S {
-			if prov.Hom.Apply(v2) == v1 {
-				preimages[k] = append(preimages[k], v2)
-			}
-		}
-		if len(preimages[k]) == 0 {
-			return nil, fmt.Errorf("core: provided variable %s has no preimage in S", v1)
-		}
-		mapped += len(preimages[k])
-	}
-
-	rel := database.NewRelation(va.Atom.Rel, len(va.Atom.Vars))
-	row := make(database.Tuple, len(va.Atom.Vars))
+	rel := database.NewRelation(v.rel, len(v.preimages))
+	row := make(database.Tuple, len(v.preimages))
 	it := plan.Iterator()
 	for it.Next() {
-		p.stats.BonusAnswers++
+		b.p.stats.BonusAnswers++
 		// Translate: all preimages of a provided variable must agree.
 		ok := true
-		for k, pre := range preimages {
-			val := it.Value(pre[0])
-			for _, v2 := range pre[1:] {
-				if it.Value(v2) != val {
+		for k, pre := range v.preimages {
+			val := it.Var(pre[0])
+			for _, id := range pre[1:] {
+				if it.Var(id) != val {
 					ok = false
 					break
 				}
@@ -182,9 +154,7 @@ func (p *UnionPlan) runProvider(va VirtualAtom) (*database.Relation, error) {
 			rel.Append(row...)
 		}
 	}
-	if mapped == len(prov.S) {
-		// Every S variable lands in the row, so the translation is injective
-		// and the rows are as duplicate-free as the S-tuples they came from.
+	if v.injective {
 		rel.MarkDistinct()
 	}
 	return rel, nil
@@ -337,11 +307,13 @@ func NewAlgorithmOneUnionK(u *cq.UCQ, inst *database.Instance) (enumeration.Iter
 	}
 	plans := make([]*yannakakis.Plan, len(u.CQs))
 	for i, q := range u.CQs {
-		p, err := yannakakis.Prepare(q, inst, nil)
+		sh, err := yannakakis.Compile(q, nil)
 		if err != nil {
 			return nil, err
 		}
-		plans[i] = p
+		if plans[i], err = sh.Bind(inst); err != nil {
+			return nil, err
+		}
 	}
 	return algorithmOneChain(plans), nil
 }

@@ -16,9 +16,9 @@ func TestUnionPlanExplain(t *testing.T) {
 		t.Fatalf("no certificate")
 	}
 	inst := randomInstance(u, rand.New(rand.NewSource(12)), 20, 4)
-	plan, err := NewUnionPlan(u, cert, inst)
+	plan, err := bindUnion(u, cert, inst)
 	if err != nil {
-		t.Fatalf("NewUnionPlan: %v", err)
+		t.Fatalf("bindUnion: %v", err)
 	}
 	ex := plan.Explain()
 	for _, want := range []string{
@@ -39,12 +39,12 @@ func TestNewUnionPlanErrors(t *testing.T) {
 	u := cq.MustParse(example2)
 	cert, _ := FindCertificate(u, nil)
 	// Missing relations surface as errors, not panics.
-	if _, err := NewUnionPlan(u, cert, database.NewInstance()); err == nil {
+	if _, err := bindUnion(u, cert, database.NewInstance()); err == nil {
 		t.Errorf("empty instance accepted")
 	}
 	// Invalid certificate is rejected before any evaluation.
 	bad := &Certificate{}
-	if _, err := NewUnionPlan(u, bad, database.NewInstance()); err == nil {
+	if _, err := bindUnion(u, bad, database.NewInstance()); err == nil {
 		t.Errorf("empty certificate accepted")
 	}
 }

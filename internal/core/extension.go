@@ -9,7 +9,7 @@
 // body-homomorphism from a provider CQ (or a snapshot of one of its own
 // union extensions, the definition being recursive) together with an
 // S-connex witness set. Certificates are machine-checkable (Verify) and
-// executable (NewUnionPlan).
+// executable (Compile, then CompiledUnion.Bind).
 package core
 
 import (

@@ -95,7 +95,7 @@ func TestRankRuleMatchesNaive(t *testing.T) {
 		overlapping := 0
 		for trial := 0; trial < 6; trial++ {
 			inst := randomInstance(u, rng, 40, 5)
-			plan, err := NewUnionPlan(u, cert, inst)
+			plan, err := bindUnion(u, cert, inst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestRankRuleMatchesNaive(t *testing.T) {
 			continue
 		}
 		certified++
-		plan, err := NewUnionPlan(u, cert, inst)
+		plan, err := bindUnion(u, cert, inst)
 		if err != nil {
 			t.Fatalf("draw %d: %v\n%s", i, err, u)
 		}
@@ -165,7 +165,7 @@ func TestRankRuleDeltaCandidates(t *testing.T) {
 			overlay := to.ShallowClone()
 			overlay.AddRelation(delta)
 
-			plan, err := NewUnionPlan(u, cert, overlay)
+			plan, err := bindUnion(u, cert, overlay)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +203,7 @@ func TestDrainMemoryIsPerBatch(t *testing.T) {
 	u := cq.MustParse(example2)
 	cert, _ := FindCertificate(u, nil)
 	for _, width := range []int{200, 1600} {
-		plan, err := NewUnionPlan(u, cert, workload.Example2Instance(width, 3, 7))
+		plan, err := bindUnion(u, cert, workload.Example2Instance(width, 3, 7))
 		if err != nil {
 			t.Fatal(err)
 		}

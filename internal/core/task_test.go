@@ -58,7 +58,11 @@ func TestPlanTasksPartitionAnswers(t *testing.T) {
 	}
 	var plans []*yannakakis.Plan
 	for _, src := range []string{"Q1(x,y) <- R1(x,y).", "Q2(x,y) <- R2(x,y), R1(y,w)."} {
-		pl, err := yannakakis.Prepare(cq.MustParseCQ(src), inst, nil)
+		sh, err := yannakakis.Compile(cq.MustParseCQ(src), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := sh.Bind(inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +114,7 @@ func example2Plan(t *testing.T) *UnionPlan {
 	if !ok {
 		t.Fatal("no certificate for Example 2")
 	}
-	plan, err := NewUnionPlan(u, cert, workload.Example2Instance(100, 3, 7))
+	plan, err := bindUnion(u, cert, workload.Example2Instance(100, 3, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +181,7 @@ func TestAnswersMemberFilter(t *testing.T) {
 	}
 	inst.AddRelation(r1)
 	inst.AddRelation(r2)
-	plan, err := NewUnionPlan(u, cert, inst)
+	plan, err := bindUnion(u, cert, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +208,7 @@ func TestSizeHintMatchesCardinality(t *testing.T) {
 		t.Fatal("no certificate")
 	}
 	inst := workload.Chain([]string{"R1", "R2"}, []int{2, 2}, 100, 3, 11)
-	plan, err := NewUnionPlan(u, cert, inst)
+	plan, err := bindUnion(u, cert, inst)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,8 +100,9 @@ func overlay(toInst *database.Instance, drel *database.Relation) *database.Insta
 	return inst
 }
 
-// Candidates runs certified semi-naive delta evaluation and yields each
-// distinct candidate answer once. The yielded set is a superset of
+// Candidates runs certified semi-naive delta evaluation of the compiled
+// union and yields each distinct candidate answer once: each overlay is one
+// Bind of the shapes compiled at Prepare. The yielded set is a superset of
 // Q(to)\Q(from) and a subset of Q(to): the caller filters candidates by
 // membership in the version-`from` plan (core.UnionPlan.ContainsAnswer).
 // deltas maps a relation's name to its delta rows, a relation of that
@@ -112,13 +113,14 @@ func overlay(toInst *database.Instance, drel *database.Relation) *database.Insta
 // When a CQ self-joins a touched relation, Candidates evaluates the full
 // plan at `to` instead of the overlays (exact, not incremental); the
 // full return value reports which path ran so callers can account for it.
-func Candidates(ctx context.Context, u *cq.UCQ, cert *core.Certificate, toInst *database.Instance, deltas map[string]*database.Relation, yield func(database.Tuple) bool) (full bool, err error) {
+func Candidates(ctx context.Context, c *core.CompiledUnion, toInst *database.Instance, deltas map[string]*database.Relation, yield func(database.Tuple) bool) (full bool, err error) {
+	u := c.U
 	touched := Touched(u, deltas)
 	if len(touched) == 0 {
 		return false, nil
 	}
 	if HasSelfJoinOn(u, touched) {
-		plan, err := core.NewUnionPlanCtx(ctx, u, cert, toInst)
+		plan, err := c.Bind(ctx, toInst)
 		if err != nil {
 			return true, err
 		}
@@ -129,7 +131,7 @@ func Candidates(ctx context.Context, u *cq.UCQ, cert *core.Certificate, toInst *
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		plan, err := core.NewUnionPlanCtx(ctx, u, cert, overlay(toInst, deltas[name]))
+		plan, err := c.Bind(ctx, overlay(toInst, deltas[name]))
 		if err != nil {
 			return false, err
 		}

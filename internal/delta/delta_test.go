@@ -93,12 +93,16 @@ func TestCandidatesExactAfterFilter(t *testing.T) {
 	merged.AppendInts(101, 7)
 	toInst.AddRelation(merged)
 
-	old, err := core.NewUnionPlanCtx(context.Background(), u, cert, fromInst)
+	c, err := core.Compile(u, cert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := c.Bind(context.Background(), fromInst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := make(map[string]bool)
-	full, err := Candidates(context.Background(), u, cert, toInst, map[string]*database.Relation{"R": dr}, func(tup database.Tuple) bool {
+	full, err := Candidates(context.Background(), c, toInst, map[string]*database.Relation{"R": dr}, func(tup database.Tuple) bool {
 		k := fmt.Sprint(tup)
 		if got[k] {
 			t.Fatalf("candidate %s yielded twice", k)
@@ -161,12 +165,16 @@ func TestCandidatesSelfJoinFallsBack(t *testing.T) {
 	dr := database.NewRelation("R", 2)
 	dr.AppendInts(3, 4)
 
-	old, err := core.NewUnionPlanCtx(context.Background(), u, cert, fromInst)
+	c, err := core.Compile(u, cert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := c.Bind(context.Background(), fromInst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := make(map[string]bool)
-	full, err := Candidates(context.Background(), u, cert, toInst, map[string]*database.Relation{"R": dr}, func(tup database.Tuple) bool {
+	full, err := Candidates(context.Background(), c, toInst, map[string]*database.Relation{"R": dr}, func(tup database.Tuple) bool {
 		if !old.ContainsAnswer(tup) {
 			got[fmt.Sprint(tup)] = true
 		}

@@ -1,14 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/database"
 	"repro/internal/enumeration"
-	"repro/internal/hypergraph"
 	"repro/internal/workload"
 	"repro/internal/yannakakis"
 )
@@ -31,12 +32,14 @@ func E1FreeConnexCQ(cfg Config) Table {
 			"prep ns/input", "mean delay (ns)", "p99 delay (ns)", "max delay (µs)",
 		},
 	}
+	sh, err := yannakakis.Compile(q, nil)
+	if err != nil {
+		panic(err)
+	}
 	for _, w := range widths {
 		inst := workload.Chain([]string{"R1", "R2"}, []int{2, 2}, w, 2, 1)
-		var plan *yannakakis.Plan
 		st := enumeration.MeasureDelays(func() enumeration.Iterator {
-			var err error
-			plan, err = yannakakis.Prepare(q, inst, nil)
+			plan, err := sh.Bind(inst)
 			if err != nil {
 				panic(err)
 			}
@@ -118,10 +121,14 @@ func unionSeries(t *Table, u *cq.UCQ, builds []func() *database.Instance) {
 		t.Notes = append(t.Notes, "CERTIFICATE SEARCH FAILED")
 		return
 	}
+	compiled, err := core.Compile(u, cert)
+	if err != nil {
+		panic(err)
+	}
 	for _, build := range builds {
 		inst := build()
 		startPrep := time.Now()
-		plan, err := core.NewUnionPlan(u, cert, inst)
+		plan, err := compiled.Bind(context.Background(), inst)
 		if err != nil {
 			panic(err)
 		}
@@ -246,35 +253,35 @@ func E10CheatersLemma(cfg Config) Table {
 	return t
 }
 
-// F1ConnexTree reproduces Figure 1: the ext-{x,y,z}-connex tree.
+// F1ConnexTree reproduces Figure 1: the ext-{x,y,z}-connex tree, as the
+// shape the engine compiles for a query over Figure 1's hypergraph.
 func F1ConnexTree(Config) Table {
-	h := hypergraph.FromVarSets(
-		cq.NewVarSet("v", "w"),
-		cq.NewVarSet("w", "y", "z"),
-		cq.NewVarSet("x", "y"),
-	)
-	s := cq.NewVarSet("x", "y", "z")
+	q := cq.MustParseCQ("Q(x,y,z) <- A(v,w), B(w,y,z), C(x,y).")
 	t := Table{
 		ID:    "F1",
 		Title: "ext-S-connex tree (Figure 1)",
 		Paper: "Figure 1: an ext-{x,y,z}-connex tree for H = {vw, wyz, xy}",
-		Claim: "the construction yields a join tree of an inclusive extension whose top covers exactly {x,y,z}",
+		Claim: "the compiled shape of " + q.String() + " is a join tree of an inclusive extension whose top covers exactly {x,y,z}",
 	}
-	ct, err := hypergraph.BuildConnexTree(h, s)
+	sh, err := yannakakis.Compile(q, nil)
 	if err != nil {
-		t.Notes = append(t.Notes, "CONSTRUCTION FAILED: "+err.Error())
+		t.Notes = append(t.Notes, "COMPILE FAILED: "+err.Error())
 		return t
 	}
-	t.Notes = append(t.Notes, "Constructed tree (top nodes starred):")
-	for _, line := range splitLines(ct.String()) {
-		t.Notes = append(t.Notes, "`"+line+"`")
+	lines, topVars, err := connexTreeLines(sh)
+	if err != nil {
+		t.Notes = append(t.Notes, "CONNEX TREE FAILED: "+err.Error())
+		return t
 	}
-	t.Notes = append(t.Notes, "Verification: "+check(ct.Verify(h) == nil))
+	t.Notes = append(t.Notes, "Compiled tree (top nodes starred):")
+	t.Notes = append(t.Notes, lines...)
+	t.Notes = append(t.Notes, "Verification: "+check(topVars.Equal(q.Free())))
 	return t
 }
 
 // F2Example2Extension reproduces Figure 2: the connex trees certifying
-// Example 2.
+// Example 2, as the shapes the engine compiles for the certified
+// extensions.
 func F2Example2Extension(Config) Table {
 	u := cq.MustParse(`
 		Q1(x,y,w) <- R1(x,z), R2(z,y), R3(y,w).
@@ -284,7 +291,7 @@ func F2Example2Extension(Config) Table {
 		ID:    "F2",
 		Title: "union extension of Example 2 (Figure 2)",
 		Paper: "Figure 2: {x,y,w}-connex trees for Q2 and for Q1 extended with R'(x,z,y)",
-		Claim: "the certificate search recovers the paper's extension and both connex trees verify",
+		Claim: "the certificate search recovers the paper's extension and both compiled connex trees verify",
 	}
 	cert, ok := core.FindCertificate(u, nil)
 	if !ok {
@@ -297,17 +304,47 @@ func F2Example2Extension(Config) Table {
 	}
 	for i, e := range cert.Extensions {
 		q := e.Query()
-		ct, err := hypergraph.BuildConnexTree(hypergraph.FromCQ(q), q.Free())
+		sh, err := yannakakis.Compile(q, nil)
+		var lines []string
+		if err == nil {
+			lines, _, err = connexTreeLines(sh)
+		}
 		if err != nil {
 			t.Notes = append(t.Notes, fmt.Sprintf("Q%d⁺ connex tree FAILED: %v", i+1, err))
 			continue
 		}
 		t.Notes = append(t.Notes, fmt.Sprintf("Q%d⁺ free-connex tree (top starred):", i+1))
-		for _, line := range splitLines(ct.String()) {
-			t.Notes = append(t.Notes, "`"+line+"`")
-		}
+		t.Notes = append(t.Notes, lines...)
 	}
 	return t
+}
+
+// connexTreeLines renders the ext-S-connex tree a compiled shape executes,
+// one node per note, children indented below their parent and tops
+// starred, and returns the variables the tops cover.
+func connexTreeLines(sh *yannakakis.Shape) ([]string, cq.VarSet, error) {
+	jt, err := sh.ConnexTree()
+	if err != nil {
+		return nil, nil, err
+	}
+	children := jt.Children()
+	topVars := make(cq.VarSet)
+	var lines []string
+	var visit func(i, depth int)
+	visit = func(i, depth int) {
+		vars := jt.H.Edges[i].Vars
+		mark := ""
+		if i < sh.NumTops() {
+			mark = "*"
+			topVars.AddAll(vars)
+		}
+		lines = append(lines, "`"+strings.Repeat("  ", depth)+mark+vars.String()+"`")
+		for _, c := range children[i] {
+			visit(c, depth+1)
+		}
+	}
+	visit(jt.Root, 0)
+	return lines, topVars, nil
 }
 
 func splitLines(s string) []string {

@@ -242,8 +242,11 @@ func (s *Set) EnumerateCQ(q *cq.CQ, inst *database.Instance) (enumeration.Iterat
 	if err := s.Holds(inst); err != nil {
 		return nil, err
 	}
-	ext := s.ExtendCQ(q)
-	plan, err := yannakakis.Prepare(ext, inst, nil)
+	sh, err := yannakakis.Compile(s.ExtendCQ(q), nil)
+	if err != nil {
+		return nil, fmt.Errorf("fd: FD-extension is not enumerable: %w", err)
+	}
+	plan, err := sh.Bind(inst)
 	if err != nil {
 		return nil, fmt.Errorf("fd: FD-extension is not enumerable: %w", err)
 	}

@@ -1,7 +1,8 @@
 // Package hypergraph implements the hypergraph machinery behind the paper's
 // structural notions: α-acyclicity via GYO (Graham/Yu–Özsoyoğlu) reduction,
-// join-tree construction, S-connexity, ext-S-connex trees, free-paths and
-// (hyper)clique helpers.
+// join-tree construction, S-connexity, free-paths and (hyper)clique
+// helpers. The ext-S-connex trees of Figure 1 are compiled by
+// internal/yannakakis, which executes them.
 //
 // The hypergraph H(Q) of a CQ has the query's variables as vertices and one
 // edge per atom (Section 2 of the paper). A query is acyclic iff H(Q) has a

@@ -146,85 +146,6 @@ func TestIsSConnex(t *testing.T) {
 	}
 }
 
-// TestFigure1ConnexTree reproduces Figure 1 of the paper: the hypergraph H
-// with edges {v,w}, {w,y,z}, {x,y} has an ext-{x,y,z}-connex tree.
-func TestFigure1ConnexTree(t *testing.T) {
-	h := FromVarSets(vs("v", "w"), vs("w", "y", "z"), vs("x", "y"))
-	s := vs("x", "y", "z")
-	if !h.IsSConnex(s) {
-		t.Fatalf("Figure 1 hypergraph not {x,y,z}-connex")
-	}
-	ct, err := BuildConnexTree(h, s)
-	if err != nil {
-		t.Fatalf("BuildConnexTree: %v", err)
-	}
-	if err := ct.Verify(h); err != nil {
-		t.Fatalf("Verify: %v", err)
-	}
-	// The S-part must cover exactly {x,y,z}; the paper's tree uses the top
-	// nodes {y,z} and {x,y}.
-	topVars := make(cq.VarSet)
-	for _, i := range ct.TopNodes() {
-		topVars.AddAll(ct.Nodes[i].Vars)
-	}
-	if !topVars.Equal(s) {
-		t.Errorf("top part covers %v, want %v", topVars, s)
-	}
-}
-
-func TestConnexTreeRejectsNonConnex(t *testing.T) {
-	h := FromCQ(cq.MustParseCQ("Q(x,y) <- R(x,z), S(z,y)."))
-	if _, err := BuildConnexTree(h, vs("x", "y")); err == nil {
-		t.Errorf("connex tree built for non-connex S")
-	}
-	hc := FromCQ(cq.MustParseCQ("Q(x) <- R(x,y), S(y,z), T(z,x)."))
-	if _, err := BuildConnexTree(hc, vs("x")); err == nil {
-		t.Errorf("connex tree built for cyclic hypergraph")
-	}
-	if _, err := BuildConnexTree(h, vs("x", "nope")); err == nil {
-		t.Errorf("connex tree accepted S with unknown variables")
-	}
-}
-
-func TestConnexTreeDisconnectedQuery(t *testing.T) {
-	// Q(x,y) <- R(x), S(y): S-part is two singleton tops.
-	h := FromCQ(cq.MustParseCQ("Q(x,y) <- R(x), S(y)."))
-	ct, err := BuildConnexTree(h, vs("x", "y"))
-	if err != nil {
-		t.Fatalf("BuildConnexTree: %v", err)
-	}
-	if len(ct.TopNodes()) < 2 {
-		t.Errorf("expected at least two top nodes, got %d", len(ct.TopNodes()))
-	}
-}
-
-func TestConnexTreeBooleanQuery(t *testing.T) {
-	h := FromCQ(cq.MustParseCQ("Q() <- R(x,z), S(z,y)."))
-	ct, err := BuildConnexTree(h, vs())
-	if err != nil {
-		t.Fatalf("BuildConnexTree: %v", err)
-	}
-	for _, i := range ct.TopNodes() {
-		if len(ct.Nodes[i].Vars) != 0 {
-			t.Errorf("boolean query top node has variables %v", ct.Nodes[i].Vars)
-		}
-	}
-}
-
-func TestConnexTreeOnPaperExample2(t *testing.T) {
-	// Q2(x,y,w) <- R1(x,y), R2(y,w) from Example 2 is free-connex; its
-	// {x,y,w}-connex tree exists (Figure 2, left).
-	q2 := cq.MustParseCQ("Q2(x,y,w) <- R1(x,y), R2(y,w).")
-	h := FromCQ(q2)
-	ct, err := BuildConnexTree(h, q2.Free())
-	if err != nil {
-		t.Fatalf("BuildConnexTree: %v", err)
-	}
-	if err := ct.Verify(h); err != nil {
-		t.Fatalf("Verify: %v", err)
-	}
-}
-
 func TestFreePathsMatrixMultiplication(t *testing.T) {
 	q := cq.MustParseCQ("Q(x,y) <- R(x,z), S(z,y).")
 	paths := FreePaths(FromCQ(q), q.Free())
@@ -347,12 +268,5 @@ func TestStringRenderings(t *testing.T) {
 	}
 	if !strings.Contains(jt.String(), "{a,b}") {
 		t.Errorf("join tree string = %q", jt.String())
-	}
-	ct, err := BuildConnexTree(FromVarSets(vs("a", "b")), vs("a"))
-	if err != nil {
-		t.Fatalf("connex tree: %v", err)
-	}
-	if !strings.Contains(ct.String(), "*{a}") {
-		t.Errorf("connex tree string = %q", ct.String())
 	}
 }

@@ -9,28 +9,6 @@ import (
 	"repro/internal/workload"
 )
 
-// TestRandomConnexTrees builds ext-S-connex trees for random S-connex
-// queries and verifies every one of them: join tree of an inclusive
-// extension, running intersection, top covering exactly S.
-func TestRandomConnexTrees(t *testing.T) {
-	trials := 300
-	if testing.Short() {
-		trials = 60
-	}
-	rng := rand.New(rand.NewSource(4242))
-	for trial := 0; trial < trials; trial++ {
-		q, s := workload.RandomAcyclicCQ(rng)
-		h := hypergraph.FromCQ(q)
-		ct, err := hypergraph.BuildConnexTree(h, s)
-		if err != nil {
-			t.Fatalf("trial %d: hypergraph.BuildConnexTree(%s, %v): %v", trial, q, s, err)
-		}
-		if err := ct.Verify(h); err != nil {
-			t.Fatalf("trial %d: Verify(%s, %v): %v", trial, q, s, err)
-		}
-	}
-}
-
 // TestRandomJoinTrees verifies the GYO join tree construction on random
 // acyclic hypergraphs.
 func TestRandomJoinTrees(t *testing.T) {

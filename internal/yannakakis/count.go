@@ -70,15 +70,8 @@ func (p *Plan) CountAnswers() int64 {
 		for _, c := range kids[i] {
 			ct := &p.tops[c]
 			// Columns keying the child's DFS index, and the parent columns
-			// holding the same variables (the child's key variables lie in
-			// the parent by the running intersection property).
-			var cc, pc []int
-			for cCol, v := range ct.vars {
-				if pCol := colIn(t.vars, v); pCol >= 0 {
-					cc = append(cc, cCol)
-					pc = append(pc, pCol)
-				}
-			}
+			// holding the same variables.
+			cc, pc := p.shape.tops[c].cols, p.shape.tops[c].parentCols
 			// Aggregate the child's row weights per index entry, then fold
 			// each parent row's matching aggregate into its weight.
 			agg := make([]int64, ct.index.NumKeys())

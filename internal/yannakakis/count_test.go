@@ -63,9 +63,9 @@ func TestCountAnswersMatchesEnumeration(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			q := cq.MustParseCQ(tc.query)
 			inst := tc.build()
-			plan, err := Prepare(q, inst, nil)
+			plan, err := prepare(q, inst, nil)
 			if err != nil {
-				t.Fatalf("Prepare: %v", err)
+				t.Fatalf("prepare: %v", err)
 			}
 			want := drainCount(plan)
 			if got := plan.CountAnswers(); got != want {
@@ -86,17 +86,17 @@ func TestCountAnswersEmptyAndBoolean(t *testing.T) {
 	inst := workload.Chain([]string{"R1", "R2"}, []int{2, 2}, 10, 1, 5)
 	// Remove all R2 rows joining R1: use a disjoint instance instead.
 	empty := workload.Chain([]string{"R1", "R2"}, []int{2, 2}, 0, 0, 5)
-	plan, err := Prepare(q, empty, nil)
+	plan, err := prepare(q, empty, nil)
 	if err != nil {
-		t.Fatalf("Prepare empty: %v", err)
+		t.Fatalf("prepare empty: %v", err)
 	}
 	if got := plan.CountAnswers(); got != 0 {
 		t.Fatalf("empty instance: CountAnswers = %d, want 0", got)
 	}
 	// Boolean-style plan: S = ∅ counts 1 when an answer exists.
-	bplan, err := Prepare(q, inst, cq.NewVarSet())
+	bplan, err := prepare(q, inst, cq.NewVarSet())
 	if err != nil {
-		t.Fatalf("Prepare S=∅: %v", err)
+		t.Fatalf("prepare S=∅: %v", err)
 	}
 	want := drainCount(bplan)
 	if got := bplan.CountAnswers(); got != want {

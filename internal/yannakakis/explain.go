@@ -18,11 +18,13 @@ func (p *Plan) Explain() string {
 	fmt.Fprintf(&b, "enumeration set S = {%s}\n", joinVars(p.SVars))
 
 	b.WriteString("elimination log:\n")
-	for _, e := range p.log {
+	proj := p.proj
+	for _, e := range p.shape.steps {
 		switch e.kind {
 		case 'p':
 			fmt.Fprintf(&b, "  project %s out of atom #%d (pre-relation %d rows, replay-indexed)\n",
-				e.removedVar, e.node, e.pre.Len())
+				p.shape.varName[e.removedID], e.node, proj[0].pre.Len())
+			proj = proj[1:]
 		case 'a':
 			fmt.Fprintf(&b, "  absorb atom #%d into its subsumer (semijoin)\n", e.node)
 		case 't':
@@ -38,7 +40,7 @@ func (p *Plan) Explain() string {
 			parent = fmt.Sprintf("child of top %d", t.parent)
 		}
 		fmt.Fprintf(&b, "  [%d] top %d over {%s} (%d rows, %s)\n",
-			pos, i, joinVars(t.vars), t.rel.Len(), parent)
+			pos, i, joinVars(p.shape.tops[i].vars), t.rel.Len(), parent)
 	}
 
 	st := p.Stats()

@@ -34,6 +34,10 @@ type Iterator struct {
 	Backtracks int
 }
 
+// Var returns the current value of the variable with the given id (see
+// Shape.VarID).
+func (it *Iterator) Var(id int) database.Value { return it.assign[id] }
+
 // Iterator returns a fresh iterator over the plan's answers.
 func (p *Plan) Iterator() *Iterator {
 	n := len(p.order)
@@ -46,7 +50,7 @@ func (p *Plan) Iterator() *Iterator {
 		roots:   roots,
 		rows:    make([][]int32, n),
 		cursors: make([]int, n),
-		assign:  make([]database.Value, len(p.varName)),
+		assign:  make([]database.Value, len(p.shape.varName)),
 	}
 }
 
@@ -153,9 +157,9 @@ func (it *Iterator) Value(v cq.Variable) database.Value {
 
 // STuple returns the current S-assignment as a tuple over Plan.SVars.
 func (it *Iterator) STuple() database.Tuple {
-	out := make(database.Tuple, len(it.plan.SVars))
-	for i, v := range it.plan.SVars {
-		out[i] = it.assign[it.plan.varID[v]]
+	out := make(database.Tuple, len(it.plan.shape.sIDs))
+	for i, id := range it.plan.shape.sIDs {
+		out[i] = it.assign[id]
 	}
 	return out
 }
@@ -190,22 +194,19 @@ func (it *Iterator) Extend() {
 	if it.extended {
 		return
 	}
-	for i := len(it.plan.log) - 1; i >= 0; i-- {
-		e := &it.plan.log[i]
-		if e.kind != 'p' {
-			continue
-		}
+	for i := len(it.plan.proj) - 1; i >= 0; i-- {
+		e := &it.plan.proj[i]
 		it.keyBuf = it.keyBuf[:0]
-		for _, vid := range e.keyVarIDs {
+		for _, vid := range e.step.ids {
 			it.keyBuf = append(it.keyBuf, it.assign[vid])
 		}
 		rows := e.extension().Lookup(it.keyBuf)
 		if len(rows) == 0 {
 			panic(fmt.Sprintf("yannakakis: internal error: no extension for %s in %s",
-				e.removedVar, it.plan.Q.Name))
+				it.plan.shape.varName[e.step.removedID], it.plan.Q.Name))
 		}
 		row := e.pre.Row(int(rows[0]))
-		it.assign[it.plan.varID[e.removedVar]] = row[e.removedCol]
+		it.assign[e.step.removedID] = row[e.step.removedCol]
 	}
 	it.extended = true
 }

@@ -25,9 +25,9 @@ func TestRandomQueriesAgainstBaseline(t *testing.T) {
 		q, s := workload.RandomAcyclicCQ(rng)
 		inst := workload.RandomInstanceForCQ(q, 15+rng.Intn(30), 4+rng.Int63n(4), rng.Int63())
 
-		plan, err := Prepare(q, inst, s)
+		plan, err := prepare(q, inst, s)
 		if err != nil {
-			t.Fatalf("trial %d: Prepare(%s, S=%v): %v", trial, q, s, err)
+			t.Fatalf("trial %d: prepare(%s, S=%v): %v", trial, q, s, err)
 		}
 		it := plan.Iterator()
 		got := make(map[string]bool)
@@ -70,7 +70,7 @@ func TestRandomQueriesExtendIsHomomorphism(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		q, s := workload.RandomAcyclicCQ(rng)
 		inst := workload.RandomInstanceForCQ(q, 20, 4, rng.Int63())
-		plan, err := Prepare(q, inst, s)
+		plan, err := prepare(q, inst, s)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -113,9 +113,9 @@ func (p *Plan) Contains(t database.Tuple) bool {
 	if len(t) != len(p.SVars) {
 		return false
 	}
-	valueOf := make([]database.Value, len(p.varName))
-	for i, v := range p.SVars {
-		valueOf[p.varID[v]] = t[i]
+	valueOf := make([]database.Value, p.NumVars())
+	for i, id := range p.shape.sIDs {
+		valueOf[id] = t[i]
 	}
 	key := make(database.Tuple, 0, 4)
 	for i := range p.tops {
@@ -137,7 +137,7 @@ func TestRandomQueriesContains(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		q, s := workload.RandomAcyclicCQ(rng)
 		inst := workload.RandomInstanceForCQ(q, 20, 4, rng.Int63())
-		plan, err := Prepare(q, inst, s)
+		plan, err := prepare(q, inst, s)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -176,7 +176,7 @@ func TestContainsHeadAgainstScan(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		q, _ := workload.RandomAcyclicCQ(rng)
 		inst := workload.RandomInstanceForCQ(q, 20, 4, rng.Int63())
-		plan, err := Prepare(q, inst, nil)
+		plan, err := prepare(q, inst, nil)
 		if err != nil {
 			continue // not free-connex
 		}
@@ -216,7 +216,7 @@ func TestContainsHeadAgainstScan(t *testing.T) {
 // must agree, and do not confuse the column mapping.
 func TestContainsHeadRepeatedHeadVariable(t *testing.T) {
 	q := cq.MustParseCQ("Q(x,x,y) <- R(x,y).")
-	plan, err := Prepare(q, makeInstance(map[string][][]int64{"R": {{1, 2}, {2, 2}}}), nil)
+	plan, err := prepare(q, makeInstance(map[string][][]int64{"R": {{1, 2}, {2, 2}}}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestContainsHeadRefusesUndecidablePlans(t *testing.T) {
 		{"Q(x) <- R1(x,y).", cq.NewVarSet("x", "y")}, // S variable outside the head
 		{"Q(x,y) <- R1(x,y).", cq.NewVarSet("x")},    // head variable outside S
 	} {
-		plan, err := Prepare(cq.MustParseCQ(tc.query), inst, tc.s)
+		plan, err := prepare(cq.MustParseCQ(tc.query), inst, tc.s)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.query, err)
 		}

@@ -26,12 +26,21 @@ func makeInstance(rels map[string][][]int64) *database.Instance {
 	return inst
 }
 
+// prepare compiles q with enumeration set s and binds the shape to inst.
+func prepare(q *cq.CQ, inst *database.Instance, s cq.VarSet) (*Plan, error) {
+	sh, err := Compile(q, s)
+	if err != nil {
+		return nil, err
+	}
+	return sh.Bind(inst)
+}
+
 // sameAnswers compares a plan's head materialisation with the baseline.
 func sameAnswers(t *testing.T, q *cq.CQ, inst *database.Instance) {
 	t.Helper()
-	plan, err := Prepare(q, inst, nil)
+	plan, err := prepare(q, inst, nil)
 	if err != nil {
-		t.Fatalf("Prepare(%s): %v", q, err)
+		t.Fatalf("prepare(%s): %v", q, err)
 	}
 	got := plan.MaterializeHead().SortedRows()
 	wantRel, err := baseline.EvalCQ(q, inst)
@@ -56,7 +65,7 @@ func TestSimpleFreeConnex(t *testing.T) {
 		"R2": {{10, 100}, {10, 200}, {40, 400}},
 	})
 	sameAnswers(t, q, inst)
-	plan, _ := Prepare(q, inst, nil)
+	plan, _ := prepare(q, inst, nil)
 	if got := plan.Materialize().Len(); got != 4 {
 		t.Errorf("answers = %d, want 4", got)
 	}
@@ -71,7 +80,7 @@ func TestProjectionQuery(t *testing.T) {
 		"R2": {{10, 100}, {99, 0}},
 	})
 	sameAnswers(t, q, inst)
-	plan, _ := Prepare(q, inst, nil)
+	plan, _ := prepare(q, inst, nil)
 	rows := plan.Materialize().SortedRows()
 	if len(rows) != 2 || rows[0][0] != database.V(1) || rows[1][0] != database.V(3) {
 		t.Errorf("answers = %v", rows)
@@ -81,11 +90,11 @@ func TestProjectionQuery(t *testing.T) {
 func TestNotFreeConnexRejected(t *testing.T) {
 	q := cq.MustParseCQ("Q(x,y) <- R1(x,z), R2(z,y).")
 	inst := makeInstance(map[string][][]int64{"R1": {{1, 2}}, "R2": {{2, 3}}})
-	if _, err := Prepare(q, inst, nil); err == nil {
+	if _, err := prepare(q, inst, nil); err == nil {
 		t.Errorf("matrix-multiplication query accepted")
 	}
 	// But the same query with S={x,z} is fine.
-	if _, err := Prepare(q, inst, cq.NewVarSet("x", "z")); err != nil {
+	if _, err := prepare(q, inst, cq.NewVarSet("x", "z")); err != nil {
 		t.Errorf("{x,z}-connex enumeration rejected: %v", err)
 	}
 }
@@ -93,22 +102,22 @@ func TestNotFreeConnexRejected(t *testing.T) {
 func TestCyclicRejected(t *testing.T) {
 	q := cq.MustParseCQ("Q(x) <- R1(x,y), R2(y,z), R3(z,x).")
 	inst := makeInstance(map[string][][]int64{"R1": {{1, 2}}, "R2": {{2, 3}}, "R3": {{3, 1}}})
-	if _, err := Prepare(q, inst, nil); err == nil {
+	if _, err := prepare(q, inst, nil); err == nil {
 		t.Errorf("cyclic query accepted")
 	}
 }
 
 func TestPrepareErrors(t *testing.T) {
 	q := cq.MustParseCQ("Q(x) <- R(x,y).")
-	if _, err := Prepare(q, makeInstance(map[string][][]int64{}), nil); err == nil {
+	if _, err := prepare(q, makeInstance(map[string][][]int64{}), nil); err == nil {
 		t.Errorf("missing relation accepted")
 	}
 	bad := makeInstance(map[string][][]int64{"R": {{1}}})
-	if _, err := Prepare(q, bad, nil); err == nil {
+	if _, err := prepare(q, bad, nil); err == nil {
 		t.Errorf("arity mismatch accepted")
 	}
 	inst := makeInstance(map[string][][]int64{"R": {{1, 2}}})
-	if _, err := Prepare(q, inst, cq.NewVarSet("zzz")); err == nil {
+	if _, err := prepare(q, inst, cq.NewVarSet("zzz")); err == nil {
 		t.Errorf("S outside query accepted")
 	}
 }
@@ -119,7 +128,7 @@ func TestRepeatedVariableAtom(t *testing.T) {
 		"R": {{1, 1}, {1, 2}, {3, 3}},
 	})
 	sameAnswers(t, q, inst)
-	plan, _ := Prepare(q, inst, nil)
+	plan, _ := prepare(q, inst, nil)
 	if got := plan.Materialize().Len(); got != 2 {
 		t.Errorf("answers = %d, want 2", got)
 	}
@@ -133,7 +142,7 @@ func TestBooleanDecide(t *testing.T) {
 	// decides it.
 	decide := func(inst *database.Instance) bool {
 		t.Helper()
-		plan, err := Prepare(q, inst, nil)
+		plan, err := prepare(q, inst, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +163,7 @@ func TestCartesianProduct(t *testing.T) {
 		"S": {{10}, {20}, {30}},
 	})
 	sameAnswers(t, q, inst)
-	plan, _ := Prepare(q, inst, nil)
+	plan, _ := prepare(q, inst, nil)
 	if got := plan.Materialize().Len(); got != 6 {
 		t.Errorf("answers = %d, want 6", got)
 	}
@@ -165,9 +174,9 @@ func TestEmptyRelation(t *testing.T) {
 	inst := makeInstance(map[string][][]int64{"R1": {{1, 2}}, "R2": {}})
 	// Empty R2 needs explicit arity: rebuild with arity 1.
 	inst.AddRelation(database.NewRelation("R2", 1))
-	plan, err := Prepare(q, inst, nil)
+	plan, err := prepare(q, inst, nil)
 	if err != nil {
-		t.Fatalf("Prepare: %v", err)
+		t.Fatalf("prepare: %v", err)
 	}
 	if plan.Iterator().Next() {
 		t.Errorf("answers found over empty relation")
@@ -177,9 +186,9 @@ func TestEmptyRelation(t *testing.T) {
 func TestSTupleAndValue(t *testing.T) {
 	q := cq.MustParseCQ("Q(b,a) <- R(a,b).")
 	inst := makeInstance(map[string][][]int64{"R": {{1, 2}}})
-	plan, err := Prepare(q, inst, nil)
+	plan, err := prepare(q, inst, nil)
 	if err != nil {
-		t.Fatalf("Prepare: %v", err)
+		t.Fatalf("prepare: %v", err)
 	}
 	it := plan.Iterator()
 	if !it.Next() {
@@ -207,9 +216,9 @@ func TestExtendProducesHomomorphism(t *testing.T) {
 		"R2": {{10, 100}, {20, 999}},
 		"R3": {{100}},
 	})
-	plan, err := Prepare(q, inst, nil)
+	plan, err := prepare(q, inst, nil)
 	if err != nil {
-		t.Fatalf("Prepare: %v", err)
+		t.Fatalf("prepare: %v", err)
 	}
 	it := plan.Iterator()
 	count := 0
@@ -252,9 +261,9 @@ func TestProviderStyleSubsetS(t *testing.T) {
 		"R1": {{1, 10}, {2, 10}, {3, 99}},
 		"R2": {{10, 5}, {10, 6}},
 	})
-	plan, err := Prepare(q, inst, cq.NewVarSet("x", "y"))
+	plan, err := prepare(q, inst, cq.NewVarSet("x", "y"))
 	if err != nil {
-		t.Fatalf("Prepare: %v", err)
+		t.Fatalf("prepare: %v", err)
 	}
 	got := plan.Materialize().SortedRows()
 	// Q2(I)|{x,y} = {(1,10),(2,10)}; (3,99) is dangling.
@@ -276,9 +285,9 @@ func TestMaterializeHeadDedupsWhenHeadOutsideS(t *testing.T) {
 	// S = {x}: head (x,y) requires extension; one row per S-tuple.
 	q := cq.MustParseCQ("Q(x,y) <- R1(x,y).")
 	inst := makeInstance(map[string][][]int64{"R1": {{1, 7}, {1, 8}}})
-	plan, err := Prepare(q, inst, cq.NewVarSet("x"))
+	plan, err := prepare(q, inst, cq.NewVarSet("x"))
 	if err != nil {
-		t.Fatalf("Prepare: %v", err)
+		t.Fatalf("prepare: %v", err)
 	}
 	rows := plan.MaterializeHead().Rows()
 	if len(rows) != 1 {
@@ -314,9 +323,9 @@ func TestNoDuplicatesAndNoBacktracks(t *testing.T) {
 			r := database.NewRelation("R3", 1)
 			inst.AddRelation(r)
 		}
-		plan, err := Prepare(q, inst, nil)
+		plan, err := prepare(q, inst, nil)
 		if err != nil {
-			t.Fatalf("Prepare: %v", err)
+			t.Fatalf("prepare: %v", err)
 		}
 		it := plan.Iterator()
 		seen := make(map[string]bool)
@@ -368,9 +377,9 @@ func TestRandomizedAgainstBaseline(t *testing.T) {
 func TestStats(t *testing.T) {
 	q := cq.MustParseCQ("Q(x) <- R1(x,y), R2(y,w).")
 	inst := makeInstance(map[string][][]int64{"R1": {{1, 2}}, "R2": {{2, 3}}})
-	plan, err := Prepare(q, inst, nil)
+	plan, err := prepare(q, inst, nil)
 	if err != nil {
-		t.Fatalf("Prepare: %v", err)
+		t.Fatalf("prepare: %v", err)
 	}
 	st := plan.Stats()
 	if st.Tops == 0 {
@@ -393,7 +402,7 @@ func TestStats(t *testing.T) {
 func TestIteratorExhaustionIsSticky(t *testing.T) {
 	q := cq.MustParseCQ("Q(x) <- R(x).")
 	inst := makeInstance(map[string][][]int64{"R": {{1}}})
-	plan, _ := Prepare(q, inst, nil)
+	plan, _ := prepare(q, inst, nil)
 	it := plan.Iterator()
 	if !it.Next() || it.Next() {
 		t.Fatalf("expected exactly one answer")

@@ -52,8 +52,11 @@ type Plan struct {
 	// Cert is the free-connexity certificate (ConstantDelay mode only).
 	Cert *Certificate
 
-	union *core.UnionPlan
-	inst  *database.Instance
+	// compiled is the prepared query's compiled union (nil in naive mode):
+	// delta maintenance binds it to the instances of a version window.
+	compiled *core.CompiledUnion
+	union    *core.UnionPlan
+	inst     *database.Instance
 	// ctx is the binding context from BindContext: the default context of
 	// every Answers stream this plan produces.
 	ctx context.Context
@@ -84,12 +87,14 @@ func (p *Plan) DatasetVersion() uint64 { return p.dsVersion }
 func (p *Plan) BindCacheHit() bool { return p.bindHit }
 
 // PreparedQuery is the instance-independent half of a plan: the outcome of
-// containment-based redundancy removal and the free-connexity certificate
-// search. All of it depends only on the query (and ForceNaive), never on
-// the data, so a PreparedQuery can be built once and bound to many
-// instances — this is what a long-lived server caches per (query, schema)
-// to amortize the Theorem 12 certificate search across requests, while the
-// per-instance preprocessing happens in Bind.
+// containment-based redundancy removal, the free-connexity certificate
+// search and, for a certified query, the compiled union — the certificate
+// verified once and every member's and provider's elimination plan and
+// top join tree (core.Compile). All of it depends only on the query (and
+// ForceNaive), never on the data, so a PreparedQuery can be built once and
+// bound to many instances — this is what a long-lived server caches per
+// (query, schema) to amortize the Theorem 12 planning across requests,
+// while Bind runs only the per-instance relation passes.
 //
 // A PreparedQuery is immutable after Prepare returns and is safe for
 // concurrent use: Bind and BindDataset may be called from any number of
@@ -104,6 +109,8 @@ type PreparedQuery struct {
 	// Cert is the free-connexity certificate (ConstantDelay mode only).
 	Cert *Certificate
 
+	// union is Cert compiled against Evaluated (ConstantDelay mode only).
+	union *core.CompiledUnion
 	// fingerprint identifies the preparation inputs (query text plus
 	// ForceNaive); see Fingerprint.
 	fingerprint string
@@ -126,7 +133,10 @@ func fingerprintQuery(u *UCQ, opts *PlanOptions) string {
 // Prepare runs the instance-independent part of planning: it validates the
 // query, removes redundant (contained) CQs, and searches for a
 // free-connexity certificate, deciding between constant-delay and naive
-// evaluation. The result is bound to concrete instances with Bind.
+// evaluation. A certified query is compiled here too: the certificate is
+// verified once and every shape Theorem 12 binds is built, so a failed
+// compile is a Prepare error and Bind does no query-only work. The result
+// is bound to concrete instances with Bind.
 func Prepare(u *UCQ, opts *PlanOptions) (*PreparedQuery, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
@@ -139,8 +149,13 @@ func Prepare(u *UCQ, opts *PlanOptions) (*PreparedQuery, error) {
 		fingerprint: fingerprintQuery(u, opts)}
 	if !opts.ForceNaive {
 		if cert, ok := core.FindCertificate(work, nil); ok {
+			union, err := core.Compile(work, cert)
+			if err != nil {
+				return nil, err
+			}
 			pq.Mode = ConstantDelay
 			pq.Cert = cert
+			pq.union = union
 		}
 	}
 	return pq, nil
@@ -187,7 +202,7 @@ type boundQuery struct {
 // mode. ctx aborts a still-running preprocessing between extensions.
 func (pq *PreparedQuery) bindInstance(ctx context.Context, inst *Instance) (*boundQuery, error) {
 	if pq.Mode == ConstantDelay {
-		up, err := core.NewUnionPlanCtx(ctx, pq.Evaluated, pq.Cert, inst)
+		up, err := pq.union.Bind(ctx, inst)
 		if err != nil {
 			return nil, err
 		}
@@ -214,6 +229,7 @@ func (pq *PreparedQuery) newBoundPlan(ctx context.Context, inst *Instance, bq *b
 		Evaluated: pq.Evaluated,
 		Mode:      pq.Mode,
 		Cert:      pq.Cert,
+		compiled:  pq.union,
 		union:     bq.union,
 		inst:      inst,
 		ctx:       ctx,
