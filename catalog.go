@@ -331,9 +331,8 @@ func (ds *Dataset) Replace(inst *Instance) (uint64, error) {
 // are created with the arity of their first row; a relation without rows
 // is skipped. Before the writer lock is taken, the rows go through the
 // checks request bodies are decoded with (wire.Relations): consistent
-// arity and payload-range-checked values, as in InstanceFromRows, except
-// that the first row may be empty, since the relation it extends fixes
-// the arity. Then Append applies them.
+// arity, as in InstanceFromRows, except that the first row may be empty,
+// since the relation it extends fixes the arity. Then Append applies them.
 func (ds *Dataset) AppendRows(rels map[string][][]int64) (uint64, error) {
 	delta, err := wire.RelationsOf(rels).Delta()
 	if err != nil {

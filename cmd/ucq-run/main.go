@@ -226,7 +226,7 @@ func runRemote(base, wireEnc, query string, rels relFlags, dataset string, mode 
 		for _, t := range rel.Rows() {
 			row := make([]int64, len(t))
 			for i, v := range t {
-				row[i] = v.Payload()
+				row[i] = int64(v)
 			}
 			rows = append(rows, row)
 		}

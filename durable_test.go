@@ -393,7 +393,7 @@ func relationRows(rel *Relation) [][]int64 {
 	for i := range out {
 		out[i] = []int64{}
 		for _, v := range rel.Row(i) {
-			out[i] = append(out[i], v.Payload())
+			out[i] = append(out[i], int64(v))
 		}
 	}
 	return out

@@ -8,7 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro"
@@ -17,19 +19,27 @@ import (
 )
 
 func main() {
-	triangles()
-	fmt.Println()
-	fourCliques()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
 }
 
-func triangles() {
-	fmt.Println("Triangle detection via Example 18 (hyperclique hypothesis)")
+func run(w io.Writer) error {
+	if err := triangles(w); err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	return fourCliques(w)
+}
+
+func triangles(w io.Writer) error {
+	fmt.Fprintln(w, "Triangle detection via Example 18 (hyperclique hypothesis)")
 	u := reduction.Example18Query()
 	res, err := ucq.Classify(u)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("  union verdict: %s — %s\n", res.Verdict, res.Reason)
+	fmt.Fprintf(w, "  union verdict: %s — %s\n", res.Verdict, res.Reason)
 
 	for i, n := range []int{64, 128, 256} {
 		g := graph.ErdosRenyi(n, 2.5/float64(n), int64(i+1))
@@ -44,7 +54,7 @@ func triangles() {
 		inst := reduction.Example18Instance(g)
 		plan, err := ucq.NewPlan(u, inst, &ucq.PlanOptions{ForceNaive: true})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		pairs := reduction.Example18DecodeTriangles(plan.Materialize())
 		ucqTime := time.Since(start)
@@ -53,20 +63,21 @@ func triangles() {
 		if (len(pairs) > 0) != direct {
 			status = "MISMATCH"
 		}
-		fmt.Printf("  n=%3d m=%4d: direct=%v (%v), via UCQ=%v (%v)  [%s]\n",
+		fmt.Fprintf(w, "  n=%3d m=%4d: direct=%v (%v), via UCQ=%v (%v)  [%s]\n",
 			n, g.M(), direct, directTime.Round(time.Microsecond),
 			len(pairs) > 0, ucqTime.Round(time.Microsecond), status)
 	}
+	return nil
 }
 
-func fourCliques() {
-	fmt.Println("4-clique detection via Example 22 (4-clique hypothesis, Figure 3)")
+func fourCliques(w io.Writer) error {
+	fmt.Fprintln(w, "4-clique detection via Example 22 (4-clique hypothesis, Figure 3)")
 	u := reduction.Example22Query()
 	res, err := ucq.Classify(u)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("  union verdict: %s — %s\n", res.Verdict, res.Reason)
+	fmt.Fprintf(w, "  union verdict: %s — %s\n", res.Verdict, res.Reason)
 
 	for i, n := range []int{16, 24, 32} {
 		g := graph.ErdosRenyi(n, 0.3, int64(i+7))
@@ -81,7 +92,7 @@ func fourCliques() {
 		inst, tris := reduction.Example22Instance(g)
 		plan, err := ucq.NewPlan(u, inst, &ucq.PlanOptions{ForceNaive: true})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		found := reduction.Example22HasFourClique(g, plan.Materialize())
 		ucqTime := time.Since(start)
@@ -90,8 +101,9 @@ func fourCliques() {
 		if found != direct {
 			status = "MISMATCH"
 		}
-		fmt.Printf("  n=%2d triangles=%4d: direct=%v (%v), via UCQ=%v (%v)  [%s]\n",
+		fmt.Fprintf(w, "  n=%2d triangles=%4d: direct=%v (%v), via UCQ=%v (%v)  [%s]\n",
 			n, tris, direct, directTime.Round(time.Microsecond),
 			found, ucqTime.Round(time.Microsecond), status)
 	}
+	return nil
 }

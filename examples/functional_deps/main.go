@@ -9,21 +9,29 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	q := ucq.MustParseCQ("Q(x,y) <- R1(x,z), R2(z,y).")
-	fmt.Printf("query: %s\n", q)
-	fmt.Printf("without FDs: %s (the mat-mul hard case)\n\n", ucq.ClassifyCQ(q))
+	fmt.Fprintf(w, "query: %s\n", q)
+	fmt.Fprintf(w, "without FDs: %s (the mat-mul hard case)\n\n", ucq.ClassifyCQ(q))
 
 	fds := ucq.MustFDSet(ucq.FD{Rel: "R1", From: []int{0}, To: 1})
 	ext, ok := ucq.ClassifyCQWithFDs(q, fds)
-	fmt.Printf("with FD %v:\n", fds.All()[0])
-	fmt.Printf("  FD-extension: %s\n", ext)
-	fmt.Printf("  FD-extension free-connex: %v\n\n", ok)
+	fmt.Fprintf(w, "with FD %v:\n", fds.All()[0])
+	fmt.Fprintf(w, "  FD-extension: %s\n", ext)
+	fmt.Fprintf(w, "  FD-extension free-connex: %v\n\n", ok)
 
 	// Build an instance satisfying the FD: each x has exactly one z.
 	inst := ucq.NewInstance()
@@ -44,9 +52,9 @@ func main() {
 
 	it, err := ucq.EnumerateCQWithFDs(q, fds, inst)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("answers (constant delay through the FD-extension):")
+	fmt.Fprintln(w, "answers (constant delay through the FD-extension):")
 	count := 0
 	for {
 		t, ok := it.Next()
@@ -54,13 +62,14 @@ func main() {
 			break
 		}
 		count++
-		fmt.Printf("  %v\n", t)
+		fmt.Fprintf(w, "  %v\n", t)
 	}
-	fmt.Printf("%d answers.\n\n", count)
+	fmt.Fprintf(w, "%d answers.\n\n", count)
 
 	// Violating the FD is rejected up front.
 	r1.AppendInts(0, 2) // x=0 now maps to two z values
 	if _, err := ucq.EnumerateCQWithFDs(q, fds, inst); err != nil {
-		fmt.Printf("after violating the FD: %v\n", err)
+		fmt.Fprintf(w, "after violating the FD: %v\n", err)
 	}
+	return nil
 }

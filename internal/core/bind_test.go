@@ -92,6 +92,35 @@ func TestBindAllocationsDoNotScaleWithKeys(t *testing.T) {
 	}
 }
 
+// TestBindExample2BindsEachShapeOnce checks that a bind of Example 2 binds
+// Q2's shape once: the Lemma 8 provider run for Q1's virtual atom shares
+// Q2's shape, so it iterates Q2's member plan instead of binding it again.
+// On the 3-row instance a bind allocated 5048 B when it bound the shape
+// twice and 3768 B since; the bound sits between the two.
+func TestBindExample2BindsEachShapeOnce(t *testing.T) {
+	ctx := context.Background()
+	c, inst := example2Bind(t, 1, 3, 1)
+	plan, err := c.Bind(ctx, inst) // also settles the per-relation duplicate-free facts
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs := plan.Stats().ProviderRuns; runs != 1 {
+		t.Fatalf("%d provider runs, want 1", runs)
+	}
+	const binds = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range binds {
+		if _, err := c.Bind(ctx, inst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perBind := (after.TotalAlloc - before.TotalAlloc) / binds; perBind > 4400 {
+		t.Errorf("binding Example 2 to a 3-row instance allocates %d B; want at most 4400", perBind)
+	}
+}
+
 // benchmarkBind times Theorem 12 preprocessing of a compiled union over
 // one instance.
 func benchmarkBind(b *testing.B, c *CompiledUnion, inst *database.Instance) {

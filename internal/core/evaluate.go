@@ -63,32 +63,45 @@ func (p *UnionPlan) Stats() UnionStats { return p.stats }
 // with ctx's error when the caller, typically a disconnected client, has
 // gone away. All mutable state lives in the returned UnionPlan.
 func (c *CompiledUnion) Bind(ctx context.Context, inst *database.Instance) (*UnionPlan, error) {
-	p := &UnionPlan{U: c.U, Cert: c.Cert, plans: make([]*yannakakis.Plan, 0, len(c.members))}
+	p := &UnionPlan{U: c.U, Cert: c.Cert, plans: make([]*yannakakis.Plan, len(c.members))}
 	b := binder{c: c, p: p, base: inst, insts: make([]*database.Instance, len(c.virtuals))}
-	for i, sh := range c.members {
+	for i := range c.members {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		extInst, err := b.resolve(i)
-		if err != nil {
+		if _, err := b.member(i); err != nil {
 			return nil, err
 		}
-		plan, err := sh.Bind(extInst)
-		if err != nil {
-			return nil, fmt.Errorf("core: preparing %s: %w", c.Cert.Extensions[i].Base.Name, err)
-		}
-		p.plans = append(p.plans, plan)
 	}
 	return p, nil
 }
 
 // binder is the state of one Bind: the instance each extension resolved
-// to, by position in CompiledUnion.virtuals.
+// to, by position in CompiledUnion.virtuals, and the member plans bound so
+// far, in UnionPlan.plans.
 type binder struct {
 	c     *CompiledUnion
 	p     *UnionPlan
 	base  *database.Instance
 	insts []*database.Instance
+}
+
+// member binds member i's plan once per Bind, for the union and for any
+// provider run that shares its shape.
+func (b *binder) member(i int) (*yannakakis.Plan, error) {
+	if plan := b.p.plans[i]; plan != nil {
+		return plan, nil
+	}
+	extInst, err := b.resolve(i)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := b.c.members[i].Bind(extInst)
+	if err != nil {
+		return nil, fmt.Errorf("core: preparing %s: %w", b.c.Cert.Extensions[i].Base.Name, err)
+	}
+	b.p.plans[i] = plan
+	return plan, nil
 }
 
 // resolve instantiates the virtual relations of extension k (recursively
@@ -116,10 +129,13 @@ func (b *binder) resolve(k int) (*database.Instance, error) {
 	return inst, nil
 }
 
-// runProvider executes one Lemma 8 provider enumeration: it binds the
-// provider's shape with enumeration set S and translates each S-tuple
-// into the virtual relation through the body-homomorphism.
-func (b *binder) runProvider(v *virtualShape) (*database.Relation, error) {
+// providerPlan binds a provider run's shape over the provider snapshot.
+// A run that shares a member's shape enumerates exactly what that member
+// does, so it iterates the member's plan instead of binding it again.
+func (b *binder) providerPlan(v *virtualShape) (*yannakakis.Plan, error) {
+	if v.prov < len(b.c.members) && v.shape == b.c.members[v.prov] {
+		return b.member(v.prov)
+	}
 	provInst, err := b.resolve(v.prov)
 	if err != nil {
 		return nil, err
@@ -127,6 +143,17 @@ func (b *binder) runProvider(v *virtualShape) (*database.Relation, error) {
 	plan, err := v.shape.Bind(provInst)
 	if err != nil {
 		return nil, fmt.Errorf("core: preparing provider %s: %w", v.shape.Q.Name, err)
+	}
+	return plan, nil
+}
+
+// runProvider executes one Lemma 8 provider enumeration: it enumerates the
+// provider's plan with enumeration set S and translates each S-tuple into
+// the virtual relation through the body-homomorphism.
+func (b *binder) runProvider(v *virtualShape) (*database.Relation, error) {
+	plan, err := b.providerPlan(v)
+	if err != nil {
+		return nil, err
 	}
 	b.p.stats.ProviderRuns++
 

@@ -193,7 +193,7 @@ func TestAnswersMemberFilter(t *testing.T) {
 		t.Fatalf("R2-restricted stream has %d answers, want Q2's 10", len(got))
 	}
 	for i, g := range got {
-		if g[1].Payload() != g[0].Payload()+5 {
+		if int64(g[1]) != int64(g[0])+5 {
 			t.Fatalf("answer %d = %v is not a Q2 answer", i, g)
 		}
 	}

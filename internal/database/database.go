@@ -16,64 +16,28 @@
 // for indexes, CSR offsets into one flat row array (KeySet, Index) — built
 // in counted passes with a fixed number of allocations.
 //
-// Values support an 8-bit tag alongside a 56-bit payload. Tags implement the
-// paper's "concatenate the variable name to the value" trick (proof of
-// Lemma 14 and the encodings in Examples 18, 31 and 39): a constant (c, v)
-// for variable v is a payload c tagged with v's index.
+// Values are plain int64s: the paper's constants from a domain, each held in
+// one register. The lower-bound proofs' trick of concatenating a variable
+// name to a value belongs to the reductions that use it
+// (internal/reduction), which encode it into values of their own.
 package database
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 )
 
-// Value is a database constant: an 8-bit tag and a 56-bit signed payload.
-// Plain constants have tag 0.
+// Value is a database constant: any int64.
 type Value int64
 
-const (
-	payloadBits = 56
-	// MaxPayload is the largest payload storable in a Value.
-	MaxPayload = int64(1)<<(payloadBits-1) - 1
-	// MinPayload is the smallest payload storable in a Value.
-	MinPayload = -(int64(1) << (payloadBits - 1))
-)
+// V builds a value.
+func V(x int64) Value { return Value(x) }
 
-// V builds an untagged value. It panics when the payload is out of range;
-// workloads in this repository stay far below the 56-bit limit.
-func V(payload int64) Value {
-	return TaggedValue(payload, 0)
-}
-
-// TaggedValue builds a value carrying a tag. Tagged values with different
-// tags always compare unequal, which is what makes the Lemma 14 encoding
-// assign disjoint domains to distinct variables.
-func TaggedValue(payload int64, tag uint8) Value {
-	if payload > MaxPayload || payload < MinPayload {
-		panic(fmt.Sprintf("database: payload %d out of range", payload))
-	}
-	return Value(int64(tag)<<payloadBits | (payload & (1<<payloadBits - 1)))
-}
-
-// Tag returns the value's tag.
-func (v Value) Tag() uint8 {
-	return uint8(uint64(v) >> payloadBits)
-}
-
-// Payload returns the value's payload, sign-extended.
-func (v Value) Payload() int64 {
-	return int64(v) << (64 - payloadBits) >> (64 - payloadBits)
-}
-
-// String renders the value; tagged values render as payload#tag.
-func (v Value) String() string {
-	if t := v.Tag(); t != 0 {
-		return fmt.Sprintf("%d#%d", v.Payload(), t)
-	}
-	return fmt.Sprintf("%d", v.Payload())
-}
+// String renders the value in decimal.
+func (v Value) String() string { return strconv.FormatInt(int64(v), 10) }
 
 // Tuple is a sequence of values. Tuples obtained from relations are views
 // into shared storage and must not be mutated or retained across appends.
@@ -237,7 +201,7 @@ func (r *Relation) Append(vals ...Value) {
 	r.data = append(r.data, vals...)
 }
 
-// AppendInts adds one row of untagged values.
+// AppendInts adds one row of values.
 func (r *Relation) AppendInts(vals ...int64) {
 	if len(vals) != r.arity {
 		panic(fmt.Sprintf("database: relation %s arity %d, got %d values", r.Name, r.arity, len(vals)))
@@ -499,8 +463,8 @@ func (in *Instance) View() *Instance {
 // full, so an append costs the rows it adds, not the relation. in itself
 // is unchanged. Only the newest instance of a chain may be extended (see
 // Relation). Extend fails, with nothing grown, on an append no writer
-// makes: an empty delta relation, a new nullary relation, an arity unlike
-// the existing relation's, or a tagged value.
+// makes: an empty delta relation, a new nullary relation, or an arity
+// unlike the existing relation's.
 func (in *Instance) Extend(delta *Instance) (*Instance, error) {
 	for _, name := range delta.Names() {
 		d, old := delta.rels[name], in.rels[name]
@@ -511,11 +475,6 @@ func (in *Instance) Extend(delta *Instance) (*Instance, error) {
 			return nil, fmt.Errorf("database: an append cannot create nullary relation %s", name)
 		case old != nil && old.arity != d.arity:
 			return nil, fmt.Errorf("database: append to %s has arity %d; the relation has %d", name, d.arity, old.arity)
-		}
-		for _, v := range d.data {
-			if v.Tag() != 0 {
-				return nil, fmt.Errorf("database: append to %s holds tagged value %v", name, v)
-			}
 		}
 	}
 	out := in.ShallowClone()

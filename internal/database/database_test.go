@@ -1,61 +1,16 @@
 package database
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
 
-func TestValueTagging(t *testing.T) {
-	cases := []struct {
-		payload int64
-		tag     uint8
-	}{
-		{0, 0}, {1, 0}, {-1, 0}, {42, 7}, {-42, 7}, {MaxPayload, 255}, {MinPayload, 1},
-	}
-	for _, tc := range cases {
-		v := TaggedValue(tc.payload, tc.tag)
-		if v.Payload() != tc.payload {
-			t.Errorf("payload(%d,%d) = %d", tc.payload, tc.tag, v.Payload())
-		}
-		if v.Tag() != tc.tag {
-			t.Errorf("tag(%d,%d) = %d", tc.payload, tc.tag, v.Tag())
-		}
-	}
-	if V(5) != TaggedValue(5, 0) {
-		t.Errorf("V disagrees with TaggedValue")
-	}
-	// Distinct tags yield distinct values even with equal payloads.
-	if TaggedValue(9, 1) == TaggedValue(9, 2) {
-		t.Errorf("tags did not separate domains")
-	}
-}
-
-func TestValueTaggingQuick(t *testing.T) {
-	f := func(payload int64, tag uint8) bool {
-		p := payload % MaxPayload
-		v := TaggedValue(p, tag)
-		return v.Payload() == p && v.Tag() == tag
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestValueOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Errorf("no panic for out-of-range payload")
-		}
-	}()
-	TaggedValue(MaxPayload+1, 0)
-}
-
 func TestValueString(t *testing.T) {
-	if got := V(3).String(); got != "3" {
-		t.Errorf("String = %q", got)
-	}
-	if got := TaggedValue(3, 2).String(); got != "3#2" {
-		t.Errorf("String = %q", got)
+	for v, want := range map[Value]string{V(3): "3", V(-1): "-1", V(math.MinInt64): "-9223372036854775808", V(math.MaxInt64): "9223372036854775807"} {
+		if got := v.String(); got != want {
+			t.Errorf("String = %q, want %q", got, want)
+		}
 	}
 }
 

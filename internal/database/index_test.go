@@ -123,7 +123,7 @@ func TestSemijoinSharesOrSizesExactly(t *testing.T) {
 		t.Errorf("survivors sit in an array of capacity %d for %d values", cap(got.data), len(got.data))
 	}
 	for i := 0; i < got.Len(); i++ {
-		if row := got.Row(i); row[1].Payload()%3 != 0 || (i > 0 && row[0] <= got.Row(i - 1)[0]) {
+		if row := got.Row(i); int64(row[1])%3 != 0 || (i > 0 && row[0] <= got.Row(i - 1)[0]) {
 			t.Fatalf("row %d = %v: wrong survivor or order not preserved", i, row)
 		}
 	}

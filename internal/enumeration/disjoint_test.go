@@ -39,7 +39,7 @@ func TestParallelUnionDisjoint(t *testing.T) {
 	}
 	vals := make([]int, len(got))
 	for i, tup := range got {
-		vals[i] = int(tup[0].Payload())
+		vals[i] = int(int64(tup[0]))
 	}
 	if !sort.IntsAreSorted(vals) {
 		t.Fatal("inline source did not run the tasks in order")

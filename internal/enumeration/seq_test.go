@@ -26,7 +26,7 @@ func TestSeqDrainsAndCloses(t *testing.T) {
 	it := &closableSlice{SliceIterator: NewSliceIterator(tuples(5))}
 	got := 0
 	for tup := range Seq(it) {
-		if tup[0].Payload() != int64(got) {
+		if int64(tup[0]) != int64(got) {
 			t.Fatalf("tuple %d = %v", got, tup)
 		}
 		got++

@@ -195,7 +195,7 @@ func TestParallelUnionTuplesAreStable(t *testing.T) {
 	}
 	seen := make(map[string]bool, len(got))
 	for _, g := range got {
-		if g[1].Payload() != g[0].Payload()*7 {
+		if int64(g[1]) != int64(g[0])*7 {
 			t.Fatalf("corrupted tuple %v", g)
 		}
 		if seen[g.Key()] {

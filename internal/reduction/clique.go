@@ -1,6 +1,8 @@
 package reduction
 
 import (
+	"slices"
+
 	"repro/internal/cq"
 	"repro/internal/database"
 	"repro/internal/graph"
@@ -38,9 +40,9 @@ func Example18Instance(g *graph.Graph) *database.Instance {
 	r3 := database.NewRelation("R3", 2)
 	for _, e := range g.Edges() {
 		u, v := int64(e[0]), int64(e[1])
-		r1.Append(database.TaggedValue(u, tagX), database.TaggedValue(v, tagY))
-		r2.Append(database.TaggedValue(u, tagY), database.TaggedValue(v, tagU))
-		r3.Append(database.TaggedValue(u, tagX), database.TaggedValue(v, tagU))
+		r1.Append(tagged(u, tagX), tagged(v, tagY))
+		r2.Append(tagged(u, tagY), tagged(v, tagU))
+		r3.Append(tagged(u, tagX), tagged(v, tagU))
 	}
 	inst.AddRelation(r1)
 	inst.AddRelation(r2)
@@ -55,8 +57,10 @@ func Example18DecodeTriangles(answers *database.Relation) [][2]int {
 	var out [][2]int
 	for i := 0; i < answers.Len(); i++ {
 		t := answers.Row(i)
-		if t[0].Tag() == tagX && t[1].Tag() == tagY {
-			out = append(out, [2]int{int(t[0].Payload()), int(t[1].Payload())})
+		a, ta := untag(t[0])
+		b, tb := untag(t[1])
+		if ta == tagX && tb == tagY {
+			out = append(out, [2]int{int(a), int(b)})
 		}
 	}
 	return out
@@ -102,7 +106,7 @@ func Example22Instance(g *graph.Graph) (*database.Instance, int) {
 func Example22HasFourClique(g *graph.Graph, answers *database.Relation) bool {
 	for i := 0; i < answers.Len(); i++ {
 		t := answers.Row(i)
-		p, q := int(t[0].Payload()), int(t[1].Payload())
+		p, q := int(t[0]), int(t[1])
 		if p != q && g.HasEdge(p, q) {
 			return true
 		}
@@ -145,7 +149,7 @@ func Example31Instance(g *graph.Graph) *database.Instance {
 		for _, dir := range [][2]int{{e[0], e[1]}, {e[1], e[0]}} {
 			u, v := int64(dir[0]), int64(dir[1])
 			for ri, r := range rels {
-				r.Append(database.TaggedValue(u, tags[ri]), database.TaggedValue(v, tagZ))
+				r.Append(tagged(u, tags[ri]), tagged(v, tagZ))
 			}
 		}
 	}
@@ -161,10 +165,11 @@ func Example31Instance(g *graph.Graph) *database.Instance {
 func Example31HasFourClique(g *graph.Graph, answers *database.Relation) bool {
 	for i := 0; i < answers.Len(); i++ {
 		t := answers.Row(i)
-		if t[0].Tag() != tagX1 || t[1].Tag() != tagX2 || t[2].Tag() != tagX3 {
+		if !slices.Equal(TagPattern(t), []uint8{tagX1, tagX2, tagX3}) {
 			continue
 		}
-		a, b, c := int(t[0].Payload()), int(t[1].Payload()), int(t[2].Payload())
+		u := UntagTuple(t)
+		a, b, c := int(u[0]), int(u[1]), int(u[2])
 		if a != b && a != c && b != c && g.HasEdge(a, b) && g.HasEdge(a, c) && g.HasEdge(b, c) {
 			return true
 		}
@@ -200,9 +205,9 @@ func Example39Instance(g *graph.Graph) (*database.Instance, int) {
 	r3 := database.NewRelation("R3", 3)
 	for _, t := range tris {
 		a, b, c := int64(t[0]), int64(t[1]), int64(t[2])
-		r1.Append(database.TaggedValue(a, tag39X2), database.TaggedValue(b, tag39X3), database.TaggedValue(c, tag39X4))
-		r2.Append(database.TaggedValue(a, tag39X1), database.TaggedValue(b, tag39X3), database.TaggedValue(c, tag39X4))
-		r3.Append(database.TaggedValue(a, tag39X1), database.TaggedValue(b, tag39X2), database.TaggedValue(c, tag39X4))
+		r1.Append(tagged(a, tag39X2), tagged(b, tag39X3), tagged(c, tag39X4))
+		r2.Append(tagged(a, tag39X1), tagged(b, tag39X3), tagged(c, tag39X4))
+		r3.Append(tagged(a, tag39X1), tagged(b, tag39X2), tagged(c, tag39X4))
 	}
 	inst := database.NewInstance()
 	inst.AddRelation(r1)
@@ -217,7 +222,7 @@ func Example39Instance(g *graph.Graph) (*database.Instance, int) {
 func Example39HasFourClique(answers *database.Relation) bool {
 	for i := 0; i < answers.Len(); i++ {
 		t := answers.Row(i)
-		if t[0].Tag() == tag39X2 && t[1].Tag() == tag39X3 && t[2].Tag() == tag39X4 {
+		if slices.Equal(TagPattern(t), []uint8{tag39X2, tag39X3, tag39X4}) {
 			return true
 		}
 	}

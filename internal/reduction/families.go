@@ -66,7 +66,7 @@ func Example31InstanceK(g *graph.Graph, k int) *database.Instance {
 		for _, dir := range [][2]int{{e[0], e[1]}, {e[1], e[0]}} {
 			u, v := int64(dir[0]), int64(dir[1])
 			for ri, r := range rels {
-				r.Append(database.TaggedValue(u, uint8(101+ri)), database.TaggedValue(v, zTag))
+				r.Append(tagged(u, uint8(101+ri)), tagged(v, zTag))
 			}
 		}
 	}
@@ -89,10 +89,11 @@ outer:
 		t := answers.Row(i)
 		verts := make([]int, arity)
 		for p := 0; p < arity; p++ {
-			if t[p].Tag() != uint8(101+p) {
+			c, tag := untag(t[p])
+			if tag != uint8(101+p) {
 				continue outer
 			}
-			verts[p] = int(t[p].Payload())
+			verts[p] = int(c)
 		}
 		ok := true
 		for a := 0; a < arity && ok; a++ {

@@ -11,11 +11,12 @@
 // construction and measure its answer-set sizes.
 //
 // Variable tagging. Several proofs "concatenate the variable names to the
-// values" (Lemma 14, Examples 18, 31, 39). We realise this with
-// database.TaggedValue: each query variable gets a tag, and every value
-// flowing through that variable carries it. Tags make distinct variables
-// range over disjoint domains and let a decoder identify which CQ produced
-// an answer by its head tag pattern.
+// values" (Lemma 14, Examples 18, 31, 39). This package realises it with an
+// encoding of its own (tagged, untag): each query variable gets a tag, and
+// every value flowing through that variable carries it. Tags make distinct
+// variables range over disjoint domains and let a decoder identify which
+// CQ produced an answer by its head tag pattern. The rest of the system
+// sees plain int64 values.
 package reduction
 
 import (
@@ -27,6 +28,25 @@ import (
 	"repro/internal/hypergraph"
 	"repro/internal/matrix"
 )
+
+// payloadBits is the width of a tagged value's signed payload; the tag
+// takes the byte above it.
+const payloadBits = 56
+
+// tagged encodes payload c of the variable with the given tag as one value,
+// injectively in (c, tag). It panics when c lies outside ±2^55; the
+// reductions' payloads are vertex and matrix indexes, far below that.
+func tagged(c int64, tag uint8) database.Value {
+	if c >= 1<<(payloadBits-1) || c < -1<<(payloadBits-1) {
+		panic(fmt.Sprintf("reduction: payload %d out of range", c))
+	}
+	return database.Value(int64(tag)<<payloadBits | c&(1<<payloadBits-1))
+}
+
+// untag inverts tagged: it returns the payload, sign-extended, and the tag.
+func untag(v database.Value) (int64, uint8) {
+	return int64(v) << (64 - payloadBits) >> (64 - payloadBits), uint8(uint64(v) >> payloadBits)
+}
 
 // VarTags assigns each variable of the query a distinct non-zero tag, in
 // sorted variable order.
@@ -46,7 +66,8 @@ func VarTags(vars cq.VarSet) map[cq.Variable]uint8 {
 // relation of atom Ri(v⃗) is tagged with its variable, giving each variable
 // a disjoint domain; relations of the schema that do not occur in q are
 // left empty. Answers of the resulting union are exactly the (tagged)
-// answers of q (when no other CQ has a body-homomorphism into q).
+// answers of q (when no other CQ has a body-homomorphism into q). Values
+// must fit a tagged payload (see tagged).
 func TagCQInstance(q *cq.CQ, inst *database.Instance, schema []cq.RelDecl) (*database.Instance, error) {
 	tags := VarTags(q.Vars())
 	out := database.NewInstance()
@@ -70,7 +91,7 @@ func TagCQInstance(q *cq.CQ, inst *database.Instance, schema []cq.RelDecl) (*dat
 		for i := 0; i < src.Len(); i++ {
 			t := src.Row(i)
 			for c, v := range a.Vars {
-				row[c] = database.TaggedValue(t[c].Payload(), tags[v])
+				row[c] = tagged(int64(t[c]), tags[v])
 			}
 			dst.Append(row...)
 		}
@@ -82,7 +103,8 @@ func TagCQInstance(q *cq.CQ, inst *database.Instance, schema []cq.RelDecl) (*dat
 func UntagTuple(t database.Tuple) database.Tuple {
 	out := make(database.Tuple, len(t))
 	for i, v := range t {
-		out[i] = database.V(v.Payload())
+		c, _ := untag(v)
+		out[i] = database.Value(c)
 	}
 	return out
 }
@@ -92,7 +114,7 @@ func UntagTuple(t database.Tuple) database.Tuple {
 func TagPattern(t database.Tuple) []uint8 {
 	out := make([]uint8, len(t))
 	for i, v := range t {
-		out[i] = v.Tag()
+		_, out[i] = untag(v)
 	}
 	return out
 }
@@ -248,21 +270,21 @@ func (e *MatMulEncoding) Instance(a, b *matrix.Bool) *database.Instance {
 	value := func(v cq.Variable, row, col int64) database.Value {
 		switch {
 		case e.Vx[v]:
-			return database.TaggedValue(row, e.tags[v])
+			return tagged(row, e.tags[v])
 		case e.Vz[v]:
-			return database.TaggedValue(col, e.tags[v])
+			return tagged(col, e.tags[v])
 		default:
-			return database.TaggedValue(bottom(n), e.tags[v])
+			return tagged(bottom(n), e.tags[v])
 		}
 	}
 	valueB := func(v cq.Variable, mid, col int64) database.Value {
 		switch {
 		case e.Vz[v]:
-			return database.TaggedValue(mid, e.tags[v])
+			return tagged(mid, e.tags[v])
 		case e.Vy[v]:
-			return database.TaggedValue(col, e.tags[v])
+			return tagged(col, e.tags[v])
 		default:
-			return database.TaggedValue(bottom(n), e.tags[v])
+			return tagged(bottom(n), e.tags[v])
 		}
 	}
 	for i, atom := range e.rw.Body.Atoms {
@@ -308,8 +330,8 @@ func (e *MatMulEncoding) DecodeProduct(answers *database.Relation, n int) *matri
 		if !match {
 			continue
 		}
-		r := t[e.aPos].Payload()
-		c := t[e.cPos].Payload()
+		r, _ := untag(t[e.aPos])
+		c, _ := untag(t[e.cPos])
 		if r >= 0 && r < int64(n) && c >= 0 && c < int64(n) {
 			out.Set(int(r), int(c))
 		}

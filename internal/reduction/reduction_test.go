@@ -2,6 +2,7 @@ package reduction
 
 import (
 	"testing"
+	"testing/quick"
 
 	"repro/internal/baseline"
 	"repro/internal/cq"
@@ -9,6 +10,53 @@ import (
 	"repro/internal/graph"
 	"repro/internal/matrix"
 )
+
+const (
+	maxPayload = 1<<(payloadBits-1) - 1
+	minPayload = -1 << (payloadBits - 1)
+)
+
+func TestTaggedValueRoundTrip(t *testing.T) {
+	cases := []struct {
+		payload int64
+		tag     uint8
+	}{
+		{0, 0}, {1, 0}, {-1, 0}, {42, 7}, {-42, 7}, {maxPayload, 255}, {minPayload, 1},
+	}
+	for _, tc := range cases {
+		if c, tag := untag(tagged(tc.payload, tc.tag)); c != tc.payload || tag != tc.tag {
+			t.Errorf("untag(tagged(%d, %d)) = %d, %d", tc.payload, tc.tag, c, tag)
+		}
+	}
+	// Distinct tags yield distinct values even with equal payloads.
+	if tagged(9, 1) == tagged(9, 2) {
+		t.Errorf("tags did not separate domains")
+	}
+}
+
+func TestTaggedValueRoundTripQuick(t *testing.T) {
+	f := func(payload int64, tag uint8) bool {
+		p := payload % maxPayload
+		c, got := untag(tagged(p, tag))
+		return c == p && got == tag
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestTaggedValueOutOfRangePanics(t *testing.T) {
+	for _, c := range []int64{maxPayload + 1, minPayload - 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic for out-of-range payload %d", c)
+				}
+			}()
+			tagged(c, 0)
+		}()
+	}
+}
 
 func TestTagCQInstanceLemma14(t *testing.T) {
 	// Example 9's union: no body-homomorphism from Q2 into Q1, so over the
@@ -79,7 +127,7 @@ func TestTagPatternAndVarTags(t *testing.T) {
 	if tags["a"] == 0 || tags["a"] == tags["b"] {
 		t.Errorf("tags = %v", tags)
 	}
-	tp := TagPattern(database.Tuple{database.TaggedValue(1, 3), database.V(2)})
+	tp := TagPattern(database.Tuple{tagged(1, 3), database.V(2)})
 	if tp[0] != 3 || tp[1] != 0 {
 		t.Errorf("TagPattern = %v", tp)
 	}

@@ -48,7 +48,7 @@ func planSequence(t *testing.T, req QueryRequest) [][]int64 {
 	for tup := range plan.All(nil) {
 		row := make([]int64, len(tup))
 		for i, v := range tup {
-			row[i] = v.Payload()
+			row[i] = int64(v)
 		}
 		out = append(out, row)
 	}

@@ -200,11 +200,6 @@ func referenceAppendDelta(rels map[string][][]int64) (*ucq.Instance, error) {
 			if len(row) != rel.Arity() {
 				return nil, fmt.Errorf("ucq: %s row %d: %d values, expected %d", name, i, len(row), rel.Arity())
 			}
-			for _, v := range row {
-				if v > database.MaxPayload || v < database.MinPayload {
-					return nil, fmt.Errorf("ucq: %s row %d: value %d outside the %d-bit payload range", name, i, v, 56)
-				}
-			}
 			rel.AppendInts(row...)
 		}
 		delta.AddRelation(rel)

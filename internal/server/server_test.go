@@ -318,8 +318,8 @@ var badRequests = []struct {
 	{name: "ragged rows", body: `{"query": "Q(x) <- R(x).", "relations": {"R": [[1], [2,3]]}}`, want: "expected 1"},
 	{name: "missing relation", body: `{"query": "Q(x) <- R(x).", "relations": {}}`, want: "no relation"},
 	{name: "arity mismatch", body: `{"query": "Q(x) <- R(x).", "relations": {"R": [[1,2]]}}`, want: "arity"},
-	{name: "payload range", body: `{"query": "Q(x) <- R(x).", "relations": {"R": [[36028797018963968]]}}`,
-		want: "ucq: R row 0: value 36028797018963968 outside the 56-bit payload range"},
+	{name: "value beyond 2^55", body: `{"query": "Q(x) <- R(x).", "relations": {"R": [[36028797018963968]]}}`,
+		status: http.StatusOK, want: "[36028797018963968]"},
 	{name: "exponent", body: `{"query": "Q(x) <- R(x).", "relations": {"R": [[1e2]]}}`,
 		want: "decoding request: json: cannot unmarshal number 1e2 into Go"},
 	{name: "null relations", body: `{"query": "Q(x) <- R(x).", "relations": null}`,

@@ -89,7 +89,7 @@ func openSub(t *testing.T, url, name string, req SubscribeRequest, accept string
 			func(t ucq.Tuple) bool {
 				row := make([]int64, len(t))
 				for i, v := range t {
-					row[i] = v.Payload()
+					row[i] = int64(v)
 				}
 				s.items <- subItem{tuple: row}
 				return true

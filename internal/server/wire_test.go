@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"slices"
 	"testing"
 	"time"
 
@@ -103,10 +105,7 @@ func readBinaryStream(t *testing.T, resp *http.Response) ([][]int64, wire.Traile
 			for _, tup := range fr.Tuples {
 				row := make([]int64, len(tup))
 				for i, v := range tup {
-					if v.Tag() != 0 {
-						t.Fatalf("unexpected tagged value %s", v)
-					}
-					row[i] = v.Payload()
+					row[i] = int64(v)
 				}
 				answers = append(answers, row)
 			}
@@ -275,5 +274,52 @@ func TestWireStatsCounters(t *testing.T) {
 	}
 	if w.StreamsActive != 0 || w.StreamsQueued != 0 {
 		t.Errorf("gauges after idle = active %d queued %d, want 0/0", w.StreamsActive, w.StreamsQueued)
+	}
+}
+
+// TestInt64ExtremesRoundTrip: a row holding int64's extremes is accepted
+// inline by POST /query and by a PUT append, and streams back unchanged in
+// both encodings.
+func TestInt64ExtremesRoundTrip(t *testing.T) {
+	_, ts := newTestServer(t)
+	row := []int64{math.MinInt64, math.MaxInt64}
+	query := "Q(x,y) <- R(x,y)."
+	for _, media := range encodings {
+		got, tr := fetch(t, ts.URL, media, QueryRequest{Query: query, Relations: map[string][][]int64{"R": {row}}})
+		if !tr.Done || len(got) != 1 || !slices.Equal(got[0], row) {
+			t.Errorf("%s: /query streamed %v (trailer %+v), want [%v]", media, got, tr, row)
+		}
+	}
+
+	putDataset(t, ts.URL, "d", map[string][][]int64{"R": {{1, 2}}})
+	resp := do(t, http.MethodPut, ts.URL+"/datasets/d", DatasetRequest{Relations: map[string][][]int64{"R": {row}}, Append: true})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("PUT append: status %d", resp.StatusCode)
+	}
+	body, err := json.Marshal(QueryRequest{Query: query})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, media := range encodings {
+		hr, err := http.NewRequest(http.MethodPost, ts.URL+"/datasets/d/query", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr.Header.Set("Accept", media)
+		resp, err := http.DefaultClient.Do(hr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [][]int64
+		if media == wire.MediaTypeBinary {
+			got, _ = readBinaryStream(t, resp)
+		} else {
+			got, _ = readStream(t, resp)
+		}
+		sortRows(got)
+		if want := [][]int64{row, {1, 2}}; !slices.EqualFunc(got, want, slices.Equal) {
+			t.Errorf("%s: dataset query streamed %v, want %v", media, got, want)
+		}
 	}
 }

@@ -30,15 +30,15 @@ import (
 //	  wire.KindBlock × ⌈rows / wire.BlockRows(arity)⌉  the relation's rows
 //	kindCommit      uvarint version, uvarint relation count
 //
-// Block values are raw database.Value words, so snapshots keep tags. A
-// record counts only once its commit frame is read: a run cut anywhere
-// before it, or any frame failing its framing, checksum or counts, is a
-// torn tail.
+// Block values are the raw int64 words of database.Value. A record counts
+// only once its commit frame is read: a run cut anywhere before it, or any
+// frame failing its framing, checksum or counts, is a torn tail.
 const (
 	// Record-only frame kinds, outside the answer stream's kinds, so a
-	// record never reads as an answer stream.
-	kindRelation wire.Kind = 16
-	kindCommit   wire.Kind = 17
+	// record never reads as an answer stream. Kinds 16 and 17 framed an
+	// older value layout and no longer decode.
+	kindRelation wire.Kind = 18
+	kindCommit   wire.Kind = 19
 )
 
 // errTorn marks an incomplete or corrupt record.

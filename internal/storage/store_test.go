@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -175,8 +176,6 @@ func TestStoreReplaceResetsWAL(t *testing.T) {
 // A well-framed record AppendRows could not have written counts as torn
 // too.
 func TestStoreTornTail(t *testing.T) {
-	tagged := database.NewRelation("R", 2)
-	tagged.Append(database.TaggedValue(1, 1), database.V(2))
 	nullary := database.NewRelation("M", 0)
 	nullary.Append()
 	for _, tail := range [][]byte{
@@ -188,9 +187,9 @@ func TestStoreTornTail(t *testing.T) {
 			rec[len(rec)-1] ^= 0x40
 			return rec
 		}(),
-		record(t, 4, delta(map[string][][]int64{"R": {{1, 1}}})),                       // version gap
-		record(t, 3, delta(map[string][][]int64{"R": {{1, 1, 1}}})),                    // arity mismatch
-		record(t, 3, map[string]*database.Relation{"R": tagged}),                       // tagged value
+		record(t, 4, delta(map[string][][]int64{"R": {{1, 1}}})),    // version gap
+		record(t, 3, delta(map[string][][]int64{"R": {{1, 1, 1}}})), // arity mismatch
+		oldKindRecord(3), // the record kinds of the older value layout
 		record(t, 3, map[string]*database.Relation{"R": database.NewRelation("R", 2)}), // no rows
 		record(t, 3, map[string]*database.Relation{"M": nullary}),                      // new nullary
 	} {
@@ -300,11 +299,11 @@ func TestStoreSkipsUnacknowledgedDir(t *testing.T) {
 
 // TestStoreCorruptSnapshotFailsLoudly checks that a snapshot file which
 // does not decode — corruption, or a directory in the pre-frame UCQW
-// format — fails recovery with an error naming the file, and that the
+// format or the older value layout's record kinds — fails recovery with an error naming the file, and that the
 // dataset directory stays on disk for an operator to inspect.
 func TestStoreCorruptSnapshotFailsLoudly(t *testing.T) {
 	valid := record(t, 1, nil)
-	for _, snap := range [][]byte{[]byte("torn"), oldFormatRecord(), valid[:len(valid)-1], append(valid, 0)} {
+	for _, snap := range [][]byte{[]byte("torn"), oldFormatRecord(), oldKindRecord(1), valid[:len(valid)-1], append(valid, 0)} {
 		dir := t.TempDir()
 		ds := filepath.Join(dir, "ds-6a756e6b")
 		if err := os.MkdirAll(ds, 0o755); err != nil {
@@ -340,8 +339,17 @@ func oldFormatRecord() []byte {
 	return append(rec, payload...)
 }
 
+// oldKindRecord is a version-v record of one row R(1,1) as the older value
+// layout framed it: the same frames under record kinds 16 and 17. Its
+// words packed an 8-bit tag over a 56-bit payload, so it must not decode.
+func oldKindRecord(v uint64) []byte {
+	rec := wire.AppendFrame(nil, 16, []byte{2, 1, 'R'})
+	rec = wire.AppendFrame(rec, wire.KindBlock, wire.AppendBlock(nil, []database.Value{1, 1}, 2, 1))
+	return wire.AppendFrame(rec, 17, []byte{byte(v), 1})
+}
+
 // wideInstance is a relation of arity wire.MaxArity spanning three block
-// frames, with tagged values and both payload extremes, beside a nullary
+// frames, with the int64 extremes and values beyond 2^55, beside a nullary
 // relation.
 func wideInstance() *database.Instance {
 	inst := database.NewInstance()
@@ -351,13 +359,13 @@ func wideInstance() *database.Instance {
 		for c := range row {
 			switch (r + c) % 4 {
 			case 0:
-				row[c] = database.V(database.MaxPayload)
+				row[c] = database.V(math.MaxInt64)
 			case 1:
-				row[c] = database.V(database.MinPayload)
+				row[c] = database.V(math.MinInt64)
 			case 2:
-				row[c] = database.TaggedValue(int64(r-c), uint8(c%255+1))
+				row[c] = database.V(int64(r-c) << 50)
 			default:
-				row[c] = database.Value(-1) // tag 255, payload -1
+				row[c] = database.V(-1)
 			}
 		}
 		w.Append(row...)
@@ -531,12 +539,13 @@ func logAll(t *testing.T, dir string, base *database.Instance, deltas ...map[str
 // TestStoreCrashAtEveryOffset cuts the WAL at every byte offset: a crash
 // mid-append leaves exactly such a prefix, and recovery must come back at
 // the last acknowledged append. The three appends touch two relations at
-// once, a nullary relation, and a relation whose base rows are tagged.
+// once, a nullary relation, and a relation whose rows hold the int64
+// extremes.
 func TestStoreCrashAtEveryOffset(t *testing.T) {
 	dir := t.TempDir()
 	base := database.NewInstance()
 	r := database.NewRelation("R", 2)
-	r.Append(database.TaggedValue(5, 3), database.V(database.MinPayload))
+	r.Append(database.V(5|3<<56), database.V(math.MinInt64))
 	base.AddRelation(r)
 	base.AddRelation(database.NewRelation("N", 0))
 	nullary := database.NewRelation("N", 0)
@@ -544,7 +553,7 @@ func TestStoreCrashAtEveryOffset(t *testing.T) {
 	wal, bounds, wants := logAll(t, dir, base,
 		delta(map[string][][]int64{"R": {{1, 2}}, "S": {{3}, {4}}}),
 		map[string]*database.Relation{"N": nullary},
-		delta(map[string][][]int64{"R": {{database.MaxPayload, -1}}}),
+		delta(map[string][][]int64{"R": {{math.MaxInt64, -1}}}),
 	)
 	cuts := make([]int, len(wal)+1)
 	for i := range cuts {

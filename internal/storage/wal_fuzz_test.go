@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/database"
@@ -49,11 +50,12 @@ func FuzzWALRecord(f *testing.F) {
 	nullary := rel("N", 0)
 	nullary.Append()
 	f.Add(rec(5, nullary))
-	f.Add(rec(6, rel("R", 2, database.TaggedValue(-5, 3), v(database.MinPayload))))
+	f.Add(rec(6, rel("R", 2, v(math.MinInt64), v(math.MaxInt64))))
 	full := rec(8, rel("R", 2, v(1), v(2)), rel("S", 1, v(3)))
 	commit := wire.AppendFrame(nil, kindCommit, []byte{8, 2}) // version 8, two relations
 	f.Add(full[:len(full)-len(commit)])
 	f.Add(oldFormatRecord())
+	f.Add(oldKindRecord(3))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for len(data) > 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"testing"
 
 	"repro/internal/database"
@@ -30,7 +31,7 @@ func FuzzAnswerFrame(f *testing.F) {
 		e.Trailer(Trailer{Done: true})
 	}))
 	f.Add(seed(func(e *Encoder) {
-		e.AppendBatch([]database.Value{database.V(1), database.V(-2), database.TaggedValue(3, 9), database.V(database.MaxPayload)}, 2)
+		e.AppendBatch([]database.Value{database.V(1), database.V(-2), database.V(3 | 9<<56), database.V(math.MaxInt64)}, 2)
 		e.Marker(5)
 		e.AppendBatch(database.Tuple{database.V(7), database.V(7)}, 1)
 		e.Trailer(Trailer{Done: true, Count: 3, Mode: "auto"})
@@ -146,10 +147,10 @@ func FuzzAnswerFrame(f *testing.F) {
 func FuzzParseTupleNDJSON(f *testing.F) {
 	for _, tp := range []database.Tuple{
 		{database.V(1_000_003), database.V(1_021), database.V(2_000_017)},
-		{database.TaggedValue(13, 2), database.TaggedValue(-1, 255)},
+		{database.V(13 | 2<<56), database.V(-1)},
 		{database.V(-5), database.V(0), database.V(-1)},
-		{database.V(database.MaxPayload), database.V(database.MinPayload)},
-		{database.TaggedValue(database.MaxPayload, 1), database.TaggedValue(database.MinPayload, 7)},
+		{database.V(1<<55 - 1), database.V(-1 << 55)},
+		{database.V(math.MaxInt64), database.V(math.MinInt64)},
 	} {
 		f.Add(AppendTupleNDJSON(nil, tp))
 	}
@@ -163,7 +164,7 @@ func FuzzParseTupleNDJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		junk := make(database.Tuple, len(data)+1) // longer than any line's answer
 		for i := range junk {
-			junk[i] = database.TaggedValue(int64(-i), 0xAB)
+			junk[i] = database.V(int64(-i) - 0x2B<<56)
 		}
 		for _, line := range bytes.Split(data, []byte{'\n'}) {
 			want, wantErr := ParseTupleNDJSON(nil, line)

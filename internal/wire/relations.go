@@ -25,18 +25,14 @@ type Relations struct {
 // relationRows is one relation's rows, checked and packed one value at a
 // time: value adds a value to the current row, endRow closes it. The
 // first fault in row order — a first row wider than MaxArity, a row of
-// another width than the first, a value outside the payload range — is
-// kept and the values stop there.
+// another width than the first — is kept and the values stop there.
 type relationRows struct {
 	name  string
 	n     int // rows closed
 	arity int // width of the first row
 	width int // values in the current row
-	// bad is the current row's first out-of-range value, when hasBad.
-	bad    int64
-	hasBad bool
-	vals   []database.Value
-	err    error
+	vals  []database.Value
+	err   error
 }
 
 // CheckArity rejects a relation wider than MaxArity, the widest tuple an
@@ -48,16 +44,11 @@ func CheckArity(name string, arity int) error {
 	return nil
 }
 
-// value adds v to the current row. It is the one payload-range check of
-// relation rows from a client.
+// value adds v to the current row.
 func (r *relationRows) value(v int64) {
 	r.width++
-	switch {
-	case r.err != nil || r.hasBad:
-	case v > database.MaxPayload || v < database.MinPayload:
-		r.bad, r.hasBad = v, true
-	default:
-		r.vals = append(r.vals, database.V(v))
+	if r.err == nil {
+		r.vals = append(r.vals, database.Value(v))
 	}
 }
 
@@ -71,14 +62,11 @@ func (r *relationRows) endRow() {
 	case r.width != r.arity:
 		r.err = fmt.Errorf("ucq: %s row %d: %d values, expected %d", r.name, r.n, r.width, r.arity)
 	}
-	if r.err == nil && r.hasBad {
-		r.err = fmt.Errorf("ucq: %s row %d: value %d outside the %d-bit payload range", r.name, r.n, r.bad, 56)
-	}
 	if r.err != nil {
 		r.vals = nil
 	}
 	r.n++
-	r.width, r.hasBad = 0, false
+	r.width = 0
 }
 
 // relation returns the checked rows as a relation; it takes the column.

@@ -92,8 +92,10 @@ const (
 	// codec byte per column so the format can grow dictionary or
 	// run-length columns without a frame-level version bump.
 	codecDeltaVarint = 0
-	// headerVersion is the format version in the header frame.
-	headerVersion = 1
+	// headerVersion is the format version in the header frame. Version 2
+	// carries plain int64 words; version 1's packed a tag over a 56-bit
+	// payload, so a version-1 stream is refused rather than misread.
+	headerVersion = 2
 )
 
 // ErrFormat reports a structurally invalid frame or payload. Streams are
@@ -252,26 +254,17 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// AppendTupleNDJSON appends the tuple rendered as a JSON array to dst and
-// returns the extended slice — the per-answer codec of the NDJSON stream,
-// allocation-free once dst has capacity. Untagged values render as
-// numbers; tagged values as "payload#tag" strings. ParseTupleNDJSON is its
-// exact inverse.
+// AppendTupleNDJSON appends the tuple rendered as a JSON array of
+// integers to dst and returns the extended slice — the per-answer codec of
+// the NDJSON stream, allocation-free once dst has capacity.
+// ParseTupleNDJSON is its exact inverse.
 func AppendTupleNDJSON(dst []byte, t database.Tuple) []byte {
 	dst = append(dst, '[')
 	for i, v := range t {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		if v.Tag() == 0 {
-			dst = appendInt(dst, v.Payload())
-		} else {
-			dst = append(dst, '"')
-			dst = appendInt(dst, v.Payload())
-			dst = append(dst, '#')
-			dst = appendInt(dst, int64(v.Tag()))
-			dst = append(dst, '"')
-		}
+		dst = appendInt(dst, int64(v))
 	}
 	return append(dst, ']')
 }
@@ -303,9 +296,9 @@ func appendUint(dst []byte, v uint64) []byte {
 // by AppendTupleNDJSON, with or without the trailing newline — into
 // dst[:0] and returns the extended slice, so a caller that passes the
 // previous result back in parses a whole stream without allocating. It
-// accepts a small superset of the stream's own output grammar: integers and
-// "payload#tag" strings, with JSON whitespace around the brackets, commas
-// and values and with leading zeros in integers; no nesting, no floats.
+// accepts a small superset of the stream's own output grammar: int64
+// integers, with JSON whitespace around the brackets, commas and values and
+// with leading zeros; no strings, no nesting, no floats.
 func ParseTupleNDJSON(dst database.Tuple, line []byte) (database.Tuple, error) {
 	i, n := 0, len(line)
 	skip := func() {
@@ -333,37 +326,11 @@ func ParseTupleNDJSON(dst database.Tuple, line []byte) (database.Tuple, error) {
 		if i >= n {
 			return nil, fmt.Errorf("wire: unterminated answer array")
 		}
-		var v database.Value
-		if line[i] == '"' {
-			i++
-			payload, err := parseIntUntil(line, &i, '#')
-			if err != nil {
-				return nil, err
-			}
-			i++ // '#'
-			tag, err := parseIntUntil(line, &i, '"')
-			if err != nil {
-				return nil, err
-			}
-			i++ // '"'
-			if tag < 1 || tag > 255 {
-				return nil, fmt.Errorf("wire: tag %d out of range", tag)
-			}
-			if payload > database.MaxPayload || payload < database.MinPayload {
-				return nil, fmt.Errorf("wire: payload %d out of range", payload)
-			}
-			v = database.TaggedValue(payload, uint8(tag))
-		} else {
-			payload, err := parseIntBare(line, &i)
-			if err != nil {
-				return nil, err
-			}
-			if payload > database.MaxPayload || payload < database.MinPayload {
-				return nil, fmt.Errorf("wire: payload %d out of range", payload)
-			}
-			v = database.V(payload)
+		v, err := parseInt(line, &i)
+		if err != nil {
+			return nil, err
 		}
-		t = append(t, v)
+		t = append(t, database.Value(v))
 		skip()
 		if i >= n {
 			return nil, fmt.Errorf("wire: unterminated answer array")
@@ -384,22 +351,9 @@ func ParseTupleNDJSON(dst database.Tuple, line []byte) (database.Tuple, error) {
 	}
 }
 
-// parseIntUntil parses a decimal integer from line[*i:] up to (not
-// consuming past) the terminator at line[*i] on return.
-func parseIntUntil(line []byte, i *int, term byte) (int64, error) {
-	v, err := parseIntBare(line, i)
-	if err != nil {
-		return 0, err
-	}
-	if *i >= len(line) || line[*i] != term {
-		return 0, fmt.Errorf("wire: expected %q in answer value", term)
-	}
-	return v, nil
-}
-
-// parseIntBare parses a decimal integer (with optional leading '-')
-// starting at line[*i], advancing *i past it.
-func parseIntBare(line []byte, i *int) (int64, error) {
+// parseInt parses a decimal integer (with optional leading '-') in
+// int64's range starting at line[*i], advancing *i past it.
+func parseInt(line []byte, i *int) (int64, error) {
 	n := len(line)
 	neg := false
 	if *i < n && line[*i] == '-' {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -49,7 +50,7 @@ func TestRoundTrip(t *testing.T) {
 	want := []database.Tuple{
 		{database.V(1), database.V(2), database.V(3)},
 		{database.V(1), database.V(5), database.V(-9)},
-		{database.TaggedValue(42, 7), database.V(database.MaxPayload), database.V(database.MinPayload)},
+		{database.V(42 | 7<<56), database.V(math.MaxInt64), database.V(math.MinInt64)},
 	}
 	for i, tp := range want {
 		if err := e.AppendBatch(tp, 1); err != nil {
@@ -136,7 +137,7 @@ func TestRoundTripManyBlocks(t *testing.T) {
 	var want []database.Tuple
 	for i := 0; i < 5000; i++ {
 		tp := database.Tuple{
-			database.TaggedValue(rng.Int63n(1<<40)-(1<<39), uint8(rng.Intn(4))),
+			database.V(rng.Int63n(1<<40) - (1 << 39) + int64(rng.Intn(4))<<56),
 			database.V(rng.Int63n(1000)),
 		}
 		want = append(want, tp)
@@ -282,8 +283,8 @@ func TestNDJSONTupleRoundTrip(t *testing.T) {
 		{},
 		{database.V(0)},
 		{database.V(-5), database.V(7)},
-		{database.TaggedValue(13, 2), database.V(database.MaxPayload)},
-		{database.V(database.MinPayload), database.TaggedValue(-1, 255)},
+		{database.V(13 | 2<<56), database.V(math.MaxInt64)},
+		{database.V(math.MinInt64), database.V(-1)},
 	}
 	for _, tp := range cases {
 		line := AppendTupleNDJSON(nil, tp)
@@ -310,7 +311,7 @@ func TestNDJSONTupleRejects(t *testing.T) {
 	bad := []string{
 		"", "{", "[1", "[1,]", "[,1]", "[1 2]", "[1]x", `["1#0"]`, `["1#256"]`,
 		`["1"]`, `["#1"]`, "[99999999999999999999]", "[1.5]", `[true]`,
-		`["72057594037927936#1"]`, // payload > MaxPayload
+		`["3#2"]`, "[9223372036854775808]", "[-9223372036854775809]",
 	}
 	for _, s := range bad {
 		if _, err := ParseTupleNDJSON(nil, []byte(s)); err == nil {
@@ -337,7 +338,7 @@ func TestAppendBatchSplitsDecodeAlike(t *testing.T) {
 	for _, tc := range []struct{ arity, n int }{{0, 300}, {2, 1000}, {1, MaxBlockRows + 300}} {
 		flat := make([]database.Value, tc.n*tc.arity)
 		for i := range flat {
-			flat[i] = database.TaggedValue(rng.Int63n(1<<20)-(1<<19), uint8(rng.Intn(3)))
+			flat[i] = database.V(rng.Int63n(1<<20) - (1 << 19) + int64(rng.Intn(3))<<56)
 		}
 		for trial := 0; trial < 4; trial++ {
 			var buf bytes.Buffer

@@ -34,7 +34,7 @@ func TestChainLayering(t *testing.T) {
 	a := inst.Relation("A")
 	for i := 0; i < a.Len(); i++ {
 		row := a.Row(i)
-		if row[0].Payload() >= 10 || row[1].Payload() < 10 || row[1].Payload() >= 20 {
+		if int64(row[0]) >= 10 || int64(row[1]) < 10 || int64(row[1]) >= 20 {
 			t.Fatalf("layering violated: %v", row)
 		}
 	}

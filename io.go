@@ -39,9 +39,6 @@ func ReadRelationCSV(r io.Reader, name string) (*Relation, error) {
 			if err != nil {
 				return nil, fmt.Errorf("ucq: %s line %d: %v", name, line, err)
 			}
-			if v > database.MaxPayload || v < database.MinPayload {
-				return nil, fmt.Errorf("ucq: %s line %d: value %d outside the %d-bit payload range", name, line, v, 56)
-			}
 			vals = append(vals, v)
 		}
 		if len(vals) == 0 {
@@ -68,8 +65,7 @@ func ReadRelationCSV(r io.Reader, name string) (*Relation, error) {
 // integer rows — the relations object of the streaming server's request
 // bodies. Every relation must have at least one row (the arity is fixed by
 // the first, which must not be empty), all rows of a relation must share
-// that arity, and every value must lie in the 56-bit payload range. The
-// rows go through the checks request bodies are decoded with
+// that arity; any int64 is a value. The rows go through the checks request bodies are decoded with
 // (wire.Relations), so both report a fault alike; with several faults the
 // relation first in name order is reported, at its first faulty row.
 func InstanceFromRows(rels map[string][][]int64) (*Instance, error) {
@@ -114,16 +110,16 @@ func ReadInstanceJSON(r io.Reader) (*Instance, error) {
 
 // AppendTupleJSON appends the tuple rendered as a JSON array to dst and
 // returns the extended slice — the per-answer NDJSON codec of the
-// streaming server, allocation-free once dst has capacity. Untagged values
-// render as numbers; tagged values as "payload#tag" strings. It delegates
-// to internal/wire so the server and clients share one codec
+// streaming server, allocation-free once dst has capacity: every value
+// renders as a JSON integer. It delegates to internal/wire so the server and clients share one codec
 // (wire.ParseTupleNDJSON is its exact inverse).
 func AppendTupleJSON(dst []byte, t Tuple) []byte {
 	return wire.AppendTupleNDJSON(dst, t)
 }
 
-// WriteRelationCSV writes the relation as comma-separated rows in sorted
-// order. Tagged values render as payload#tag.
+// WriteRelationCSV writes the relation as comma-separated integer rows in
+// sorted order (Tuple.Less: numeric, column by column), which
+// ReadRelationCSV reads back.
 func WriteRelationCSV(w io.Writer, rel *Relation) error {
 	bw := bufio.NewWriter(w)
 	for _, row := range rel.SortedRows() {

@@ -63,7 +63,7 @@ type (
 	Relation = database.Relation
 	// Tuple is a row of values.
 	Tuple = database.Tuple
-	// Value is a database constant (56-bit payload plus 8-bit tag).
+	// Value is a database constant: any int64.
 	Value = database.Value
 
 	// Answers is a stream of answer tuples.
@@ -120,11 +120,8 @@ func NewInstance() *Instance { return database.NewInstance() }
 // NewRelation creates an empty relation with the given name and arity.
 func NewRelation(name string, arity int) *Relation { return database.NewRelation(name, arity) }
 
-// V builds an untagged value.
-func V(payload int64) Value { return database.V(payload) }
-
-// TaggedValue builds a tagged value (used by the lower-bound encodings).
-func TaggedValue(payload int64, tag uint8) Value { return database.TaggedValue(payload, tag) }
+// V builds a value.
+func V(x int64) Value { return database.V(x) }
 
 // Classify determines the enumeration complexity of the union with respect
 // to DelayClin, per the paper's upper and lower bounds.

@@ -1,6 +1,7 @@
 package ucq
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -178,11 +179,10 @@ func TestReadRelationCSVErrors(t *testing.T) {
 }
 
 func TestValueHelpers(t *testing.T) {
-	if V(7) != TaggedValue(7, 0) {
-		t.Errorf("V and TaggedValue disagree")
-	}
-	if TaggedValue(7, 1).Tag() != 1 {
-		t.Errorf("tag lost")
+	for _, x := range []int64{0, 7, -1, math.MinInt64, math.MaxInt64} {
+		if int64(V(x)) != x {
+			t.Errorf("V(%d) = %v", x, V(x))
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ func instanceRows(inst *ucq.Instance) map[string][][]int64 {
 		for _, t := range rel.Rows() {
 			row := make([]int64, len(t))
 			for i, v := range t {
-				row[i] = v.Payload()
+				row[i] = int64(v)
 			}
 			rows = append(rows, row)
 		}
