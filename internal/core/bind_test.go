@@ -153,3 +153,43 @@ func BenchmarkBindExample2Tiny(b *testing.B) {
 	c, inst := example2Bind(b, 1, 3, 1)
 	benchmarkBind(b, c, inst)
 }
+
+// BenchmarkDrainExample2 times the enumeration layer alone: Example 2 is
+// bound once over the enum-union instance, outside the timer, and every
+// iteration drains the whole union through its batch path (member
+// iterators, rank probes, the merge), so the figures are per answer:
+//
+//	go test -run '^$' -bench DrainExample2 -cpuprofile cpu.out ./internal/core
+func BenchmarkDrainExample2(b *testing.B) {
+	c, inst := example2Bind(b, 5000, 3, 1)
+	p, err := c.Bind(context.Background(), inst)
+	if err != nil {
+		b.Fatal(err)
+	}
+	drain := func() int {
+		u, n := p.Iterator(), 0
+		defer u.Close()
+		for {
+			_, k := u.Batch()
+			if k == 0 {
+				return n
+			}
+			n += k
+		}
+	}
+	answers := drain()
+	if answers == 0 {
+		b.Fatal("Example 2 instance has no answers")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drain()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	total := float64(b.N) * float64(answers)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/answer")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/answer")
+}

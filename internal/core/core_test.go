@@ -270,6 +270,39 @@ func TestCertificateVerifyRejectsTampering(t *testing.T) {
 	}
 }
 
+// TestCertifyVerifiesOnce pins what a certified Prepare pays for checking
+// its certificate: Certify, the one call Prepare makes, verifies it exactly
+// once (the search returns it unverified and Compile verifies it), while
+// FindCertificate keeps its contract of returning a verified certificate.
+func TestCertifyVerifiesOnce(t *testing.T) {
+	for _, src := range []string{example2, example13} {
+		u := cq.MustParse(src)
+		before := verifications.Load()
+		c, ok, err := Certify(u, nil)
+		if err != nil || !ok {
+			t.Fatalf("Certify(%s) = %v, %v", u, ok, err)
+		}
+		if n := verifications.Load() - before; n != 1 {
+			t.Errorf("Certify(%s) verified %d times, want 1", u, n)
+		}
+		if err := c.Cert.Verify(u); err != nil {
+			t.Errorf("Certify(%s) compiled a certificate that does not verify: %v", u, err)
+		}
+		before = verifications.Load()
+		if _, ok := FindCertificate(u, nil); !ok {
+			t.Fatalf("FindCertificate(%s) found none", u)
+		}
+		if n := verifications.Load() - before; n != 1 {
+			t.Errorf("FindCertificate(%s) verified %d times, want 1", u, n)
+		}
+	}
+	// A union the bounded search cannot certify is no error.
+	u := cq.MustParse("Q(x,y) <- R1(x,z), R2(z,y).")
+	if _, ok, err := Certify(u, nil); ok || err != nil {
+		t.Errorf("Certify(%s) = %v, %v; want not certified and no error", u, ok, err)
+	}
+}
+
 func TestAlgorithmOneUnion(t *testing.T) {
 	u := cq.MustParse(`
 		Q1(x,y) <- R1(x,y).

@@ -15,6 +15,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/cq"
 	"repro/internal/homomorphism"
@@ -140,11 +141,16 @@ func (c *Certificate) String() string {
 	return s
 }
 
+// verifications counts Verify calls, so that tests can pin how often a
+// Prepare pays for one.
+var verifications atomic.Int64
+
 // Verify checks the certificate against the union: every extension's base
 // matches, every virtual atom's provision satisfies Definition 7 (with the
 // provider snapshot recursively verified), and every extension is
 // free-connex. A nil error means the UCQ is certified free-connex.
 func (c *Certificate) Verify(u *cq.UCQ) error {
+	verifications.Add(1)
 	if len(c.Extensions) != len(u.CQs) {
 		return fmt.Errorf("core: certificate covers %d CQs, union has %d", len(c.Extensions), len(u.CQs))
 	}

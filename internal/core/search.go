@@ -48,6 +48,32 @@ func (o *SearchOptions) defaults(n int) SearchOptions {
 // bounds, or genuinely intractable (internal/classify combines this search
 // with the paper's lower bounds).
 func FindCertificate(u *cq.UCQ, opts *SearchOptions) (*Certificate, bool) {
+	cert, ok := search(u, opts)
+	if !ok || cert.Verify(u) != nil {
+		// The search only assembles justified atoms, so a failed Verify is
+		// a bug guard, not a reachable path.
+		return nil, false
+	}
+	return cert, true
+}
+
+// Certify searches for a certificate of u and compiles it, the one call
+// Prepare makes: Compile verifies the certificate, so it is verified once.
+// ok is false when the bounded search finds no certificate; an error means
+// one was found but failed to verify or compile.
+func Certify(u *cq.UCQ, opts *SearchOptions) (c *CompiledUnion, ok bool, err error) {
+	cert, ok := search(u, opts)
+	if !ok {
+		return nil, false, nil
+	}
+	if c, err = Compile(u, cert); err != nil {
+		return nil, false, err
+	}
+	return c, true, nil
+}
+
+// search is FindCertificate without the closing Verify.
+func search(u *cq.UCQ, opts *SearchOptions) (*Certificate, bool) {
 	if err := u.Validate(); err != nil {
 		return nil, false
 	}
@@ -80,13 +106,7 @@ func FindCertificate(u *cq.UCQ, opts *SearchOptions) (*Certificate, bool) {
 			}
 		}
 		if allDone {
-			cert := &Certificate{Extensions: ext}
-			if err := cert.Verify(u); err != nil {
-				// The search only assembles justified atoms, so this is a
-				// bug guard, not a reachable path.
-				return nil, false
-			}
-			return cert, true
+			return &Certificate{Extensions: ext}, true
 		}
 		if !changed {
 			break

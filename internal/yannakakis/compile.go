@@ -79,13 +79,13 @@ type topShape struct {
 	vars   []cq.Variable
 	varIDs []int
 	// parent in the top join tree (-1 for the root); cols are this top's
-	// columns shared with the parent and parentCols the parent's columns
-	// holding the same variables; keyVarIDs are the ids of those variables,
-	// which key this top's DFS index.
+	// columns shared with the parent, which group its rows, and
+	// parentCols the parent's columns holding the same variables.
 	parent     int
 	cols       []int
 	parentCols []int
-	keyVarIDs  []int
+	// pos is the top's position in the DFS order.
+	pos int
 	// allCols lists all columns, keying the full-key table.
 	allCols []int
 }
@@ -293,7 +293,7 @@ func (sh *Shape) makeTop(i int, nd *elimNode) {
 }
 
 // buildTopTree joins the tops: join tree, each edge's shared columns, the
-// post-order of the full reducer, the DFS order and the index keys.
+// post-order of the full reducer and the DFS order.
 func (sh *Shape) buildTopTree() error {
 	sets := make([]cq.VarSet, len(sh.tops))
 	for i, t := range sh.tops {
@@ -312,12 +312,11 @@ func (sh *Shape) buildTopTree() error {
 		}
 		// By the running intersection property the columns shared with the
 		// parent are exactly the variables shared with all previously
-		// assigned nodes, so they key the DFS index.
+		// assigned nodes, so they key the rows a DFS visits.
 		for c, v := range t.vars {
 			if pc := colIn(sh.tops[t.parent].vars, v); pc >= 0 {
 				t.cols = append(t.cols, c)
 				t.parentCols = append(t.parentCols, pc)
-				t.keyVarIDs = append(t.keyVarIDs, t.varIDs[c])
 			}
 		}
 	}
@@ -325,6 +324,7 @@ func (sh *Shape) buildTopTree() error {
 	children := jt.Children()
 	var visit func(int)
 	visit = func(i int) {
+		sh.tops[i].pos = len(sh.order)
 		sh.order = append(sh.order, i)
 		for _, c := range children[i] {
 			visit(c)

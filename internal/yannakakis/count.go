@@ -1,7 +1,5 @@
 package yannakakis
 
-import "repro/internal/database"
-
 // This file computes exact output cardinalities of prepared plans: the
 // answer count a single-member union reports without enumerating
 // (core.UnionPlan.ExactCount, behind Plan.CountExact and the server's
@@ -31,73 +29,42 @@ func satAdd(a, b int64) int64 {
 	return a + b
 }
 
-// entryOfCols projects row onto cols and returns the index entry of the
-// resulting key, reusing buf as scratch space.
-func entryOfCols(ix *database.Index, row database.Tuple, cols []int, buf database.Tuple) int {
-	buf = buf[:0]
-	for _, c := range cols {
-		buf = append(buf, row[c])
-	}
-	return ix.EntryOf(buf)
-}
-
 // CountAnswers returns the exact number of answers a fresh Iterator will
 // produce — |Q(I)|S| — without enumerating them. It runs one linear pass
-// over the top join tree: processing nodes children-first, each row's
-// weight becomes the product over child nodes of the summed weights of the
-// child rows joining it (aggregated per index entry, so the pass costs
-// O(rows) per node, not O(join matches)); the answer count is the root
-// rows' weight sum. Counts saturate at countCap rather than overflow, so
-// the result is safe to use directly as a sizing hint.
+// over the DFS positions, children before parents: each row's weight is
+// the product over child positions of the summed weights of the child rows
+// joining it. A child's weights are summed per group, and each parent row
+// reads its group's sum through its edge pointer, so the pass costs O(rows)
+// per position, not O(join matches); the answer count is the root rows'
+// weight sum. Counts saturate at countCap rather than overflow, so the
+// result is safe to use directly as a sizing hint.
 func (p *Plan) CountAnswers() int64 {
-	if len(p.order) == 0 {
-		return 0
-	}
-	// Children per node, restricted to the DFS order the iterator walks.
-	kids := make([][]int, len(p.tops))
-	for _, i := range p.order[1:] {
-		kids[p.tops[i].parent] = append(kids[p.tops[i].parent], i)
-	}
-	weights := make([][]int64, len(p.tops))
-	keyBuf := make(database.Tuple, 0, 16)
-	for k := len(p.order) - 1; k >= 0; k-- {
-		i := p.order[k]
-		t := &p.tops[i]
-		wi := make([]int64, t.rel.Len())
-		for r := range wi {
-			wi[r] = 1
+	weights := make([][]int64, len(p.pos))
+	for k := range p.pos {
+		w := make([]int64, p.pos[k].rel.Len())
+		for r := range w {
+			w[r] = 1
 		}
-		for _, c := range kids[i] {
-			ct := &p.tops[c]
-			// Columns keying the child's DFS index, and the parent columns
-			// holding the same variables.
-			cc, pc := p.shape.tops[c].cols, p.shape.tops[c].parentCols
-			// Aggregate the child's row weights per index entry, then fold
-			// each parent row's matching aggregate into its weight.
-			agg := make([]int64, ct.index.NumKeys())
-			cw := weights[c]
-			for r := 0; r < ct.rel.Len(); r++ {
-				if e := entryOfCols(ct.index, ct.rel.Row(r), cc, keyBuf); e >= 0 {
-					agg[e] = satAdd(agg[e], cw[r])
-				}
-			}
-			weights[c] = nil
-			for r := range wi {
-				if wi[r] == 0 {
-					continue
-				}
-				e := entryOfCols(ct.index, t.rel.Row(r), pc, keyBuf)
-				if e < 0 {
-					wi[r] = 0
-					continue
-				}
-				wi[r] = satMul(wi[r], agg[e])
+		weights[k] = w
+	}
+	// Pre-order puts every child after its parent, so walking it backwards
+	// finishes a position's weights before folding them into its parent.
+	for k := len(p.pos) - 1; k > 0; k-- {
+		ps, cw := &p.pos[k], weights[k]
+		sums := make([]int64, len(ps.offs)-1)
+		for e := range sums {
+			for _, w := range cw[ps.offs[e]:ps.offs[e+1]] {
+				sums[e] = satAdd(sums[e], w)
 			}
 		}
-		weights[i] = wi
+		pw := weights[ps.parent]
+		for r, e := range ps.down {
+			pw[r] = satMul(pw[r], sums[e])
+		}
+		weights[k] = nil
 	}
 	total := int64(0)
-	for _, w := range weights[p.order[0]] {
+	for _, w := range weights[0] {
 		total = satAdd(total, w)
 	}
 	return total

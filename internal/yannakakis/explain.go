@@ -33,14 +33,14 @@ func (p *Plan) Explain() string {
 	}
 
 	b.WriteString("top join tree (DFS order):\n")
-	for pos, i := range p.order {
-		t := &p.tops[i]
+	for pos, i := range p.shape.order {
+		t := &p.shape.tops[i]
 		parent := "root"
 		if t.parent >= 0 {
 			parent = fmt.Sprintf("child of top %d", t.parent)
 		}
 		fmt.Fprintf(&b, "  [%d] top %d over {%s} (%d rows, %s)\n",
-			pos, i, joinVars(p.shape.tops[i].vars), t.rel.Len(), parent)
+			pos, i, joinVars(t.vars), p.pos[pos].rel.Len(), parent)
 	}
 
 	st := p.Stats()

@@ -12,18 +12,18 @@ import (
 // iterators from Plan.Iterator.
 //
 // The iterator is an odometer over the DFS pre-order of the top join tree:
-// each position holds the candidate rows matching the ancestor assignment
-// (a hash lookup), and after the full reduction every candidate extends to
-// a complete answer, so no backtracking occurs.
+// each position runs over the rows matching the ancestor assignment, which
+// are the group its parent's current row points at (one array read), and
+// after the full reduction every candidate extends to a complete answer,
+// so no backtracking occurs.
 type Iterator struct {
 	plan *Plan
-	// rows holds the candidate row ids per DFS position below the root;
-	// the root position's candidates are the integers [0, roots) and
-	// cursors[0] is the root row id itself, so an iterator costs nothing
-	// per root row before its first answer.
-	rows      [][]int32
-	roots     int
+	pos  []position
+	// cursors[k] is the row DFS position k has bound, and ends[k] the end
+	// of its candidates: all rows for the root, the group the parent row
+	// points at for any other position.
 	cursors   []int
+	ends      []int
 	assign    []database.Value
 	started   bool
 	exhausted bool
@@ -40,16 +40,11 @@ func (it *Iterator) Var(id int) database.Value { return it.assign[id] }
 
 // Iterator returns a fresh iterator over the plan's answers.
 func (p *Plan) Iterator() *Iterator {
-	n := len(p.order)
-	roots := 0
-	if n > 0 {
-		roots = p.tops[p.order[0]].rel.Len()
-	}
 	return &Iterator{
 		plan:    p,
-		roots:   roots,
-		rows:    make([][]int32, n),
-		cursors: make([]int, n),
+		pos:     p.pos,
+		cursors: make([]int, len(p.pos)),
+		ends:    make([]int, len(p.pos)),
 		assign:  make([]database.Value, len(p.shape.varName)),
 	}
 }
@@ -60,12 +55,12 @@ func (it *Iterator) Next() bool {
 		return false
 	}
 	it.extended = false
-	n := len(it.plan.order)
+	n := len(it.pos)
 	var k int
 	if !it.started {
 		it.started = true
 		k = 0
-		it.fill(0)
+		it.ends[0] = it.pos[0].rel.Len()
 	} else {
 		k = n - 1
 		it.cursors[k]++
@@ -76,8 +71,8 @@ func (it *Iterator) Next() bool {
 	// reduction every fill is non-empty, so the walk never backs up except
 	// through genuinely exhausted positions.
 	for {
-		if it.cursors[k] < it.candidates(k) {
-			it.bind(k, it.row(k))
+		if it.cursors[k] < it.ends[k] {
+			it.bind(k)
 			if k == n-1 {
 				return true
 			}
@@ -94,50 +89,22 @@ func (it *Iterator) Next() bool {
 	}
 }
 
-// fill computes the candidate rows at DFS position k for the current
-// ancestor assignment and resets its cursor. Position 0 is the join tree's
-// single root; every other top carries an index on the columns it shares
-// with its parent (zero columns for a cross product).
+// fill points DFS position k > 0 at its candidate rows for the current
+// ancestor assignment: the group its parent's current row points at.
 func (it *Iterator) fill(k int) {
-	it.cursors[k] = 0
-	if k == 0 {
-		return
-	}
-	t := &it.plan.tops[it.plan.order[k]]
-	it.keyBuf = it.keyBuf[:0]
-	for _, vid := range t.keyVarIDs {
-		it.keyBuf = append(it.keyBuf, it.assign[vid])
-	}
-	it.rows[k] = t.index.Lookup(it.keyBuf)
-	if len(it.rows[k]) == 0 {
+	ps := &it.pos[k]
+	e := ps.down[it.cursors[ps.parent]]
+	it.cursors[k], it.ends[k] = int(ps.offs[e]), int(ps.offs[e+1])
+	if it.cursors[k] == it.ends[k] {
 		it.Backtracks++
 	}
 }
 
-// candidates is the number of candidate rows at DFS position k.
-func (it *Iterator) candidates(k int) int {
-	if k == 0 {
-		return it.roots
-	}
-	return len(it.rows[k])
-}
-
-// row is the id of DFS position k's current candidate row.
-func (it *Iterator) row(k int) int {
-	if k == 0 {
-		return it.cursors[0]
-	}
-	return int(it.rows[k][it.cursors[k]])
-}
-
-// bind writes row id of DFS position k's top into the assignment.
-func (it *Iterator) bind(k, id int) {
-	t := &it.plan.tops[it.plan.order[k]]
-	if t.rel.Arity() == 0 {
-		return
-	}
-	row := t.rel.Row(id)
-	for c, vid := range t.varIDs {
+// bind writes DFS position k's current row into the assignment.
+func (it *Iterator) bind(k int) {
+	ps := &it.pos[k]
+	row := ps.vals[it.cursors[k]*len(ps.varIDs):]
+	for c, vid := range ps.varIDs {
 		it.assign[vid] = row[c]
 	}
 }

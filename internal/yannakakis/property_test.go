@@ -118,9 +118,9 @@ func (p *Plan) Contains(t database.Tuple) bool {
 		valueOf[id] = t[i]
 	}
 	key := make(database.Tuple, 0, 4)
-	for i := range p.tops {
+	for i := range p.shape.tops {
 		key = key[:0]
-		for _, vid := range p.tops[i].varIDs {
+		for _, vid := range p.shape.tops[i].varIDs {
 			key = append(key, valueOf[vid])
 		}
 		if !p.fullIndex[i].Contains(key) {

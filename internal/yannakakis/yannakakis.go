@@ -25,9 +25,11 @@
 // binds each atom to its relation, replays the steps over the relations (a
 // projection keeps its pre-projection relation for replay, an absorption
 // semijoin-reduces the absorber), and runs a classical Yannakakis full
-// reduction over the top join tree, building the per-node hash indexes a
-// DFS enumerates the join of the tops with — which equals Q(I)|S — with
-// constant delay and no duplicates.
+// reduction over the top join tree. It then groups each top's rows by the
+// columns it shares with its tree parent and points every surviving parent
+// row at the group of rows joining it, one group number per row and edge.
+// A DFS walks those pointers to enumerate the join of the tops — which
+// equals Q(I)|S — with constant delay, no duplicates and no hashing.
 //
 // An enumerated S-tuple extends to a full homomorphism by replaying the
 // elimination log backwards: each logged projection looks up one matching
@@ -41,21 +43,22 @@
 // the relation memoises) starts from an O(1) view of the stored rows; a bag
 // or an R(x,x) atom is filtered and deduplicated into a copy. Each semijoin
 // returns its input when nothing dangles and one exactly sized copy
-// otherwise, so a row is copied only by a step that removes something next
-// to it. A projection copies (its key table is the projected relation).
-// Within the full reduction, the key set of a (relation, columns) pair is
-// built once and shared by the bottom-up pass, the top-down pass and the
-// DFS index for as long as that relation comes through unchanged; the
-// membership tables behind ContainsHead hold slots only, over the top
-// relations' own rows. A plan is therefore a snapshot that may share
-// storage with the instance it was bound to: it relies on stored rows
-// never being rewritten (see database.Relation) and is unaffected by rows
-// appended afterwards.
+// otherwise, so a semijoin copies a row only when it removes something
+// next to it. A projection copies (its key table is the projected relation).
+// Within the full reduction, a child's key set on the columns it shares
+// with its parent is built once and serves both the bottom-up semijoin
+// into the parent and the index that groups the child. The top-down pass
+// probes each surviving parent row once, for its pointer, and keeps
+// exactly the groups pointed at; a child whose surviving rows are not
+// grouped already is copied once, in group order. The membership tables
+// behind ContainsHead hold slots only, over the top relations' own rows.
+// A plan is therefore a snapshot that may share storage with the instance
+// it was bound to: it relies on stored rows never being rewritten (see
+// database.Relation) and is unaffected by rows appended afterwards.
 package yannakakis
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/cq"
@@ -78,9 +81,8 @@ type Plan struct {
 
 	// proj holds one replay entry per projection step, in step order.
 	proj []projection
-	tops []topNode
-	// order is the DFS pre-order over tops used by iterators.
-	order []int
+	// pos holds the tops in the DFS pre-order iterators walk.
+	pos []position
 	// fullIndex[i] is the key set of top i on all columns — membership needs
 	// no row lists — enabling the constant-time test Algorithm 1 relies on
 	// ("tested in constant time after a linear time preprocessing phase").
@@ -122,14 +124,20 @@ func (e *projection) extension() *database.Index {
 	return e.index
 }
 
-type topNode struct {
+// position is one top at its place in the DFS pre-order, reduced and
+// grouped: everything an iterator reads to move through it.
+type position struct {
 	varIDs []int
 	rel    *database.Relation
-	// parent in the top join tree (-1 for root), and the index/key vars
-	// binding this node to its ancestors during DFS.
-	parent    int
-	index     *database.Index
-	keyVarIDs []int
+	// vals are rel's rows, row-major, len(varIDs) values each.
+	vals []database.Value
+	// parent is the position of the tree parent (-1 for the root). A
+	// non-root top's rows are grouped by the columns it shares with the
+	// parent, group e being rows [offs[e], offs[e+1]), and down[r] is the
+	// group of the rows joining the parent's row r.
+	parent int
+	offs   []int32
+	down   []int32
 }
 
 // Bind runs the shape's relation passes over inst: it binds the atoms,
@@ -137,11 +145,10 @@ type topNode struct {
 // returned when a relation is missing or has the wrong arity.
 func (sh *Shape) Bind(inst *database.Instance) (*Plan, error) {
 	p := &Plan{Q: sh.Q, SVars: sh.SVars, shape: sh, headIDs: sh.headIDs,
-		order: sh.order, headProbe: sh.headProbe,
-		proj: make([]projection, sh.projections),
-		tops: make([]topNode, len(sh.tops))}
+		headProbe: sh.headProbe, proj: make([]projection, sh.projections)}
 	p.stats = Stats{Projections: sh.projections, Absorptions: sh.absorptions, Tops: len(sh.tops)}
 	rels := make([]*database.Relation, len(sh.atoms))
+	tops := make([]*database.Relation, len(sh.tops))
 	for i := range sh.atoms {
 		r, err := sh.atoms[i].bind(inst)
 		if err != nil {
@@ -162,11 +169,10 @@ func (sh *Shape) Bind(inst *database.Instance) (*Plan, error) {
 		case 'a':
 			rels[st.into] = database.Semijoin(rels[st.into], st.cols, rels[st.node], sh.identity[:len(st.cols)])
 		case 't':
-			t := &sh.tops[st.top]
-			p.tops[st.top] = topNode{varIDs: t.varIDs, rel: rels[st.node], parent: t.parent, keyVarIDs: t.keyVarIDs}
+			tops[st.top] = rels[st.node]
 		}
 	}
-	p.reduce()
+	p.reduce(tops)
 	return p, nil
 }
 
@@ -202,77 +208,99 @@ func (a *atomShape) bind(inst *database.Instance) (*database.Relation, error) {
 }
 
 // reduce runs the classical full reducer over the top join tree — a
-// bottom-up then a top-down semijoin pass — and builds the per-node DFS
-// indexes and the full-key membership tables.
-func (p *Plan) reduce() {
+// bottom-up then a top-down semijoin pass over tops, the top relations —
+// and builds the DFS positions, each top grouped and pointed at from its
+// parent, and the full-key membership tables.
+func (p *Plan) reduce(tops []*database.Relation) {
 	sh := p.shape
-	// A semijoin hands back the same relation when nothing dangles, so the
-	// key sets are remembered per (relation, columns): a child that the
-	// top-down pass leaves whole is indexed below on the key set the
-	// bottom-up pass built over it.
-	keys := make(keySetCache, 0, 2*len(sh.tops))
+	// keys[i] is child i's key set on the columns it shares with its
+	// parent: the bottom-up pass probes the parent's rows with it, and the
+	// top-down pass groups the child on it.
+	keys := make([]*database.KeySet, len(sh.tops))
 	for _, i := range sh.post {
 		t := &sh.tops[i]
 		if t.parent < 0 {
 			continue
 		}
-		par := &p.tops[t.parent]
-		par.rel = database.SemijoinKeys(par.rel, t.parentCols, keys.get(p.tops[i].rel, t.cols))
+		keys[i] = tops[i].BuildKeySet(t.cols)
+		tops[t.parent] = database.SemijoinKeys(tops[t.parent], t.parentCols, keys[i])
 	}
-	for k := len(sh.post) - 1; k >= 0; k-- {
-		i := sh.post[k]
-		t := &sh.tops[i]
-		if t.parent < 0 {
-			continue
+	// The top-down pass runs in pre-order, so a parent is final before its
+	// children. Every parent row is pointed at the group of child rows
+	// joining it, and the semijoin keeps exactly the groups pointed at.
+	p.pos = make([]position, len(sh.order))
+	for k, i := range sh.order {
+		t, rel := &sh.tops[i], tops[i]
+		ps := &p.pos[k]
+		ps.varIDs, ps.parent = t.varIDs, -1
+		if t.parent >= 0 {
+			ps.parent = sh.tops[t.parent].pos
+			ix := rel.BuildIndexOn(t.cols, keys[i])
+			ps.down = pointDown(p.pos[ps.parent].rel, t.parentCols, ix)
+			rel, ps.offs = grouped(rel, ix, ps.down)
 		}
-		p.tops[i].rel = database.SemijoinKeys(p.tops[i].rel, t.cols, keys.get(p.tops[t.parent].rel, t.parentCols))
-	}
-	// Per-node DFS index, on the columns shared with the parent.
-	for _, i := range sh.order {
-		t := &sh.tops[i]
-		if t.parent < 0 {
-			continue
-		}
-		rel := p.tops[i].rel
-		p.tops[i].index = rel.BuildIndexOn(t.cols, keys.find(rel, t.cols))
+		ps.rel, ps.vals, tops[i] = rel, rel.Values(0, rel.Len()), rel
 	}
 	// Full-key membership tables for ContainsHead. A top relation is a set,
 	// so its rows are the keys and only the slot table is built.
-	p.fullIndex = make([]*database.KeySet, len(p.tops))
-	for i := range p.tops {
-		p.fullIndex[i] = p.tops[i].rel.BuildKeySet(sh.tops[i].allCols)
+	p.fullIndex = make([]*database.KeySet, len(tops))
+	for i, rel := range tops {
+		p.fullIndex[i] = rel.BuildKeySet(sh.tops[i].allCols)
 	}
 }
 
-// keySetCache remembers the key sets one full reduction has built, by
-// relation identity and columns. A plan has a handful of tops, so a linear
-// scan is the lookup.
-type keySetCache []keySetEntry
-
-type keySetEntry struct {
-	rel  *database.Relation
-	cols []int
-	keys *database.KeySet
+// pointDown returns, for every row of par, the entry of ix whose rows join
+// it: the one keyed by the row's values at cols. After the bottom-up pass
+// every row of par has one.
+func pointDown(par *database.Relation, cols []int, ix *database.Index) []int32 {
+	down := make([]int32, par.Len())
+	var buf [8]database.Value
+	for r := range down {
+		row, key := par.Row(r), buf[:0]
+		for _, c := range cols {
+			key = append(key, row[c])
+		}
+		down[r] = int32(ix.EntryOf(key))
+	}
+	return down
 }
 
-// find returns the key set built over (rel, cols), or nil.
-func (c keySetCache) find(rel *database.Relation, cols []int) *database.KeySet {
-	for _, e := range c {
-		if e.rel == rel && slices.Equal(e.cols, cols) {
-			return e.keys
+// grouped returns the rows of rel in the entries of ix that down points
+// at, grouped by entry: entry by entry, and ascending within an entry.
+// offs[e] is the first row of entry e's group, which is empty when no
+// pointer reaches it, and offs[NumKeys] the row count. Rows already so
+// grouped, none dropped, come back as rel.
+func grouped(rel *database.Relation, ix *database.Index, down []int32) (*database.Relation, []int32) {
+	held := make([]bool, ix.NumKeys())
+	for _, e := range down {
+		held[e] = true
+	}
+	offs := make([]int32, ix.NumKeys()+1)
+	inPlace := true
+	for e, h := range held {
+		rows := ix.RowsAt(e)
+		n := int32(0)
+		if h {
+			n = int32(len(rows))
+		}
+		offs[e+1] = offs[e] + n
+		inPlace = inPlace && h && rows[0] == offs[e] && rows[n-1] == offs[e+1]-1
+	}
+	if inPlace {
+		return rel, offs
+	}
+	kept := int(offs[len(held)])
+	vals := make([]database.Value, 0, kept*rel.Arity())
+	for e, h := range held {
+		if h {
+			for _, r := range ix.RowsAt(e) {
+				vals = append(vals, rel.Row(int(r))...)
+			}
 		}
 	}
-	return nil
-}
-
-// get returns the key set over (rel, cols), building it on first use.
-func (c *keySetCache) get(rel *database.Relation, cols []int) *database.KeySet {
-	keys := c.find(rel, cols)
-	if keys == nil {
-		keys = rel.BuildKeySet(cols)
-		*c = append(*c, keySetEntry{rel, cols, keys})
-	}
-	return keys
+	out := database.RelationOf(rel.Name, rel.Arity(), kept, vals)
+	out.MarkDistinct() // a subset of a set
+	return out, offs
 }
 
 func colIn(vars []cq.Variable, v cq.Variable) int {

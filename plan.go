@@ -148,13 +148,13 @@ func Prepare(u *UCQ, opts *PlanOptions) (*PreparedQuery, error) {
 	pq := &PreparedQuery{Query: u, Evaluated: work, Mode: Naive,
 		fingerprint: fingerprintQuery(u, opts)}
 	if !opts.ForceNaive {
-		if cert, ok := core.FindCertificate(work, nil); ok {
-			union, err := core.Compile(work, cert)
-			if err != nil {
-				return nil, err
-			}
+		union, ok, err := core.Certify(work, nil)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
 			pq.Mode = ConstantDelay
-			pq.Cert = cert
+			pq.Cert = union.Cert
 			pq.union = union
 		}
 	}
