@@ -102,7 +102,7 @@ func (p *Plan) DeltaAnswersContext(ctx context.Context, from, to Version, yield 
 	for c := range cols {
 		cols[c] = c
 	}
-	old := oldRel.BuildKeySet(cols)
+	old := oldRel.BuildKeySet(cols, nil)
 	for i, n := 0, newRel.Len(); i < n; i++ {
 		if t := newRel.Row(i); !old.Contains(t) && !yield(t) {
 			return nil

@@ -1,6 +1,7 @@
 package ucq
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -112,6 +113,76 @@ func TestCrossEngineEquivalence(t *testing.T) {
 	}
 	t.Logf("cross-engine equivalence: %d cases, %d constant-delay, %d naive-only",
 		cases, constantDelay, cases-constantDelay)
+}
+
+// TestCrossEngineEquivalenceProvided runs the cross-engine harness over
+// Example-2-shaped unions (workload.RandomProvidedUCQ), where a member
+// becomes free-connex only through a virtual atom that a Lemma 8 provider
+// run instantiates at bind, and bind skips the absorptions the provider
+// already guarantees. Each draw is checked against the naive engine, then
+// registered as a dataset, appended to and checked for exactly
+// Q(to) \ Q(from) from the delta path, which binds the union over an
+// overlay of the appended rows.
+func TestCrossEngineEquivalenceProvided(t *testing.T) {
+	const cases = 120
+	rng := rand.New(rand.NewSource(20261019))
+	constantDelay := 0
+	for i := 0; i < cases; i++ {
+		u := workload.RandomProvidedUCQ(rng)
+		width := int64(2 + rng.Intn(4))
+		inst := workload.RandomForQuery(u, 8+rng.Intn(20), width, rng.Int63())
+		naive, err := NewPlan(u, inst, &PlanOptions{ForceNaive: true})
+		if err != nil {
+			t.Fatalf("case %d: naive plan: %v\n%s", i, err, u)
+		}
+		pq, err := Prepare(u, nil)
+		if err != nil {
+			t.Fatalf("case %d: prepare: %v\n%s", i, err, u)
+		}
+		if pq.Mode == ConstantDelay {
+			constantDelay++
+		}
+		p, err := pq.Bind(inst)
+		if err != nil {
+			t.Fatalf("case %d: bind: %v\n%s", i, err, u)
+		}
+		if got, want := canonicalAnswers(t, p), canonicalAnswers(t, naive); got != want {
+			t.Fatalf("case %d: %s mode disagrees with naive on\n%s\nnaive:\n%s\ngot:\n%s", i, p.Mode, u, want, got)
+		}
+
+		ds, err := NewCatalog().Register("case", inst)
+		if err != nil {
+			t.Fatalf("case %d: register: %v", i, err)
+		}
+		from := ds.Version()
+		old, err := pq.BindDataset(ds)
+		if err != nil {
+			t.Fatalf("case %d: BindDataset: %v", i, err)
+		}
+		schema := u.Schema()
+		d := schema[rng.Intn(len(schema))]
+		rows := make([][]int64, 1+rng.Intn(4))
+		for r := range rows {
+			rows[r] = make([]int64, d.Arity)
+			for c := range rows[r] {
+				rows[r][c] = rng.Int63n(width)
+			}
+		}
+		to, err := ds.AppendRows(map[string][][]int64{d.Name: rows})
+		if err != nil {
+			t.Fatalf("case %d: append: %v", i, err)
+		}
+		cur, err := pq.BindDataset(ds)
+		if err != nil {
+			t.Fatalf("case %d: BindDataset after append: %v", i, err)
+		}
+		sameSet(t, fmt.Sprintf("case %d: delta after appending %v to %s in\n%s", i, rows, d.Name, u),
+			collectDelta(t, old, from, to), setDiff(answerKeys(t, old), answerKeys(t, cur)))
+	}
+	if 4*constantDelay < cases {
+		t.Errorf("only %d/%d cases ran constant-delay; RandomProvidedUCQ or the certifier regressed", constantDelay, cases)
+	}
+	t.Logf("provided arm: %d cases, %d constant-delay", cases, constantDelay)
 }
 
 // TestCrossEngineEquivalenceCyclic runs the cross-engine harness over

@@ -193,3 +193,48 @@ func BenchmarkDrainExample2(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/answer")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/answer")
 }
+
+// example2Dangling returns Example 2 compiled and the bind-dominated
+// instance of the cold-bind benchmark workload: three shared-domain graphs
+// of width 20000 and degree 3 with 90 % of the edges dangling.
+func example2Dangling(tb testing.TB) (*CompiledUnion, *database.Instance) {
+	c, _ := example2Bind(tb, 1, 1, 1)
+	return c, workload.Example2DanglingInstance(20000, 3, 0.9, 7)
+}
+
+// BenchmarkBindExample2Dangling times a bind where most rows dangle, so
+// the semijoins drop most of every relation and grouping works on the
+// survivors only:
+//
+//	go test -run '^$' -bench BindExample2Dangling -cpuprofile cpu.out ./internal/core
+func BenchmarkBindExample2Dangling(b *testing.B) {
+	c, inst := example2Dangling(b)
+	benchmarkBind(b, c, inst)
+}
+
+// TestBindAllocationsDangling bounds what a bind of the cold-bind instance
+// allocates per input tuple, where most rows dangle. It read 44.1 B while
+// the bind semijoined the absorptions its provider implies and grouped
+// each child through a CSR index over all its rows, dangling ones too, and
+// 34.5 B since.
+func TestBindAllocationsDangling(t *testing.T) {
+	ctx := context.Background()
+	c, inst := example2Dangling(t)
+	if _, err := c.Bind(ctx, inst); err != nil { // settles the duplicate-free facts
+		t.Fatal(err)
+	}
+	const binds = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range binds {
+		if _, err := c.Bind(ctx, inst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perTuple := float64(after.TotalAlloc-before.TotalAlloc) / binds / float64(inst.TupleCount())
+	t.Logf("%.1f B per input tuple", perTuple)
+	if perTuple > 40 {
+		t.Errorf("bind allocates %.1f B per input tuple over mostly dangling edges; want at most 40", perTuple)
+	}
+}

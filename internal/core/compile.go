@@ -68,6 +68,7 @@ func Compile(u *cq.UCQ, cert *Certificate) (*CompiledUnion, error) {
 		if !sh.HeadTestable() {
 			return nil, fmt.Errorf("core: member %s does not enumerate exactly its head variables; membership is undecidable from an answer", e.Base.Name)
 		}
+		e.markImplied(sh)
 		c.members = append(c.members, sh)
 		index[e] = i
 	}
@@ -113,6 +114,7 @@ func compileVirtual(va VirtualAtom, prov int, sh *yannakakis.Shape) (virtualShap
 		if sh, err = yannakakis.Compile(pq, va.Prov.S); err != nil {
 			return virtualShape{}, fmt.Errorf("core: compiling provider %s: %w", pq.Name, err)
 		}
+		va.Prov.Provider.markImplied(sh)
 	}
 	v := virtualShape{rel: va.Atom.Rel, prov: prov, shape: sh,
 		preimages: make([][]int, len(va.Atom.Vars))}
@@ -130,6 +132,46 @@ func compileVirtual(va VirtualAtom, prov int, sh *yannakakis.Shape) (virtualShap
 	}
 	v.injective = mapped == len(sh.SVars)
 	return v, nil
+}
+
+// markImplied marks the absorptions in sh, the shape of e's compiled
+// query, that a Lemma 8 provider already guarantees: base atom A into
+// virtual atom V, where some atom B of V's provider body has A's relation
+// and arity, the body-homomorphism maps B's variables positionally onto
+// A's, and every variable of B is in the provider's S. Sound on every
+// instance, a delta overlay included: the provider run and the consumer
+// read A's relation from the same instance, and each row of V is a
+// provider answer µ translated, so at A's variables it reads µ(B) — a row
+// of that relation agreeing on A's repeated variables. A's working
+// relation is that relation projected (it absorbed nothing), so V ⋉ A = V.
+func (e *ExtendedCQ) markImplied(sh *yannakakis.Shape) {
+	if len(e.Virtuals) == 0 {
+		return
+	}
+	nb := len(e.Base.Atoms)
+	sh.MarkImplied(func(a, v int) bool {
+		return a < nb && v >= nb && e.Virtuals[v-nb].Prov.implies(e.Base.Atoms[a])
+	})
+}
+
+// implies reports whether every row a Lemma 8 run of p translates
+// satisfies atom a: some base atom b of the provider has a's relation and
+// arity, h maps b's variables positionally onto a's, and all of them are
+// in S, so the row holds µ(b) at a's positions.
+func (p *Provision) implies(a cq.Atom) bool {
+	for _, b := range p.Provider.Base.Atoms {
+		if b.Rel != a.Rel || len(b.Vars) != len(a.Vars) {
+			continue
+		}
+		onto := true
+		for k, v := range b.Vars {
+			onto = onto && p.S[v] && p.Hom.Apply(v) == a.Vars[k]
+		}
+		if onto {
+			return true
+		}
+	}
+	return false
 }
 
 // compiledQuery is the extended query a shape keeps for as long as its

@@ -303,7 +303,7 @@ func (r *Relation) Dedup() {
 	if r.arity == 0 {
 		r.nullaryLen = 1
 	} else {
-		r.data = r.buildKeys(identityCols(r.arity), nil).keys
+		r.data = r.BuildKeySet(identityCols(r.arity), nil).keys
 	}
 	r.distinct.Store(distinctYes)
 }
@@ -327,7 +327,7 @@ func (r *Relation) Project(name string, cols []int) *Relation {
 			panic(fmt.Sprintf("database: projection column %d out of range for arity %d", c, r.arity))
 		}
 	}
-	return r.buildKeys(cols, nil).Relation(name)
+	return r.BuildKeySet(cols, nil).Relation(name)
 }
 
 // subsetOf records on r, a relation holding some of src's rows, what that

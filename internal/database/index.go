@@ -105,17 +105,13 @@ func (r *Relation) rowSlots(check bool) (slots []int32, mask uint64, distinct bo
 	return slots, mask, true
 }
 
-// BuildKeySet returns the distinct cols-projections of r's rows.
-func (r *Relation) BuildKeySet(cols []int) *KeySet {
-	return r.buildKeys(cols, nil)
-}
-
-// buildKeys builds the key set of r on cols in one pass over the rows. The
-// key array is sized for one key per row and clipped afterwards. A non-nil
-// entries (one element per row) receives each row's entry number.
+// BuildKeySet returns the distinct cols-projections of r's rows, built in
+// one pass. The key array is sized for one key per row and clipped
+// afterwards. A non-nil entries (one element per row) receives each row's
+// entry number, which groups the rows by key with no second hash.
 // Over all columns of a known set the rows are the keys: the table shares
 // r's storage and only the slots are built.
-func (r *Relation) buildKeys(cols []int, entries []int32) *KeySet {
+func (r *Relation) BuildKeySet(cols []int, entries []int32) *KeySet {
 	n, a, w := r.Len(), r.arity, len(cols)
 	if a > 0 && r.distinct.Load() == distinctYes && isIdentity(cols, a) {
 		ks := &KeySet{width: w, n: n, keys: r.data[:len(r.data):len(r.data)]}
@@ -204,7 +200,6 @@ func (ks *KeySet) Contains(key []Value) bool { return ks.EntryOf(key) >= 0 }
 // at rows[offs[e]:offs[e+1]] of one flat array. Lookups hash the key in
 // place, slice the row array and allocate nothing.
 type Index struct {
-	rel  *Relation
 	cols []int
 	keys *KeySet
 	offs []int32
@@ -212,29 +207,14 @@ type Index struct {
 }
 
 // BuildIndex indexes the relation on the given columns. The index snapshots
-// row numbers; it must be rebuilt if the relation changes.
+// row numbers; it must be rebuilt if the relation changes. Two counted
+// passes over the rows' entries: count the rows per entry, prefix-sum into
+// offs, then drop each row number into its entry's range.
 func (r *Relation) BuildIndex(cols []int) *Index {
-	return r.BuildIndexOn(cols, nil)
-}
-
-// BuildIndexOn is BuildIndex over a key set already built for (r, cols) —
-// by a semijoin pass, say — which the index then shares instead of
-// building its own. A nil keys builds one. Two counted passes: count the
-// rows per entry, prefix-sum into offs, then drop each row number into
-// its entry's range.
-func (r *Relation) BuildIndexOn(cols []int, keys *KeySet) *Index {
-	n := r.Len()
-	entries := make([]int32, n)
-	if keys == nil {
-		keys = r.buildKeys(cols, entries)
-	} else {
-		var buf [8]Value
-		for i := range entries {
-			entries[i] = int32(keys.EntryOf(appendCols(buf[:0], r.Row(i), cols)))
-		}
-	}
-	ix := &Index{rel: r, cols: append([]int(nil), cols...), keys: keys,
-		offs: make([]int32, keys.n+1), rows: make([]int32, n)}
+	entries := make([]int32, r.Len())
+	keys := r.BuildKeySet(cols, entries)
+	ix := &Index{cols: append([]int(nil), cols...), keys: keys,
+		offs: make([]int32, keys.n+1), rows: make([]int32, len(entries))}
 	for _, e := range entries {
 		ix.offs[e+1]++
 	}
@@ -273,17 +253,6 @@ func (ix *Index) Lookup(key []Value) []int32 {
 // least one row, so membership in the key set suffices.
 func (ix *Index) Contains(key []Value) bool { return ix.keys.Contains(key) }
 
-// NumKeys returns the number of distinct keys in the index.
-func (ix *Index) NumKeys() int { return ix.keys.n }
-
-// EntryOf returns the dense entry number of key (the e with
-// RowsAt(e) == Lookup(key)), or -1 when no row matches. Entry numbers are
-// stable for the lifetime of the index and span [0, NumKeys()).
-func (ix *Index) EntryOf(key []Value) int { return ix.keys.EntryOf(key) }
-
-// RowsAt returns the row numbers of entry e.
-func (ix *Index) RowsAt(e int) []int32 { return ix.rows[ix.offs[e]:ix.offs[e+1]] }
-
 // Cols returns the indexed columns.
 func (ix *Index) Cols() []int { return ix.cols }
 
@@ -293,7 +262,7 @@ func Semijoin(r *Relation, rCols []int, s *Relation, sCols []int) *Relation {
 	if len(rCols) != len(sCols) {
 		panic("database: semijoin column count mismatch")
 	}
-	return SemijoinKeys(r, rCols, s.BuildKeySet(sCols))
+	return SemijoinKeys(r, rCols, s.BuildKeySet(sCols, nil))
 }
 
 // SemijoinKeys keeps the rows of r whose rCols-projection is in keys, the

@@ -150,3 +150,45 @@ func TestKeySetGrowAgainstMap(t *testing.T) {
 		}
 	})
 }
+
+// TestBuildKeySetEntries checks the per-row entries a bind groups child
+// rows by: each row's entry is its key's entry in the set, entries are
+// numbered in first-occurrence order, and the set equals BuildKeySet's.
+// Over bags and known sets (whose all-column set shares the rows), every
+// column subset including none, and arity 0.
+func TestBuildKeySetEntries(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	for trial := 0; trial < 300; trial++ {
+		arity := rng.Intn(4)
+		r := randomRelation(rng, arity, rng.Intn(40))
+		if trial%2 == 0 {
+			r.Dedup()
+		}
+		cols := identityCols(arity)
+		if trial%3 != 0 {
+			rng.Shuffle(len(cols), func(i, j int) { cols[i], cols[j] = cols[j], cols[i] })
+			cols = cols[:rng.Intn(arity+1)]
+		}
+		entries := make([]int32, r.Len())
+		ks, plain := r.BuildKeySet(cols, entries), r.BuildKeySet(cols, nil)
+		if ks.Len() != plain.Len() {
+			t.Fatalf("trial %d: %d keys with entries, %d without", trial, ks.Len(), plain.Len())
+		}
+		next := int32(0)
+		for i, e := range entries {
+			key := appendCols(nil, r.Row(i), cols)
+			if got := ks.EntryOf(key); got != int(e) || plain.EntryOf(key) != int(e) {
+				t.Fatalf("trial %d: row %d of %v on %v has entry %d, its key %v is entry %d", trial, i, r.Rows(), cols, e, key, got)
+			}
+			if e > next {
+				t.Fatalf("trial %d: row %d opens entry %d before entry %d", trial, i, e, next)
+			}
+			if e == next {
+				next++
+			}
+		}
+		if int(next) != ks.Len() {
+			t.Fatalf("trial %d: rows reach %d entries of %d", trial, next, ks.Len())
+		}
+	}
+}

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/cq"
 )
@@ -194,4 +195,60 @@ func randomBody(rng *rand.Rand) ([]cq.Atom, []cq.Variable) {
 		atoms = append(atoms, cq.Atom{Rel: d.Name, Vars: args})
 	}
 	return atoms, vars
+}
+
+// RandomProvidedUCQ generates a random union shaped like Example 2, the
+// region of the dichotomy RandomUCQ almost never reaches: a member that is
+// acyclic but not free-connex and becomes free-connex only through a
+// virtual atom, instantiated at bind by a Lemma 8 provider run. Q1 is the
+// path A(x,z), B(z,y), whose existential z blocks its free x and y, plus a
+// free tail on y or on x and unary S1 atoms on x, z or y. Q2's body maps
+// onto Q1's atoms around z, with the preimages of x, z and y free, so it
+// can provide {x,z,y} to Q1; it copies some of Q1's other atoms too. The
+// atom order, the head order and the member order vary, and one draw in
+// five reverses an atom of Q2, which may break the homomorphism, so some
+// unions certify without a virtual atom and some not at all.
+func RandomProvidedUCQ(rng *rand.Rand) *cq.UCQ {
+	binary := []string{"R1", "R2", "R3"}
+	rel := func() string { return binary[rng.Intn(len(binary))] }
+	atom := func(r string, vars ...cq.Variable) cq.Atom { return cq.Atom{Rel: r, Vars: vars} }
+	a, b, c := rel(), rel(), rel()
+	q1 := []cq.Atom{atom(a, "x", "z"), atom(b, "z", "y")}
+	q2 := []cq.Atom{atom(a, "a", "b"), atom(b, "b", "c")}
+	head1 := []cq.Variable{"x", "y"}
+	if rng.Intn(2) == 0 {
+		q1, head1 = append(q1, atom(c, "y", "w")), append(head1, "w")
+		if rng.Intn(2) == 0 {
+			q2 = append(q2, atom(c, "c", "d"))
+		}
+	} else {
+		q1, head1 = append(q1, atom(c, "u", "x")), append(head1, "u")
+		if rng.Intn(2) == 0 {
+			q2 = append(q2, atom(c, "d", "a"))
+		}
+	}
+	preimage := map[cq.Variable]cq.Variable{"x": "a", "z": "b", "y": "c"}
+	for _, v := range []cq.Variable{"x", "z", "y"} {
+		if rng.Intn(3) == 0 {
+			q1 = append(q1, atom("S1", v))
+			if rng.Intn(2) == 0 {
+				q2 = append(q2, atom("S1", preimage[v]))
+			}
+		}
+	}
+	if rng.Intn(5) == 0 {
+		slices.Reverse(q2[rng.Intn(len(q2))].Vars)
+	}
+	head2 := []cq.Variable{"a", "b", "c"}
+	for _, s := range [][]cq.Atom{q1, q2} {
+		rng.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
+	}
+	for _, s := range [][]cq.Variable{head1, head2} {
+		rng.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
+	}
+	m1, m2 := cq.MustCQ("Q1", head1, q1), cq.MustCQ("Q2", head2, q2)
+	if rng.Intn(2) == 0 {
+		m1, m2 = m2, m1
+	}
+	return cq.MustUCQ(m1, m2)
 }

@@ -77,3 +77,28 @@ func TestRandomUCQDeterministic(t *testing.T) {
 		t.Errorf("same seed, different queries:\n%s\n%s", a, b)
 	}
 }
+
+func TestRandomProvidedUCQWellFormed(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for i := 0; i < 300; i++ {
+		u := RandomProvidedUCQ(rng)
+		if err := u.Validate(); err != nil {
+			t.Fatalf("case %d: %v\n%s", i, err, u)
+		}
+		if len(u.CQs) != 2 || u.Arity() != 3 {
+			t.Fatalf("case %d: want two members of arity 3\n%s", i, u)
+		}
+		re, err := cq.Parse(u.String())
+		if err != nil {
+			t.Fatalf("case %d: reparse: %v\n%s", i, err, u)
+		}
+		if re.String() != u.String() {
+			t.Fatalf("case %d: round trip changed the query:\n%s\n%s", i, u, re)
+		}
+	}
+	a := RandomProvidedUCQ(rand.New(rand.NewSource(7)))
+	b := RandomProvidedUCQ(rand.New(rand.NewSource(7)))
+	if a.String() != b.String() {
+		t.Errorf("same seed, different queries:\n%s\n%s", a, b)
+	}
+}

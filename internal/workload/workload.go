@@ -6,6 +6,7 @@ package workload
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/cq"
 	"repro/internal/database"
@@ -128,4 +129,38 @@ func Example13Instance(width, degree int, seed int64) *database.Instance {
 		[]int{2, 2, 2, 2, 3},
 		width, degree, seed,
 	)
+}
+
+// Example2DanglingInstance builds data for Example 2's schema as three
+// random graphs over one shared vertex domain [0, width), rows shuffled:
+// each vertex gets `degree` distinct out-edges, and each edge dangles with
+// probability `dangling`, pointing into [width, 2·width), where no edge
+// starts, so it joins nothing downstream. Sharing the domain makes Example
+// 2's members overlap; with most edges dangling most rows fall to the
+// semijoins and few answers survive — a bind-dominated instance.
+func Example2DanglingInstance(width, degree int, dangling float64, seed int64) *database.Instance {
+	rng := rand.New(rand.NewSource(seed))
+	inst := database.NewInstance()
+	for _, name := range []string{"R1", "R2", "R3"} {
+		edges := make([][2]int64, 0, width*degree)
+		for u := int64(0); u < int64(width); u++ {
+			first := len(edges)
+			for len(edges) < first+degree {
+				v := rng.Int63n(int64(width))
+				if rng.Float64() < dangling {
+					v += int64(width)
+				}
+				if !slices.Contains(edges[first:], [2]int64{u, v}) {
+					edges = append(edges, [2]int64{u, v})
+				}
+			}
+		}
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		r := database.NewRelation(name, 2)
+		for _, e := range edges {
+			r.AppendInts(e[0], e[1])
+		}
+		inst.AddRelation(r)
+	}
+	return inst
 }

@@ -11,7 +11,7 @@ import (
 // Shape is the query-only half of a plan: everything Theorem 12's
 // preprocessing decides before reading a row, compiled once per (query, S)
 // and bound to any number of instances, concurrently. It is read-only after
-// Compile returns.
+// Compile (and MarkImplied, if its compiler calls it) returns.
 //
 // It holds the dense variable ids, how each atom binds to its relation,
 // the frozen-S GYO elimination as a step list with its column maps, and the
@@ -57,8 +57,9 @@ type atomShape struct {
 
 // step is one move of the frozen-S GYO elimination, over atom nodes.
 type step struct {
-	kind byte // 'p' projection, 'a' absorption, 't' top
-	node int
+	kind    byte // 'p' projection, 'a' absorption, 't' top
+	implied bool // an absorption that removes no row (see MarkImplied)
+	node    int
 	// A projection removes the variable removedID from column removedCol
 	// and keeps the columns cols, which hold the variables ids.
 	//
@@ -290,6 +291,22 @@ func (sh *Shape) makeTop(i int, nd *elimNode) {
 	nd.alive = false
 	sh.steps = append(sh.steps, step{kind: 't', node: i, top: len(sh.tops)})
 	sh.tops = append(sh.tops, topShape{node: i, vars: nd.vars, varIDs: sh.ids(nd.vars), parent: -1})
+}
+
+// MarkImplied marks as implied each absorption of an atom that has
+// absorbed nothing earlier into an atom for which implied(atom, into)
+// holds, and Bind skips those semijoins. The caller vouches that on every
+// instance the shape is bound to, each row of into's relation agrees with
+// a row of the atom's relation (core.Compile: a Lemma 8 virtual relation
+// and an atom its provider implies). Call it before the first Bind.
+func (sh *Shape) MarkImplied(implied func(atom, into int) bool) {
+	absorbed := make([]bool, len(sh.atoms))
+	for i := range sh.steps {
+		if st := &sh.steps[i]; st.kind == 'a' {
+			st.implied = !absorbed[st.node] && implied(st.node, st.into)
+			absorbed[st.into] = true
+		}
+	}
 }
 
 // buildTopTree joins the tops: join tree, each edge's shared columns, the

@@ -26,7 +26,11 @@ func (p *Plan) Explain() string {
 				p.shape.varName[e.removedID], e.node, proj[0].pre.Len())
 			proj = proj[1:]
 		case 'a':
-			fmt.Fprintf(&b, "  absorb atom #%d into its subsumer (semijoin)\n", e.node)
+			how := "semijoin"
+			if e.implied {
+				how = "implied by its provider: no semijoin"
+			}
+			fmt.Fprintf(&b, "  absorb atom #%d into atom #%d (%s)\n", e.node, e.into, how)
 		case 't':
 			fmt.Fprintf(&b, "  atom #%d becomes a top node\n", e.node)
 		}

@@ -24,12 +24,13 @@
 // (*Shape).Bind(I) is the other half, and it only runs relation passes: it
 // binds each atom to its relation, replays the steps over the relations (a
 // projection keeps its pre-projection relation for replay, an absorption
-// semijoin-reduces the absorber), and runs a classical Yannakakis full
-// reduction over the top join tree. It then groups each top's rows by the
-// columns it shares with its tree parent and points every surviving parent
-// row at the group of rows joining it, one group number per row and edge.
-// A DFS walks those pointers to enumerate the join of the tops — which
-// equals Q(I)|S — with constant delay, no duplicates and no hashing.
+// semijoin-reduces the absorber unless a Lemma 8 provider implies it: see
+// Shape.MarkImplied), and runs a classical Yannakakis full reduction over
+// the top join tree. It then groups each top's rows by the columns it
+// shares with its tree parent and points every surviving parent row at the
+// group of rows joining it, one group number per row and edge. A DFS walks
+// those pointers to enumerate the join of the tops — which equals Q(I)|S —
+// with constant delay, no duplicates and no hashing.
 //
 // An enumerated S-tuple extends to a full homomorphism by replaying the
 // elimination log backwards: each logged projection looks up one matching
@@ -46,12 +47,13 @@
 // otherwise, so a semijoin copies a row only when it removes something
 // next to it. A projection copies (its key table is the projected relation).
 // Within the full reduction, a child's key set on the columns it shares
-// with its parent is built once and serves both the bottom-up semijoin
-// into the parent and the index that groups the child. The top-down pass
-// probes each surviving parent row once, for its pointer, and keeps
-// exactly the groups pointed at; a child whose surviving rows are not
-// grouped already is copied once, in group order. The membership tables
-// behind ContainsHead hold slots only, over the top relations' own rows.
+// with its parent is built once, with each child row's entry, and serves
+// both the bottom-up semijoin into the parent and the grouping of the
+// child: a child row is hashed once per edge. The top-down pass probes
+// each surviving parent row once, for its pointer, and counting-sorts the
+// child rows in the groups pointed at, unless every row is kept and
+// grouped already. The membership tables behind ContainsHead hold slots
+// only, over the top relations' own rows.
 // A plan is therefore a snapshot that may share storage with the instance
 // it was bound to: it relies on stored rows never being rewritten (see
 // database.Relation) and is unaffected by rows appended afterwards.
@@ -167,6 +169,9 @@ func (sh *Shape) Bind(inst *database.Instance) (*Plan, error) {
 			proj = proj[1:]
 			rels[st.node] = pre.Project(pre.Name, st.cols)
 		case 'a':
+			if st.implied {
+				continue
+			}
 			rels[st.into] = database.Semijoin(rels[st.into], st.cols, rels[st.node], sh.identity[:len(st.cols)])
 		case 't':
 			tops[st.top] = rels[st.node]
@@ -214,15 +219,18 @@ func (a *atomShape) bind(inst *database.Instance) (*database.Relation, error) {
 func (p *Plan) reduce(tops []*database.Relation) {
 	sh := p.shape
 	// keys[i] is child i's key set on the columns it shares with its
-	// parent: the bottom-up pass probes the parent's rows with it, and the
-	// top-down pass groups the child on it.
+	// parent, and entries[i] the entry of each of its rows: the bottom-up
+	// pass probes the parent's rows with the set, and the top-down pass
+	// groups the child by the entries, hashing no child row again.
 	keys := make([]*database.KeySet, len(sh.tops))
+	entries := make([][]int32, len(sh.tops))
 	for _, i := range sh.post {
 		t := &sh.tops[i]
 		if t.parent < 0 {
 			continue
 		}
-		keys[i] = tops[i].BuildKeySet(t.cols)
+		entries[i] = make([]int32, tops[i].Len())
+		keys[i] = tops[i].BuildKeySet(t.cols, entries[i])
 		tops[t.parent] = database.SemijoinKeys(tops[t.parent], t.parentCols, keys[i])
 	}
 	// The top-down pass runs in pre-order, so a parent is final before its
@@ -235,9 +243,8 @@ func (p *Plan) reduce(tops []*database.Relation) {
 		ps.varIDs, ps.parent = t.varIDs, -1
 		if t.parent >= 0 {
 			ps.parent = sh.tops[t.parent].pos
-			ix := rel.BuildIndexOn(t.cols, keys[i])
-			ps.down = pointDown(p.pos[ps.parent].rel, t.parentCols, ix)
-			rel, ps.offs = grouped(rel, ix, ps.down)
+			ps.down = pointDown(p.pos[ps.parent].rel, t.parentCols, keys[i])
+			rel, ps.offs = grouped(rel, entries[i], keys[i].Len(), ps.down)
 		}
 		ps.rel, ps.vals, tops[i] = rel, rel.Values(0, rel.Len()), rel
 	}
@@ -245,14 +252,14 @@ func (p *Plan) reduce(tops []*database.Relation) {
 	// so its rows are the keys and only the slot table is built.
 	p.fullIndex = make([]*database.KeySet, len(tops))
 	for i, rel := range tops {
-		p.fullIndex[i] = rel.BuildKeySet(sh.tops[i].allCols)
+		p.fullIndex[i] = rel.BuildKeySet(sh.tops[i].allCols, nil)
 	}
 }
 
-// pointDown returns, for every row of par, the entry of ix whose rows join
+// pointDown returns, for every row of par, the entry of keys that joins
 // it: the one keyed by the row's values at cols. After the bottom-up pass
 // every row of par has one.
-func pointDown(par *database.Relation, cols []int, ix *database.Index) []int32 {
+func pointDown(par *database.Relation, cols []int, keys *database.KeySet) []int32 {
 	down := make([]int32, par.Len())
 	var buf [8]database.Value
 	for r := range down {
@@ -260,45 +267,47 @@ func pointDown(par *database.Relation, cols []int, ix *database.Index) []int32 {
 		for _, c := range cols {
 			key = append(key, row[c])
 		}
-		down[r] = int32(ix.EntryOf(key))
+		down[r] = int32(keys.EntryOf(key))
 	}
 	return down
 }
 
-// grouped returns the rows of rel in the entries of ix that down points
-// at, grouped by entry: entry by entry, and ascending within an entry.
-// offs[e] is the first row of entry e's group, which is empty when no
-// pointer reaches it, and offs[NumKeys] the row count. Rows already so
-// grouped, none dropped, come back as rel.
-func grouped(rel *database.Relation, ix *database.Index, down []int32) (*database.Relation, []int32) {
-	held := make([]bool, ix.NumKeys())
+// grouped returns the rows of rel whose entry (entries[r], one of n) down
+// points at, counting-sorted by entry: entry by entry, and ascending
+// within an entry. offs[e] is the first row of entry e's group, which is
+// empty when no pointer reaches it, and offs[n] the row count. Rows
+// already so grouped, none dropped, come back as rel.
+func grouped(rel *database.Relation, entries []int32, n int, down []int32) (*database.Relation, []int32) {
+	held := make([]bool, n)
 	for _, e := range down {
 		held[e] = true
 	}
-	offs := make([]int32, ix.NumKeys()+1)
+	offs := make([]int32, n+1)
 	inPlace := true
-	for e, h := range held {
-		rows := ix.RowsAt(e)
-		n := int32(0)
-		if h {
-			n = int32(len(rows))
+	for r, e := range entries {
+		if held[e] {
+			offs[e+1]++
 		}
-		offs[e+1] = offs[e] + n
-		inPlace = inPlace && h && rows[0] == offs[e] && rows[n-1] == offs[e+1]-1
+		inPlace = inPlace && held[e] && (r == 0 || e >= entries[r-1])
+	}
+	for e := range n {
+		offs[e+1] += offs[e]
 	}
 	if inPlace {
 		return rel, offs
 	}
-	kept := int(offs[len(held)])
-	vals := make([]database.Value, 0, kept*rel.Arity())
-	for e, h := range held {
-		if h {
-			for _, r := range ix.RowsAt(e) {
-				vals = append(vals, rel.Row(int(r))...)
-			}
+	// Filling advances offs[e] to the next group's start; shifting restores it.
+	a, kept := rel.Arity(), int(offs[n])
+	vals := make([]database.Value, kept*a)
+	for r, e := range entries {
+		if held[e] {
+			copy(vals[int(offs[e])*a:], rel.Row(r))
+			offs[e]++
 		}
 	}
-	out := database.RelationOf(rel.Name, rel.Arity(), kept, vals)
+	copy(offs[1:], offs)
+	offs[0] = 0
+	out := database.RelationOf(rel.Name, a, kept, vals)
 	out.MarkDistinct() // a subset of a set
 	return out, offs
 }
