@@ -13,8 +13,8 @@
 // There is one enumeration path: each CQ of the union is enumerated in
 // turn, skipping the answers an earlier CQ contains, on the main goroutine
 // and in a deterministic answer order. With -count and no -limit,
-// certified single-branch plans answer from the Theorem 12 counting pass
-// without enumerating.
+// certified plans whose members probe no earlier member answer from the
+// Theorem 12 counting passes without enumerating.
 //
 // With -remote URL the query is not evaluated locally: it is POSTed to a
 // running ucq-serve instance (to /query with the -r relations inline, or
@@ -144,8 +144,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ucq-run: %s evaluation\n", plan.Mode)
 	}
 
-	// Count-only with no limit: certified single-branch plans know their
-	// answer count from the counting pass — skip the enumeration entirely.
+	// Count-only with no limit: certified plans whose members probe no
+	// earlier member know their answer count from the counting passes —
+	// skip the enumeration entirely.
 	if *countOnly && *limit == 0 {
 		if n, exact := plan.CountExact(); exact {
 			fmt.Fprintln(os.Stderr, "ucq-run: count from counting pass (no enumeration)")

@@ -47,8 +47,8 @@
 //
 // Both query endpoints take options.count_only, which answers with the
 // exact answer count (capped at the request's limit) instead of a stream:
-// certified single-branch plans count from the Theorem 12 counting pass
-// without enumerating.
+// certified plans whose members probe no earlier member count from the
+// Theorem 12 counting passes without enumerating.
 //
 // Every certified plan is enumerated on the request's goroutine, one
 // branch after another; a branch skips the answers an earlier branch

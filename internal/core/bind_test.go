@@ -156,8 +156,10 @@ func BenchmarkBindExample2Tiny(b *testing.B) {
 
 // BenchmarkDrainExample2 times the enumeration layer alone: Example 2 is
 // bound once over the enum-union instance, outside the timer, and every
-// iteration drains the whole union through its batch path (member
-// iterators, rank probes, the merge), so the figures are per answer:
+// iteration drains the whole union through its batch path (member 0's
+// iterator, member 1's two copies — the rank rule settled at bind by row
+// marks, so no answer is probed — and the merge), so the figures are per
+// answer:
 //
 //	go test -run '^$' -bench DrainExample2 -cpuprofile cpu.out ./internal/core
 func BenchmarkDrainExample2(b *testing.B) {

@@ -28,8 +28,14 @@ import (
 // The extended CQs are then enumerated by the CDY engine and deduplicated
 // by membership, not by memory — Algorithm 1's idea (Theorem 4) applied as
 // a rank rule: member i's answer is emitted iff no member j < i contains
-// it, a constant-time probe of j's full-key top indexes. Every stream is
-// therefore disjoint by construction and holds no answer set.
+// it. Where member i's tops cover j's (yannakakis Shape.Cover), Bind
+// decides that once per row instead of once per answer: it marks each row
+// of i's reduced tops that j's tops contain, and enumerates i as the
+// filtered copies of its tree that each keep the answers first leaving j
+// at one top (yannakakis Plan.Minus) — no hashing and no dropped answer
+// while streaming. Any other earlier member is left out by a constant-time
+// probe of its full-key top indexes per answer. Every stream is therefore
+// disjoint by construction and holds no answer set.
 //
 // A UnionPlan is read-only once Bind returns, so any number of streams may
 // enumerate one plan concurrently, each on its own goroutine.
@@ -38,7 +44,19 @@ type UnionPlan struct {
 	Cert *Certificate
 
 	plans []*yannakakis.Plan
-	stats UnionStats
+	// ranks are the members' compiled rank rules and streams what Bind
+	// made of them, parallel to plans.
+	ranks   []rankRule
+	streams []memberStream
+	stats   UnionStats
+}
+
+// memberStream is what a member's task walks: its answers outside the
+// earlier members it is marked against, as the non-empty copies of its
+// tree, and the plans of the earlier members it still probes per answer.
+type memberStream struct {
+	parts  []*yannakakis.Part
+	probed []*yannakakis.Plan
 }
 
 // UnionStats reports preprocessing counters of a union plan.
@@ -58,32 +76,58 @@ func (p *UnionPlan) Stats() UnionStats { return p.stats }
 
 // Bind performs the Theorem 12 preprocessing over the instance: it runs
 // the compiled shapes' relation passes — provider runs, virtual-relation
-// instantiation, CDY binding — and nothing that depends on the query
-// alone. ctx is checked between member extensions; a cancelled bind aborts
-// with ctx's error when the caller, typically a disconnected client, has
-// gone away. All mutable state lives in the returned UnionPlan.
+// instantiation, CDY binding — then the rank rule's row marks and copies,
+// and nothing that depends on the query alone. ctx is checked between
+// member extensions; a cancelled bind aborts with ctx's error when the
+// caller, typically a disconnected client, has gone away. All mutable
+// state lives in the returned UnionPlan.
 func (c *CompiledUnion) Bind(ctx context.Context, inst *database.Instance) (*UnionPlan, error) {
-	p := &UnionPlan{U: c.U, Cert: c.Cert, plans: make([]*yannakakis.Plan, len(c.members))}
-	b := binder{c: c, p: p, base: inst, insts: make([]*database.Instance, len(c.virtuals))}
+	n := len(c.members)
+	p := &UnionPlan{U: c.U, Cert: c.Cert, ranks: c.ranks, plans: make([]*yannakakis.Plan, n),
+		streams: make([]memberStream, n)}
+	b := newBinder(c, p, inst)
 	for i := range c.members {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if _, err := b.member(i); err != nil {
+		plan, err := b.member(i)
+		if err != nil {
 			return nil, err
 		}
+		// Every earlier member is bound: the rank rule can run.
+		r := &c.ranks[i]
+		p.streams[i] = memberStream{plan.Minus(r.covers, pick(p.plans, r.marked)), pick(p.plans, r.probed)}
 	}
 	return p, nil
 }
 
+// pick returns plans[i] for each i of idx, or nil for none.
+func pick(plans []*yannakakis.Plan, idx []int) []*yannakakis.Plan {
+	if len(idx) == 0 {
+		return nil
+	}
+	out := make([]*yannakakis.Plan, len(idx))
+	for k, i := range idx {
+		out[k] = plans[i]
+	}
+	return out
+}
+
 // binder is the state of one Bind: the instance each extension resolved
-// to, by position in CompiledUnion.virtuals, and the member plans bound so
-// far, in UnionPlan.plans.
+// to, by position in CompiledUnion.virtuals, the relations each provider
+// run translated, by position in CompiledUnion.runs, and the member plans
+// bound so far, in UnionPlan.plans.
 type binder struct {
 	c     *CompiledUnion
 	p     *UnionPlan
 	base  *database.Instance
 	insts []*database.Instance
+	rels  [][]*database.Relation
+}
+
+func newBinder(c *CompiledUnion, p *UnionPlan, base *database.Instance) *binder {
+	return &binder{c: c, p: p, base: base, insts: make([]*database.Instance, len(c.virtuals)),
+		rels: make([][]*database.Relation, len(c.runs))}
 }
 
 // member binds member i's plan once per Bind, for the union and for any
@@ -116,10 +160,13 @@ func (b *binder) resolve(k int) (*database.Instance, error) {
 	if len(virtuals) > 0 {
 		inst = b.base.ShallowClone()
 		for i := range virtuals {
-			rel, err := b.runProvider(&virtuals[i])
-			if err != nil {
-				return nil, err
+			v := &virtuals[i]
+			if b.rels[v.run] == nil {
+				if err := b.runProvider(v.run); err != nil {
+					return nil, err
+				}
 			}
+			rel := b.rels[v.run][v.feed]
 			rel.Dedup() // free when runProvider marked the rows distinct
 			b.p.stats.VirtualTuples += rel.Len()
 			inst.AddRelation(rel)
@@ -132,65 +179,82 @@ func (b *binder) resolve(k int) (*database.Instance, error) {
 // providerPlan binds a provider run's shape over the provider snapshot.
 // A run that shares a member's shape enumerates exactly what that member
 // does, so it iterates the member's plan instead of binding it again.
-func (b *binder) providerPlan(v *virtualShape) (*yannakakis.Plan, error) {
-	if v.prov < len(b.c.members) && v.shape == b.c.members[v.prov] {
-		return b.member(v.prov)
+func (b *binder) providerPlan(run *providerRun) (*yannakakis.Plan, error) {
+	if run.prov < len(b.c.members) && run.shape == b.c.members[run.prov] {
+		return b.member(run.prov)
 	}
-	provInst, err := b.resolve(v.prov)
+	provInst, err := b.resolve(run.prov)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := v.shape.Bind(provInst)
+	plan, err := run.shape.Bind(provInst)
 	if err != nil {
-		return nil, fmt.Errorf("core: preparing provider %s: %w", v.shape.Q.Name, err)
+		return nil, fmt.Errorf("core: preparing provider %s: %w", run.shape.Q.Name, err)
 	}
 	return plan, nil
 }
 
-// runProvider executes one Lemma 8 provider enumeration: it enumerates the
-// provider's plan with enumeration set S and translates each S-tuple into
-// the virtual relation through the body-homomorphism.
-func (b *binder) runProvider(v *virtualShape) (*database.Relation, error) {
-	plan, err := b.providerPlan(v)
+// runProvider executes Lemma 8 provider run r once: it enumerates the
+// provider's plan with enumeration set S and translates each S-tuple,
+// through each body-homomorphism, into every virtual relation the run
+// feeds, leaving them in b.rels[r].
+func (b *binder) runProvider(r int) error {
+	run := &b.c.runs[r]
+	plan, err := b.providerPlan(run)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	b.p.stats.ProviderRuns++
 
-	rel := database.NewRelation(v.rel, len(v.preimages))
-	row := make(database.Tuple, len(v.preimages))
+	feeds := make([]*virtualShape, len(run.feeds))
+	rels := make([]*database.Relation, len(run.feeds))
+	width := 0
+	for f, at := range run.feeds {
+		v := &b.c.virtuals[at[0]][at[1]]
+		feeds[f], rels[f] = v, database.NewRelation(v.rel, len(v.preimages))
+		width = max(width, len(v.preimages))
+	}
+	row := make(database.Tuple, width)
 	it := plan.Iterator()
 	for it.Next() {
 		b.p.stats.BonusAnswers++
-		// Translate: all preimages of a provided variable must agree.
-		ok := true
-		for k, pre := range v.preimages {
-			val := it.Var(pre[0])
-			for _, id := range pre[1:] {
-				if it.Var(id) != val {
-					ok = false
-					break
-				}
+		for f, v := range feeds {
+			if t, ok := v.translate(it, row); ok {
+				rels[f].Append(t...)
 			}
-			if !ok {
-				break
-			}
-			row[k] = val
-		}
-		if ok {
-			rel.Append(row...)
 		}
 	}
-	if v.injective {
-		rel.MarkDistinct()
+	for f, v := range feeds {
+		if v.injective {
+			rels[f].MarkDistinct()
+		}
 	}
-	return rel, nil
+	b.rels[r] = rels
+	return nil
+}
+
+// translate writes the virtual relation's row for the iterator's current
+// S-tuple into row and returns it, or reports false when the preimages of
+// some provided variable disagree.
+func (v *virtualShape) translate(it *yannakakis.Iterator, row database.Tuple) (database.Tuple, bool) {
+	row = row[:len(v.preimages)]
+	for k, pre := range v.preimages {
+		val := it.Var(pre[0])
+		for _, id := range pre[1:] {
+			if it.Var(id) != val {
+				return nil, false
+			}
+		}
+		row[k] = val
+	}
+	return row, true
 }
 
 // Explain renders a human-readable description of the union plan: the
 // certified extensions, the provider runs performed during preprocessing,
-// and per member the earlier members it is deduplicated against, the probe
-// cost of that, and its engine plan.
+// and per member the earlier members it leaves out by row marks, with its
+// copy count, those it probes per answer, with the probe bound, and its
+// engine plan.
 func (p *UnionPlan) Explain() string {
 	var b strings.Builder
 	b.WriteString("Theorem 12 union plan\n")
@@ -201,18 +265,34 @@ func (p *UnionPlan) Explain() string {
 	st := p.Stats()
 	fmt.Fprintf(&b, "preprocessing: %d provider runs, %d bonus answers, %d virtual tuples\n",
 		st.ProviderRuns, st.BonusAnswers, st.VirtualTuples)
-	probes := 0
 	for i, plan := range p.plans {
 		fmt.Fprintf(&b, "-- member %d --\n", i)
 		if i == 0 {
 			b.WriteString("dedup by membership: first member, emitted unfiltered\n")
 		} else {
-			fmt.Fprintf(&b, "dedup by membership: skips answers contained in members 0..%d (at most %d index probes per answer)\n", i-1, probes)
+			r := &p.ranks[i]
+			probes := 0
+			for _, j := range r.probed {
+				probes += p.plans[j].Stats().Tops
+			}
+			fmt.Fprintf(&b, "dedup by row marks: %s (%d copies, %d non-empty)\n", memberList(r.marked), r.copies, len(p.streams[i].parts))
+			fmt.Fprintf(&b, "dedup by index probes: %s (at most %d per answer)\n", memberList(r.probed), probes)
 		}
 		b.WriteString(plan.Explain())
-		probes += plan.Stats().Tops
 	}
 	return b.String()
+}
+
+// memberList renders member positions as "members 0,2", or "none".
+func memberList(idx []int) string {
+	if len(idx) == 0 {
+		return "none"
+	}
+	parts := make([]string, len(idx))
+	for k, i := range idx {
+		parts[k] = fmt.Sprint(i)
+	}
+	return "members " + strings.Join(parts, ",")
 }
 
 // Iterator returns a fresh duplicate-free iterator over the union's
@@ -222,12 +302,13 @@ func (p *UnionPlan) Iterator() *enumeration.Union {
 	return p.Answers(context.Background(), nil)
 }
 
-// Answers is the one stream builder: it feeds one task per member plan, in
-// rank order, to enumeration.Union, which only concatenates — each task
-// skips what an earlier member contains (the rank rule, see planTask), so
+// Answers is the one stream builder: it feeds one task per member, in rank
+// order, to enumeration.Union, which only concatenates — each task leaves
+// out what an earlier member contains (the rank rule, see planTask), so
 // the tasks are pairwise disjoint by construction. The stream runs on the
 // caller's goroutine and is deterministic: member 0, then member 1 minus
-// member 0, ….
+// member 0, …. Within a member marked against earlier ones, the answers
+// come copy by copy (yannakakis Plan.Minus), not in its plan's own order.
 //
 // A non-empty names restricts the stream to the members a change to the
 // named relations can affect: the extensions whose relation footprint
@@ -238,25 +319,33 @@ func (p *UnionPlan) Iterator() *enumeration.Union {
 // Cancelling ctx ends the stream within one batch.
 func (p *UnionPlan) Answers(ctx context.Context, names map[string]struct{}) *enumeration.Union {
 	tasks := make([]enumeration.Task, 0, len(p.plans))
-	for i, pl := range p.plans {
+	for i := range p.plans {
 		if len(names) > 0 && !p.Cert.Extensions[i].TouchesRelations(names) {
 			continue
 		}
-		tasks = append(tasks, &planTask{plan: pl, earlier: p.plans[:i]})
+		tasks = append(tasks, &planTask{parts: p.streams[i].parts, earlier: p.streams[i].probed})
 	}
 	return enumeration.NewUnion(ctx, p.U.Arity(), tasks)
 }
 
 // ExactCount returns the union's answer count without enumerating, when
-// it has a single member: one CDY plan enumerates each answer exactly
-// once, so its counting pass (yannakakis CountAnswers) is the answer
-// count. ok is false for several members — counting what the rank rule
-// lets through requires the probes, i.e. enumeration.
+// no member's stream probes an earlier member: then every member's parts
+// hold exactly the answers the rank rule lets through, each enumerated
+// once, so the sum of their counting passes (yannakakis CountAnswers) is
+// the answer count — a single member's plan, or member 0's plan plus every
+// later member's copies. ok is false otherwise: counting what the probes
+// let through requires enumeration.
 func (p *UnionPlan) ExactCount() (int64, bool) {
-	if len(p.plans) == 1 {
-		return p.plans[0].CountAnswers(), true
+	n := int64(0)
+	for _, m := range p.streams {
+		if len(m.probed) > 0 {
+			return 0, false
+		}
+		for _, pt := range m.parts {
+			n += pt.CountAnswers()
+		}
 	}
-	return 0, false
+	return n, true
 }
 
 // ContainsAnswer reports whether t is an answer of the union over the

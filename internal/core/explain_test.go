@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -31,6 +32,47 @@ func TestUnionPlanExplain(t *testing.T) {
 	} {
 		if !strings.Contains(ex, want) {
 			t.Errorf("Explain missing %q", want)
+		}
+	}
+}
+
+// TestUnionPlanExplainRankRule pins how Explain reports each member's
+// rank rule: Example 2's member 1 by marks against member 0 in two copies
+// with no probe, Example 13's member 2 by marks against member 1 in three
+// copies and probes of member 0's two tops.
+func TestUnionPlanExplainRankRule(t *testing.T) {
+	for _, tc := range []struct {
+		src    string
+		member int
+		want   []string
+	}{
+		{example2, 1, []string{
+			"dedup by row marks: members 0 (2 copies,",
+			"dedup by index probes: none (at most 0 per answer)",
+		}},
+		{example13, 2, []string{
+			"dedup by row marks: members 1 (3 copies,",
+			"dedup by index probes: members 0 (at most 2 per answer)",
+		}},
+	} {
+		u := cq.MustParse(tc.src)
+		cert, ok := FindCertificate(u, nil)
+		if !ok {
+			t.Fatalf("no certificate for\n%s", u)
+		}
+		plan, err := bindUnion(u, cert, randomInstance(u, rand.New(rand.NewSource(12)), 20, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex := plan.Explain()
+		section := ex[strings.Index(ex, fmt.Sprintf("-- member %d --", tc.member)):]
+		if next := strings.Index(section[1:], "-- member"); next >= 0 {
+			section = section[:next+1]
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(section, want) {
+				t.Errorf("%s member %d: Explain lacks %q in\n%s", u.CQs[0].Name, tc.member, want, section)
+			}
 		}
 	}
 }

@@ -30,7 +30,7 @@ type boundShape struct {
 func bindShapes(t *testing.T, c *CompiledUnion, inst *database.Instance) []boundShape {
 	t.Helper()
 	p := &UnionPlan{U: c.U, Cert: c.Cert, plans: make([]*yannakakis.Plan, len(c.members))}
-	b := binder{c: c, p: p, base: inst, insts: make([]*database.Instance, len(c.virtuals))}
+	b := newBinder(c, p, inst)
 	var out []boundShape
 	for i, sh := range c.members {
 		plan, err := b.member(i)
@@ -39,18 +39,16 @@ func bindShapes(t *testing.T, c *CompiledUnion, inst *database.Instance) []bound
 		}
 		out = append(out, boundShape{fmt.Sprintf("member %d", i), sh, plan, b.insts[i]})
 	}
-	for k, vs := range c.virtuals {
-		for j := range vs {
-			v := &vs[j]
-			if v.prov < len(c.members) && v.shape == c.members[v.prov] {
-				continue
-			}
-			plan, err := b.providerPlan(v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, boundShape{fmt.Sprintf("provider run %d of extension %d", j, k), v.shape, plan, b.insts[v.prov]})
+	for r := range c.runs {
+		run := &c.runs[r]
+		if run.prov < len(c.members) && run.shape == c.members[run.prov] {
+			continue
 		}
+		plan, err := b.providerPlan(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, boundShape{fmt.Sprintf("provider run %d", r), run.shape, plan, b.insts[run.prov]})
 	}
 	return out
 }

@@ -81,7 +81,7 @@ func TestPlanTasksPartitionAnswers(t *testing.T) {
 
 	seen := map[string]bool{}
 	for i, pl := range plans {
-		task := &planTask{plan: pl, earlier: plans[:i]}
+		task := &planTask{parts: pl.Minus(nil, nil), earlier: plans[:i]}
 		if task.it != nil {
 			t.Fatal("a task created an iterator before the first batch")
 		}

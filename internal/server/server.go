@@ -333,9 +333,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.stream(w, r, func(ctx context.Context) answerBatches { return plan.AnswersContext(ctx) }, meta, req.Limit)
 }
 
-// respondCount answers a count-only evaluation: certified single-branch
-// plans count from the Theorem 12 counting pass without enumerating a
-// single answer; everything else (multi-branch unions, naive plans)
+// respondCount answers a count-only evaluation: certified plans whose
+// members probe no earlier member (Plan.CountExact) count from the Theorem
+// 12 counting passes without enumerating a single answer; everything else
+// (unions that probe, naive plans)
 // enumerates under the request context and counts server-side. A limit
 // caps the count as it caps a stream: the counting-pass figure is cut to
 // it, and the enumerating count stops there. Either way the client gets

@@ -32,9 +32,9 @@ type QueryOptions struct {
 	// "naive" (skip certification).
 	Mode string `json:"mode,omitempty"`
 	// CountOnly answers with a single CountResponse object instead of
-	// streaming: certified single-branch plans count from the Theorem 12
-	// counting pass without enumerating; everything else enumerates and
-	// counts server-side.
+	// streaming: certified plans whose members probe no earlier member
+	// count from the Theorem 12 counting passes without enumerating;
+	// everything else enumerates and counts server-side.
 	CountOnly bool `json:"count_only,omitempty"`
 }
 
@@ -50,8 +50,8 @@ type CountResponse struct {
 	Count int64  `json:"count"`
 	Mode  string `json:"mode"`
 	// Method is "count-answers" when the count came from the Theorem 12
-	// counting pass without enumeration (certified single-branch plans),
-	// "enumerate" when cross-branch deduplication forced an enumeration.
+	// counting passes without enumeration (Plan.CountExact), "enumerate"
+	// when per-answer deduplication forced an enumeration.
 	Method string `json:"method"`
 	Cache  string `json:"cache"`
 	// Dataset fields mirror the Trailer's (dataset endpoints only).

@@ -1,7 +1,7 @@
 package yannakakis
 
-// This file computes exact output cardinalities of prepared plans: the
-// answer count a single-member union reports without enumerating
+// This file computes exact output cardinalities of prepared plans and of
+// their Parts: the answer count a union reports without enumerating
 // (core.UnionPlan.ExactCount, behind Plan.CountExact and the server's
 // count endpoints).
 
@@ -38,10 +38,13 @@ func satAdd(a, b int64) int64 {
 // per position, not O(join matches); the answer count is the root rows'
 // weight sum. Counts saturate at countCap rather than overflow, so the
 // result is safe to use directly as a sizing hint.
-func (p *Plan) CountAnswers() int64 {
-	weights := make([][]int64, len(p.pos))
-	for k := range p.pos {
-		w := make([]int64, p.pos[k].rel.Len())
+func (p *Plan) CountAnswers() int64 { return countAnswers(p.pos) }
+
+// countAnswers is CountAnswers over pos, a plan's positions or a Part's.
+func countAnswers(pos []position) int64 {
+	weights := make([][]int64, len(pos))
+	for k := range pos {
+		w := make([]int64, pos[k].rows)
 		for r := range w {
 			w[r] = 1
 		}
@@ -49,8 +52,8 @@ func (p *Plan) CountAnswers() int64 {
 	}
 	// Pre-order puts every child after its parent, so walking it backwards
 	// finishes a position's weights before folding them into its parent.
-	for k := len(p.pos) - 1; k > 0; k-- {
-		ps, cw := &p.pos[k], weights[k]
+	for k := len(pos) - 1; k > 0; k-- {
+		ps, cw := &pos[k], weights[k]
 		sums := make([]int64, len(ps.offs)-1)
 		for e := range sums {
 			for _, w := range cw[ps.offs[e]:ps.offs[e+1]] {

@@ -22,7 +22,8 @@ func walkDown(t *testing.T, name string, p *Plan) int64 {
 	sh := p.shape
 	index := make([]*database.Index, len(p.pos))
 	for k := 1; k < len(p.pos); k++ {
-		index[k] = p.pos[k].rel.BuildIndex(sh.tops[sh.order[k]].cols)
+		ps := &p.pos[k]
+		index[k] = database.RelationOf("", len(ps.varIDs), ps.rows, ps.vals).BuildIndex(sh.tops[sh.order[k]].cols)
 	}
 	it := p.Iterator()
 	n := int64(0)

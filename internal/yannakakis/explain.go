@@ -44,7 +44,7 @@ func (p *Plan) Explain() string {
 			parent = fmt.Sprintf("child of top %d", t.parent)
 		}
 		fmt.Fprintf(&b, "  [%d] top %d over {%s} (%d rows, %s)\n",
-			pos, i, joinVars(t.vars), p.pos[pos].rel.Len(), parent)
+			pos, i, joinVars(t.vars), p.pos[pos].rows, parent)
 	}
 
 	st := p.Stats()

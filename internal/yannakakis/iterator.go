@@ -39,12 +39,16 @@ type Iterator struct {
 func (it *Iterator) Var(id int) database.Value { return it.assign[id] }
 
 // Iterator returns a fresh iterator over the plan's answers.
-func (p *Plan) Iterator() *Iterator {
+func (p *Plan) Iterator() *Iterator { return p.iterator(p.pos) }
+
+// iterator returns a fresh iterator over the join of pos, the plan's
+// positions or a Part's filtered copy of them.
+func (p *Plan) iterator(pos []position) *Iterator {
 	return &Iterator{
 		plan:    p,
-		pos:     p.pos,
-		cursors: make([]int, len(p.pos)),
-		ends:    make([]int, len(p.pos)),
+		pos:     pos,
+		cursors: make([]int, len(pos)),
+		ends:    make([]int, len(pos)),
 		assign:  make([]database.Value, len(p.shape.varName)),
 	}
 }
@@ -60,7 +64,7 @@ func (it *Iterator) Next() bool {
 	if !it.started {
 		it.started = true
 		k = 0
-		it.ends[0] = it.pos[0].rel.Len()
+		it.ends[0] = it.pos[0].rows
 	} else {
 		k = n - 1
 		it.cursors[k]++

@@ -32,6 +32,10 @@
 // those pointers to enumerate the join of the tops — which equals Q(I)|S —
 // with constant delay, no duplicates and no hashing.
 //
+// Plan.Minus (cover.go) enumerates a plan's answers outside other plans
+// whose tops its own tops cover: it marks the rows of the reduced tops
+// once and walks filtered copies of the positions, the same way.
+//
 // An enumerated S-tuple extends to a full homomorphism by replaying the
 // elimination log backwards: each logged projection looks up one matching
 // pre-projection row (constant time), exactly the extension step in the
@@ -130,8 +134,9 @@ func (e *projection) extension() *database.Index {
 // grouped: everything an iterator reads to move through it.
 type position struct {
 	varIDs []int
-	rel    *database.Relation
-	// vals are rel's rows, row-major, len(varIDs) values each.
+	// rows is the number of rows and vals holds them, row-major,
+	// len(varIDs) values each.
+	rows int
 	vals []database.Value
 	// parent is the position of the tree parent (-1 for the root). A
 	// non-root top's rows are grouped by the columns it shares with the
@@ -243,10 +248,10 @@ func (p *Plan) reduce(tops []*database.Relation) {
 		ps.varIDs, ps.parent = t.varIDs, -1
 		if t.parent >= 0 {
 			ps.parent = sh.tops[t.parent].pos
-			ps.down = pointDown(p.pos[ps.parent].rel, t.parentCols, keys[i])
+			ps.down = pointDown(tops[t.parent], t.parentCols, keys[i])
 			rel, ps.offs = grouped(rel, entries[i], keys[i].Len(), ps.down)
 		}
-		ps.rel, ps.vals, tops[i] = rel, rel.Values(0, rel.Len()), rel
+		ps.rows, ps.vals, tops[i] = rel.Len(), rel.Values(0, rel.Len()), rel
 	}
 	// Full-key membership tables for ContainsHead. A top relation is a set,
 	// so its rows are the keys and only the slot table is built.

@@ -357,11 +357,13 @@ func (p *Plan) Count() int {
 }
 
 // CountExact returns the plan's exact answer count without enumerating,
-// when the bound pipeline supports it: a certified plan whose union has a
-// single extension enumerates from one CDY plan, so the Theorem 12
-// counting pass (one linear pass over the join tree, yannakakis
-// CountAnswers) already is the answer count. ok is false when counting
-// requires cross-branch deduplication, i.e. enumeration — use Count then.
+// when the bound pipeline supports it: a certified plan none of whose
+// members probes an earlier one — a single extension, or members all
+// enumerated as copies that leave the earlier members out — streams each
+// answer from exactly one CDY plan or copy, so the sum of their Theorem 12
+// counting passes (one linear pass over the join tree each, yannakakis
+// CountAnswers) is the answer count. ok is false when counting requires
+// per-answer deduplication, i.e. enumeration — use Count then.
 func (p *Plan) CountExact() (n int64, ok bool) {
 	if p.Mode != ConstantDelay {
 		return 0, false
