@@ -3,8 +3,10 @@
 //
 // The paper assumes the DRAM model: registers of O(log n) bits with O(1)
 // lookups into tables of polynomial size. We realise the model with int64
-// values, flat row-major relation storage and hash indexes; all "constant
-// time" register operations become expected-constant-time hash operations.
+// values, flat row-major relation storage and key tables that are
+// direct-addressed where a column's values are dense — the model's O(1)
+// lookup as it stands — and hashed otherwise, where a "constant time"
+// register operation becomes an expected-constant-time hash operation.
 //
 // Linear preprocessing is kept linear with a small constant by touching
 // each stored row once and copying it only when something is removed:

@@ -1,34 +1,51 @@
 package database
 
-// This file holds the one hash layout of the engine: a dense key table
-// (KeySet), the CSR index built over it (Index) and the semijoin that
-// probes it. Bind-time tables are sized once from the row count and filled
-// in counted passes, a fixed number of arrays whatever the number of keys;
-// every other dedup site grows a KeySet with Add.
+// This file holds the engine's key tables: a dense key table (KeySet) in
+// one of two layouts, the CSR index built over it (Index) and the semijoin
+// that probes it. A built one-column set whose values span fewer slots than
+// its hashed table would take (hi−lo below the power of two newSlots picks
+// for its row count) is direct-addressed: slot v−lo holds v's entry, so a
+// probe is a subtraction, a bounds check and a read, and the table is never
+// larger than the hashed one. Every other set — a sparse column, several
+// columns, or a growable set — is open-addressed by hash. Bind-time tables
+// are sized once from the row count and filled in counted passes, a fixed
+// number of arrays whatever the number of keys; every other dedup site
+// grows a KeySet with Add.
 
 // KeySet is a set of fixed-width keys, each numbered by a dense entry in
 // first-occurrence order: entry e's key is keys[e*width:(e+1)*width] — for
 // one column a bare array of values — with no offsets or stored hashes. A
-// built set (BuildKeySet) sizes its slots for the row count, never rehashes
-// and is immutable, safe to share. A growable one (NewKeySet, Add) doubles
+// built set (BuildKeySet) sizes its slots once, for the row count or for a
+// dense column's span, never rehashes and is immutable, safe to share. A growable one (NewKeySet, Add) doubles
 // its slots from the keys as it fills and is not safe for concurrent use.
+// The entries, and so everything ordered by them, do not depend on the
+// layout.
 type KeySet struct {
 	width int
 	// n is the number of entries (kept apart from len(keys) for width 0).
 	n    int
 	keys []Value
-	// slots is the open-addressed table: 0 empty, else an entry number + 1.
+	// slots is the table: 0 empty, else an entry number + 1. Hashed, it is
+	// open-addressed under mask; dense, slot j is the key lo+j.
 	slots []int32
 	mask  uint64
+	lo    Value
+	dense bool
 }
 
-// newSlots returns an empty slot table for up to n entries at a load of at
-// most 3/4.
-func newSlots(n int) ([]int32, uint64) {
+// slotCount returns the hashed table size for up to n entries: a power of
+// two, at a load of at most 3/4.
+func slotCount(n int) int {
 	size := 8
 	for size*3/4 < n {
 		size <<= 1
 	}
+	return size
+}
+
+// newSlots returns an empty hashed slot table for up to n entries.
+func newSlots(n int) ([]int32, uint64) {
+	size := slotCount(n)
 	return make([]int32, size), uint64(size - 1)
 }
 
@@ -110,9 +127,15 @@ func (r *Relation) rowSlots(check bool) (slots []int32, mask uint64, distinct bo
 // afterwards. A non-nil entries (one element per row) receives each row's
 // entry number, which groups the rows by key with no second hash.
 // Over all columns of a known set the rows are the keys: the table shares
-// r's storage and only the slots are built.
+// r's storage and only the slots are built. A one-column set over a dense
+// column is direct-addressed (see the file comment).
 func (r *Relation) BuildKeySet(cols []int, entries []int32) *KeySet {
 	n, a, w := r.Len(), r.arity, len(cols)
+	if w == 1 {
+		if lo, span, ok := r.colSpan(cols[0]); ok && span < uint64(slotCount(n)) {
+			return r.denseKeySet(cols[0], lo, span, entries)
+		}
+	}
 	if a > 0 && r.distinct.Load() == distinctYes && isIdentity(cols, a) {
 		ks := &KeySet{width: w, n: n, keys: r.data[:len(r.data):len(r.data)]}
 		ks.slots, ks.mask, _ = r.rowSlots(false)
@@ -163,6 +186,56 @@ func (r *Relation) BuildKeySet(cols []int, entries []int32) *KeySet {
 	return ks
 }
 
+// colSpan returns the least value of column c and hi−lo, its greatest value
+// less it, which is exact as an unsigned difference over the whole int64
+// range; ok is false when r has no rows.
+func (r *Relation) colSpan(c int) (lo Value, span uint64, ok bool) {
+	n, a := r.Len(), r.arity
+	if n == 0 {
+		return 0, 0, false
+	}
+	lo, hi := r.data[c], r.data[c]
+	for i := a + c; i < len(r.data); i += a {
+		v := r.data[i]
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	return lo, uint64(hi) - uint64(lo), true
+}
+
+// denseKeySet builds the direct-addressed one-column set over column c,
+// whose values lie in [lo, lo+span]: one slot per value of the span, and
+// one slot write per row. A column that is a known set's only column is
+// the key array itself, shared like the hashed layout shares it.
+func (r *Relation) denseKeySet(c int, lo Value, span uint64, entries []int32) *KeySet {
+	n, a := r.Len(), r.arity
+	ks := &KeySet{width: 1, lo: lo, dense: true, slots: make([]int32, span+1)}
+	if a == 1 && r.distinct.Load() == distinctYes {
+		ks.n, ks.keys = n, r.data[:n:n]
+		for i, v := range ks.keys {
+			ks.slots[uint64(v-lo)] = int32(i + 1)
+		}
+		for i := range entries {
+			entries[i] = int32(i)
+		}
+		return ks
+	}
+	ks.keys = make([]Value, 0, n)
+	for i := 0; i < n; i++ {
+		v := r.data[i*a+c]
+		s := &ks.slots[uint64(v-lo)]
+		if *s == 0 {
+			ks.keys = append(ks.keys, v)
+			*s = int32(len(ks.keys))
+		}
+		if entries != nil {
+			entries[i] = *s - 1
+		}
+	}
+	ks.n = len(ks.keys)
+	ks.keys = clipValues(ks.keys)
+	return ks
+}
+
 // at returns entry e's key as a view.
 func (ks *KeySet) at(e int) Tuple { return Tuple(ks.keys[e*ks.width : (e+1)*ks.width]) }
 
@@ -176,13 +249,7 @@ func (ks *KeySet) EntryOf(key []Value) int {
 		return -1
 	}
 	if ks.width == 1 {
-		v := key[0]
-		for j := hash1(v) & ks.mask; ; j = (j + 1) & ks.mask {
-			e := ks.slots[j]
-			if e == 0 || ks.keys[e-1] == v {
-				return int(e) - 1
-			}
-		}
+		return int(ks.entry1(key[0]))
 	}
 	for j := Tuple(key).Hash() & ks.mask; ; j = (j + 1) & ks.mask {
 		e := int(ks.slots[j])
@@ -192,13 +259,64 @@ func (ks *KeySet) EntryOf(key []Value) int {
 	}
 }
 
+// entry1 returns the entry of the one-column key v, or -1. Dense, v−lo is
+// v's slot when it is below the slot count: a value outside [lo, hi] wraps
+// to at least the count as an unsigned difference, so no key is compared.
+func (ks *KeySet) entry1(v Value) int32 {
+	if ks.dense {
+		if j := uint64(v - ks.lo); j < uint64(len(ks.slots)) {
+			return ks.slots[j] - 1
+		}
+		return -1
+	}
+	for j := hash1(v) & ks.mask; ; j = (j + 1) & ks.mask {
+		e := ks.slots[j]
+		if e == 0 || ks.keys[e-1] == v {
+			return e - 1
+		}
+	}
+}
+
+// EntriesOf returns, for every row of r, the entry of its cols-projection,
+// or -1 when absent. A one-column key is read straight from the column,
+// with no key assembled per row.
+func (ks *KeySet) EntriesOf(r *Relation, cols []int) []int32 {
+	if len(cols) != ks.width {
+		panic("database: key width mismatch")
+	}
+	out := make([]int32, r.Len())
+	if ks.width == 1 {
+		a, c := r.arity, cols[0]
+		if ks.dense {
+			for i := range out {
+				if j := uint64(r.data[i*a+c] - ks.lo); j < uint64(len(ks.slots)) {
+					out[i] = ks.slots[j] - 1
+				} else {
+					out[i] = -1
+				}
+			}
+			return out
+		}
+		for i := range out {
+			out[i] = ks.entry1(r.data[i*a+c])
+		}
+		return out
+	}
+	var buf [8]Value
+	for i := range out {
+		out[i] = int32(ks.EntryOf(appendCols(buf[:0], r.Row(i), cols)))
+	}
+	return out
+}
+
 // Contains reports whether key is in the set.
 func (ks *KeySet) Contains(key []Value) bool { return ks.EntryOf(key) >= 0 }
 
 // Index is a hash index on a column subset of a relation in CSR layout: a
 // dense key table, and for entry e the matching row numbers — ascending —
-// at rows[offs[e]:offs[e+1]] of one flat array. Lookups hash the key in
-// place, slice the row array and allocate nothing.
+// at rows[offs[e]:offs[e+1]] of one flat array. Lookups find the key in
+// place (in either KeySet layout), slice the row array and allocate
+// nothing.
 type Index struct {
 	cols []int
 	keys *KeySet
@@ -279,11 +397,31 @@ func SemijoinKeys(r *Relation, rCols []int, keys *KeySet) *Relation {
 	n, a := r.Len(), r.arity
 	marks := make([]uint64, (n+63)/64)
 	kept := 0
-	var buf [8]Value
-	for i := 0; i < n; i++ {
-		if keys.EntryOf(appendCols(buf[:0], r.Row(i), rCols)) >= 0 {
-			marks[i>>6] |= 1 << (i & 63)
-			kept++
+	mark := func(i int) {
+		marks[i>>6] |= 1 << (i & 63)
+		kept++
+	}
+	switch {
+	case keys.width == 1 && keys.dense:
+		c, lo, size := rCols[0], keys.lo, uint64(len(keys.slots))
+		for i := 0; i < n; i++ {
+			if j := uint64(r.data[i*a+c] - lo); j < size && keys.slots[j] != 0 {
+				mark(i)
+			}
+		}
+	case keys.width == 1:
+		c := rCols[0]
+		for i := 0; i < n; i++ {
+			if keys.entry1(r.data[i*a+c]) >= 0 {
+				mark(i)
+			}
+		}
+	default:
+		var buf [8]Value
+		for i := 0; i < n; i++ {
+			if keys.EntryOf(appendCols(buf[:0], r.Row(i), rCols)) >= 0 {
+				mark(i)
+			}
 		}
 	}
 	if kept == n {
@@ -317,6 +455,9 @@ func NewKeySet(width int) *KeySet {
 func (ks *KeySet) Add(key []Value) (entry int, fresh bool) {
 	if len(key) != ks.width {
 		panic("database: key width mismatch")
+	}
+	if ks.dense {
+		panic("database: Add to a built key set")
 	}
 	j := ks.find(key)
 	if e := ks.slots[j]; e != 0 {

@@ -218,7 +218,7 @@ func (p *Plan) probe(part *coverPart, q *Plan) []uint64 {
 	var buf [8]database.Value
 	key := append(buf[:0], make([]database.Value, len(part.cols))...)
 	if part.same && qs.rows < ps.rows {
-		full, w := p.fullIndex[p.shape.order[part.pos]], len(part.cols)
+		full, w := p.fullKeys(p.shape.order[part.pos]), len(part.cols)
 		for r := range qs.rows {
 			row := qs.vals[r*w : (r+1)*w]
 			for c, col := range part.cols {
@@ -230,7 +230,7 @@ func (p *Plan) probe(part *coverPart, q *Plan) []uint64 {
 		}
 		return in
 	}
-	full, w := q.fullIndex[part.top], len(ps.varIDs)
+	full, w := q.fullKeys(part.top), len(ps.varIDs)
 	for r := range ps.rows {
 		row := ps.vals[r*w : (r+1)*w]
 		for c, col := range part.cols {

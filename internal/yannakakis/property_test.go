@@ -123,7 +123,7 @@ func (p *Plan) Contains(t database.Tuple) bool {
 		for _, vid := range p.shape.tops[i].varIDs {
 			key = append(key, valueOf[vid])
 		}
-		if !p.fullIndex[i].Contains(key) {
+		if !p.fullKeys(i).Contains(key) {
 			return false
 		}
 	}

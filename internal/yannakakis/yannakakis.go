@@ -53,11 +53,15 @@
 // Within the full reduction, a child's key set on the columns it shares
 // with its parent is built once, with each child row's entry, and serves
 // both the bottom-up semijoin into the parent and the grouping of the
-// child: a child row is hashed once per edge. The top-down pass probes
+// child: a child row is looked up once per edge — on one shared column
+// with dense values, by direct addressing rather than a hash (see
+// database.KeySet). The top-down pass probes
 // each surviving parent row once, for its pointer, and counting-sorts the
 // child rows in the groups pointed at, unless every row is kept and
-// grouped already. The membership tables behind ContainsHead hold slots
-// only, over the top relations' own rows.
+// grouped already. The membership tables behind ContainsHead and the row
+// marks of Plan.Minus hold slots only, over the top relations' own rows,
+// and each is built on its first read, not at Bind: a bind whose plan is
+// only enumerated builds none.
 // A plan is therefore a snapshot that may share storage with the instance
 // it was bound to: it relies on stored rows never being rewritten (see
 // database.Relation) and is unaffected by rows appended afterwards.
@@ -89,10 +93,11 @@ type Plan struct {
 	proj []projection
 	// pos holds the tops in the DFS pre-order iterators walk.
 	pos []position
-	// fullIndex[i] is the key set of top i on all columns — membership needs
-	// no row lists — enabling the constant-time test Algorithm 1 relies on
+	// full[i] is the key set of top i on all columns — membership needs no
+	// row lists — enabling the constant-time test Algorithm 1 relies on
 	// ("tested in constant time after a linear time preprocessing phase").
-	fullIndex []*database.KeySet
+	// Each is built on its first read (fullKeys).
+	full []fullTable
 	// headProbe drives ContainsHead; nil unless S = var(head).
 	headProbe *headProbe
 
@@ -128,6 +133,22 @@ type projection struct {
 func (e *projection) extension() *database.Index {
 	e.once.Do(func() { e.index = e.pre.BuildIndex(e.step.cols) })
 	return e.index
+}
+
+// fullTable is a top's full-key membership table, built from its reduced
+// relation on the first read; plans are shared across goroutines, hence
+// the Once.
+type fullTable struct {
+	rel  *database.Relation
+	once sync.Once
+	keys *database.KeySet
+}
+
+// fullKeys returns the full-key table of top i.
+func (p *Plan) fullKeys(i int) *database.KeySet {
+	t := &p.full[i]
+	t.once.Do(func() { t.keys = t.rel.BuildKeySet(p.shape.tops[i].allCols, nil) })
+	return t.keys
 }
 
 // position is one top at its place in the DFS pre-order, reduced and
@@ -220,7 +241,8 @@ func (a *atomShape) bind(inst *database.Instance) (*database.Relation, error) {
 // reduce runs the classical full reducer over the top join tree — a
 // bottom-up then a top-down semijoin pass over tops, the top relations —
 // and builds the DFS positions, each top grouped and pointed at from its
-// parent, and the full-key membership tables.
+// parent. It records each reduced top for its full-key membership table,
+// which is built on first use.
 func (p *Plan) reduce(tops []*database.Relation) {
 	sh := p.shape
 	// keys[i] is child i's key set on the columns it shares with its
@@ -240,7 +262,8 @@ func (p *Plan) reduce(tops []*database.Relation) {
 	}
 	// The top-down pass runs in pre-order, so a parent is final before its
 	// children. Every parent row is pointed at the group of child rows
-	// joining it, and the semijoin keeps exactly the groups pointed at.
+	// joining it (after the bottom-up pass each has one), and the semijoin
+	// keeps exactly the groups pointed at.
 	p.pos = make([]position, len(sh.order))
 	for k, i := range sh.order {
 		t, rel := &sh.tops[i], tops[i]
@@ -248,33 +271,17 @@ func (p *Plan) reduce(tops []*database.Relation) {
 		ps.varIDs, ps.parent = t.varIDs, -1
 		if t.parent >= 0 {
 			ps.parent = sh.tops[t.parent].pos
-			ps.down = pointDown(tops[t.parent], t.parentCols, keys[i])
+			ps.down = keys[i].EntriesOf(tops[t.parent], t.parentCols)
 			rel, ps.offs = grouped(rel, entries[i], keys[i].Len(), ps.down)
 		}
 		ps.rows, ps.vals, tops[i] = rel.Len(), rel.Values(0, rel.Len()), rel
 	}
-	// Full-key membership tables for ContainsHead. A top relation is a set,
-	// so its rows are the keys and only the slot table is built.
-	p.fullIndex = make([]*database.KeySet, len(tops))
+	// The reduced tops behind the full-key membership tables. A top relation
+	// is a set, so its rows are the keys and only the slot table is built.
+	p.full = make([]fullTable, len(tops))
 	for i, rel := range tops {
-		p.fullIndex[i] = rel.BuildKeySet(sh.tops[i].allCols, nil)
+		p.full[i].rel = rel
 	}
-}
-
-// pointDown returns, for every row of par, the entry of keys that joins
-// it: the one keyed by the row's values at cols. After the bottom-up pass
-// every row of par has one.
-func pointDown(par *database.Relation, cols []int, keys *database.KeySet) []int32 {
-	down := make([]int32, par.Len())
-	var buf [8]database.Value
-	for r := range down {
-		row, key := par.Row(r), buf[:0]
-		for _, c := range cols {
-			key = append(key, row[c])
-		}
-		down[r] = int32(keys.EntryOf(key))
-	}
-	return down
 }
 
 // grouped returns the rows of rel whose entry (entries[r], one of n) down
@@ -354,7 +361,7 @@ func (p *Plan) ContainsHead(t database.Tuple) bool {
 		for _, pos := range cols {
 			key = append(key, t[pos])
 		}
-		if !p.fullIndex[i].Contains(key) {
+		if !p.fullKeys(i).Contains(key) {
 			return false
 		}
 	}
